@@ -12,10 +12,7 @@ run in multiplier-density coordinates, where the dual updates are the
 plain shifts ``lam_e += sigma (K_e xbar - g)`` and
 ``lam_i = max(0, lam_i + sigma (K_i xbar - psi))`` and the measure weights
 cancel from the iteration entirely. The iteration works in block-balanced
-variables (see the engine docstring); since every objective block is
-strongly convex, the classical strongly-convex step schedule is also
-available behind ``SolverParams.accelerate``, though fixed balanced steps
-converge faster on these instances and are the default.
+variables with fixed steps (see the engine docstring).
 
 Progressive hedging decomposes by scenario and exposes the
 nonanticipativity structure algorithmically: scenario copies of the
@@ -36,6 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse._sparsetools import csr_matvec
 
 from . import certify
 from .grid import operator_norm_estimate
@@ -71,7 +69,6 @@ class SolverParams:
     max_iters: int = 400_000
     kkt_tolerance: float = 1e-6
     step_safety: float = 0.99          # tau * sigma * ||K||^2 <= step_safety
-    accelerate: bool = False
     check_every: int = 50
     ph_penalty: float = 1.0
     ph_inner_tolerance: float = 1e-8
@@ -216,6 +213,11 @@ def _pdhg_engine(
     dual updates and the clamped-quadratic proxes keep their form, with
     effective per-block steps ``tau * scale^2`` and the true obstacle
     multiplier recovered as ``row_scale * iterate``.
+
+    ``history(it, res, xp, lam)``, if given, is called at every residual
+    check. The arrays of ``xp`` and ``lam.adjoint`` are views of the
+    engine's working buffers, which later iterations overwrite in place, so
+    the hook must consume them during the call (copy them to keep them).
     """
     S, n, h = inst.S, inst.n, inst.h
     slack = inst.mode == "slack"
@@ -238,11 +240,6 @@ def _pdhg_engine(
     tau = sigma = math.sqrt(params.step_safety) / knorm
     tau1 = tau * s1 * s1
     tauz = tau * sz * sz
-    gamma = min(
-        (inst.alpha + q) * s1**2,
-        1.0,
-        inst.alpha_prime * sz**2 if slack else math.inf,
-    )
 
     if warm is None:
         x1 = project_c1(inst, np.zeros(n))
@@ -258,45 +255,97 @@ def _pdhg_engine(
         lam_e = lw.adjoint.copy()
         lam_ih = np.maximum(lw.obstacle, 0.0) / ci
 
-    xb1, yb, zb = x1.copy(), y.copy(), z.copy()
+    # Preallocated state: the loop below allocates no arrays. The primal
+    # blocks live in one flat vector [x1 | y | z] (z only in slack mode) and
+    # the multipliers in one (2, S, n) array [lam_e | lam_ih], so that each
+    # update the blocks share (step scaling, prox division, clamping,
+    # extrapolation) takes one numpy call; a per-block scalar becomes a
+    # constant array of that value, which gives the same bits. The current
+    # and next primal iterates swap buffers after every step. Every update
+    # keeps the operation order of the plain expression in its comment, so
+    # the iterates match that form bit for bit.
+    SN = S * n
+    nx = n + SN + (SN if slack else 0)
+
+    def primal_buffer():
+        X = np.empty(nx)
+        views = (X, X[:n], X[n:n + SN].reshape(S, n),
+                 X[n + SN:].reshape(S, n) if slack else z)
+        views[1][:], views[2][:], views[3][:] = x1, y, z
+        return views
+
+    cur, nxt = primal_buffer(), primal_buffer()
+    Xb, xb1, yb, zb = primal_buffer()
+    X, x1, y, z = cur
+    duals = np.empty((2, S, n))
+    duals[0], duals[1] = lam_e, lam_ih
+    lam_e, lam_ih = duals
+    work = np.empty((2, S, n))
+    work_e, work_i = work
+    Alam = np.empty((S, n))
+    g_psi = np.stack([g, psi])
+    dual_steps = np.array([sigma, sigma * ci])[:, None, None]
+    ineq_scales = np.array([ci, tauz * ci])[:, None, None]
+    tau_yt = tau * y_t
+    den = np.empty(nx)
+    den[:n] = 1.0 + tau1 * (inst.alpha + q)
+    den[n:n + SN] = 1.0 + tau
+    den[n + SN:] = 1.0 + tauz * inst.alpha_prime
+    lo = np.concatenate([inst.c1_lo, np.full(nx - n, -M)])
+    hi = np.concatenate([inst.c1_hi, np.full(nx - n, M)])
+    indptr, indices, data = Ablk.indptr, Ablk.indices, Ablk.data
+
     status = STATUS_ITERATION_CAP
     best_worst = math.inf
     best = None
     it = 0
     while it < max_iters:
         it += 1
-        # dual ascent at the extrapolated primal point
-        Ay = (Ablk @ yb.ravel()).reshape(S, n)
-        lam_e += sigma * (Ay - xb1[None, :] - g)
-        ineq = yb - zb if slack else yb
-        np.maximum(0.0, lam_ih + sigma * ci * (ineq - psi), out=lam_ih)
-
-        # proximal descent; every block is a clamped quadratic
-        e_lam = p @ lam_e
-        v1 = x1 + tau1 * (e_lam + qc - lin)
-        x1n = np.clip(v1 / (1.0 + tau1 * (inst.alpha + q)), inst.c1_lo, inst.c1_hi)
-
-        Alam = (Ablk @ lam_e.ravel()).reshape(S, n)
-        vy = y - tau * (Alam + ci * lam_ih)
-        yn = np.clip((vy + tau * y_t[None, :]) / (1.0 + tau), -M, M)
+        # dual ascent at the extrapolated primal point:
+        # lam_e += sigma ((A yb - xb1) - g)
+        # lam_ih = max(0, lam_ih + sigma ci (ineq - psi)), ineq = yb - zb or yb
+        work_e.fill(0.0)
+        csr_matvec(SN, SN, indptr, indices, data, yb, work_e)
+        np.subtract(work_e, xb1, out=work_e)
         if slack:
-            zn = np.clip((z + tauz * ci * lam_ih) / (1.0 + tauz * inst.alpha_prime), -M, M)
+            np.subtract(yb, zb, out=work_i)
         else:
-            zn = z
+            np.copyto(work_i, yb)
+        np.subtract(work, g_psi, out=work)
+        np.multiply(work, dual_steps, out=work)
+        np.add(duals, work, out=duals)
+        np.maximum(0.0, lam_ih, out=lam_ih)
 
-        if params.accelerate:
-            theta = 1.0 / math.sqrt(1.0 + 2.0 * gamma * tau)
-            tau *= theta
-            tau1 *= theta
-            tauz *= theta
-            sigma /= theta
-        else:
-            theta = 1.0
+        # proximal descent; every block is a clamped quadratic:
+        # x1n = clip((x1 + tau1 ((p @ lam_e + qc) - lin)) / den1, c1_lo, c1_hi)
+        # yn = clip(((y - tau (A lam_e + ci lam_ih)) + tau y_t) / den_y, -M, M)
+        # zn = clip((z + tauz ci lam_ih) / den_z, -M, M); hard mode keeps z
+        Xn, x1n, yn, zn = nxt
+        np.matmul(p, lam_e, out=x1n)
+        np.add(x1n, qc, out=x1n)
+        np.subtract(x1n, lin, out=x1n)
+        np.multiply(x1n, tau1, out=x1n)
+        np.add(x1, x1n, out=x1n)
+        Alam.fill(0.0)
+        csr_matvec(SN, SN, indptr, indices, data, lam_e, Alam)
+        np.multiply(lam_ih, ineq_scales, out=work)
+        np.add(Alam, work_e, out=work_e)
+        np.multiply(work_e, tau, out=work_e)
+        np.subtract(y, work_e, out=yn)
+        np.add(yn, tau_yt, out=yn)
+        if slack:
+            np.add(z, work_i, out=zn)
+        np.divide(Xn, den, out=Xn)
+        # (value, bound) argument order: np.clip with array bounds resolves
+        # a signed-zero tie to the value, and so does this order
+        np.maximum(Xn, lo, out=Xn)
+        np.minimum(Xn, hi, out=Xn)
 
-        xb1 = x1n + theta * (x1n - x1)
-        yb = yn + theta * (yn - y)
-        zb = zn + theta * (zn - z) if slack else z
-        x1, y, z = x1n, yn, zn
+        # extrapolate with theta = 1: xb = xn + (xn - x)
+        np.subtract(Xn, X, out=Xb)
+        np.add(Xn, Xb, out=Xb)
+        cur, nxt = nxt, cur
+        X, x1, y, z = cur
 
         if it % params.check_every == 0 or it == max_iters:
             xp = PrimalPoint(x1, y, z)
@@ -415,6 +464,10 @@ def solve_progressive_hedging(
     largest probability-weighted mean of the weights seen at any outer
     iteration (zero up to roundoff while the consensus projection stays
     inactive), and the total inner iteration count.
+
+    A subproblem that stops unconverged (iteration cap or suspected
+    infeasibility) ends the run: the report carries that subproblem's
+    status and describes the last consensus with the latest scenario solves.
     """
     params = params or SolverParams()
     if inst.mode != "slack":
@@ -427,6 +480,8 @@ def solve_progressive_hedging(
     w = np.zeros((S, n))
     x_hat = np.zeros(n)
     x1s = np.zeros((S, n))
+    y, z = np.zeros((S, n)), np.zeros((S, n))
+    lam_e, lam_i = np.zeros((S, n)), np.zeros((S, n))
     warm_state: list = [None] * S
     status = STATUS_ITERATION_CAP
     gap = math.inf
@@ -437,6 +492,7 @@ def solve_progressive_hedging(
 
     for outer in range(1, params.ph_max_outer + 1):
         first = outer == 1
+        failed = None
         for k in range(S):
             xk, lk, it_k, st_k = _pdhg_engine(
                 subs[k], params,
@@ -448,30 +504,29 @@ def solve_progressive_hedging(
                 x1_extra_lin=None if first else w[k],
             )
             inner_total += it_k
-            if st_k not in (STATUS_CONVERGED,):
-                raise RuntimeError(
-                    f"progressive hedging subproblem for scenario {k} "
-                    f"did not converge (status {st_k})"
-                )
             warm_state[k] = (xk, lk)
-            x1s[k] = xk.x1
+            x1s[k], y[k], z[k] = xk.x1, xk.y[0], xk.z[0]
+            lam_e[k], lam_i[k] = lk.adjoint[0], lk.obstacle[0]
+            if st_k != STATUS_CONVERGED:
+                failed = st_k
+                break
 
-        mean = inst.p @ x1s
-        x_hat = project_c1(inst, mean)
-        if not np.array_equal(x_hat, mean):
-            projection_active = True
-        w += r * (x1s - x_hat[None, :])
-        drift_log.append(inst.h * float(np.linalg.norm(inst.p @ w)))
+        if failed is None:
+            mean = inst.p @ x1s
+            x_hat = project_c1(inst, mean)
+            if not np.array_equal(x_hat, mean):
+                projection_active = True
+            w += r * (x1s - x_hat[None, :])
+            drift_log.append(inst.h * float(np.linalg.norm(inst.p @ w)))
 
         gap = inst.h * float(np.linalg.norm(x1s - x_hat[None, :], axis=1).max())
+        if failed is not None:
+            status = failed
+            break
         if gap <= params.kkt_tolerance:
             status = STATUS_CONVERGED
             break
 
-    y = np.stack([warm_state[k][0].y[0] for k in range(S)])
-    z = np.stack([warm_state[k][0].z[0] for k in range(S)])
-    lam_e = np.stack([warm_state[k][1].adjoint[0] for k in range(S)])
-    lam_i = np.stack([warm_state[k][1].obstacle[0] for k in range(S)])
     primal = PrimalPoint(x_hat.copy(), y, z)
     dual = DualPoint(lam_e, lam_i, extract_rho(inst, lam_e))
     report_kkt = certify.kkt_residuals(inst, primal, dual)

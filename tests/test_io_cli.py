@@ -124,6 +124,11 @@ def test_solve_exit_codes(tmp_path):
                     "--out", str(tmp_path / "o")]) == 4
     assert run_cli(["solve", "--instance", str(inst_path), "--max-iters", "1",
                     "--out", str(tmp_path / "o2")]) == 2
+    # a capped progressive-hedging subproblem ends the run with a report
+    assert run_cli(["solve", "--instance", str(inst_path), "--algorithm", "ph",
+                    "--max-iters", "10", "--out", str(tmp_path / "o3")]) == 2
+    report = json.loads((tmp_path / "o3" / "report.json").read_text())
+    assert report["status"] == "iteration_cap"
 
 
 def test_solve_infeasible_exit_code(tmp_path):

@@ -1,13 +1,22 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.sparse._sparsetools import csr_matvec
 
-from sassc import io
+from sassc import certify, io
 from sassc.certify import kkt_residuals
 from sassc.grid import solve_linear
-from sassc.problem import PrimalPoint, norm_h, objective
+from sassc.problem import DualPoint, PrimalPoint, norm_h, objective, project_c1
 from sassc.solvers import (
+    STATUS_CONVERGED,
+    STATUS_INFEASIBLE,
+    STATUS_ITERATION_CAP,
     BarrierSizeError,
     SolverParams,
+    _estimate_k_norm,
+    _pdhg_engine,
     extract_rho,
     solve_barrier_reference,
     solve_hard,
@@ -84,6 +93,153 @@ def test_pdhg_deterministic_bitwise(small_instance):
     assert np.array_equal(xa.y, xb.y)
     assert np.array_equal(la.adjoint, lb.adjoint)
     assert ra.iterations == rb.iterations
+
+
+def reference_engine(inst, params, tol, max_iters, warm=None, x1_extra_quad=0.0,
+                     x1_extra_center=None, x1_extra_lin=None):
+    """The engine loop in its plain numpy form, one expression per update,
+    allocating fresh arrays every iteration. The preallocated engine must
+    reproduce it bit for bit."""
+    S, n, h = inst.S, inst.n, inst.h
+    slack = inst.mode == "slack"
+    M = inst.c2_bound
+    p = inst.p
+    _, g, psi = inst.fields()
+    Ablk = inst.block_operator()
+    y_t = inst.y_target
+
+    q = x1_extra_quad
+    qc = 0.0 if (q == 0.0 or x1_extra_center is None) else q * x1_extra_center
+    lin = 0.0 if x1_extra_lin is None else x1_extra_lin
+
+    k0 = _estimate_k_norm(inst)
+    scale = max(1.0, math.sqrt(k0))
+    s1 = scale
+    sz = scale if slack else 1.0
+    ci = scale if slack else max(1.0, k0 / 3.0)
+    knorm = _estimate_k_norm(inst, s1=s1, sz=sz, ci=ci)
+    tau = sigma = math.sqrt(params.step_safety) / knorm
+    tau1 = tau * s1 * s1
+    tauz = tau * sz * sz
+
+    if warm is None:
+        x1 = project_c1(inst, np.zeros(n))
+        y = np.zeros((S, n))
+        z = np.zeros((S, n))
+        lam_e = np.zeros((S, n))
+        lam_ih = np.zeros((S, n))
+    else:
+        xw, lw = warm
+        x1 = xw.x1.copy()
+        y = xw.y.copy()
+        z = xw.z.copy()
+        lam_e = lw.adjoint.copy()
+        lam_ih = np.maximum(lw.obstacle, 0.0) / ci
+
+    xb1, yb, zb = x1.copy(), y.copy(), z.copy()
+    status = STATUS_ITERATION_CAP
+    best_worst = math.inf
+    best = None
+    it = 0
+    while it < max_iters:
+        it += 1
+        Ay = (Ablk @ yb.ravel()).reshape(S, n)
+        lam_e += sigma * (Ay - xb1[None, :] - g)
+        ineq = yb - zb if slack else yb
+        np.maximum(0.0, lam_ih + sigma * ci * (ineq - psi), out=lam_ih)
+
+        e_lam = p @ lam_e
+        v1 = x1 + tau1 * (e_lam + qc - lin)
+        x1n = np.clip(v1 / (1.0 + tau1 * (inst.alpha + q)), inst.c1_lo, inst.c1_hi)
+
+        Alam = (Ablk @ lam_e.ravel()).reshape(S, n)
+        vy = y - tau * (Alam + ci * lam_ih)
+        yn = np.clip((vy + tau * y_t[None, :]) / (1.0 + tau), -M, M)
+        if slack:
+            zn = np.clip((z + tauz * ci * lam_ih) / (1.0 + tauz * inst.alpha_prime), -M, M)
+        else:
+            zn = z
+
+        theta = 1.0
+        xb1 = x1n + theta * (x1n - x1)
+        yb = yn + theta * (yn - y)
+        zb = zn + theta * (zn - z) if slack else z
+        x1, y, z = x1n, yn, zn
+
+        if it % params.check_every == 0 or it == max_iters:
+            xp = PrimalPoint(x1, y, z)
+            lam = DualPoint(lam_e, ci * lam_ih, -lam_e)
+            res = certify.natural_residuals(
+                inst, xp, lam,
+                x1_extra_quad=q, x1_extra_center=x1_extra_center,
+                x1_extra_lin=x1_extra_lin,
+            )
+            worst = max(res["r1"], res["r3"], res.get("r3p", 0.0),
+                        res["r4"], res["r5_feas"], res["r5_comp"])
+            if worst < best_worst:
+                best_worst = worst
+                best = (x1.copy(), y.copy(), z.copy(), lam_e.copy(), lam_ih.copy())
+            if worst <= tol:
+                status = STATUS_CONVERGED
+                break
+            lam_mag = max(h * np.linalg.norm(lam_e, axis=1).max(),
+                          ci * h * np.linalg.norm(lam_ih, axis=1).max())
+            if lam_mag > params.divergence_threshold:
+                status = STATUS_INFEASIBLE
+                break
+
+    if status != STATUS_CONVERGED and best is not None:
+        x1, y, z, lam_e, lam_ih = best
+    primal = PrimalPoint(x1.copy(), y.copy(), z.copy() if slack else np.zeros((S, n)))
+    dual = DualPoint(lam_e.copy(), ci * lam_ih, extract_rho(inst, lam_e))
+    return primal, dual, it, status
+
+
+def _equivalence_case(inst, case):
+    """Engine arguments for one equivalence case on the small instance."""
+    if case == "slack":
+        return inst, dict(tol=1e-6, max_iters=400_000)
+    if case == "hard":
+        return inst.with_mode("hard"), dict(tol=1e-6, max_iters=400_000)
+    if case == "ph_subproblem":
+        sub = replace(inst, scenarios=inst.scenarios.subset([1]))
+        rng = np.random.default_rng(5)
+        return sub, dict(tol=1e-8, max_iters=400_000, x1_extra_quad=0.05,
+                         x1_extra_center=rng.uniform(0.0, 1.0, inst.n),
+                         x1_extra_lin=0.1 * rng.standard_normal(inst.n))
+    if case == "warm":
+        warm = _pdhg_engine(inst, SolverParams(), tol=1e-3, max_iters=400_000)[:2]
+        return inst, dict(tol=1e-6, max_iters=400_000, warm=warm)
+    if case == "cap_137":  # not a multiple of check_every: best-iterate fallback
+        return inst, dict(tol=1e-6, max_iters=137)
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("case", ["slack", "hard", "ph_subproblem", "warm", "cap_137"])
+def test_engine_matches_reference_bitwise(small_instance, case):
+    inst, kwargs = _equivalence_case(small_instance, case)
+    params = SolverParams()
+    xa, la, ita, sta = _pdhg_engine(inst, params, **kwargs)
+    xb, lb, itb, stb = reference_engine(inst, params, **kwargs)
+    assert (ita, sta) == (itb, stb)
+    if case == "cap_137":
+        assert sta == STATUS_ITERATION_CAP
+    else:
+        assert sta == STATUS_CONVERGED
+    for a, b in ((xa.x1, xb.x1), (xa.y, xb.y), (xa.z, xb.z), (la.adjoint, lb.adjoint),
+                 (la.obstacle, lb.obstacle), (la.nonant, lb.nonant)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_direct_csr_matvec_matches_matmul(small_instance):
+    Ablk = small_instance.block_operator()
+    N = Ablk.shape[0]
+    v = np.random.default_rng(2).standard_normal((small_instance.S, small_instance.n))
+    v[0, :3] = (-0.0, 0.0, 1e-300)
+    out = np.zeros(v.shape)
+    csr_matvec(N, N, Ablk.indptr, Ablk.indices, Ablk.data, v, out)
+    assert out.ravel().tobytes() == (Ablk @ v.ravel()).tobytes()
 
 
 def test_pdhg_residual_trend_and_bounded_gap(small_instance):
