@@ -81,8 +81,13 @@ class KktReport:
         return self.duality_gap / (1.0 + abs(self.objective))
 
     def passes(self, tol: float = DEFAULT_TOL, gap_tol: float | None = None) -> bool:
-        """Certificate: every residual within ``tol``; gap within ``gap_tol``."""
-        if self.max_residual() > tol:
+        """Certificate: every residual within ``tol``, a finite duality gap,
+        and the relative gap within ``gap_tol`` when given.
+
+        The gap is infinite when an obstacle-multiplier entry is negative,
+        even one inside the sign tolerance: the dual function is ``-inf``.
+        """
+        if self.max_residual() > tol or not math.isfinite(self.duality_gap):
             return False
         if gap_tol is not None and not self.relative_gap() <= gap_tol:
             return False

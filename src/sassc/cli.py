@@ -175,7 +175,11 @@ def cmd_homotopy(args) -> int:
     _write_json(os.path.join(args.out, "homotopy.json"),
                 io.homotopy_to_dict(report, provenance))
     io.atomic_write(os.path.join(args.out, "homotopy.csv"), io.homotopy_csv(report))
-    slope, _, r2 = fit_decay_rate(report)
+    try:
+        slope, _, r2 = fit_decay_rate(report)
+    except ValueError as exc:  # the study ran, but its levels admit no decay fit
+        print(f"homotopy predicate failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     print(f"slack decay slope {slope:.4f} (r^2 {r2:.4f}); "
           f"final control distance {report.levels[-1].dist_x1:.3e}")
     return EXIT_OK if slope <= HOMOTOPY_SLOPE_BOUND else EXIT_FAIL

@@ -79,6 +79,12 @@ def _fit_loglog(pairs: list[tuple[float, float]]) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+def _usable_levels(levels: list[HomotopyLevel]) -> list[tuple[float, float]]:
+    """(weight, slack energy) points of the decay fit: the converged levels
+    with positive slack."""
+    return [(l.alpha_prime, l.ez2) for l in levels if l.converged and l.ez2 > 0.0]
+
+
 def run_homotopy(
     inst: Instance,
     schedule: list[float],
@@ -127,7 +133,7 @@ def run_homotopy(
         if lvl.converged and ez2 == 0.0:
             zero_levels.append(a_prime)
 
-    usable = [(l.alpha_prime, l.ez2) for l in levels if l.converged and l.ez2 > 0.0]
+    usable = _usable_levels(levels)
     slope = intercept = r2 = None
     if len(usable) >= 3:
         slope, intercept, r2 = _fit_loglog(usable)
@@ -149,7 +155,7 @@ def fit_decay_rate(report: HomotopyReport) -> tuple[float, float, float]:
     Zero-slack levels are excluded; fewer than three usable points is an
     error (an all-zero series means the constraint never activated).
     """
-    usable = [(l.alpha_prime, l.ez2) for l in report.levels if l.converged and l.ez2 > 0.0]
+    usable = _usable_levels(report.levels)
     if not usable and report.zero_slack_levels:
         raise ValueError("constraint never active: slack is zero at every level")
     if len(usable) < 3:

@@ -321,15 +321,21 @@ def solve_report_to_dict(rep: SolveReport, provenance: dict) -> dict:
 
 
 def kkt_report_to_dict(rep: KktReport, provenance: dict) -> dict:
+    """KKT report fields; a non-finite duality gap or dual value becomes
+    ``None`` (JSON ``null``). The dual function is ``-inf`` whenever the
+    obstacle multiplier has a negative entry, which makes the gap ``+inf``."""
+    def finite_or_none(x: float) -> float | None:
+        return x if np.isfinite(x) else None
+
     return {
         "r1": rep.r1, "r2": rep.r2, "r3": rep.r3, "r3p": rep.r3p, "r4": rep.r4,
         "r5_sign": rep.r5_sign, "r5_feas": rep.r5_feas, "r5_comp": rep.r5_comp,
-        "duality_gap": rep.duality_gap,
+        "duality_gap": finite_or_none(rep.duality_gap),
         "l1_lambda_e": rep.l1_lambda_e,
         "l1_lambda_i": rep.l1_lambda_i,
         "l1_rho": rep.l1_rho,
         "objective": rep.objective,
-        "dual_value": rep.dual_value,
+        "dual_value": finite_or_none(rep.dual_value),
         **provenance,
     }
 

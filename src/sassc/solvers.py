@@ -18,7 +18,11 @@ Progressive hedging decomposes by scenario and exposes the
 nonanticipativity structure algorithmically: scenario copies of the
 control are driven to consensus by weights ``w_k`` that converge to the
 negative of the per-scenario nonanticipativity density minus the shared
-control gradient.
+control gradient. A round is one lockstep engine call over all scenario
+subproblems: the engine stacks independent problems as rows of one
+iteration. At small grid sizes numpy call overhead, not arithmetic,
+dominates an iteration, so one stacked iteration costs far less than one
+iteration of each problem run on its own.
 
 The barrier oracle is deliberately a different algorithmic family (dense
 Newton on a log-barrier interior path) so that agreement between solvers
@@ -124,6 +128,22 @@ class SolveReport:
         return self.status == STATUS_CONVERGED
 
 
+def _report(algorithm: str, kkt: certify.KktReport, iterations: int, status: str,
+            t0: float, extras: dict | None = None) -> SolveReport:
+    """Solve report carrying the residuals, objective and dual value of the
+    full certification pass ``kkt``; ``t0`` is the solve's start time."""
+    return SolveReport(
+        algorithm=algorithm,
+        iterations=iterations,
+        status=status,
+        residuals=kkt.residual_dict(),
+        objective=kkt.objective,
+        dual_value=kkt.dual_value,
+        wall_time=time.perf_counter() - t0,
+        extras=extras or {},
+    )
+
+
 def extract_rho(inst: Instance, adjoint: np.ndarray) -> np.ndarray:
     """Nonanticipativity density implied by the adjoint multiplier.
 
@@ -189,12 +209,28 @@ def _estimate_k_norm(
     return est
 
 
+def _stack_csr(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays of the block-diagonal stack of square ``mats``.
+
+    Every row keeps its entries in their original order, so a product with
+    the stack sums each row exactly as a product with its own block does.
+    """
+    offset = 0
+    indptr, indices = [mats[0].indptr[:1]], []
+    for j, A in enumerate(mats):
+        indptr.append(A.indptr[1:] + offset)
+        indices.append(A.indices + j * A.shape[1])
+        offset += A.nnz
+    data = [A.data for A in mats]
+    return np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
+
+
 def _pdhg_engine(
-    inst: Instance,
+    inst: Instance | list[Instance],
     params: SolverParams,
     tol: float,
     max_iters: int,
-    warm: tuple[PrimalPoint, DualPoint] | None = None,
+    warm: tuple[PrimalPoint, DualPoint] | list | None = None,
     x1_extra_quad: float = 0.0,
     x1_extra_center: np.ndarray | None = None,
     x1_extra_lin: np.ndarray | None = None,
@@ -214,98 +250,141 @@ def _pdhg_engine(
     effective per-block steps ``tau * scale^2`` and the true obstacle
     multiplier recovered as ``row_scale * iterate``.
 
+    ``inst`` may also be a list of B instances with the same grid, mode
+    and scenario count, which run in lockstep as rows of one stacked
+    iteration: ``warm`` is then a list with one entry (or None) per row,
+    ``x1_extra_lin`` a (B, n) array of per-row linear terms, and the result
+    a list of per-row tuples. Each row keeps its own step sizes, residual
+    checks, best iterate and stopping test, and its iterates are bitwise
+    those of a run on its own instance. A row that stops leaves the batch,
+    whose buffers are then restacked from the rows still running.
+
     ``history(it, res, xp, lam)``, if given, is called at every residual
-    check. The arrays of ``xp`` and ``lam.adjoint`` are views of the
-    engine's working buffers, which later iterations overwrite in place, so
-    the hook must consume them during the call (copy them to keep them).
+    check of every row. The arrays of ``xp`` and ``lam.adjoint`` are views
+    of the engine's working buffers, which later iterations overwrite in
+    place, so the hook must consume them during the call (copy them to
+    keep them).
     """
-    S, n, h = inst.S, inst.n, inst.h
-    slack = inst.mode == "slack"
-    M = inst.c2_bound
-    p = inst.p
-    _, g, psi = inst.fields()
-    Ablk = inst.block_operator()
-    y_t = inst.y_target
+    batched = not isinstance(inst, Instance)
+    if not batched:
+        inst, warm = [inst], [warm]
+        if x1_extra_lin is not None:
+            x1_extra_lin = x1_extra_lin[None, :]
+    B = len(inst)
+    S, n, mode = inst[0].S, inst[0].n, inst[0].mode
+    if any((sub.S, sub.n, sub.mode) != (S, n, mode) for sub in inst):
+        raise ValueError("batched instances must share the grid, mode and scenario count")
+    slack = mode == "slack"
+    if warm is None:
+        warm = [None] * B
+    lins = [None] * B if x1_extra_lin is None else list(x1_extra_lin)
 
     q = x1_extra_quad
     qc = 0.0 if (q == 0.0 or x1_extra_center is None) else q * x1_extra_center
-    lin = 0.0 if x1_extra_lin is None else x1_extra_lin
 
-    k0 = _estimate_k_norm(inst)
-    scale = max(1.0, math.sqrt(k0))
-    s1 = scale
-    sz = scale if slack else 1.0
-    ci = scale if slack else max(1.0, k0 / 3.0)
-    knorm = _estimate_k_norm(inst, s1=s1, sz=sz, ci=ci)
-    tau = sigma = math.sqrt(params.step_safety) / knorm
-    tau1 = tau * s1 * s1
-    tauz = tau * sz * sz
+    # per-row data, steps and starting point
+    row_data, steps, start = [], [], []
+    for sub, w in zip(inst, warm):
+        _, g, psi = sub.fields()
+        row_data.append((g, psi, sub.block_operator()))
+        k0 = _estimate_k_norm(sub)
+        scale = max(1.0, math.sqrt(k0))
+        s1 = scale
+        sz = scale if slack else 1.0
+        ci = scale if slack else max(1.0, k0 / 3.0)
+        knorm = _estimate_k_norm(sub, s1=s1, sz=sz, ci=ci)
+        tau = math.sqrt(params.step_safety) / knorm    # sigma = tau
+        steps.append((tau, ci, tau * s1 * s1, tau * sz * sz))
+        if w is None:
+            zeros = np.zeros((S, n))
+            start.append((project_c1(sub, np.zeros(n)), zeros, zeros, zeros, zeros))
+        else:
+            xw, lw = w
+            start.append((xw.x1, xw.y, xw.z, lw.adjoint, np.maximum(lw.obstacle, 0.0) / ci))
+    x1, y, z, lam_e, lam_ih = (np.stack(a) for a in zip(*start))
+    x1 = x1[:, None, :]
 
-    if warm is None:
-        x1 = project_c1(inst, np.zeros(n))
-        y = np.zeros((S, n))
-        z = np.zeros((S, n))
-        lam_e = np.zeros((S, n))
-        lam_ih = np.zeros((S, n))
-    else:
-        xw, lw = warm
-        x1 = xw.x1.copy()
-        y = xw.y.copy()
-        z = xw.z.copy()
-        lam_e = lw.adjoint.copy()
-        lam_ih = np.maximum(lw.obstacle, 0.0) / ci
-
-    # Preallocated state: the loop below allocates no arrays. The primal
-    # blocks live in one flat vector [x1 | y | z] (z only in slack mode) and
-    # the multipliers in one (2, S, n) array [lam_e | lam_ih], so that each
-    # update the blocks share (step scaling, prox division, clamping,
-    # extrapolation) takes one numpy call; a per-block scalar becomes a
-    # constant array of that value, which gives the same bits. The current
-    # and next primal iterates swap buffers after every step. Every update
-    # keeps the operation order of the plain expression in its comment, so
-    # the iterates match that form bit for bit.
     SN = S * n
-    nx = n + SN + (SN if slack else 0)
 
-    def primal_buffer():
-        X = np.empty(nx)
-        views = (X, X[:n], X[n:n + SN].reshape(S, n),
-                 X[n + SN:].reshape(S, n) if slack else z)
-        views[1][:], views[2][:], views[3][:] = x1, y, z
-        return views
+    def stack(rows, x1, y, z, xb1, yb, zb, lam_e, lam_ih):
+        """Buffers and constants of the problems ``rows``, whose iterates
+        are given stacked along a leading row axis.
 
-    cur, nxt = primal_buffer(), primal_buffer()
-    Xb, xb1, yb, zb = primal_buffer()
-    X, x1, y, z = cur
-    duals = np.empty((2, S, n))
-    duals[0], duals[1] = lam_e, lam_ih
-    lam_e, lam_ih = duals
-    work = np.empty((2, S, n))
-    work_e, work_i = work
-    Alam = np.empty((S, n))
-    g_psi = np.stack([g, psi])
-    dual_steps = np.array([sigma, sigma * ci])[:, None, None]
-    ineq_scales = np.array([ci, tauz * ci])[:, None, None]
-    tau_yt = tau * y_t
-    den = np.empty(nx)
-    den[:n] = 1.0 + tau1 * (inst.alpha + q)
-    den[n:n + SN] = 1.0 + tau
-    den[n + SN:] = 1.0 + tauz * inst.alpha_prime
-    lo = np.concatenate([inst.c1_lo, np.full(nx - n, -M)])
-    hi = np.concatenate([inst.c1_hi, np.full(nx - n, M)])
-    indptr, indices, data = Ablk.indptr, Ablk.indices, Ablk.data
+        The loop allocates no arrays. The primal blocks live in one flat
+        vector [x1 | y | z] (z only in slack mode) with the rows stacked in
+        each block, and the multipliers in one (2, rows, S, n) array
+        [lam_e | lam_ih], so that each update the blocks share (step
+        scaling, prox division, clamping, extrapolation) takes one numpy
+        call; a per-row scalar becomes a constant array of that value,
+        which gives the same bits. The current and next primal iterates
+        swap buffers after every step. Every update keeps the operation
+        order of the plain expression in its comment, so the iterates match
+        that form bit for bit.
+        """
+        Bs = len(rows)
+        nb, NS = Bs * n, Bs * SN
+        nx = nb + NS + (NS if slack else 0)
+        z_hard = None if slack else np.array(z)  # hard mode: z is carried, not updated
 
-    status = STATUS_ITERATION_CAP
-    best_worst = math.inf
-    best = None
+        def primal_buffer(a1=None, ay=None, az=None):
+            X = np.empty(nx)
+            views = (X, X[:nb].reshape(Bs, 1, n), X[nb:nb + NS].reshape(Bs, S, n),
+                     X[nb + NS:].reshape(Bs, S, n) if slack else z_hard)
+            if a1 is not None:
+                views[1][:], views[2][:] = a1, ay
+                if slack:
+                    views[3][:] = az
+            return views
+
+        subs = [inst[k] for k in rows]
+        duals = np.empty((2, Bs, S, n))
+        duals[0], duals[1] = lam_e, lam_ih
+        g, psi, ops = zip(*(row_data[k] for k in rows))
+        g_psi = np.stack([np.stack(g), np.stack(psi)])
+        p = np.stack([sub.p for sub in subs])[:, None, :]
+        tau, ci, tau1, tauz = (np.array(c)[:, None, None]
+                               for c in zip(*(steps[k] for k in rows)))
+        dual_steps = np.stack([tau, tau * ci])
+        ineq_scales = np.stack([ci, tauz * ci])
+        tau_yt = tau * np.stack([sub.y_target for sub in subs])[:, None, :]
+        lin = 0.0 if x1_extra_lin is None else np.stack([lins[k] for k in rows])[:, None, :]
+        den = np.concatenate([
+            np.repeat([1.0 + t1 * (sub.alpha + q) for t1, sub in zip(tau1.flat, subs)], n),
+            np.repeat(1.0 + tau.ravel(), SN),
+            np.repeat([1.0 + tz * sub.alpha_prime for tz, sub in zip(tauz.flat, subs)],
+                      SN if slack else 0),
+        ])
+        box = [np.repeat([sub.c2_bound for sub in subs], SN)] * (2 if slack else 1)
+        lo = np.concatenate([sub.c1_lo for sub in subs] + [-b for b in box])
+        hi = np.concatenate([sub.c1_hi for sub in subs] + box)
+        csr = _stack_csr(ops)
+        return (
+            NS, *csr, primal_buffer(x1, y, z), primal_buffer(), primal_buffer(xb1, yb, zb),
+            duals, np.empty((2, Bs, S, n)), np.empty((Bs, S, n)), g_psi, p,
+            dual_steps, ineq_scales, tau, tau1, tau_yt, lin, den, lo, hi,
+        )
+
+    results = [None] * B
+    best_worst = [math.inf] * B
+    best = [None] * B
+    active = list(range(B))
+    state = (x1, y, z, x1, y, z, lam_e, lam_ih)
     it = 0
-    while it < max_iters:
+    while active and it < max_iters:
+        if state is not None:
+            (N, indptr, indices, data, cur, nxt, (Xb, xb1, yb, zb), duals, work, Alam,
+             g_psi, p, dual_steps, ineq_scales, tau, tau1, tau_yt, lin, den, lo,
+             hi) = stack(active, *state)
+            X, x1, y, z = cur
+            lam_e, lam_ih = duals
+            work_e, work_i = work
+            state = None
         it += 1
         # dual ascent at the extrapolated primal point:
         # lam_e += sigma ((A yb - xb1) - g)
         # lam_ih = max(0, lam_ih + sigma ci (ineq - psi)), ineq = yb - zb or yb
         work_e.fill(0.0)
-        csr_matvec(SN, SN, indptr, indices, data, yb, work_e)
+        csr_matvec(N, N, indptr, indices, data, yb, work_e)
         np.subtract(work_e, xb1, out=work_e)
         if slack:
             np.subtract(yb, zb, out=work_i)
@@ -327,7 +406,7 @@ def _pdhg_engine(
         np.multiply(x1n, tau1, out=x1n)
         np.add(x1, x1n, out=x1n)
         Alam.fill(0.0)
-        csr_matvec(SN, SN, indptr, indices, data, lam_e, Alam)
+        csr_matvec(N, N, indptr, indices, data, lam_e, Alam)
         np.multiply(lam_ih, ineq_scales, out=work)
         np.add(Alam, work_e, out=work_e)
         np.multiply(work_e, tau, out=work_e)
@@ -348,34 +427,49 @@ def _pdhg_engine(
         X, x1, y, z = cur
 
         if it % params.check_every == 0 or it == max_iters:
-            xp = PrimalPoint(x1, y, z)
-            lam = DualPoint(lam_e, ci * lam_ih, -lam_e)
-            res = certify.natural_residuals(
-                inst, xp, lam,
-                x1_extra_quad=q, x1_extra_center=x1_extra_center,
-                x1_extra_lin=x1_extra_lin,
-            )
-            worst = max(res["r1"], res["r3"], res.get("r3p", 0.0),
-                        res["r4"], res["r5_feas"], res["r5_comp"])
-            if history is not None:
-                history(it, res, xp, lam)
-            if worst < best_worst:
-                best_worst = worst
-                best = (x1.copy(), y.copy(), z.copy(), lam_e.copy(), lam_ih.copy())
-            if worst <= tol:
-                status = STATUS_CONVERGED
-                break
-            lam_mag = max(h * np.linalg.norm(lam_e, axis=1).max(),
-                          ci * h * np.linalg.norm(lam_ih, axis=1).max())
-            if lam_mag > params.divergence_threshold:
-                status = STATUS_INFEASIBLE
-                break
+            running = []
+            for j, k in enumerate(active):
+                sub, ci = inst[k], steps[k][1]
+                xp = PrimalPoint(x1[j, 0], y[j], z[j])
+                lam = DualPoint(lam_e[j], ci * lam_ih[j], -lam_e[j])
+                res = certify.natural_residuals(
+                    sub, xp, lam,
+                    x1_extra_quad=q, x1_extra_center=x1_extra_center,
+                    x1_extra_lin=lins[k],
+                )
+                worst = max(res["r1"], res["r3"], res.get("r3p", 0.0),
+                            res["r4"], res["r5_feas"], res["r5_comp"])
+                if history is not None:
+                    history(it, res, xp, lam)
+                if worst < best_worst[k]:
+                    best_worst[k] = worst
+                    best[k] = (x1[j, 0].copy(), y[j].copy(), z[j].copy(),
+                               lam_e[j].copy(), lam_ih[j].copy())
+                h = sub.h
+                if worst <= tol:
+                    status = STATUS_CONVERGED
+                elif max(h * np.linalg.norm(lam_e[j], axis=1).max(),
+                         ci * h * np.linalg.norm(lam_ih[j], axis=1).max()
+                         ) > params.divergence_threshold:
+                    status = STATUS_INFEASIBLE
+                elif it == max_iters:
+                    status = STATUS_ITERATION_CAP
+                else:
+                    running.append(j)
+                    continue
+                if status != STATUS_CONVERGED and best[k] is not None:
+                    bx1, by, bz, be, bi = best[k]
+                else:
+                    bx1, by, bz, be, bi = x1[j, 0], y[j], z[j], lam_e[j], lam_ih[j]
+                primal = PrimalPoint(bx1.copy(), by.copy(),
+                                     bz.copy() if slack else np.zeros((S, n)))
+                dual = DualPoint(be.copy(), ci * bi, extract_rho(sub, be))
+                results[k] = (primal, dual, it, status)
+            if len(running) < len(active):
+                active = [active[j] for j in running]
+                state = tuple(a[running] for a in (x1, y, z, xb1, yb, zb, lam_e, lam_ih))
 
-    if status != STATUS_CONVERGED and best is not None:
-        x1, y, z, lam_e, lam_ih = best
-    primal = PrimalPoint(x1.copy(), y.copy(), z.copy() if slack else np.zeros((S, n)))
-    dual = DualPoint(lam_e.copy(), ci * lam_ih, extract_rho(inst, lam_e))
-    return primal, dual, it, status
+    return results if batched else results[0]
 
 
 def _history_writer(inst: Instance, path: str):
@@ -420,16 +514,7 @@ def solve_pdhg(
     finally:
         if fh is not None:
             fh.close()
-    report_kkt = certify.kkt_residuals(inst, primal, dual)
-    report = SolveReport(
-        algorithm="pdhg",
-        iterations=iters,
-        status=status,
-        residuals=report_kkt.residual_dict(),
-        objective=report_kkt.objective,
-        dual_value=report_kkt.dual_value,
-        wall_time=time.perf_counter() - t0,
-    )
+    report = _report("pdhg", certify.kkt_residuals(inst, primal, dual), iters, status, t0)
     return primal, dual, report
 
 
@@ -457,7 +542,9 @@ def solve_progressive_hedging(
     ``(r/2)||x1 - consensus||^2`` (the first round omits both), then
     averages the scenario controls into a new consensus and updates the
     weights by ``w_k += r (x1_k - consensus)``. At interior consensus the
-    weights satisfy ``w_k = -rho_k - alpha * consensus``.
+    weights satisfy ``w_k = -rho_k - alpha * consensus``. The S
+    subproblems of a round run as one lockstep batch of the engine, each
+    warm-started from its previous solve.
 
     Returns the consensus primal point, the per-scenario duals, a report,
     and the final weight array. ``extras`` carries the consensus gap, the
@@ -468,6 +555,9 @@ def solve_progressive_hedging(
     A subproblem that stops unconverged (iteration cap or suspected
     infeasibility) ends the run: the report carries that subproblem's
     status and describes the last consensus with the latest scenario solves.
+    Results apply in scenario order up to the first failed subproblem, so
+    the report, including ``inner_iterations``, is the one a sequential
+    sweep that stops at that subproblem would give.
     """
     params = params or SolverParams()
     if inst.mode != "slack":
@@ -492,17 +582,19 @@ def solve_progressive_hedging(
 
     for outer in range(1, params.ph_max_outer + 1):
         first = outer == 1
+        solved = _pdhg_engine(
+            subs, params,
+            tol=params.ph_inner_tolerance,
+            max_iters=params.max_iters,
+            warm=warm_state,
+            x1_extra_quad=0.0 if first else r,
+            x1_extra_center=None if first else x_hat,
+            x1_extra_lin=None if first else w,
+        )
+        # results apply in scenario order up to the first failed subproblem,
+        # as if the subproblems had been solved one after another
         failed = None
-        for k in range(S):
-            xk, lk, it_k, st_k = _pdhg_engine(
-                subs[k], params,
-                tol=params.ph_inner_tolerance,
-                max_iters=params.max_iters,
-                warm=warm_state[k],
-                x1_extra_quad=0.0 if first else r,
-                x1_extra_center=None if first else x_hat,
-                x1_extra_lin=None if first else w[k],
-            )
+        for k, (xk, lk, it_k, st_k) in enumerate(solved):
             inner_total += it_k
             warm_state[k] = (xk, lk)
             x1s[k], y[k], z[k] = xk.x1, xk.y[0], xk.z[0]
@@ -529,15 +621,8 @@ def solve_progressive_hedging(
 
     primal = PrimalPoint(x_hat.copy(), y, z)
     dual = DualPoint(lam_e, lam_i, extract_rho(inst, lam_e))
-    report_kkt = certify.kkt_residuals(inst, primal, dual)
-    report = SolveReport(
-        algorithm="progressive_hedging",
-        iterations=outer,
-        status=status,
-        residuals=report_kkt.residual_dict(),
-        objective=report_kkt.objective,
-        dual_value=report_kkt.dual_value,
-        wall_time=time.perf_counter() - t0,
+    report = _report(
+        "progressive_hedging", certify.kkt_residuals(inst, primal, dual), outer, status, t0,
         extras={
             "consensus_gap": gap,
             "weight_mean_drift": max(drift_log) if drift_log else 0.0,
@@ -774,18 +859,9 @@ def solve_barrier_reference(
     lam_e = nu.reshape(S, n) / weights
     primal = PrimalPoint(x1.copy(), y.copy(), z.copy())
     dual = DualPoint(lam_e, lam_i, extract_rho(inst, lam_e))
-    report_kkt = certify.kkt_residuals(inst, primal, dual)
+    kkt = certify.kkt_residuals(inst, primal, dual)
     status = STATUS_CONVERGED
-    if report_kkt.max_residual() > 10.0 * math.sqrt(params.barrier_mu_terminal):
+    if kkt.max_residual() > 10.0 * math.sqrt(params.barrier_mu_terminal):
         status = STATUS_FAILURE
-    report = SolveReport(
-        algorithm="barrier",
-        iterations=newton_steps,
-        status=status,
-        residuals=report_kkt.residual_dict(),
-        objective=report_kkt.objective,
-        dual_value=report_kkt.dual_value,
-        wall_time=time.perf_counter() - t0,
-        extras={"mu_terminal": mu},
-    )
+    report = _report("barrier", kkt, newton_steps, status, t0, extras={"mu_terminal": mu})
     return primal, dual, report

@@ -161,6 +161,27 @@ def test_certify_zero_dual_fails(tmp_path):
     assert code == 1
 
 
+def test_certify_negative_obstacle_entry_writes_null_gap(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    run_dir = tmp_path / "run"
+    run_cli(["generate", *TINY_ARGS, "--out", str(inst_path)])
+    run_cli(["solve", "--instance", str(inst_path), "--out", str(run_dir)])
+    dual = json.loads((run_dir / "dual.json").read_text())
+    dual["obstacle"][0][0] = -1e-9  # inside the sign tolerance, but the gap is infinite
+    bad_dual = tmp_path / "neg_dual.json"
+    bad_dual.write_text(json.dumps(dual))
+    kkt_out = tmp_path / "kkt.json"
+    code = run_cli(["certify", "--instance", str(inst_path),
+                    "--primal", str(run_dir / "primal.json"),
+                    "--dual", str(bad_dual), "--out", str(kkt_out)])
+    assert code == 1
+    kkt = json.loads(kkt_out.read_text())
+    assert kkt["duality_gap"] is None and kkt["dual_value"] is None
+    assert kkt["r5_sign"] == -1e-9 and np.isfinite(kkt["objective"])
+    header, row = (tmp_path / "kkt.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["duality_gap"] == "inf"
+
+
 def test_certify_corrupt_json(tmp_path):
     inst_path = tmp_path / "inst.json"
     run_cli(["generate", *TINY_ARGS, "--out", str(inst_path)])
@@ -193,6 +214,19 @@ def test_homotopy_cli_short_schedule(tmp_path):
     run_cli(["generate", *TINY_ARGS, "--out", str(inst_path)])
     assert run_cli(["homotopy", "--instance", str(inst_path),
                     "--schedule", "1,10", "--out", str(tmp_path / "h")]) == 4
+
+
+def test_homotopy_cli_too_few_usable_levels_exits_1(tmp_path, capsys):
+    d = io.template_dict("tiny")
+    d["scenarios"]["spec_psi"]["baseline"] = 0.9  # obstacle never binds
+    inst_path = tmp_path / "inst.json"
+    io.save_instance(io.instance_from_dict(d), str(inst_path))
+    out = tmp_path / "h"
+    code = run_cli(["homotopy", "--instance", str(inst_path),
+                    "--schedule", "1,10,100,1000", "--out", str(out)])
+    assert code == 1
+    assert (out / "homotopy.json").exists() and (out / "homotopy.csv").exists()
+    assert "constraint never active" in capsys.readouterr().err
 
 
 def test_compare_oracle_cli(tmp_path):

@@ -232,6 +232,45 @@ def test_engine_matches_reference_bitwise(small_instance, case):
         assert a.tobytes() == b.tobytes()
 
 
+def _assert_same_points(xa, la, xb, lb):
+    """Two primal-dual points agree in every array byte."""
+    for a, b in ((xa.x1, xb.x1), (xa.y, xb.y), (xa.z, xb.z), (la.adjoint, lb.adjoint),
+                 (la.obstacle, lb.obstacle), (la.nonant, lb.nonant)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode, max_iters", [
+    ("slack", 400_000), ("slack", 1987), ("hard", 400_000), ("hard", 2713)])
+def test_batched_engine_rows_match_separate_runs(small_instance, mode, max_iters):
+    """Three one-scenario subsets with their own step sizes, warm starts and
+    linear terms run as one lockstep batch; rows leave the batch at
+    different checks, and each matches its own reference run bit for bit."""
+    inst = small_instance.with_mode(mode)
+    subs = [replace(inst, scenarios=inst.scenarios.subset([k])) for k in (0, 1, 3)]
+    params = SolverParams()
+    warm = [None] + [reference_engine(sub, params, tol=tol, max_iters=400_000)[:2]
+                     for sub, tol in zip(subs[1:], (1e-3, 1e-5))]
+    rng = np.random.default_rng(11)
+    kwargs = dict(tol=1e-8, max_iters=max_iters, x1_extra_quad=0.05,
+                  x1_extra_center=rng.uniform(0.0, 1.0, inst.n))
+    lin = 0.1 * rng.standard_normal((3, inst.n))
+    assert len({_estimate_k_norm(sub) for sub in subs}) == 3
+
+    got = _pdhg_engine(subs, params, warm=warm, x1_extra_lin=lin, **kwargs)
+    want = [reference_engine(sub, params, warm=w, x1_extra_lin=row, **kwargs)
+            for sub, w, row in zip(subs, warm, lin)]
+    assert len(got) == 3
+    if max_iters == 400_000:
+        assert len({it for _, _, it, _ in want}) == 3
+        assert {st for _, _, _, st in want} == {STATUS_CONVERGED}
+    else:
+        assert {st for _, _, _, st in want} == {STATUS_CONVERGED, STATUS_ITERATION_CAP}
+    for (xa, la, ita, sta), (xb, lb, itb, stb) in zip(got, want):
+        assert (ita, sta) == (itb, stb)
+        _assert_same_points(xa, la, xb, lb)
+
+
 def test_direct_csr_matvec_matches_matmul(small_instance):
     Ablk = small_instance.block_operator()
     N = Ablk.shape[0]
@@ -371,6 +410,93 @@ def test_ph_weights_mean_zero_and_interior_identity(small_instance):
     ident = w + lam.nonant + inst.alpha * x.x1[None, :]
     gap = inst.h * np.linalg.norm(ident, axis=1).max()
     assert gap <= 10.0 * params.kkt_tolerance
+
+
+def reference_ph(inst, params):
+    """Progressive hedging as a sequential sweep: one reference engine run
+    per scenario subproblem, stopping the round at the first subproblem that
+    fails. The batched solver must reproduce it bit for bit."""
+    S, n = inst.S, inst.n
+    r = params.ph_penalty
+    subs = [replace(inst, scenarios=inst.scenarios.subset([k])) for k in range(S)]
+    w = np.zeros((S, n))
+    x_hat = np.zeros(n)
+    x1s = np.zeros((S, n))
+    y, z = np.zeros((S, n)), np.zeros((S, n))
+    lam_e, lam_i = np.zeros((S, n)), np.zeros((S, n))
+    warm_state = [None] * S
+    status = STATUS_ITERATION_CAP
+    gap = math.inf
+    projection_active = False
+    drift_log = []
+    outer = 0
+    inner_total = 0
+    for outer in range(1, params.ph_max_outer + 1):
+        first = outer == 1
+        failed = None
+        for k in range(S):
+            xk, lk, it_k, st_k = reference_engine(
+                subs[k], params, tol=params.ph_inner_tolerance,
+                max_iters=params.max_iters, warm=warm_state[k],
+                x1_extra_quad=0.0 if first else r,
+                x1_extra_center=None if first else x_hat,
+                x1_extra_lin=None if first else w[k],
+            )
+            inner_total += it_k
+            warm_state[k] = (xk, lk)
+            x1s[k], y[k], z[k] = xk.x1, xk.y[0], xk.z[0]
+            lam_e[k], lam_i[k] = lk.adjoint[0], lk.obstacle[0]
+            if st_k != STATUS_CONVERGED:
+                failed = st_k
+                break
+        if failed is None:
+            mean = inst.p @ x1s
+            x_hat = project_c1(inst, mean)
+            if not np.array_equal(x_hat, mean):
+                projection_active = True
+            w += r * (x1s - x_hat[None, :])
+            drift_log.append(inst.h * float(np.linalg.norm(inst.p @ w)))
+        gap = inst.h * float(np.linalg.norm(x1s - x_hat[None, :], axis=1).max())
+        if failed is not None:
+            status = failed
+            break
+        if gap <= params.kkt_tolerance:
+            status = STATUS_CONVERGED
+            break
+    primal = PrimalPoint(x_hat.copy(), y, z)
+    dual = DualPoint(lam_e, lam_i, extract_rho(inst, lam_e))
+    rep = kkt_residuals(inst, primal, dual)
+    extras = {
+        "consensus_gap": gap,
+        "weight_mean_drift": max(drift_log) if drift_log else 0.0,
+        "projection_active": projection_active,
+        "inner_iterations": inner_total,
+    }
+    return primal, dual, (outer, status, rep.residual_dict(), rep.objective,
+                          rep.dual_value, extras), w
+
+
+@pytest.mark.parametrize("case", ["converged", "cap_10", "cap_137", "cap_at_scenario_2"])
+def test_ph_matches_sequential_sweep_bitwise(small_instance, case):
+    inst, params = small_instance, SolverParams(ph_penalty=0.05)
+    if case.startswith("cap_") and case[4:].isdigit():
+        params = replace(params, max_iters=int(case[4:]))
+    elif case == "cap_at_scenario_2":
+        # scenarios 0 and 1 converge within the cap, scenarios 2 and 3 do not
+        inst = io.make_instance("default", n1d=8, scenario_count=4, seed=6)
+        params = replace(params, max_iters=2050)
+    x, lam, rep, w = solve_progressive_hedging(inst, params)
+    xr, lamr, (iters, status, residuals, obj, dual_value, extras), wr = reference_ph(
+        inst, params)
+    assert (rep.algorithm, rep.iterations, rep.status) == (
+        "progressive_hedging", iters, status)
+    assert (rep.residuals, rep.objective, rep.dual_value) == (residuals, obj, dual_value)
+    assert rep.extras == extras
+    assert rep.converged == (case == "converged")
+    if case == "cap_at_scenario_2":
+        assert extras["inner_iterations"] == 1950 + 2000 + 2050
+    _assert_same_points(x, lam, xr, lamr)
+    assert w.shape == wr.shape and w.tobytes() == wr.tobytes()
 
 
 def test_ph_requires_slack_mode(tiny_instance):
