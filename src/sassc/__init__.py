@@ -53,7 +53,6 @@ from .scenarios import (
     FieldSpec,
     ScenarioSet,
     ellipticity_report,
-    realize_fields,
     sample_scenarios,
 )
 from .solvers import (

@@ -4,8 +4,9 @@ Commands: ``generate`` writes a canonical instance file; ``solve`` runs a
 solver and writes primal/dual/report JSON; ``certify`` scores a stored
 primal-dual pair; ``homotopy``, ``compare-oracle``, and ``mms`` run the
 standard studies and gate their exit code on the study's acceptance
-predicate. Exit codes: 0 success, 1 certificate or predicate failure,
-2 iteration cap, 3 infeasibility suspicion, 4 input error.
+predicate. Exit codes: 0 success, 1 certificate or predicate failure
+(or a failed linear solve), 2 iteration cap, 3 infeasibility suspicion,
+4 input error.
 
 All output files are canonical JSON or CSV written atomically; every
 report embeds the instance SHA-256 and sampling seed. The CLI itself is
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from . import certify, io
-from .grid import mms_convergence_study
+from .grid import LinearSolveError, mms_convergence_study
 from .homotopy import HomotopyError, fit_decay_rate, run_homotopy
 from .solvers import (
     STATUS_CONVERGED,
@@ -300,6 +301,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_INPUT
     try:
         return args.func(args)
+    except LinearSolveError as exc:
+        print(f"linear solve failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError,
             HomotopyError, BarrierSizeError, BarrierFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -260,7 +260,8 @@ def operator_norm_estimate(
     tol: float = 1e-6,
     max_iters: int = 500,
     seed: int = 0,
-) -> float:
+    live: np.ndarray | None = None,
+):
     """Estimate the operator norm of a linear map by power iteration.
 
     Parameters
@@ -273,36 +274,65 @@ def operator_norm_estimate(
         Dimension of the domain.
     weights : ndarray, optional
         Positive diagonal weights of the domain inner product; Euclidean
-        if omitted.
+        if omitted. Weights of shape (B, dim) estimate B maps in lockstep:
+        ``forward`` and ``adjoint`` then map (L, dim) arrays whose rows are,
+        in order, the L maps still running. Each row keeps its own stopping
+        test, iteration cap and zero-map exit, so its estimate is bitwise
+        that of its own run.
+    live : ndarray of bool, optional
+        With stacked weights, a (B,) array of ones that the estimate keeps
+        equal to the rows still running before each application of the
+        maps, for maps that need to know which rows they are given.
 
     Returns
     -------
-    float
+    float, or ndarray of shape (B,) for stacked weights
         Last Rayleigh estimate of the norm times a 1.01 safety factor;
         exactly 0.0 for the zero map.
     """
-    if weights is None:
-        weights = np.ones(dim)
+    single = weights is None or np.ndim(weights) == 1
+    if single:
+        weights = (np.ones(dim) if weights is None else weights)[None]
+        forward_row, adjoint_row = forward, adjoint
 
-    def wdot(u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.sum(weights * u * v))
+        def forward(v):
+            return forward_row(v[0])[None]
 
+        def adjoint(w):
+            return adjoint_row(w[0])[None]
+
+    B = len(weights)
+    if live is None:
+        live = np.ones(B, dtype=bool)
+    rows = np.arange(B)
+    est = np.zeros(B)
+    # weighted inner products sum((weights * u) * v), one per row: a
+    # pairwise sum over the contiguous last axis, as for a single vector
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.sqrt(wdot(v, v))
-    lam_prev = np.inf
-    lam = 0.0
+    v = np.tile(rng.standard_normal(dim), (B, 1))
+    v /= np.sqrt(np.add.reduce(weights * v * v, axis=-1))[:, None]
+    lam_prev = np.full(B, np.inf)
+    lam = np.zeros(B)
     for _ in range(max_iters):
         t = adjoint(forward(v))
-        lam = wdot(t, v)
-        tn = np.sqrt(wdot(t, t))
-        if tn == 0.0 or lam <= 0.0:
-            return 0.0
-        v = t / tn
-        if abs(lam - lam_prev) <= tol * abs(lam):
-            break
+        wt = weights * t
+        lam = np.add.reduce(wt * v, axis=-1)
+        tn = np.sqrt(np.add.reduce(wt * t, axis=-1))
+        zero = (tn == 0.0) | (lam <= 0.0)
+        stop = zero | (np.abs(lam - lam_prev) <= tol * np.abs(lam))
+        if stop.any():
+            done = stop & ~zero
+            est[rows[done]] = 1.01 * np.sqrt(lam[done])
+            keep = ~stop
+            rows, weights, t, tn, lam = (a[keep] for a in (rows, weights, t, tn, lam))
+            live[:] = False
+            live[rows] = True
+            if not len(rows):
+                break
+        v = t / tn[:, None]
         lam_prev = lam
-    return 1.01 * float(np.sqrt(lam))
+    est[rows] = 1.01 * np.sqrt(lam)
+    return float(est[0]) if single else est
 
 
 def export_coo_text(A: sp.spmatrix) -> str:

@@ -145,15 +145,9 @@ def evaluate_deterministic(spec: FieldSpec, grid) -> np.ndarray:
 def instance_from_dict(d: dict) -> Instance:
     grid = build_grid(int(d["grid"]["n1d"]))
     scen = d["scenarios"]
-    spec_a = fieldspec_from_dict(scen["spec_a"])
-    if spec_a.clip is None or spec_a.clip[0] <= 0:
-        raise ValueError(
-            "uniform ellipticity violated: the coefficient spec needs a clip "
-            f"interval with positive lower bound, got {spec_a.clip}"
-        )
     probs = scen.get("probabilities")
     scenarios = sample_scenarios(
-        spec_a,
+        fieldspec_from_dict(scen["spec_a"]),
         fieldspec_from_dict(scen["spec_g"]),
         fieldspec_from_dict(scen["spec_psi"]),
         S=int(scen["S"]),

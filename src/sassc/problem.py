@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .grid import Grid, assemble_operator, solve_linear
 from .scenarios import FieldSpec, ScenarioSet
@@ -36,6 +37,11 @@ MODES = ("slack", "hard")
 # equality residuals in feasibility reports default to a looser bound.
 BOX_TOL = 1e-12
 EQ_TOL = 1e-8
+
+# A-priori infeasibility needs a violation this far beyond the state bounds,
+# relative to their scale; the bounds come from direct solves accurate to
+# about cond(A) * 1e-12.
+INFEASIBILITY_MARGIN = 1e-6
 
 
 def norm_h(v: np.ndarray, h: float) -> float:
@@ -139,6 +145,63 @@ class Instance:
         return replace(self, mode=mode)
 
 
+def stack_csr(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays of the block-diagonal stack of square ``mats``.
+
+    Every row keeps its entries in their original order, so a product with
+    the stack sums each row exactly as a product with its own block does.
+    A single matrix gives its own arrays.
+    """
+    if len(mats) == 1:
+        return mats[0].indptr, mats[0].indices, mats[0].data
+    offset = 0
+    indptr, indices = [mats[0].indptr[:1]], []
+    for j, A in enumerate(mats):
+        indptr.append(A.indptr[1:] + offset)
+        indices.append(A.indices + j * A.shape[1])
+        offset += A.nnz
+    data = [A.data for A in mats]
+    return np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
+
+
+def stacked_block_operator(insts: list[Instance]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays of the block-diagonal stack of the instances' block
+    operators (``stack_csr``).
+
+    The stack of the rows last asked for is cached on the first row's
+    scenario set, beside its operators, with the operators it stacks: the
+    engine's iteration and every residual check of a batch ask for the
+    same rows.
+    """
+    mats = tuple(sub.block_operator() for sub in insts)
+    if len(mats) == 1:
+        return stack_csr(mats)
+    cache, key = insts[0].scenarios._cache, ("stack", insts[0].grid.n1d)
+    last = cache.get(key)
+    if last is None or len(last[0]) != len(mats) or any(a is not b for a, b in zip(last[0], mats)):
+        last = cache[key] = (mats, stack_csr(mats))
+    return last[1]
+
+
+def stack_rows(per_row: list[tuple]) -> tuple:
+    """Per-row tuples of equally shaped arrays, each array stacked along a
+    new leading row axis in one copy; a single row gives views."""
+    if len(per_row) == 1:
+        return tuple(a[None] for a in per_row[0])
+    stacked = np.array(per_row)
+    return tuple(stacked[:, j] for j in range(stacked.shape[1]))
+
+
+def csr_product(csr: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+    """Product of the CSR arrays ``csr`` with ``v`` flattened, shaped like
+    ``v``: the kernel and the summation order of scipy's ``A @ v``."""
+    indptr, indices, data = csr
+    N = len(indptr) - 1
+    out = np.zeros(v.shape)
+    csr_matvec(N, N, indptr, indices, data, np.ascontiguousarray(v), out)
+    return out
+
+
 @dataclass
 class PrimalPoint:
     """First-stage control and per-scenario states and slacks."""
@@ -221,17 +284,26 @@ def _in_x0(inst: Instance, x: PrimalPoint, tol: float = BOX_TOL) -> bool:
     return True
 
 
-def constraint_values(inst: Instance, x: PrimalPoint) -> tuple[np.ndarray, np.ndarray]:
+def constraint_values(inst: Instance | list[Instance],
+                      x: PrimalPoint) -> tuple[np.ndarray, np.ndarray]:
     """Equality residuals ``A_k y_k - x1 - g_k`` and inequality values.
 
     The inequality value is ``y - z - psi`` in slack mode and ``y - psi``
     in hard mode; feasibility means it is entrywise nonpositive.
+
+    ``inst`` may also be a list of instances with the same grid, mode and
+    scenario count, whose points are stacked in ``x`` along a leading row
+    axis; the values then carry that axis too, and each row has the bits
+    of its own evaluation.
     """
-    _, g, psi = inst.fields()
-    Ay = (inst.block_operator() @ x.y.ravel()).reshape(inst.S, inst.n)
-    eq = Ay - x.x1[None, :] - g
-    ineq = x.y - psi if inst.mode == "hard" else x.y - x.z - psi
-    return eq, ineq
+    single = isinstance(inst, Instance)
+    rows = [inst] if single else inst
+    x1, y, z = (a[None] for a in (x.x1, x.y, x.z)) if single else (x.x1, x.y, x.z)
+    g, psi = stack_rows([sub.fields()[1:] for sub in rows])
+    Ay = csr_product(stacked_block_operator(rows), y)
+    eq = Ay - x1[:, None, :] - g
+    ineq = y - psi if rows[0].mode == "hard" else y - z - psi
+    return (eq[0], ineq[0]) if single else (eq, ineq)
 
 
 def lagrangian(inst: Instance, x: PrimalPoint, lam: DualPoint) -> float:
@@ -319,6 +391,43 @@ def feasibility_check(inst: Instance, x: PrimalPoint) -> FeasibilityReport:
     return FeasibilityReport(
         x1_box=x1v, y_box=yv, z_box=zv, equality=eq_norms, inequality=iv
     )
+
+
+def hard_mode_infeasibility(inst: Instance) -> str | None:
+    """Why a hard-mode instance has no feasible point, or None if the
+    a-priori state bounds find no reason.
+
+    Each ``A_k`` is an M-matrix (positive diagonal, nonpositive
+    off-diagonals, diagonally dominant, since the coefficients are
+    elliptic), so ``A_k^-1 >= 0`` entrywise and every state reachable from
+    the control box satisfies
+
+        A_k^-1 (c1_lo + g_k) <= y_k <= A_k^-1 (c1_hi + g_k).
+
+    The instance is infeasible if ``psi_k < -M`` at a node, if the lower
+    bound exceeds ``min(psi_k, M)``, or if the upper bound falls below
+    ``-M``. A violation counts only beyond ``INFEASIBILITY_MARGIN`` times
+    the scale of the bounds, far above the accuracy of the solves.
+    """
+    if inst.mode != "hard":
+        raise ValueError("the a-priori infeasibility check applies to hard mode")
+    _, g, psi = inst.fields()
+    ops = inst.operators()
+    M = inst.c2_bound
+    lo = np.stack([solve_linear(ops[k], inst.c1_lo + g[k]) for k in range(inst.S)])
+    hi = np.stack([solve_linear(ops[k], inst.c1_hi + g[k]) for k in range(inst.S)])
+    margin = INFEASIBILITY_MARGIN * (1.0 + max(M, float(np.abs(lo).max()),
+                                               float(np.abs(hi).max())))
+    excess = {
+        "the obstacle lies below the state box": -M - psi,
+        "the lowest reachable state exceeds min(obstacle, M)": lo - np.minimum(psi, M),
+        "the highest reachable state lies below the state box": -M - hi,
+    }
+    for reason, arr in excess.items():
+        k, i = np.unravel_index(int(np.argmax(arr)), arr.shape)
+        if arr[k, i] > margin:
+            return f"{reason} by {arr[k, i]:.3g} at scenario {k}, node {i}"
+    return None
 
 
 @dataclass

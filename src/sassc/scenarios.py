@@ -166,11 +166,6 @@ def sample_scenarios(
     )
 
 
-def realize_fields(scenarios: ScenarioSet, grid: Grid):
-    """Realize and cache the nodal fields of every scenario on ``grid``."""
-    return scenarios.realize(grid)
-
-
 def ellipticity_report(scenarios: ScenarioSet, grid: Grid) -> tuple[float, float]:
     """Min and max of the realized coefficient field over scenarios and nodes."""
     a, _, _ = scenarios.realize(grid)

@@ -45,9 +45,14 @@ from .problem import (
     DualPoint,
     Instance,
     PrimalPoint,
+    csr_product,
     dual_function,
+    hard_mode_infeasibility,
     objective,
     project_c1,
+    stack_csr,
+    stacked_block_operator,
+    zeros_dual,
 )
 
 STATUS_CONVERGED = "converged"
@@ -156,9 +161,68 @@ def extract_rho(inst: Instance, adjoint: np.ndarray) -> np.ndarray:
     return -adjoint
 
 
-def _estimate_k_norm(
-    inst: Instance, s1: float = 1.0, sz: float = 1.0, ci: float = 1.0
-) -> float:
+def _k_maps(rows: list[Instance], s1, sz, ci, live: np.ndarray):
+    """Domain weights and the forward and adjoint maps of the rescaled
+    constraint map K of each instance in ``rows``, stacked for a lockstep
+    power iteration. The maps take and return the rows still running,
+    which ``live`` names; rows only ever leave, so their count does too.
+    """
+    R, S, n, slack = len(rows), rows[0].S, rows[0].n, rows[0].mode == "slack"
+    SN = S * n
+    nx = n + SN + (SN if slack else 0)
+    mats = [sub.block_operator() for sub in rows]
+    p = np.array([sub.p for sub in rows])
+    hh = rows[0].h * rows[0].h
+    weights = np.concatenate(
+        [np.full((R, n), hh)] + [np.repeat(p * hh, n, axis=1)] * (2 if slack else 1), axis=1)
+    s1, sz, ci = (np.asarray(c)[:, None] for c in (s1, sz, ci))
+    cols = (s1, sz, ci, -s1[:, :, None], -ci * sz, p[:, None, :])
+    running = {}
+
+    def select(L: int):
+        """Operator and per-row constants of the L rows still running."""
+        if L not in running:
+            idx = np.flatnonzero(live)
+            running[L] = (stack_csr([mats[j] for j in idx]), *(c[idx] for c in cols))
+        return running[L]
+
+    # The maps of the single-row form, one numpy call for all rows:
+    # e = A y - tile(s1 x1), i = ci (y - sz z) or ci y;
+    # x1' = -s1 (p @ we), y' = A we + ci wi, z' = (-ci sz) wi
+    def forward(v: np.ndarray) -> np.ndarray:
+        L = len(v)
+        Ablk, s1, sz, ci = select(L)[:4]
+        y = v[:, n:n + SN]
+        out = np.empty((L, 2 * SN))
+        np.subtract(csr_product(Ablk, y).reshape(L, S, n), (s1 * v[:, :n])[:, None, :],
+                    out=out[:, :SN].reshape(L, S, n))
+        i = out[:, SN:]
+        if slack:
+            np.multiply(sz, v[:, n + SN:], out=i)
+            np.subtract(y, i, out=i)
+            np.multiply(ci, i, out=i)
+        else:
+            np.multiply(ci, y, out=i)
+        return out
+
+    def adjoint(w: np.ndarray) -> np.ndarray:
+        L = len(w)
+        Ablk, _, _, ci, neg_s1, neg_ci_sz, p = select(L)
+        we = w[:, :SN].reshape(L, S, n)
+        wi = w[:, SN:]
+        out = np.empty((L, nx))
+        np.multiply(neg_s1, np.matmul(p, we), out=out[:, None, :n])
+        out_y = out[:, n:n + SN]
+        np.multiply(ci, wi, out=out_y)
+        np.add(csr_product(Ablk, we).reshape(L, SN), out_y, out=out_y)
+        if slack:
+            np.multiply(neg_ci_sz, wi, out=out[:, n + SN:])
+        return out
+
+    return weights, forward, adjoint
+
+
+def _estimate_k_norm(inst: Instance | list[Instance], s1=1.0, sz=1.0, ci=1.0):
     """Weighted operator norm of the constraint map K.
 
     ``s1`` and ``sz`` rescale the control and slack columns and ``ci`` the
@@ -167,62 +231,31 @@ def _estimate_k_norm(
     splitting). Estimates are cached alongside the realized fields, which
     the scenario-decomposition solver relies on when re-solving the same
     subproblems round after round.
+
+    ``inst`` may also be a list of instances with the same grid, mode and
+    scenario count, with ``s1``, ``sz`` and ``ci`` scalars or one value per
+    row; the rows not yet cached then run as one lockstep power iteration
+    and the result is a list of floats, each bitwise the estimate of its
+    row on its own.
     """
-    key = ("knorm", inst.grid.n1d, inst.mode, float(s1), float(sz), float(ci))
-    cached = inst.scenarios._cache.get(key)
-    if cached is not None:
-        return cached
-    S, n = inst.S, inst.n
-    slack = inst.mode == "slack"
-    Ablk = inst.block_operator()
-    p = inst.p
-    hh = inst.h * inst.h
-    nx = n + S * n + (S * n if slack else 0)
-
-    w_x1 = np.full(n, hh)
-    w_block = np.repeat(p * hh, n)
-    weights = np.concatenate([w_x1] + [w_block] * (2 if slack else 1))
-
-    def forward(v: np.ndarray) -> np.ndarray:
-        x1 = v[:n]
-        y = v[n:n + S * n]
-        e = Ablk @ y - np.tile(s1 * x1, S)
-        if slack:
-            z = v[n + S * n:]
-            i = ci * (y - sz * z)
-        else:
-            i = ci * y
-        return np.concatenate([e, i])
-
-    def adjoint(w: np.ndarray) -> np.ndarray:
-        we = w[:S * n].reshape(S, n)
-        wi = w[S * n:].reshape(S, n)
-        out_x1 = -s1 * (p @ we)
-        out_y = (Ablk @ we.ravel()).reshape(S, n) + ci * wi
-        parts = [out_x1, out_y.ravel()]
-        if slack:
-            parts.append(-ci * sz * wi.ravel())
-        return np.concatenate(parts)
-
-    est = operator_norm_estimate(forward, adjoint, nx, weights=weights)
-    inst.scenarios._cache[key] = est
-    return est
-
-
-def _stack_csr(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays of the block-diagonal stack of square ``mats``.
-
-    Every row keeps its entries in their original order, so a product with
-    the stack sums each row exactly as a product with its own block does.
-    """
-    offset = 0
-    indptr, indices = [mats[0].indptr[:1]], []
-    for j, A in enumerate(mats):
-        indptr.append(A.indptr[1:] + offset)
-        indices.append(A.indices + j * A.shape[1])
-        offset += A.nnz
-    data = [A.data for A in mats]
-    return np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
+    batched = not isinstance(inst, Instance)
+    insts = list(inst) if batched else [inst]
+    s1, sz, ci = (np.broadcast_to(np.asarray(c, dtype=float), (len(insts),))
+                  for c in (s1, sz, ci))
+    keys = [("knorm", sub.grid.n1d, sub.mode, float(a), float(b), float(c))
+            for sub, a, b, c in zip(insts, s1, sz, ci)]
+    todo = [j for j, (sub, key) in enumerate(zip(insts, keys))
+            if key not in sub.scenarios._cache]
+    if todo:
+        rows = [insts[j] for j in todo]
+        live = np.ones(len(rows), dtype=bool)
+        weights, forward, adjoint = _k_maps(rows, s1[todo], sz[todo], ci[todo], live)
+        est = operator_norm_estimate(forward, adjoint, weights.shape[1], weights=weights,
+                                     live=live)
+        for j, e in zip(todo, est):
+            insts[j].scenarios._cache[keys[j]] = float(e)
+    out = [sub.scenarios._cache[key] for sub, key in zip(insts, keys)]
+    return out if batched else out[0]
 
 
 def _pdhg_engine(
@@ -259,11 +292,20 @@ def _pdhg_engine(
     those of a run on its own instance. A row that stops leaves the batch,
     whose buffers are then restacked from the rows still running.
 
+    The step constants of all rows come from two lockstep power
+    iterations (``_estimate_k_norm``), and every residual check scores all
+    running rows with one ``certify.natural_residuals`` call. The
+    worst-residual test, the divergence test on the multiplier magnitudes
+    and the stopping status (converged, then suspected infeasibility, then
+    the iteration cap) are array operations over rows, and best iterates
+    are copied by row mask into stacked buffers that are restacked with
+    the others.
+
     ``history(it, res, xp, lam)``, if given, is called at every residual
-    check of every row. The arrays of ``xp`` and ``lam.adjoint`` are views
-    of the engine's working buffers, which later iterations overwrite in
-    place, so the hook must consume them during the call (copy them to
-    keep them).
+    check of every row, in row order, with a dict of Python floats. The
+    arrays of ``xp`` and ``lam.adjoint`` are views of the engine's working
+    buffers, which later iterations overwrite in place, so the hook must
+    consume them during the call (copy them to keep them).
     """
     batched = not isinstance(inst, Instance)
     if not batched:
@@ -277,22 +319,18 @@ def _pdhg_engine(
     slack = mode == "slack"
     if warm is None:
         warm = [None] * B
-    lins = [None] * B if x1_extra_lin is None else list(x1_extra_lin)
 
     q = x1_extra_quad
     qc = 0.0 if (q == 0.0 or x1_extra_center is None) else q * x1_extra_center
 
-    # per-row data, steps and starting point
-    row_data, steps, start = [], [], []
-    for sub, w in zip(inst, warm):
-        _, g, psi = sub.fields()
-        row_data.append((g, psi, sub.block_operator()))
-        k0 = _estimate_k_norm(sub)
-        scale = max(1.0, math.sqrt(k0))
-        s1 = scale
-        sz = scale if slack else 1.0
-        ci = scale if slack else max(1.0, k0 / 3.0)
-        knorm = _estimate_k_norm(sub, s1=s1, sz=sz, ci=ci)
+    # per-row steps and starting point
+    k0 = _estimate_k_norm(inst)
+    scales = [max(1.0, math.sqrt(k)) for k in k0]
+    cis = scales if slack else [max(1.0, k / 3.0) for k in k0]
+    szs = scales if slack else [1.0] * B
+    knorms = _estimate_k_norm(inst, s1=scales, sz=szs, ci=cis)
+    steps, start = [], []
+    for sub, w, s1, sz, ci, knorm in zip(inst, warm, scales, szs, cis, knorms):
         tau = math.sqrt(params.step_safety) / knorm    # sigma = tau
         steps.append((tau, ci, tau * s1 * s1, tau * sz * sz))
         if w is None:
@@ -305,10 +343,12 @@ def _pdhg_engine(
     x1 = x1[:, None, :]
 
     SN = S * n
+    h = inst[0].h
 
-    def stack(rows, x1, y, z, xb1, yb, zb, lam_e, lam_ih):
+    def stack(rows, x1, y, z, xb1, yb, zb, lam_e, lam_ih, best_worst, *best):
         """Buffers and constants of the problems ``rows``, whose iterates
-        are given stacked along a leading row axis.
+        and best-iterate snapshots are given stacked along a leading row
+        axis.
 
         The loop allocates no arrays. The primal blocks live in one flat
         vector [x1 | y | z] (z only in slack mode) with the rows stacked in
@@ -339,7 +379,7 @@ def _pdhg_engine(
         subs = [inst[k] for k in rows]
         duals = np.empty((2, Bs, S, n))
         duals[0], duals[1] = lam_e, lam_ih
-        g, psi, ops = zip(*(row_data[k] for k in rows))
+        g, psi = zip(*(sub.fields()[1:] for sub in subs))
         g_psi = np.stack([np.stack(g), np.stack(psi)])
         p = np.stack([sub.p for sub in subs])[:, None, :]
         tau, ci, tau1, tauz = (np.array(c)[:, None, None]
@@ -347,7 +387,7 @@ def _pdhg_engine(
         dual_steps = np.stack([tau, tau * ci])
         ineq_scales = np.stack([ci, tauz * ci])
         tau_yt = tau * np.stack([sub.y_target for sub in subs])[:, None, :]
-        lin = 0.0 if x1_extra_lin is None else np.stack([lins[k] for k in rows])[:, None, :]
+        lin = 0.0 if x1_extra_lin is None else x1_extra_lin[rows][:, None, :]
         den = np.concatenate([
             np.repeat([1.0 + t1 * (sub.alpha + q) for t1, sub in zip(tau1.flat, subs)], n),
             np.repeat(1.0 + tau.ravel(), SN),
@@ -357,27 +397,28 @@ def _pdhg_engine(
         box = [np.repeat([sub.c2_bound for sub in subs], SN)] * (2 if slack else 1)
         lo = np.concatenate([sub.c1_lo for sub in subs] + [-b for b in box])
         hi = np.concatenate([sub.c1_hi for sub in subs] + box)
-        csr = _stack_csr(ops)
+        csr = stacked_block_operator(subs)
         return (
             NS, *csr, primal_buffer(x1, y, z), primal_buffer(), primal_buffer(xb1, yb, zb),
             duals, np.empty((2, Bs, S, n)), np.empty((Bs, S, n)), g_psi, p,
             dual_steps, ineq_scales, tau, tau1, tau_yt, lin, den, lo, hi,
+            subs, ci, ci.ravel() * h, best_worst, best,
         )
 
     results = [None] * B
-    best_worst = [math.inf] * B
-    best = [None] * B
     active = list(range(B))
-    state = (x1, y, z, x1, y, z, lam_e, lam_ih)
+    state = (x1, y, z, x1, y, z, lam_e, lam_ih, np.full(B, math.inf),
+             *(np.empty_like(a) for a in (x1, y, z, lam_e, lam_ih)))
     it = 0
     while active and it < max_iters:
         if state is not None:
             (N, indptr, indices, data, cur, nxt, (Xb, xb1, yb, zb), duals, work, Alam,
              g_psi, p, dual_steps, ineq_scales, tau, tau1, tau_yt, lin, den, lo,
-             hi) = stack(active, *state)
+             hi, subs, ci, ci_h, best_worst, best) = stack(np.array(active), *state)
             X, x1, y, z = cur
             lam_e, lam_ih = duals
             work_e, work_i = work
+            lin_rows = None if x1_extra_lin is None else lin[:, 0]
             state = None
         it += 1
         # dual ascent at the extrapolated primal point:
@@ -427,47 +468,52 @@ def _pdhg_engine(
         X, x1, y, z = cur
 
         if it % params.check_every == 0 or it == max_iters:
-            running = []
-            for j, k in enumerate(active):
-                sub, ci = inst[k], steps[k][1]
-                xp = PrimalPoint(x1[j, 0], y[j], z[j])
-                lam = DualPoint(lam_e[j], ci * lam_ih[j], -lam_e[j])
-                res = certify.natural_residuals(
-                    sub, xp, lam,
-                    x1_extra_quad=q, x1_extra_center=x1_extra_center,
-                    x1_extra_lin=lins[k],
-                )
-                worst = max(res["r1"], res["r3"], res.get("r3p", 0.0),
-                            res["r4"], res["r5_feas"], res["r5_comp"])
-                if history is not None:
-                    history(it, res, xp, lam)
-                if worst < best_worst[k]:
-                    best_worst[k] = worst
-                    best[k] = (x1[j, 0].copy(), y[j].copy(), z[j].copy(),
-                               lam_e[j].copy(), lam_ih[j].copy())
-                h = sub.h
-                if worst <= tol:
-                    status = STATUS_CONVERGED
-                elif max(h * np.linalg.norm(lam_e[j], axis=1).max(),
-                         ci * h * np.linalg.norm(lam_ih[j], axis=1).max()
-                         ) > params.divergence_threshold:
-                    status = STATUS_INFEASIBLE
-                elif it == max_iters:
-                    status = STATUS_ITERATION_CAP
-                else:
-                    running.append(j)
-                    continue
-                if status != STATUS_CONVERGED and best[k] is not None:
-                    bx1, by, bz, be, bi = best[k]
-                else:
-                    bx1, by, bz, be, bi = x1[j, 0], y[j], z[j], lam_e[j], lam_ih[j]
-                primal = PrimalPoint(bx1.copy(), by.copy(),
-                                     bz.copy() if slack else np.zeros((S, n)))
-                dual = DualPoint(be.copy(), ci * bi, extract_rho(sub, be))
-                results[k] = (primal, dual, it, status)
-            if len(running) < len(active):
+            xp = PrimalPoint(x1[:, 0], y, z)
+            lam = DualPoint(lam_e, ci * lam_ih, -lam_e)
+            res = certify.natural_residuals(
+                subs, xp, lam,
+                x1_extra_quad=q, x1_extra_center=x1_extra_center, x1_extra_lin=lin_rows,
+            )
+            # per row, Python's max of (r1, r3, r3p, r4, r5_feas, r5_comp): a
+            # later value wins only if larger, so NaN counts only as r1; the
+            # 0.0 that stands in for r3p in hard mode never wins
+            worst = res["r1"].copy()
+            for key in ("r3", "r3p", "r4", "r5_feas", "r5_comp"):
+                if key in res:
+                    np.copyto(worst, res[key], where=res[key] > worst)
+            if history is not None:
+                for j in range(len(subs)):
+                    history(it, {key: float(val[j]) for key, val in res.items()},
+                            PrimalPoint(xp.x1[j], y[j], z[j]),
+                            DualPoint(lam.adjoint[j], lam.obstacle[j], lam.nonant[j]))
+            better = worst < best_worst
+            if better.any():
+                np.copyto(best_worst, worst, where=better)
+                for snap, a in zip(best, (x1, y, z, lam_e, lam_ih)):
+                    np.copyto(snap, a, where=better[:, None, None])
+            converged = worst <= tol
+            mag_e = h * np.linalg.norm(lam_e, axis=-1).max(axis=-1)
+            mag_i = ci_h * np.linalg.norm(lam_ih, axis=-1).max(axis=-1)
+            diverged = np.where(mag_i > mag_e, mag_i, mag_e) > params.divergence_threshold
+            stopped = converged | diverged | (it == max_iters)
+            if stopped.any():
+                for j in np.flatnonzero(stopped):
+                    if converged[j]:
+                        status = STATUS_CONVERGED
+                    else:
+                        status = STATUS_INFEASIBLE if diverged[j] else STATUS_ITERATION_CAP
+                    src = best if not converged[j] and best_worst[j] < math.inf else (
+                        x1, y, z, lam_e, lam_ih)
+                    bx1, by, bz, be, bi = (a[j] for a in src)
+                    k = active[j]
+                    primal = PrimalPoint(bx1[0].copy(), by.copy(),
+                                         bz.copy() if slack else np.zeros((S, n)))
+                    dual = DualPoint(be.copy(), steps[k][1] * bi, extract_rho(inst[k], be))
+                    results[k] = (primal, dual, it, status)
+                running = np.flatnonzero(~stopped)
                 active = [active[j] for j in running]
-                state = tuple(a[running] for a in (x1, y, z, xb1, yb, zb, lam_e, lam_ih))
+                state = tuple(a[running] for a in (x1, y, z, xb1, yb, zb, lam_e, lam_ih,
+                                                   best_worst, *best))
 
     return results if batched else results[0]
 
@@ -500,21 +546,35 @@ def solve_pdhg(
     Returns the primal point, the multiplier densities (with the
     nonanticipativity component attached), and a report whose residual
     vector comes from the full certification pass.
+
+    A hard-mode instance first goes through the a-priori state bounds of
+    ``problem.hard_mode_infeasibility``. If they prove it infeasible, the
+    solve stops after 0 iterations at the starting point with status
+    ``infeasibility_suspected``, and the reason goes to
+    ``extras["infeasibility"]``.
     """
     params = params or SolverParams()
     t0 = time.perf_counter()
+    reason = hard_mode_infeasibility(inst) if inst.mode == "hard" else None
     history = fh = None
     if params.history_csv is not None:
         history, fh = _history_writer(inst, params.history_csv)
     try:
-        primal, dual, iters, status = _pdhg_engine(
-            inst, params, tol=params.kkt_tolerance, max_iters=params.max_iters,
-            warm=warm, history=history,
-        )
+        if reason is None:
+            primal, dual, iters, status = _pdhg_engine(
+                inst, params, tol=params.kkt_tolerance, max_iters=params.max_iters,
+                warm=warm, history=history,
+            )
+        else:
+            zeros = np.zeros((inst.S, inst.n))
+            primal = PrimalPoint(project_c1(inst, np.zeros(inst.n)), zeros, zeros)
+            dual, iters, status = zeros_dual(inst), 0, STATUS_INFEASIBLE
     finally:
         if fh is not None:
             fh.close()
-    report = _report("pdhg", certify.kkt_residuals(inst, primal, dual), iters, status, t0)
+    kkt = certify.kkt_residuals(inst, primal, dual)
+    extras = None if reason is None else {"infeasibility": reason}
+    report = _report("pdhg", kkt, iters, status, t0, extras=extras)
     return primal, dual, report
 
 

@@ -1,0 +1,113 @@
+"""Single-row reference forms of the stacked residual check and of the
+K-norm power iteration, kept in their plain per-pair form. The stacked
+code in the package must reproduce them bit for bit, row by row."""
+
+import numpy as np
+
+from sassc.problem import constraint_values, pairing, project_c1, project_c2
+
+
+def natural_residuals(inst, x, lam, x1_extra_quad=0.0, x1_extra_center=None,
+                      x1_extra_lin=None):
+    """Residuals of one candidate pair, one plain expression per term."""
+    h = inst.h
+    p = inst.p
+
+    e_rho = p @ lam.nonant
+    f_x1 = inst.alpha * x.x1 + e_rho
+    if x1_extra_quad != 0.0:
+        center = 0.0 if x1_extra_center is None else x1_extra_center
+        f_x1 = f_x1 + x1_extra_quad * (x.x1 - center)
+    if x1_extra_lin is not None:
+        f_x1 = f_x1 + x1_extra_lin
+    r1 = h * float(np.linalg.norm(x.x1 - project_c1(inst, x.x1 - f_x1)))
+
+    r2 = h * float(np.linalg.norm(lam.nonant + lam.adjoint, axis=1).max())
+
+    Alam = (inst.block_operator() @ lam.adjoint.ravel()).reshape(inst.S, inst.n)
+    f_y = x.y - inst.y_target[None, :] + Alam + lam.obstacle
+    r3 = h * float(np.linalg.norm(x.y - project_c2(inst, x.y - f_y), axis=1).max())
+
+    if inst.mode == "slack":
+        f_z = inst.alpha_prime * x.z - lam.obstacle
+        r3p = h * float(np.linalg.norm(x.z - project_c2(inst, x.z - f_z), axis=1).max())
+    else:
+        r3p = None
+
+    eq, ineq = constraint_values(inst, x)
+    r4 = h * float(np.linalg.norm(eq, axis=1).max())
+    r5_sign = float(lam.obstacle.min())
+    r5_feas = float(np.maximum(ineq, 0.0).max())
+    r5_comp = abs(pairing(ineq, lam.obstacle, p, h))
+
+    out = {"r1": r1, "r2": r2, "r3": r3, "r4": r4,
+           "r5_sign": r5_sign, "r5_feas": r5_feas, "r5_comp": r5_comp}
+    if r3p is not None:
+        out["r3p"] = r3p
+    return out
+
+
+def operator_norm_estimate(forward, adjoint, dim, weights=None, tol=1e-6,
+                           max_iters=500, seed=0):
+    """Power iteration on one map; returns (estimate, iterations run)."""
+    if weights is None:
+        weights = np.ones(dim)
+
+    def wdot(u, v):
+        return float(np.sum(weights * u * v))
+
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim)
+    v /= np.sqrt(wdot(v, v))
+    lam_prev = np.inf
+    lam = 0.0
+    it = 0
+    for it in range(1, max_iters + 1):
+        t = adjoint(forward(v))
+        lam = wdot(t, v)
+        tn = np.sqrt(wdot(t, t))
+        if tn == 0.0 or lam <= 0.0:
+            return 0.0, it
+        v = t / tn
+        if abs(lam - lam_prev) <= tol * abs(lam):
+            break
+        lam_prev = lam
+    return 1.01 * float(np.sqrt(lam)), it
+
+
+def k_norm(inst, s1=1.0, sz=1.0, ci=1.0):
+    """Weighted norm of the block-balanced constraint map of one instance,
+    uncached; returns (estimate, power iterations run)."""
+    S, n = inst.S, inst.n
+    slack = inst.mode == "slack"
+    Ablk = inst.block_operator()
+    p = inst.p
+    hh = inst.h * inst.h
+    nx = n + S * n + (S * n if slack else 0)
+
+    w_x1 = np.full(n, hh)
+    w_block = np.repeat(p * hh, n)
+    weights = np.concatenate([w_x1] + [w_block] * (2 if slack else 1))
+
+    def forward(v):
+        x1 = v[:n]
+        y = v[n:n + S * n]
+        e = Ablk @ y - np.tile(s1 * x1, S)
+        if slack:
+            z = v[n + S * n:]
+            i = ci * (y - sz * z)
+        else:
+            i = ci * y
+        return np.concatenate([e, i])
+
+    def adjoint(w):
+        we = w[:S * n].reshape(S, n)
+        wi = w[S * n:].reshape(S, n)
+        out_x1 = -s1 * (p @ we)
+        out_y = (Ablk @ we.ravel()).reshape(S, n) + ci * wi
+        parts = [out_x1, out_y.ravel()]
+        if slack:
+            parts.append(-ci * sz * wi.ravel())
+        return np.concatenate(parts)
+
+    return operator_norm_estimate(forward, adjoint, nx, weights=weights)

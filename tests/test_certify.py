@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sassc import io
 from sassc.certify import (
@@ -13,6 +17,7 @@ from sassc.certify import (
 from sassc.problem import DualPoint, PrimalPoint, project_c1, zeros_dual
 from sassc.solvers import SolverParams, solve_barrier_reference, solve_pdhg
 
+import reference_impl
 from test_problem import feasible_point
 
 
@@ -214,3 +219,77 @@ def test_natural_residuals_with_augmented_control_term(tiny_instance, tiny_solut
     moved = natural_residuals(inst, x, lam, x1_extra_quad=1.0,
                               x1_extra_center=x.x1 + 1.0)
     assert moved["r1"] > plain["r1"]
+
+
+# ---------------------------------------------------------------------------
+# stacked residuals
+
+
+@functools.lru_cache(maxsize=None)
+def _pool_instance(S: int, index: int, mode: str):
+    """Instances on one 3 x 3 grid that differ in scenario draws,
+    non-uniform probabilities, weights, box bounds (some on 0 and 1) and
+    state bound."""
+    rng = np.random.default_rng(100 * S + index)
+    d = io.template_dict("tiny", n1d=3, scenario_count=S, seed=20 + index)
+    p = rng.uniform(0.2, 1.0, S)
+    d["scenarios"]["probabilities"] = (p / p.sum()).tolist()
+    d["alpha"] = float(rng.uniform(0.01, 1.0))
+    d["alpha_prime"] = float(rng.uniform(0.5, 2.0))
+    d["c2"]["M"] = [1.0, 0.5, 2.0][index % 3]
+    d["c1"] = [{"lo": 0.0, "hi": 1.0}, {"lo": -2.0, "hi": 2.0},
+               {"lo": rng.uniform(-1.0, 0.0, 9).tolist(), "hi": 0.5}][index % 3]
+    d["mode"] = mode
+    return io.instance_from_dict(d)
+
+
+def _sprinkle(rng, arr):
+    """Put signed zeros and values on the bounds at random entries."""
+    mask = rng.random(arr.shape) < 0.2
+    arr[mask] = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, 2.0], size=int(mask.sum()))
+    return arr
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), B=st.integers(1, 4), S=st.integers(1, 3),
+       mode=st.sampled_from(["slack", "hard"]), seed=st.integers(0, 2**32 - 1),
+       quad=st.sampled_from([0.0, 0.05]), center=st.booleans(), lin=st.booleans())
+def test_stacked_residuals_match_reference_bitwise(data, B, S, mode, seed, quad, center, lin):
+    """Each row of one stacked call has the bits of the plain residuals of
+    its own pair, and one instance is the B=1 case of the same code."""
+    picks = data.draw(st.lists(st.integers(0, 5), min_size=B, max_size=B))
+    insts = [_pool_instance(S, k, mode) for k in picks]
+    n = insts[0].n
+    rng = np.random.default_rng(seed)
+    x1 = _sprinkle(rng, 1.5 * rng.standard_normal((B, n)))
+    y, z, adj, obst, nonant = (_sprinkle(rng, rng.standard_normal((B, S, n)))
+                               for _ in range(5))
+    extra = dict(
+        x1_extra_quad=quad,
+        x1_extra_center=rng.standard_normal(n) if center else None,
+        x1_extra_lin=_sprinkle(rng, rng.standard_normal((B, n))) if lin else None,
+    )
+    got = natural_residuals(insts, PrimalPoint(x1, y, z), DualPoint(adj, obst, nonant),
+                            **extra)
+    for b, inst in enumerate(insts):
+        xb = PrimalPoint(x1[b], y[b], z[b])
+        lb = DualPoint(adj[b], obst[b], nonant[b])
+        row_extra = dict(extra, x1_extra_lin=None if not lin else extra["x1_extra_lin"][b])
+        want = reference_impl.natural_residuals(inst, xb, lb, **row_extra)
+        assert list(got) == list(want)
+        for key, val in want.items():
+            assert got[key].shape == (B,)
+            assert np.float64(got[key][b]).tobytes() == np.float64(val).tobytes(), key
+        single = natural_residuals(inst, xb, lb, **row_extra)
+        assert list(single) == list(want)
+        for key, val in want.items():
+            assert type(single[key]) is float
+            assert np.float64(single[key]).tobytes() == np.float64(val).tobytes(), key
+
+
+def test_stacked_residuals_reject_mixed_rows(tiny_instance):
+    other = tiny_instance.with_mode("hard")
+    x = PrimalPoint(np.zeros((2, tiny_instance.n)), *np.zeros((2, 2, 3, tiny_instance.n)))
+    lam = DualPoint(*np.zeros((3, 2, 3, tiny_instance.n)))
+    with pytest.raises(ValueError, match="share"):
+        natural_residuals([tiny_instance, other], x, lam)

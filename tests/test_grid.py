@@ -14,6 +14,8 @@ from sassc.grid import (
 )
 from sassc.scenarios import FieldSpec, sample_scenarios
 
+import reference_impl
+
 # Manufactured-solution constant measured once on n1d=8 and frozen.
 MMS_C_N1D8 = 0.81
 # Sup norm of the unit-coefficient inverse, measured on n1d=16 and frozen;
@@ -262,6 +264,45 @@ def test_norm_estimate_weighted():
     w = np.array([2.0, 1.0, 0.25])
     est = operator_norm_estimate(lambda v: d * v, lambda v: d * v, 3, weights=w)
     assert abs(est - 1.01 * 3.0) <= 1e-3
+
+
+def test_stacked_norm_estimates_match_reference_rows():
+    """Rows that stop early, a row that hits the 500-iteration cap and a zero
+    map run in lockstep, each leaving as it stops; each estimate has the
+    bits of its row's own run, and the single-vector call is the one-row
+    case."""
+    dim = 400
+    rng = np.random.default_rng(3)
+    diag = np.stack([
+        np.sqrt(np.linspace(0.0, 1.0, dim)),         # dense top of the spectrum: cap
+        np.r_[3.0, rng.uniform(0.0, 1.0, dim - 1)],  # separated top: stops early
+        np.zeros(dim),                               # zero map
+        rng.uniform(0.5, 2.0, dim),
+    ])
+    weights = rng.uniform(0.5, 2.0, diag.shape)
+    live = np.ones(len(diag), dtype=bool)
+    applied = []
+
+    def apply(v):
+        applied.append(len(v))
+        return diag[live] * v
+
+    est = operator_norm_estimate(apply, apply, dim, weights=weights, live=live)
+    assert est.shape == (4,)
+    iters = []
+    for d, w, got in zip(diag, weights, est):
+        want, it = reference_impl.operator_norm_estimate(
+            lambda v: d * v, lambda v: d * v, dim, weights=w)
+        iters.append(it)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        single = operator_norm_estimate(lambda v: d * v, lambda v: d * v, dim, weights=w)
+        assert type(single) is float
+        assert np.float64(single).tobytes() == np.float64(want).tobytes()
+    assert iters[0] == 500 and iters[1] < 500 and iters[3] < 500
+    assert est[2] == 0.0
+    # rows leave the lockstep as they stop; the last one runs alone
+    assert applied[0] == 4 and applied[-1] == 1 and len(applied) == 2 * 500
+    assert live.tolist() == [True, False, False, False]    # running at the cap
 
 
 def test_export_coo_text_roundtrip():

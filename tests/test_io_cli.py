@@ -145,6 +145,19 @@ def test_solve_infeasible_exit_code(tmp_path):
     assert code == 3
 
 
+def test_failed_linear_solve_exits_one(monkeypatch, capsys):
+    from sassc import grid
+
+    def failing(A, rhs, tol=1e-12, method=None):
+        raise grid.LinearSolveError("conjugate gradients did not converge (info=7)")
+
+    monkeypatch.setattr(grid, "solve_linear", failing)
+    assert run_cli(["mms", "--levels", "7,15"]) == 1
+    err = capsys.readouterr().err
+    assert "linear solve failed: conjugate gradients did not converge" in err
+    assert "Traceback" not in err
+
+
 def test_certify_zero_dual_fails(tmp_path):
     inst_path = tmp_path / "inst.json"
     run_dir = tmp_path / "run"

@@ -11,6 +11,7 @@ from sassc.problem import (
     PrimalPoint,
     dual_function,
     feasibility_check,
+    hard_mode_infeasibility,
     lagrangian,
     objective,
     pairing,
@@ -280,3 +281,50 @@ def test_oracle_solution_feasibility(tiny_instance):
     fr = feasibility_check(tiny_instance, x)
     assert max(fr.x1_box, fr.y_box, fr.z_box, fr.inequality) <= 1e-8
     assert fr.equality_max <= 1e-8
+
+
+def _hard(preset="tiny", **changes):
+    d = io.template_dict(preset)
+    d["mode"] = "hard"
+    for path, value in changes.items():
+        node = d
+        *keys, last = path.split(".")
+        for key in keys:
+            node = node[key]
+        node[last] = value
+    return io.instance_from_dict(d)
+
+
+def test_hard_infeasibility_not_flagged_on_presets():
+    for preset in ("tiny", "default"):
+        assert hard_mode_infeasibility(_hard(preset)) is None
+
+
+@pytest.mark.parametrize("excess, flagged", [(1e-9, False), (1e-3, True)])
+def test_hard_infeasibility_margin(excess, flagged):
+    """An obstacle below the lowest reachable state counts only beyond the
+    margin that covers the solves' roundoff."""
+    inst = _hard()
+    a, g, _ = inst.fields()
+    lowest = np.stack([solve_linear(A, inst.c1_lo + g[k])
+                       for k, A in enumerate(inst.operators())])
+    inst.scenarios._cache[inst.grid.n1d] = (a, g, lowest - excess)
+    assert (hard_mode_infeasibility(inst) is not None) == flagged
+
+
+@pytest.mark.parametrize("changes, reason", [
+    ({"scenarios.spec_psi": {"baseline": -1.0, "modes": [], "clip": None}},
+     "lowest reachable state exceeds"),
+    ({"scenarios.spec_psi": {"baseline": -1.5, "modes": [], "clip": None}},
+     "obstacle lies below the state box"),
+    ({"c1.lo": -1e3, "c1.hi": -1e3}, "highest reachable state lies below"),
+    ({"c1.lo": 1e3, "c1.hi": 1e3}, "lowest reachable state exceeds"),
+])
+def test_hard_infeasibility_flagged(changes, reason):
+    found = hard_mode_infeasibility(_hard(**changes))
+    assert found is not None and found.startswith(f"the {reason}")
+
+
+def test_hard_infeasibility_requires_hard_mode(tiny_instance):
+    with pytest.raises(ValueError):
+        hard_mode_infeasibility(tiny_instance)

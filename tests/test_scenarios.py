@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sassc.grid import build_grid
-from sassc.scenarios import FieldSpec, ellipticity_report, realize_fields, sample_scenarios
+from sassc.scenarios import FieldSpec, ellipticity_report, sample_scenarios
 
 SPEC_A = FieldSpec(1.0, ((0.4, (1, 1)), (0.2, (2, 1))), clip=(0.5, 2.0))
 SPEC_G = FieldSpec(1.0, ((0.5, (1, 2)),))
@@ -56,14 +56,14 @@ def test_zero_scenarios_rejected():
 def test_clipping_always_respected():
     wild = FieldSpec(1.0, ((10.0, (1, 1)),), clip=(0.1, 2.0))
     s = sample_scenarios(wild, SPEC_G, SPEC_PSI, S=6, seed=2)
-    a, _, _ = realize_fields(s, build_grid(8))
+    a, _, _ = s.realize(build_grid(8))
     assert a.min() >= 0.1 and a.max() <= 2.0
 
 
 def test_clip_activation_on_seeded_draw():
     wild = FieldSpec(1.0, ((10.0, (1, 1)),), clip=(0.1, 2.0))
     s = sample_scenarios(wild, SPEC_G, SPEC_PSI, S=6, seed=2)
-    a, _, _ = realize_fields(s, build_grid(8))
+    a, _, _ = s.realize(build_grid(8))
     # amplitude 10 swamps the clip interval, so both bounds activate exactly
     assert a.min() == 0.1
     assert a.max() == 2.0
@@ -72,7 +72,7 @@ def test_clip_activation_on_seeded_draw():
 def test_zero_mode_fields_constant():
     const_a = FieldSpec(1.0, (), clip=(0.5, 2.0))
     s = sample_scenarios(const_a, FieldSpec(0.0, ()), SPEC_PSI, S=3, seed=5)
-    a, g, psi = realize_fields(s, build_grid(4))
+    a, g, psi = s.realize(build_grid(4))
     assert np.all(a == 1.0)
     assert np.all(g == 0.0)
     assert np.all(psi == 0.1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse._sparsetools import csr_matvec
 
-from sassc import certify, io
+from sassc import io, solvers
 from sassc.certify import kkt_residuals
 from sassc.grid import solve_linear
 from sassc.problem import DualPoint, PrimalPoint, norm_h, objective, project_c1
@@ -23,6 +23,8 @@ from sassc.solvers import (
     solve_pdhg,
     solve_progressive_hedging,
 )
+
+import reference_impl
 
 
 def unconstrained_template(n1d=4, S=2, seed=3):
@@ -169,7 +171,7 @@ def reference_engine(inst, params, tol, max_iters, warm=None, x1_extra_quad=0.0,
         if it % params.check_every == 0 or it == max_iters:
             xp = PrimalPoint(x1, y, z)
             lam = DualPoint(lam_e, ci * lam_ih, -lam_e)
-            res = certify.natural_residuals(
+            res = reference_impl.natural_residuals(
                 inst, xp, lam,
                 x1_extra_quad=q, x1_extra_center=x1_extra_center,
                 x1_extra_lin=x1_extra_lin,
@@ -271,6 +273,27 @@ def test_batched_engine_rows_match_separate_runs(small_instance, mode, max_iters
         _assert_same_points(xa, la, xb, lb)
 
 
+def test_batched_engine_diverging_row_keeps_its_best_iterate():
+    """A row that stops on suspected infeasibility falls back to its own
+    best iterate, while the feasible rows of its batch keep improving and
+    converge first."""
+    d = io.template_dict("tiny")
+    d["mode"] = "hard"
+    feasible = io.instance_from_dict(d)
+    d["scenarios"]["spec_psi"] = {"baseline": -1.0, "modes": [], "clip": None}
+    infeasible = io.instance_from_dict(d)
+    subs = [replace(inst, scenarios=inst.scenarios.subset([k]))
+            for inst, k in ((feasible, 0), (infeasible, 0), (feasible, 1))]
+    params = SolverParams(divergence_threshold=1e4)
+    got = _pdhg_engine(subs, params, tol=1e-8, max_iters=400_000)
+    want = [reference_engine(sub, params, tol=1e-8, max_iters=400_000) for sub in subs]
+    assert [st for _, _, _, st in want] == [STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_CONVERGED]
+    assert want[1][2] > max(want[0][2], want[2][2])
+    for (xa, la, ita, sta), (xb, lb, itb, stb) in zip(got, want):
+        assert (ita, sta) == (itb, stb)
+        _assert_same_points(xa, la, xb, lb)
+
+
 def test_direct_csr_matvec_matches_matmul(small_instance):
     Ablk = small_instance.block_operator()
     N = Ablk.shape[0]
@@ -279,6 +302,48 @@ def test_direct_csr_matvec_matches_matmul(small_instance):
     out = np.zeros(v.shape)
     csr_matvec(N, N, Ablk.indptr, Ablk.indices, Ablk.data, v, out)
     assert out.ravel().tobytes() == (Ablk @ v.ravel()).tobytes()
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["slack", "hard"])
+@pytest.mark.parametrize("subsets", [[[0], [1], [2], [3]], [[0, 1], [2, 3]], [[0, 1, 2, 3]]])
+def test_stacked_k_norms_match_reference_rows(monkeypatch, mode, subsets):
+    """One lockstep power iteration over the rows not yet cached gives each
+    row the bits of its own plain run, and fills each row's cache entry."""
+    inst = io.make_instance("default", n1d=8, scenario_count=4).with_mode(mode)
+    subs = [replace(inst, scenarios=inst.scenarios.subset(k)) for k in subsets]
+    slack = mode == "slack"
+    first = _estimate_k_norm(subs[-1])      # the last row is cached beforehand
+    batch_rows = []
+    real = solvers.operator_norm_estimate
+
+    def spy(forward, adjoint, dim, weights=None, **kwargs):
+        batch_rows.append(len(weights))
+        return real(forward, adjoint, dim, weights=weights, **kwargs)
+
+    monkeypatch.setattr(solvers, "operator_norm_estimate", spy)
+    k0 = _estimate_k_norm(subs)
+    assert batch_rows == ([len(subs) - 1] if len(subs) > 1 else [])
+    assert k0[-1] == first
+    scales = [max(1.0, math.sqrt(k)) for k in k0]
+    ci = scales if slack else [max(1.0, k / 3.0) for k in k0]
+    sz = scales if slack else [1.0] * len(subs)
+    knorm = _estimate_k_norm(subs, s1=scales, sz=sz, ci=ci)
+    iters = []
+    for j, sub in enumerate(subs):
+        want0, it0 = reference_impl.k_norm(sub)
+        want, it = reference_impl.k_norm(sub, s1=scales[j], sz=sz[j], ci=ci[j])
+        assert _same_bits(k0[j], want0) and _same_bits(knorm[j], want)
+        assert _estimate_k_norm(sub, s1=scales[j], sz=sz[j], ci=ci[j]) == knorm[j]
+        iters += [it0, it]
+    if len(subs) == 4:      # rows of one batch stop at different iterations
+        assert len(set(iters)) > 2
+    calls = len(batch_rows)
+    assert _estimate_k_norm(subs, s1=scales, sz=sz, ci=ci) == knorm
+    assert len(batch_rows) == calls
 
 
 def test_pdhg_residual_trend_and_bounded_gap(small_instance):
@@ -356,6 +421,17 @@ def test_hard_infeasible_detected():
     inst = io.instance_from_dict(d)
     x, lam, rep = solve_pdhg(inst, SolverParams(divergence_threshold=1e4))
     assert rep.status == "infeasibility_suspected"
+
+
+def test_hard_infeasible_stops_before_iterating():
+    d = io.template_dict("tiny")
+    d["mode"] = "hard"
+    d["scenarios"]["spec_psi"] = {"baseline": -1.0, "modes": [], "clip": None}
+    inst = io.instance_from_dict(d)
+    x, lam, rep = solve_pdhg(inst, SolverParams())
+    assert (rep.status, rep.iterations) == (STATUS_INFEASIBLE, 0)
+    assert "lowest reachable state" in rep.extras["infeasibility"]
+    assert np.array_equal(x.x1, project_c1(inst, np.zeros(inst.n)))
 
 
 def test_extract_rho_identities(tiny_instance):
