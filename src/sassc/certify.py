@@ -36,8 +36,7 @@ from .problem import (
     objective,
     project_c1,
     project_c2,
-    stack_rows,
-    stacked_block_operator,
+    stacked_scenario_data,
 )
 
 # Barrier-oracle pairs carry O(sqrt(mu)) multiplier noise; certify them
@@ -146,22 +145,22 @@ def natural_residuals(
         lam = DualPoint(lam.adjoint[None], lam.obstacle[None], lam.nonant[None])
         if x1_extra_lin is not None:
             x1_extra_lin = x1_extra_lin[None]
-    S, n, mode = inst[0].S, inst[0].n, inst[0].mode
-    if any((sub.S, sub.n, sub.mode) != (S, n, mode) for sub in inst):
+    mode = inst[0].mode
+    if len({(sub.scenarios.S, sub.grid.n1d, sub.mode) for sub in inst}) > 1:
         raise ValueError("batched instances must share the grid, mode and scenario count")
     h = inst[0].h
-    (p,) = stack_rows([(sub.p[None],) for sub in inst])
-    lo, hi, y_t = stack_rows([(sub.c1_lo[None], sub.c1_hi[None], sub.y_target[None])
-                              for sub in inst])
-    consts = np.array([(sub.alpha, sub.alpha_prime, sub.c2_bound) for sub in inst])
-    alpha, alpha_prime, M = (consts[:, j, None, None] for j in range(3))
+    csr, p, _, _ = stacked_scenario_data(inst)
+    p = p[:, None, :]
+    lo, hi, y_t = np.array([(sub.c1_lo, sub.c1_hi, sub.y_target)
+                            for sub in inst])[:, :, None, :].transpose(1, 0, 2, 3)
+    alpha, alpha_prime, M = np.array([(sub.alpha, sub.alpha_prime, sub.c2_bound)
+                                      for sub in inst]).T[:, :, None, None]
     x1 = x.x1[:, None, :]
 
-    def norms(a: np.ndarray) -> np.ndarray:
-        """Largest per-scenario norm of each row, times h: the pairwise
-        sum of squares of ``np.linalg.norm(axis=-1)``, and the square root
-        of the largest sum, which is the largest root bit for bit."""
-        return h * np.sqrt(np.maximum.reduce(np.add.reduce(a * a, axis=-1), axis=-1))
+    def sq(a: np.ndarray) -> np.ndarray:
+        """Per-scenario sums of squares: the pairwise sums of
+        ``np.linalg.norm(a, axis=-1)``."""
+        return np.add.reduce(a * a, axis=-1)
 
     def dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Per-row dot products of (B, 1, m) and (B, m, 1) through BLAS dot."""
@@ -177,23 +176,25 @@ def natural_residuals(
     d1 = x1 - np.clip(x1 - f_x1, lo, hi)
     r1 = h * np.sqrt(dots(d1, d1.transpose(0, 2, 1)))
 
-    r2 = norms(lam.nonant + lam.adjoint)
-
-    Alam = csr_product(stacked_block_operator(inst), lam.adjoint)
+    Alam = csr_product(csr, lam.adjoint)
     f_y = x.y - y_t + Alam + lam.obstacle
-    r3 = norms(x.y - np.clip(x.y - f_y, -M, M))
-
     eq, ineq = constraint_values(inst, x)
-    per_scenario = np.einsum("bki,bki->bk", ineq, lam.obstacle)
-    out = {
-        "r1": r1, "r2": r2, "r3": r3, "r4": norms(eq),
-        "r5_sign": lam.obstacle.min(axis=(1, 2)),
-        "r5_feas": np.maximum(ineq, 0.0).max(axis=(1, 2)),
-        "r5_comp": np.abs(h * h * dots(p, per_scenario[:, :, None])),
-    }
+    sums = [sq(lam.nonant + lam.adjoint), sq(x.y - np.clip(x.y - f_y, -M, M)), sq(eq)]
     if mode == "slack":
         f_z = alpha_prime * x.z - lam.obstacle
-        out["r3p"] = norms(x.z - np.clip(x.z - f_z, -M, M))
+        sums.append(sq(x.z - np.clip(x.z - f_z, -M, M)))
+    # largest per-scenario norm of each row, times h; the root of the
+    # largest sum of squares is the largest root bit for bit
+    r2, r3, r4, *r3p = h * np.sqrt(np.maximum.reduce(np.array(sums), axis=-1))
+    per_scenario = np.einsum("bki,bki->bk", ineq, lam.obstacle)
+    out = {
+        "r1": r1, "r2": r2, "r3": r3, "r4": r4,
+        "r5_sign": np.minimum.reduce(lam.obstacle, axis=(1, 2)),
+        "r5_feas": np.maximum.reduce(np.maximum(ineq, 0.0), axis=(1, 2)),
+        "r5_comp": np.abs(h * h * dots(p, per_scenario[:, :, None])),
+    }
+    if r3p:
+        out["r3p"] = r3p[0]
     if batched:
         return out
     return {key: float(val[0]) for key, val in out.items()}

@@ -164,32 +164,29 @@ def stack_csr(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
 
 
-def stacked_block_operator(insts: list[Instance]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays of the block-diagonal stack of the instances' block
-    operators (``stack_csr``).
+def stacked_scenario_data(insts: list[Instance]) -> tuple:
+    """Scenario data of instances that share the grid and scenario count,
+    stacked along a leading row axis: the CSR arrays of the block-diagonal
+    stack of their block operators (``stack_csr``), and their probability,
+    load and obstacle arrays ``p`` (B, S), ``g`` and ``psi`` (B, S, n).
 
-    The stack of the rows last asked for is cached on the first row's
-    scenario set, beside its operators, with the operators it stacks: the
-    engine's iteration and every residual check of a batch ask for the
-    same rows.
+    A scenario set does not change once built, so the stack of the rows
+    last asked for is cached on the first row's scenario set, with the
+    sets it stacks: the engine's iteration and every residual check of a
+    batch ask for the same rows. A single row gives its own arrays.
     """
-    mats = tuple(sub.block_operator() for sub in insts)
-    if len(mats) == 1:
-        return stack_csr(mats)
-    cache, key = insts[0].scenarios._cache, ("stack", insts[0].grid.n1d)
+    sets = tuple(sub.scenarios for sub in insts)
+    if len(sets) == 1:
+        _, g, psi = insts[0].fields()
+        return stack_csr([insts[0].block_operator()]), sets[0].p[None], g[None], psi[None]
+    cache, key = sets[0]._cache, ("stack", insts[0].grid.n1d)
     last = cache.get(key)
-    if last is None or len(last[0]) != len(mats) or any(a is not b for a, b in zip(last[0], mats)):
-        last = cache[key] = (mats, stack_csr(mats))
+    if last is None or len(last[0]) != len(sets) or any(a is not b for a, b in zip(last[0], sets)):
+        g_psi = np.array([sub.fields()[1:] for sub in insts])
+        data = (stack_csr([sub.block_operator() for sub in insts]),
+                np.array([sub.p for sub in insts]), g_psi[:, 0], g_psi[:, 1])
+        last = cache[key] = (sets, data)
     return last[1]
-
-
-def stack_rows(per_row: list[tuple]) -> tuple:
-    """Per-row tuples of equally shaped arrays, each array stacked along a
-    new leading row axis in one copy; a single row gives views."""
-    if len(per_row) == 1:
-        return tuple(a[None] for a in per_row[0])
-    stacked = np.array(per_row)
-    return tuple(stacked[:, j] for j in range(stacked.shape[1]))
 
 
 def csr_product(csr: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
@@ -299,8 +296,8 @@ def constraint_values(inst: Instance | list[Instance],
     single = isinstance(inst, Instance)
     rows = [inst] if single else inst
     x1, y, z = (a[None] for a in (x.x1, x.y, x.z)) if single else (x.x1, x.y, x.z)
-    g, psi = stack_rows([sub.fields()[1:] for sub in rows])
-    Ay = csr_product(stacked_block_operator(rows), y)
+    csr, _, g, psi = stacked_scenario_data(rows)
+    Ay = csr_product(csr, y)
     eq = Ay - x1[:, None, :] - g
     ineq = y - psi if rows[0].mode == "hard" else y - z - psi
     return (eq[0], ineq[0]) if single else (eq, ineq)

@@ -51,7 +51,7 @@ from .problem import (
     objective,
     project_c1,
     stack_csr,
-    stacked_block_operator,
+    stacked_scenario_data,
     zeros_dual,
 )
 
@@ -379,9 +379,9 @@ def _pdhg_engine(
         subs = [inst[k] for k in rows]
         duals = np.empty((2, Bs, S, n))
         duals[0], duals[1] = lam_e, lam_ih
-        g, psi = zip(*(sub.fields()[1:] for sub in subs))
-        g_psi = np.stack([np.stack(g), np.stack(psi)])
-        p = np.stack([sub.p for sub in subs])[:, None, :]
+        csr, p, g, psi = stacked_scenario_data(subs)
+        g_psi = np.stack([g, psi])
+        p = p[:, None, :]
         tau, ci, tau1, tauz = (np.array(c)[:, None, None]
                                for c in zip(*(steps[k] for k in rows)))
         dual_steps = np.stack([tau, tau * ci])
@@ -397,7 +397,6 @@ def _pdhg_engine(
         box = [np.repeat([sub.c2_bound for sub in subs], SN)] * (2 if slack else 1)
         lo = np.concatenate([sub.c1_lo for sub in subs] + [-b for b in box])
         hi = np.concatenate([sub.c1_hi for sub in subs] + box)
-        csr = stacked_block_operator(subs)
         return (
             NS, *csr, primal_buffer(x1, y, z), primal_buffer(), primal_buffer(xb1, yb, zb),
             duals, np.empty((2, Bs, S, n)), np.empty((Bs, S, n)), g_psi, p,
