@@ -172,20 +172,24 @@ def stacked_scenario_data(insts: list[Instance]) -> tuple:
 
     A scenario set does not change once built, so the stack of the rows
     last asked for is cached on the first row's scenario set, with the
-    sets it stacks: the engine's iteration and every residual check of a
-    batch ask for the same rows. A single row gives its own arrays.
+    sets of the other rows (not its own, which would make a reference
+    cycle that only the garbage collector frees): the engine's iteration
+    and every residual check of a batch ask for the same rows. A single
+    row gives its own arrays.
     """
-    sets = tuple(sub.scenarios for sub in insts)
-    if len(sets) == 1:
+    if len(insts) == 1:
         _, g, psi = insts[0].fields()
-        return stack_csr([insts[0].block_operator()]), sets[0].p[None], g[None], psi[None]
-    cache, key = sets[0]._cache, ("stack", insts[0].grid.n1d)
+        return (stack_csr([insts[0].block_operator()]), insts[0].scenarios.p[None],
+                g[None], psi[None])
+    others = tuple(sub.scenarios for sub in insts[1:])
+    cache, key = insts[0].scenarios._cache, ("stack", insts[0].grid.n1d)
     last = cache.get(key)
-    if last is None or len(last[0]) != len(sets) or any(a is not b for a, b in zip(last[0], sets)):
+    if (last is None or len(last[0]) != len(others)
+            or any(a is not b for a, b in zip(last[0], others))):
         g_psi = np.array([sub.fields()[1:] for sub in insts])
         data = (stack_csr([sub.block_operator() for sub in insts]),
                 np.array([sub.p for sub in insts]), g_psi[:, 0], g_psi[:, 1])
-        last = cache[key] = (sets, data)
+        last = cache[key] = (others, data)
     return last[1]
 
 
