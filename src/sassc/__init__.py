@@ -17,7 +17,6 @@ from .grid import (
     MmsRow,
     assemble_operator,
     build_grid,
-    export_coo_text,
     mms_convergence_study,
     operator_norm_estimate,
     solve_linear,

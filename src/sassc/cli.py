@@ -10,8 +10,10 @@ predicate. Exit codes: 0 success, 1 certificate or predicate failure
 
 All output files are canonical JSON or CSV written atomically; every
 report embeds the instance SHA-256 and sampling seed. The CLI itself is
-single-threaded; SASSC_THREADS caps the worker count used inside solver
-calls (the current solvers are serial, so the cap is honored trivially).
+single-threaded. Progressive hedging runs each round's scenario subproblems
+in one process per usable CPU; SASSC_THREADS caps that count
+(``solvers.worker_count``), and a value that is not a positive integer
+exits 4.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .solvers import (
     solve_barrier_reference,
     solve_pdhg,
     solve_progressive_hedging,
+    worker_count,
 )
 
 EXIT_OK = 0
@@ -290,15 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if "SASSC_THREADS" in os.environ:
-        try:
-            workers = int(os.environ["SASSC_THREADS"])
-            if workers < 1:
-                raise ValueError
-        except ValueError:
-            print(f"invalid SASSC_THREADS={os.environ['SASSC_THREADS']!r}",
-                  file=sys.stderr)
-            return EXIT_INPUT
+    try:
+        worker_count()
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except LinearSolveError as exc:

@@ -333,14 +333,3 @@ def operator_norm_estimate(
         lam_prev = lam
     est[rows] = 1.01 * np.sqrt(lam)
     return float(est[0]) if single else est
-
-
-def export_coo_text(A: sp.spmatrix) -> str:
-    """Render a sparse matrix as ``row col value`` lines for debugging."""
-    coo = A.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}"
-        for k in order
-    ]
-    return "\n".join(lines) + "\n"

@@ -49,11 +49,6 @@ def norm_h(v: np.ndarray, h: float) -> float:
     return float(h * np.linalg.norm(v))
 
 
-def inner_h(u: np.ndarray, v: np.ndarray, h: float) -> float:
-    """Mesh-weighted inner product ``h^2 * sum(u v)``."""
-    return float(h * h * np.dot(u, v))
-
-
 def pairing(u: np.ndarray, lam: np.ndarray, p: np.ndarray, h: float) -> float:
     """Duality pairing of a random field with a multiplier density.
 

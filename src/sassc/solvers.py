@@ -18,11 +18,13 @@ Progressive hedging decomposes by scenario and exposes the
 nonanticipativity structure algorithmically: scenario copies of the
 control are driven to consensus by weights ``w_k`` that converge to the
 negative of the per-scenario nonanticipativity density minus the shared
-control gradient. A round is one lockstep engine call over all scenario
-subproblems: the engine stacks independent problems as rows of one
-iteration. At small grid sizes numpy call overhead, not arithmetic,
-dominates an iteration, so one stacked iteration costs far less than one
-iteration of each problem run on its own.
+control gradient. Given the weights, the subproblems of a round are
+independent. They are split into contiguous groups, one per usable CPU
+(``worker_count``), and each group is one lockstep engine call in its own
+process: the engine stacks independent problems as rows of one iteration.
+At small grid sizes numpy call overhead, not arithmetic, dominates an
+iteration, so one stacked iteration costs far less than one iteration of
+each problem run on its own.
 
 The barrier oracle is deliberately a different algorithmic family (dense
 Newton on a log-barrier interior path) so that agreement between solvers
@@ -31,8 +33,12 @@ is evidence of correctness rather than a tautology.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import threading
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -590,6 +596,106 @@ def solve_hard(
     return primal, dual, report
 
 
+def worker_count() -> int:
+    """Processes a solver call may run on: the CPUs this process may use,
+    capped by the ``SASSC_THREADS`` environment variable when it is set.
+
+    Raises ValueError when ``SASSC_THREADS`` is not a positive integer.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    raw = os.environ.get("SASSC_THREADS")
+    if raw is None:
+        return cpus
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"invalid SASSC_THREADS={raw!r}")
+    return min(cpus, cap)
+
+
+def _ph_worker(conn, rows: list[Instance], params: SolverParams) -> None:
+    """Serve the engine calls of one group of PH subproblems until the
+    process is terminated: each message holds the keyword arguments of one
+    round and is answered with ``(True, results)`` or, if the call raised,
+    ``(False, (exception, formatted traceback))``."""
+    while True:
+        kwargs = conn.recv()
+        try:
+            reply = (True, _pdhg_engine(rows, params, **kwargs))
+        except Exception as exc:
+            reply = (False, (exc, traceback.format_exc()))
+        conn.send(reply)
+
+
+@contextlib.contextmanager
+def _ph_rounds(subs: list[Instance], params: SolverParams):
+    """Yield ``run_round(warm, x1_extra_lin, **common)``, which makes the
+    engine calls of one round for all of ``subs`` and returns the per-row
+    results in order.
+
+    The rows are split into W = min(S, ``worker_count()``) contiguous
+    groups. The calling process runs group 0; each other group runs in a
+    worker process forked here and bound to it for every round, so its
+    rows' K-norm and stacked-data caches stay warm. Each round a worker gets
+    its rows' slices of ``warm`` and ``x1_extra_lin`` over a pipe. A row's
+    iterates do not depend on the rows that share its batch, so the results
+    are bitwise those of one call over all rows. A worker's exception is
+    raised again here, and the workers are terminated and joined on exit.
+
+    Workers are forked, not spawned: they inherit the realized subproblems
+    instead of importing numpy, scipy and the package again, which takes
+    longer than most rounds. A process that runs other Python threads could
+    be forked while one of them holds a lock, so it gets W = 1, which starts
+    no process.
+    """
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    W = min(len(subs), worker_count()) if forkable else 1
+    bounds = [len(subs) * g // W for g in range(W + 1)]
+    workers = []
+    try:
+        if W > 1:
+            import multiprocessing
+
+            ctx = multiprocessing.get_context("fork")
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                conn, child = ctx.Pipe()
+                proc = ctx.Process(target=_ph_worker, args=(child, subs[lo:hi], params),
+                                   daemon=True)
+                proc.start()
+                child.close()
+                workers.append((proc, conn))
+
+        def run_round(warm, x1_extra_lin, **common):
+            def part(g):
+                lo, hi = bounds[g], bounds[g + 1]
+                lin = None if x1_extra_lin is None else x1_extra_lin[lo:hi]
+                return dict(common, warm=warm[lo:hi], x1_extra_lin=lin)
+
+            for g, (_, conn) in enumerate(workers, start=1):
+                conn.send(part(g))
+            results = _pdhg_engine(subs[:bounds[1]], params, **part(0))
+            for _, conn in workers:
+                ok, reply = conn.recv()
+                if not ok:
+                    exc, trace = reply
+                    raise exc from RuntimeError(f"raised in a PH worker process:\n{trace}")
+                results += reply
+            return results
+
+        yield run_round
+    finally:
+        for proc, conn in workers:
+            conn.close()
+            proc.terminate()
+        for proc, _ in workers:
+            proc.join()
+
+
 def solve_progressive_hedging(
     inst: Instance,
     params: SolverParams | None = None,
@@ -602,8 +708,12 @@ def solve_progressive_hedging(
     averages the scenario controls into a new consensus and updates the
     weights by ``w_k += r (x1_k - consensus)``. At interior consensus the
     weights satisfy ``w_k = -rho_k - alpha * consensus``. The S
-    subproblems of a round run as one lockstep batch of the engine, each
-    warm-started from its previous solve.
+    subproblems of a round run as lockstep engine batches, each
+    warm-started from its previous solve: one batch per contiguous group
+    of scenarios, with one group per usable CPU (capped by
+    ``SASSC_THREADS``), each group after the first in a worker process
+    forked for this solve (``_ph_rounds``). Every output is bitwise that of
+    a single batch in one process.
 
     Returns the consensus primal point, the per-scenario duals, a report,
     and the final weight array. ``extras`` carries the consensus gap, the
@@ -639,44 +749,43 @@ def solve_progressive_hedging(
     outer = 0
     inner_total = 0
 
-    for outer in range(1, params.ph_max_outer + 1):
-        first = outer == 1
-        solved = _pdhg_engine(
-            subs, params,
-            tol=params.ph_inner_tolerance,
-            max_iters=params.max_iters,
-            warm=warm_state,
-            x1_extra_quad=0.0 if first else r,
-            x1_extra_center=None if first else x_hat,
-            x1_extra_lin=None if first else w,
-        )
-        # results apply in scenario order up to the first failed subproblem,
-        # as if the subproblems had been solved one after another
-        failed = None
-        for k, (xk, lk, it_k, st_k) in enumerate(solved):
-            inner_total += it_k
-            warm_state[k] = (xk, lk)
-            x1s[k], y[k], z[k] = xk.x1, xk.y[0], xk.z[0]
-            lam_e[k], lam_i[k] = lk.adjoint[0], lk.obstacle[0]
-            if st_k != STATUS_CONVERGED:
-                failed = st_k
+    with _ph_rounds(subs, params) as run_round:
+        for outer in range(1, params.ph_max_outer + 1):
+            first = outer == 1
+            solved = run_round(
+                warm_state, None if first else w,
+                tol=params.ph_inner_tolerance,
+                max_iters=params.max_iters,
+                x1_extra_quad=0.0 if first else r,
+                x1_extra_center=None if first else x_hat,
+            )
+            # results apply in scenario order up to the first failed subproblem,
+            # as if the subproblems had been solved one after another
+            failed = None
+            for k, (xk, lk, it_k, st_k) in enumerate(solved):
+                inner_total += it_k
+                warm_state[k] = (xk, lk)
+                x1s[k], y[k], z[k] = xk.x1, xk.y[0], xk.z[0]
+                lam_e[k], lam_i[k] = lk.adjoint[0], lk.obstacle[0]
+                if st_k != STATUS_CONVERGED:
+                    failed = st_k
+                    break
+
+            if failed is None:
+                mean = inst.p @ x1s
+                x_hat = project_c1(inst, mean)
+                if not np.array_equal(x_hat, mean):
+                    projection_active = True
+                w += r * (x1s - x_hat[None, :])
+                drift_log.append(inst.h * float(np.linalg.norm(inst.p @ w)))
+
+            gap = inst.h * float(np.linalg.norm(x1s - x_hat[None, :], axis=1).max())
+            if failed is not None:
+                status = failed
                 break
-
-        if failed is None:
-            mean = inst.p @ x1s
-            x_hat = project_c1(inst, mean)
-            if not np.array_equal(x_hat, mean):
-                projection_active = True
-            w += r * (x1s - x_hat[None, :])
-            drift_log.append(inst.h * float(np.linalg.norm(inst.p @ w)))
-
-        gap = inst.h * float(np.linalg.norm(x1s - x_hat[None, :], axis=1).max())
-        if failed is not None:
-            status = failed
-            break
-        if gap <= params.kkt_tolerance:
-            status = STATUS_CONVERGED
-            break
+            if gap <= params.kkt_tolerance:
+                status = STATUS_CONVERGED
+                break
 
     primal = PrimalPoint(x_hat.copy(), y, z)
     dual = DualPoint(lam_e, lam_i, extract_rho(inst, lam_e))

@@ -7,7 +7,6 @@ from sassc.grid import (
     LinearSolveError,
     assemble_operator,
     build_grid,
-    export_coo_text,
     mms_convergence_study,
     operator_norm_estimate,
     solve_linear,
@@ -303,17 +302,6 @@ def test_stacked_norm_estimates_match_reference_rows():
     # rows leave the lockstep as they stop; the last one runs alone
     assert applied[0] == 4 and applied[-1] == 1 and len(applied) == 2 * 500
     assert live.tolist() == [True, False, False, False]    # running at the cap
-
-
-def test_export_coo_text_roundtrip():
-    g = build_grid(2)
-    A = assemble_operator(g, np.ones((4, 4)))
-    text = export_coo_text(A)
-    lines = [ln for ln in text.strip().split("\n")]
-    assert len(lines) == A.nnz
-    i, j, v = lines[0].split()
-    assert int(i) == 0 and int(j) == 0
-    assert float(v) == A.toarray()[0, 0]
 
 
 def test_harmonic_face_average_option():

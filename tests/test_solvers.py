@@ -1,4 +1,9 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -346,6 +351,54 @@ def test_stacked_k_norms_match_reference_rows(monkeypatch, mode, subsets):
     assert len(batch_rows) == calls
 
 
+def _dense_k_norm(inst, s1=1.0, sz=1.0, ci=1.0):
+    """Spectral norm of the rescaled constraint map K between the weighted
+    spaces of the power iteration, ||W_c^1/2 K W_d^-1/2||_2, from the top
+    eigenvalue of the dense Gram matrix."""
+    S, n, slack = inst.S, inst.n, inst.mode == "slack"
+    SN = S * n
+    eye, zeros = np.eye(SN), np.zeros((SN, SN))
+    top = [-s1 * np.tile(np.eye(n), (S, 1)), inst.block_operator().toarray()]
+    bottom = [np.zeros((SN, n)), ci * eye]
+    if slack:
+        top.append(zeros)
+        bottom.append(-ci * sz * eye)
+    K = np.block([top, bottom])
+    w_block = np.repeat(inst.p * inst.h * inst.h, n)
+    w_dom = np.concatenate([np.full(n, inst.h * inst.h)] + [w_block] * (2 if slack else 1))
+    w_cod = np.concatenate([w_block, w_block])
+    M = np.sqrt(w_cod)[:, None] * K / np.sqrt(w_dom)
+    return math.sqrt(np.linalg.eigvalsh(M @ M.T)[-1])
+
+
+def _ph_subproblems(seed):
+    inst = io.make_instance("default", n1d=16, scenario_count=8, seed=seed)
+    return [replace(inst, scenarios=inst.scenarios.subset([k])) for k in range(inst.S)]
+
+
+@pytest.mark.parametrize("rows", [
+    lambda: [io.make_instance("tiny")],
+    lambda: [io.make_instance("tiny").with_mode("hard")],
+    lambda: [io.make_instance("default", n1d=8, scenario_count=4)],
+    lambda: _ph_subproblems(7) + _ph_subproblems(1007) + _ph_subproblems(2007),
+], ids=["tiny", "tiny-hard", "default-n1d8-S4", "ph-n1d16-seeds-7-1007-2007"])
+def test_k_norm_estimate_bounds_dense_norm(rows):
+    """The cached K-norm estimate, unscaled and with the engine's block
+    scaling, is an upper bound of the dense weighted norm. The power
+    iteration can stop below the top eigenvalue; its 1.01 factor is the
+    margin that keeps the step sizes safe (smallest ratio here: 1.004)."""
+    rows = rows()
+    k0 = _estimate_k_norm(rows)
+    slack = rows[0].mode == "slack"
+    scales = [max(1.0, math.sqrt(k)) for k in k0]
+    ci = scales if slack else [max(1.0, k / 3.0) for k in k0]
+    sz = scales if slack else [1.0] * len(rows)
+    knorm = _estimate_k_norm(rows, s1=scales, sz=sz, ci=ci)
+    for j, sub in enumerate(rows):
+        assert k0[j] >= _dense_k_norm(sub)
+        assert knorm[j] >= _dense_k_norm(sub, s1=scales[j], sz=sz[j], ci=ci[j])
+
+
 def test_pdhg_residual_trend_and_bounded_gap(small_instance):
     from sassc.problem import dual_function
     from sassc.solvers import _pdhg_engine
@@ -552,8 +605,13 @@ def reference_ph(inst, params):
                           rep.dual_value, extras), w
 
 
-@pytest.mark.parametrize("case", ["converged", "cap_10", "cap_137", "cap_at_scenario_2"])
-def test_ph_matches_sequential_sweep_bitwise(small_instance, case):
+@pytest.fixture(scope="module")
+def ph_references():
+    """Sequential-sweep references of the PH cases, computed once per case."""
+    return {}
+
+
+def _ph_case(small_instance, references, case):
     inst, params = small_instance, SolverParams(ph_penalty=0.05)
     if case.startswith("cap_") and case[4:].isdigit():
         params = replace(params, max_iters=int(case[4:]))
@@ -561,9 +619,15 @@ def test_ph_matches_sequential_sweep_bitwise(small_instance, case):
         # scenarios 0 and 1 converge within the cap, scenarios 2 and 3 do not
         inst = io.make_instance("default", n1d=8, scenario_count=4, seed=6)
         params = replace(params, max_iters=2050)
+    if case not in references:
+        references[case] = reference_ph(inst, params)
+    return inst, params, references[case]
+
+
+def _assert_ph_matches_reference(small_instance, references, case):
+    inst, params, reference = _ph_case(small_instance, references, case)
     x, lam, rep, w = solve_progressive_hedging(inst, params)
-    xr, lamr, (iters, status, residuals, obj, dual_value, extras), wr = reference_ph(
-        inst, params)
+    xr, lamr, (iters, status, residuals, obj, dual_value, extras), wr = reference
     assert (rep.algorithm, rep.iterations, rep.status) == (
         "progressive_hedging", iters, status)
     assert (rep.residuals, rep.objective, rep.dual_value) == (residuals, obj, dual_value)
@@ -573,6 +637,98 @@ def test_ph_matches_sequential_sweep_bitwise(small_instance, case):
         assert extras["inner_iterations"] == 1950 + 2000 + 2050
     _assert_same_points(x, lam, xr, lamr)
     assert w.shape == wr.shape and w.tobytes() == wr.tobytes()
+
+
+@pytest.mark.parametrize("case", ["converged", "cap_10", "cap_137", "cap_at_scenario_2"])
+def test_ph_matches_sequential_sweep_bitwise(small_instance, ph_references, case):
+    _assert_ph_matches_reference(small_instance, ph_references, case)
+
+
+def _use_workers(monkeypatch, count):
+    """Make ``solvers.worker_count()`` return ``count`` on any machine."""
+    monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    monkeypatch.setenv("SASSC_THREADS", str(count))
+    assert solvers.worker_count() == count
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", ["converged", "cap_137", "cap_at_scenario_2"])
+def test_ph_worker_groups_match_sequential_sweep_bitwise(small_instance, ph_references,
+                                                         monkeypatch, case, workers):
+    """S=4 rows in 1, 2 or 3 contiguous groups (1+1+2 rows for 3), all but
+    the first in worker processes; in the seed-6 case the first failing
+    row, scenario 2, runs in a worker."""
+    _use_workers(monkeypatch, workers)
+    _assert_ph_matches_reference(small_instance, ph_references, case)
+    assert multiprocessing.active_children() == []
+
+
+def test_ph_worker_exception_is_raised_and_workers_are_reaped(small_instance,
+                                                              monkeypatch):
+    """An engine call that raises for one row in a worker fails the solve
+    with that exception, and no worker outlives it."""
+    _use_workers(monkeypatch, 2)
+    engine, parent = solvers._pdhg_engine, os.getpid()
+    last = small_instance.scenarios.xi_a[-1]
+
+    def failing(rows, *args, **kwargs):
+        if isinstance(rows, list) and any(
+                np.array_equal(sub.scenarios.xi_a[0], last) for sub in rows):
+            assert os.getpid() != parent
+            raise FloatingPointError("scenario 3 failed")
+        return engine(rows, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_pdhg_engine", failing)
+    with pytest.raises(FloatingPointError, match="scenario 3 failed") as info:
+        solve_progressive_hedging(small_instance, SolverParams(ph_penalty=0.05))
+    assert "in failing" in str(info.value.__cause__)    # the worker's traceback
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(solvers, "_pdhg_engine", engine)
+    _, _, rep, _ = solve_progressive_hedging(small_instance, SolverParams(ph_penalty=0.05))
+    assert rep.converged
+    assert multiprocessing.active_children() == []
+
+
+def test_ph_forks_no_worker_while_other_threads_run(small_instance, monkeypatch):
+    _use_workers(monkeypatch, 2)
+
+    def no_fork():
+        raise AssertionError("forked while another thread runs")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        _, _, rep, _ = solve_progressive_hedging(small_instance, SolverParams(ph_penalty=0.05))
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert rep.converged and not thread.is_alive()
+
+
+def test_worker_count_reads_sassc_threads(monkeypatch):
+    monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.delenv("SASSC_THREADS", raising=False)
+    assert solvers.worker_count() == 3
+    monkeypatch.setenv("SASSC_THREADS", "2")
+    assert solvers.worker_count() == 2
+    monkeypatch.setenv("SASSC_THREADS", "16")
+    assert solvers.worker_count() == 3
+    for bad in ("0", "-1", "two", ""):
+        monkeypatch.setenv("SASSC_THREADS", bad)
+        with pytest.raises(ValueError, match="SASSC_THREADS"):
+            solvers.worker_count()
+
+
+def test_import_does_not_load_multiprocessing():
+    """The worker machinery is imported only when a solve forks workers."""
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    code = "import sys, sassc; assert 'multiprocessing' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_ph_requires_slack_mode(tiny_instance):
