@@ -3,12 +3,10 @@ state constraints: solvers, multiplier certification, and penalization
 studies on a finite-difference model problem."""
 
 from .certify import (
-    FixedPointGaps,
     KktReport,
     duality_gap,
     kkt_residuals,
     multiplier_l1_norms,
-    stationarity_fixed_points,
 )
 from .grid import (
     EllipticityError,
@@ -30,20 +28,15 @@ from .homotopy import (
 )
 from .problem import (
     DualPoint,
-    FeasibilityReport,
     Instance,
     PrimalPoint,
-    RecourseReport,
     SlaterReport,
     dual_function,
-    feasibility_check,
-    lagrangian,
     objective,
     pairing,
     project_c1,
     project_c2,
     project_koplus,
-    recourse_probe,
     slater_check,
     zeros_dual,
     zeros_primal,
@@ -51,7 +44,6 @@ from .problem import (
 from .scenarios import (
     FieldSpec,
     ScenarioSet,
-    ellipticity_report,
     sample_scenarios,
 )
 from .solvers import (

@@ -30,13 +30,12 @@ from .problem import (
     DualPoint,
     Instance,
     PrimalPoint,
+    Rows,
     constraint_values,
     csr_product,
     dual_function,
     objective,
-    project_c1,
-    project_c2,
-    stacked_scenario_data,
+    stack_rows,
 )
 
 # Barrier-oracle pairs carry O(sqrt(mu)) multiplier noise; certify them
@@ -114,7 +113,7 @@ class KktReport:
 
 
 def natural_residuals(
-    inst: Instance | list[Instance],
+    inst: Instance | Rows,
     x: PrimalPoint,
     lam: DualPoint,
     x1_extra_quad: float = 0.0,
@@ -128,33 +127,27 @@ def natural_residuals(
     its augmented subproblems through them. They default to zero, which
     yields the plain optimality system.
 
-    ``inst`` may also be a list of B instances with the same grid, mode and
-    scenario count, scored in one pass: the arrays of ``x`` and ``lam`` then
-    carry a leading row axis ((B, n) controls, (B, S, n) the rest),
-    ``x1_extra_lin`` is (B, n), and each value of the returned dict is a
-    (B,) array. Every term takes one numpy call for all rows with the
+    ``inst`` may also be the batch record of B instances
+    (``problem.stack_rows``), scored in one pass: the arrays of ``x`` and
+    ``lam`` then carry a leading row axis ((B, n) controls, (B, S, n) the
+    rest), ``x1_extra_lin`` is (B, n), and each value of the returned dict
+    is a (B,) array. Every term takes one numpy call for all rows with the
     reduction kernel of the single-pair form (a BLAS dot for ``r1`` and
     ``r5_comp``, a pairwise row sum for the norms), so row b is bitwise the
     residual of pair b scored on its own. One instance is the B=1 case and
     returns Python floats.
     """
-    batched = not isinstance(inst, Instance)
-    if not batched:
-        inst = [inst]
+    single = isinstance(inst, Instance)
+    rows = stack_rows([inst]) if single else inst
+    if single:
         x = PrimalPoint(x.x1[None], x.y[None], x.z[None])
         lam = DualPoint(lam.adjoint[None], lam.obstacle[None], lam.nonant[None])
         if x1_extra_lin is not None:
             x1_extra_lin = x1_extra_lin[None]
-    mode = inst[0].mode
-    if len({(sub.scenarios.S, sub.grid.n1d, sub.mode) for sub in inst}) > 1:
-        raise ValueError("batched instances must share the grid, mode and scenario count")
-    h = inst[0].h
-    csr, p, _, _ = stacked_scenario_data(inst)
-    p = p[:, None, :]
-    lo, hi, y_t = np.array([(sub.c1_lo, sub.c1_hi, sub.y_target)
-                            for sub in inst])[:, :, None, :].transpose(1, 0, 2, 3)
-    alpha, alpha_prime, M = np.array([(sub.alpha, sub.alpha_prime, sub.c2_bound)
-                                      for sub in inst]).T[:, :, None, None]
+    h = rows.h
+    p = rows.p[:, None, :]
+    lo, hi, y_t = (a[:, None, :] for a in (rows.c1_lo, rows.c1_hi, rows.y_target))
+    alpha, alpha_prime, M = (a[:, None, None] for a in (rows.alpha, rows.alpha_prime, rows.M))
     x1 = x.x1[:, None, :]
 
     def sq(a: np.ndarray) -> np.ndarray:
@@ -176,11 +169,11 @@ def natural_residuals(
     d1 = x1 - np.clip(x1 - f_x1, lo, hi)
     r1 = h * np.sqrt(dots(d1, d1.transpose(0, 2, 1)))
 
-    Alam = csr_product(csr, lam.adjoint)
+    Alam = csr_product(rows.csr, lam.adjoint)
     f_y = x.y - y_t + Alam + lam.obstacle
-    eq, ineq = constraint_values(inst, x)
+    eq, ineq = constraint_values(rows, x)
     sums = [sq(lam.nonant + lam.adjoint), sq(x.y - np.clip(x.y - f_y, -M, M)), sq(eq)]
-    if mode == "slack":
+    if rows.mode == "slack":
         f_z = alpha_prime * x.z - lam.obstacle
         sums.append(sq(x.z - np.clip(x.z - f_z, -M, M)))
     # largest per-scenario norm of each row, times h; the root of the
@@ -195,9 +188,9 @@ def natural_residuals(
     }
     if r3p:
         out["r3p"] = r3p[0]
-    if batched:
-        return out
-    return {key: float(val[0]) for key, val in out.items()}
+    if single:
+        return {key: float(val[0]) for key, val in out.items()}
+    return out
 
 
 def multiplier_l1_norms(inst: Instance, lam: DualPoint) -> tuple[float, float, float]:
@@ -236,37 +229,3 @@ def kkt_residuals(inst: Instance, x: PrimalPoint, lam: DualPoint) -> KktReport:
         l1_lambda_e=l1e, l1_lambda_i=l1i, l1_rho=l1r,
         objective=obj, dual_value=dual,
     )
-
-
-@dataclass
-class FixedPointGaps:
-    """Distances to the closed-form stationarity fixed points."""
-
-    dx1: float
-    dy: float
-    dz: float | None
-
-
-def stationarity_fixed_points(inst: Instance, x: PrimalPoint, lam: DualPoint) -> FixedPointGaps:
-    """Distances of a candidate to the closed-form optimality maps.
-
-    At a solution the control equals ``P_C1(-E[rho]/alpha)``, each state
-    equals ``P_C2(y_target - A lam_e - lam_i)``, and each slack equals
-    ``P_C2(lam_i / alpha')``; the returned gaps are the mesh-weighted
-    distances to those prox characterizations.
-    """
-    h = inst.h
-    e_rho = inst.p @ lam.nonant
-    x1s = project_c1(inst, -e_rho / inst.alpha)
-    dx1 = h * float(np.linalg.norm(x.x1 - x1s))
-
-    Alam = (inst.block_operator() @ lam.adjoint.ravel()).reshape(inst.S, inst.n)
-    ys = project_c2(inst, inst.y_target[None, :] - Alam - lam.obstacle)
-    dy = h * float(np.linalg.norm(x.y - ys, axis=1).max())
-
-    if inst.mode == "slack":
-        zs = project_c2(inst, lam.obstacle / inst.alpha_prime)
-        dz = h * float(np.linalg.norm(x.z - zs, axis=1).max())
-    else:
-        dz = None
-    return FixedPointGaps(dx1=dx1, dy=dy, dz=dz)

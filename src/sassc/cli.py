@@ -86,6 +86,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.history_csv is not None and args.algorithm != "pdhg":
+        raise ValueError("--history-csv applies to --algorithm pdhg only")
     inst, sha = _load_instance(args.instance)
     params = _params_from_args(args)
     provenance = {"instance_sha256": sha, "seed": inst.scenarios.seed}

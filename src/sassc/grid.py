@@ -69,8 +69,7 @@ def build_grid(n1d: int) -> Grid:
     return Grid(n1d=int(n1d), h=1.0 / (n1d + 1), n=int(n1d) ** 2)
 
 
-def assemble_operator(grid: Grid, a_closed: np.ndarray,
-                      average: str = "arithmetic") -> sp.csr_matrix:
+def assemble_operator(grid: Grid, a_closed: np.ndarray) -> sp.csr_matrix:
     """Assemble the five-point flux stencil for ``-div(a grad y)``.
 
     Assembly is a pure function of its inputs and safe to call
@@ -81,11 +80,8 @@ def assemble_operator(grid: Grid, a_closed: np.ndarray,
     grid : Grid
     a_closed : ndarray, shape (n1d+2, n1d+2)
         Coefficient values on the closed grid, indexed ``[ix, iy]`` with
-        ``ix, iy = 0 .. n1d+1``; face values average the two adjacent
-        nodal values.
-    average : {"arithmetic", "harmonic"}
-        Face-averaging rule; arithmetic is the default, harmonic suits
-        strongly heterogeneous coefficients.
+        ``ix, iy = 0 .. n1d+1``; face values are the arithmetic mean of
+        the two adjacent nodal values.
 
     Returns
     -------
@@ -106,14 +102,8 @@ def assemble_operator(grid: Grid, a_closed: np.ndarray,
             f"uniform ellipticity requires a positive coefficient field; min value {amin}"
         )
 
-    if average == "arithmetic":
-        def face(u, v):
-            return 0.5 * (u + v)
-    elif average == "harmonic":
-        def face(u, v):
-            return 2.0 * u * v / (u + v)
-    else:
-        raise ValueError(f"unknown face average {average!r}")
+    def face(u, v):
+        return 0.5 * (u + v)
 
     inner = a_closed[1:-1, 1:-1]
     a_w = face(a_closed[:-2, 1:-1], inner)

@@ -22,7 +22,7 @@ than measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,11 +32,6 @@ from .grid import Grid, assemble_operator, solve_linear
 from .scenarios import FieldSpec, ScenarioSet
 
 MODES = ("slack", "hard")
-
-# Box membership uses exact clamping comparison with this much slack;
-# equality residuals in feasibility reports default to a looser bound.
-BOX_TOL = 1e-12
-EQ_TOL = 1e-8
 
 # A-priori infeasibility needs a violation this far beyond the state bounds,
 # relative to their scale; the bounds come from direct solves accurate to
@@ -159,33 +154,50 @@ def stack_csr(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
 
 
-def stacked_scenario_data(insts: list[Instance]) -> tuple:
-    """Scenario data of instances that share the grid and scenario count,
-    stacked along a leading row axis: the CSR arrays of the block-diagonal
-    stack of their block operators (``stack_csr``), and their probability,
-    load and obstacle arrays ``p`` (B, S), ``g`` and ``psi`` (B, S, n).
+@dataclass(frozen=True)
+class Rows:
+    """Data of B instances with the same grid, mode and scenario count,
+    stacked along a leading row axis (``stack_rows``).
 
-    A scenario set does not change once built, so the stack of the rows
-    last asked for is cached on the first row's scenario set, with the
-    sets of the other rows (not its own, which would make a reference
-    cycle that only the garbage collector frees): the engine's iteration
-    and every residual check of a batch ask for the same rows. A single
-    row gives its own arrays.
+    ``csr`` holds the CSR arrays of the block-diagonal stack of the rows'
+    block operators (``stack_csr``); ``p`` is (B, S), ``g`` and ``psi``
+    are (B, S, n), the control bounds and targets (B, n), and the weights
+    and state bounds ``M`` (B,).
     """
-    if len(insts) == 1:
-        _, g, psi = insts[0].fields()
-        return (stack_csr([insts[0].block_operator()]), insts[0].scenarios.p[None],
-                g[None], psi[None])
-    others = tuple(sub.scenarios for sub in insts[1:])
-    cache, key = insts[0].scenarios._cache, ("stack", insts[0].grid.n1d)
-    last = cache.get(key)
-    if (last is None or len(last[0]) != len(others)
-            or any(a is not b for a, b in zip(last[0], others))):
-        g_psi = np.array([sub.fields()[1:] for sub in insts])
-        data = (stack_csr([sub.block_operator() for sub in insts]),
-                np.array([sub.p for sub in insts]), g_psi[:, 0], g_psi[:, 1])
-        last = cache[key] = (others, data)
-    return last[1]
+
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray]
+    p: np.ndarray
+    g: np.ndarray
+    psi: np.ndarray
+    c1_lo: np.ndarray
+    c1_hi: np.ndarray
+    y_target: np.ndarray
+    alpha: np.ndarray
+    alpha_prime: np.ndarray
+    M: np.ndarray
+    h: float
+    mode: str
+
+
+def stack_rows(insts: list[Instance]) -> Rows:
+    """The batch record of ``insts``, which must share the grid, mode and
+    scenario count."""
+    first = insts[0]
+    if any((sub.S, sub.grid.n1d, sub.mode) != (first.S, first.grid.n1d, first.mode)
+           for sub in insts):
+        raise ValueError("batched instances must share the grid, mode and scenario count")
+    g_psi = np.array([sub.fields()[1:] for sub in insts])
+
+    def per_row(name: str) -> np.ndarray:
+        return np.array([getattr(sub, name) for sub in insts])
+
+    return Rows(
+        csr=stack_csr([sub.block_operator() for sub in insts]), p=per_row("p"),
+        g=g_psi[:, 0], psi=g_psi[:, 1], c1_lo=per_row("c1_lo"), c1_hi=per_row("c1_hi"),
+        y_target=per_row("y_target"), alpha=per_row("alpha"),
+        alpha_prime=per_row("alpha_prime"), M=per_row("c2_bound"), h=first.h,
+        mode=first.mode,
+    )
 
 
 def csr_product(csr: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
@@ -265,60 +277,23 @@ def project_koplus(v: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
-def in_first_stage_box(inst: Instance, x1: np.ndarray, tol: float = BOX_TOL) -> bool:
-    return bool(np.all(x1 >= inst.c1_lo - tol) and np.all(x1 <= inst.c1_hi + tol))
-
-
-def _in_x0(inst: Instance, x: PrimalPoint, tol: float = BOX_TOL) -> bool:
-    M = inst.c2_bound
-    if not in_first_stage_box(inst, x.x1, tol):
-        return False
-    if np.any(np.abs(x.y) > M + tol):
-        return False
-    if inst.mode == "slack" and np.any(np.abs(x.z) > M + tol):
-        return False
-    return True
-
-
-def constraint_values(inst: Instance | list[Instance],
+def constraint_values(inst: Instance | Rows,
                       x: PrimalPoint) -> tuple[np.ndarray, np.ndarray]:
     """Equality residuals ``A_k y_k - x1 - g_k`` and inequality values.
 
     The inequality value is ``y - z - psi`` in slack mode and ``y - psi``
     in hard mode; feasibility means it is entrywise nonpositive.
 
-    ``inst`` may also be a list of instances with the same grid, mode and
-    scenario count, whose points are stacked in ``x`` along a leading row
-    axis; the values then carry that axis too, and each row has the bits
-    of its own evaluation.
+    ``inst`` may also be a batch record, whose points are stacked in ``x``
+    along a leading row axis; the values then carry that axis too, and
+    each row has the bits of its own evaluation.
     """
     single = isinstance(inst, Instance)
-    rows = [inst] if single else inst
+    rows = stack_rows([inst]) if single else inst
     x1, y, z = (a[None] for a in (x.x1, x.y, x.z)) if single else (x.x1, x.y, x.z)
-    csr, _, g, psi = stacked_scenario_data(rows)
-    Ay = csr_product(csr, y)
-    eq = Ay - x1[:, None, :] - g
-    ineq = y - psi if rows[0].mode == "hard" else y - z - psi
+    eq = csr_product(rows.csr, y) - x1[:, None, :] - rows.g
+    ineq = y - rows.psi if rows.mode == "hard" else y - z - rows.psi
     return (eq[0], ineq[0]) if single else (eq, ineq)
-
-
-def lagrangian(inst: Instance, x: PrimalPoint, lam: DualPoint) -> float:
-    """Generalized Lagrangian with its three-valued contract.
-
-    Returns ``+inf`` when the primal point violates the box constraints,
-    ``-inf`` when it satisfies them but the obstacle multiplier has a
-    negative entry, and the finite saddle-function value otherwise.
-    """
-    if not _in_x0(inst, x):
-        return math.inf
-    if float(lam.obstacle.min()) < 0.0:
-        return -math.inf
-    eq, ineq = constraint_values(inst, x)
-    return (
-        objective(inst, x)
-        + pairing(eq, lam.adjoint, inst.p, inst.h)
-        + pairing(ineq, lam.obstacle, inst.p, inst.h)
-    )
 
 
 def dual_function(inst: Instance, lam: DualPoint) -> float:
@@ -351,42 +326,6 @@ def dual_function(inst: Instance, lam: DualPoint) -> float:
     per_k = per_k - np.einsum("ki,ki->k", lam.obstacle, psi)
     val += h2 * float(np.dot(inst.p, per_k))
     return val
-
-
-@dataclass
-class FeasibilityReport:
-    """Per-constraint maximal violations of a primal point."""
-
-    x1_box: float
-    y_box: float
-    z_box: float
-    equality: np.ndarray  # per-scenario mesh-weighted residual norms
-    inequality: float
-
-    @property
-    def equality_max(self) -> float:
-        return float(self.equality.max(initial=0.0))
-
-    def feasible(self, box_tol: float = BOX_TOL, eq_tol: float = EQ_TOL) -> bool:
-        pointwise = max(self.x1_box, self.y_box, self.z_box, self.inequality)
-        return pointwise <= box_tol and self.equality_max <= eq_tol
-
-
-def feasibility_check(inst: Instance, x: PrimalPoint) -> FeasibilityReport:
-    """Measure how far a primal point is from every constraint."""
-    M = inst.c2_bound
-    x1v = float(np.maximum(np.maximum(inst.c1_lo - x.x1, x.x1 - inst.c1_hi), 0.0).max())
-    yv = float(np.maximum(np.abs(x.y) - M, 0.0).max())
-    if inst.mode == "slack":
-        zv = float(np.maximum(np.abs(x.z) - M, 0.0).max())
-    else:
-        zv = 0.0
-    eq, ineq = constraint_values(inst, x)
-    eq_norms = inst.h * np.linalg.norm(eq, axis=1)
-    iv = float(np.maximum(ineq, 0.0).max())
-    return FeasibilityReport(
-        x1_box=x1v, y_box=yv, z_box=zv, equality=eq_norms, inequality=iv
-    )
 
 
 def hard_mode_infeasibility(inst: Instance) -> str | None:
@@ -448,17 +387,15 @@ def _second_stage_candidate(inst: Instance, x1: np.ndarray):
     return y, z, delta
 
 
-def _interior_margins(inst: Instance, x1, y, z, include_x1: bool = True) -> dict[str, np.ndarray]:
+def _interior_margins(inst: Instance, x1, y, z) -> dict[str, np.ndarray]:
     _, _, psi = inst.fields()
     M = inst.c2_bound
-    margins = {
+    return {
         "inequality": psi + z - y,
         "y_box": M - np.abs(y),
         "z_box": M - np.abs(z),
+        "x1_box": np.minimum(x1 - inst.c1_lo, inst.c1_hi - x1),
     }
-    if include_x1:
-        margins["x1_box"] = np.minimum(x1 - inst.c1_lo, inst.c1_hi - x1)
-    return margins
 
 
 def _worst_margin(margins: dict[str, np.ndarray]) -> tuple[float, dict]:
@@ -477,56 +414,18 @@ def _worst_margin(margins: dict[str, np.ndarray]) -> tuple[float, dict]:
     return eps, worst
 
 
-def slater_check(inst: Instance, x1: np.ndarray | None = None,
-                 include_x1_margin: bool = True) -> SlaterReport:
+def slater_check(inst: Instance) -> SlaterReport:
     """Construct a candidate point with uniform interior margin.
 
-    The candidate takes the control at the box midpoint (or the supplied
-    ``x1``), the exact PDE solutions as states, and slacks lifted a fixed
-    amount above the obstacle gap. Success requires a strictly positive
-    margin in every box and in the obstacle inequality.
+    The candidate takes the control at the box midpoint, the exact PDE
+    solutions as states, and slacks lifted a fixed amount above the
+    obstacle gap. Success requires a strictly positive margin in every box
+    and in the obstacle inequality.
     """
     if inst.mode != "slack":
         raise ValueError("strict-feasibility check requires slack mode")
-    if x1 is None:
-        x1 = 0.5 * (inst.c1_lo + inst.c1_hi)
+    x1 = 0.5 * (inst.c1_lo + inst.c1_hi)
     y, z, delta = _second_stage_candidate(inst, x1)
-    eps, worst = _worst_margin(_interior_margins(inst, x1, y, z, include_x1_margin))
+    eps, worst = _worst_margin(_interior_margins(inst, x1, y, z))
     return SlaterReport(success=eps > 0.0, margin=eps, delta=delta, x1=x1,
                         worst=None if eps > 0.0 else worst)
-
-
-@dataclass
-class RecourseReport:
-    """Sampled check that admissible controls admit feasible second stages."""
-
-    successes: list[bool]
-    margins: list[float]
-    all_ok: bool
-    no_probes: bool
-
-
-def recourse_probe(inst: Instance, probes: list[np.ndarray]) -> RecourseReport:
-    """Run the strict-feasibility construction from each probe control.
-
-    This is a sampled check, not a proof: it reports whether each probe in
-    C1 admits an interior second stage. The probe itself may sit on the
-    boundary of the control box; only the second-stage margins count.
-    """
-    if inst.mode != "slack":
-        raise ValueError("recourse probing requires slack mode")
-    successes: list[bool] = []
-    margins: list[float] = []
-    for j, probe in enumerate(probes):
-        probe = np.broadcast_to(np.asarray(probe, dtype=float), (inst.n,))
-        if not in_first_stage_box(inst, probe):
-            raise ValueError(f"probe {j} lies outside the control box")
-        rep = slater_check(inst, x1=probe.copy(), include_x1_margin=False)
-        successes.append(rep.success)
-        margins.append(rep.margin)
-    return RecourseReport(
-        successes=successes,
-        margins=margins,
-        all_ok=all(successes) if successes else True,
-        no_probes=not successes,
-    )

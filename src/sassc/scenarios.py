@@ -164,9 +164,3 @@ def sample_scenarios(
         spec_a=spec_a, spec_g=spec_g, spec_psi=spec_psi,
         xi_a=xi_a, xi_g=xi_g, xi_psi=xi_psi,
     )
-
-
-def ellipticity_report(scenarios: ScenarioSet, grid: Grid) -> tuple[float, float]:
-    """Min and max of the realized coefficient field over scenarios and nodes."""
-    a, _, _ = scenarios.realize(grid)
-    return float(a.min()), float(a.max())

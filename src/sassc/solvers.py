@@ -57,7 +57,7 @@ from .problem import (
     objective,
     project_c1,
     stack_csr,
-    stacked_scenario_data,
+    stack_rows,
     zeros_dual,
 )
 
@@ -67,6 +67,13 @@ STATUS_INFEASIBLE = "infeasibility_suspected"
 STATUS_FAILURE = "failure"
 
 BARRIER_SIZE_LIMIT = 2000
+
+STEP_SAFETY = 0.99          # tau * sigma * ||K||^2 <= STEP_SAFETY
+CHECK_EVERY = 50            # engine iterations between residual checks
+PH_INNER_TOLERANCE = 1e-8   # residual tolerance of the PH subproblems
+PH_MAX_OUTER = 500          # PH rounds
+BARRIER_MU0 = 1.0           # first barrier parameter
+BARRIER_SHRINK = 0.2        # barrier parameter factor per central-path step
 
 
 class BarrierSizeError(ValueError):
@@ -83,13 +90,7 @@ class SolverParams:
 
     max_iters: int = 400_000
     kkt_tolerance: float = 1e-6
-    step_safety: float = 0.99          # tau * sigma * ||K||^2 <= step_safety
-    check_every: int = 50
     ph_penalty: float = 1.0
-    ph_inner_tolerance: float = 1e-8
-    ph_max_outer: int = 500
-    barrier_mu0: float = 1.0
-    barrier_shrink: float = 0.2
     barrier_mu_terminal: float = 1e-10
     divergence_threshold: float = 1e6
     history_csv: str | None = None
@@ -98,13 +99,7 @@ class SolverParams:
         positive = {
             "max_iters": self.max_iters,
             "kkt_tolerance": self.kkt_tolerance,
-            "step_safety": self.step_safety,
-            "check_every": self.check_every,
             "ph_penalty": self.ph_penalty,
-            "ph_inner_tolerance": self.ph_inner_tolerance,
-            "ph_max_outer": self.ph_max_outer,
-            "barrier_mu0": self.barrier_mu0,
-            "barrier_shrink": self.barrier_shrink,
             "barrier_mu_terminal": self.barrier_mu_terminal,
             "divergence_threshold": self.divergence_threshold,
         }
@@ -113,8 +108,6 @@ class SolverParams:
                 raise ValueError(f"{name} must be positive, got {value}")
         if not self.kkt_tolerance < 1.0:
             raise ValueError("kkt_tolerance must be below 1")
-        if not self.barrier_shrink < 1.0:
-            raise ValueError("barrier_shrink must be below 1")
 
 
 @dataclass
@@ -300,7 +293,8 @@ def _pdhg_engine(
 
     The step constants of all rows come from two lockstep power
     iterations (``_estimate_k_norm``), and every residual check scores all
-    running rows with one ``certify.natural_residuals`` call. The
+    running rows with one ``certify.natural_residuals`` call on their batch
+    record (``problem.stack_rows``), built once per set of rows. The
     worst-residual test, the divergence test on the multiplier magnitudes
     and the stopping status (converged, then suspected infeasibility, then
     the iteration cap) are array operations over rows, and best iterates
@@ -319,10 +313,8 @@ def _pdhg_engine(
         if x1_extra_lin is not None:
             x1_extra_lin = x1_extra_lin[None, :]
     B = len(inst)
-    S, n, mode = inst[0].S, inst[0].n, inst[0].mode
-    if any((sub.S, sub.n, sub.mode) != (S, n, mode) for sub in inst):
-        raise ValueError("batched instances must share the grid, mode and scenario count")
-    slack = mode == "slack"
+    record = stack_rows(inst)
+    S, n, slack = inst[0].S, inst[0].n, record.mode == "slack"
     if warm is None:
         warm = [None] * B
 
@@ -337,7 +329,7 @@ def _pdhg_engine(
     knorms = _estimate_k_norm(inst, s1=scales, sz=szs, ci=cis)
     steps, start = [], []
     for sub, w, s1, sz, ci, knorm in zip(inst, warm, scales, szs, cis, knorms):
-        tau = math.sqrt(params.step_safety) / knorm    # sigma = tau
+        tau = math.sqrt(STEP_SAFETY) / knorm    # sigma = tau
         steps.append((tau, ci, tau * s1 * s1, tau * sz * sz))
         if w is None:
             zeros = np.zeros((S, n))
@@ -354,7 +346,8 @@ def _pdhg_engine(
     def stack(rows, x1, y, z, xb1, yb, zb, lam_e, lam_ih, best_worst, *best):
         """Buffers and constants of the problems ``rows``, whose iterates
         and best-iterate snapshots are given stacked along a leading row
-        axis.
+        axis. Their batch record is the engine's own until rows leave, and
+        is then stacked anew from the rows still running.
 
         The loop allocates no arrays. The primal blocks live in one flat
         vector [x1 | y | z] (z only in slack mode) with the rows stacked in
@@ -382,32 +375,29 @@ def _pdhg_engine(
                     views[3][:] = az
             return views
 
-        subs = [inst[k] for k in rows]
+        rec = record if Bs == B else stack_rows([inst[k] for k in rows])
         duals = np.empty((2, Bs, S, n))
         duals[0], duals[1] = lam_e, lam_ih
-        csr, p, g, psi = stacked_scenario_data(subs)
-        g_psi = np.stack([g, psi])
-        p = p[:, None, :]
+        g_psi = np.stack([rec.g, rec.psi])
         tau, ci, tau1, tauz = (np.array(c)[:, None, None]
                                for c in zip(*(steps[k] for k in rows)))
         dual_steps = np.stack([tau, tau * ci])
         ineq_scales = np.stack([ci, tauz * ci])
-        tau_yt = tau * np.stack([sub.y_target for sub in subs])[:, None, :]
+        tau_yt = tau * rec.y_target[:, None, :]
         lin = 0.0 if x1_extra_lin is None else x1_extra_lin[rows][:, None, :]
         den = np.concatenate([
-            np.repeat([1.0 + t1 * (sub.alpha + q) for t1, sub in zip(tau1.flat, subs)], n),
+            np.repeat(1.0 + tau1.ravel() * (rec.alpha + q), n),
             np.repeat(1.0 + tau.ravel(), SN),
-            np.repeat([1.0 + tz * sub.alpha_prime for tz, sub in zip(tauz.flat, subs)],
-                      SN if slack else 0),
+            np.repeat(1.0 + tauz.ravel() * rec.alpha_prime, SN if slack else 0),
         ])
-        box = [np.repeat([sub.c2_bound for sub in subs], SN)] * (2 if slack else 1)
-        lo = np.concatenate([sub.c1_lo for sub in subs] + [-b for b in box])
-        hi = np.concatenate([sub.c1_hi for sub in subs] + box)
+        box = [np.repeat(rec.M, SN)] * (2 if slack else 1)
+        lo = np.concatenate([rec.c1_lo.ravel()] + [-b for b in box])
+        hi = np.concatenate([rec.c1_hi.ravel()] + box)
         return (
-            NS, *csr, primal_buffer(x1, y, z), primal_buffer(), primal_buffer(xb1, yb, zb),
-            duals, np.empty((2, Bs, S, n)), np.empty((Bs, S, n)), g_psi, p,
+            NS, *rec.csr, primal_buffer(x1, y, z), primal_buffer(), primal_buffer(xb1, yb, zb),
+            duals, np.empty((2, Bs, S, n)), np.empty((Bs, S, n)), g_psi, rec.p[:, None, :],
             dual_steps, ineq_scales, tau, tau1, tau_yt, lin, den, lo, hi,
-            subs, ci, ci.ravel() * h, best_worst, best,
+            rec, ci, ci.ravel() * h, best_worst, best,
         )
 
     results = [None] * B
@@ -419,7 +409,7 @@ def _pdhg_engine(
         if state is not None:
             (N, indptr, indices, data, cur, nxt, (Xb, xb1, yb, zb), duals, work, Alam,
              g_psi, p, dual_steps, ineq_scales, tau, tau1, tau_yt, lin, den, lo,
-             hi, subs, ci, ci_h, best_worst, best) = stack(np.array(active), *state)
+             hi, rec, ci, ci_h, best_worst, best) = stack(np.array(active), *state)
             X, x1, y, z = cur
             lam_e, lam_ih = duals
             work_e, work_i = work
@@ -472,11 +462,11 @@ def _pdhg_engine(
         cur, nxt = nxt, cur
         X, x1, y, z = cur
 
-        if it % params.check_every == 0 or it == max_iters:
+        if it % CHECK_EVERY == 0 or it == max_iters:
             xp = PrimalPoint(x1[:, 0], y, z)
             lam = DualPoint(lam_e, ci * lam_ih, -lam_e)
             res = certify.natural_residuals(
-                subs, xp, lam,
+                rec, xp, lam,
                 x1_extra_quad=q, x1_extra_center=x1_extra_center, x1_extra_lin=lin_rows,
             )
             # per row, Python's max of (r1, r3, r3p, r4, r5_feas, r5_comp): a
@@ -487,7 +477,7 @@ def _pdhg_engine(
                 if key in res:
                     np.copyto(worst, res[key], where=res[key] > worst)
             if history is not None:
-                for j in range(len(subs)):
+                for j in range(len(active)):
                     history(it, {key: float(val[j]) for key, val in res.items()},
                             PrimalPoint(xp.x1[j], y[j], z[j]),
                             DualPoint(lam.adjoint[j], lam.obstacle[j], lam.nonant[j]))
@@ -641,7 +631,7 @@ def _ph_rounds(subs: list[Instance], params: SolverParams):
     The rows are split into W = min(S, ``worker_count()``) contiguous
     groups. The calling process runs group 0; each other group runs in a
     worker process forked here and bound to it for every round, so its
-    rows' K-norm and stacked-data caches stay warm. Each round a worker gets
+    rows' K-norm and operator caches stay warm. Each round a worker gets
     its rows' slices of ``warm`` and ``x1_extra_lin`` over a pipe. A row's
     iterates do not depend on the rows that share its batch, so the results
     are bitwise those of one call over all rows. A worker's exception is
@@ -750,11 +740,11 @@ def solve_progressive_hedging(
     inner_total = 0
 
     with _ph_rounds(subs, params) as run_round:
-        for outer in range(1, params.ph_max_outer + 1):
+        for outer in range(1, PH_MAX_OUTER + 1):
             first = outer == 1
             solved = run_round(
                 warm_state, None if first else w,
-                tol=params.ph_inner_tolerance,
+                tol=PH_INNER_TOLERANCE,
                 max_iters=params.max_iters,
                 x1_extra_quad=0.0 if first else r,
                 x1_extra_center=None if first else x_hat,
@@ -946,7 +936,7 @@ def solve_barrier_reference(
         gr[n:n + S * n] -= w_y * yt_flat
         return gr
 
-    mu = params.barrier_mu0
+    mu = BARRIER_MU0
     newton_steps = 0
     while True:
         inner_tol = max(1e-11, 1e-2 * mu)
@@ -1013,7 +1003,7 @@ def solve_barrier_reference(
             newton_steps += 1
         if mu <= params.barrier_mu_terminal:
             break
-        mu = max(params.barrier_mu_terminal, mu * params.barrier_shrink)
+        mu = max(params.barrier_mu_terminal, mu * BARRIER_SHRINK)
 
     x1 = v[:n]
     y = v[n:n + S * n].reshape(S, n)

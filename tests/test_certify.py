@@ -12,9 +12,8 @@ from sassc.certify import (
     kkt_residuals,
     multiplier_l1_norms,
     natural_residuals,
-    stationarity_fixed_points,
 )
-from sassc.problem import DualPoint, PrimalPoint, project_c1, zeros_dual
+from sassc.problem import DualPoint, PrimalPoint, project_c1, stack_rows, zeros_dual
 from sassc.solvers import SolverParams, solve_barrier_reference, solve_pdhg
 
 import reference_impl
@@ -64,33 +63,6 @@ def test_r4_linearity_under_point_perturbation(tiny_instance, oracle_pair):
     expect = inst.h * np.linalg.norm(eq)
     assert rep.r4 == pytest.approx(
         max(expect, base.r4), rel=1e-12)
-
-
-def test_fixed_points_zero_obstacle_multiplier(tiny_instance):
-    inst = tiny_instance
-    x = feasible_point(inst, np.zeros(inst.n))
-    lam = zeros_dual(inst)
-    gaps = stationarity_fixed_points(inst, x, lam)
-    # with lam_i = 0 the slack fixed point is exactly zero
-    assert gaps.dz == pytest.approx(inst.h * np.linalg.norm(x.z, axis=1).max())
-
-
-def test_fixed_point_interior_constant(tiny_instance):
-    inst = tiny_instance
-    c = 0.37
-    lam = zeros_dual(inst)
-    lam.nonant[:] = -inst.alpha * c
-    x = feasible_point(inst, np.full(inst.n, c))
-    gaps = stationarity_fixed_points(inst, x, lam)
-    assert gaps.dx1 <= 1e-12
-
-
-def test_fixed_points_at_converged_solve(tiny_instance, tiny_solution):
-    x, lam, rep = tiny_solution
-    gaps = stationarity_fixed_points(tiny_instance, x, lam)
-    assert gaps.dx1 <= 1e-6
-    assert gaps.dy <= 1e-6
-    assert gaps.dz <= 1e-6
 
 
 def test_duality_gap_certified_pair(tiny_instance, oracle_pair):
@@ -269,8 +241,8 @@ def test_stacked_residuals_match_reference_bitwise(data, B, S, mode, seed, quad,
         x1_extra_center=rng.standard_normal(n) if center else None,
         x1_extra_lin=_sprinkle(rng, rng.standard_normal((B, n))) if lin else None,
     )
-    got = natural_residuals(insts, PrimalPoint(x1, y, z), DualPoint(adj, obst, nonant),
-                            **extra)
+    got = natural_residuals(stack_rows(insts), PrimalPoint(x1, y, z),
+                            DualPoint(adj, obst, nonant), **extra)
     for b, inst in enumerate(insts):
         xb = PrimalPoint(x1[b], y[b], z[b])
         lb = DualPoint(adj[b], obst[b], nonant[b])
@@ -292,4 +264,4 @@ def test_stacked_residuals_reject_mixed_rows(tiny_instance):
     x = PrimalPoint(np.zeros((2, tiny_instance.n)), *np.zeros((2, 2, 3, tiny_instance.n)))
     lam = DualPoint(*np.zeros((3, 2, 3, tiny_instance.n)))
     with pytest.raises(ValueError, match="share"):
-        natural_residuals([tiny_instance, other], x, lam)
+        natural_residuals(stack_rows([tiny_instance, other]), x, lam)

@@ -302,23 +302,3 @@ def test_stacked_norm_estimates_match_reference_rows():
     # rows leave the lockstep as they stop; the last one runs alone
     assert applied[0] == 4 and applied[-1] == 1 and len(applied) == 2 * 500
     assert live.tolist() == [True, False, False, False]    # running at the cap
-
-
-def test_harmonic_face_average_option():
-    g = build_grid(3)
-    # equal coefficients: both averaging rules coincide
-    A_ar = assemble_operator(g, 2.0 * np.ones((5, 5)), average="arithmetic")
-    A_ha = assemble_operator(g, 2.0 * np.ones((5, 5)), average="harmonic")
-    assert abs(A_ar - A_ha).max() == 0.0
-    # heterogeneous: harmonic face values are below arithmetic ones
-    rng = np.random.default_rng(8)
-    a = 1.0 + rng.random((5, 5))
-    Ah = assemble_operator(g, a, average="harmonic")
-    Aa = assemble_operator(g, a, average="arithmetic")
-    off_h = -Ah.toarray()[np.triu_indices(g.n, 1)]
-    off_a = -Aa.toarray()[np.triu_indices(g.n, 1)]
-    mask = off_a > 0
-    assert np.all(off_h[mask] <= off_a[mask] + 1e-15)
-    assert abs(Ah - Ah.T).max() == 0.0
-    with pytest.raises(ValueError):
-        assemble_operator(g, a, average="geometric")

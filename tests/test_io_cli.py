@@ -264,6 +264,19 @@ def test_solve_history_csv(tmp_path):
     assert len(lines) >= 2
 
 
+@pytest.mark.parametrize("algorithm", ["ph", "barrier"])
+def test_solve_history_csv_rejected_without_pdhg(tmp_path, capsys, algorithm):
+    """Only the pdhg solve streams a history; asking another algorithm for
+    one is an input error, and nothing is written."""
+    inst_path = tmp_path / "inst.json"
+    run_cli(["generate", *TINY_ARGS, "--out", str(inst_path)])
+    hist, out = tmp_path / "hist.csv", tmp_path / "r"
+    assert run_cli(["solve", "--instance", str(inst_path), "--algorithm", algorithm,
+                    "--history-csv", str(hist), "--out", str(out)]) == 4
+    assert "--history-csv applies to --algorithm pdhg only" in capsys.readouterr().err
+    assert not hist.exists() and not out.exists()
+
+
 def test_ph_and_barrier_algorithms_via_cli(tmp_path):
     inst_path = tmp_path / "inst.json"
     run_cli(["generate", *TINY_ARGS, "--out", str(inst_path)])

@@ -10,15 +10,12 @@ from sassc.problem import (
     Instance,
     PrimalPoint,
     dual_function,
-    feasibility_check,
     hard_mode_infeasibility,
-    lagrangian,
     objective,
     pairing,
     project_c1,
     project_c2,
     project_koplus,
-    recourse_probe,
     slater_check,
     zeros_dual,
     zeros_primal,
@@ -123,35 +120,6 @@ def test_projections_idempotent_and_nonexpansive(tiny_instance):
             assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-15
 
 
-def test_lagrangian_three_branches(tiny_instance):
-    inst = tiny_instance
-    x = zeros_primal(inst)
-    lam = zeros_dual(inst)
-    assert lagrangian(inst, x, lam) == pytest.approx(objective(inst, x))
-
-    lam_bad = zeros_dual(inst)
-    lam_bad.obstacle[0, 0] = -1e-14
-    assert lagrangian(inst, x, lam_bad) == -math.inf
-
-    x_out = zeros_primal(inst)
-    x_out.x1[:] = inst.c1_hi + 1.0
-    assert lagrangian(inst, x_out, lam) == math.inf
-
-
-def test_lagrangian_feasible_point_bounded_by_objective(tiny_instance):
-    inst = tiny_instance
-    rng = np.random.default_rng(5)
-    x1 = rng.uniform(inst.c1_lo, inst.c1_hi)
-    x = feasible_point(inst, x1, extra=0.01)
-    lam = zeros_dual(inst)
-    lam.obstacle[:] = np.abs(rng.standard_normal((inst.S, inst.n)))
-    val = lagrangian(inst, x, lam)
-    # equality holds exactly, inequality <= 0, lam_i >= 0, so L <= j
-    assert val <= objective(inst, x) + 1e-10
-    assert lagrangian(inst, x, zeros_dual(inst)) == pytest.approx(
-        objective(inst, x), abs=1e-12)
-
-
 def test_dual_function_zero_multiplier(tiny_instance):
     # 0 in C1 and |y_target| <= M, so every inner minimum vanishes
     assert dual_function(tiny_instance, zeros_dual(tiny_instance)) == 0.0
@@ -200,25 +168,6 @@ def test_dual_concavity_along_segments(tiny_instance):
         assert g_mix >= bound - 1e-10
 
 
-def test_feasibility_check_constructed_point(tiny_instance):
-    inst = tiny_instance
-    rep = feasibility_check(inst, feasible_point(inst, np.zeros(inst.n)))
-    assert max(rep.x1_box, rep.y_box, rep.z_box, rep.inequality) <= 1e-12
-    assert rep.equality_max <= 1e-10
-    assert rep.feasible()
-
-
-def test_feasibility_check_reports_violation(tiny_instance):
-    inst = tiny_instance
-    x = feasible_point(inst, np.zeros(inst.n))
-    x.y[0] += 10.0
-    rep = feasibility_check(inst, x)
-    assert rep.y_box == pytest.approx(10.0 + np.abs(
-        feasible_point(tiny_instance, np.zeros(inst.n)).y[0]).max() - inst.c2_bound,
-        abs=1e-9)
-    assert not rep.feasible()
-
-
 def test_slater_success_on_default_instance():
     inst = io.make_instance("default", n1d=8)
     rep = slater_check(inst)
@@ -240,25 +189,6 @@ def test_slater_requires_slack_mode(tiny_instance):
         slater_check(tiny_instance.with_mode("hard"))
 
 
-def test_recourse_probe_midpoint_and_vertices(tiny_instance):
-    inst = tiny_instance
-    rep = recourse_probe(inst, [0.5 * (inst.c1_lo + inst.c1_hi)])
-    assert rep.all_ok and not rep.no_probes
-    rep2 = recourse_probe(inst, [inst.c1_lo, inst.c1_hi])
-    assert rep2.successes == [True, True]
-
-
-def test_recourse_probe_empty_is_vacuous(tiny_instance):
-    rep = recourse_probe(tiny_instance, [])
-    assert rep.all_ok and rep.no_probes
-
-
-def test_recourse_probe_rejects_outside_point(tiny_instance):
-    inst = tiny_instance
-    with pytest.raises(ValueError):
-        recourse_probe(inst, [inst.c1_hi + 1.0])
-
-
 def test_instance_validation():
     scen = sample_scenarios(
         FieldSpec(1.0, (), clip=(0.5, 2.0)), FieldSpec(0.0, ()), FieldSpec(1.0, ()),
@@ -275,12 +205,15 @@ def test_instance_validation():
 
 
 def test_oracle_solution_feasibility(tiny_instance):
+    from sassc.certify import kkt_residuals
     from sassc.solvers import SolverParams, solve_barrier_reference
-    x, lam, rep = solve_barrier_reference(
-        tiny_instance, SolverParams(barrier_mu_terminal=1e-12))
-    fr = feasibility_check(tiny_instance, x)
-    assert max(fr.x1_box, fr.y_box, fr.z_box, fr.inequality) <= 1e-8
-    assert fr.equality_max <= 1e-8
+    inst = tiny_instance
+    x, lam, rep = solve_barrier_reference(inst, SolverParams(barrier_mu_terminal=1e-12))
+    M = inst.c2_bound
+    assert np.maximum(inst.c1_lo - x.x1, x.x1 - inst.c1_hi).max() <= 1e-8
+    assert np.abs(x.y).max() - M <= 1e-8 and np.abs(x.z).max() - M <= 1e-8
+    kkt = kkt_residuals(inst, x, lam)
+    assert kkt.r4 <= 1e-8 and kkt.r5_feas <= 1e-8
 
 
 def _hard(preset="tiny", **changes):

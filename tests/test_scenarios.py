@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sassc.grid import build_grid
-from sassc.scenarios import FieldSpec, ellipticity_report, sample_scenarios
+from sassc.scenarios import FieldSpec, sample_scenarios
 
 SPEC_A = FieldSpec(1.0, ((0.4, (1, 1)), (0.2, (2, 1))), clip=(0.5, 2.0))
 SPEC_G = FieldSpec(1.0, ((0.5, (1, 2)),))
@@ -93,15 +93,6 @@ def test_realization_cached_and_pure():
     fresh = sample_scenarios(SPEC_A, SPEC_G, SPEC_PSI, S=3, seed=9)
     a3, g3, p3 = fresh.realize(build_grid(6))
     assert np.array_equal(a1, a3) and np.array_equal(g1, g3) and np.array_equal(p1, p3)
-
-
-def test_ellipticity_report_bounds():
-    s = sample_scenarios(SPEC_A, SPEC_G, SPEC_PSI, S=5, seed=4)
-    lo, hi = ellipticity_report(s, build_grid(8))
-    assert 0.5 <= lo <= hi <= 2.0
-    const = sample_scenarios(FieldSpec(1.0, (), clip=(0.5, 2.0)), SPEC_G, SPEC_PSI,
-                             S=2, seed=1)
-    assert ellipticity_report(const, build_grid(4)) == (1.0, 1.0)
 
 
 def test_coefficient_spec_requires_positive_clip():

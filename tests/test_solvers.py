@@ -1,9 +1,11 @@
+import gc
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -125,7 +127,7 @@ def reference_engine(inst, params, tol, max_iters, warm=None, x1_extra_quad=0.0,
     sz = scale if slack else 1.0
     ci = scale if slack else max(1.0, k0 / 3.0)
     knorm = _estimate_k_norm(inst, s1=s1, sz=sz, ci=ci)
-    tau = sigma = math.sqrt(params.step_safety) / knorm
+    tau = sigma = math.sqrt(solvers.STEP_SAFETY) / knorm
     tau1 = tau * s1 * s1
     tauz = tau * sz * sz
 
@@ -173,7 +175,7 @@ def reference_engine(inst, params, tol, max_iters, warm=None, x1_extra_quad=0.0,
         zb = zn + theta * (zn - z) if slack else z
         x1, y, z = x1n, yn, zn
 
-        if it % params.check_every == 0 or it == max_iters:
+        if it % solvers.CHECK_EVERY == 0 or it == max_iters:
             xp = PrimalPoint(x1, y, z)
             lam = DualPoint(lam_e, ci * lam_ih, -lam_e)
             res = reference_impl.natural_residuals(
@@ -217,7 +219,7 @@ def _equivalence_case(inst, case):
     if case == "warm":
         warm = _pdhg_engine(inst, SolverParams(), tol=1e-3, max_iters=400_000)[:2]
         return inst, dict(tol=1e-6, max_iters=400_000, warm=warm)
-    if case == "cap_137":  # not a multiple of check_every: best-iterate fallback
+    if case == "cap_137":  # not a multiple of CHECK_EVERY: best-iterate fallback
         return inst, dict(tol=1e-6, max_iters=137)
     raise ValueError(case)
 
@@ -276,6 +278,22 @@ def test_batched_engine_rows_match_separate_runs(small_instance, mode, max_iters
     for (xa, la, ita, sta), (xb, lb, itb, stb) in zip(got, want):
         assert (ita, sta) == (itb, stb)
         _assert_same_points(xa, la, xb, lb)
+
+
+def test_batched_engine_leaves_no_reference_cycle(small_instance):
+    """With the garbage collector off, the scenario sets of a batch die as
+    soon as the last reference to their instances goes: the engine keeps
+    nothing that refers back to them."""
+    subs = [replace(small_instance, scenarios=small_instance.scenarios.subset([k]))
+            for k in (0, 1, 3)]
+    refs = [weakref.ref(sub.scenarios) for sub in subs]
+    gc.disable()
+    try:
+        _pdhg_engine(subs, SolverParams(), tol=1e-8, max_iters=137)
+        del subs
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_batched_engine_diverging_row_keeps_its_best_iterate():
@@ -430,8 +448,6 @@ def test_solver_params_validation():
         SolverParams(kkt_tolerance=2.0)
     with pytest.raises(ValueError):
         SolverParams(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverParams(barrier_shrink=1.5)
 
 
 def test_solve_hard_inactive_obstacle_matches_slack():
@@ -560,12 +576,12 @@ def reference_ph(inst, params):
     drift_log = []
     outer = 0
     inner_total = 0
-    for outer in range(1, params.ph_max_outer + 1):
+    for outer in range(1, solvers.PH_MAX_OUTER + 1):
         first = outer == 1
         failed = None
         for k in range(S):
             xk, lk, it_k, st_k = reference_engine(
-                subs[k], params, tol=params.ph_inner_tolerance,
+                subs[k], params, tol=solvers.PH_INNER_TOLERANCE,
                 max_iters=params.max_iters, warm=warm_state[k],
                 x1_extra_quad=0.0 if first else r,
                 x1_extra_center=None if first else x_hat,
