@@ -14,6 +14,15 @@ plain shifts ``lam_e += sigma (K_e xbar - g)`` and
 cancel from the iteration entirely. The iteration works in block-balanced
 variables with fixed steps (see the engine docstring).
 
+Each iteration is two calls into the C kernel of ``kernel.py`` (the dual
+step, then the prox, clamp and extrapolation) around the numpy product
+``p @ lam_e``, which stays in numpy to keep its BLAS summation order. The
+kernel is compiled with ``cc -O2 -ffp-contract=off`` (no ``-march``, no
+fast-math) on the first engine call of a process, and runs every entry
+through the IEEE operations of the numpy form in its order, so iterates
+are bit for bit those of the numpy loop. Without a C compiler the engine
+runs that numpy loop (``kernel.numpy_steps``) with the same bits.
+
 Progressive hedging decomposes by scenario and exposes the
 nonanticipativity structure algorithmically: scenario copies of the
 control are driven to consensus by weights ``w_k`` that converge to the
@@ -36,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import tempfile
 import threading
 import time
 import traceback
@@ -43,9 +53,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse._sparsetools import csr_matvec
 
-from . import certify
+from . import certify, kernel
 from .grid import operator_norm_estimate
 from .problem import (
     DualPoint,
@@ -56,7 +65,6 @@ from .problem import (
     hard_mode_infeasibility,
     objective,
     project_c1,
-    stack_csr,
     stack_rows,
     zeros_dual,
 )
@@ -165,12 +173,14 @@ def _k_maps(rows: list[Instance], s1, sz, ci, live: np.ndarray):
     constraint map K of each instance in ``rows``, stacked for a lockstep
     power iteration. The maps take and return the rows still running,
     which ``live`` names; rows only ever leave, so their count does too.
+    The operator and ``p`` come from the rows' batch record
+    (``problem.stack_rows``), and that of the running rows once some left.
     """
     R, S, n, slack = len(rows), rows[0].S, rows[0].n, rows[0].mode == "slack"
     SN = S * n
     nx = n + SN + (SN if slack else 0)
-    mats = [sub.block_operator() for sub in rows]
-    p = np.array([sub.p for sub in rows])
+    record = stack_rows(rows)
+    p = record.p
     hh = rows[0].h * rows[0].h
     weights = np.concatenate(
         [np.full((R, n), hh)] + [np.repeat(p * hh, n, axis=1)] * (2 if slack else 1), axis=1)
@@ -182,7 +192,8 @@ def _k_maps(rows: list[Instance], s1, sz, ci, live: np.ndarray):
         """Operator and per-row constants of the L rows still running."""
         if L not in running:
             idx = np.flatnonzero(live)
-            running[L] = (stack_csr([mats[j] for j in idx]), *(c[idx] for c in cols))
+            csr = record.csr if L == R else stack_rows([rows[j] for j in idx]).csr
+            running[L] = (csr, *(c[idx] for c in cols))
         return running[L]
 
     # The maps of the single-row form, one numpy call for all rows:
@@ -313,6 +324,7 @@ def _pdhg_engine(
         if x1_extra_lin is not None:
             x1_extra_lin = x1_extra_lin[None, :]
     B = len(inst)
+    kern = kernel.load() or kernel.numpy_steps
     record = stack_rows(inst)
     S, n, slack = inst[0].S, inst[0].n, record.mode == "slack"
     if warm is None:
@@ -353,12 +365,13 @@ def _pdhg_engine(
         vector [x1 | y | z] (z only in slack mode) with the rows stacked in
         each block, and the multipliers in one (2, rows, S, n) array
         [lam_e | lam_ih], so that each update the blocks share (step
-        scaling, prox division, clamping, extrapolation) takes one numpy
-        call; a per-row scalar becomes a constant array of that value,
+        scaling, prox division, clamping, extrapolation) is one pass over
+        one array; a per-row scalar becomes a constant array of that value,
         which gives the same bits. The current and next primal iterates
-        swap buffers after every step. Every update keeps the operation
-        order of the plain expression in its comment, so the iterates match
-        that form bit for bit.
+        swap buffers after every step, and so do the two argument sets of
+        the steps (``Kernel.bind``), one per direction. Every update keeps
+        the operation order of the plain expression in its comment, so the
+        iterates match that form bit for bit.
         """
         Bs = len(rows)
         nb, NS = Bs * n, Bs * SN
@@ -378,12 +391,8 @@ def _pdhg_engine(
         rec = record if Bs == B else stack_rows([inst[k] for k in rows])
         duals = np.empty((2, Bs, S, n))
         duals[0], duals[1] = lam_e, lam_ih
-        g_psi = np.stack([rec.g, rec.psi])
         tau, ci, tau1, tauz = (np.array(c)[:, None, None]
                                for c in zip(*(steps[k] for k in rows)))
-        dual_steps = np.stack([tau, tau * ci])
-        ineq_scales = np.stack([ci, tauz * ci])
-        tau_yt = tau * rec.y_target[:, None, :]
         lin = 0.0 if x1_extra_lin is None else x1_extra_lin[rows][:, None, :]
         den = np.concatenate([
             np.repeat(1.0 + tau1.ravel() * (rec.alpha + q), n),
@@ -393,12 +402,14 @@ def _pdhg_engine(
         box = [np.repeat(rec.M, SN)] * (2 if slack else 1)
         lo = np.concatenate([rec.c1_lo.ravel()] + [-b for b in box])
         hi = np.concatenate([rec.c1_hi.ravel()] + box)
-        return (
-            NS, *rec.csr, primal_buffer(x1, y, z), primal_buffer(), primal_buffer(xb1, yb, zb),
-            duals, np.empty((2, Bs, S, n)), np.empty((Bs, S, n)), g_psi, rec.p[:, None, :],
-            dual_steps, ineq_scales, tau, tau1, tau_yt, lin, den, lo, hi,
-            rec, ci, ci.ravel() * h, best_worst, best,
-        )
+        cur, nxt, xb = primal_buffer(x1, y, z), primal_buffer(), primal_buffer(xb1, yb, zb)
+        args = kern.bind(
+            Bs, S, n, slack, rec.csr, cur[0], nxt[0], xb[0], duals, z_hard,
+            g_psi=np.stack([rec.g, rec.psi]), dual_steps=np.stack([tau, tau * ci]),
+            ineq_scales=np.stack([ci, tauz * ci]), tau=tau, tau1=tau1,
+            tau_yt=tau * rec.y_target[:, None, :], lin=lin, qc=qc, den=den, lo=lo, hi=hi)
+        return (cur, nxt, xb, *args, duals, rec.p[:, None, :], lin, rec, ci, ci.ravel() * h,
+                best_worst, best)
 
     results = [None] * B
     active = list(range(B))
@@ -407,62 +418,27 @@ def _pdhg_engine(
     it = 0
     while active and it < max_iters:
         if state is not None:
-            (N, indptr, indices, data, cur, nxt, (Xb, xb1, yb, zb), duals, work, Alam,
-             g_psi, p, dual_steps, ineq_scales, tau, tau1, tau_yt, lin, den, lo,
-             hi, rec, ci, ci_h, best_worst, best) = stack(np.array(active), *state)
-            X, x1, y, z = cur
+            (cur, nxt, (_, xb1, yb, zb), args, args_next, duals, p, lin, rec, ci, ci_h,
+             best_worst, best) = stack(np.array(active), *state)
             lam_e, lam_ih = duals
-            work_e, work_i = work
             lin_rows = None if x1_extra_lin is None else lin[:, 0]
             state = None
         it += 1
         # dual ascent at the extrapolated primal point:
         # lam_e += sigma ((A yb - xb1) - g)
         # lam_ih = max(0, lam_ih + sigma ci (ineq - psi)), ineq = yb - zb or yb
-        work_e.fill(0.0)
-        csr_matvec(N, N, indptr, indices, data, yb, work_e)
-        np.subtract(work_e, xb1, out=work_e)
-        if slack:
-            np.subtract(yb, zb, out=work_i)
-        else:
-            np.copyto(work_i, yb)
-        np.subtract(work, g_psi, out=work)
-        np.multiply(work, dual_steps, out=work)
-        np.add(duals, work, out=duals)
-        np.maximum(0.0, lam_ih, out=lam_ih)
-
+        kern.dual_step(args)
         # proximal descent; every block is a clamped quadratic:
         # x1n = clip((x1 + tau1 ((p @ lam_e + qc) - lin)) / den1, c1_lo, c1_hi)
         # yn = clip(((y - tau (A lam_e + ci lam_ih)) + tau y_t) / den_y, -M, M)
         # zn = clip((z + tauz ci lam_ih) / den_z, -M, M); hard mode keeps z
-        Xn, x1n, yn, zn = nxt
-        np.matmul(p, lam_e, out=x1n)
-        np.add(x1n, qc, out=x1n)
-        np.subtract(x1n, lin, out=x1n)
-        np.multiply(x1n, tau1, out=x1n)
-        np.add(x1, x1n, out=x1n)
-        Alam.fill(0.0)
-        csr_matvec(N, N, indptr, indices, data, lam_e, Alam)
-        np.multiply(lam_ih, ineq_scales, out=work)
-        np.add(Alam, work_e, out=work_e)
-        np.multiply(work_e, tau, out=work_e)
-        np.subtract(y, work_e, out=yn)
-        np.add(yn, tau_yt, out=yn)
-        if slack:
-            np.add(z, work_i, out=zn)
-        np.divide(Xn, den, out=Xn)
-        # (value, bound) argument order: np.clip with array bounds resolves
-        # a signed-zero tie to the value, and so does this order
-        np.maximum(Xn, lo, out=Xn)
-        np.minimum(Xn, hi, out=Xn)
-
-        # extrapolate with theta = 1: xb = xn + (xn - x)
-        np.subtract(Xn, X, out=Xb)
-        np.add(Xn, Xb, out=Xb)
-        cur, nxt = nxt, cur
-        X, x1, y, z = cur
+        # then extrapolate with theta = 1: xb = xn + (xn - x)
+        np.matmul(p, lam_e, out=nxt[1])
+        kern.primal_step(args)
+        cur, nxt, args, args_next = nxt, cur, args_next, args
 
         if it % CHECK_EVERY == 0 or it == max_iters:
+            _, x1, y, z = cur
             xp = PrimalPoint(x1[:, 0], y, z)
             lam = DualPoint(lam_e, ci * lam_ih, -lam_e)
             res = certify.natural_residuals(
@@ -513,22 +489,34 @@ def _pdhg_engine(
     return results if batched else results[0]
 
 
+@contextlib.contextmanager
 def _history_writer(inst: Instance, path: str):
-    """Stream per-check residual rows to a CSV file."""
-    fh = open(path, "w")
-    fh.write("iteration,r1,r2,r3,r3p,r4,r5_sign,r5_feas,r5_comp,objective,dual_value\n")
+    """Yield a history hook that streams per-check residual rows to a CSV
+    file. The rows go to a temporary file beside ``path``, which replaces
+    ``path`` when the block exits normally and is removed if it raises, so
+    ``path`` never holds a partial history."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write("iteration,r1,r2,r3,r3p,r4,r5_sign,r5_feas,r5_comp,objective,"
+                     "dual_value\n")
 
-    def write(it, res, xp, lam):
-        obj = objective(inst, xp)
-        dv = dual_function(inst, lam)
-        r3p = res.get("r3p", float("nan"))
-        fh.write(
-            f"{it},{res['r1']:.17g},0,{res['r3']:.17g},{r3p:.17g},{res['r4']:.17g},"
-            f"{res['r5_sign']:.17g},{res['r5_feas']:.17g},{res['r5_comp']:.17g},"
-            f"{obj:.17g},{dv:.17g}\n"
-        )
+            def write(it, res, xp, lam):
+                obj = objective(inst, xp)
+                dv = dual_function(inst, lam)
+                r3p = res.get("r3p", float("nan"))
+                fh.write(
+                    f"{it},{res['r1']:.17g},0,{res['r3']:.17g},{r3p:.17g},{res['r4']:.17g},"
+                    f"{res['r5_sign']:.17g},{res['r5_feas']:.17g},{res['r5_comp']:.17g},"
+                    f"{obj:.17g},{dv:.17g}\n"
+                )
 
-    return write, fh
+            yield write
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def solve_pdhg(
@@ -551,10 +539,9 @@ def solve_pdhg(
     params = params or SolverParams()
     t0 = time.perf_counter()
     reason = hard_mode_infeasibility(inst) if inst.mode == "hard" else None
-    history = fh = None
-    if params.history_csv is not None:
-        history, fh = _history_writer(inst, params.history_csv)
-    try:
+    writer = (contextlib.nullcontext() if params.history_csv is None
+              else _history_writer(inst, params.history_csv))
+    with writer as history:
         if reason is None:
             primal, dual, iters, status = _pdhg_engine(
                 inst, params, tol=params.kkt_tolerance, max_iters=params.max_iters,
@@ -564,9 +551,6 @@ def solve_pdhg(
             zeros = np.zeros((inst.S, inst.n))
             primal = PrimalPoint(project_c1(inst, np.zeros(inst.n)), zeros, zeros)
             dual, iters, status = zeros_dual(inst), 0, STATUS_INFEASIBLE
-    finally:
-        if fh is not None:
-            fh.close()
     kkt = certify.kkt_residuals(inst, primal, dual)
     extras = None if reason is None else {"infeasibility": reason}
     report = _report("pdhg", kkt, iters, status, t0, extras=extras)
@@ -638,8 +622,9 @@ def _ph_rounds(subs: list[Instance], params: SolverParams):
     raised again here, and the workers are terminated and joined on exit.
 
     Workers are forked, not spawned: they inherit the realized subproblems
-    instead of importing numpy, scipy and the package again, which takes
-    longer than most rounds. A process that runs other Python threads could
+    and the compiled engine kernel (``kernel.load``, called before the
+    fork) instead of importing numpy, scipy and the package again, which
+    takes longer than most rounds. A process that runs other Python threads could
     be forked while one of them holds a lock, so it gets W = 1, which starts
     no process.
     """
@@ -650,6 +635,8 @@ def _ph_rounds(subs: list[Instance], params: SolverParams):
     try:
         if W > 1:
             import multiprocessing
+
+            kernel.load()   # built once here, not once per worker
 
             ctx = multiprocessing.get_context("fork")
             for lo, hi in zip(bounds[1:-1], bounds[2:]):

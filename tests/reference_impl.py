@@ -1,6 +1,8 @@
 """Single-row reference forms of the stacked residual check and of the
 K-norm power iteration, kept in their plain per-pair form. The stacked
-code in the package must reproduce them bit for bit, row by row."""
+code in the package must reproduce them bit for bit, row by row. Also the
+plain streaming form of the history CSV writer, whose bytes the atomic
+writer must match."""
 
 import numpy as np
 
@@ -111,3 +113,19 @@ def k_norm(inst, s1=1.0, sz=1.0, ci=1.0):
         return np.concatenate(parts)
 
     return operator_norm_estimate(forward, adjoint, nx, weights=weights)
+
+
+def history_writer(inst, fh):
+    """History hook writing the CSV rows of ``sassc solve --history-csv``
+    straight to the open file ``fh``; the caller writes the header."""
+    from sassc.problem import dual_function, objective
+
+    def write(it, res, xp, lam):
+        r3p = res.get("r3p", float("nan"))
+        fh.write(
+            f"{it},{res['r1']:.17g},0,{res['r3']:.17g},{r3p:.17g},{res['r4']:.17g},"
+            f"{res['r5_sign']:.17g},{res['r5_feas']:.17g},{res['r5_comp']:.17g},"
+            f"{objective(inst, xp):.17g},{dual_function(inst, lam):.17g}\n"
+        )
+
+    return write

@@ -2,6 +2,7 @@ import gc
 import math
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -10,9 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse._sparsetools import csr_matvec
 
-from sassc import io, solvers
+from sassc import io, kernel, solvers
 from sassc.certify import kkt_residuals
 from sassc.grid import solve_linear
 from sassc.problem import DualPoint, PrimalPoint, norm_h, objective, project_c1
@@ -241,6 +244,140 @@ def test_engine_matches_reference_bitwise(small_instance, case):
         assert a.tobytes() == b.tobytes()
 
 
+def _kernel_batch(rng, B, S, n, slack, qc, lin):
+    """Random engine buffers and constants of one batch, in the engine's
+    shapes, with signed zeros, NaN and values on the bounds sprinkled in."""
+    NS, nb = B * S * n, B * n
+    nx = nb + NS * (2 if slack else 1)
+
+    def rand(*shape, scale=1.0):
+        a = scale * rng.standard_normal(shape)
+        mask = rng.random(shape) < 0.5
+        a[mask] = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5], size=int(mask.sum()))
+        a[rng.random(shape) < 0.03] = np.nan
+        return a
+
+    counts = rng.choice([0, 1, 3, 4, 5, 5, 5], size=NS)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    indices = rng.integers(0, NS, size=indptr[-1]).astype(np.int32)
+    lo = rng.choice([-1.0, -0.5, -0.0, 0.0], size=nx)
+    hi = rng.choice([0.0, -0.0, 0.5, 1.0], size=nx)
+    lo[rng.random(nx) < 0.03] = np.nan
+    hi[rng.random(nx) < 0.03] = np.nan
+    tau = np.abs(rand(B, 1, 1)) + 0.25
+    ci = np.abs(rand(B, 1, 1)) + 1.0
+    tauz = np.abs(rand(B, 1, 1)) + 0.25
+    arrays = dict(X0=rand(nx), X1=rand(nx), Xb=rand(nx), duals=rand(2, B, S, n),
+                  z_hard=rand(B, S, n))
+    consts = dict(
+        g_psi=rand(2, B, S, n), dual_steps=np.stack([tau, tau * ci]),
+        ineq_scales=np.stack([ci, tauz * ci]), tau=tau, tau1=np.abs(rand(B, 1, 1)) + 0.25,
+        tau_yt=rand(B, 1, n), lin=rand(B, 1, n) if lin else 0.0,
+        qc=rand(n) if qc else 0.0, den=1.0 + np.abs(rand(nx)), lo=lo, hi=hi,
+    )
+    return (indptr, indices, rand(int(indptr[-1]))), arrays, consts, rand(B, 1, S)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+@settings(max_examples=80, deadline=None)
+@given(B=st.integers(1, 4), S=st.integers(1, 3), n=st.integers(1, 7),
+       slack=st.booleans(), qc=st.booleans(), lin=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_steps_match_numpy_steps_bitwise(B, S, n, slack, qc, lin, seed):
+    """Two iterations of the C kernel's steps, one from each primal buffer,
+    leave every buffer with the bytes the numpy steps leave: signed-zero
+    ties at the bounds and at 0 for lam_ih, NaN entries, rows with 5 and
+    other numbers of entries, odd lengths, and ``qc``/``lin`` of 0.0."""
+    csr, arrays, consts, p = _kernel_batch(np.random.default_rng(seed), B, S, n, slack,
+                                           qc, lin)
+    out = []
+    for steps in (kernel.numpy_steps, kernel.load()):
+        a = {name: v.copy() for name, v in arrays.items()}
+        pair = steps.bind(B, S, n, slack, csr, a["X0"], a["X1"], a["Xb"], a["duals"],
+                          a["z_hard"], **consts)
+        for handle, Xn in zip(pair, (a["X1"], a["X0"])):
+            steps.dual_step(handle)
+            np.matmul(p, a["duals"][0], out=Xn[:B * n].reshape(B, 1, n))
+            steps.primal_step(handle)
+        out.append(a)
+    for name in ("X0", "X1", "Xb", "duals"):
+        assert out[0][name].tobytes() == out[1][name].tobytes(), name
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_kernel_bind_rejects_what_the_steps_cannot_index():
+    """The C steps index without bounds, so their arguments are checked."""
+    B, S, n = 2, 2, 3
+    csr, arrays, consts, _ = _kernel_batch(np.random.default_rng(0), B, S, n, True,
+                                           True, True)
+    bind = kernel.load().bind
+
+    def call(csr=csr, **changes):
+        a = dict(arrays, **{k: v for k, v in changes.items() if k in arrays})
+        c = dict(consts, **{k: v for k, v in changes.items() if k in consts})
+        return bind(B, S, n, True, csr, a["X0"], a["X1"], a["Xb"], a["duals"],
+                    a["z_hard"], **c)
+
+    call()
+    indptr, indices, data = csr
+    bad = indices.copy()
+    bad[0] = B * S * n
+    with pytest.raises(ValueError, match="column index"):
+        call(csr=(indptr, bad, data))
+    ptr = indptr.copy()
+    ptr[1] = ptr[-1] + 1
+    with pytest.raises(ValueError, match="row pointers"):
+        call(csr=(ptr, indices, data))
+    with pytest.raises(ValueError, match="den has"):
+        call(den=consts["den"][:-1])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        call(Xb=np.repeat(arrays["Xb"], 2)[::2])
+
+
+def test_engine_falls_back_to_numpy_steps_without_the_kernel(small_instance, monkeypatch):
+    """When the kernel cannot be built, the engine runs the numpy steps and
+    still matches the reference loop bit for bit."""
+    def no_compiler():
+        raise FileNotFoundError("cc")
+
+    monkeypatch.setattr(kernel, "_kernel", kernel._UNTRIED)
+    monkeypatch.setattr(kernel, "_build", no_compiler)
+    bound = []
+    real_bind = kernel.numpy_steps.bind
+    monkeypatch.setattr(kernel.numpy_steps, "bind",
+                        lambda *a, **kw: bound.append(1) or real_bind(*a, **kw))
+    assert kernel.load() is None and kernel.load() is None
+    params = SolverParams()
+    for case in ("hard", "ph_subproblem", "cap_137"):
+        inst, kwargs = _equivalence_case(small_instance, case)
+        xa, la, ita, sta = _pdhg_engine(inst, params, **kwargs)
+        xb, lb, itb, stb = reference_engine(inst, params, **kwargs)
+        assert (ita, sta) == (itb, stb)
+        _assert_same_points(xa, la, xb, lb)
+    assert bound
+
+
+def test_kernel_loads_where_a_compiler_is_on_path():
+    """A host with ``cc`` runs the kernel, so a test run there covers it
+    and not only the numpy fallback."""
+    assert (kernel.load() is None) == (shutil.which("cc") is None)
+
+
+def test_import_does_not_build_the_kernel():
+    """Importing the package starts no process and loads no kernel; the
+    first engine call builds it."""
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    code = ("import subprocess\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('started a process at import')\n"
+            "subprocess.Popen = refuse\n"
+            "import sassc, sassc.cli\n"
+            "from sassc import kernel\n"
+            "assert kernel._kernel is kernel._UNTRIED\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def _assert_same_points(xa, la, xb, lb):
     """Two primal-dual points agree in every array byte."""
     for a, b in ((xa.x1, xb.x1), (xa.y, xb.y), (xa.z, xb.z), (la.adjoint, lb.adjoint),
@@ -433,6 +570,33 @@ def test_pdhg_residual_trend_and_bounded_gap(small_instance):
     # the primal-dual gap sequence stays bounded along the iteration
     assert np.isfinite(gaps).all()
     assert max(abs(g) for g in gaps) <= 10.0 * (1.0 + abs(gaps[0]))
+
+
+def test_history_csv_is_written_whole_or_not_at_all(tiny_instance, tmp_path, monkeypatch):
+    """The history CSV has the bytes of the plain streaming writer, and a
+    solve that raises leaves neither the CSV nor its temporary file."""
+    path = tmp_path / "hist.csv"
+    params = SolverParams(max_iters=500, history_csv=str(path))
+    solve_pdhg(tiny_instance, params)
+    want = tmp_path / "want.csv"
+    with open(want, "w") as fh:
+        fh.write(path.read_text().splitlines(keepends=True)[0])
+        _pdhg_engine(tiny_instance, params, tol=params.kkt_tolerance, max_iters=500,
+                     history=reference_impl.history_writer(tiny_instance, fh))
+    assert path.read_bytes() == want.read_bytes()
+    assert len(path.read_text().splitlines()) == 11
+
+    engine = solvers._pdhg_engine
+
+    def failing(*args, **kwargs):
+        engine(*args, **kwargs)
+        raise FloatingPointError("engine failed")
+
+    path.unlink()
+    monkeypatch.setattr(solvers, "_pdhg_engine", failing)
+    with pytest.raises(FloatingPointError, match="engine failed"):
+        solve_pdhg(tiny_instance, params)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["want.csv"]
 
 
 def test_iteration_cap_reported(small_instance):
@@ -703,6 +867,27 @@ def test_ph_worker_exception_is_raised_and_workers_are_reaped(small_instance,
     monkeypatch.setattr(solvers, "_pdhg_engine", engine)
     _, _, rep, _ = solve_progressive_hedging(small_instance, SolverParams(ph_penalty=0.05))
     assert rep.converged
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_ph_builds_the_kernel_at_most_once(small_instance, monkeypatch, tmp_path, workers):
+    """The calling process builds the kernel before it forks the PH
+    workers, which inherit it instead of building their own."""
+    _use_workers(monkeypatch, workers)
+    log = tmp_path / "builds"
+    build = kernel._build
+
+    def logged():
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return build()
+
+    monkeypatch.setattr(kernel, "_kernel", kernel._UNTRIED)
+    monkeypatch.setattr(kernel, "_build", logged)
+    solve_progressive_hedging(small_instance, SolverParams(ph_penalty=0.05, max_iters=137))
+    builds = log.read_text().split() if log.exists() else []
+    assert builds == [str(os.getpid())]
     assert multiprocessing.active_children() == []
 
 
