@@ -11,9 +11,10 @@ predicate. Exit codes: 0 success, 1 certificate or predicate failure
 All output files are canonical JSON or CSV written atomically; every
 report embeds the instance SHA-256 and sampling seed. The CLI itself is
 single-threaded. Progressive hedging runs each round's scenario subproblems
-in one process per usable CPU; SASSC_THREADS caps that count
-(``solvers.worker_count``), and a value that is not a positive integer
-exits 4.
+in one process per usable CPU, and ``homotopy`` runs its hard reference's
+iteration in a second process while it solves the slack levels;
+SASSC_THREADS caps that count (``solvers.worker_count``), and a value that
+is not a positive integer exits 4.
 """
 
 from __future__ import annotations

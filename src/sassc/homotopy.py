@@ -18,7 +18,7 @@ import numpy as np
 
 from . import certify
 from .problem import Instance, norm_h
-from .solvers import SolveReport, SolverParams, solve_hard, solve_pdhg
+from .solvers import SolveReport, SolverParams, prefetch_engine, solve_hard, solve_pdhg
 
 
 class HomotopyError(RuntimeError):
@@ -85,6 +85,18 @@ def _usable_levels(levels: list[HomotopyLevel]) -> list[tuple[float, float]]:
     return [(l.alpha_prime, l.ez2) for l in levels if l.converged and l.ez2 > 0.0]
 
 
+def _reference(hard_inst: Instance, params: SolverParams, engine=None):
+    """The study's hard-mode reference solve, with ``engine`` as for
+    ``solve_hard``; a reference that did not converge aborts the study."""
+    primal, _, report = solve_hard(hard_inst, params, engine=engine)
+    if not report.converged:
+        raise HomotopyError(
+            f"hard-mode reference did not converge (status {report.status}); "
+            "the penalization limit has no target"
+        )
+    return primal, report
+
+
 def run_homotopy(
     inst: Instance,
     schedule: list[float],
@@ -92,10 +104,21 @@ def run_homotopy(
 ) -> HomotopyReport:
     """Solve the slack problem along the schedule and fit the slack decay.
 
-    The hard-mode reference is solved first; failure there aborts the
-    study. Levels are warm-started from the previous level; levels that
-    fail to converge are recorded but excluded from the fit, as are levels
-    with exactly zero slack (inactive constraint).
+    The hard-mode reference's engine call starts first, in a worker process
+    (``solvers.prefetch_engine``) that runs on a second CPU while this
+    process solves the levels. After each level the reference is collected
+    through ``solve_hard`` once the worker's result is there, and at the
+    latest after the last level; a reference that did not converge aborts
+    the study then. Only the levels' control distances need the reference.
+    Where no worker may be forked (one usable CPU, other Python threads
+    running, a history CSV) or the reference is proven infeasible a priori,
+    the reference is solved first in this process. Both ways give the same
+    report, bit for bit, and the same ``solve_hard`` and ``solve_pdhg``
+    calls in this process.
+
+    Levels are warm-started from the previous level; levels that fail to
+    converge are recorded but excluded from the fit, as are levels with
+    exactly zero slack (inactive constraint).
     """
     params = params or SolverParams()
     if inst.mode != "slack":
@@ -103,26 +126,30 @@ def run_homotopy(
     sched = _validate_schedule(schedule)
 
     hard_inst = inst.with_mode("hard")
-    ref_primal, _, ref_report = solve_hard(hard_inst, params)
-    if not ref_report.converged:
-        raise HomotopyError(
-            f"hard-mode reference did not converge (status {ref_report.status}); "
-            "the penalization limit has no target"
-        )
+    with prefetch_engine(hard_inst, params) as ref_engine:
+        ref = _reference(hard_inst, params) if ref_engine is None else None
+        solved = []
+        warm = None
+        for a_prime in sched:
+            level_inst = inst.with_alpha_prime(a_prime)
+            primal, dual, rep = solve_pdhg(level_inst, params, warm=warm)
+            warm = (primal, dual)
+            solved.append((level_inst, primal, dual, rep))
+            if ref is None and ref_engine.ready():
+                ref = _reference(hard_inst, params, ref_engine)
+        if ref is None:
+            ref = _reference(hard_inst, params, ref_engine)
+    ref_primal, ref_report = ref
 
     levels: list[HomotopyLevel] = []
     zero_levels: list[float] = []
-    warm = None
     h = inst.h
     p = inst.p
-    for a_prime in sched:
-        level_inst = inst.with_alpha_prime(a_prime)
-        primal, dual, rep = solve_pdhg(level_inst, params, warm=warm)
-        warm = (primal, dual)
+    for level_inst, primal, dual, rep in solved:
         kkt = certify.kkt_residuals(level_inst, primal, dual)
         ez2 = float(np.dot(p, (h * np.linalg.norm(primal.z, axis=1)) ** 2))
         lvl = HomotopyLevel(
-            alpha_prime=a_prime,
+            alpha_prime=level_inst.alpha_prime,
             ez2=ez2,
             dist_x1=norm_h(primal.x1 - ref_primal.x1, h),
             objective=kkt.objective,
@@ -131,7 +158,7 @@ def run_homotopy(
         )
         levels.append(lvl)
         if lvl.converged and ez2 == 0.0:
-            zero_levels.append(a_prime)
+            zero_levels.append(lvl.alpha_prime)
 
     usable = _usable_levels(levels)
     slope = intercept = r2 = None

@@ -13,19 +13,24 @@ load.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-import tempfile
+import secrets
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .certify import KKT_CSV_COLUMNS, KktReport
+from .certify import KKT_CSV_COLUMNS
 from .grid import build_grid
-from .homotopy import HomotopyReport
 from .problem import DualPoint, Instance, PrimalPoint
 from .scenarios import FieldSpec, sample_scenarios
-from .solvers import SolveReport
+
+if TYPE_CHECKING:   # solvers writes its history CSV through this module
+    from .certify import KktReport
+    from .homotopy import HomotopyReport
+    from .solvers import SolveReport
 
 HOMOTOPY_CSV_COLUMNS = ("alpha_prime", "Ez2", "dist_x1", "objective", "kkt_max")
 MMS_CSV_COLUMNS = ("n1d", "h", "max_error", "rate")
@@ -63,18 +68,33 @@ def canonical_json(obj) -> str:
     return render(obj) + "\n"
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write via a temporary file and rename, so readers never see partials."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+@contextlib.contextmanager
+def atomic_file(path: str):
+    """Yield a text file that replaces ``path`` when the block exits
+    normally and is removed if it raises, so readers never see a partial
+    file. The file is created beside ``path`` with mode 0666 less the
+    umask, as ``open`` creates one."""
+    while True:
+        tmp = f"{os.path.abspath(path)}.{secrets.token_hex(6)}.tmp"
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through ``atomic_file``."""
+    with atomic_file(path) as fh:
+        fh.write(text)
 
 
 def sha256_text(text: str) -> str:

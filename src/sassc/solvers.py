@@ -33,7 +33,9 @@ independent. They are split into contiguous groups, one per usable CPU
 process: the engine stacks independent problems as rows of one iteration.
 At small grid sizes numpy call overhead, not arithmetic, dominates an
 iteration, so one stacked iteration costs far less than one iteration of
-each problem run on its own.
+each problem run on its own. The homotopy study uses the same worker
+processes to run its hard reference's engine call beside its slack levels
+(``prefetch_engine``).
 
 The barrier oracle is deliberately a different algorithmic family (dense
 Newton on a log-barrier interior path) so that agreement between solvers
@@ -45,7 +47,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import tempfile
 import threading
 import time
 import traceback
@@ -56,6 +57,7 @@ import scipy.linalg
 
 from . import certify, kernel
 from .grid import operator_norm_estimate
+from .io import atomic_file
 from .problem import (
     DualPoint,
     Instance,
@@ -492,37 +494,31 @@ def _pdhg_engine(
 @contextlib.contextmanager
 def _history_writer(inst: Instance, path: str):
     """Yield a history hook that streams per-check residual rows to a CSV
-    file. The rows go to a temporary file beside ``path``, which replaces
-    ``path`` when the block exits normally and is removed if it raises, so
-    ``path`` never holds a partial history."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("iteration,r1,r2,r3,r3p,r4,r5_sign,r5_feas,r5_comp,objective,"
-                     "dual_value\n")
+    file, written through ``io.atomic_file``, so ``path`` never holds a
+    partial history."""
+    with atomic_file(path) as fh:
+        fh.write("iteration,r1,r2,r3,r3p,r4,r5_sign,r5_feas,r5_comp,objective,"
+                 "dual_value\n")
 
-            def write(it, res, xp, lam):
-                obj = objective(inst, xp)
-                dv = dual_function(inst, lam)
-                r3p = res.get("r3p", float("nan"))
-                fh.write(
-                    f"{it},{res['r1']:.17g},0,{res['r3']:.17g},{r3p:.17g},{res['r4']:.17g},"
-                    f"{res['r5_sign']:.17g},{res['r5_feas']:.17g},{res['r5_comp']:.17g},"
-                    f"{obj:.17g},{dv:.17g}\n"
-                )
+        def write(it, res, xp, lam):
+            obj = objective(inst, xp)
+            dv = dual_function(inst, lam)
+            r3p = res.get("r3p", float("nan"))
+            fh.write(
+                f"{it},{res['r1']:.17g},0,{res['r3']:.17g},{r3p:.17g},{res['r4']:.17g},"
+                f"{res['r5_sign']:.17g},{res['r5_feas']:.17g},{res['r5_comp']:.17g},"
+                f"{obj:.17g},{dv:.17g}\n"
+            )
 
-            yield write
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        yield write
 
 
 def solve_pdhg(
     inst: Instance,
     params: SolverParams | None = None,
     warm: tuple[PrimalPoint, DualPoint] | None = None,
+    *,
+    engine=None,
 ) -> tuple[PrimalPoint, DualPoint, SolveReport]:
     """Solve an instance with the primal-dual splitting.
 
@@ -535,6 +531,10 @@ def solve_pdhg(
     solve stops after 0 iterations at the starting point with status
     ``infeasibility_suspected``, and the reason goes to
     ``extras["infeasibility"]``.
+
+    ``engine``, if given, is called in place of the iteration; the one from
+    ``prefetch_engine(inst, params)`` collects the result of this solve's
+    engine call from a worker process that started it earlier.
     """
     params = params or SolverParams()
     t0 = time.perf_counter()
@@ -543,10 +543,8 @@ def solve_pdhg(
               else _history_writer(inst, params.history_csv))
     with writer as history:
         if reason is None:
-            primal, dual, iters, status = _pdhg_engine(
-                inst, params, tol=params.kkt_tolerance, max_iters=params.max_iters,
-                warm=warm, history=history,
-            )
+            primal, dual, iters, status = (engine or _pdhg_engine)(
+                inst, params, **_engine_kwargs(params, warm, history))
         else:
             zeros = np.zeros((inst.S, inst.n))
             primal = PrimalPoint(project_c1(inst, np.zeros(inst.n)), zeros, zeros)
@@ -561,11 +559,14 @@ def solve_hard(
     inst: Instance,
     params: SolverParams | None = None,
     warm: tuple[PrimalPoint, DualPoint] | None = None,
+    *,
+    engine=None,
 ) -> tuple[PrimalPoint, DualPoint, SolveReport]:
-    """Solve a hard-mode instance (no slack; states pinned under the obstacle)."""
+    """Solve a hard-mode instance (no slack; states pinned under the
+    obstacle); ``engine`` as for ``solve_pdhg``."""
     if inst.mode != "hard":
         raise ValueError("solve_hard requires an instance in hard mode")
-    primal, dual, report = solve_pdhg(inst, params, warm=warm)
+    primal, dual, report = solve_pdhg(inst, params, warm=warm, engine=engine)
     report.algorithm = "pdhg_hard"
     return primal, dual, report
 
@@ -592,10 +593,18 @@ def worker_count() -> int:
     return min(cpus, cap)
 
 
-def _ph_worker(conn, rows: list[Instance], params: SolverParams) -> None:
-    """Serve the engine calls of one group of PH subproblems until the
-    process is terminated: each message holds the keyword arguments of one
-    round and is answered with ``(True, results)`` or, if the call raised,
+def _forkable_cpus() -> int:
+    """``worker_count()`` where this process may fork engine workers, else
+    1. A process that runs other Python threads could be forked while one
+    of them holds a lock, so it gets 1, and its callers start no process."""
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    return worker_count() if forkable else 1
+
+
+def _serve_engine(conn, rows: Instance | list[Instance], params: SolverParams) -> None:
+    """Serve engine calls on ``rows`` until the process is terminated: each
+    message holds the keyword arguments of one ``_pdhg_engine`` call and is
+    answered with ``(True, result)`` or, if the call raised,
     ``(False, (exception, formatted traceback))``."""
     while True:
         kwargs = conn.recv()
@@ -606,46 +615,117 @@ def _ph_worker(conn, rows: list[Instance], params: SolverParams) -> None:
         conn.send(reply)
 
 
+def _reply(conn):
+    """The next reply from an engine worker (``_serve_engine``). A call
+    that raised in the worker raises its exception here, with the worker's
+    traceback as the cause."""
+    ok, reply = conn.recv()
+    if not ok:
+        exc, trace = reply
+        raise exc from RuntimeError(f"raised in an engine worker process:\n{trace}")
+    return reply
+
+
+@contextlib.contextmanager
+def _engine_worker(rows: Instance | list[Instance], params: SolverParams):
+    """Fork a worker process that serves engine calls on ``rows`` and yield
+    the calling process's end of its pipe: send the keyword arguments of a
+    ``_pdhg_engine`` call, and read the result with ``_reply``. The worker
+    is terminated and joined on exit. Callers fork only when
+    ``_forkable_cpus()`` exceeds 1.
+
+    Workers are forked, not spawned: they inherit the realized instances
+    and the compiled engine kernel (``kernel.load``, called before the
+    fork) instead of importing numpy, scipy and the package again, which
+    takes longer than most engine calls, and their caches of ``rows`` stay
+    warm from call to call.
+    """
+    import multiprocessing
+
+    kernel.load()   # built once here, not once per worker
+    ctx = multiprocessing.get_context("fork")
+    conn, child = ctx.Pipe()
+    proc = ctx.Process(target=_serve_engine, args=(child, rows, params), daemon=True)
+    proc.start()
+    child.close()
+    try:
+        yield conn
+    finally:
+        conn.close()
+        proc.terminate()
+        proc.join()
+
+
+def _engine_kwargs(params: SolverParams, warm, history) -> dict:
+    """Keyword arguments of the engine call of ``solve_pdhg``."""
+    return dict(tol=params.kkt_tolerance, max_iters=params.max_iters, warm=warm,
+                history=history)
+
+
+class _PrefetchedEngine:
+    """An ``engine`` for ``solve_pdhg`` that answers the one engine call it
+    was started with by collecting that call's result from a worker."""
+
+    def __init__(self, conn, inst: Instance, params: SolverParams):
+        self._conn = conn
+        self._started = (inst, params, _engine_kwargs(params, None, None))
+        conn.send(self._started[2])
+
+    def ready(self) -> bool:
+        """Whether the worker's result is there, so a call will not wait."""
+        return self._conn.poll()
+
+    def __call__(self, inst: Instance, params: SolverParams, **kwargs):
+        started, self._started = self._started, None
+        if started is None or (inst is not started[0] or params != started[1]
+                               or kwargs != started[2]):
+            raise ValueError("the prefetched engine answers only the one call it was "
+                             "started with")
+        return _reply(self._conn)
+
+
+@contextlib.contextmanager
+def prefetch_engine(inst: Instance, params: SolverParams):
+    """Start the engine call of ``solve_pdhg(inst, params)`` in a worker
+    process forked now, and yield an engine for that solve (or for
+    ``solve_hard(inst, params)``): passed as ``engine=``, it collects the
+    worker's result instead of iterating, and its ``ready()`` tells whether
+    the result is there. The solve's checks and report run in the calling
+    process as without it, so its outputs are bitwise the same.
+
+    Yields None and forks nothing where ``_forkable_cpus()`` is 1, where
+    the solve writes a history CSV, whose hook must run in the calling
+    process, and where ``problem.hard_mode_infeasibility`` proves a
+    hard-mode instance infeasible, since that solve calls no engine. The
+    worker is terminated and joined on exit.
+    """
+    if (params.history_csv is not None or _forkable_cpus() == 1
+            or (inst.mode == "hard" and hard_mode_infeasibility(inst) is not None)):
+        yield None
+        return
+    with _engine_worker(inst, params) as conn:
+        yield _PrefetchedEngine(conn, inst, params)
+
+
 @contextlib.contextmanager
 def _ph_rounds(subs: list[Instance], params: SolverParams):
     """Yield ``run_round(warm, x1_extra_lin, **common)``, which makes the
     engine calls of one round for all of ``subs`` and returns the per-row
     results in order.
 
-    The rows are split into W = min(S, ``worker_count()``) contiguous
-    groups. The calling process runs group 0; each other group runs in a
-    worker process forked here and bound to it for every round, so its
-    rows' K-norm and operator caches stay warm. Each round a worker gets
-    its rows' slices of ``warm`` and ``x1_extra_lin`` over a pipe. A row's
-    iterates do not depend on the rows that share its batch, so the results
-    are bitwise those of one call over all rows. A worker's exception is
-    raised again here, and the workers are terminated and joined on exit.
-
-    Workers are forked, not spawned: they inherit the realized subproblems
-    and the compiled engine kernel (``kernel.load``, called before the
-    fork) instead of importing numpy, scipy and the package again, which
-    takes longer than most rounds. A process that runs other Python threads could
-    be forked while one of them holds a lock, so it gets W = 1, which starts
-    no process.
+    The rows are split into W = min(S, ``_forkable_cpus()``) contiguous
+    groups. The calling process runs group 0; each other group runs in an
+    ``_engine_worker`` forked here and bound to it for every round. Each
+    round a worker gets its rows' slices of ``warm`` and ``x1_extra_lin``.
+    A row's iterates do not depend on the rows that share its batch, so the
+    results are bitwise those of one call over all rows. A worker's
+    exception is raised again here.
     """
-    forkable = hasattr(os, "fork") and threading.active_count() == 1
-    W = min(len(subs), worker_count()) if forkable else 1
+    W = min(len(subs), _forkable_cpus())
     bounds = [len(subs) * g // W for g in range(W + 1)]
-    workers = []
-    try:
-        if W > 1:
-            import multiprocessing
-
-            kernel.load()   # built once here, not once per worker
-
-            ctx = multiprocessing.get_context("fork")
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                conn, child = ctx.Pipe()
-                proc = ctx.Process(target=_ph_worker, args=(child, subs[lo:hi], params),
-                                   daemon=True)
-                proc.start()
-                child.close()
-                workers.append((proc, conn))
+    with contextlib.ExitStack() as workers_open:
+        workers = [workers_open.enter_context(_engine_worker(subs[lo:hi], params))
+                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
 
         def run_round(warm, x1_extra_lin, **common):
             def part(g):
@@ -653,24 +733,14 @@ def _ph_rounds(subs: list[Instance], params: SolverParams):
                 lin = None if x1_extra_lin is None else x1_extra_lin[lo:hi]
                 return dict(common, warm=warm[lo:hi], x1_extra_lin=lin)
 
-            for g, (_, conn) in enumerate(workers, start=1):
+            for g, conn in enumerate(workers, start=1):
                 conn.send(part(g))
             results = _pdhg_engine(subs[:bounds[1]], params, **part(0))
-            for _, conn in workers:
-                ok, reply = conn.recv()
-                if not ok:
-                    exc, trace = reply
-                    raise exc from RuntimeError(f"raised in a PH worker process:\n{trace}")
-                results += reply
+            for conn in workers:
+                results += _reply(conn)
             return results
 
         yield run_round
-    finally:
-        for proc, conn in workers:
-            conn.close()
-            proc.terminate()
-        for proc, _ in workers:
-            proc.join()
 
 
 def solve_progressive_hedging(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sassc import io
+from sassc import io, solvers
 from sassc.solvers import SolverParams, solve_pdhg
 
 
@@ -26,6 +26,18 @@ def small_instance():
 @pytest.fixture(scope="session")
 def small_solution(small_instance):
     return solve_pdhg(small_instance, SolverParams())
+
+
+@pytest.fixture
+def use_workers(monkeypatch):
+    """``use_workers(count)`` makes ``solvers.worker_count()`` return
+    ``count`` on any machine, for the rest of the test."""
+    def use(count: int) -> None:
+        monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        monkeypatch.setenv("SASSC_THREADS", str(count))
+        assert solvers.worker_count() == count
+    return use
 
 
 def rng(seed: int = 0) -> np.random.Generator:

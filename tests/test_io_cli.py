@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -262,6 +264,24 @@ def test_solve_history_csv(tmp_path):
     assert lines[0] == ("iteration,r1,r2,r3,r3p,r4,r5_sign,r5_feas,r5_comp,"
                        "objective,dual_value")
     assert len(lines) >= 2
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_outputs_get_the_mode_open_gives_under_the_umask(tmp_path, umask, mode):
+    """Files written whole through a temporary file (``io.atomic_file``)
+    get mode 0666 less the umask, as a plain ``open`` gives them."""
+    inst_path, hist, out = tmp_path / "inst.json", tmp_path / "hist.csv", tmp_path / "r"
+    old = os.umask(umask)
+    try:
+        run_cli(["generate", *TINY_ARGS, "--out", str(inst_path)])
+        assert run_cli(["solve", "--instance", str(inst_path), "--max-iters", "137",
+                        "--history-csv", str(hist), "--out", str(out)]) == 2
+    finally:
+        os.umask(old)
+    for path in (inst_path, hist, out / "report.json", out / "primal.json"):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hist.csv", "inst.json", "r"]
 
 
 @pytest.mark.parametrize("algorithm", ["ph", "barrier"])

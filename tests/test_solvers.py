@@ -824,31 +824,23 @@ def test_ph_matches_sequential_sweep_bitwise(small_instance, ph_references, case
     _assert_ph_matches_reference(small_instance, ph_references, case)
 
 
-def _use_workers(monkeypatch, count):
-    """Make ``solvers.worker_count()`` return ``count`` on any machine."""
-    monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: set(range(8)),
-                        raising=False)
-    monkeypatch.setenv("SASSC_THREADS", str(count))
-    assert solvers.worker_count() == count
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("case", ["converged", "cap_137", "cap_at_scenario_2"])
 def test_ph_worker_groups_match_sequential_sweep_bitwise(small_instance, ph_references,
-                                                         monkeypatch, case, workers):
+                                                         use_workers, case, workers):
     """S=4 rows in 1, 2 or 3 contiguous groups (1+1+2 rows for 3), all but
     the first in worker processes; in the seed-6 case the first failing
     row, scenario 2, runs in a worker."""
-    _use_workers(monkeypatch, workers)
+    use_workers(workers)
     _assert_ph_matches_reference(small_instance, ph_references, case)
     assert multiprocessing.active_children() == []
 
 
 def test_ph_worker_exception_is_raised_and_workers_are_reaped(small_instance,
-                                                              monkeypatch):
+                                                              monkeypatch, use_workers):
     """An engine call that raises for one row in a worker fails the solve
     with that exception, and no worker outlives it."""
-    _use_workers(monkeypatch, 2)
+    use_workers(2)
     engine, parent = solvers._pdhg_engine, os.getpid()
     last = small_instance.scenarios.xi_a[-1]
 
@@ -871,10 +863,11 @@ def test_ph_worker_exception_is_raised_and_workers_are_reaped(small_instance,
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_ph_builds_the_kernel_at_most_once(small_instance, monkeypatch, tmp_path, workers):
+def test_ph_builds_the_kernel_at_most_once(small_instance, monkeypatch, use_workers,
+                                          tmp_path, workers):
     """The calling process builds the kernel before it forks the PH
     workers, which inherit it instead of building their own."""
-    _use_workers(monkeypatch, workers)
+    use_workers(workers)
     log = tmp_path / "builds"
     build = kernel._build
 
@@ -891,8 +884,9 @@ def test_ph_builds_the_kernel_at_most_once(small_instance, monkeypatch, tmp_path
     assert multiprocessing.active_children() == []
 
 
-def test_ph_forks_no_worker_while_other_threads_run(small_instance, monkeypatch):
-    _use_workers(monkeypatch, 2)
+def test_ph_forks_no_worker_while_other_threads_run(small_instance, monkeypatch,
+                                                     use_workers):
+    use_workers(2)
 
     def no_fork():
         raise AssertionError("forked while another thread runs")
