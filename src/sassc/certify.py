@@ -38,16 +38,23 @@ from .problem import (
     stack_rows,
 )
 
-# Barrier-oracle pairs carry O(sqrt(mu)) multiplier noise; certify them
-# at this looser tolerance. First-order solves use the tighter default.
 DEFAULT_TOL = 1e-6
-ORACLE_TOL = 1e-4
 
-KKT_CSV_COLUMNS = (
-    "r1", "r2", "r3", "r3p", "r4",
-    "r5_sign", "r5_feas", "r5_comp",
-    "duality_gap", "l1_lambda_e", "l1_lambda_i", "l1_rho",
-)
+# The natural residuals, which are the first fields of ``KktReport``; the
+# CSV row adds the gap and the multiplier norms.
+RESIDUAL_NAMES = ("r1", "r2", "r3", "r3p", "r4", "r5_sign", "r5_feas", "r5_comp")
+KKT_CSV_COLUMNS = RESIDUAL_NAMES + ("duality_gap", "l1_lambda_e", "l1_lambda_i", "l1_rho")
+
+
+def max_residual(residuals: dict) -> float:
+    """Largest certificate residual of a dict of the natural residuals
+    (``KktReport.residual_dict``): sign violations count positively, and
+    an ``r3p`` of None (hard mode) is skipped."""
+    vals = [residuals[name] for name in ("r1", "r2", "r3", "r4", "r5_feas", "r5_comp")]
+    vals.append(max(0.0, -residuals["r5_sign"]))
+    if residuals["r3p"] is not None:
+        vals.append(residuals["r3p"])
+    return max(vals)
 
 
 @dataclass
@@ -70,12 +77,8 @@ class KktReport:
     dual_value: float
 
     def max_residual(self) -> float:
-        """Largest certificate residual (sign violations count positively)."""
-        vals = [self.r1, self.r2, self.r3, self.r4,
-                self.r5_feas, self.r5_comp, max(0.0, -self.r5_sign)]
-        if self.r3p is not None:
-            vals.append(self.r3p)
-        return max(vals)
+        """Largest certificate residual (``max_residual``)."""
+        return max_residual(self.residual_dict())
 
     def relative_gap(self) -> float:
         return self.duality_gap / (1.0 + abs(self.objective))
@@ -94,22 +97,12 @@ class KktReport:
         return True
 
     def residual_dict(self) -> dict[str, float | None]:
-        return {
-            "r1": self.r1, "r2": self.r2, "r3": self.r3, "r3p": self.r3p,
-            "r4": self.r4, "r5_sign": self.r5_sign, "r5_feas": self.r5_feas,
-            "r5_comp": self.r5_comp,
-        }
+        return {name: getattr(self, name) for name in RESIDUAL_NAMES}
 
     def to_csv_row(self) -> str:
-        vals = {
-            "r1": self.r1, "r2": self.r2, "r3": self.r3,
-            "r3p": float("nan") if self.r3p is None else self.r3p,
-            "r4": self.r4, "r5_sign": self.r5_sign, "r5_feas": self.r5_feas,
-            "r5_comp": self.r5_comp, "duality_gap": self.duality_gap,
-            "l1_lambda_e": self.l1_lambda_e, "l1_lambda_i": self.l1_lambda_i,
-            "l1_rho": self.l1_rho,
-        }
-        return ",".join(f"{vals[c]:.17g}" for c in KKT_CSV_COLUMNS)
+        """The ``KKT_CSV_COLUMNS`` values; a skipped ``r3p`` reads nan."""
+        vals = (getattr(self, name) for name in KKT_CSV_COLUMNS)
+        return ",".join(f"{math.nan if v is None else v:.17g}" for v in vals)
 
 
 def natural_residuals(
@@ -222,9 +215,7 @@ def kkt_residuals(inst: Instance, x: PrimalPoint, lam: DualPoint) -> KktReport:
     dual = dual_function(inst, lam)
     l1e, l1i, l1r = multiplier_l1_norms(inst, lam)
     return KktReport(
-        r1=res["r1"], r2=res["r2"], r3=res["r3"], r3p=res.get("r3p"),
-        r4=res["r4"], r5_sign=res["r5_sign"], r5_feas=res["r5_feas"],
-        r5_comp=res["r5_comp"],
+        **{name: res.get(name) for name in RESIDUAL_NAMES},
         duality_gap=obj - dual,
         l1_lambda_e=l1e, l1_lambda_i=l1i, l1_rho=l1r,
         objective=obj, dual_value=dual,

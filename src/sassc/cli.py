@@ -9,7 +9,9 @@ predicate. Exit codes: 0 success, 1 certificate or predicate failure
 4 input error.
 
 All output files are canonical JSON or CSV written atomically; every
-report embeds the instance SHA-256 and sampling seed. The CLI itself is
+report embeds the instance SHA-256 and sampling seed. ``solve
+--history-csv`` streams the pdhg solve's residual checks to a CSV through
+the ``history=`` hook of ``solvers.solve_pdhg``. The CLI itself is
 single-threaded. Progressive hedging runs each round's scenario subproblems
 in one process per usable CPU, and ``homotopy`` runs its hard reference's
 iteration in a second process while it solves the slack levels;
@@ -20,6 +22,7 @@ is not a positive integer exits 4.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -29,6 +32,7 @@ import numpy as np
 from . import certify, io
 from .grid import LinearSolveError, mms_convergence_study
 from .homotopy import HomotopyError, fit_decay_rate, run_homotopy
+from .problem import Instance, dual_function, objective
 from .solvers import (
     STATUS_CONVERGED,
     STATUS_INFEASIBLE,
@@ -62,8 +66,6 @@ def _params_from_args(args) -> SolverParams:
         kwargs["max_iters"] = args.max_iters
     if getattr(args, "ph_penalty", None) is not None:
         kwargs["ph_penalty"] = args.ph_penalty
-    if getattr(args, "history_csv", None) is not None:
-        kwargs["history_csv"] = args.history_csv
     return SolverParams(**kwargs)
 
 
@@ -86,6 +88,28 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _history_writer(inst: Instance, path: str):
+    """Yield a ``solve_pdhg`` history hook that streams per-check residual
+    rows to a CSV file, written through ``io.atomic_file``, so ``path``
+    never holds a partial history."""
+    with io.atomic_file(path) as fh:
+        fh.write("iteration,r1,r2,r3,r3p,r4,r5_sign,r5_feas,r5_comp,objective,"
+                 "dual_value\n")
+
+        def write(it, res, xp, lam):
+            obj = objective(inst, xp)
+            dv = dual_function(inst, lam)
+            r3p = res.get("r3p", float("nan"))
+            fh.write(
+                f"{it},{res['r1']:.17g},0,{res['r3']:.17g},{r3p:.17g},{res['r4']:.17g},"
+                f"{res['r5_sign']:.17g},{res['r5_feas']:.17g},{res['r5_comp']:.17g},"
+                f"{obj:.17g},{dv:.17g}\n"
+            )
+
+        yield write
+
+
 def cmd_solve(args) -> int:
     if args.history_csv is not None and args.algorithm != "pdhg":
         raise ValueError("--history-csv applies to --algorithm pdhg only")
@@ -95,7 +119,10 @@ def cmd_solve(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     if args.algorithm == "pdhg":
-        primal, dual, report = solve_pdhg(inst, params)
+        writer = (contextlib.nullcontext() if args.history_csv is None
+                  else _history_writer(inst, args.history_csv))
+        with writer as history:
+            primal, dual, report = solve_pdhg(inst, params, history=history)
     elif args.algorithm == "ph":
         primal, dual, report, weights = solve_progressive_hedging(inst, params)
         _write_json(os.path.join(args.out, "ph_weights.json"),
@@ -255,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     p.add_argument("--ph-penalty", dest="ph_penalty", type=float, default=None)
-    p.add_argument("--history-csv", dest="history_csv", default=None)
+    p.add_argument("--history-csv", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 

@@ -111,10 +111,13 @@ def run_homotopy(
     latest after the last level; a reference that did not converge aborts
     the study then. Only the levels' control distances need the reference.
     Where no worker may be forked (one usable CPU, other Python threads
-    running, a history CSV) or the reference is proven infeasible a priori,
-    the reference is solved first in this process. Both ways give the same
-    report, bit for bit, and the same ``solve_hard`` and ``solve_pdhg``
-    calls in this process.
+    running) or the reference is proven infeasible a priori, the reference
+    is solved first in this process. Both ways give the same report, bit
+    for bit, and the same ``solve_hard`` and ``solve_pdhg`` calls in this
+    process.
+
+    Each level's objective and largest residual come from the
+    certification pass of its ``solve_pdhg`` report.
 
     Levels are warm-started from the previous level; levels that fail to
     converge are recorded but excluded from the fit, as are levels with
@@ -134,7 +137,7 @@ def run_homotopy(
             level_inst = inst.with_alpha_prime(a_prime)
             primal, dual, rep = solve_pdhg(level_inst, params, warm=warm)
             warm = (primal, dual)
-            solved.append((level_inst, primal, dual, rep))
+            solved.append((level_inst.alpha_prime, primal, rep))
             if ref is None and ref_engine.ready():
                 ref = _reference(hard_inst, params, ref_engine)
         if ref is None:
@@ -145,15 +148,14 @@ def run_homotopy(
     zero_levels: list[float] = []
     h = inst.h
     p = inst.p
-    for level_inst, primal, dual, rep in solved:
-        kkt = certify.kkt_residuals(level_inst, primal, dual)
+    for a_prime, primal, rep in solved:
         ez2 = float(np.dot(p, (h * np.linalg.norm(primal.z, axis=1)) ** 2))
         lvl = HomotopyLevel(
-            alpha_prime=level_inst.alpha_prime,
+            alpha_prime=a_prime,
             ez2=ez2,
             dist_x1=norm_h(primal.x1 - ref_primal.x1, h),
-            objective=kkt.objective,
-            kkt_max=kkt.max_residual(),
+            objective=rep.objective,
+            kkt_max=certify.max_residual(rep.residuals),
             converged=rep.converged,
         )
         levels.append(lvl)

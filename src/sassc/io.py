@@ -14,23 +14,20 @@ load.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
 import secrets
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .certify import KKT_CSV_COLUMNS
+from .certify import KKT_CSV_COLUMNS, KktReport
 from .grid import build_grid
+from .homotopy import HomotopyReport
 from .problem import DualPoint, Instance, PrimalPoint
 from .scenarios import FieldSpec, sample_scenarios
-
-if TYPE_CHECKING:   # solvers writes its history CSV through this module
-    from .certify import KktReport
-    from .homotopy import HomotopyReport
-    from .solvers import SolveReport
+from .solvers import SolveReport
 
 HOMOTOPY_CSV_COLUMNS = ("alpha_prime", "Ez2", "dist_x1", "objective", "kkt_max")
 MMS_CSV_COLUMNS = ("n1d", "h", "max_error", "rate")
@@ -210,10 +207,6 @@ def load_instance(path: str) -> tuple[Instance, str]:
     return inst, sha256_text(canonical_json(instance_to_dict(inst)))
 
 
-def instance_sha(inst: Instance) -> str:
-    return sha256_text(canonical_json(instance_to_dict(inst)))
-
-
 # ---------------------------------------------------------------------------
 # Templates
 
@@ -338,20 +331,11 @@ def kkt_report_to_dict(rep: KktReport, provenance: dict) -> dict:
     """KKT report fields; a non-finite duality gap or dual value becomes
     ``None`` (JSON ``null``). The dual function is ``-inf`` whenever the
     obstacle multiplier has a negative entry, which makes the gap ``+inf``."""
-    def finite_or_none(x: float) -> float | None:
-        return x if np.isfinite(x) else None
-
-    return {
-        "r1": rep.r1, "r2": rep.r2, "r3": rep.r3, "r3p": rep.r3p, "r4": rep.r4,
-        "r5_sign": rep.r5_sign, "r5_feas": rep.r5_feas, "r5_comp": rep.r5_comp,
-        "duality_gap": finite_or_none(rep.duality_gap),
-        "l1_lambda_e": rep.l1_lambda_e,
-        "l1_lambda_i": rep.l1_lambda_i,
-        "l1_rho": rep.l1_rho,
-        "objective": rep.objective,
-        "dual_value": finite_or_none(rep.dual_value),
-        **provenance,
-    }
+    d = dataclasses.asdict(rep)
+    for name in ("duality_gap", "dual_value"):
+        if not np.isfinite(d[name]):
+            d[name] = None
+    return {**d, **provenance}
 
 
 def kkt_report_csv(rep: KktReport) -> str:

@@ -343,9 +343,23 @@ def hard_mode_infeasibility(inst: Instance) -> str | None:
     bound exceeds ``min(psi_k, M)``, or if the upper bound falls below
     ``-M``. A violation counts only beyond ``INFEASIBILITY_MARGIN`` times
     the scale of the bounds, far above the accuracy of the solves.
+
+    The verdict is cached on the scenario set, keyed by the values it
+    depends on beyond the scenarios (grid, ``M`` and the control box), so
+    an equal instance reuses it and an edit of those values in place gets
+    a fresh one.
     """
     if inst.mode != "hard":
         raise ValueError("the a-priori infeasibility check applies to hard mode")
+    key = ("hard_check", inst.grid.n1d, inst.c2_bound, inst.c1_lo.tobytes(),
+           inst.c1_hi.tobytes())
+    if key not in inst.scenarios._cache:
+        inst.scenarios._cache[key] = _hard_mode_verdict(inst)
+    return inst.scenarios._cache[key]
+
+
+def _hard_mode_verdict(inst: Instance) -> str | None:
+    """The uncached check of ``hard_mode_infeasibility``."""
     _, g, psi = inst.fields()
     ops = inst.operators()
     M = inst.c2_bound

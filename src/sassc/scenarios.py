@@ -93,19 +93,13 @@ class ScenarioSet:
     xi_psi: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
 
-    def subset(self, indices: list[int], probabilities=None) -> "ScenarioSet":
-        """View of the named scenarios as a standalone set.
-
-        Probabilities default to uniform over the subset (the progressive
-        hedging subproblems weight each scenario fully).
-        """
+    def subset(self, indices: list[int]) -> "ScenarioSet":
+        """View of the named scenarios as a standalone set, uniformly
+        weighted (the progressive hedging subproblems weight each scenario
+        fully)."""
         idx = list(indices)
-        if probabilities is None:
-            p = np.full(len(idx), 1.0 / len(idx))
-        else:
-            p = np.asarray(probabilities, dtype=float)
         return ScenarioSet(
-            S=len(idx), seed=self.seed, p=p,
+            S=len(idx), seed=self.seed, p=np.full(len(idx), 1.0 / len(idx)),
             spec_a=self.spec_a, spec_g=self.spec_g, spec_psi=self.spec_psi,
             xi_a=self.xi_a[idx], xi_g=self.xi_g[idx], xi_psi=self.xi_psi[idx],
         )

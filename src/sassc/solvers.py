@@ -40,12 +40,18 @@ processes to run its hard reference's engine call beside its slack levels
 The barrier oracle is deliberately a different algorithmic family (dense
 Newton on a log-barrier interior path) so that agreement between solvers
 is evidence of correctness rather than a tautology.
+
+``SolverParams`` holds the settings a caller chooses; the fixed constants
+of the iteration (``CHECK_EVERY``, ``DIVERGENCE_THRESHOLD`` and the others
+below) are module constants. Per-check output is the ``history=`` hook of
+``solve_pdhg``, which writes no file itself.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import threading
 import time
@@ -57,15 +63,12 @@ import scipy.linalg
 
 from . import certify, kernel
 from .grid import operator_norm_estimate
-from .io import atomic_file
 from .problem import (
     DualPoint,
     Instance,
     PrimalPoint,
     csr_product,
-    dual_function,
     hard_mode_infeasibility,
-    objective,
     project_c1,
     stack_rows,
     zeros_dual,
@@ -80,6 +83,7 @@ BARRIER_SIZE_LIMIT = 2000
 
 STEP_SAFETY = 0.99          # tau * sigma * ||K||^2 <= STEP_SAFETY
 CHECK_EVERY = 50            # engine iterations between residual checks
+DIVERGENCE_THRESHOLD = 1e6  # multiplier magnitude that suggests infeasibility
 PH_INNER_TOLERANCE = 1e-8   # residual tolerance of the PH subproblems
 PH_MAX_OUTER = 500          # PH rounds
 BARRIER_MU0 = 1.0           # first barrier parameter
@@ -102,16 +106,15 @@ class SolverParams:
     kkt_tolerance: float = 1e-6
     ph_penalty: float = 1.0
     barrier_mu_terminal: float = 1e-10
-    divergence_threshold: float = 1e6
-    history_csv: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         positive = {
             "max_iters": self.max_iters,
             "kkt_tolerance": self.kkt_tolerance,
             "ph_penalty": self.ph_penalty,
             "barrier_mu_terminal": self.barrier_mu_terminal,
-            "divergence_threshold": self.divergence_threshold,
         }
         for name, value in positive.items():
             if not value > 0:
@@ -467,7 +470,7 @@ def _pdhg_engine(
             converged = worst <= tol
             mag_e = h * np.linalg.norm(lam_e, axis=-1).max(axis=-1)
             mag_i = ci_h * np.linalg.norm(lam_ih, axis=-1).max(axis=-1)
-            diverged = np.where(mag_i > mag_e, mag_i, mag_e) > params.divergence_threshold
+            diverged = np.where(mag_i > mag_e, mag_i, mag_e) > DIVERGENCE_THRESHOLD
             stopped = converged | diverged | (it == max_iters)
             if stopped.any():
                 for j in np.flatnonzero(stopped):
@@ -491,34 +494,13 @@ def _pdhg_engine(
     return results if batched else results[0]
 
 
-@contextlib.contextmanager
-def _history_writer(inst: Instance, path: str):
-    """Yield a history hook that streams per-check residual rows to a CSV
-    file, written through ``io.atomic_file``, so ``path`` never holds a
-    partial history."""
-    with atomic_file(path) as fh:
-        fh.write("iteration,r1,r2,r3,r3p,r4,r5_sign,r5_feas,r5_comp,objective,"
-                 "dual_value\n")
-
-        def write(it, res, xp, lam):
-            obj = objective(inst, xp)
-            dv = dual_function(inst, lam)
-            r3p = res.get("r3p", float("nan"))
-            fh.write(
-                f"{it},{res['r1']:.17g},0,{res['r3']:.17g},{r3p:.17g},{res['r4']:.17g},"
-                f"{res['r5_sign']:.17g},{res['r5_feas']:.17g},{res['r5_comp']:.17g},"
-                f"{obj:.17g},{dv:.17g}\n"
-            )
-
-        yield write
-
-
 def solve_pdhg(
     inst: Instance,
     params: SolverParams | None = None,
     warm: tuple[PrimalPoint, DualPoint] | None = None,
     *,
     engine=None,
+    history=None,
 ) -> tuple[PrimalPoint, DualPoint, SolveReport]:
     """Solve an instance with the primal-dual splitting.
 
@@ -532,23 +514,25 @@ def solve_pdhg(
     ``infeasibility_suspected``, and the reason goes to
     ``extras["infeasibility"]``.
 
+    ``history(it, res, xp, lam)``, if given, is the engine's hook, called
+    at every residual check (see ``_pdhg_engine``); the CLI streams it to
+    the ``--history-csv`` file.
+
     ``engine``, if given, is called in place of the iteration; the one from
     ``prefetch_engine(inst, params)`` collects the result of this solve's
-    engine call from a worker process that started it earlier.
+    engine call from a worker process that started it earlier, and answers
+    only a solve without a history hook.
     """
     params = params or SolverParams()
     t0 = time.perf_counter()
     reason = hard_mode_infeasibility(inst) if inst.mode == "hard" else None
-    writer = (contextlib.nullcontext() if params.history_csv is None
-              else _history_writer(inst, params.history_csv))
-    with writer as history:
-        if reason is None:
-            primal, dual, iters, status = (engine or _pdhg_engine)(
-                inst, params, **_engine_kwargs(params, warm, history))
-        else:
-            zeros = np.zeros((inst.S, inst.n))
-            primal = PrimalPoint(project_c1(inst, np.zeros(inst.n)), zeros, zeros)
-            dual, iters, status = zeros_dual(inst), 0, STATUS_INFEASIBLE
+    if reason is None:
+        primal, dual, iters, status = (engine or _pdhg_engine)(
+            inst, params, **_engine_kwargs(params, warm, history))
+    else:
+        zeros = np.zeros((inst.S, inst.n))
+        primal = PrimalPoint(project_c1(inst, np.zeros(inst.n)), zeros, zeros)
+        dual, iters, status = zeros_dual(inst), 0, STATUS_INFEASIBLE
     kkt = certify.kkt_residuals(inst, primal, dual)
     extras = None if reason is None else {"infeasibility": reason}
     report = _report("pdhg", kkt, iters, status, t0, extras=extras)
@@ -693,14 +677,13 @@ def prefetch_engine(inst: Instance, params: SolverParams):
     the result is there. The solve's checks and report run in the calling
     process as without it, so its outputs are bitwise the same.
 
-    Yields None and forks nothing where ``_forkable_cpus()`` is 1, where
-    the solve writes a history CSV, whose hook must run in the calling
-    process, and where ``problem.hard_mode_infeasibility`` proves a
-    hard-mode instance infeasible, since that solve calls no engine. The
-    worker is terminated and joined on exit.
+    Yields None and forks nothing where ``_forkable_cpus()`` is 1 and where
+    ``problem.hard_mode_infeasibility`` proves a hard-mode instance
+    infeasible, since that solve calls no engine; the solve reads the same
+    cached verdict. The worker is terminated and joined on exit.
     """
-    if (params.history_csv is not None or _forkable_cpus() == 1
-            or (inst.mode == "hard" and hard_mode_infeasibility(inst) is not None)):
+    if _forkable_cpus() == 1 or (inst.mode == "hard"
+                                 and hard_mode_infeasibility(inst) is not None):
         yield None
         return
     with _engine_worker(inst, params) as conn:

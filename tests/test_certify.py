@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,8 +126,8 @@ def test_measure_representation_invariance(tiny_instance, tiny_solution):
     inst = tiny_instance
     x, lam, _ = tiny_solution
     p = inst.scenarios.p
-    split = inst.scenarios.subset(
-        [0, 0, 1, 2], probabilities=[p[0] / 2, p[0] / 2, p[1], p[2]])
+    split = replace(inst.scenarios.subset([0, 0, 1, 2]),
+                    p=np.array([p[0] / 2, p[0] / 2, p[1], p[2]]))
     inst2 = io.Instance(
         grid=inst.grid, scenarios=split,
         c1_lo=inst.c1_lo, c1_hi=inst.c1_hi, c2_bound=inst.c2_bound,

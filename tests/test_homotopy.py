@@ -6,7 +6,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from sassc import homotopy, io, solvers
+from sassc import certify, homotopy, io, problem, solvers
 from sassc.homotopy import (
     HomotopyError,
     HomotopyLevel,
@@ -151,9 +151,10 @@ def _infeasible_tiny():
     return io.instance_from_dict(d)
 
 
-def test_homotopy_aborts_on_unsolvable_reference():
+def test_homotopy_aborts_on_unsolvable_reference(monkeypatch):
+    monkeypatch.setattr(solvers, "DIVERGENCE_THRESHOLD", 1e4)
     with pytest.raises(HomotopyError, match="reference"):
-        run_homotopy(_infeasible_tiny(), SCHEDULE, SolverParams(divergence_threshold=1e4))
+        run_homotopy(_infeasible_tiny(), SCHEDULE, SolverParams())
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +255,34 @@ def test_reference_proven_infeasible_fails_before_a_worker_starts(monkeypatch, u
     assert multiprocessing.active_children() == []
 
 
+def test_overlapped_study_screens_and_certifies_each_solve_once(monkeypatch, use_workers):
+    """With the reference in a worker, a study runs the a-priori check's 2S
+    sparse solves once, although the check runs before the fork and again
+    in ``solve_hard``, and one certification pass per solve: the reference
+    and each level."""
+    use_workers(2)
+    inst = io.make_instance("default", n1d=8, scenario_count=4)   # caches still empty
+    counts = {"solve_linear": 0, "kkt_residuals": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    count(problem, "solve_linear")
+    count(certify, "kkt_residuals")
+    log = []
+    _record_solves(monkeypatch, log)
+    rep = run_homotopy(inst, SCHEDULE, SolverParams())
+    assert rep.reference.converged
+    assert next(kw["engine"] for name, _, kw, _ in log if name == "solve_hard") is not None
+    assert counts == {"solve_linear": 2 * inst.S, "kkt_residuals": 1 + len(SCHEDULE)}
+
+
 def _fail_reference_in_worker(monkeypatch, failure):
     """Make the hard-mode engine call fail by ``failure(rows, params,
     kwargs)`` when it runs in another process than this one."""
@@ -301,14 +330,12 @@ def test_reference_worker_exception_is_raised_and_the_worker_reaped(small_instan
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("reason", ["one_cpu", "other_thread", "history_csv"])
+@pytest.mark.parametrize("reason", ["one_cpu", "other_thread"])
 def test_study_runs_in_one_process_where_no_worker_may_fork(tiny_instance, monkeypatch,
-                                                            use_workers, tmp_path, reason):
+                                                            use_workers, reason):
     use_workers(1 if reason == "one_cpu" else 2)
     monkeypatch.setattr(solvers, "_engine_worker", _no_worker)
     params = SolverParams()
-    if reason == "history_csv":
-        params = replace(params, history_csv=str(tmp_path / "history.csv"))
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     if reason == "other_thread":

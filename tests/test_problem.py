@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sassc import io
+from sassc import io, problem
 from sassc.grid import build_grid, solve_linear
 from sassc.problem import (
     DualPoint,
@@ -256,6 +257,28 @@ def test_hard_infeasibility_margin(excess, flagged):
 def test_hard_infeasibility_flagged(changes, reason):
     found = hard_mode_infeasibility(_hard(**changes))
     assert found is not None and found.startswith(f"the {reason}")
+
+
+def test_hard_infeasibility_verdict_is_cached_by_value(monkeypatch):
+    """An equal instance on the same scenario set reuses the verdict
+    without a solve; an in-place edit of the control box gets a fresh one."""
+    calls = []
+
+    def counting(A, b):
+        calls.append(1)
+        return solve_linear(A, b)
+
+    monkeypatch.setattr(problem, "solve_linear", counting)
+    inst = _hard(**{"c1.lo": -1e3, "c1.hi": -1e3})
+    assert hard_mode_infeasibility(inst).startswith("the highest reachable state")
+    assert len(calls) == 2 * inst.S
+    equal = replace(inst)
+    assert equal is not inst and equal.c1_hi is not inst.c1_hi
+    assert hard_mode_infeasibility(equal).startswith("the highest reachable state")
+    assert len(calls) == 2 * inst.S
+    inst.c1_hi[:] = 2.0
+    assert hard_mode_infeasibility(inst) is None
+    assert len(calls) == 4 * inst.S
 
 
 def test_hard_infeasibility_requires_hard_mode(tiny_instance):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse._sparsetools import csr_matvec
 
-from sassc import io, kernel, solvers
+from sassc import cli, io, kernel, solvers
 from sassc.certify import kkt_residuals
 from sassc.grid import solve_linear
 from sassc.problem import DualPoint, PrimalPoint, norm_h, objective, project_c1
@@ -196,7 +196,7 @@ def reference_engine(inst, params, tol, max_iters, warm=None, x1_extra_quad=0.0,
                 break
             lam_mag = max(h * np.linalg.norm(lam_e, axis=1).max(),
                           ci * h * np.linalg.norm(lam_ih, axis=1).max())
-            if lam_mag > params.divergence_threshold:
+            if lam_mag > solvers.DIVERGENCE_THRESHOLD:
                 status = STATUS_INFEASIBLE
                 break
 
@@ -433,10 +433,11 @@ def test_batched_engine_leaves_no_reference_cycle(small_instance):
         gc.enable()
 
 
-def test_batched_engine_diverging_row_keeps_its_best_iterate():
+def test_batched_engine_diverging_row_keeps_its_best_iterate(monkeypatch):
     """A row that stops on suspected infeasibility falls back to its own
     best iterate, while the feasible rows of its batch keep improving and
     converge first."""
+    monkeypatch.setattr(solvers, "DIVERGENCE_THRESHOLD", 1e4)
     d = io.template_dict("tiny")
     d["mode"] = "hard"
     feasible = io.instance_from_dict(d)
@@ -444,7 +445,7 @@ def test_batched_engine_diverging_row_keeps_its_best_iterate():
     infeasible = io.instance_from_dict(d)
     subs = [replace(inst, scenarios=inst.scenarios.subset([k]))
             for inst, k in ((feasible, 0), (infeasible, 0), (feasible, 1))]
-    params = SolverParams(divergence_threshold=1e4)
+    params = SolverParams()
     got = _pdhg_engine(subs, params, tol=1e-8, max_iters=400_000)
     want = [reference_engine(sub, params, tol=1e-8, max_iters=400_000) for sub in subs]
     assert [st for _, _, _, st in want] == [STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_CONVERGED]
@@ -559,7 +560,7 @@ def test_pdhg_residual_trend_and_bounded_gap(small_instance):
     from sassc.solvers import _pdhg_engine
     hist = []
     gaps = []
-    params = SolverParams(history_csv=None)
+    params = SolverParams()
     def hook(it, res, xp, lam):
         hist.append(max(res["r1"], res["r3"], res.get("r3p", 0.0),
                         res["r4"], res["r5_feas"], res["r5_comp"]))
@@ -576,8 +577,13 @@ def test_history_csv_is_written_whole_or_not_at_all(tiny_instance, tmp_path, mon
     """The history CSV has the bytes of the plain streaming writer, and a
     solve that raises leaves neither the CSV nor its temporary file."""
     path = tmp_path / "hist.csv"
-    params = SolverParams(max_iters=500, history_csv=str(path))
-    solve_pdhg(tiny_instance, params)
+    params = SolverParams(max_iters=500)
+
+    def solve_with_history():
+        with cli._history_writer(tiny_instance, str(path)) as history:
+            solve_pdhg(tiny_instance, params, history=history)
+
+    solve_with_history()
     want = tmp_path / "want.csv"
     with open(want, "w") as fh:
         fh.write(path.read_text().splitlines(keepends=True)[0])
@@ -595,7 +601,7 @@ def test_history_csv_is_written_whole_or_not_at_all(tiny_instance, tmp_path, mon
     path.unlink()
     monkeypatch.setattr(solvers, "_pdhg_engine", failing)
     with pytest.raises(FloatingPointError, match="engine failed"):
-        solve_pdhg(tiny_instance, params)
+        solve_with_history()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["want.csv"]
 
 
@@ -612,6 +618,8 @@ def test_solver_params_validation():
         SolverParams(kkt_tolerance=2.0)
     with pytest.raises(ValueError):
         SolverParams(max_iters=0)
+    with pytest.raises(ValueError, match="integer"):
+        SolverParams(max_iters=1.5)
 
 
 def test_solve_hard_inactive_obstacle_matches_slack():
@@ -647,12 +655,13 @@ def test_solve_hard_vs_barrier_oracle(tiny_instance):
     assert norm_h(x.x1 - xb.x1, inst.h) <= 1e-5
 
 
-def test_hard_infeasible_detected():
+def test_hard_infeasible_detected(monkeypatch):
+    monkeypatch.setattr(solvers, "DIVERGENCE_THRESHOLD", 1e4)
     d = io.template_dict("tiny")
     d["mode"] = "hard"
     d["scenarios"]["spec_psi"] = {"baseline": -1.0, "modes": [], "clip": None}
     inst = io.instance_from_dict(d)
-    x, lam, rep = solve_pdhg(inst, SolverParams(divergence_threshold=1e4))
+    x, lam, rep = solve_pdhg(inst, SolverParams())
     assert rep.status == "infeasibility_suspected"
 
 
