@@ -4,7 +4,6 @@ studies on a finite-difference model problem."""
 
 from .certify import (
     KktReport,
-    duality_gap,
     kkt_residuals,
     multiplier_l1_norms,
 )
@@ -36,10 +35,8 @@ from .problem import (
     pairing,
     project_c1,
     project_c2,
-    project_koplus,
     slater_check,
     zeros_dual,
-    zeros_primal,
 )
 from .scenarios import (
     FieldSpec,

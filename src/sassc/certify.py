@@ -46,15 +46,21 @@ RESIDUAL_NAMES = ("r1", "r2", "r3", "r3p", "r4", "r5_sign", "r5_feas", "r5_comp"
 KKT_CSV_COLUMNS = RESIDUAL_NAMES + ("duality_gap", "l1_lambda_e", "l1_lambda_i", "l1_rho")
 
 
-def max_residual(residuals: dict) -> float:
-    """Largest certificate residual of a dict of the natural residuals
-    (``KktReport.residual_dict``): sign violations count positively, and
-    an ``r3p`` of None (hard mode) is skipped."""
-    vals = [residuals[name] for name in ("r1", "r2", "r3", "r4", "r5_feas", "r5_comp")]
-    vals.append(max(0.0, -residuals["r5_sign"]))
-    if residuals["r3p"] is not None:
-        vals.append(residuals["r3p"])
-    return max(vals)
+def max_residual(residuals: dict):
+    """The one rule that decides "certified": the max of r1, r2, r3, r4,
+    r5_feas, r5_comp, ``max(0, -r5_sign)`` and r3p unless absent or None.
+
+    The values are floats (``KktReport.residual_dict``) or one (B,) array
+    per name (a stacked ``natural_residuals``), and so is the result, row b
+    bitwise that of pair b alone. A NaN anywhere gives NaN (``np.max``).
+    """
+    names = ["r1", "r2", "r3", "r4", "r5_feas", "r5_comp"]
+    if residuals.get("r3p") is not None:
+        names.append("r3p")
+    vals = [residuals[name] for name in names]
+    vals.append(np.maximum(np.negative(residuals["r5_sign"]), 0.0))
+    worst = np.max(vals, axis=0)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 @dataclass
@@ -84,13 +90,14 @@ class KktReport:
         return self.duality_gap / (1.0 + abs(self.objective))
 
     def passes(self, tol: float = DEFAULT_TOL, gap_tol: float | None = None) -> bool:
-        """Certificate: every residual within ``tol``, a finite duality gap,
-        and the relative gap within ``gap_tol`` when given.
+        """Certificate: every residual within ``tol`` (``max_residual``, so
+        a NaN residual fails), a finite duality gap, and the relative gap
+        within ``gap_tol`` when given.
 
         The gap is infinite when an obstacle-multiplier entry is negative,
         even one inside the sign tolerance: the dual function is ``-inf``.
         """
-        if self.max_residual() > tol or not math.isfinite(self.duality_gap):
+        if not self.max_residual() <= tol or not math.isfinite(self.duality_gap):
             return False
         if gap_tol is not None and not self.relative_gap() <= gap_tol:
             return False
@@ -199,13 +206,6 @@ def multiplier_l1_norms(inst: Instance, lam: DualPoint) -> tuple[float, float, f
         return hh * float(np.dot(inst.p, np.abs(arr).sum(axis=1)))
 
     return wl1(lam.adjoint), wl1(lam.obstacle), wl1(lam.nonant)
-
-
-def duality_gap(inst: Instance, x: PrimalPoint, lam: DualPoint) -> float:
-    """Objective minus dual function value; ``+inf`` for invalid multipliers."""
-    if float(lam.obstacle.min()) < 0.0:
-        return math.inf
-    return objective(inst, x) - dual_function(inst, lam)
 
 
 def kkt_residuals(inst: Instance, x: PrimalPoint, lam: DualPoint) -> KktReport:

@@ -178,14 +178,14 @@ def cmd_certify(args) -> int:
         primal = io.primal_from_dict(json.load(fh))
     with open(args.dual) as fh:
         dual = io.dual_from_dict(json.load(fh))
-    expected = {"x1": (inst.n,), "y": (inst.S, inst.n), "z": (inst.S, inst.n)}
-    got = {"x1": primal.x1.shape, "y": primal.y.shape, "z": primal.z.shape,
-           "adjoint": dual.adjoint.shape, "obstacle": dual.obstacle.shape,
-           "nonanticipativity": dual.nonant.shape}
-    for name, shape in got.items():
-        want = expected.get(name, (inst.S, inst.n))
-        if shape != want:
-            raise ValueError(f"{name} has shape {shape}, instance expects {want}")
+    arrays = {"x1": primal.x1, "y": primal.y, "z": primal.z, "adjoint": dual.adjoint,
+              "obstacle": dual.obstacle, "nonanticipativity": dual.nonant}
+    for name, arr in arrays.items():
+        want = (inst.n,) if name == "x1" else (inst.S, inst.n)
+        if arr.shape != want:
+            raise ValueError(f"{name} has shape {arr.shape}, instance expects {want}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} holds a non-finite entry")
 
     rep = certify.kkt_residuals(inst, primal, dual)
     provenance = {"instance_sha256": sha, "seed": inst.scenarios.seed}
@@ -227,8 +227,9 @@ def cmd_compare_oracle(args) -> int:
         kkt_tolerance=min(params.kkt_tolerance, 1e-8),
         barrier_mu_terminal=1e-12,
     )
-    xp, _, rep_p = solve_pdhg(inst, tight)
+    # the barrier first: it rejects an instance over its size limit at once
     xb, _, rep_b = solve_barrier_reference(inst, tight)
+    xp, _, rep_p = solve_pdhg(inst, tight)
     dx1 = inst.h * float(np.linalg.norm(xp.x1 - xb.x1))
     rel = abs(rep_p.objective - rep_b.objective) / max(1e-300, abs(rep_b.objective))
     provenance = {"instance_sha256": sha, "seed": inst.scenarios.seed}

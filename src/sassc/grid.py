@@ -6,7 +6,7 @@ width ``h = 1/(n1d+1)``. The diffusion operator ``-div(a grad y)`` is
 discretized with the five-point flux stencil, face coefficients taken as
 arithmetic means of nodal coefficient values. The resulting matrix is
 symmetric positive definite whenever the coefficient field is uniformly
-positive.
+positive. Solver tolerances are module constants, not arguments.
 """
 
 from __future__ import annotations
@@ -17,8 +17,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-# Direct sparse factorization below this size, preconditioned CG above.
+# Direct sparse factorization up to this size, preconditioned CG above.
 DIRECT_SOLVE_LIMIT = 10_000
+# Relative residual of a linear solve: CG's target; ten times it fails.
+LINEAR_SOLVE_TOL = 1e-12
+# Power iteration: stopping change of the estimate, cap, start vector seed.
+NORM_ESTIMATE_TOL = 1e-6
+NORM_ESTIMATE_MAX_ITERS = 500
+NORM_ESTIMATE_SEED = 0
 
 
 class EllipticityError(ValueError):
@@ -44,12 +50,6 @@ class Grid:
     n1d: int
     h: float
     n: int
-
-    def node_coords(self, k: int) -> tuple[float, float]:
-        """Coordinates of the interior node with flat index ``k``."""
-        i = k % self.n1d
-        j = k // self.n1d
-        return ((i + 1) * self.h, (j + 1) * self.h)
 
     def interior_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat arrays ``(sx, sy)`` of the interior node coordinates."""
@@ -150,17 +150,13 @@ def assemble_operator(grid: Grid, a_closed: np.ndarray) -> sp.csr_matrix:
     return mat.tocsr()
 
 
-def solve_linear(
-    A: sp.spmatrix,
-    rhs: np.ndarray,
-    tol: float = 1e-12,
-    method: str | None = None,
-) -> np.ndarray:
+def solve_linear(A: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve ``A y = rhs`` for a symmetric positive-definite sparse ``A``.
 
     Uses a direct sparse factorization up to ``DIRECT_SOLVE_LIMIT`` unknowns
-    and Jacobi-preconditioned conjugate gradients beyond. ``method`` forces
-    ``"direct"`` or ``"cg"``.
+    and Jacobi-preconditioned conjugate gradients beyond. Raises
+    ``LinearSolveError`` unless the relative residual is within
+    ``10 * LINEAR_SOLVE_TOL``.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = A.shape[0]
@@ -170,30 +166,25 @@ def solve_linear(
     if rhs_norm == 0.0:
         return np.zeros(n)
 
-    if method is None:
-        method = "direct" if n <= DIRECT_SOLVE_LIMIT else "cg"
-
-    if method == "direct":
+    if n <= DIRECT_SOLVE_LIMIT:
         try:
             y = spla.splu(A.tocsc()).solve(rhs)
         except RuntimeError as exc:  # singular factorization
             raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-    elif method == "cg":
+    else:
         diag = A.diagonal()
         if np.any(diag <= 0):
             raise LinearSolveError("matrix diagonal not positive; not SPD")
         precond = spla.LinearOperator(A.shape, matvec=lambda v: v / diag)
-        y, info = spla.cg(A, rhs, rtol=tol, atol=0.0, maxiter=20 * n, M=precond)
+        y, info = spla.cg(A, rhs, rtol=LINEAR_SOLVE_TOL, atol=0.0, maxiter=20 * n, M=precond)
         if info != 0:
             res = float(np.linalg.norm(A @ y - rhs) / rhs_norm)
             raise LinearSolveError(
                 f"conjugate gradients did not converge (info={info})", residual=res
             )
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
     res = float(np.linalg.norm(A @ y - rhs) / rhs_norm)
-    if not np.isfinite(res) or res > 10 * max(tol, 1e-12):
+    if not np.isfinite(res) or res > 10 * LINEAR_SOLVE_TOL:
         raise LinearSolveError(f"solution residual {res:.3e} exceeds tolerance", residual=res)
     return y
 
@@ -242,55 +233,20 @@ def mms_convergence_study(levels: list[int]) -> list[MmsRow]:
     return rows
 
 
-def operator_norm_estimate(
-    forward,
-    adjoint,
-    dim: int,
-    weights: np.ndarray | None = None,
-    tol: float = 1e-6,
-    max_iters: int = 500,
-    seed: int = 0,
-    live: np.ndarray | None = None,
-):
-    """Estimate the operator norm of a linear map by power iteration.
+def operator_norm_estimate(forward, adjoint, weights: np.ndarray,
+                           live: np.ndarray | None = None) -> np.ndarray:
+    """Estimate the operator norms of B linear maps by lockstep power
+    iterations; returns the (B,) last Rayleigh estimates times a 1.01
+    safety factor, exactly 0.0 for a zero map.
 
-    Parameters
-    ----------
-    forward, adjoint : callable
-        Apply the map and its adjoint to flat vectors. The adjoint must be
-        taken with respect to the same (possibly weighted) inner products in
-        which the norm is wanted.
-    dim : int
-        Dimension of the domain.
-    weights : ndarray, optional
-        Positive diagonal weights of the domain inner product; Euclidean
-        if omitted. Weights of shape (B, dim) estimate B maps in lockstep:
-        ``forward`` and ``adjoint`` then map (L, dim) arrays whose rows are,
-        in order, the L maps still running. Each row keeps its own stopping
-        test, iteration cap and zero-map exit, so its estimate is bitwise
-        that of its own run.
-    live : ndarray of bool, optional
-        With stacked weights, a (B,) array of ones that the estimate keeps
-        equal to the rows still running before each application of the
-        maps, for maps that need to know which rows they are given.
-
-    Returns
-    -------
-    float, or ndarray of shape (B,) for stacked weights
-        Last Rayleigh estimate of the norm times a 1.01 safety factor;
-        exactly 0.0 for the zero map.
+    ``forward`` and ``adjoint`` map (L, dim) arrays whose rows are, in
+    order, the L maps still running; each adjoint is taken in the inner
+    product weighted by its row of the positive (B, dim) ``weights``.
+    ``live``, if given, is a (B,) array of ones that the estimate keeps
+    equal to the rows still running before each application of the maps.
+    Each row keeps its own stopping test, iteration cap and zero-map exit
+    (``NORM_ESTIMATE_*``), so its estimate is bitwise that of its own run.
     """
-    single = weights is None or np.ndim(weights) == 1
-    if single:
-        weights = (np.ones(dim) if weights is None else weights)[None]
-        forward_row, adjoint_row = forward, adjoint
-
-        def forward(v):
-            return forward_row(v[0])[None]
-
-        def adjoint(w):
-            return adjoint_row(w[0])[None]
-
     B = len(weights)
     if live is None:
         live = np.ones(B, dtype=bool)
@@ -298,18 +254,18 @@ def operator_norm_estimate(
     est = np.zeros(B)
     # weighted inner products sum((weights * u) * v), one per row: a
     # pairwise sum over the contiguous last axis, as for a single vector
-    rng = np.random.default_rng(seed)
-    v = np.tile(rng.standard_normal(dim), (B, 1))
+    rng = np.random.default_rng(NORM_ESTIMATE_SEED)
+    v = np.tile(rng.standard_normal(weights.shape[1]), (B, 1))
     v /= np.sqrt(np.add.reduce(weights * v * v, axis=-1))[:, None]
     lam_prev = np.full(B, np.inf)
     lam = np.zeros(B)
-    for _ in range(max_iters):
+    for _ in range(NORM_ESTIMATE_MAX_ITERS):
         t = adjoint(forward(v))
         wt = weights * t
         lam = np.add.reduce(wt * v, axis=-1)
         tn = np.sqrt(np.add.reduce(wt * t, axis=-1))
         zero = (tn == 0.0) | (lam <= 0.0)
-        stop = zero | (np.abs(lam - lam_prev) <= tol * np.abs(lam))
+        stop = zero | (np.abs(lam - lam_prev) <= NORM_ESTIMATE_TOL * np.abs(lam))
         if stop.any():
             done = stop & ~zero
             est[rows[done]] = 1.01 * np.sqrt(lam[done])
@@ -322,4 +278,4 @@ def operator_norm_estimate(
         v = t / tn[:, None]
         lam_prev = lam
     est[rows] = 1.01 * np.sqrt(lam)
-    return float(est[0]) if single else est
+    return est

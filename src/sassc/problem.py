@@ -239,12 +239,6 @@ class DualPoint:
         return DualPoint(self.adjoint.copy(), self.obstacle.copy(), self.nonant.copy())
 
 
-def zeros_primal(inst: Instance) -> PrimalPoint:
-    return PrimalPoint(
-        np.zeros(inst.n), np.zeros((inst.S, inst.n)), np.zeros((inst.S, inst.n))
-    )
-
-
 def zeros_dual(inst: Instance) -> DualPoint:
     shape = (inst.S, inst.n)
     return DualPoint(np.zeros(shape), np.zeros(shape), np.zeros(shape))
@@ -270,11 +264,6 @@ def project_c2(inst: Instance, v: np.ndarray) -> np.ndarray:
     """Entrywise projection onto the state box C2 = [-M, M]."""
     M = inst.c2_bound
     return np.clip(v, -M, M)
-
-
-def project_koplus(v: np.ndarray) -> np.ndarray:
-    """Projection onto the nonnegative cone (self-dual here)."""
-    return np.maximum(v, 0.0)
 
 
 def constraint_values(inst: Instance | Rows,

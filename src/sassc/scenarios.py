@@ -9,6 +9,7 @@ order in which scenarios are evaluated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ class FieldSpec:
 
     with ``xi`` i.i.d. Uniform[-1, 1]. ``clip`` is ``(lo, hi)`` or None.
     A coefficient field must carry a clip interval with ``0 < lo <= hi``.
+    The baseline, the amplitudes and the clip bounds must be finite.
     """
 
     baseline: float
@@ -36,6 +38,13 @@ class FieldSpec:
     clip: tuple[float, float] | None = None
 
     def __post_init__(self):
+        values = [("baseline", self.baseline)]
+        values += [(f"amplitude of mode {m}", amp) for m, (amp, _) in enumerate(self.modes)]
+        if self.clip is not None:
+            values += [("clip lower bound", self.clip[0]), ("clip upper bound", self.clip[1])]
+        for name, value in values:
+            if not math.isfinite(value):
+                raise ValueError(f"field spec {name} must be finite, got {value}")
         if self.clip is not None:
             lo, hi = self.clip
             if not lo <= hi:
@@ -134,7 +143,7 @@ def sample_scenarios(
     """Draw a scenario set of size ``S`` with the given seed.
 
     Probabilities default to uniform; an explicit vector must be positive
-    and sum to one within 1e-12.
+    and sum to one within 1e-12, which a NaN or infinite entry fails.
     """
     if S < 1:
         raise ValueError(f"scenario count must be >= 1, got {S}")
@@ -145,9 +154,10 @@ def sample_scenarios(
         p = np.asarray(probabilities, dtype=float)
         if p.shape != (S,):
             raise ValueError(f"probability vector must have shape ({S},), got {p.shape}")
-        if np.any(p <= 0.0):
+        # written so that a NaN fails each test
+        if not np.all(p > 0.0):
             raise ValueError("all scenario probabilities must be positive")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
+        if not abs(float(p.sum()) - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
 
     xi_a = np.stack([_draw_xi(seed, k, _FIELD_A, len(spec_a.modes)) for k in range(S)])

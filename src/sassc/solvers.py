@@ -44,7 +44,9 @@ is evidence of correctness rather than a tautology.
 ``SolverParams`` holds the settings a caller chooses; the fixed constants
 of the iteration (``CHECK_EVERY``, ``DIVERGENCE_THRESHOLD`` and the others
 below) are module constants. Per-check output is the ``history=`` hook of
-``solve_pdhg``, which writes no file itself.
+``solve_pdhg``, which writes no file itself. Every status decision (the
+engine's stop and best-iterate tests, the barrier's final test) scores
+residuals with ``certify.max_residual``, so a NaN residual never passes.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ import math
 import numbers
 import os
 import threading
-import time
 import traceback
 from dataclasses import dataclass, field, replace
 
@@ -125,11 +126,8 @@ class SolverParams:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solver run.
-
-    ``wall_time`` is informational only and is never serialized, so that
-    reports from identical runs are byte-identical.
-    """
+    """Outcome of one solver run; it holds no timing, so that reports from
+    identical runs are byte-identical."""
 
     algorithm: str
     iterations: int
@@ -137,7 +135,6 @@ class SolveReport:
     residuals: dict
     objective: float
     dual_value: float
-    wall_time: float
     extras: dict = field(default_factory=dict)
 
     @property
@@ -146,9 +143,9 @@ class SolveReport:
 
 
 def _report(algorithm: str, kkt: certify.KktReport, iterations: int, status: str,
-            t0: float, extras: dict | None = None) -> SolveReport:
+            extras: dict | None = None) -> SolveReport:
     """Solve report carrying the residuals, objective and dual value of the
-    full certification pass ``kkt``; ``t0`` is the solve's start time."""
+    full certification pass ``kkt``."""
     return SolveReport(
         algorithm=algorithm,
         iterations=iterations,
@@ -156,7 +153,6 @@ def _report(algorithm: str, kkt: certify.KktReport, iterations: int, status: str
         residuals=kkt.residual_dict(),
         objective=kkt.objective,
         dual_value=kkt.dual_value,
-        wall_time=time.perf_counter() - t0,
         extras=extras or {},
     )
 
@@ -265,8 +261,7 @@ def _estimate_k_norm(inst: Instance | list[Instance], s1=1.0, sz=1.0, ci=1.0):
         rows = [insts[j] for j in todo]
         live = np.ones(len(rows), dtype=bool)
         weights, forward, adjoint = _k_maps(rows, s1[todo], sz[todo], ci[todo], live)
-        est = operator_norm_estimate(forward, adjoint, weights.shape[1], weights=weights,
-                                     live=live)
+        est = operator_norm_estimate(forward, adjoint, weights, live=live)
         for j, e in zip(todo, est):
             insts[j].scenarios._cache[keys[j]] = float(e)
     out = [sub.scenarios._cache[key] for sub, key in zip(insts, keys)]
@@ -311,11 +306,11 @@ def _pdhg_engine(
     iterations (``_estimate_k_norm``), and every residual check scores all
     running rows with one ``certify.natural_residuals`` call on their batch
     record (``problem.stack_rows``), built once per set of rows. The
-    worst-residual test, the divergence test on the multiplier magnitudes
-    and the stopping status (converged, then suspected infeasibility, then
-    the iteration cap) are array operations over rows, and best iterates
-    are copied by row mask into stacked buffers that are restacked with
-    the others.
+    worst-residual test (``certify.max_residual``), the divergence test on
+    the multiplier magnitudes and the stopping status (converged, then
+    suspected infeasibility, then the iteration cap) are array operations
+    over rows, and best iterates are copied by row mask into stacked
+    buffers that are restacked with the others.
 
     ``history(it, res, xp, lam)``, if given, is called at every residual
     check of every row, in row order, with a dict of Python floats. The
@@ -450,13 +445,7 @@ def _pdhg_engine(
                 rec, xp, lam,
                 x1_extra_quad=q, x1_extra_center=x1_extra_center, x1_extra_lin=lin_rows,
             )
-            # per row, Python's max of (r1, r3, r3p, r4, r5_feas, r5_comp): a
-            # later value wins only if larger, so NaN counts only as r1; the
-            # 0.0 that stands in for r3p in hard mode never wins
-            worst = res["r1"].copy()
-            for key in ("r3", "r3p", "r4", "r5_feas", "r5_comp"):
-                if key in res:
-                    np.copyto(worst, res[key], where=res[key] > worst)
+            worst = certify.max_residual(res)
             if history is not None:
                 for j in range(len(active)):
                     history(it, {key: float(val[j]) for key, val in res.items()},
@@ -470,7 +459,7 @@ def _pdhg_engine(
             converged = worst <= tol
             mag_e = h * np.linalg.norm(lam_e, axis=-1).max(axis=-1)
             mag_i = ci_h * np.linalg.norm(lam_ih, axis=-1).max(axis=-1)
-            diverged = np.where(mag_i > mag_e, mag_i, mag_e) > DIVERGENCE_THRESHOLD
+            diverged = (mag_e > DIVERGENCE_THRESHOLD) | (mag_i > DIVERGENCE_THRESHOLD)
             stopped = converged | diverged | (it == max_iters)
             if stopped.any():
                 for j in np.flatnonzero(stopped):
@@ -524,7 +513,6 @@ def solve_pdhg(
     only a solve without a history hook.
     """
     params = params or SolverParams()
-    t0 = time.perf_counter()
     reason = hard_mode_infeasibility(inst) if inst.mode == "hard" else None
     if reason is None:
         primal, dual, iters, status = (engine or _pdhg_engine)(
@@ -535,7 +523,7 @@ def solve_pdhg(
         dual, iters, status = zeros_dual(inst), 0, STATUS_INFEASIBLE
     kkt = certify.kkt_residuals(inst, primal, dual)
     extras = None if reason is None else {"infeasibility": reason}
-    report = _report("pdhg", kkt, iters, status, t0, extras=extras)
+    report = _report("pdhg", kkt, iters, status, extras=extras)
     return primal, dual, report
 
 
@@ -761,7 +749,6 @@ def solve_progressive_hedging(
     params = params or SolverParams()
     if inst.mode != "slack":
         raise ValueError("progressive hedging requires slack mode (feasible subproblems)")
-    t0 = time.perf_counter()
     S, n = inst.S, inst.n
     r = params.ph_penalty
     subs = [replace(inst, scenarios=inst.scenarios.subset([k])) for k in range(S)]
@@ -820,7 +807,7 @@ def solve_progressive_hedging(
     primal = PrimalPoint(x_hat.copy(), y, z)
     dual = DualPoint(lam_e, lam_i, extract_rho(inst, lam_e))
     report = _report(
-        "progressive_hedging", certify.kkt_residuals(inst, primal, dual), outer, status, t0,
+        "progressive_hedging", certify.kkt_residuals(inst, primal, dual), outer, status,
         extras={
             "consensus_gap": gap,
             "weight_mean_drift": max(drift_log) if drift_log else 0.0,
@@ -919,7 +906,6 @@ def solve_barrier_reference(
     densities; the equality multipliers come from the Newton system.
     """
     params = params or SolverParams()
-    t0 = time.perf_counter()
     S, n, h = inst.S, inst.n, inst.h
     hh = h * h
     slack = inst.mode == "slack"
@@ -1059,7 +1045,7 @@ def solve_barrier_reference(
     dual = DualPoint(lam_e, lam_i, extract_rho(inst, lam_e))
     kkt = certify.kkt_residuals(inst, primal, dual)
     status = STATUS_CONVERGED
-    if kkt.max_residual() > 10.0 * math.sqrt(params.barrier_mu_terminal):
+    if not kkt.max_residual() <= 10.0 * math.sqrt(params.barrier_mu_terminal):
         status = STATUS_FAILURE
-    report = _report("barrier", kkt, newton_steps, status, t0, extras={"mu_terminal": mu})
+    report = _report("barrier", kkt, newton_steps, status, extras={"mu_terminal": mu})
     return primal, dual, report

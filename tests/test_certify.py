@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from sassc import io
 from sassc.certify import (
     KKT_CSV_COLUMNS,
-    duality_gap,
+    RESIDUAL_NAMES,
     kkt_residuals,
+    max_residual,
     multiplier_l1_norms,
     natural_residuals,
 )
@@ -68,7 +69,7 @@ def test_r4_linearity_under_point_perturbation(tiny_instance, oracle_pair):
 
 def test_duality_gap_certified_pair(tiny_instance, oracle_pair):
     x, lam, _ = oracle_pair
-    gap = duality_gap(tiny_instance, x, lam)
+    gap = kkt_residuals(tiny_instance, x, lam).duality_gap
     rel = gap / (1.0 + abs(kkt_residuals(tiny_instance, x, lam).objective))
     assert rel <= 1e-5
     assert gap >= -1e-9
@@ -78,7 +79,7 @@ def test_duality_gap_zero_multiplier(tiny_instance):
     inst = tiny_instance
     x = feasible_point(inst, np.zeros(inst.n))
     from sassc.problem import objective
-    assert duality_gap(inst, x, zeros_dual(inst)) == pytest.approx(
+    assert kkt_residuals(inst, x, zeros_dual(inst)).duality_gap == pytest.approx(
         objective(inst, x), rel=1e-14)
 
 
@@ -91,7 +92,7 @@ def test_duality_gap_weak_duality_fuzz(tiny_instance):
         lam = DualPoint(rng.standard_normal((inst.S, inst.n)),
                         np.abs(rng.standard_normal((inst.S, inst.n))),
                         np.zeros((inst.S, inst.n)))
-        assert duality_gap(inst, x, lam) >= -1e-10
+        assert kkt_residuals(inst, x, lam).duality_gap >= -1e-10
 
 
 def test_duality_gap_invalid_multiplier_is_infinite(tiny_instance):
@@ -99,7 +100,7 @@ def test_duality_gap_invalid_multiplier_is_infinite(tiny_instance):
     x = feasible_point(inst, np.zeros(inst.n))
     lam = zeros_dual(inst)
     lam.obstacle[0, 0] = -1.0
-    assert duality_gap(inst, x, lam) == float("inf")
+    assert kkt_residuals(inst, x, lam).duality_gap == float("inf")
 
 
 def test_multiplier_l1_norms_basics(tiny_instance):
@@ -266,3 +267,57 @@ def test_stacked_residuals_reject_mixed_rows(tiny_instance):
     lam = DualPoint(*np.zeros((3, 2, 3, tiny_instance.n)))
     with pytest.raises(ValueError, match="share"):
         natural_residuals(stack_rows([tiny_instance, other]), x, lam)
+
+
+# ---------------------------------------------------------------------------
+# the certificate rule
+
+
+def _former_engine_worst(res: dict) -> float:
+    """The worst residual the engine computed before it used
+    ``max_residual``: the max of r1, r3, r3p, r4, r5_feas and r5_comp,
+    where a later value wins only if larger, so a NaN counted only as r1."""
+    worst = res["r1"]
+    for key in ("r3", "r3p", "r4", "r5_feas", "r5_comp"):
+        if res.get(key) is not None and res[key] > worst:
+            worst = res[key]
+    return worst
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), B=st.integers(1, 6), slack=st.booleans())
+def test_max_residual_stacked_rows_match_floats_bitwise(data, B, slack):
+    """Finite residuals, signed zeros included: row b of the stacked rule
+    has the bits of the rule on row b's floats. Where r2 = 0 and
+    r5_sign >= 0, as in the engine, it equals the engine's former rule."""
+    names = [name for name in RESIDUAL_NAMES if slack or name != "r3p"]
+    rows = [{name: data.draw(FINITE) for name in names} for _ in range(B)]
+    stacked = max_residual({name: np.array([row[name] for row in rows]) for name in names})
+    assert stacked.shape == (B,)
+    for b, row in enumerate(rows):
+        if not slack:
+            row["r3p"] = None       # the float form marks hard mode with None
+        got = max_residual(row)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == stacked[b].tobytes()
+        engine_row = {name: abs(val) for name, val in row.items() if val is not None}
+        engine_row["r2"] = data.draw(st.sampled_from([0.0, -0.0]))
+        assert max_residual(engine_row) == _former_engine_worst(engine_row)
+
+
+@pytest.mark.parametrize("name", RESIDUAL_NAMES)
+def test_nan_residual_fails_the_certificate(tiny_instance, tiny_solution, name):
+    x, lam, _ = tiny_solution
+    kkt = kkt_residuals(tiny_instance, x, lam)
+    assert kkt.passes()
+    bad = replace(kkt, **{name: float("nan")})
+    assert np.isnan(max_residual(bad.residual_dict()))
+    assert np.isnan(bad.max_residual())
+    assert not bad.passes()
+    stacked = {key: np.array([val, val]) for key, val in kkt.residual_dict().items()}
+    stacked[name][1] = np.nan
+    worst = max_residual(stacked)
+    assert worst[0] == kkt.max_residual() and np.isnan(worst[1])

@@ -5,7 +5,7 @@ import stat
 import numpy as np
 import pytest
 
-from sassc import io
+from sassc import cli, io
 from sassc.cli import main
 
 TINY_ARGS = ["--preset", "tiny"]
@@ -150,7 +150,7 @@ def test_solve_infeasible_exit_code(tmp_path):
 def test_failed_linear_solve_exits_one(monkeypatch, capsys):
     from sassc import grid
 
-    def failing(A, rhs, tol=1e-12, method=None):
+    def failing(A, rhs):
         raise grid.LinearSolveError("conjugate gradients did not converge (info=7)")
 
     monkeypatch.setattr(grid, "solve_linear", failing)
@@ -216,6 +216,84 @@ def test_certify_dimension_mismatch(tmp_path):
     assert run_cli(["certify", "--instance", str(other),
                     "--primal", str(run_dir / "primal.json"),
                     "--dual", str(run_dir / "dual.json")]) == 4
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """Instance file and solve outputs of the tiny preset."""
+    root = tmp_path_factory.mktemp("tiny_run")
+    inst_path, run_dir = root / "inst.json", root / "run"
+    assert run_cli(["generate", *TINY_ARGS, "--out", str(inst_path)]) == 0
+    assert run_cli(["solve", "--instance", str(inst_path), "--out", str(run_dir)]) == 0
+    return inst_path, run_dir / "primal.json", run_dir / "dual.json"
+
+
+@pytest.mark.parametrize("name", ["x1", "y", "z", "adjoint", "obstacle",
+                                  "nonanticipativity"])
+def test_certify_rejects_non_finite_entry(tmp_path, capsys, tiny_run, name):
+    """A NaN in any of the six arrays exits 4, naming the array, before
+    anything is scored or written."""
+    inst_path, primal_path, dual_path = tiny_run
+    paths = {"primal": primal_path, "dual": dual_path}
+    which = "primal" if name in ("x1", "y", "z") else "dual"
+    data = json.loads(paths[which].read_text())
+    arr = np.asarray(data[name])
+    arr.flat[arr.size // 2] = np.nan
+    data[name] = arr.tolist()
+    paths[which] = tmp_path / f"{which}.json"
+    paths[which].write_text(json.dumps(data))
+    capsys.readouterr()
+    code = run_cli(["certify", "--instance", str(inst_path), "--primal", str(paths["primal"]),
+                    "--dual", str(paths["dual"]), "--out", str(tmp_path / "kkt.json")])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert f"error: {name} holds a non-finite entry" in captured.err
+    assert "PASS" not in captured.out
+    assert not (tmp_path / "kkt.json").exists() and not (tmp_path / "kkt.csv").exists()
+
+
+def test_compare_oracle_over_barrier_limit_runs_no_pdhg(tmp_path, monkeypatch, capsys):
+    inst_path = tmp_path / "inst.json"
+    run_cli(["generate", "--preset", "default", "--out", str(inst_path)])
+
+    def no_pdhg(*args, **kwargs):
+        raise AssertionError("the pdhg solve ran before the barrier's size check")
+
+    monkeypatch.setattr(cli, "solve_pdhg", no_pdhg)
+    assert run_cli(["compare-oracle", "--instance", str(inst_path)]) == 4
+    assert "barrier oracle limited to 2000 variables, got 4352" in capsys.readouterr().err
+
+
+def _nan_probability(d):
+    d["scenarios"]["probabilities"] = [0.5, float("nan"), 0.5]
+
+
+def _nan_g_baseline(d):
+    d["scenarios"]["spec_g"]["baseline"] = float("nan")
+
+
+def _nan_psi_amplitude(d):
+    d["scenarios"]["spec_psi"]["modes"][0][0] = float("nan")
+
+
+def _inf_g_baseline(d):
+    d["scenarios"]["spec_g"]["baseline"] = float("inf")
+
+
+@pytest.mark.parametrize("edit", [_nan_probability, _nan_g_baseline, _nan_psi_amplitude,
+                                  _inf_g_baseline], ids=lambda f: f.__name__[1:])
+def test_non_finite_instance_number_is_rejected(tmp_path, capsys, edit):
+    d = io.template_dict("tiny")
+    edit(d)
+    with pytest.raises(ValueError):
+        io.instance_from_dict(d)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert run_cli(["solve", "--instance", str(bad), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "error:" in err and "serialize" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_mms_cli(tmp_path):

@@ -455,6 +455,29 @@ def test_batched_engine_diverging_row_keeps_its_best_iterate(monkeypatch):
         _assert_same_points(xa, la, xb, lb)
 
 
+def test_engine_row_with_nan_residual_never_converges(tiny_instance, monkeypatch):
+    """A row whose checks report a NaN r3 runs to the iteration cap; the
+    other row of its batch converges as it does on its own."""
+    subs = [replace(tiny_instance, scenarios=tiny_instance.scenarios.subset([k]))
+            for k in (0, 1)]
+    params = SolverParams()
+    alone = _pdhg_engine(subs[1], params, tol=1e-6, max_iters=3000)
+    assert alone[2:] == (750, STATUS_CONVERGED)
+    real = solvers.certify.natural_residuals
+
+    def nan_r3_in_row_0(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res["r3"][0] = math.nan     # row 0 stays first: it never stops early
+        return res
+
+    monkeypatch.setattr(solvers.certify, "natural_residuals", nan_r3_in_row_0)
+    (x0, lam0, it0, st0), (x1, lam1, it1, st1) = _pdhg_engine(
+        subs, params, tol=1e-6, max_iters=3000)
+    assert (it0, st0) == (3000, STATUS_ITERATION_CAP)
+    assert (it1, st1) == (750, STATUS_CONVERGED)
+    _assert_same_points(x1, lam1, *alone[:2])
+
+
 def test_direct_csr_matvec_matches_matmul(small_instance):
     Ablk = small_instance.block_operator()
     N = Ablk.shape[0]
@@ -481,9 +504,9 @@ def test_stacked_k_norms_match_reference_rows(monkeypatch, mode, subsets):
     batch_rows = []
     real = solvers.operator_norm_estimate
 
-    def spy(forward, adjoint, dim, weights=None, **kwargs):
+    def spy(forward, adjoint, weights, **kwargs):
         batch_rows.append(len(weights))
-        return real(forward, adjoint, dim, weights=weights, **kwargs)
+        return real(forward, adjoint, weights, **kwargs)
 
     monkeypatch.setattr(solvers, "operator_norm_estimate", spy)
     k0 = _estimate_k_norm(subs)
