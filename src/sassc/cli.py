@@ -6,17 +6,18 @@ primal-dual pair; ``homotopy``, ``compare-oracle``, and ``mms`` run the
 standard studies and gate their exit code on the study's acceptance
 predicate. Exit codes: 0 success, 1 certificate or predicate failure
 (or a failed linear solve), 2 iteration cap, 3 infeasibility suspicion,
-4 input error.
+4 input error; an engine worker process that ends without replying exits
+1 with an ``error:`` line.
 
 All output files are canonical JSON or CSV written atomically; every
 report embeds the instance SHA-256 and sampling seed. ``solve
 --history-csv`` streams the pdhg solve's residual checks to a CSV through
 the ``history=`` hook of ``solvers.solve_pdhg``. The CLI itself is
 single-threaded. Progressive hedging runs each round's scenario subproblems
-in one process per usable CPU, and ``homotopy`` runs its hard reference's
-iteration in a second process while it solves the slack levels;
-SASSC_THREADS caps that count (``solvers.worker_count``), and a value that
-is not a positive integer exits 4.
+in one process per CPU of the affinity mask, and ``homotopy`` runs its hard
+reference's iteration in a second process while it solves the slack
+levels (``solvers.worker_count``); ``taskset -c 0`` runs both in one
+process.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from .solvers import (
     BarrierFailure,
     BarrierSizeError,
     SolverParams,
+    WorkerExitError,
     solve_barrier_reference,
     solve_pdhg,
     solve_progressive_hedging,
-    worker_count,
 )
 
 EXIT_OK = 0
@@ -94,18 +95,13 @@ def _history_writer(inst: Instance, path: str):
     rows to a CSV file, written through ``io.atomic_file``, so ``path``
     never holds a partial history."""
     with io.atomic_file(path) as fh:
-        fh.write("iteration,r1,r2,r3,r3p,r4,r5_sign,r5_feas,r5_comp,objective,"
-                 "dual_value\n")
+        fh.write(",".join(("iteration", *certify.RESIDUAL_NAMES, "objective", "dual_value"))
+                 + "\n")
 
         def write(it, res, xp, lam):
-            obj = objective(inst, xp)
-            dv = dual_function(inst, lam)
-            r3p = res.get("r3p", float("nan"))
-            fh.write(
-                f"{it},{res['r1']:.17g},0,{res['r3']:.17g},{r3p:.17g},{res['r4']:.17g},"
-                f"{res['r5_sign']:.17g},{res['r5_feas']:.17g},{res['r5_comp']:.17g},"
-                f"{obj:.17g},{dv:.17g}\n"
-            )
+            values = [res.get(name, float("nan")) for name in certify.RESIDUAL_NAMES]
+            values += [objective(inst, xp), dual_function(inst, lam)]
+            fh.write(f"{it}," + ",".join(f"{v:.17g}" for v in values) + "\n")
 
         yield write
 
@@ -325,14 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        worker_count()
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INPUT
-    try:
         return args.func(args)
     except LinearSolveError as exc:
         print(f"linear solve failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except WorkerExitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError,
             HomotopyError, BarrierSizeError, BarrierFailure) as exc:

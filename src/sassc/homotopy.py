@@ -12,6 +12,7 @@ optimal slack is the clamped multiplier divided by the weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,8 @@ def _validate_schedule(schedule: list[float]) -> list[float]:
         raise HomotopyError(f"schedule too short: need >= 3 levels, got {len(sched)}")
     if any(b <= a for a, b in zip(sched, sched[1:])):
         raise HomotopyError("schedule must be strictly increasing")
-    if any(a <= 0 for a in sched):
-        raise HomotopyError("slack weights must be positive")
+    if not all(0 < a < math.inf for a in sched):
+        raise HomotopyError("slack weights must be positive and finite")
     if sched[-1] / sched[0] < 1e3:
         raise HomotopyError(
             "schedule too short: must span at least three decades, "

@@ -28,14 +28,14 @@ nonanticipativity structure algorithmically: scenario copies of the
 control are driven to consensus by weights ``w_k`` that converge to the
 negative of the per-scenario nonanticipativity density minus the shared
 control gradient. Given the weights, the subproblems of a round are
-independent. They are split into contiguous groups, one per usable CPU
-(``worker_count``), and each group is one lockstep engine call in its own
-process: the engine stacks independent problems as rows of one iteration.
-At small grid sizes numpy call overhead, not arithmetic, dominates an
-iteration, so one stacked iteration costs far less than one iteration of
-each problem run on its own. The homotopy study uses the same worker
-processes to run its hard reference's engine call beside its slack levels
-(``prefetch_engine``).
+independent. They are split into contiguous groups, one per CPU of the
+affinity mask (``worker_count``), and each group is one lockstep engine
+call in its own process: the engine stacks independent problems as rows
+of one iteration. At small grid sizes numpy call overhead, not
+arithmetic, dominates an iteration, so one stacked iteration costs far
+less than one iteration of each problem run on its own. The homotopy
+study runs its hard reference's engine call beside its slack levels in
+the same kind of forked worker (``_EngineWorker``, ``prefetch_engine``).
 
 The barrier oracle is deliberately a different algorithmic family (dense
 Newton on a log-barrier interior path) so that agreement between solvers
@@ -111,15 +111,12 @@ class SolverParams:
     def __post_init__(self):
         if not isinstance(self.max_iters, numbers.Integral):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        positive = {
-            "max_iters": self.max_iters,
-            "kkt_tolerance": self.kkt_tolerance,
-            "ph_penalty": self.ph_penalty,
-            "barrier_mu_terminal": self.barrier_mu_terminal,
-        }
-        for name, value in positive.items():
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        if not self.max_iters > 0:
+            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+        for name in ("kkt_tolerance", "ph_penalty", "barrier_mu_terminal"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not self.kkt_tolerance < 1.0:
             raise ValueError("kkt_tolerance must be below 1")
 
@@ -507,10 +504,10 @@ def solve_pdhg(
     at every residual check (see ``_pdhg_engine``); the CLI streams it to
     the ``--history-csv`` file.
 
-    ``engine``, if given, is called in place of the iteration; the one from
-    ``prefetch_engine(inst, params)`` collects the result of this solve's
-    engine call from a worker process that started it earlier, and answers
-    only a solve without a history hook.
+    ``engine``, if given, is called in place of the iteration; the worker
+    from ``prefetch_engine(inst, params)`` collects the result of this
+    solve's engine call, which it started earlier, and answers only a solve
+    without a history hook.
     """
     params = params or SolverParams()
     reason = hard_mode_infeasibility(inst) if inst.mode == "hard" else None
@@ -544,33 +541,20 @@ def solve_hard(
 
 
 def worker_count() -> int:
-    """Processes a solver call may run on: the CPUs this process may use,
-    capped by the ``SASSC_THREADS`` environment variable when it is set.
-
-    Raises ValueError when ``SASSC_THREADS`` is not a positive integer.
-    """
+    """Processes a solver call may run on: the CPUs of this process's
+    affinity mask (``taskset`` sets it), or ``os.cpu_count()`` where that
+    mask cannot be read. It is 1 without ``os.fork``, and while other
+    Python threads run, since a fork could copy a lock one of them holds;
+    callers start no worker process then."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    raw = os.environ.get("SASSC_THREADS")
-    if raw is None:
-        return cpus
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"invalid SASSC_THREADS={raw!r}")
-    return min(cpus, cap)
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _forkable_cpus() -> int:
-    """``worker_count()`` where this process may fork engine workers, else
-    1. A process that runs other Python threads could be forked while one
-    of them holds a lock, so it gets 1, and its callers start no process."""
-    forkable = hasattr(os, "fork") and threading.active_count() == 1
-    return worker_count() if forkable else 1
+class WorkerExitError(RuntimeError):
+    """An engine worker process ended without replying."""
 
 
 def _serve_engine(conn, rows: Instance | list[Instance], params: SolverParams) -> None:
@@ -587,95 +571,92 @@ def _serve_engine(conn, rows: Instance | list[Instance], params: SolverParams) -
         conn.send(reply)
 
 
-def _reply(conn):
-    """The next reply from an engine worker (``_serve_engine``). A call
-    that raised in the worker raises its exception here, with the worker's
-    traceback as the cause."""
-    ok, reply = conn.recv()
-    if not ok:
-        exc, trace = reply
-        raise exc from RuntimeError(f"raised in an engine worker process:\n{trace}")
-    return reply
-
-
-@contextlib.contextmanager
-def _engine_worker(rows: Instance | list[Instance], params: SolverParams):
-    """Fork a worker process that serves engine calls on ``rows`` and yield
-    the calling process's end of its pipe: send the keyword arguments of a
-    ``_pdhg_engine`` call, and read the result with ``_reply``. The worker
-    is terminated and joined on exit. Callers fork only when
-    ``_forkable_cpus()`` exceeds 1.
-
-    Workers are forked, not spawned: they inherit the realized instances
-    and the compiled engine kernel (``kernel.load``, called before the
-    fork) instead of importing numpy, scipy and the package again, which
-    takes longer than most engine calls, and their caches of ``rows`` stay
-    warm from call to call.
-    """
-    import multiprocessing
-
-    kernel.load()   # built once here, not once per worker
-    ctx = multiprocessing.get_context("fork")
-    conn, child = ctx.Pipe()
-    proc = ctx.Process(target=_serve_engine, args=(child, rows, params), daemon=True)
-    proc.start()
-    child.close()
-    try:
-        yield conn
-    finally:
-        conn.close()
-        proc.terminate()
-        proc.join()
-
-
 def _engine_kwargs(params: SolverParams, warm, history) -> dict:
     """Keyword arguments of the engine call of ``solve_pdhg``."""
     return dict(tol=params.kkt_tolerance, max_iters=params.max_iters, warm=warm,
                 history=history)
 
 
-class _PrefetchedEngine:
-    """An ``engine`` for ``solve_pdhg`` that answers the one engine call it
-    was started with by collecting that call's result from a worker."""
+class _EngineWorker:
+    """A worker process, forked once and bound to ``rows``, that runs
+    ``_pdhg_engine`` calls on them (``_serve_engine``) one at a time:
+    ``start(**kwargs)`` sends a call's keyword arguments, ``ready()`` tells
+    whether its result is there, and ``result()`` waits for it. A call that
+    raised in the worker raises its exception in ``result()``, with the
+    worker's traceback as the cause; a worker that ended without replying
+    raises ``WorkerExitError``. ``close()`` terminates and joins the worker.
 
-    def __init__(self, conn, inst: Instance, params: SolverParams):
-        self._conn = conn
-        self._started = (inst, params, _engine_kwargs(params, None, None))
-        conn.send(self._started[2])
+    Passed as ``solve_pdhg``'s ``engine=``, it answers only the one call it
+    was started with, by collecting its result instead of iterating.
+
+    Workers are forked, not spawned: they inherit the realized instances
+    and the compiled engine kernel (``kernel.load``, called before the
+    fork) instead of importing numpy, scipy and the package again, which
+    takes longer than most engine calls, and their caches of ``rows`` stay
+    warm from call to call. Callers fork only when ``worker_count()``
+    exceeds 1.
+    """
+
+    def __init__(self, rows: Instance | list[Instance], params: SolverParams):
+        import multiprocessing
+
+        kernel.load()   # built once here, not once per worker
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child = ctx.Pipe()
+        self._proc = ctx.Process(target=_serve_engine, args=(child, rows, params), daemon=True)
+        self._proc.start()
+        child.close()
+        self._rows, self._params, self._started = rows, params, None
+
+    def start(self, **kwargs) -> None:
+        self._started = kwargs
+        self._conn.send(kwargs)
 
     def ready(self) -> bool:
-        """Whether the worker's result is there, so a call will not wait."""
         return self._conn.poll()
 
+    def result(self):
+        self._started = None
+        try:
+            ok, reply = self._conn.recv()
+        except EOFError:
+            self._proc.join()
+            raise WorkerExitError(f"an engine worker process exited with code "
+                                  f"{self._proc.exitcode} without replying") from None
+        if not ok:
+            exc, trace = reply
+            raise exc from RuntimeError(f"raised in an engine worker process:\n{trace}")
+        return reply
+
     def __call__(self, inst: Instance, params: SolverParams, **kwargs):
-        started, self._started = self._started, None
-        if started is None or (inst is not started[0] or params != started[1]
-                               or kwargs != started[2]):
-            raise ValueError("the prefetched engine answers only the one call it was "
-                             "started with")
-        return _reply(self._conn)
+        if inst is not self._rows or params != self._params or kwargs != self._started:
+            raise ValueError("an engine worker answers only the one call it was started with")
+        return self.result()
+
+    def close(self) -> None:
+        self._conn.close()
+        self._proc.terminate()
+        self._proc.join()
 
 
 @contextlib.contextmanager
 def prefetch_engine(inst: Instance, params: SolverParams):
-    """Start the engine call of ``solve_pdhg(inst, params)`` in a worker
-    process forked now, and yield an engine for that solve (or for
-    ``solve_hard(inst, params)``): passed as ``engine=``, it collects the
-    worker's result instead of iterating, and its ``ready()`` tells whether
-    the result is there. The solve's checks and report run in the calling
-    process as without it, so its outputs are bitwise the same.
-
-    Yields None and forks nothing where ``_forkable_cpus()`` is 1 and where
-    ``problem.hard_mode_infeasibility`` proves a hard-mode instance
-    infeasible, since that solve calls no engine; the solve reads the same
-    cached verdict. The worker is terminated and joined on exit.
+    """Yield an ``_EngineWorker`` forked now and started on the engine call
+    of ``solve_pdhg(inst, params)``, to be passed to that solve (or to
+    ``solve_hard(inst, params)``) as ``engine=``. The solve's checks and
+    report run in the calling process as without it, so its outputs are
+    bitwise the same. Yields None and forks nothing where ``worker_count()``
+    is 1 and where ``problem.hard_mode_infeasibility`` proves a hard-mode
+    instance infeasible, since that solve calls no engine. The worker is
+    closed on exit.
     """
-    if _forkable_cpus() == 1 or (inst.mode == "hard"
-                                 and hard_mode_infeasibility(inst) is not None):
+    if worker_count() == 1 or (inst.mode == "hard"
+                               and hard_mode_infeasibility(inst) is not None):
         yield None
         return
-    with _engine_worker(inst, params) as conn:
-        yield _PrefetchedEngine(conn, inst, params)
+    with contextlib.closing(_EngineWorker(inst, params)) as worker:
+        worker.start(**_engine_kwargs(params, None, None))
+        yield worker
 
 
 @contextlib.contextmanager
@@ -684,19 +665,18 @@ def _ph_rounds(subs: list[Instance], params: SolverParams):
     engine calls of one round for all of ``subs`` and returns the per-row
     results in order.
 
-    The rows are split into W = min(S, ``_forkable_cpus()``) contiguous
+    The rows are split into W = min(S, ``worker_count()``) contiguous
     groups. The calling process runs group 0; each other group runs in an
-    ``_engine_worker`` forked here and bound to it for every round. Each
+    ``_EngineWorker`` forked here and bound to it for every round. Each
     round a worker gets its rows' slices of ``warm`` and ``x1_extra_lin``.
     A row's iterates do not depend on the rows that share its batch, so the
-    results are bitwise those of one call over all rows. A worker's
-    exception is raised again here.
+    results are bitwise those of one call over all rows.
     """
-    W = min(len(subs), _forkable_cpus())
+    W = min(len(subs), worker_count())
     bounds = [len(subs) * g // W for g in range(W + 1)]
     with contextlib.ExitStack() as workers_open:
-        workers = [workers_open.enter_context(_engine_worker(subs[lo:hi], params))
-                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        workers = [workers_open.enter_context(contextlib.closing(
+            _EngineWorker(subs[lo:hi], params))) for lo, hi in zip(bounds[1:-1], bounds[2:])]
 
         def run_round(warm, x1_extra_lin, **common):
             def part(g):
@@ -704,11 +684,11 @@ def _ph_rounds(subs: list[Instance], params: SolverParams):
                 lin = None if x1_extra_lin is None else x1_extra_lin[lo:hi]
                 return dict(common, warm=warm[lo:hi], x1_extra_lin=lin)
 
-            for g, conn in enumerate(workers, start=1):
-                conn.send(part(g))
+            for g, worker in enumerate(workers, start=1):
+                worker.start(**part(g))
             results = _pdhg_engine(subs[:bounds[1]], params, **part(0))
-            for conn in workers:
-                results += _reply(conn)
+            for worker in workers:
+                results += worker.result()
             return results
 
         yield run_round
@@ -728,9 +708,9 @@ def solve_progressive_hedging(
     weights satisfy ``w_k = -rho_k - alpha * consensus``. The S
     subproblems of a round run as lockstep engine batches, each
     warm-started from its previous solve: one batch per contiguous group
-    of scenarios, with one group per usable CPU (capped by
-    ``SASSC_THREADS``), each group after the first in a worker process
-    forked for this solve (``_ph_rounds``). Every output is bitwise that of
+    of scenarios, with one group per CPU of the affinity mask, each group
+    after the first in a worker process forked for this solve
+    (``_ph_rounds``). Every output is bitwise that of
     a single batch in one process.
 
     Returns the consensus primal point, the per-scenario duals, a report,

@@ -30,12 +30,12 @@ def small_solution(small_instance):
 
 @pytest.fixture
 def use_workers(monkeypatch):
-    """``use_workers(count)`` makes ``solvers.worker_count()`` return
-    ``count`` on any machine, for the rest of the test."""
+    """``use_workers(count)`` gives this process an affinity mask of
+    ``count`` CPUs, so ``solvers.worker_count()`` returns ``count`` on any
+    machine, for the rest of the test."""
     def use(count: int) -> None:
-        monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: set(range(8)),
+        monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: set(range(count)),
                             raising=False)
-        monkeypatch.setenv("SASSC_THREADS", str(count))
         assert solvers.worker_count() == count
     return use
 

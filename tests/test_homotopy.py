@@ -247,7 +247,7 @@ def test_every_solve_of_the_study_is_made_in_the_calling_process(small_instance,
 
 def test_reference_proven_infeasible_fails_before_a_worker_starts(monkeypatch, use_workers):
     use_workers(2)
-    monkeypatch.setattr(solvers, "_engine_worker", _no_worker)
+    monkeypatch.setattr(solvers, "_EngineWorker", _no_worker)
     monkeypatch.setattr(solvers, "_pdhg_engine", _no_worker)
     with pytest.raises(HomotopyError, match="reference did not converge "
                                             r"\(status infeasibility_suspected\)"):
@@ -305,7 +305,7 @@ def test_unconverged_reference_aborts_at_the_first_level_after_it(small_instance
     _fail_reference_in_worker(
         monkeypatch, lambda engine, rows, params, kw: engine(rows, params, **dict(kw, max_iters=50)))
     # wait at each poll until the reply is there, so the first poll sees it
-    monkeypatch.setattr(solvers._PrefetchedEngine, "ready", lambda self: self._conn.poll(60))
+    monkeypatch.setattr(solvers._EngineWorker, "ready", lambda self: self._conn.poll(60))
     log = []
     _record_solves(monkeypatch, log)
     with pytest.raises(HomotopyError, match="reference did not converge "
@@ -334,7 +334,7 @@ def test_reference_worker_exception_is_raised_and_the_worker_reaped(small_instan
 def test_study_runs_in_one_process_where_no_worker_may_fork(tiny_instance, monkeypatch,
                                                             use_workers, reason):
     use_workers(1 if reason == "one_cpu" else 2)
-    monkeypatch.setattr(solvers, "_engine_worker", _no_worker)
+    monkeypatch.setattr(solvers, "_EngineWorker", _no_worker)
     params = SolverParams()
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
@@ -354,11 +354,11 @@ def test_prefetched_engine_answers_only_the_call_it_started(tiny_instance, use_w
     hard = tiny_instance.with_mode("hard")
     params = SolverParams()
     with solvers.prefetch_engine(hard, params) as engine:
-        with pytest.raises(ValueError, match="prefetched engine"):
+        with pytest.raises(ValueError, match="answers only the one call"):
             solvers.solve_hard(hard, replace(params, max_iters=1000), engine=engine)
     with solvers.prefetch_engine(hard, params) as engine:
         x, lam, rep = solvers.solve_hard(hard, params, engine=engine)
-        with pytest.raises(ValueError, match="prefetched engine"):
+        with pytest.raises(ValueError, match="answers only the one call"):
             solvers.solve_hard(hard, params, engine=engine)
     x_ref, lam_ref, rep_ref = solvers.solve_hard(hard, params)
     assert (rep.iterations, rep.status, _bits(rep.residuals)) == (

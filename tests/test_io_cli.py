@@ -1,11 +1,12 @@
 import json
+import multiprocessing
 import os
 import stat
 
 import numpy as np
 import pytest
 
-from sassc import cli, io
+from sassc import cli, io, solvers
 from sassc.cli import main
 
 TINY_ARGS = ["--preset", "tiny"]
@@ -386,11 +387,50 @@ def test_ph_and_barrier_algorithms_via_cli(tmp_path):
                     "--out", str(tmp_path / "ba")]) == 0
 
 
-def test_invalid_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SASSC_THREADS", "zero")
-    assert run_cli(["mms", "--levels", "7,15"]) == 4
-    monkeypatch.setenv("SASSC_THREADS", "2")
-    assert run_cli(["mms", "--levels", "7,15"]) == 0
+@pytest.mark.parametrize("command", [["solve", "--algorithm", "ph"],
+                                     ["homotopy", "--schedule", "1,10,100,1000"]],
+                         ids=["ph", "homotopy"])
+def test_worker_that_dies_without_replying_exits_one(tmp_path, monkeypatch, capsys,
+                                                     use_workers, command):
+    """A worker process that exits without replying ends the command with
+    exit 1 and one ``error:`` line that gives its exit code."""
+    inst_path = tmp_path / "inst.json"
+    run_cli(["generate", *TINY_ARGS, "--out", str(inst_path)])
+    use_workers(2)
+    engine, parent = solvers._pdhg_engine, os.getpid()
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_pdhg_engine", dying)
+    capsys.readouterr()
+    assert run_cli([*command, "--instance", str(inst_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: an engine worker process exited with code 3 without replying"]
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", [["solve", "--algorithm", "ph", "--ph-penalty", "inf"],
+                                     ["homotopy", "--schedule", "1,10,inf"],
+                                     ["homotopy", "--schedule", "1,nan,1000"]],
+                         ids=["ph_penalty_inf", "schedule_inf", "schedule_nan"])
+def test_non_finite_setting_exits_4_before_any_engine_call(tmp_path, monkeypatch, capsys,
+                                                           command):
+    inst_path = tmp_path / "inst.json"
+    run_cli(["generate", *TINY_ARGS, "--out", str(inst_path)])
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("called the engine")
+
+    monkeypatch.setattr(solvers, "_pdhg_engine", no_engine)
+    out = tmp_path / "o"
+    assert run_cli([*command, "--instance", str(inst_path), "--out", str(out)]) == 4
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nonuniform_probabilities_roundtrip(tmp_path):

@@ -643,6 +643,10 @@ def test_solver_params_validation():
         SolverParams(max_iters=0)
     with pytest.raises(ValueError, match="integer"):
         SolverParams(max_iters=1.5)
+    for name in ("kkt_tolerance", "ph_penalty", "barrier_mu_terminal"):
+        for value in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match=name):
+                SolverParams(**{name: value})
 
 
 def test_solve_hard_inactive_obstacle_matches_slack():
@@ -935,19 +939,33 @@ def test_ph_forks_no_worker_while_other_threads_run(small_instance, monkeypatch,
     assert rep.converged and not thread.is_alive()
 
 
-def test_worker_count_reads_sassc_threads(monkeypatch):
-    monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+def test_worker_count_reads_the_affinity_mask(monkeypatch):
+    """The count is the size of the affinity mask, ``os.cpu_count()``
+    where the mask cannot be read, and 1 where no worker may fork."""
+    monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: {0, 2, 5},
                         raising=False)
-    monkeypatch.delenv("SASSC_THREADS", raising=False)
     assert solvers.worker_count() == 3
-    monkeypatch.setenv("SASSC_THREADS", "2")
-    assert solvers.worker_count() == 2
-    monkeypatch.setenv("SASSC_THREADS", "16")
-    assert solvers.worker_count() == 3
-    for bad in ("0", "-1", "two", ""):
-        monkeypatch.setenv("SASSC_THREADS", bad)
-        with pytest.raises(ValueError, match="SASSC_THREADS"):
-            solvers.worker_count()
+    monkeypatch.delattr(solvers.os, "sched_getaffinity")
+    monkeypatch.setattr(solvers.os, "cpu_count", lambda: 6)
+    assert solvers.worker_count() == 6
+    monkeypatch.setattr(solvers.os, "cpu_count", lambda: None)
+    assert solvers.worker_count() == 1
+    monkeypatch.setattr(solvers.os, "cpu_count", lambda: 6)
+    monkeypatch.delattr(solvers.os, "fork")
+    assert solvers.worker_count() == 1
+
+
+def test_worker_count_follows_taskset():
+    """A process started under ``taskset -c 0`` counts one CPU."""
+    taskset = shutil.which("taskset")
+    if taskset is None or not hasattr(os, "sched_getaffinity"):
+        pytest.skip("taskset is not available here")
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    code = "from sassc import solvers; print(solvers.worker_count())"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([taskset, "-c", "0", sys.executable, "-c", code], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "1"
 
 
 def test_import_does_not_load_multiprocessing():
