@@ -16,7 +16,9 @@ per optimality condition, all in mesh-weighted norms:
 together with the duality gap and the weighted-l1 norms of the multiplier
 densities. A natural residual is exactly zero at solutions of the
 corresponding variational inequality, which makes "all residuals below
-tolerance" a checkable certificate of optimality.
+tolerance" a checkable certificate of optimality. ``natural_residuals``
+scores a batch of pairs on their ``problem.Rows`` record, one (B,) array per
+residual; ``kkt_residuals`` scores one pair as a batch of one.
 """
 
 from __future__ import annotations
@@ -113,37 +115,28 @@ class KktReport:
 
 
 def natural_residuals(
-    inst: Instance | Rows,
+    rows: Rows,
     x: PrimalPoint,
     lam: DualPoint,
     x1_extra_quad: float = 0.0,
     x1_extra_center: np.ndarray | None = None,
     x1_extra_lin: np.ndarray | None = None,
 ) -> dict:
-    """Stationarity and feasibility residuals of a candidate pair.
+    """Stationarity and feasibility residuals of B candidate pairs, scored
+    in one pass on the batch record ``rows`` of their instances
+    (``problem.stack_rows``).
 
-    The optional ``x1_extra_*`` terms add ``(q/2)||x1 - c||^2 + <l, x1>``
-    to the control objective; the scenario-decomposition solver certifies
-    its augmented subproblems through them. They default to zero, which
-    yields the plain optimality system.
-
-    ``inst`` may also be the batch record of B instances
-    (``problem.stack_rows``), scored in one pass: the arrays of ``x`` and
-    ``lam`` then carry a leading row axis ((B, n) controls, (B, S, n) the
-    rest), ``x1_extra_lin`` is (B, n), and each value of the returned dict
-    is a (B,) array. Every term takes one numpy call for all rows with the
-    reduction kernel of the single-pair form (a BLAS dot for ``r1`` and
+    The arrays of ``x`` and ``lam`` carry a leading row axis ((B, n)
+    controls, (B, S, n) the rest), and each value of the returned dict is a
+    (B,) array. The optional ``x1_extra_*`` terms add ``(q/2)||x1 - c||^2
+    + <l, x1>`` to the control objective, with ``x1_extra_lin`` (B, n); the
+    scenario-decomposition solver certifies its augmented subproblems
+    through them. They default to zero, which yields the plain optimality
+    system. Every term takes one numpy call for all rows with the
+    reduction kernel of the per-pair form (a BLAS dot for ``r1`` and
     ``r5_comp``, a pairwise row sum for the norms), so row b is bitwise the
-    residual of pair b scored on its own. One instance is the B=1 case and
-    returns Python floats.
+    residual of pair b scored on its own.
     """
-    single = isinstance(inst, Instance)
-    rows = stack_rows([inst]) if single else inst
-    if single:
-        x = PrimalPoint(x.x1[None], x.y[None], x.z[None])
-        lam = DualPoint(lam.adjoint[None], lam.obstacle[None], lam.nonant[None])
-        if x1_extra_lin is not None:
-            x1_extra_lin = x1_extra_lin[None]
     h = rows.h
     p = rows.p[:, None, :]
     lo, hi, y_t = (a[:, None, :] for a in (rows.c1_lo, rows.c1_hi, rows.y_target))
@@ -188,8 +181,6 @@ def natural_residuals(
     }
     if r3p:
         out["r3p"] = r3p[0]
-    if single:
-        return {key: float(val[0]) for key, val in out.items()}
     return out
 
 
@@ -209,13 +200,15 @@ def multiplier_l1_norms(inst: Instance, lam: DualPoint) -> tuple[float, float, f
 
 
 def kkt_residuals(inst: Instance, x: PrimalPoint, lam: DualPoint) -> KktReport:
-    """Full certification report for a candidate primal-dual pair."""
-    res = natural_residuals(inst, x, lam)
+    """Full certification report for a candidate pair, scored as a batch of one."""
+    res = natural_residuals(
+        stack_rows([inst]), PrimalPoint(x.x1[None], x.y[None], x.z[None]),
+        DualPoint(lam.adjoint[None], lam.obstacle[None], lam.nonant[None]))
     obj = objective(inst, x)
     dual = dual_function(inst, lam)
     l1e, l1i, l1r = multiplier_l1_norms(inst, lam)
     return KktReport(
-        **{name: res.get(name) for name in RESIDUAL_NAMES},
+        **{name: float(res[name][0]) if name in res else None for name in RESIDUAL_NAMES},
         duality_gap=obj - dual,
         l1_lambda_e=l1e, l1_lambda_i=l1i, l1_rho=l1r,
         objective=obj, dual_value=dual,

@@ -169,6 +169,8 @@ def _format_kkt_table(rep: certify.KktReport) -> str:
 
 
 def cmd_certify(args) -> int:
+    if not 0 < args.tol < np.inf or args.gap_tol is not None and not 0 <= args.gap_tol < np.inf:
+        raise ValueError("--tol must be positive and finite, --gap-tol non-negative and finite")
     inst, sha = _load_instance(args.instance)
     with open(args.primal) as fh:
         primal = io.primal_from_dict(json.load(fh))

@@ -49,7 +49,6 @@ class HomotopyReport:
     r_squared: float | None
     zero_slack_levels: list[float]
     reference: SolveReport
-    reference_x1: np.ndarray
 
 
 def _validate_schedule(schedule: list[float]) -> list[float]:
@@ -175,7 +174,6 @@ def run_homotopy(
         r_squared=r2,
         zero_slack_levels=zero_levels,
         reference=ref_report,
-        reference_x1=ref_primal.x1.copy(),
     )
 
 

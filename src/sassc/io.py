@@ -110,12 +110,24 @@ def fieldspec_to_dict(spec: FieldSpec) -> dict:
     }
 
 
+def _json(value, kind: type, name: str):
+    """``value``, which must be of JSON type ``kind``; ``2.5`` and ``true`` are no ints."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = {dict: "an object", list: "an array", int: "an integer"}[kind]
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def fieldspec_from_dict(d: dict) -> FieldSpec:
-    modes = tuple((float(m[0]), (int(m[1]), int(m[2]))) for m in d.get("modes", []))
+    d = _json(d, dict, "a field spec")
+    modes = [_json(m, list, "a field mode") for m in _json(d.get("modes", []), list, "modes")]
     clip = d.get("clip")
+    if any(len(m) != 3 for m in modes) or clip is not None and len(_json(clip, list, "clip")) != 2:
+        raise ValueError("a field mode must be [amplitude, k1, k2] and a clip [lo, hi]")
     return FieldSpec(
         baseline=float(d["baseline"]),
-        modes=modes,
+        modes=tuple((float(a), (_json(k1, int, "a wavenumber"), _json(k2, int, "a wavenumber")))
+                    for a, k1, k2 in modes),
         clip=None if clip is None else (float(clip[0]), float(clip[1])),
     )
 
@@ -160,18 +172,20 @@ def evaluate_deterministic(spec: FieldSpec, grid) -> np.ndarray:
 
 
 def instance_from_dict(d: dict) -> Instance:
-    grid = build_grid(int(d["grid"]["n1d"]))
-    scen = d["scenarios"]
+    d = _json(d, dict, "an instance")
+    grid = build_grid(_json(_json(d["grid"], dict, "grid")["n1d"], int, "n1d"))
+    scen = _json(d["scenarios"], dict, "scenarios")
     probs = scen.get("probabilities")
     scenarios = sample_scenarios(
         fieldspec_from_dict(scen["spec_a"]),
         fieldspec_from_dict(scen["spec_g"]),
         fieldspec_from_dict(scen["spec_psi"]),
-        S=int(scen["S"]),
-        seed=int(scen["seed"]),
+        S=_json(scen["S"], int, "S"),
+        seed=_json(scen["seed"], int, "seed"),
         probabilities=None if probs is None else np.asarray(probs, dtype=float),
     )
-    y_d = d["y_D"]
+    y_d = _json(d["y_D"], dict, "y_D")
+    c1 = _json(d["c1"], dict, "c1")
     if "spec" in y_d:
         y_spec = fieldspec_from_dict(y_d["spec"])
         y_target = evaluate_deterministic(y_spec, grid)
@@ -181,9 +195,9 @@ def instance_from_dict(d: dict) -> Instance:
     return Instance(
         grid=grid,
         scenarios=scenarios,
-        c1_lo=np.asarray(d["c1"]["lo"], dtype=float),
-        c1_hi=np.asarray(d["c1"]["hi"], dtype=float),
-        c2_bound=float(d["c2"]["M"]),
+        c1_lo=np.asarray(c1["lo"], dtype=float),
+        c1_hi=np.asarray(c1["hi"], dtype=float),
+        c2_bound=float(_json(d["c2"], dict, "c2")["M"]),
         y_target=y_target,
         alpha=float(d["alpha"]),
         alpha_prime=float(d["alpha_prime"]),
@@ -288,6 +302,7 @@ def primal_to_dict(x: PrimalPoint, provenance: dict) -> dict:
 
 
 def primal_from_dict(d: dict) -> PrimalPoint:
+    d = _json(d, dict, "a primal point")
     return PrimalPoint(
         x1=np.asarray(d["x1"], dtype=float),
         y=np.asarray(d["y"], dtype=float),
@@ -305,6 +320,7 @@ def dual_to_dict(lam: DualPoint, provenance: dict) -> dict:
 
 
 def dual_from_dict(d: dict) -> DualPoint:
+    d = _json(d, dict, "a dual point")
     return DualPoint(
         adjoint=np.asarray(d["adjoint"], dtype=float),
         obstacle=np.asarray(d["obstacle"], dtype=float),

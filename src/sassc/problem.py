@@ -16,7 +16,8 @@ the inequality becomes ``y_k <= psi_k``.
 Multiplier arrays are stored as densities with respect to the discrete
 measure ``p_k h^2``, so their magnitudes are stable under mesh refinement
 and scenario-count changes and approximate integrable functions rather
-than measures.
+than measures. ``constraint_values`` takes a batch: the ``Rows`` record of
+instances (``stack_rows``) and their points stacked along a leading axis.
 """
 
 from __future__ import annotations
@@ -266,23 +267,18 @@ def project_c2(inst: Instance, v: np.ndarray) -> np.ndarray:
     return np.clip(v, -M, M)
 
 
-def constraint_values(inst: Instance | Rows,
-                      x: PrimalPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Equality residuals ``A_k y_k - x1 - g_k`` and inequality values.
+def constraint_values(rows: Rows, x: PrimalPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Equality residuals ``A_k y_k - x1 - g_k`` and inequality values of
+    the points ``x``, stacked along a leading row axis, on the batch record
+    ``rows`` of their instances; each row has the bits of its own
+    evaluation.
 
     The inequality value is ``y - z - psi`` in slack mode and ``y - psi``
     in hard mode; feasibility means it is entrywise nonpositive.
-
-    ``inst`` may also be a batch record, whose points are stacked in ``x``
-    along a leading row axis; the values then carry that axis too, and
-    each row has the bits of its own evaluation.
     """
-    single = isinstance(inst, Instance)
-    rows = stack_rows([inst]) if single else inst
-    x1, y, z = (a[None] for a in (x.x1, x.y, x.z)) if single else (x.x1, x.y, x.z)
-    eq = csr_product(rows.csr, y) - x1[:, None, :] - rows.g
-    ineq = y - rows.psi if rows.mode == "hard" else y - z - rows.psi
-    return (eq[0], ineq[0]) if single else (eq, ineq)
+    eq = csr_product(rows.csr, x.y) - x.x1[:, None, :] - rows.g
+    ineq = x.y - rows.psi if rows.mode == "hard" else x.y - x.z - rows.psi
+    return eq, ineq
 
 
 def dual_function(inst: Instance, lam: DualPoint) -> float:

@@ -23,19 +23,23 @@ through the IEEE operations of the numpy form in its order, so iterates
 are bit for bit those of the numpy loop. Without a C compiler the engine
 runs that numpy loop (``kernel.numpy_steps``) with the same bits.
 
+The engine (``_pdhg_engine``), its K-norm estimate and the residual check
+take only a batch of instances with the same grid, mode and scenario count,
+run as rows of one stacked iteration, and give one result per row;
+``solve_pdhg`` runs its one instance as the batch ``[inst]``. At small grid
+sizes numpy call overhead, not arithmetic, dominates an iteration, so one
+stacked iteration costs far less than one iteration of each row on its own.
+
 Progressive hedging decomposes by scenario and exposes the
 nonanticipativity structure algorithmically: scenario copies of the
 control are driven to consensus by weights ``w_k`` that converge to the
 negative of the per-scenario nonanticipativity density minus the shared
 control gradient. Given the weights, the subproblems of a round are
 independent. They are split into contiguous groups, one per CPU of the
-affinity mask (``worker_count``), and each group is one lockstep engine
-call in its own process: the engine stacks independent problems as rows
-of one iteration. At small grid sizes numpy call overhead, not
-arithmetic, dominates an iteration, so one stacked iteration costs far
-less than one iteration of each problem run on its own. The homotopy
-study runs its hard reference's engine call beside its slack levels in
-the same kind of forked worker (``_EngineWorker``, ``prefetch_engine``).
+affinity mask (``worker_count``), and each group is one engine batch in its
+own process. The homotopy study runs its hard reference's engine call
+beside its slack levels in the same kind of forked worker
+(``_EngineWorker``, ``prefetch_engine``).
 
 The barrier oracle is deliberately a different algorithmic family (dense
 Newton on a log-barrier interior path) so that agreement between solvers
@@ -230,54 +234,48 @@ def _k_maps(rows: list[Instance], s1, sz, ci, live: np.ndarray):
     return weights, forward, adjoint
 
 
-def _estimate_k_norm(inst: Instance | list[Instance], s1=1.0, sz=1.0, ci=1.0):
-    """Weighted operator norm of the constraint map K.
+def _estimate_k_norm(rows: list[Instance], s1=1.0, sz=1.0, ci=1.0) -> list[float]:
+    """Weighted operator norms of the constraint maps K of ``rows``,
+    instances with the same grid, mode and scenario count.
 
     ``s1`` and ``sz`` rescale the control and slack columns and ``ci`` the
-    inequality rows; the norm of the rescaled map governs the step sizes
-    of the block-balanced iteration (a plain change of variables in the
-    splitting). Estimates are cached alongside the realized fields, which
-    the scenario-decomposition solver relies on when re-solving the same
-    subproblems round after round.
-
-    ``inst`` may also be a list of instances with the same grid, mode and
-    scenario count, with ``s1``, ``sz`` and ``ci`` scalars or one value per
-    row; the rows not yet cached then run as one lockstep power iteration
-    and the result is a list of floats, each bitwise the estimate of its
-    row on its own.
+    inequality rows, each a scalar or one value per row; the norm of the
+    rescaled map governs the step sizes of the block-balanced iteration (a
+    plain change of variables in the splitting). Estimates are cached with
+    the realized fields, for the subproblems progressive hedging re-solves
+    every round. The rows not yet cached run as one lockstep power
+    iteration, and each estimate is bitwise that of its row on its own.
     """
-    batched = not isinstance(inst, Instance)
-    insts = list(inst) if batched else [inst]
-    s1, sz, ci = (np.broadcast_to(np.asarray(c, dtype=float), (len(insts),))
+    s1, sz, ci = (np.broadcast_to(np.asarray(c, dtype=float), (len(rows),))
                   for c in (s1, sz, ci))
     keys = [("knorm", sub.grid.n1d, sub.mode, float(a), float(b), float(c))
-            for sub, a, b, c in zip(insts, s1, sz, ci)]
-    todo = [j for j, (sub, key) in enumerate(zip(insts, keys))
+            for sub, a, b, c in zip(rows, s1, sz, ci)]
+    todo = [j for j, (sub, key) in enumerate(zip(rows, keys))
             if key not in sub.scenarios._cache]
     if todo:
-        rows = [insts[j] for j in todo]
-        live = np.ones(len(rows), dtype=bool)
-        weights, forward, adjoint = _k_maps(rows, s1[todo], sz[todo], ci[todo], live)
+        live = np.ones(len(todo), dtype=bool)
+        weights, forward, adjoint = _k_maps([rows[j] for j in todo], s1[todo], sz[todo],
+                                            ci[todo], live)
         est = operator_norm_estimate(forward, adjoint, weights, live=live)
         for j, e in zip(todo, est):
-            insts[j].scenarios._cache[keys[j]] = float(e)
-    out = [sub.scenarios._cache[key] for sub, key in zip(insts, keys)]
-    return out if batched else out[0]
+            rows[j].scenarios._cache[keys[j]] = float(e)
+    return [sub.scenarios._cache[key] for sub, key in zip(rows, keys)]
 
 
 def _pdhg_engine(
-    inst: Instance | list[Instance],
-    params: SolverParams,
+    rows: list[Instance],
     tol: float,
     max_iters: int,
-    warm: tuple[PrimalPoint, DualPoint] | list | None = None,
+    warm: list | None = None,
     x1_extra_quad: float = 0.0,
     x1_extra_center: np.ndarray | None = None,
     x1_extra_lin: np.ndarray | None = None,
     history=None,
-):
-    """Run the primal-dual iteration until the optimality residuals drop
-    below ``tol``; returns (primal, dual, iterations, status).
+) -> list[tuple[PrimalPoint, DualPoint, int, str]]:
+    """Run the primal-dual iteration on the B instances ``rows``, which
+    share the grid, mode and scenario count, until the optimality residuals
+    of each drop below ``tol``; returns one (primal, dual, iterations,
+    status) tuple per row.
 
     The raw constraint map is badly block-imbalanced: the state column
     carries the stiffness norm while the control and slack columns and the
@@ -290,14 +288,12 @@ def _pdhg_engine(
     effective per-block steps ``tau * scale^2`` and the true obstacle
     multiplier recovered as ``row_scale * iterate``.
 
-    ``inst`` may also be a list of B instances with the same grid, mode
-    and scenario count, which run in lockstep as rows of one stacked
-    iteration: ``warm`` is then a list with one entry (or None) per row,
-    ``x1_extra_lin`` a (B, n) array of per-row linear terms, and the result
-    a list of per-row tuples. Each row keeps its own step sizes, residual
-    checks, best iterate and stopping test, and its iterates are bitwise
-    those of a run on its own instance. A row that stops leaves the batch,
-    whose buffers are then restacked from the rows still running.
+    The rows run in lockstep in one stacked iteration: ``warm`` holds one
+    (primal, dual) pair or None per row and ``x1_extra_lin`` is (B, n).
+    Each row keeps its own step sizes, residual checks, best iterate and
+    stopping test, and its iterates are bitwise those of a run on its own
+    instance. A row that stops leaves the batch, whose buffers are then
+    restacked from the rows still running.
 
     The step constants of all rows come from two lockstep power
     iterations (``_estimate_k_norm``), and every residual check scores all
@@ -315,15 +311,10 @@ def _pdhg_engine(
     buffers, which later iterations overwrite in place, so the hook must
     consume them during the call (copy them to keep them).
     """
-    batched = not isinstance(inst, Instance)
-    if not batched:
-        inst, warm = [inst], [warm]
-        if x1_extra_lin is not None:
-            x1_extra_lin = x1_extra_lin[None, :]
-    B = len(inst)
+    B = len(rows)
     kern = kernel.load() or kernel.numpy_steps
-    record = stack_rows(inst)
-    S, n, slack = inst[0].S, inst[0].n, record.mode == "slack"
+    record = stack_rows(rows)
+    S, n, slack = rows[0].S, rows[0].n, record.mode == "slack"
     if warm is None:
         warm = [None] * B
 
@@ -331,13 +322,13 @@ def _pdhg_engine(
     qc = 0.0 if (q == 0.0 or x1_extra_center is None) else q * x1_extra_center
 
     # per-row steps and starting point
-    k0 = _estimate_k_norm(inst)
+    k0 = _estimate_k_norm(rows)
     scales = [max(1.0, math.sqrt(k)) for k in k0]
     cis = scales if slack else [max(1.0, k / 3.0) for k in k0]
     szs = scales if slack else [1.0] * B
-    knorms = _estimate_k_norm(inst, s1=scales, sz=szs, ci=cis)
+    knorms = _estimate_k_norm(rows, s1=scales, sz=szs, ci=cis)
     steps, start = [], []
-    for sub, w, s1, sz, ci, knorm in zip(inst, warm, scales, szs, cis, knorms):
+    for sub, w, s1, sz, ci, knorm in zip(rows, warm, scales, szs, cis, knorms):
         tau = math.sqrt(STEP_SAFETY) / knorm    # sigma = tau
         steps.append((tau, ci, tau * s1 * s1, tau * sz * sz))
         if w is None:
@@ -350,10 +341,10 @@ def _pdhg_engine(
     x1 = x1[:, None, :]
 
     SN = S * n
-    h = inst[0].h
+    h = rows[0].h
 
-    def stack(rows, x1, y, z, xb1, yb, zb, lam_e, lam_ih, best_worst, *best):
-        """Buffers and constants of the problems ``rows``, whose iterates
+    def stack(idx, x1, y, z, xb1, yb, zb, lam_e, lam_ih, best_worst, *best):
+        """Buffers and constants of the rows ``idx``, whose iterates
         and best-iterate snapshots are given stacked along a leading row
         axis. Their batch record is the engine's own until rows leave, and
         is then stacked anew from the rows still running.
@@ -370,7 +361,7 @@ def _pdhg_engine(
         the operation order of the plain expression in its comment, so the
         iterates match that form bit for bit.
         """
-        Bs = len(rows)
+        Bs = len(idx)
         nb, NS = Bs * n, Bs * SN
         nx = nb + NS + (NS if slack else 0)
         z_hard = None if slack else np.array(z)  # hard mode: z is carried, not updated
@@ -385,12 +376,12 @@ def _pdhg_engine(
                     views[3][:] = az
             return views
 
-        rec = record if Bs == B else stack_rows([inst[k] for k in rows])
+        rec = record if Bs == B else stack_rows([rows[k] for k in idx])
         duals = np.empty((2, Bs, S, n))
         duals[0], duals[1] = lam_e, lam_ih
         tau, ci, tau1, tauz = (np.array(c)[:, None, None]
-                               for c in zip(*(steps[k] for k in rows)))
-        lin = 0.0 if x1_extra_lin is None else x1_extra_lin[rows][:, None, :]
+                               for c in zip(*(steps[k] for k in idx)))
+        lin = 0.0 if x1_extra_lin is None else x1_extra_lin[idx][:, None, :]
         den = np.concatenate([
             np.repeat(1.0 + tau1.ravel() * (rec.alpha + q), n),
             np.repeat(1.0 + tau.ravel(), SN),
@@ -470,14 +461,14 @@ def _pdhg_engine(
                     k = active[j]
                     primal = PrimalPoint(bx1[0].copy(), by.copy(),
                                          bz.copy() if slack else np.zeros((S, n)))
-                    dual = DualPoint(be.copy(), steps[k][1] * bi, extract_rho(inst[k], be))
+                    dual = DualPoint(be.copy(), steps[k][1] * bi, extract_rho(rows[k], be))
                     results[k] = (primal, dual, it, status)
                 running = np.flatnonzero(~stopped)
                 active = [active[j] for j in running]
                 state = tuple(a[running] for a in (x1, y, z, xb1, yb, zb, lam_e, lam_ih,
                                                    best_worst, *best))
 
-    return results if batched else results[0]
+    return results
 
 
 def solve_pdhg(
@@ -504,16 +495,16 @@ def solve_pdhg(
     at every residual check (see ``_pdhg_engine``); the CLI streams it to
     the ``--history-csv`` file.
 
-    ``engine``, if given, is called in place of the iteration; the worker
-    from ``prefetch_engine(inst, params)`` collects the result of this
-    solve's engine call, which it started earlier, and answers only a solve
-    without a history hook.
+    ``engine``, if given, is called in place of the iteration, on the
+    one-row batch ``[inst]``; the worker from ``prefetch_engine(inst,
+    params)`` collects the result of this solve's engine call, which it
+    started earlier, and answers only a solve without a history hook.
     """
     params = params or SolverParams()
     reason = hard_mode_infeasibility(inst) if inst.mode == "hard" else None
     if reason is None:
-        primal, dual, iters, status = (engine or _pdhg_engine)(
-            inst, params, **_engine_kwargs(params, warm, history))
+        [(primal, dual, iters, status)] = (engine or _pdhg_engine)(
+            [inst], **_engine_kwargs(params, warm, history))
     else:
         zeros = np.zeros((inst.S, inst.n))
         primal = PrimalPoint(project_c1(inst, np.zeros(inst.n)), zeros, zeros)
@@ -557,7 +548,7 @@ class WorkerExitError(RuntimeError):
     """An engine worker process ended without replying."""
 
 
-def _serve_engine(conn, rows: Instance | list[Instance], params: SolverParams) -> None:
+def _serve_engine(conn, rows: list[Instance]) -> None:
     """Serve engine calls on ``rows`` until the process is terminated: each
     message holds the keyword arguments of one ``_pdhg_engine`` call and is
     answered with ``(True, result)`` or, if the call raised,
@@ -565,7 +556,7 @@ def _serve_engine(conn, rows: Instance | list[Instance], params: SolverParams) -
     while True:
         kwargs = conn.recv()
         try:
-            reply = (True, _pdhg_engine(rows, params, **kwargs))
+            reply = (True, _pdhg_engine(rows, **kwargs))
         except Exception as exc:
             reply = (False, (exc, traceback.format_exc()))
         conn.send(reply)
@@ -573,7 +564,7 @@ def _serve_engine(conn, rows: Instance | list[Instance], params: SolverParams) -
 
 def _engine_kwargs(params: SolverParams, warm, history) -> dict:
     """Keyword arguments of the engine call of ``solve_pdhg``."""
-    return dict(tol=params.kkt_tolerance, max_iters=params.max_iters, warm=warm,
+    return dict(tol=params.kkt_tolerance, max_iters=params.max_iters, warm=[warm],
                 history=history)
 
 
@@ -597,16 +588,16 @@ class _EngineWorker:
     exceeds 1.
     """
 
-    def __init__(self, rows: Instance | list[Instance], params: SolverParams):
+    def __init__(self, rows: list[Instance]):
         import multiprocessing
 
         kernel.load()   # built once here, not once per worker
         ctx = multiprocessing.get_context("fork")
         self._conn, child = ctx.Pipe()
-        self._proc = ctx.Process(target=_serve_engine, args=(child, rows, params), daemon=True)
+        self._proc = ctx.Process(target=_serve_engine, args=(child, rows), daemon=True)
         self._proc.start()
         child.close()
-        self._rows, self._params, self._started = rows, params, None
+        self._rows, self._started = rows, None
 
     def start(self, **kwargs) -> None:
         self._started = kwargs
@@ -628,8 +619,8 @@ class _EngineWorker:
             raise exc from RuntimeError(f"raised in an engine worker process:\n{trace}")
         return reply
 
-    def __call__(self, inst: Instance, params: SolverParams, **kwargs):
-        if inst is not self._rows or params != self._params or kwargs != self._started:
+    def __call__(self, rows: list[Instance], **kwargs):
+        if list(map(id, rows)) != list(map(id, self._rows)) or kwargs != self._started:
             raise ValueError("an engine worker answers only the one call it was started with")
         return self.result()
 
@@ -654,13 +645,13 @@ def prefetch_engine(inst: Instance, params: SolverParams):
                                and hard_mode_infeasibility(inst) is not None):
         yield None
         return
-    with contextlib.closing(_EngineWorker(inst, params)) as worker:
+    with contextlib.closing(_EngineWorker([inst])) as worker:
         worker.start(**_engine_kwargs(params, None, None))
         yield worker
 
 
 @contextlib.contextmanager
-def _ph_rounds(subs: list[Instance], params: SolverParams):
+def _ph_rounds(subs: list[Instance]):
     """Yield ``run_round(warm, x1_extra_lin, **common)``, which makes the
     engine calls of one round for all of ``subs`` and returns the per-row
     results in order.
@@ -676,7 +667,7 @@ def _ph_rounds(subs: list[Instance], params: SolverParams):
     bounds = [len(subs) * g // W for g in range(W + 1)]
     with contextlib.ExitStack() as workers_open:
         workers = [workers_open.enter_context(contextlib.closing(
-            _EngineWorker(subs[lo:hi], params))) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+            _EngineWorker(subs[lo:hi]))) for lo, hi in zip(bounds[1:-1], bounds[2:])]
 
         def run_round(warm, x1_extra_lin, **common):
             def part(g):
@@ -686,7 +677,7 @@ def _ph_rounds(subs: list[Instance], params: SolverParams):
 
             for g, worker in enumerate(workers, start=1):
                 worker.start(**part(g))
-            results = _pdhg_engine(subs[:bounds[1]], params, **part(0))
+            results = _pdhg_engine(subs[:bounds[1]], **part(0))
             for worker in workers:
                 results += worker.result()
             return results
@@ -746,7 +737,7 @@ def solve_progressive_hedging(
     outer = 0
     inner_total = 0
 
-    with _ph_rounds(subs, params) as run_round:
+    with _ph_rounds(subs) as run_round:
         for outer in range(1, PH_MAX_OUTER + 1):
             first = outer == 1
             solved = run_round(

@@ -6,7 +6,7 @@ writer must match."""
 
 import numpy as np
 
-from sassc.problem import constraint_values, pairing, project_c1, project_c2
+from sassc.problem import pairing, project_c1, project_c2
 
 
 def natural_residuals(inst, x, lam, x1_extra_quad=0.0, x1_extra_center=None,
@@ -36,7 +36,10 @@ def natural_residuals(inst, x, lam, x1_extra_quad=0.0, x1_extra_center=None,
     else:
         r3p = None
 
-    eq, ineq = constraint_values(inst, x)
+    _, g, psi = inst.fields()
+    Ay = (inst.block_operator() @ x.y.ravel()).reshape(inst.S, inst.n)
+    eq = Ay - x.x1[None, :] - g
+    ineq = x.y - x.z - psi if inst.mode == "slack" else x.y - psi
     r4 = h * float(np.linalg.norm(eq, axis=1).max())
     r5_sign = float(lam.obstacle.min())
     r5_feas = float(np.maximum(ineq, 0.0).max())

@@ -178,20 +178,26 @@ def test_report_helpers(tiny_instance, tiny_solution):
     assert len(row.split(",")) == len(KKT_CSV_COLUMNS)
 
 
+def residuals_alone(inst, x, lam, **extra):
+    """``natural_residuals`` of one pair, scored as the one-row batch of
+    its instance; returns the row's floats."""
+    res = natural_residuals(
+        stack_rows([inst]), PrimalPoint(x.x1[None], x.y[None], x.z[None]),
+        DualPoint(lam.adjoint[None], lam.obstacle[None], lam.nonant[None]), **extra)
+    return {key: float(val[0]) for key, val in res.items()}
+
+
 def test_natural_residuals_with_augmented_control_term(tiny_instance, tiny_solution):
     """The augmented residual reduces to the plain one at zero extras."""
     inst = tiny_instance
     x, lam, _ = tiny_solution
-    plain = natural_residuals(inst, x, lam)
-    aug = natural_residuals(inst, x, lam, x1_extra_quad=0.0,
-                            x1_extra_center=None, x1_extra_lin=None)
+    plain = residuals_alone(inst, x, lam)
+    aug = residuals_alone(inst, x, lam, x1_extra_quad=0.0, x1_extra_center=None)
     assert plain == aug
-    shifted = natural_residuals(inst, x, lam, x1_extra_quad=1.0,
-                                x1_extra_center=x.x1)
+    shifted = residuals_alone(inst, x, lam, x1_extra_quad=1.0, x1_extra_center=x.x1)
     # prox-centered at the solution itself: residual unchanged
     assert shifted["r1"] == pytest.approx(plain["r1"], abs=1e-12)
-    moved = natural_residuals(inst, x, lam, x1_extra_quad=1.0,
-                              x1_extra_center=x.x1 + 1.0)
+    moved = residuals_alone(inst, x, lam, x1_extra_quad=1.0, x1_extra_center=x.x1 + 1.0)
     assert moved["r1"] > plain["r1"]
 
 
@@ -230,7 +236,8 @@ def _sprinkle(rng, arr):
        quad=st.sampled_from([0.0, 0.05]), center=st.booleans(), lin=st.booleans())
 def test_stacked_residuals_match_reference_bitwise(data, B, S, mode, seed, quad, center, lin):
     """Each row of one stacked call has the bits of the plain residuals of
-    its own pair, and one instance is the B=1 case of the same code."""
+    its own pair, and so do the residuals of ``kkt_residuals``, which
+    scores one pair as a batch of one."""
     picks = data.draw(st.lists(st.integers(0, 5), min_size=B, max_size=B))
     insts = [_pool_instance(S, k, mode) for k in picks]
     n = insts[0].n
@@ -254,11 +261,12 @@ def test_stacked_residuals_match_reference_bitwise(data, B, S, mode, seed, quad,
         for key, val in want.items():
             assert got[key].shape == (B,)
             assert np.float64(got[key][b]).tobytes() == np.float64(val).tobytes(), key
-        single = natural_residuals(inst, xb, lb, **row_extra)
-        assert list(single) == list(want)
-        for key, val in want.items():
-            assert type(single[key]) is float
-            assert np.float64(single[key]).tobytes() == np.float64(val).tobytes(), key
+        if quad == 0.0 and not lin:
+            single = kkt_residuals(inst, xb, lb).residual_dict()
+            assert {key for key, val in single.items() if val is not None} == set(want)
+            for key, val in want.items():
+                assert type(single[key]) is float
+                assert np.float64(single[key]).tobytes() == np.float64(val).tobytes(), key
 
 
 def test_stacked_residuals_reject_mixed_rows(tiny_instance):

@@ -27,10 +27,10 @@ def synthetic_report(values, schedule=None):
                       kkt_max=0.0, converged=True)
         for a, v in zip(schedule, values)
     ]
-    ref = SolveReport("pdhg_hard", 0, "converged", {}, 0.0, 0.0, 0.0)
+    ref = SolveReport("pdhg_hard", 0, "converged", {}, 0.0, 0.0)
     return HomotopyReport(schedule=schedule, levels=levels, slope=None,
                           intercept=None, r_squared=None, zero_slack_levels=[],
-                          reference=ref, reference_x1=np.zeros(1))
+                          reference=ref)
 
 
 def test_fit_exact_inverse_square_law():
@@ -174,14 +174,13 @@ def _bits(x):
 
 
 def _study_bits(rep: HomotopyReport):
-    """Every field of a study report, with the reference's residuals,
-    except the reference's informational wall time."""
+    """Every field of a study report, with the reference's residuals. Each
+    level's ``dist_x1`` carries the reference control bitwise."""
     ref = rep.reference
     return (_bits(rep.schedule), [_bits(astuple(lvl)) for lvl in rep.levels],
             _bits([rep.slope, rep.intercept, rep.r_squared, rep.zero_slack_levels]),
             (ref.algorithm, ref.iterations, ref.status, _bits(ref.residuals),
-             _bits(ref.objective), _bits(ref.dual_value), _bits(ref.extras)),
-            rep.reference_x1.tobytes())
+             _bits(ref.objective), _bits(ref.dual_value), _bits(ref.extras)))
 
 
 def _record_solves(monkeypatch, log: list):
@@ -284,14 +283,14 @@ def test_overlapped_study_screens_and_certifies_each_solve_once(monkeypatch, use
 
 
 def _fail_reference_in_worker(monkeypatch, failure):
-    """Make the hard-mode engine call fail by ``failure(rows, params,
+    """Make the hard-mode engine call fail by ``failure(engine, rows,
     kwargs)`` when it runs in another process than this one."""
     engine, parent = solvers._pdhg_engine, os.getpid()
 
-    def failing(rows, params, **kwargs):
-        if os.getpid() != parent and rows.mode == "hard":
-            return failure(engine, rows, params, kwargs)
-        return engine(rows, params, **kwargs)
+    def failing(rows, **kwargs):
+        if os.getpid() != parent and rows[0].mode == "hard":
+            return failure(engine, rows, kwargs)
+        return engine(rows, **kwargs)
 
     monkeypatch.setattr(solvers, "_pdhg_engine", failing)
 
@@ -303,7 +302,7 @@ def test_unconverged_reference_aborts_at_the_first_level_after_it(small_instance
     soon as it is collected."""
     use_workers(2)
     _fail_reference_in_worker(
-        monkeypatch, lambda engine, rows, params, kw: engine(rows, params, **dict(kw, max_iters=50)))
+        monkeypatch, lambda engine, rows, kw: engine(rows, **dict(kw, max_iters=50)))
     # wait at each poll until the reply is there, so the first poll sees it
     monkeypatch.setattr(solvers._EngineWorker, "ready", lambda self: self._conn.poll(60))
     log = []
@@ -320,7 +319,7 @@ def test_reference_worker_exception_is_raised_and_the_worker_reaped(small_instan
                                                                      monkeypatch, use_workers):
     use_workers(2)
 
-    def failing(engine, rows, params, kwargs):
+    def failing(engine, rows, kwargs):
         raise FloatingPointError("reference failed")
 
     _fail_reference_in_worker(monkeypatch, failing)

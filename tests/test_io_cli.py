@@ -253,6 +253,79 @@ def test_certify_rejects_non_finite_entry(tmp_path, capsys, tiny_run, name):
     assert not (tmp_path / "kkt.json").exists() and not (tmp_path / "kkt.csv").exists()
 
 
+def _set(data, path, value):
+    """``data`` with the entry at ``path`` (keys and indices) set to
+    ``value``; an empty path replaces the whole of it."""
+    if not path:
+        return value
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("which, path, value", [
+    ("instance", (), []),
+    ("instance", ("grid",), 5),
+    ("instance", ("grid", "n1d"), 4.0),
+    ("instance", ("scenarios",), [3]),
+    ("instance", ("scenarios", "S"), 2.5),
+    ("instance", ("scenarios", "seed"), True),
+    ("instance", ("scenarios", "spec_a"), None),
+    ("instance", ("scenarios", "spec_a", "modes", 0), [0.4, 1]),
+    ("instance", ("scenarios", "spec_g", "modes", 0, 2), 1.5),
+    ("instance", ("scenarios", "spec_a", "clip"), [0.5]),
+    ("instance", ("y_D",), "spec"),
+    ("primal", (), []),
+    ("dual", (), "adjoint"),
+], ids=["instance_list", "grid_number", "n1d_float", "scenarios_list", "S_float",
+        "seed_bool", "spec_null", "short_mode", "wavenumber_float", "short_clip",
+        "y_D_string", "primal_list", "dual_string"])
+def test_malformed_file_exits_4(tmp_path, capsys, tiny_run, which, path, value):
+    """A file section of the wrong JSON type, a short field mode or clip, or
+    a non-integer grid size, scenario count, seed or wavenumber exits 4
+    with one ``error:`` line and writes nothing."""
+    inst_path, primal_path, dual_path = tiny_run
+    paths = {"instance": inst_path, "primal": primal_path, "dual": dual_path}
+    data = _set(json.loads(paths[which].read_text()), path, value)
+    paths[which] = tmp_path / f"{which}.json"
+    paths[which].write_text(json.dumps(data))
+    out = tmp_path / "out"
+    if which == "instance":
+        argv = ["solve", "--instance", str(paths["instance"])]
+    else:
+        argv = ["certify", *(arg for name, p in paths.items() for arg in (f"--{name}", str(p)))]
+    capsys.readouterr()
+    assert run_cli([*argv, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"), ("--tol", "0"),
+    ("--gap-tol", "nan"), ("--gap-tol", "-1"), ("--gap-tol", "inf")])
+def test_certify_rejects_bad_tolerance(tmp_path, capsys, monkeypatch, tiny_run, option, value):
+    """A tolerance that is not positive and finite, or a gap tolerance that
+    is not non-negative and finite, exits 4 before anything is scored or
+    written."""
+    inst_path, primal_path, dual_path = tiny_run
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored the pair")
+
+    monkeypatch.setattr(cli.certify, "kkt_residuals", no_scoring)
+    out = tmp_path / "kkt.json"
+    capsys.readouterr()
+    assert run_cli(["certify", "--instance", str(inst_path), "--primal", str(primal_path),
+                    "--dual", str(dual_path), option, value, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: --tol must be positive and finite, --gap-tol non-negative and finite"]
+    assert captured.out == "" and not out.exists()
+
+
 def test_compare_oracle_over_barrier_limit_runs_no_pdhg(tmp_path, monkeypatch, capsys):
     inst_path = tmp_path / "inst.json"
     run_cli(["generate", "--preset", "default", "--out", str(inst_path)])

@@ -107,7 +107,15 @@ def test_pdhg_deterministic_bitwise(small_instance):
     assert ra.iterations == rb.iterations
 
 
-def reference_engine(inst, params, tol, max_iters, warm=None, x1_extra_quad=0.0,
+def engine_alone(inst, warm=None, x1_extra_lin=None, **kwargs):
+    """``_pdhg_engine`` on the one-row batch ``[inst]``, with the warm
+    start and linear term of that row; returns the row's result."""
+    lin = None if x1_extra_lin is None else x1_extra_lin[None]
+    [result] = _pdhg_engine([inst], warm=[warm], x1_extra_lin=lin, **kwargs)
+    return result
+
+
+def reference_engine(inst, tol, max_iters, warm=None, x1_extra_quad=0.0,
                      x1_extra_center=None, x1_extra_lin=None):
     """The engine loop in its plain numpy form, one expression per update,
     allocating fresh arrays every iteration. The preallocated engine must
@@ -124,12 +132,12 @@ def reference_engine(inst, params, tol, max_iters, warm=None, x1_extra_quad=0.0,
     qc = 0.0 if (q == 0.0 or x1_extra_center is None) else q * x1_extra_center
     lin = 0.0 if x1_extra_lin is None else x1_extra_lin
 
-    k0 = _estimate_k_norm(inst)
+    [k0] = _estimate_k_norm([inst])
     scale = max(1.0, math.sqrt(k0))
     s1 = scale
     sz = scale if slack else 1.0
     ci = scale if slack else max(1.0, k0 / 3.0)
-    knorm = _estimate_k_norm(inst, s1=s1, sz=sz, ci=ci)
+    [knorm] = _estimate_k_norm([inst], s1=s1, sz=sz, ci=ci)
     tau = sigma = math.sqrt(solvers.STEP_SAFETY) / knorm
     tau1 = tau * s1 * s1
     tauz = tau * sz * sz
@@ -220,7 +228,7 @@ def _equivalence_case(inst, case):
                          x1_extra_center=rng.uniform(0.0, 1.0, inst.n),
                          x1_extra_lin=0.1 * rng.standard_normal(inst.n))
     if case == "warm":
-        warm = _pdhg_engine(inst, SolverParams(), tol=1e-3, max_iters=400_000)[:2]
+        warm = engine_alone(inst, tol=1e-3, max_iters=400_000)[:2]
         return inst, dict(tol=1e-6, max_iters=400_000, warm=warm)
     if case == "cap_137":  # not a multiple of CHECK_EVERY: best-iterate fallback
         return inst, dict(tol=1e-6, max_iters=137)
@@ -230,9 +238,8 @@ def _equivalence_case(inst, case):
 @pytest.mark.parametrize("case", ["slack", "hard", "ph_subproblem", "warm", "cap_137"])
 def test_engine_matches_reference_bitwise(small_instance, case):
     inst, kwargs = _equivalence_case(small_instance, case)
-    params = SolverParams()
-    xa, la, ita, sta = _pdhg_engine(inst, params, **kwargs)
-    xb, lb, itb, stb = reference_engine(inst, params, **kwargs)
+    xa, la, ita, sta = engine_alone(inst, **kwargs)
+    xb, lb, itb, stb = reference_engine(inst, **kwargs)
     assert (ita, sta) == (itb, stb)
     if case == "cap_137":
         assert sta == STATUS_ITERATION_CAP
@@ -347,11 +354,10 @@ def test_engine_falls_back_to_numpy_steps_without_the_kernel(small_instance, mon
     monkeypatch.setattr(kernel.numpy_steps, "bind",
                         lambda *a, **kw: bound.append(1) or real_bind(*a, **kw))
     assert kernel.load() is None and kernel.load() is None
-    params = SolverParams()
     for case in ("hard", "ph_subproblem", "cap_137"):
         inst, kwargs = _equivalence_case(small_instance, case)
-        xa, la, ita, sta = _pdhg_engine(inst, params, **kwargs)
-        xb, lb, itb, stb = reference_engine(inst, params, **kwargs)
+        xa, la, ita, sta = engine_alone(inst, **kwargs)
+        xb, lb, itb, stb = reference_engine(inst, **kwargs)
         assert (ita, sta) == (itb, stb)
         _assert_same_points(xa, la, xb, lb)
     assert bound
@@ -394,17 +400,16 @@ def test_batched_engine_rows_match_separate_runs(small_instance, mode, max_iters
     different checks, and each matches its own reference run bit for bit."""
     inst = small_instance.with_mode(mode)
     subs = [replace(inst, scenarios=inst.scenarios.subset([k])) for k in (0, 1, 3)]
-    params = SolverParams()
-    warm = [None] + [reference_engine(sub, params, tol=tol, max_iters=400_000)[:2]
+    warm = [None] + [reference_engine(sub, tol=tol, max_iters=400_000)[:2]
                      for sub, tol in zip(subs[1:], (1e-3, 1e-5))]
     rng = np.random.default_rng(11)
     kwargs = dict(tol=1e-8, max_iters=max_iters, x1_extra_quad=0.05,
                   x1_extra_center=rng.uniform(0.0, 1.0, inst.n))
     lin = 0.1 * rng.standard_normal((3, inst.n))
-    assert len({_estimate_k_norm(sub) for sub in subs}) == 3
+    assert len(set(_estimate_k_norm(subs))) == 3
 
-    got = _pdhg_engine(subs, params, warm=warm, x1_extra_lin=lin, **kwargs)
-    want = [reference_engine(sub, params, warm=w, x1_extra_lin=row, **kwargs)
+    got = _pdhg_engine(subs, warm=warm, x1_extra_lin=lin, **kwargs)
+    want = [reference_engine(sub, warm=w, x1_extra_lin=row, **kwargs)
             for sub, w, row in zip(subs, warm, lin)]
     assert len(got) == 3
     if max_iters == 400_000:
@@ -426,7 +431,7 @@ def test_batched_engine_leaves_no_reference_cycle(small_instance):
     refs = [weakref.ref(sub.scenarios) for sub in subs]
     gc.disable()
     try:
-        _pdhg_engine(subs, SolverParams(), tol=1e-8, max_iters=137)
+        _pdhg_engine(subs, tol=1e-8, max_iters=137)
         del subs
         assert [ref() for ref in refs] == [None, None, None]
     finally:
@@ -445,9 +450,8 @@ def test_batched_engine_diverging_row_keeps_its_best_iterate(monkeypatch):
     infeasible = io.instance_from_dict(d)
     subs = [replace(inst, scenarios=inst.scenarios.subset([k]))
             for inst, k in ((feasible, 0), (infeasible, 0), (feasible, 1))]
-    params = SolverParams()
-    got = _pdhg_engine(subs, params, tol=1e-8, max_iters=400_000)
-    want = [reference_engine(sub, params, tol=1e-8, max_iters=400_000) for sub in subs]
+    got = _pdhg_engine(subs, tol=1e-8, max_iters=400_000)
+    want = [reference_engine(sub, tol=1e-8, max_iters=400_000) for sub in subs]
     assert [st for _, _, _, st in want] == [STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_CONVERGED]
     assert want[1][2] > max(want[0][2], want[2][2])
     for (xa, la, ita, sta), (xb, lb, itb, stb) in zip(got, want):
@@ -460,8 +464,7 @@ def test_engine_row_with_nan_residual_never_converges(tiny_instance, monkeypatch
     other row of its batch converges as it does on its own."""
     subs = [replace(tiny_instance, scenarios=tiny_instance.scenarios.subset([k]))
             for k in (0, 1)]
-    params = SolverParams()
-    alone = _pdhg_engine(subs[1], params, tol=1e-6, max_iters=3000)
+    alone = engine_alone(subs[1], tol=1e-6, max_iters=3000)
     assert alone[2:] == (750, STATUS_CONVERGED)
     real = solvers.certify.natural_residuals
 
@@ -472,7 +475,7 @@ def test_engine_row_with_nan_residual_never_converges(tiny_instance, monkeypatch
 
     monkeypatch.setattr(solvers.certify, "natural_residuals", nan_r3_in_row_0)
     (x0, lam0, it0, st0), (x1, lam1, it1, st1) = _pdhg_engine(
-        subs, params, tol=1e-6, max_iters=3000)
+        subs, tol=1e-6, max_iters=3000)
     assert (it0, st0) == (3000, STATUS_ITERATION_CAP)
     assert (it1, st1) == (750, STATUS_CONVERGED)
     _assert_same_points(x1, lam1, *alone[:2])
@@ -500,7 +503,7 @@ def test_stacked_k_norms_match_reference_rows(monkeypatch, mode, subsets):
     inst = io.make_instance("default", n1d=8, scenario_count=4).with_mode(mode)
     subs = [replace(inst, scenarios=inst.scenarios.subset(k)) for k in subsets]
     slack = mode == "slack"
-    first = _estimate_k_norm(subs[-1])      # the last row is cached beforehand
+    [first] = _estimate_k_norm(subs[-1:])   # the last row is cached beforehand
     batch_rows = []
     real = solvers.operator_norm_estimate
 
@@ -521,7 +524,7 @@ def test_stacked_k_norms_match_reference_rows(monkeypatch, mode, subsets):
         want0, it0 = reference_impl.k_norm(sub)
         want, it = reference_impl.k_norm(sub, s1=scales[j], sz=sz[j], ci=ci[j])
         assert _same_bits(k0[j], want0) and _same_bits(knorm[j], want)
-        assert _estimate_k_norm(sub, s1=scales[j], sz=sz[j], ci=ci[j]) == knorm[j]
+        assert _estimate_k_norm([sub], s1=scales[j], sz=sz[j], ci=ci[j]) == [knorm[j]]
         iters += [it0, it]
     if len(subs) == 4:      # rows of one batch stop at different iterations
         assert len(set(iters)) > 2
@@ -580,15 +583,13 @@ def test_k_norm_estimate_bounds_dense_norm(rows):
 
 def test_pdhg_residual_trend_and_bounded_gap(small_instance):
     from sassc.problem import dual_function
-    from sassc.solvers import _pdhg_engine
     hist = []
     gaps = []
-    params = SolverParams()
     def hook(it, res, xp, lam):
         hist.append(max(res["r1"], res["r3"], res.get("r3p", 0.0),
                         res["r4"], res["r5_feas"], res["r5_comp"]))
         gaps.append(objective(small_instance, xp) - dual_function(small_instance, lam))
-    _pdhg_engine(small_instance, params, tol=1e-6, max_iters=20000, history=hook)
+    engine_alone(small_instance, tol=1e-6, max_iters=20000, history=hook)
     quarter = max(1, len(hist) // 4)
     assert hist[-1] < min(hist[:quarter])
     # the primal-dual gap sequence stays bounded along the iteration
@@ -610,7 +611,7 @@ def test_history_csv_is_written_whole_or_not_at_all(tiny_instance, tmp_path, mon
     want = tmp_path / "want.csv"
     with open(want, "w") as fh:
         fh.write(path.read_text().splitlines(keepends=True)[0])
-        _pdhg_engine(tiny_instance, params, tol=params.kkt_tolerance, max_iters=500,
+        engine_alone(tiny_instance, tol=params.kkt_tolerance, max_iters=500,
                      history=reference_impl.history_writer(tiny_instance, fh))
     assert path.read_bytes() == want.read_bytes()
     assert len(path.read_text().splitlines()) == 11
@@ -781,7 +782,7 @@ def reference_ph(inst, params):
         failed = None
         for k in range(S):
             xk, lk, it_k, st_k = reference_engine(
-                subs[k], params, tol=solvers.PH_INNER_TOLERANCE,
+                subs[k], tol=solvers.PH_INNER_TOLERANCE,
                 max_iters=params.max_iters, warm=warm_state[k],
                 x1_extra_quad=0.0 if first else r,
                 x1_extra_center=None if first else x_hat,
@@ -881,8 +882,7 @@ def test_ph_worker_exception_is_raised_and_workers_are_reaped(small_instance,
     last = small_instance.scenarios.xi_a[-1]
 
     def failing(rows, *args, **kwargs):
-        if isinstance(rows, list) and any(
-                np.array_equal(sub.scenarios.xi_a[0], last) for sub in rows):
+        if any(np.array_equal(sub.scenarios.xi_a[0], last) for sub in rows):
             assert os.getpid() != parent
             raise FloatingPointError("scenario 3 failed")
         return engine(rows, *args, **kwargs)
