@@ -110,12 +110,32 @@ def fieldspec_to_dict(spec: FieldSpec) -> dict:
     }
 
 
-def _json(value, kind: type, name: str):
-    """``value``, which must be of JSON type ``kind``; ``2.5`` and ``true`` are no ints."""
+def _json(value, kind: type | tuple, name: str):
+    """``value``, which must be of JSON type ``kind``; ``2.5`` and ``true``
+    are no ints, and ``true`` is no number."""
     if isinstance(value, bool) or not isinstance(value, kind):
-        what = {dict: "an object", list: "an array", int: "an integer"}[kind]
+        what = {dict: "an object", list: "an array", int: "an integer",
+                (int, float): "a number"}[kind]
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def _number(value, name: str) -> float:
+    """The JSON number ``value`` as a float."""
+    return float(_json(value, (int, float), name))
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """The JSON number or nested array of numbers ``value`` as a float array;
+    a ragged array raises ``ValueError`` in numpy."""
+    pending = [value]
+    while pending:
+        v = pending.pop()
+        if isinstance(v, list):   # plain numbers pass here, the rest are checked
+            pending.extend(x for x in v if type(x) is not float and type(x) is not int)
+        else:
+            _json(v, (int, float), f"an entry of {name}")
+    return np.asarray(value, dtype=float)
 
 
 def fieldspec_from_dict(d: dict) -> FieldSpec:
@@ -125,10 +145,11 @@ def fieldspec_from_dict(d: dict) -> FieldSpec:
     if any(len(m) != 3 for m in modes) or clip is not None and len(_json(clip, list, "clip")) != 2:
         raise ValueError("a field mode must be [amplitude, k1, k2] and a clip [lo, hi]")
     return FieldSpec(
-        baseline=float(d["baseline"]),
-        modes=tuple((float(a), (_json(k1, int, "a wavenumber"), _json(k2, int, "a wavenumber")))
+        baseline=_number(d["baseline"], "baseline"),
+        modes=tuple((_number(a, "an amplitude"),
+                     (_json(k1, int, "a wavenumber"), _json(k2, int, "a wavenumber")))
                     for a, k1, k2 in modes),
-        clip=None if clip is None else (float(clip[0]), float(clip[1])),
+        clip=None if clip is None else (_number(clip[0], "clip"), _number(clip[1], "clip")),
     )
 
 
@@ -182,7 +203,7 @@ def instance_from_dict(d: dict) -> Instance:
         fieldspec_from_dict(scen["spec_psi"]),
         S=_json(scen["S"], int, "S"),
         seed=_json(scen["seed"], int, "seed"),
-        probabilities=None if probs is None else np.asarray(probs, dtype=float),
+        probabilities=None if probs is None else _numbers(probs, "probabilities"),
     )
     y_d = _json(d["y_D"], dict, "y_D")
     c1 = _json(d["c1"], dict, "c1")
@@ -191,16 +212,16 @@ def instance_from_dict(d: dict) -> Instance:
         y_target = evaluate_deterministic(y_spec, grid)
     else:
         y_spec = None
-        y_target = np.asarray(y_d["array"], dtype=float)
+        y_target = _numbers(y_d["array"], "y_D")
     return Instance(
         grid=grid,
         scenarios=scenarios,
-        c1_lo=np.asarray(c1["lo"], dtype=float),
-        c1_hi=np.asarray(c1["hi"], dtype=float),
-        c2_bound=float(_json(d["c2"], dict, "c2")["M"]),
+        c1_lo=_numbers(c1["lo"], "c1.lo"),
+        c1_hi=_numbers(c1["hi"], "c1.hi"),
+        c2_bound=_number(_json(d["c2"], dict, "c2")["M"], "c2.M"),
         y_target=y_target,
-        alpha=float(d["alpha"]),
-        alpha_prime=float(d["alpha_prime"]),
+        alpha=_number(d["alpha"], "alpha"),
+        alpha_prime=_number(d["alpha_prime"], "alpha_prime"),
         mode=str(d["mode"]),
         y_spec=y_spec,
     )
@@ -303,11 +324,8 @@ def primal_to_dict(x: PrimalPoint, provenance: dict) -> dict:
 
 def primal_from_dict(d: dict) -> PrimalPoint:
     d = _json(d, dict, "a primal point")
-    return PrimalPoint(
-        x1=np.asarray(d["x1"], dtype=float),
-        y=np.asarray(d["y"], dtype=float),
-        z=np.asarray(d["z"], dtype=float),
-    )
+    return PrimalPoint(x1=_numbers(d["x1"], "x1"), y=_numbers(d["y"], "y"),
+                       z=_numbers(d["z"], "z"))
 
 
 def dual_to_dict(lam: DualPoint, provenance: dict) -> dict:
@@ -321,11 +339,9 @@ def dual_to_dict(lam: DualPoint, provenance: dict) -> dict:
 
 def dual_from_dict(d: dict) -> DualPoint:
     d = _json(d, dict, "a dual point")
-    return DualPoint(
-        adjoint=np.asarray(d["adjoint"], dtype=float),
-        obstacle=np.asarray(d["obstacle"], dtype=float),
-        nonant=np.asarray(d["nonanticipativity"], dtype=float),
-    )
+    return DualPoint(adjoint=_numbers(d["adjoint"], "adjoint"),
+                     obstacle=_numbers(d["obstacle"], "obstacle"),
+                     nonant=_numbers(d["nonanticipativity"], "nonanticipativity"))
 
 
 def solve_report_to_dict(rep: SolveReport, provenance: dict) -> dict:

@@ -12,25 +12,44 @@ two C functions over the engine's own buffers:
   ``x1n = p @ lam_e``, which the engine computes with numpy in between so
   that its BLAS summation order stays the same.
 
+The block-diagonal operator ``A`` is applied as a five-point stencil, not
+as CSR: ``Kernel.bind`` turns the CSR it is given into five diagonals
+(south, west, centre, east and north, at offsets -m, -1, 0, +1, +m on the
+m x m grid of each block) and a "stored" flag per neighbour, and rejects a
+CSR whose rows are not exactly their grid neighbours in ascending column
+order. With no index gathers the compiler runs several rows in one vector.
+A numpy stencil is no alternative: its per-call overhead made it 2.9-4.5x
+slower than scipy's CSR product at these sizes.
+
 Each element goes through the same IEEE operations, in the same order and
 on the same operands, as the numpy form in the engine's comments, so the
-iterates are the same bits: the CSR products sum each row from 0.0 in
-stored order like scipy's ``csr_matvec``, ``+ qc`` is added even when it
-is 0.0, and ``max``/``min`` return the second operand on a tie of signed
-zeros and propagate NaN, like numpy's ``maximum``/``minimum``.
+iterates are the same bits:
+
+- each row of a product is summed from 0.0 over its stored entries in
+  ascending column order, as scipy's ``csr_matvec`` sums it. An absent
+  neighbour adds +0.0 instead of a product, so a NaN or infinite value
+  there is never multiplied in, and adding +0.0 leaves a sum that started
+  at +0.0 unchanged (such a sum is never -0.0);
+- ``+ qc`` is added even when it is 0.0;
+- ``max``/``min`` return the second operand on a tie of signed zeros and
+  propagate NaN, like numpy's ``maximum``/``minimum``.
 
 The source is compiled on the first ``load()`` call, not at import, with
-the system C compiler (``cc``) and ``FLAGS``: ``-O2`` without fast-math
-or ``-march``, and ``-ffp-contract=off`` so that no multiply-add is fused.
-The library is built in a temporary directory, which is removed once it
-is loaded. If there is no compiler or the build fails, ``load()`` returns
-None and the engine runs its numpy loop body, which gives the same bits.
-The outcome is decided once per process.
+the system C compiler (``cc``) and ``FLAGS``: ``-O3 -march=native`` for
+the host's widest vectors, without fast-math, so nothing is reassociated,
+and with ``-ffp-contract=off``, so that no multiply-add is fused.
+Vectorizing an elementwise loop changes no bits, and the library is built
+on the host it runs on. It is built in a temporary directory, which is
+removed once it is loaded. If there is no compiler or the build fails,
+``load()`` returns None and the engine runs its numpy loop body (CSR
+products), which gives the same bits. The outcome is decided once per
+process.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import subprocess
 import tempfile
@@ -39,28 +58,25 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec
 
-FLAGS = ("-O2", "-ffp-contract=off")
+FLAGS = ("-O3", "-march=native", "-ffp-contract=off")
 
 SOURCE = r"""
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
-#ifdef __SSE2__
-#include <emmintrin.h>
-#endif
 
-/* One lockstep batch of `rows` problems with S scenarios of n nodes. The
-   primal vectors are [x1 | y | z] with the rows stacked in each block (z
+/* One lockstep batch of `rows` problems with S scenarios of n = m x m nodes.
+   The primal vectors are [x1 | y | z] with the rows stacked in each block (z
    only in slack mode), the duals [lam_e | lam_ih] and the data [g | psi],
    each block (rows, S, n). Per-row constants have one entry per row. */
 typedef struct {
-    int64_t rows, S, n, slack;
-    const int32_t *indptr, *indices;
-    const double *data;             /* block-diagonal operator, CSR */
+    int64_t rows, S, n, m, slack;
+    const double *diags;            /* block-diagonal operator: (5, rows S n) */
+    const uint8_t *stored;          /* (4, rows S n): neighbour stored */
+    double *work;                   /* (rows S n): the operator's product */
     const double *X;                /* current primal iterate */
     double *Xn;                     /* next primal iterate; x1 holds p @ lam_e */
     double *Xb;                     /* extrapolated primal iterate */
-    const double *z_hard;           /* hard mode: the carried z */
     double *duals;
     const double *g_psi;
     const double *dual_steps;       /* [tau | tau ci] */
@@ -71,105 +87,90 @@ typedef struct {
     const double *den, *lo, *hi;    /* one entry per primal entry */
 } Batch;
 
-/* numpy's maximum and minimum: the second operand on a tie, NaN wins.
-   With a first operand that is not NaN they are the SSE2 max and min. */
+/* numpy's maximum and minimum: the second operand on a tie, NaN wins */
 static inline double max2(double a, double b) { return (a > b || isnan(a)) ? a : b; }
 static inline double min2(double a, double b) { return (a < b || isnan(a)) ? a : b; }
 
-/* row r of the CSR product with v, summed from 0.0 in stored order */
-static inline double row_product(const int32_t *restrict indptr,
-                                 const int32_t *restrict indices,
-                                 const double *restrict data, int64_t r,
-                                 const double *restrict v)
+/* row r of the operator's product with v, given the neighbour values: the
+   stored entries summed from 0.0 in ascending column order (south, west,
+   centre, east, north), an absent one adding +0.0 */
+static inline double stencil_row(int64_t N, int64_t r, const double *restrict d,
+                                 const uint8_t *restrict stored, double vs, double vw,
+                                 double vc, double ve, double vn)
 {
-    int32_t jj = indptr[r];
-    const int32_t end = indptr[r + 1];
     double sum = 0.0;
-    if (end - jj == 5) {    /* an interior row of the 5-point stencil, unrolled */
-        sum += data[jj] * v[indices[jj]];
-        sum += data[jj + 1] * v[indices[jj + 1]];
-        sum += data[jj + 2] * v[indices[jj + 2]];
-        sum += data[jj + 3] * v[indices[jj + 3]];
-        sum += data[jj + 4] * v[indices[jj + 4]];
-        return sum;
-    }
-    for (; jj < end; jj++)
-        sum += data[jj] * v[indices[jj]];
+    sum += stored[r] ? d[r] * vs : 0.0;
+    sum += stored[N + r] ? d[N + r] * vw : 0.0;
+    sum += d[2 * N + r] * vc;
+    sum += stored[2 * N + r] ? d[3 * N + r] * ve : 0.0;
+    sum += stored[3 * N + r] ? d[4 * N + r] * vn : 0.0;
     return sum;
 }
 
+/* stencil_row for the rows whose neighbours may lie outside v: only the
+   stored ones are loaded */
+static inline double stencil_edge_row(int64_t N, int64_t r, int64_t m,
+                                      const double *restrict d,
+                                      const uint8_t *restrict st, const double *restrict v)
+{
+    return stencil_row(N, r, d, st, st[r] ? v[r - m] : 0.0, st[N + r] ? v[r - 1] : 0.0,
+                       v[r], st[2 * N + r] ? v[r + 1] : 0.0, st[3 * N + r] ? v[r + m] : 0.0);
+}
+
+/* k->work = A v. The rows m <= r < N - m load their neighbours without a
+   test, which lets the loop run in vectors; the first and last m rows take
+   stencil_edge_row. */
+static void stencil(const Batch *k, const double *restrict v)
+{
+    const int64_t N = k->rows * k->S * k->n, m = k->m, end = N - m > m ? N - m : m;
+    const double *restrict d = k->diags;
+    const uint8_t *restrict st = k->stored;
+    double *restrict out = k->work;
+    for (int64_t r = 0; r < m; r++)
+        out[r] = stencil_edge_row(N, r, m, d, st, v);
+    for (int64_t r = m; r < end; r++)
+        out[r] = stencil_row(N, r, d, st, v[r - m], v[r - 1], v[r], v[r + 1], v[r + m]);
+    for (int64_t r = end; r < N; r++)
+        out[r] = stencil_edge_row(N, r, m, d, st, v);
+}
+
 /* lam[j] = max2(0.0, lam[j] + (w[j] - psi[j]) * step) for j < m, with
-   w = a - b, or w = a when b is NULL; 0.0 is not NaN */
+   w = a - b, or w = a when b is NULL */
 static void ascend_clamped(int64_t m, double *restrict lam, const double *restrict a,
                            const double *restrict b, const double *restrict psi,
                            double step)
 {
-    int64_t j = 0;
-#ifdef __SSE2__
-    const __m128d zero = _mm_setzero_pd(), st = _mm_set1_pd(step);
-    for (; j + 2 <= m; j += 2) {
-        __m128d w = _mm_loadu_pd(a + j);
-        if (b)
-            w = _mm_sub_pd(w, _mm_loadu_pd(b + j));
-        w = _mm_mul_pd(_mm_sub_pd(w, _mm_loadu_pd(psi + j)), st);
-        _mm_storeu_pd(lam + j, _mm_max_pd(zero, _mm_add_pd(_mm_loadu_pd(lam + j), w)));
-    }
-#endif
-    for (; j < m; j++) {
+    for (int64_t j = 0; j < m; j++) {
         const double w = b ? a[j] - b[j] : a[j];
-        const double l = lam[j] + (w - psi[j]) * step;
-        lam[j] = 0.0 > l ? 0.0 : l;
+        lam[j] = max2(0.0, lam[j] + (w - psi[j]) * step);
     }
 }
 
-/* Xn = min2(max2(Xn / den, lo), hi) and Xb = Xn + (Xn - X), entry j */
-static inline void finish1(int64_t j, const double *restrict X, double *restrict Xn,
-                           double *restrict Xb, const double *restrict den,
-                           const double *restrict lo, const double *restrict hi)
-{
-    const double v = min2(max2(Xn[j] / den[j], lo[j]), hi[j]);
-    Xn[j] = v;
-    Xb[j] = v + (v - X[j]);
-}
-
-/* finish1 for entries j < m, two at a time where SSE2 is available */
+/* Xn = min2(max2(Xn / den, lo), hi) and Xb = Xn + (Xn - X), entries j < m */
 static void finish(int64_t m, const double *restrict X, double *restrict Xn,
                    double *restrict Xb, const double *restrict den,
                    const double *restrict lo, const double *restrict hi)
 {
-    int64_t j = 0;
-#ifdef __SSE2__
-    for (; j + 2 <= m; j += 2) {
-        __m128d v = _mm_div_pd(_mm_loadu_pd(Xn + j), _mm_loadu_pd(den + j));
-        const __m128d l = _mm_loadu_pd(lo + j);
-        if (_mm_movemask_pd(_mm_cmpunord_pd(v, l))) {   /* a NaN: numpy's rules */
-            finish1(j, X, Xn, Xb, den, lo, hi);
-            finish1(j + 1, X, Xn, Xb, den, lo, hi);
-            continue;
-        }
-        v = _mm_min_pd(_mm_max_pd(v, l), _mm_loadu_pd(hi + j));
-        _mm_storeu_pd(Xn + j, v);
-        _mm_storeu_pd(Xb + j, _mm_add_pd(v, _mm_sub_pd(v, _mm_loadu_pd(X + j))));
+    for (int64_t j = 0; j < m; j++) {
+        const double v = min2(max2(Xn[j] / den[j], lo[j]), hi[j]);
+        Xn[j] = v;
+        Xb[j] = v + (v - X[j]);
     }
-#endif
-    for (; j < m; j++)
-        finish1(j, X, Xn, Xb, den, lo, hi);
 }
 
 void dual_step(const Batch *k)
 {
     const int64_t rows = k->rows, Sn = k->S * k->n, n = k->n;
     const int64_t nb = rows * n, NS = rows * Sn;
-    const int32_t *restrict indptr = k->indptr, *restrict indices = k->indices;
-    const double *restrict data = k->data;
     const double *restrict xb1 = k->Xb, *restrict yb = k->Xb + nb;
-    const double *restrict g = k->g_psi;
+    const double *restrict g = k->g_psi, *Ay = k->work;   /* stencil writes work */
     double *restrict lam_e = k->duals;
+    stencil(k, yb);
     for (int64_t b = 0; b < rows; b++) {
         const double step = k->dual_steps[b];
         for (int64_t r = b * Sn; r < (b + 1) * Sn; r += n)
             for (int64_t i = 0; i < n; i++) {
-                const double e = row_product(indptr, indices, data, r + i, yb) - xb1[b * n + i];
+                const double e = Ay[r + i] - xb1[b * n + i];
                 lam_e[r + i] = lam_e[r + i] + (e - g[r + i]) * step;
             }
     }
@@ -185,20 +186,18 @@ void primal_step(const Batch *k)
 {
     const int64_t rows = k->rows, Sn = k->S * k->n, n = k->n;
     const int64_t nb = rows * n, NS = rows * Sn;
-    const int32_t *restrict indptr = k->indptr, *restrict indices = k->indices;
-    const double *restrict data = k->data;
-    const double *restrict X = k->X;
+    const double *restrict X = k->X, *Alam = k->work;   /* stencil writes work */
     const double *restrict lam_e = k->duals, *restrict lam_ih = k->duals + NS;
     const double *restrict scales = k->ineq_scales;
     double *restrict Xn = k->Xn;
     for (int64_t b = 0; b < rows; b++)
         for (int64_t j = b * n, i = 0; i < n; i++, j++)
             Xn[j] = X[j] + (((Xn[j] + k->qc[i]) - k->lin[j]) * k->tau1[b]);
+    stencil(k, lam_e);
     for (int64_t b = 0; b < rows; b++)
         for (int64_t r = b * Sn; r < (b + 1) * Sn; r += n)
             for (int64_t i = 0; i < n; i++) {
-                const double we = (row_product(indptr, indices, data, r + i, lam_e)
-                                   + lam_ih[r + i] * scales[b]) * k->tau[b];
+                const double we = (Alam[r + i] + lam_ih[r + i] * scales[b]) * k->tau[b];
                 Xn[nb + r + i] = (X[nb + r + i] - we) + k->tau_yt[b * n + i];
             }
     if (k->slack)
@@ -212,12 +211,39 @@ void primal_step(const Batch *k)
 
 class _Batch(ctypes.Structure):
     _fields_ = (
-        [(name, ctypes.c_int64) for name in ("rows", "S", "n", "slack")]
+        [(name, ctypes.c_int64) for name in ("rows", "S", "n", "m", "slack")]
         + [(name, ctypes.c_void_p) for name in (
-            "indptr", "indices", "data", "X", "Xn", "Xb", "z_hard", "duals", "g_psi",
-            "dual_steps", "ineq_scales", "tau", "tau1", "tau_yt", "lin", "qc", "den",
-            "lo", "hi")]
+            "diags", "stored", "work", "X", "Xn", "Xb", "duals", "g_psi", "dual_steps",
+            "ineq_scales", "tau", "tau1", "tau_yt", "lin", "qc", "den", "lo", "hi")]
     )
+
+
+def stencil_diagonals(N: int, n: int, csr) -> tuple[int, np.ndarray, np.ndarray]:
+    """The grid width ``m``, the (5, N) diagonals and the (4, N) "stored"
+    flags of the block-diagonal operator ``csr`` with blocks of ``n = m m``
+    nodes, as ``Kernel.bind`` passes them to the steps.
+
+    Raises ``ValueError`` unless every row holds exactly its five-point
+    grid neighbours, in ascending column order: only then does the stencil
+    sum each row as the CSR product does.
+    """
+    m = math.isqrt(n)
+    if m * m != n:
+        raise ValueError(f"the stencil needs a square grid, got n = {n}")
+    r = np.arange(N)
+    i, j = r % m, r % n // m
+    # south, west, centre, east, north: ascending column order
+    stored = np.stack([j >= 1, i >= 1, np.ones(N, bool), i <= m - 2, j <= m - 2], axis=1)
+    cols = r[:, None] + np.array([-m, -1, 0, 1, m])
+    indptr, indices, data = csr
+    if not (np.array_equal(indptr, np.concatenate([[0], np.cumsum(stored.sum(axis=1))]))
+            and np.array_equal(indices, cols[stored]) and np.size(data) == len(indices)):
+        raise ValueError("the operator's rows must hold exactly their five-point grid "
+                         "neighbours, in ascending column order")
+    diags = np.zeros((N, 5))
+    diags[stored] = data
+    return m, np.ascontiguousarray(diags.T), np.ascontiguousarray(stored[:, [0, 1, 3, 4]].T,
+                                                                   dtype=np.uint8)
 
 
 class Kernel:
@@ -236,47 +262,37 @@ class Kernel:
         first for a step from ``X0`` to ``X1`` and the second the other way.
 
         ``X0``, ``X1``, ``Xb`` and ``duals`` are the buffers the steps write
-        in place; ``z_hard`` (hard mode only) and the ``_Batch`` constants
-        in ``consts`` are read, and may be given in any shape that holds
-        their entries in order, ``lin`` and ``qc`` also as the scalar 0.0.
-        Every array is kept alive by the pointers. Sizes and CSR column
-        indices are checked here, since the steps index without bounds.
+        in place; the ``_Batch`` constants in ``consts`` are read, and may
+        be given in any shape that holds their entries in order, ``lin``
+        and ``qc`` also as the scalar 0.0. ``z_hard``, which hard mode
+        carries unchanged, is read only by the numpy steps. The CSR
+        operator becomes the stencil's diagonals (``stencil_diagonals``).
+        Every array is kept alive by the pointers. Sizes are checked here,
+        since the steps index without bounds.
         """
         NS = rows * S * n
         nx = rows * n + (2 if slack else 1) * NS
-        indptr, indices = (np.asarray(a) for a in csr[:2])
-        nnz = int(indptr[-1])
-        if max(nnz, NS) >= 2**31:
-            raise ValueError("batch too large for the kernel's 32-bit CSR indices")
-        indptr, indices = (np.ascontiguousarray(a, dtype=np.int32) for a in (indptr, indices))
-        arrays = dict(indptr=indptr, indices=indices, Xb=Xb, duals=duals)
-        if not slack:
-            arrays["z_hard"] = np.ascontiguousarray(z_hard, dtype=float)
+        m, diags, stored = stencil_diagonals(NS, n, csr)
+        arrays = dict(diags=diags, stored=stored, work=np.empty(NS), Xb=Xb, duals=duals)
         scalars = dict(lin=(rows, n), qc=(n,))
         for name, a in consts.items():
             a = np.broadcast_to(a, scalars[name]) if np.ndim(a) == 0 else a
             arrays[name] = np.ascontiguousarray(a, dtype=float)
-        arrays["data"] = np.ascontiguousarray(csr[2], dtype=float)
-        sizes = dict(indptr=NS + 1, indices=nnz, data=nnz, X=nx, Xn=nx, Xb=nx, z_hard=NS,
-                     duals=2 * NS, g_psi=2 * NS, dual_steps=2 * rows, ineq_scales=2 * rows,
-                     tau=rows, tau1=rows, tau_yt=rows * n, lin=rows * n, qc=n, den=nx,
-                     lo=nx, hi=nx)
+        sizes = dict(X=nx, Xn=nx, Xb=nx, duals=2 * NS, g_psi=2 * NS, dual_steps=2 * rows,
+                     ineq_scales=2 * rows, tau=rows, tau1=rows, tau_yt=rows * n,
+                     lin=rows * n, qc=n, den=nx, lo=nx, hi=nx)
         for name, a in dict(arrays, X=X0, Xn=X1).items():
-            if a.size != sizes[name]:
+            if name in sizes and a.size != sizes[name]:
                 raise ValueError(f"kernel argument {name} has {a.size} entries, "
                                  f"expected {sizes[name]}")
         for a in (X0, X1, Xb, duals):
             if a.dtype != np.float64 or not a.flags.c_contiguous:
                 raise ValueError("the buffers written in place must be C-contiguous float64")
-        if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
-            raise ValueError("CSR row pointers must start at 0 and not decrease")
-        if nnz and not (0 <= indices.min() and indices.max() < NS):
-            raise ValueError("CSR column index out of range")
         fields = {name: a.ctypes.data for name, a in arrays.items()}
         keep = (X0, X1, *arrays.values())
         pair = []
         for X, Xn in ((X0, X1), (X1, X0)):
-            batch = _Batch(rows=rows, S=S, n=n, slack=int(slack), X=X.ctypes.data,
+            batch = _Batch(rows=rows, S=S, n=n, m=m, slack=int(slack), X=X.ctypes.data,
                            Xn=Xn.ctypes.data, **fields)
             batch.keep = keep
             pair.append(ctypes.pointer(batch))

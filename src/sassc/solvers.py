@@ -17,11 +17,14 @@ variables with fixed steps (see the engine docstring).
 Each iteration is two calls into the C kernel of ``kernel.py`` (the dual
 step, then the prox, clamp and extrapolation) around the numpy product
 ``p @ lam_e``, which stays in numpy to keep its BLAS summation order. The
-kernel is compiled with ``cc -O2 -ffp-contract=off`` (no ``-march``, no
-fast-math) on the first engine call of a process, and runs every entry
-through the IEEE operations of the numpy form in its order, so iterates
-are bit for bit those of the numpy loop. Without a C compiler the engine
-runs that numpy loop (``kernel.numpy_steps``) with the same bits.
+kernel applies the stiffness blocks as a five-point stencil vectorized
+across rows, not as CSR, and sums each row in the stored order of the CSR
+product. It is compiled with ``cc -O3 -march=native -ffp-contract=off``
+(no fast-math, no fused multiply-add) on the first engine call of a
+process, and runs every entry through the IEEE operations of the numpy
+form in its order, so iterates are bit for bit those of the numpy loop.
+Without a C compiler the engine runs that numpy loop
+(``kernel.numpy_steps``, CSR products) with the same bits.
 
 The engine (``_pdhg_engine``), its K-norm estimate and the residual check
 take only a batch of instances with the same grid, mode and scenario count,

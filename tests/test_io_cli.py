@@ -277,15 +277,25 @@ def _set(data, path, value):
     ("instance", ("scenarios", "spec_g", "modes", 0, 2), 1.5),
     ("instance", ("scenarios", "spec_a", "clip"), [0.5]),
     ("instance", ("y_D",), "spec"),
+    ("instance", ("alpha",), None),
+    ("instance", ("scenarios", "spec_a", "baseline"), [1]),
+    ("instance", ("scenarios", "spec_g", "modes", 0, 0), "0.4"),
+    ("instance", ("c1", "lo"), {"a": 1}),
+    ("instance", ("c1", "hi"), True),
     ("primal", (), []),
+    ("primal", ("y", 0, 1), {"a": 1}),
     ("dual", (), "adjoint"),
+    ("dual", ("adjoint", 0, 0), "1.5"),
 ], ids=["instance_list", "grid_number", "n1d_float", "scenarios_list", "S_float",
         "seed_bool", "spec_null", "short_mode", "wavenumber_float", "short_clip",
-        "y_D_string", "primal_list", "dual_string"])
+        "y_D_string", "alpha_null", "baseline_array", "amplitude_string", "c1_lo_object",
+        "c1_hi_bool", "primal_list", "y_entry_object", "dual_string",
+        "adjoint_entry_string"])
 def test_malformed_file_exits_4(tmp_path, capsys, tiny_run, which, path, value):
-    """A file section of the wrong JSON type, a short field mode or clip, or
-    a non-integer grid size, scenario count, seed or wavenumber exits 4
-    with one ``error:`` line and writes nothing."""
+    """A file section of the wrong JSON type, a short field mode or clip, a
+    non-integer grid size, scenario count, seed or wavenumber, or a number
+    field or array entry that is no JSON number exits 4 with one
+    ``error:`` line and writes nothing."""
     inst_path, primal_path, dual_path = tiny_run
     paths = {"instance": inst_path, "primal": primal_path, "dual": dual_path}
     data = _set(json.loads(paths[which].read_text()), path, value)

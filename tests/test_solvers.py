@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse._sparsetools import csr_matvec
@@ -251,9 +252,22 @@ def test_engine_matches_reference_bitwise(small_instance, case):
         assert a.tobytes() == b.tobytes()
 
 
-def _kernel_batch(rng, B, S, n, slack, qc, lin):
-    """Random engine buffers and constants of one batch, in the engine's
-    shapes, with signed zeros, NaN and values on the bounds sprinkled in."""
+def _five_point_pattern(m):
+    """CSR of the five-point stencil's sparsity pattern on an m x m grid,
+    node i + m j, columns in ascending order."""
+    tri = sp.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(m, m))
+    pattern = (sp.kron(sp.eye(m), tri) + sp.kron(tri, sp.eye(m))).tocsr()
+    pattern.eliminate_zeros()   # kron stores its blocks' zeros
+    pattern.sort_indices()
+    return pattern
+
+
+def _kernel_batch(rng, B, S, m, slack, qc, lin):
+    """Random engine buffers and constants of one batch on an m x m grid, in
+    the engine's shapes, with signed zeros, NaN and values on the bounds
+    sprinkled in; the operator is block-diagonal five-point CSR with random
+    values."""
+    n = m * m
     NS, nb = B * S * n, B * n
     nx = nb + NS * (2 if slack else 1)
 
@@ -264,9 +278,8 @@ def _kernel_batch(rng, B, S, n, slack, qc, lin):
         a[rng.random(shape) < 0.03] = np.nan
         return a
 
-    counts = rng.choice([0, 1, 3, 4, 5, 5, 5], size=NS)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-    indices = rng.integers(0, NS, size=indptr[-1]).astype(np.int32)
+    A = sp.block_diag([_five_point_pattern(m)] * (B * S), format="csr")
+    A.sort_indices()
     lo = rng.choice([-1.0, -0.5, -0.0, 0.0], size=nx)
     hi = rng.choice([0.0, -0.0, 0.5, 1.0], size=nx)
     lo[rng.random(nx) < 0.03] = np.nan
@@ -282,20 +295,24 @@ def _kernel_batch(rng, B, S, n, slack, qc, lin):
         tau_yt=rand(B, 1, n), lin=rand(B, 1, n) if lin else 0.0,
         qc=rand(n) if qc else 0.0, den=1.0 + np.abs(rand(nx)), lo=lo, hi=hi,
     )
-    return (indptr, indices, rand(int(indptr[-1]))), arrays, consts, rand(B, 1, S)
+    csr = (A.indptr, A.indices, rand(A.nnz))
+    return csr, arrays, consts, rand(B, 1, S)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 @settings(max_examples=80, deadline=None)
-@given(B=st.integers(1, 4), S=st.integers(1, 3), n=st.integers(1, 7),
+@given(B=st.integers(1, 4), S=st.integers(1, 3), m=st.integers(1, 4),
        slack=st.booleans(), qc=st.booleans(), lin=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-def test_kernel_steps_match_numpy_steps_bitwise(B, S, n, slack, qc, lin, seed):
+def test_kernel_steps_match_numpy_steps_bitwise(B, S, m, slack, qc, lin, seed):
     """Two iterations of the C kernel's steps, one from each primal buffer,
     leave every buffer with the bytes the numpy steps leave: signed-zero
-    ties at the bounds and at 0 for lam_ih, NaN entries, rows with 5 and
-    other numbers of entries, odd lengths, and ``qc``/``lin`` of 0.0."""
-    csr, arrays, consts, p = _kernel_batch(np.random.default_rng(seed), B, S, n, slack,
+    ties at the bounds and at 0 for lam_ih, NaN entries in the operator
+    and the iterates, grids of m = 1 and 2 (no row has every neighbour),
+    the first and last m rows of a batch, odd lengths, and ``qc``/``lin``
+    of 0.0."""
+    n = m * m
+    csr, arrays, consts, p = _kernel_batch(np.random.default_rng(seed), B, S, m, slack,
                                            qc, lin)
     out = []
     for steps in (kernel.numpy_steps, kernel.load()):
@@ -313,13 +330,15 @@ def test_kernel_steps_match_numpy_steps_bitwise(B, S, n, slack, qc, lin, seed):
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_kernel_bind_rejects_what_the_steps_cannot_index():
-    """The C steps index without bounds, so their arguments are checked."""
-    B, S, n = 2, 2, 3
-    csr, arrays, consts, _ = _kernel_batch(np.random.default_rng(0), B, S, n, True,
+    """The C steps index without bounds and sum each row as a five-point
+    stencil, so their arguments and the operator's structure are checked."""
+    B, S, m = 2, 2, 3
+    n = m * m
+    csr, arrays, consts, _ = _kernel_batch(np.random.default_rng(0), B, S, m, True,
                                            True, True)
     bind = kernel.load().bind
 
-    def call(csr=csr, **changes):
+    def call(csr=csr, n=n, **changes):
         a = dict(arrays, **{k: v for k, v in changes.items() if k in arrays})
         c = dict(consts, **{k: v for k, v in changes.items() if k in consts})
         return bind(B, S, n, True, csr, a["X0"], a["X1"], a["Xb"], a["duals"],
@@ -327,14 +346,18 @@ def test_kernel_bind_rejects_what_the_steps_cannot_index():
 
     call()
     indptr, indices, data = csr
-    bad = indices.copy()
-    bad[0] = B * S * n
-    with pytest.raises(ValueError, match="column index"):
-        call(csr=(indptr, bad, data))
-    ptr = indptr.copy()
-    ptr[1] = ptr[-1] + 1
-    with pytest.raises(ValueError, match="row pointers"):
-        call(csr=(ptr, indices, data))
+    with pytest.raises(ValueError, match="square grid"):
+        call(n=8)
+    # row 0 loses its east neighbour, then gains a neighbour two nodes east
+    missing = (np.concatenate([[0], indptr[1:] - 1]), np.delete(indices, 1),
+               np.delete(data, 1))
+    extra = (np.concatenate([[0], indptr[1:] + 1]), np.insert(indices, 3, 2),
+             np.insert(data, 3, 1.0))
+    swapped = indices.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    for bad in (missing, extra, (indptr, swapped, data)):
+        with pytest.raises(ValueError, match="five-point grid neighbours"):
+            call(csr=bad)
     with pytest.raises(ValueError, match="den has"):
         call(den=consts["den"][:-1])
     with pytest.raises(ValueError, match="C-contiguous"):
