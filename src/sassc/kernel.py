@@ -218,9 +218,9 @@ class _Batch(ctypes.Structure):
     )
 
 
-def stencil_diagonals(N: int, n: int, csr) -> tuple[int, np.ndarray, np.ndarray]:
+def _stencil_diagonals(N: int, n: int, csr) -> tuple[int, np.ndarray, np.ndarray]:
     """The grid width ``m``, the (5, N) diagonals and the (4, N) "stored"
-    flags of the block-diagonal operator ``csr`` with blocks of ``n = m m``
+    flags of the block-diagonal operator ``csr`` with blocks of ``n = m * m``
     nodes, as ``Kernel.bind`` passes them to the steps.
 
     Raises ``ValueError`` unless every row holds exactly its five-point
@@ -266,13 +266,13 @@ class Kernel:
         be given in any shape that holds their entries in order, ``lin``
         and ``qc`` also as the scalar 0.0. ``z_hard``, which hard mode
         carries unchanged, is read only by the numpy steps. The CSR
-        operator becomes the stencil's diagonals (``stencil_diagonals``).
+        operator becomes the stencil's diagonals (``_stencil_diagonals``).
         Every array is kept alive by the pointers. Sizes are checked here,
         since the steps index without bounds.
         """
         NS = rows * S * n
         nx = rows * n + (2 if slack else 1) * NS
-        m, diags, stored = stencil_diagonals(NS, n, csr)
+        m, diags, stored = _stencil_diagonals(NS, n, csr)
         arrays = dict(diags=diags, stored=stored, work=np.empty(NS), Xb=Xb, duals=duals)
         scalars = dict(lin=(rows, n), qc=(n,))
         for name, a in consts.items():
