@@ -76,11 +76,28 @@ def _load_instance(path: str):
     return io.load_instance(path)
 
 
+def _check_out(path: str, directory: bool) -> None:
+    """Raise ``ValueError`` unless ``path`` can take an output directory
+    (``directory``) or file: it is of that kind if it exists, and a file's
+    directory exists, or a directory's nearest existing ancestor is one.
+    Commands call it before any work, so a bad ``--out`` writes nothing."""
+    path = os.path.abspath(path)
+    if os.path.exists(path) and os.path.isdir(path) != directory:
+        raise ValueError(f"output path {path} is {'a file' if directory else 'a directory'}")
+    parent = os.path.dirname(path)
+    while directory and not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        why = "is not a directory" if os.path.exists(parent) else "does not exist"
+        raise ValueError(f"output path {path}: {parent} {why}")
+
+
 def _write_json(path: str, payload: dict) -> None:
     io.atomic_write(path, io.canonical_json(payload))
 
 
 def cmd_generate(args) -> int:
+    _check_out(args.out, directory=False)
     d = io.template_dict(args.preset, seed=args.seed, n1d=args.n1d,
                          scenario_count=args.scenarios)
     inst = io.instance_from_dict(d)  # validates, incl. ellipticity
@@ -112,6 +129,9 @@ def cmd_solve(args) -> int:
     inst, sha = _load_instance(args.instance)
     params = _params_from_args(args)
     provenance = {"instance_sha256": sha, "seed": inst.scenarios.seed}
+    _check_out(args.out, directory=True)
+    if args.history_csv is not None:
+        _check_out(args.history_csv, directory=False)
     os.makedirs(args.out, exist_ok=True)
 
     if args.algorithm == "pdhg":
@@ -184,12 +204,15 @@ def cmd_certify(args) -> int:
             raise ValueError(f"{name} has shape {arr.shape}, instance expects {want}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} holds a non-finite entry")
+    if args.out:
+        csv_path = os.path.splitext(args.out)[0] + ".csv"
+        for path in (args.out, csv_path):
+            _check_out(path, directory=False)
 
     rep = certify.kkt_residuals(inst, primal, dual)
     provenance = {"instance_sha256": sha, "seed": inst.scenarios.seed}
     if args.out:
         _write_json(args.out, io.kkt_report_to_dict(rep, provenance))
-        csv_path = os.path.splitext(args.out)[0] + ".csv"
         io.atomic_write(csv_path, io.kkt_report_csv(rep))
     ok = rep.passes(args.tol, gap_tol=args.gap_tol)
     print(_format_kkt_table(rep))
@@ -201,6 +224,7 @@ def cmd_homotopy(args) -> int:
     inst, sha = _load_instance(args.instance)
     schedule = [float(s) for s in args.schedule.split(",")]
     params = _params_from_args(args)
+    _check_out(args.out, directory=True)
     report = run_homotopy(inst, schedule, params)
     provenance = {"instance_sha256": sha, "seed": inst.scenarios.seed}
     os.makedirs(args.out, exist_ok=True)
@@ -225,6 +249,8 @@ def cmd_compare_oracle(args) -> int:
         kkt_tolerance=min(params.kkt_tolerance, 1e-8),
         barrier_mu_terminal=1e-12,
     )
+    if args.out:
+        _check_out(args.out, directory=True)
     # the barrier first: it rejects an instance over its size limit at once
     xb, _, rep_b = solve_barrier_reference(inst, tight)
     xp, _, rep_p = solve_pdhg(inst, tight)
@@ -246,6 +272,8 @@ def cmd_compare_oracle(args) -> int:
 
 def cmd_mms(args) -> int:
     levels = [int(s) for s in args.levels.split(",")]
+    if args.out:
+        _check_out(args.out, directory=True)
     rows = mms_convergence_study(levels)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -1,16 +1,20 @@
-"""Fused C kernel for the two elementwise halves of a PDHG iteration.
+"""Fused C kernel for the PDHG iterations between two residual checks.
 
-``_pdhg_engine`` spends most of an iteration in numpy call overhead: about
-26 calls on arrays of a few thousand entries. This module fuses them into
-two C functions over the engine's own buffers:
+``_pdhg_engine`` would spend most of an iteration in numpy call overhead:
+about 26 calls on arrays of a few thousand entries. This module runs all
+the iterations between two residual checks in one C call, ``iterate(a, b,
+count)``, over the engine's own buffers. It alternates the two argument
+sets ``a`` and ``b`` of ``Kernel.bind`` (one per direction between the
+two primal buffers), and each iteration is
 
-- ``dual_step``: ``lam_e += tau ((A yb - xb1) - g)`` and
+- the dual step: ``lam_e += tau ((A yb - xb1) - g)`` and
   ``lam_ih = max(0, lam_ih + tau ci ((yb - zb) - psi))`` (``yb`` in hard
   mode);
-- ``primal_step``: the x1, y and z proxes, the division by the prox
-  denominators, the clamp to ``[lo, hi]`` and the extrapolation, given
-  ``x1n = p @ lam_e``, which the engine computes with numpy in between so
-  that its BLAS summation order stays the same.
+- the control gradient ``x1n = p @ lam_e``, for each row 0.0 plus
+  ``p_k lam_e[k]`` in scenario order, so that its bits follow from this
+  source and not from a BLAS library's choice of summation order;
+- the primal step: the x1, y and z proxes, the division by the prox
+  denominators, the clamp to ``[lo, hi]`` and the extrapolation.
 
 The block-diagonal operator ``A`` is applied as a five-point stencil, not
 as CSR: ``Kernel.bind`` turns the CSR it is given into five diagonals
@@ -32,7 +36,18 @@ iterates are the same bits:
   at +0.0 unchanged (such a sum is never -0.0);
 - ``+ qc`` is added even when it is 0.0;
 - ``max``/``min`` return the second operand on a tie of signed zeros and
-  propagate NaN, like numpy's ``maximum``/``minimum``.
+  propagate NaN, like numpy's ``maximum``/``minimum``;
+- a subnormal slack entry ``+-c 2^-1074`` over a denominator ``d`` in
+  [1, DBL_MAX], whose quotient is subnormal or zero, is not divided as a
+  double: a subnormal operand sends the division through a microcode
+  assist that cost about 3.5 us per iteration on the default preset (a
+  2-vCPU Xeon), where the slack block holds 53-92 of them. The kernel
+  computes ``rint(c / d)`` instead, settles a double quotient that lands
+  on a half-integer by the sign of the exact remainder ``fma(-q, d, c)``,
+  and uses the integer, with the sign of the entry, as the bit pattern of
+  the result: the IEEE quotient, bit for bit. ``fma`` only decides ties;
+  no result is a fused multiply-add. The slack update sets a flag when it
+  writes a subnormal, and only then does the block take this path.
 
 The source is compiled on the first ``load()`` call, not at import, with
 the system C compiler (``cc``) and ``FLAGS``: ``-O3 -march=native`` for
@@ -61,9 +76,11 @@ from scipy.sparse._sparsetools import csr_matvec
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off")
 
 SOURCE = r"""
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* One lockstep batch of `rows` problems with S scenarios of n = m x m nodes.
    The primal vectors are [x1 | y | z] with the rows stacked in each block (z
@@ -75,10 +92,11 @@ typedef struct {
     const uint8_t *stored;          /* (4, rows S n): neighbour stored */
     double *work;                   /* (rows S n): the operator's product */
     const double *X;                /* current primal iterate */
-    double *Xn;                     /* next primal iterate; x1 holds p @ lam_e */
+    double *Xn;                     /* next primal iterate */
     double *Xb;                     /* extrapolated primal iterate */
     double *duals;
     const double *g_psi;
+    const double *p;                /* (rows, S) scenario probabilities */
     const double *dual_steps;       /* [tau | tau ci] */
     const double *ineq_scales;      /* [ci | tauz ci] */
     const double *tau, *tau1;
@@ -146,19 +164,46 @@ static void ascend_clamped(int64_t m, double *restrict lam, const double *restri
     }
 }
 
-/* Xn = min2(max2(Xn / den, lo), hi) and Xb = Xn + (Xn - X), entries j < m */
+/* x / d as IEEE division rounds it, for a subnormal x = +-c 2^-1074 and
+   1 <= d <= DBL_MAX, computed without a subnormal operand: the quotient is
+   subnormal or zero, so its bit pattern is the integer nearest to c / d (an
+   exact tie to even) with the sign of x. rint(c / d) rounds twice, which
+   can only go wrong where c / d rounds to a half-integer; there the sign of
+   the exact remainder c - q d (one fma, rounded once, keeps its sign)
+   settles it. Any other x or d is divided plainly. */
+static inline double quotient(double x, double d)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const uint64_t sign = bits & 0x8000000000000000u, mag = bits ^ sign;
+    if (mag == 0 || mag >= 0x0010000000000000u || !(d >= 1.0 && d <= DBL_MAX))
+        return x / d;
+    const double c = (double)mag, q = c / d;
+    double t = rint(q);
+    if (fabs(t - q) == 0.5) {
+        const double e = fma(-q, d, c);
+        t = e > 0.0 ? q + 0.5 : e < 0.0 ? q - 0.5 : t;
+    }
+    bits = (uint64_t)t | sign;
+    memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
+/* Xn = min2(max2(Xn / den, lo), hi) and Xb = Xn + (Xn - X), entries j < m;
+   with `subnormal` set the division goes through quotient() */
 static void finish(int64_t m, const double *restrict X, double *restrict Xn,
                    double *restrict Xb, const double *restrict den,
-                   const double *restrict lo, const double *restrict hi)
+                   const double *restrict lo, const double *restrict hi, int subnormal)
 {
     for (int64_t j = 0; j < m; j++) {
-        const double v = min2(max2(Xn[j] / den[j], lo[j]), hi[j]);
+        const double q = subnormal ? quotient(Xn[j], den[j]) : Xn[j] / den[j];
+        const double v = min2(max2(q, lo[j]), hi[j]);
         Xn[j] = v;
         Xb[j] = v + (v - X[j]);
     }
 }
 
-void dual_step(const Batch *k)
+static void dual_step(const Batch *k)
 {
     const int64_t rows = k->rows, Sn = k->S * k->n, n = k->n;
     const int64_t nb = rows * n, NS = rows * Sn;
@@ -182,7 +227,7 @@ void dual_step(const Batch *k)
     }
 }
 
-void primal_step(const Batch *k)
+static void primal_step(const Batch *k)
 {
     const int64_t rows = k->rows, Sn = k->S * k->n, n = k->n;
     const int64_t nb = rows * n, NS = rows * Sn;
@@ -200,11 +245,46 @@ void primal_step(const Batch *k)
                 const double we = (Alam[r + i] + lam_ih[r + i] * scales[b]) * k->tau[b];
                 Xn[nb + r + i] = (X[nb + r + i] - we) + k->tau_yt[b * n + i];
             }
-    if (k->slack)
-        for (int64_t b = 0; b < rows; b++)
-            for (int64_t r = b * Sn; r < (b + 1) * Sn; r++)
-                Xn[nb + NS + r] = X[nb + NS + r] + lam_ih[r] * scales[rows + b];
-    finish(k->slack ? nb + 2 * NS : nb + NS, X, Xn, k->Xb, k->den, k->lo, k->hi);
+    finish(nb + NS, X, Xn, k->Xb, k->den, k->lo, k->hi, 0);
+    if (!k->slack)
+        return;
+    int subnormal = 0;
+    for (int64_t b = 0; b < rows; b++)
+        for (int64_t r = b * Sn; r < (b + 1) * Sn; r++) {
+            const double v = X[nb + NS + r] + lam_ih[r] * scales[rows + b];
+            subnormal |= (v != 0.0) & (fabs(v) < DBL_MIN);
+            Xn[nb + NS + r] = v;
+        }
+    const int64_t o = nb + NS;
+    finish(NS, X + o, Xn + o, k->Xb + o, k->den + o, k->lo + o, k->hi + o, subnormal);
+}
+
+/* x1n = p @ lam_e: for each row, 0.0 plus p_s lam_e[s] in scenario order */
+static void control_gradient(const Batch *k)
+{
+    const int64_t S = k->S, n = k->n;
+    const double *restrict lam_e = k->duals;
+    for (int64_t b = 0; b < k->rows; b++) {
+        double *restrict x1n = k->Xn + b * n;
+        for (int64_t i = 0; i < n; i++)
+            x1n[i] = 0.0;
+        for (int64_t s = 0; s < S; s++) {
+            const double ps = k->p[b * S + s], *restrict l = lam_e + (b * S + s) * n;
+            for (int64_t i = 0; i < n; i++)
+                x1n[i] = x1n[i] + ps * l[i];
+        }
+    }
+}
+
+/* `count` iterations, the first from a->X to a->Xn, the next back with b */
+void iterate(const Batch *a, const Batch *b, int64_t count)
+{
+    for (int64_t c = 0; c < count; c++) {
+        const Batch *k = c % 2 ? b : a;
+        dual_step(k);
+        control_gradient(k);
+        primal_step(k);
+    }
 }
 """
 
@@ -213,7 +293,7 @@ class _Batch(ctypes.Structure):
     _fields_ = (
         [(name, ctypes.c_int64) for name in ("rows", "S", "n", "m", "slack")]
         + [(name, ctypes.c_void_p) for name in (
-            "diags", "stored", "work", "X", "Xn", "Xb", "duals", "g_psi", "dual_steps",
+            "diags", "stored", "work", "X", "Xn", "Xb", "duals", "g_psi", "p", "dual_steps",
             "ineq_scales", "tau", "tau1", "tau_yt", "lin", "qc", "den", "lo", "hi")]
     )
 
@@ -250,15 +330,14 @@ class Kernel:
     """The loaded kernel library."""
 
     def __init__(self, lib: ctypes.CDLL):
-        self.dual_step = lib.dual_step
-        self.primal_step = lib.primal_step
-        for fn in (self.dual_step, self.primal_step):
-            fn.argtypes, fn.restype = (ctypes.POINTER(_Batch),), None
+        self.iterate = lib.iterate
+        self.iterate.argtypes = (ctypes.POINTER(_Batch), ctypes.POINTER(_Batch), ctypes.c_int64)
+        self.iterate.restype = None
 
     @staticmethod
     def bind(rows: int, S: int, n: int, slack: bool, csr, X0, X1, Xb, duals, z_hard,
              **consts):
-        """Arguments of the two steps for one batch: a pair of pointers, the
+        """Arguments of ``iterate`` for one batch: a pair of pointers, the
         first for a step from ``X0`` to ``X1`` and the second the other way.
 
         ``X0``, ``X1``, ``Xb`` and ``duals`` are the buffers the steps write
@@ -278,9 +357,9 @@ class Kernel:
         for name, a in consts.items():
             a = np.broadcast_to(a, scalars[name]) if np.ndim(a) == 0 else a
             arrays[name] = np.ascontiguousarray(a, dtype=float)
-        sizes = dict(X=nx, Xn=nx, Xb=nx, duals=2 * NS, g_psi=2 * NS, dual_steps=2 * rows,
-                     ineq_scales=2 * rows, tau=rows, tau1=rows, tau_yt=rows * n,
-                     lin=rows * n, qc=n, den=nx, lo=nx, hi=nx)
+        sizes = dict(X=nx, Xn=nx, Xb=nx, duals=2 * NS, g_psi=2 * NS, p=rows * S,
+                     dual_steps=2 * rows, ineq_scales=2 * rows, tau=rows, tau1=rows,
+                     tau_yt=rows * n, lin=rows * n, qc=n, den=nx, lo=nx, hi=nx)
         for name, a in dict(arrays, X=X0, Xn=X1).items():
             if name in sizes and a.size != sizes[name]:
                 raise ValueError(f"kernel argument {name} has {a.size} entries, "
@@ -300,8 +379,9 @@ class Kernel:
 
 
 class _NumpySteps:
-    """The two steps as numpy calls on the same buffers: the fallback when
-    the kernel cannot be built, and the form the kernel reproduces."""
+    """The kernel's ``iterate`` as numpy calls on the same buffers: the
+    fallback when the kernel cannot be built, and the form the kernel
+    reproduces."""
 
     @staticmethod
     def bind(rows: int, S: int, n: int, slack: bool, csr, X0, X1, Xb, duals, z_hard,
@@ -315,9 +395,20 @@ class _NumpySteps:
 
         work = np.empty((2, rows, S, n))
         shared = dict(N=NS, csr=csr, slack=slack, xb=blocks(Xb), duals=duals, work=work,
-                      Alam=np.empty((rows, S, n)), **consts)
+                      Alam=np.empty((rows, S, n)), product=np.empty((rows, 1, n)),
+                      **dict(consts, p=np.reshape(consts["p"], (rows, S)).T[:, :, None, None]))
         return tuple(SimpleNamespace(cur=blocks(X), nxt=blocks(Xn), **shared)
                      for X, Xn in ((X0, X1), (X1, X0)))
+
+    @classmethod
+    def iterate(cls, a, b, count: int) -> None:
+        """``count`` iterations, the first from ``a``'s current buffer, the
+        next back with ``b``."""
+        for c in range(count):
+            k = b if c % 2 else a
+            cls.dual_step(k)
+            cls.control_gradient(k)
+            cls.primal_step(k)
 
     @staticmethod
     def dual_step(k) -> None:
@@ -334,6 +425,15 @@ class _NumpySteps:
         np.multiply(work, k.dual_steps, out=work)
         np.add(k.duals, work, out=k.duals)
         np.maximum(0.0, k.duals[1], out=k.duals[1])
+
+    @staticmethod
+    def control_gradient(k) -> None:
+        """x1n = p @ lam_e, summed from 0.0 in scenario order."""
+        x1n = k.nxt[1]
+        x1n.fill(0.0)
+        for s, ps in enumerate(k.p):     # ps: (rows, 1, 1)
+            np.multiply(ps, k.duals[0][:, s:s + 1], out=k.product)
+            np.add(x1n, k.product, out=x1n)
 
     @staticmethod
     def primal_step(k) -> None:

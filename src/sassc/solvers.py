@@ -14,17 +14,21 @@ plain shifts ``lam_e += sigma (K_e xbar - g)`` and
 cancel from the iteration entirely. The iteration works in block-balanced
 variables with fixed steps (see the engine docstring).
 
-Each iteration is two calls into the C kernel of ``kernel.py`` (the dual
-step, then the prox, clamp and extrapolation) around the numpy product
-``p @ lam_e``, which stays in numpy to keep its BLAS summation order. The
-kernel applies the stiffness blocks as a five-point stencil vectorized
-across rows, not as CSR, and sums each row in the stored order of the CSR
-product. It is compiled with ``cc -O3 -march=native -ffp-contract=off``
-(no fast-math, no fused multiply-add) on the first engine call of a
-process, and runs every entry through the IEEE operations of the numpy
-form in its order, so iterates are bit for bit those of the numpy loop.
-Without a C compiler the engine runs that numpy loop
-(``kernel.numpy_steps``, CSR products) with the same bits.
+The iterations between two residual checks run in one call into the C
+kernel of ``kernel.py`` (``iterate``: the dual step, the control
+gradient ``p @ lam_e`` summed from 0.0 in scenario order, then the prox,
+clamp and extrapolation), so no numpy call or Python step runs between
+checks; the PDLP solver (Applegate et al., 2021) runs its steps between
+termination checks the same way. The kernel applies the stiffness blocks
+as a five-point stencil vectorized across rows, not as CSR, and sums each
+row in the stored order of the CSR product. It is compiled with ``cc -O3
+-march=native -ffp-contract=off`` (no fast-math, no fused multiply-add)
+on the first engine call of a process, and runs every entry through the
+IEEE operations of the numpy form in its order, so iterates are bit for
+bit those of the numpy loop; a subnormal slack entry is divided through
+its integer mantissa, with the IEEE quotient's bits. Without a C compiler
+the engine runs that numpy loop (``kernel.numpy_steps``, CSR products)
+with the same bits.
 
 The engine (``_pdhg_engine``), its K-norm estimate and the residual check
 take only a batch of instances with the same grid, mode and scenario count,
@@ -359,10 +363,11 @@ def _pdhg_engine(
         scaling, prox division, clamping, extrapolation) is one pass over
         one array; a per-row scalar becomes a constant array of that value,
         which gives the same bits. The current and next primal iterates
-        swap buffers after every step, and so do the two argument sets of
-        the steps (``Kernel.bind``), one per direction. Every update keeps
-        the operation order of the plain expression in its comment, so the
-        iterates match that form bit for bit.
+        swap buffers after every iteration, and so do the two argument sets
+        of ``iterate`` (``Kernel.bind``), one per direction; ``iterate``
+        alternates them itself, so the engine swaps after an odd count.
+        Every update keeps the operation order of the plain expression in
+        its comment, so the iterates match that form bit for bit.
         """
         Bs = len(idx)
         nb, NS = Bs * n, Bs * SN
@@ -396,11 +401,10 @@ def _pdhg_engine(
         cur, nxt, xb = primal_buffer(x1, y, z), primal_buffer(), primal_buffer(xb1, yb, zb)
         args = kern.bind(
             Bs, S, n, slack, rec.csr, cur[0], nxt[0], xb[0], duals, z_hard,
-            g_psi=np.stack([rec.g, rec.psi]), dual_steps=np.stack([tau, tau * ci]),
+            g_psi=np.stack([rec.g, rec.psi]), p=rec.p, dual_steps=np.stack([tau, tau * ci]),
             ineq_scales=np.stack([ci, tauz * ci]), tau=tau, tau1=tau1,
             tau_yt=tau * rec.y_target[:, None, :], lin=lin, qc=qc, den=den, lo=lo, hi=hi)
-        return (cur, nxt, xb, *args, duals, rec.p[:, None, :], lin, rec, ci, ci.ravel() * h,
-                best_worst, best)
+        return (cur, nxt, xb, *args, duals, lin, rec, ci, ci.ravel() * h, best_worst, best)
 
     results = [None] * B
     active = list(range(B))
@@ -409,67 +413,68 @@ def _pdhg_engine(
     it = 0
     while active and it < max_iters:
         if state is not None:
-            (cur, nxt, (_, xb1, yb, zb), args, args_next, duals, p, lin, rec, ci, ci_h,
+            (cur, nxt, (_, xb1, yb, zb), args, args_next, duals, lin, rec, ci, ci_h,
              best_worst, best) = stack(np.array(active), *state)
             lam_e, lam_ih = duals
             lin_rows = None if x1_extra_lin is None else lin[:, 0]
             state = None
-        it += 1
-        # dual ascent at the extrapolated primal point:
+        # the iterations up to the next residual check, in one kernel call;
+        # each is the dual ascent at the extrapolated primal point:
         # lam_e += sigma ((A yb - xb1) - g)
         # lam_ih = max(0, lam_ih + sigma ci (ineq - psi)), ineq = yb - zb or yb
-        kern.dual_step(args)
-        # proximal descent; every block is a clamped quadratic:
+        # then the proximal descent, every block a clamped quadratic:
         # x1n = clip((x1 + tau1 ((p @ lam_e + qc) - lin)) / den1, c1_lo, c1_hi)
         # yn = clip(((y - tau (A lam_e + ci lam_ih)) + tau y_t) / den_y, -M, M)
         # zn = clip((z + tauz ci lam_ih) / den_z, -M, M); hard mode keeps z
-        # then extrapolate with theta = 1: xb = xn + (xn - x)
-        np.matmul(p, lam_e, out=nxt[1])
-        kern.primal_step(args)
-        cur, nxt, args, args_next = nxt, cur, args_next, args
+        # and the extrapolation with theta = 1: xb = xn + (xn - x)
+        count = min(CHECK_EVERY - it % CHECK_EVERY, max_iters - it)
+        kern.iterate(args, args_next, count)
+        it += count
+        if count % 2:
+            cur, nxt, args, args_next = nxt, cur, args_next, args
 
-        if it % CHECK_EVERY == 0 or it == max_iters:
-            _, x1, y, z = cur
-            xp = PrimalPoint(x1[:, 0], y, z)
-            lam = DualPoint(lam_e, ci * lam_ih, -lam_e)
-            res = certify.natural_residuals(
-                rec, xp, lam,
-                x1_extra_quad=q, x1_extra_center=x1_extra_center, x1_extra_lin=lin_rows,
-            )
-            worst = certify.max_residual(res)
-            if history is not None:
-                for j in range(len(active)):
-                    history(it, {key: float(val[j]) for key, val in res.items()},
-                            PrimalPoint(xp.x1[j], y[j], z[j]),
-                            DualPoint(lam.adjoint[j], lam.obstacle[j], lam.nonant[j]))
-            better = worst < best_worst
-            if better.any():
-                np.copyto(best_worst, worst, where=better)
-                for snap, a in zip(best, (x1, y, z, lam_e, lam_ih)):
-                    np.copyto(snap, a, where=better[:, None, None])
-            converged = worst <= tol
-            mag_e = h * np.linalg.norm(lam_e, axis=-1).max(axis=-1)
-            mag_i = ci_h * np.linalg.norm(lam_ih, axis=-1).max(axis=-1)
-            diverged = (mag_e > DIVERGENCE_THRESHOLD) | (mag_i > DIVERGENCE_THRESHOLD)
-            stopped = converged | diverged | (it == max_iters)
-            if stopped.any():
-                for j in np.flatnonzero(stopped):
-                    if converged[j]:
-                        status = STATUS_CONVERGED
-                    else:
-                        status = STATUS_INFEASIBLE if diverged[j] else STATUS_ITERATION_CAP
-                    src = best if not converged[j] and best_worst[j] < math.inf else (
-                        x1, y, z, lam_e, lam_ih)
-                    bx1, by, bz, be, bi = (a[j] for a in src)
-                    k = active[j]
-                    primal = PrimalPoint(bx1[0].copy(), by.copy(),
-                                         bz.copy() if slack else np.zeros((S, n)))
-                    dual = DualPoint(be.copy(), steps[k][1] * bi, extract_rho(rows[k], be))
-                    results[k] = (primal, dual, it, status)
-                running = np.flatnonzero(~stopped)
-                active = [active[j] for j in running]
-                state = tuple(a[running] for a in (x1, y, z, xb1, yb, zb, lam_e, lam_ih,
-                                                   best_worst, *best))
+        # the residual check that ends the interval
+        _, x1, y, z = cur
+        xp = PrimalPoint(x1[:, 0], y, z)
+        lam = DualPoint(lam_e, ci * lam_ih, -lam_e)
+        res = certify.natural_residuals(
+            rec, xp, lam,
+            x1_extra_quad=q, x1_extra_center=x1_extra_center, x1_extra_lin=lin_rows,
+        )
+        worst = certify.max_residual(res)
+        if history is not None:
+            for j in range(len(active)):
+                history(it, {key: float(val[j]) for key, val in res.items()},
+                        PrimalPoint(xp.x1[j], y[j], z[j]),
+                        DualPoint(lam.adjoint[j], lam.obstacle[j], lam.nonant[j]))
+        better = worst < best_worst
+        if better.any():
+            np.copyto(best_worst, worst, where=better)
+            for snap, a in zip(best, (x1, y, z, lam_e, lam_ih)):
+                np.copyto(snap, a, where=better[:, None, None])
+        converged = worst <= tol
+        mag_e = h * np.linalg.norm(lam_e, axis=-1).max(axis=-1)
+        mag_i = ci_h * np.linalg.norm(lam_ih, axis=-1).max(axis=-1)
+        diverged = (mag_e > DIVERGENCE_THRESHOLD) | (mag_i > DIVERGENCE_THRESHOLD)
+        stopped = converged | diverged | (it == max_iters)
+        if stopped.any():
+            for j in np.flatnonzero(stopped):
+                if converged[j]:
+                    status = STATUS_CONVERGED
+                else:
+                    status = STATUS_INFEASIBLE if diverged[j] else STATUS_ITERATION_CAP
+                src = best if not converged[j] and best_worst[j] < math.inf else (
+                    x1, y, z, lam_e, lam_ih)
+                bx1, by, bz, be, bi = (a[j] for a in src)
+                k = active[j]
+                primal = PrimalPoint(bx1[0].copy(), by.copy(),
+                                     bz.copy() if slack else np.zeros((S, n)))
+                dual = DualPoint(be.copy(), steps[k][1] * bi, extract_rho(rows[k], be))
+                results[k] = (primal, dual, it, status)
+            running = np.flatnonzero(~stopped)
+            active = [active[j] for j in running]
+            state = tuple(a[running] for a in (x1, y, z, xb1, yb, zb, lam_e, lam_ih,
+                                               best_worst, *best))
 
     return results
 

@@ -253,6 +253,46 @@ def test_certify_rejects_non_finite_entry(tmp_path, capsys, tiny_run, name):
     assert not (tmp_path / "kkt.json").exists() and not (tmp_path / "kkt.csv").exists()
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command did its work before checking --out")
+
+
+@pytest.mark.parametrize("command, out", [
+    ("generate", "file/inst.json"), ("generate", "dir"),
+    ("solve", "file"), ("solve", "file/run"), ("solve", "history"),
+    ("certify", "file/kkt.json"), ("certify", "dir"),
+    ("homotopy", "file"), ("compare-oracle", "file/c"), ("mms", "file")])
+def test_unusable_out_exits_4_before_any_work(tmp_path, capsys, monkeypatch, tiny_run,
+                                              command, out):
+    """An ``--out`` that is a file where a directory is wanted (or the other
+    way round), or lies under a file, exits 4 with one ``error:`` line
+    before any solve, and nothing is written."""
+    inst_path, primal_path, dual_path = tiny_run
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    for name in ("solve_pdhg", "solve_barrier_reference", "solve_progressive_hedging",
+                 "run_homotopy", "mms_convergence_study"):
+        monkeypatch.setattr(cli, name, _no_work)
+    monkeypatch.setattr(io, "save_instance", _no_work)
+    monkeypatch.setattr(cli.certify, "kkt_residuals", _no_work)
+    extra = {"generate": [*TINY_ARGS],
+             "solve": ["--instance", str(inst_path)],
+             "certify": ["--instance", str(inst_path), "--primal", str(primal_path),
+                         "--dual", str(dual_path)],
+             "homotopy": ["--instance", str(inst_path), "--schedule", "1,10,100,1000"],
+             "compare-oracle": ["--instance", str(inst_path)],
+             "mms": ["--levels", "7,15,31"]}[command]
+    if out == "history":
+        extra += ["--history-csv", str(tmp_path / "file" / "h.csv")]
+        out = "run"
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run_cli([command, *extra, "--out", str(tmp_path / out)]) == 4
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: output path")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def _set(data, path, value):
     """``data`` with the entry at ``path`` (keys and indices) set to
     ``value``; an empty path replaces the whole of it."""

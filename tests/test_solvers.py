@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import sys
 import threading
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -169,7 +171,9 @@ def reference_engine(inst, tol, max_iters, warm=None, x1_extra_quad=0.0,
         ineq = yb - zb if slack else yb
         np.maximum(0.0, lam_ih + sigma * ci * (ineq - psi), out=lam_ih)
 
-        e_lam = p @ lam_e
+        e_lam = 0.0     # p @ lam_e, summed in scenario order
+        for pk, lk in zip(p, lam_e):
+            e_lam = e_lam + pk * lk
         v1 = x1 + tau1 * (e_lam + qc - lin)
         x1n = np.clip(v1 / (1.0 + tau1 * (inst.alpha + q)), inst.c1_lo, inst.c1_hi)
 
@@ -233,10 +237,13 @@ def _equivalence_case(inst, case):
         return inst, dict(tol=1e-6, max_iters=400_000, warm=warm)
     if case == "cap_137":  # not a multiple of CHECK_EVERY: best-iterate fallback
         return inst, dict(tol=1e-6, max_iters=137)
+    if case == "S8":  # enough scenarios for BLAS to sum p @ lam_e in another order
+        return io.make_instance("default", n1d=8, scenario_count=8), dict(
+            tol=1e-6, max_iters=400_000)
     raise ValueError(case)
 
 
-@pytest.mark.parametrize("case", ["slack", "hard", "ph_subproblem", "warm", "cap_137"])
+@pytest.mark.parametrize("case", ["slack", "hard", "ph_subproblem", "warm", "cap_137", "S8"])
 def test_engine_matches_reference_bitwise(small_instance, case):
     inst, kwargs = _equivalence_case(small_instance, case)
     xa, la, ita, sta = engine_alone(inst, **kwargs)
@@ -252,6 +259,29 @@ def test_engine_matches_reference_bitwise(small_instance, case):
         assert a.tobytes() == b.tobytes()
 
 
+def test_engine_calls_iterate_once_per_check_interval(small_instance, monkeypatch):
+    """Each residual check ends one ``iterate`` call that runs the whole
+    interval since the last check, and the history hook fires at each."""
+    real = kernel.load() or kernel.numpy_steps
+    counts, checks = [], []
+
+    def iterate(a, b, count):
+        counts.append(count)
+        real.iterate(a, b, count)
+
+    monkeypatch.setattr(kernel, "load", lambda: SimpleNamespace(bind=real.bind,
+                                                                iterate=iterate))
+    for case in ("slack", "cap_137"):
+        counts.clear()
+        checks.clear()
+        inst, kwargs = _equivalence_case(small_instance, case)
+        [(_, _, it, _)] = _pdhg_engine([inst], history=lambda i, *_: checks.append(i),
+                                       **kwargs)
+        assert len(counts) == math.ceil(it / solvers.CHECK_EVERY) and sum(counts) == it
+        assert checks == list(itertools.accumulate(counts))
+    assert counts == [50, 50, 37]
+
+
 def _five_point_pattern(m):
     """CSR of the five-point stencil's sparsity pattern on an m x m grid,
     node i + m j, columns in ascending order."""
@@ -262,10 +292,16 @@ def _five_point_pattern(m):
     return pattern
 
 
+TINY = np.finfo(float).smallest_normal     # DBL_MIN
+SUBNORMAL = np.finfo(float).smallest_subnormal
+
+
 def _kernel_batch(rng, B, S, m, slack, qc, lin):
     """Random engine buffers and constants of one batch on an m x m grid, in
-    the engine's shapes, with signed zeros, NaN and values on the bounds
-    sprinkled in; the operator is block-diagonal five-point CSR with random
+    the engine's shapes, with signed zeros, NaN, values on the bounds,
+    subnormals of either sign and values in [DBL_MIN, 2 DBL_MIN) sprinkled
+    in, and prox denominators of 1.0, powers of 2 and inf among the random
+    ones; the operator is block-diagonal five-point CSR with random
     values."""
     n = m * m
     NS, nb = B * S * n, B * n
@@ -275,6 +311,10 @@ def _kernel_batch(rng, B, S, m, slack, qc, lin):
         a = scale * rng.standard_normal(shape)
         mask = rng.random(shape) < 0.5
         a[mask] = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5], size=int(mask.sum()))
+        tiny = rng.random(shape) < 0.1
+        a[tiny] = (rng.choice([-1.0, 1.0], size=int(tiny.sum()))
+                   * rng.choice([SUBNORMAL * rng.integers(1, 2**52, size=int(tiny.sum())),
+                                 TINY * (1.0 + rng.random(int(tiny.sum())))]))
         a[rng.random(shape) < 0.03] = np.nan
         return a
 
@@ -294,38 +334,105 @@ def _kernel_batch(rng, B, S, m, slack, qc, lin):
         ineq_scales=np.stack([ci, tauz * ci]), tau=tau, tau1=np.abs(rand(B, 1, 1)) + 0.25,
         tau_yt=rand(B, 1, n), lin=rand(B, 1, n) if lin else 0.0,
         qc=rand(n) if qc else 0.0, den=1.0 + np.abs(rand(nx)), lo=lo, hi=hi,
+        p=rand(B, S),
     )
+    special = rng.random(nx) < 0.2
+    consts["den"][special] = rng.choice([1.0, 2.0, 2.0**20, 2.0**-3, np.inf],
+                                        size=int(special.sum()))
     csr = (A.indptr, A.indices, rand(A.nnz))
-    return csr, arrays, consts, rand(B, 1, S)
+    return csr, arrays, consts
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 @settings(max_examples=80, deadline=None)
-@given(B=st.integers(1, 4), S=st.integers(1, 3), m=st.integers(1, 4),
-       slack=st.booleans(), qc=st.booleans(), lin=st.booleans(),
+@given(B=st.integers(1, 4), S=st.integers(1, 5), m=st.integers(1, 4),
+       slack=st.booleans(), qc=st.booleans(), lin=st.booleans(), count=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
-def test_kernel_steps_match_numpy_steps_bitwise(B, S, m, slack, qc, lin, seed):
-    """Two iterations of the C kernel's steps, one from each primal buffer,
-    leave every buffer with the bytes the numpy steps leave: signed-zero
-    ties at the bounds and at 0 for lam_ih, NaN entries in the operator
-    and the iterates, grids of m = 1 and 2 (no row has every neighbour),
-    the first and last m rows of a batch, odd lengths, and ``qc``/``lin``
-    of 0.0."""
+def test_kernel_steps_match_numpy_steps_bitwise(B, S, m, slack, qc, lin, count, seed):
+    """One to three iterations of the C kernel's ``iterate``, which
+    alternates the two primal buffers, leave every buffer with the bytes the
+    numpy steps leave: signed-zero ties at the bounds and at 0 for lam_ih,
+    NaN entries in the operator and the iterates, subnormal slack entries
+    divided by 1.0, powers of 2, inf and NaN, grids of m = 1 and 2 (no row
+    has every neighbour), the first and last m rows of a batch, odd
+    lengths, ``qc``/``lin`` of 0.0, and up to five scenarios summed in
+    ``p @ lam_e``."""
     n = m * m
-    csr, arrays, consts, p = _kernel_batch(np.random.default_rng(seed), B, S, m, slack,
-                                           qc, lin)
+    csr, arrays, consts = _kernel_batch(np.random.default_rng(seed), B, S, m, slack, qc, lin)
     out = []
     for steps in (kernel.numpy_steps, kernel.load()):
         a = {name: v.copy() for name, v in arrays.items()}
         pair = steps.bind(B, S, n, slack, csr, a["X0"], a["X1"], a["Xb"], a["duals"],
                           a["z_hard"], **consts)
-        for handle, Xn in zip(pair, (a["X1"], a["X0"])):
-            steps.dual_step(handle)
-            np.matmul(p, a["duals"][0], out=Xn[:B * n].reshape(B, 1, n))
-            steps.primal_step(handle)
+        steps.iterate(*pair, count)
         out.append(a)
     for name in ("X0", "X1", "Xb", "duals"):
         assert out[0][name].tobytes() == out[1][name].tobytes(), name
+
+
+def _quotient_cases(rng, size):
+    """Subnormal numerators x = +-c 2^-1074 and denominators d, a third of
+    them exact ties (c / d a half-integer), a third nudged a few ulps off a
+    tie, a third random in [1, inf), 1 % of all NaN, inf or below 1;
+    returns x, c, d and the mask of exact ties."""
+    c = rng.integers(1, 2**52, size=size).astype(float)
+    d = 1.0 + rng.exponential(4.0, size=size)
+    third = size // 3
+    # exact ties: d = a 2^j (a odd, j >= 1) and c = a 2^(j-1) (2k + 1)
+    a = rng.choice([1.0, 3.0, 5.0, 7.0], size=third)
+    j = rng.integers(1, 6, size=third)
+    k = rng.integers(0, 2**40, size=third) // (a * 2.0**j)
+    c[:third], d[:third] = a * 2.0**(j - 1) * (2 * k + 1), a * 2.0**j
+    # near ties: d nudged a few ulps off c / (t + 0.5)
+    near = slice(third, 2 * third)
+    t = np.floor(c[near] / rng.uniform(1.0, 2.0**20, size=third))
+    d[near] = np.maximum(1.0, c[near] / (t + 0.5))
+    d[near] = d[near] + rng.integers(-3, 4, size=third) * np.spacing(d[near])
+    x = rng.choice([-1.0, 1.0], size=size) * c * SUBNORMAL
+    special = rng.random(size) < 0.01
+    d[special] = rng.choice([np.nan, np.inf, 0.5, 2.0**-30, 0.0, -3.0], size=int(special.sum()))
+    exact = np.arange(size) < third
+    exact[special] = False
+    return x, c, d, exact
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_kernel_divides_subnormal_slack_entries_like_ieee_division():
+    """The slack block's quotient of a subnormal numerator, which the kernel
+    computes without dividing a subnormal, has the bits of numpy's ``/`` on
+    102 400 pairs: exact ties (to even), near-ties, either sign, and the
+    denominators outside [1, DBL_MAX] that take the plain division."""
+    S, m = 4, 160
+    n = m * m
+    NS = S * n
+    x, c, d, exact = _quotient_cases(np.random.default_rng(2024), NS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = x / d
+        q = c / d
+        ties = np.abs(np.rint(q) - q) == 0.5
+        naive = np.copysign(np.rint(q) * SUBNORMAL, x)   # rint(c / d), no tie fix
+    assert exact.sum() > 30_000 and ties[exact].all() and (ties & ~exact).sum() > 5_000
+    assert (naive != want).sum() > 1_000
+
+    A = sp.block_diag([_five_point_pattern(m)] * S, format="csr")
+    nx = n + 2 * NS
+    X0 = np.zeros(nx)
+    X0[n + NS:] = x
+    duals = np.zeros((2, 1, S, n))
+    den = np.ones(nx)
+    den[n + NS:] = d
+    big = np.full(nx, np.inf)
+    consts = dict(g_psi=np.stack([np.zeros((1, S, n)), np.full((1, S, n), 1e300)]),
+                  p=np.full((1, S), 1.0 / S), dual_steps=np.ones((2, 1, 1, 1)),
+                  ineq_scales=np.ones((2, 1, 1, 1)), tau=np.ones((1, 1, 1)),
+                  tau1=np.ones((1, 1, 1)), tau_yt=np.zeros((1, 1, n)), lin=0.0, qc=0.0,
+                  den=den, lo=-big, hi=big)
+    csr = (A.indptr, A.indices, np.ones(A.nnz))
+    X1 = np.empty(nx)
+    pair = kernel.load().bind(1, S, n, True, csr, X0, X1, np.zeros(nx), duals, None,
+                              **consts)
+    kernel.load().iterate(*pair, 1)
+    assert X1[n + NS:].tobytes() == want.tobytes()
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -334,8 +441,7 @@ def test_kernel_bind_rejects_what_the_steps_cannot_index():
     stencil, so their arguments and the operator's structure are checked."""
     B, S, m = 2, 2, 3
     n = m * m
-    csr, arrays, consts, _ = _kernel_batch(np.random.default_rng(0), B, S, m, True,
-                                           True, True)
+    csr, arrays, consts = _kernel_batch(np.random.default_rng(0), B, S, m, True, True, True)
     bind = kernel.load().bind
 
     def call(csr=csr, n=n, **changes):
