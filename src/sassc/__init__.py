@@ -32,9 +32,7 @@ from .problem import (
     SlaterReport,
     dual_function,
     objective,
-    pairing,
     project_c1,
-    project_c2,
     slater_check,
     zeros_dual,
 )

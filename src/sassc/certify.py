@@ -114,6 +114,35 @@ class KktReport:
         return ",".join(f"{math.nan if v is None else v:.17g}" for v in vals)
 
 
+def _fold(op: np.ufunc, a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``op`` folded left to right along ``axis``: ``op(...op(op(a[0],
+    a[1]), a[2])..., a[-1])``, the last entry of ``op.accumulate``."""
+    return op.accumulate(a, axis=axis).take(-1, axis=axis)
+
+
+def _sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sums along ``axis``, each ``0.0 + a[0] + a[1] + ...`` left to right,
+    the one summation order of the certificate. Adding +0.0 to the fold
+    from ``a[0]`` gives the bits of a sum started from +0.0, since the two
+    differ only in the sign of a sum of negative zeros."""
+    return _fold(np.add, a, axis) + 0.0
+
+
+def one_nan(a: np.ndarray) -> np.ndarray:
+    """``a`` with every NaN replaced by the one quiet NaN ``np.nan``. IEEE
+    754 leaves open which NaN an operation on two NaNs returns, and a
+    compiler may swap the operands of ``+`` and ``*``, so only the NaN-ness
+    of a residual is defined, not its bits."""
+    return np.where(np.isnan(a), np.nan, a)
+
+
+def max_scenario_norm(a: np.ndarray) -> np.ndarray:
+    """The largest per-scenario Euclidean norm of each row of a (B, S, n)
+    array: the root of the largest left-to-right sum of squares, which is
+    the largest root bit for bit."""
+    return np.sqrt(_fold(np.maximum, _sum(a * a)))
+
+
 def natural_residuals(
     rows: Rows,
     x: PrimalPoint,
@@ -132,27 +161,24 @@ def natural_residuals(
     + <l, x1>`` to the control objective, with ``x1_extra_lin`` (B, n); the
     scenario-decomposition solver certifies its augmented subproblems
     through them. They default to zero, which yields the plain optimality
-    system. Every term takes one numpy call for all rows with the
-    reduction kernel of the per-pair form (a BLAS dot for ``r1`` and
-    ``r5_comp``, a pairwise row sum for the norms), so row b is bitwise the
-    residual of pair b scored on its own.
+    system.
+
+    Every sum runs left to right from +0.0, over nodes and then over
+    scenarios (``_sum``), and every largest or smallest entry is taken left
+    to right by ``np.maximum`` or ``np.minimum`` (``_fold``: NaN propagates,
+    and a tie of signed zeros gives the later one), so each value follows
+    from this definition and not from a BLAS library's or numpy's choice of
+    order. A NaN residual is the one quiet NaN (``one_nan``). Row b is
+    bitwise the residual of pair b scored on its own, and the engine
+    kernel's residual check (``kernel.SOURCE``) repeats each operation in C
+    with the same bits.
     """
-    h = rows.h
-    p = rows.p[:, None, :]
+    h, B = rows.h, len(x.x1)
     lo, hi, y_t = (a[:, None, :] for a in (rows.c1_lo, rows.c1_hi, rows.y_target))
     alpha, alpha_prime, M = (a[:, None, None] for a in (rows.alpha, rows.alpha_prime, rows.M))
     x1 = x.x1[:, None, :]
 
-    def sq(a: np.ndarray) -> np.ndarray:
-        """Per-scenario sums of squares: the pairwise sums of
-        ``np.linalg.norm(a, axis=-1)``."""
-        return np.add.reduce(a * a, axis=-1)
-
-    def dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Per-row dot products of (B, 1, m) and (B, m, 1) through BLAS dot."""
-        return np.matmul(u, v)[:, 0, 0]
-
-    e_rho = np.matmul(p, lam.nonant)
+    e_rho = _sum(rows.p[:, :, None] * lam.nonant, axis=1)[:, None, :]
     f_x1 = alpha * x1 + e_rho
     if x1_extra_quad != 0.0:
         center = 0.0 if x1_extra_center is None else x1_extra_center
@@ -160,28 +186,23 @@ def natural_residuals(
     if x1_extra_lin is not None:
         f_x1 = f_x1 + x1_extra_lin[:, None, :]
     d1 = x1 - np.clip(x1 - f_x1, lo, hi)
-    r1 = h * np.sqrt(dots(d1, d1.transpose(0, 2, 1)))
 
     Alam = csr_product(rows.csr, lam.adjoint)
     f_y = x.y - y_t + Alam + lam.obstacle
     eq, ineq = constraint_values(rows, x)
-    sums = [sq(lam.nonant + lam.adjoint), sq(x.y - np.clip(x.y - f_y, -M, M)), sq(eq)]
+    out = {
+        "r1": h * np.sqrt(_sum(d1 * d1)[:, 0]),
+        "r2": h * max_scenario_norm(lam.nonant + lam.adjoint),
+        "r3": h * max_scenario_norm(x.y - np.clip(x.y - f_y, -M, M)),
+        "r4": h * max_scenario_norm(eq),
+        "r5_sign": _fold(np.minimum, lam.obstacle.reshape(B, -1)),
+        "r5_feas": _fold(np.maximum, np.maximum(ineq, 0.0).reshape(B, -1)),
+        "r5_comp": np.abs(h * h * _sum(rows.p * _sum(ineq * lam.obstacle))),
+    }
     if rows.mode == "slack":
         f_z = alpha_prime * x.z - lam.obstacle
-        sums.append(sq(x.z - np.clip(x.z - f_z, -M, M)))
-    # largest per-scenario norm of each row, times h; the root of the
-    # largest sum of squares is the largest root bit for bit
-    r2, r3, r4, *r3p = h * np.sqrt(np.maximum.reduce(np.array(sums), axis=-1))
-    per_scenario = np.einsum("bki,bki->bk", ineq, lam.obstacle)
-    out = {
-        "r1": r1, "r2": r2, "r3": r3, "r4": r4,
-        "r5_sign": np.minimum.reduce(lam.obstacle, axis=(1, 2)),
-        "r5_feas": np.maximum.reduce(np.maximum(ineq, 0.0), axis=(1, 2)),
-        "r5_comp": np.abs(h * h * dots(p, per_scenario[:, :, None])),
-    }
-    if r3p:
-        out["r3p"] = r3p[0]
-    return out
+        out["r3p"] = h * max_scenario_norm(x.z - np.clip(x.z - f_z, -M, M))
+    return {name: one_nan(val) for name, val in out.items()}
 
 
 def multiplier_l1_norms(inst: Instance, lam: DualPoint) -> tuple[float, float, float]:

@@ -122,7 +122,10 @@ def _json(value, kind: type | tuple, name: str):
 
 def _number(value, name: str) -> float:
     """The JSON number ``value`` as a float."""
-    return float(_json(value, (int, float), name))
+    try:
+        return float(_json(value, (int, float), name))
+    except OverflowError:   # a JSON integer beyond the double range
+        raise ValueError(f"{name} is too large for a double") from None
 
 
 def _numbers(value, name: str) -> np.ndarray:
@@ -135,7 +138,10 @@ def _numbers(value, name: str) -> np.ndarray:
             pending.extend(x for x in v if type(x) is not float and type(x) is not int)
         else:
             _json(v, (int, float), f"an entry of {name}")
-    return np.asarray(value, dtype=float)
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:   # a JSON integer beyond the double range
+        raise ValueError(f"an entry of {name} is too large for a double") from None
 
 
 def fieldspec_from_dict(d: dict) -> FieldSpec:

@@ -45,17 +45,6 @@ def norm_h(v: np.ndarray, h: float) -> float:
     return float(h * np.linalg.norm(v))
 
 
-def pairing(u: np.ndarray, lam: np.ndarray, p: np.ndarray, h: float) -> float:
-    """Duality pairing of a random field with a multiplier density.
-
-    ``sum_k p_k h^2 sum_i u[k, i] lam[k, i]`` for arrays of shape (S, n).
-    """
-    u = np.asarray(u, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    per_scenario = np.einsum("ki,ki->k", u, lam)
-    return float(h * h * np.dot(p, per_scenario))
-
-
 @dataclass
 class Instance:
     """Full problem data bound to a grid and a scenario set."""
@@ -259,12 +248,6 @@ def objective(inst: Instance, x: PrimalPoint) -> float:
 def project_c1(inst: Instance, v: np.ndarray) -> np.ndarray:
     """Entrywise projection onto the control box C1."""
     return np.clip(v, inst.c1_lo, inst.c1_hi)
-
-
-def project_c2(inst: Instance, v: np.ndarray) -> np.ndarray:
-    """Entrywise projection onto the state box C2 = [-M, M]."""
-    M = inst.c2_bound
-    return np.clip(v, -M, M)
 
 
 def constraint_values(rows: Rows, x: PrimalPoint) -> tuple[np.ndarray, np.ndarray]:

@@ -14,21 +14,25 @@ plain shifts ``lam_e += sigma (K_e xbar - g)`` and
 cancel from the iteration entirely. The iteration works in block-balanced
 variables with fixed steps (see the engine docstring).
 
-The iterations between two residual checks run in one call into the C
-kernel of ``kernel.py`` (``iterate``: the dual step, the control
-gradient ``p @ lam_e`` summed from 0.0 in scenario order, then the prox,
-clamp and extrapolation), so no numpy call or Python step runs between
-checks; the PDLP solver (Applegate et al., 2021) runs its steps between
-termination checks the same way. The kernel applies the stiffness blocks
-as a five-point stencil vectorized across rows, not as CSR, and sums each
-row in the stored order of the CSR product. It is compiled with ``cc -O3
--march=native -ffp-contract=off`` (no fast-math, no fused multiply-add)
-on the first engine call of a process, and runs every entry through the
-IEEE operations of the numpy form in its order, so iterates are bit for
-bit those of the numpy loop; a subnormal slack entry is divided through
-its integer mantissa, with the IEEE quotient's bits. Without a C compiler
-the engine runs that numpy loop (``kernel.numpy_steps``, CSR products)
-with the same bits.
+The iterations between two residual checks, and the check itself, run in
+one call into the C kernel of ``kernel.py`` (``iterate``: per iteration
+the dual step, the control gradient ``p @ lam_e`` summed from 0.0 in
+scenario order, then the prox, clamp and extrapolation; then the natural
+residuals and divergence magnitudes of every row), so no numpy call or
+Python step runs between checks and the engine only reads the check's
+output; the PDLP solver (Applegate et al., 2021) runs its steps and its
+termination checks in compiled code the same way. The kernel applies the
+stiffness blocks as a five-point stencil vectorized across rows, not as
+CSR, and sums each row in the stored order of the CSR product. It is
+compiled with ``cc -O3 -march=native -ffp-contract=off`` (no fast-math, no
+fused multiply-add) on the first engine call of a process, and runs every
+entry through the IEEE operations of the numpy form in its order, so
+iterates are bit for bit those of the numpy loop; a subnormal slack entry
+is divided through its integer mantissa, with the IEEE quotient's bits.
+The check repeats ``certify.natural_residuals`` bit for bit, since that
+sums left to right in one defined order. Without a C compiler the engine
+runs that numpy loop (``kernel.numpy_steps``, CSR products) and scores its
+checks with ``certify``, with the same bits.
 
 The engine (``_pdhg_engine``), its K-norm estimate and the residual check
 take only a batch of instances with the same grid, mode and scenario count,
@@ -303,20 +307,24 @@ def _pdhg_engine(
     restacked from the rows still running.
 
     The step constants of all rows come from two lockstep power
-    iterations (``_estimate_k_norm``), and every residual check scores all
-    running rows with one ``certify.natural_residuals`` call on their batch
-    record (``problem.stack_rows``), built once per set of rows. The
-    worst-residual test (``certify.max_residual``), the divergence test on
-    the multiplier magnitudes and the stopping status (converged, then
-    suspected infeasibility, then the iteration cap) are array operations
-    over rows, and best iterates are copied by row mask into stacked
+    iterations (``_estimate_k_norm``). Every residual check scores all
+    running rows inside the kernel call that ends the interval: it writes
+    the natural residuals of ``certify.natural_residuals`` and the
+    multiplier magnitudes ``h max_k |lam_e,k|`` and ``ci h max_k
+    |lam_ih,k|`` into a (rows, 10) buffer (``kernel.CHECK_COLUMNS``), bound
+    once per set of rows with the batch record (``problem.stack_rows``).
+    The worst-residual test (``certify.max_residual``), the divergence test
+    on the magnitudes and the stopping status (converged, then suspected
+    infeasibility, then the iteration cap) are array operations over rows
+    of that buffer, and best iterates are copied by row mask into stacked
     buffers that are restacked with the others.
 
     ``history(it, res, xp, lam)``, if given, is called at every residual
-    check of every row, in row order, with a dict of Python floats. The
-    arrays of ``xp`` and ``lam.adjoint`` are views of the engine's working
-    buffers, which later iterations overwrite in place, so the hook must
-    consume them during the call (copy them to keep them).
+    check of every row, in row order, with a dict of Python floats; the
+    points are built only then. The arrays of ``xp`` and ``lam.adjoint``
+    are views of the engine's working buffers, which later iterations
+    overwrite in place, so the hook must consume them during the call (copy
+    them to keep them).
     """
     B = len(rows)
     kern = kernel.load() or kernel.numpy_steps
@@ -387,9 +395,9 @@ def _pdhg_engine(
         rec = record if Bs == B else stack_rows([rows[k] for k in idx])
         duals = np.empty((2, Bs, S, n))
         duals[0], duals[1] = lam_e, lam_ih
+        check = np.empty((Bs, len(kernel.CHECK_COLUMNS)))
         tau, ci, tau1, tauz = (np.array(c)[:, None, None]
                                for c in zip(*(steps[k] for k in idx)))
-        lin = 0.0 if x1_extra_lin is None else x1_extra_lin[idx][:, None, :]
         den = np.concatenate([
             np.repeat(1.0 + tau1.ravel() * (rec.alpha + q), n),
             np.repeat(1.0 + tau.ravel(), SN),
@@ -400,11 +408,14 @@ def _pdhg_engine(
         hi = np.concatenate([rec.c1_hi.ravel()] + box)
         cur, nxt, xb = primal_buffer(x1, y, z), primal_buffer(), primal_buffer(xb1, yb, zb)
         args = kern.bind(
-            Bs, S, n, slack, rec.csr, cur[0], nxt[0], xb[0], duals, z_hard,
-            g_psi=np.stack([rec.g, rec.psi]), p=rec.p, dual_steps=np.stack([tau, tau * ci]),
-            ineq_scales=np.stack([ci, tauz * ci]), tau=tau, tau1=tau1,
-            tau_yt=tau * rec.y_target[:, None, :], lin=lin, qc=qc, den=den, lo=lo, hi=hi)
-        return (cur, nxt, xb, *args, duals, lin, rec, ci, ci.ravel() * h, best_worst, best)
+            Bs, S, n, slack, rec.csr, cur[0], nxt[0], xb[0], duals, check, z_hard,
+            h=h, q=q, lin=None if x1_extra_lin is None else x1_extra_lin[idx][:, None, :],
+            center=x1_extra_center, g_psi=np.stack([rec.g, rec.psi]), p=rec.p,
+            dual_steps=np.stack([tau, tau * ci]), ineq_scales=np.stack([ci, tauz * ci]),
+            tau=tau, tau1=tau1, tau_yt=tau * rec.y_target[:, None, :], qc=qc, den=den, lo=lo,
+            hi=hi, alpha=rec.alpha, alpha_prime=rec.alpha_prime, M=rec.M,
+            y_target=rec.y_target)
+        return (cur, nxt, xb, *args, duals, check, ci, best_worst, best)
 
     results = [None] * B
     active = list(range(B))
@@ -413,10 +424,9 @@ def _pdhg_engine(
     it = 0
     while active and it < max_iters:
         if state is not None:
-            (cur, nxt, (_, xb1, yb, zb), args, args_next, duals, lin, rec, ci, ci_h,
-             best_worst, best) = stack(np.array(active), *state)
+            (cur, nxt, (_, xb1, yb, zb), args, args_next, duals, check, ci, best_worst,
+             best) = stack(np.array(active), *state)
             lam_e, lam_ih = duals
-            lin_rows = None if x1_extra_lin is None else lin[:, 0]
             state = None
         # the iterations up to the next residual check, in one kernel call;
         # each is the dual ascent at the extrapolated primal point:
@@ -426,35 +436,35 @@ def _pdhg_engine(
         # x1n = clip((x1 + tau1 ((p @ lam_e + qc) - lin)) / den1, c1_lo, c1_hi)
         # yn = clip(((y - tau (A lam_e + ci lam_ih)) + tau y_t) / den_y, -M, M)
         # zn = clip((z + tauz ci lam_ih) / den_z, -M, M); hard mode keeps z
-        # and the extrapolation with theta = 1: xb = xn + (xn - x)
+        # and the extrapolation with theta = 1: xb = xn + (xn - x);
+        # the call ends with the residual check at the newest iterate, which
+        # writes certify.natural_residuals of (xn, (lam_e, ci lam_ih, -lam_e))
+        # and the divergence magnitudes h max_k |lam_e,k|, ci h max_k |lam_ih,k|
+        # into check
         count = min(CHECK_EVERY - it % CHECK_EVERY, max_iters - it)
         kern.iterate(args, args_next, count)
         it += count
         if count % 2:
             cur, nxt, args, args_next = nxt, cur, args_next, args
 
-        # the residual check that ends the interval
         _, x1, y, z = cur
-        xp = PrimalPoint(x1[:, 0], y, z)
-        lam = DualPoint(lam_e, ci * lam_ih, -lam_e)
-        res = certify.natural_residuals(
-            rec, xp, lam,
-            x1_extra_quad=q, x1_extra_center=x1_extra_center, x1_extra_lin=lin_rows,
-        )
+        res = dict(zip(kernel.CHECK_COLUMNS, check.T))
+        mag_e, mag_i = res.pop("mag_e"), res.pop("mag_i")
+        if not slack:
+            del res["r3p"]
         worst = certify.max_residual(res)
         if history is not None:
+            obstacle = ci * lam_ih
             for j in range(len(active)):
                 history(it, {key: float(val[j]) for key, val in res.items()},
-                        PrimalPoint(xp.x1[j], y[j], z[j]),
-                        DualPoint(lam.adjoint[j], lam.obstacle[j], lam.nonant[j]))
+                        PrimalPoint(x1[j, 0], y[j], z[j]),
+                        DualPoint(lam_e[j], obstacle[j], -lam_e[j]))
         better = worst < best_worst
         if better.any():
             np.copyto(best_worst, worst, where=better)
             for snap, a in zip(best, (x1, y, z, lam_e, lam_ih)):
                 np.copyto(snap, a, where=better[:, None, None])
         converged = worst <= tol
-        mag_e = h * np.linalg.norm(lam_e, axis=-1).max(axis=-1)
-        mag_i = ci_h * np.linalg.norm(lam_ih, axis=-1).max(axis=-1)
         diverged = (mag_e > DIVERGENCE_THRESHOLD) | (mag_i > DIVERGENCE_THRESHOLD)
         stopped = converged | diverged | (it == max_iters)
         if stopped.any():

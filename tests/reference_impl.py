@@ -2,37 +2,81 @@
 K-norm power iteration, kept in their plain per-pair form. The stacked
 code in the package must reproduce them bit for bit, row by row. Also the
 plain streaming form of the history CSV writer, whose bytes the atomic
-writer must match."""
+writer must match, and the test-only helpers ``pairing`` and
+``project_c2``."""
+
+import functools
+import math
 
 import numpy as np
 
-from sassc.problem import pairing, project_c1, project_c2
+from sassc.problem import project_c1
+
+
+def pairing(u: np.ndarray, lam: np.ndarray, p: np.ndarray, h: float) -> float:
+    """Duality pairing of a random field with a multiplier density.
+
+    ``sum_k p_k h^2 sum_i u[k, i] lam[k, i]`` for arrays of shape (S, n).
+    """
+    u = np.asarray(u, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    per_scenario = np.einsum("ki,ki->k", u, lam)
+    return float(h * h * np.dot(p, per_scenario))
+
+
+def project_c2(inst, v: np.ndarray) -> np.ndarray:
+    """Entrywise projection onto the state box C2 = [-M, M]."""
+    M = inst.c2_bound
+    return np.clip(v, -M, M)
+
+
+def lsum(terms) -> float:
+    """``0.0 + t[0] + t[1] + ...``, one addition at a time, left to right."""
+    total = 0.0
+    for t in np.ravel(terms).tolist():
+        total = total + t
+    return total
+
+
+def largest(values, op=np.maximum) -> float:
+    """``op`` (``np.maximum`` or ``np.minimum``) applied left to right."""
+    return functools.reduce(op, np.ravel(values).tolist())
+
+
+def max_norm(a) -> float:
+    """The largest per-scenario Euclidean norm of an (S, n) array."""
+    return np.sqrt(largest([lsum(row * row) for row in a]))
 
 
 def natural_residuals(inst, x, lam, x1_extra_quad=0.0, x1_extra_center=None,
                       x1_extra_lin=None):
-    """Residuals of one candidate pair, one plain expression per term."""
+    """Residuals of one candidate pair, one plain expression per term, each
+    sum taken one addition at a time, left to right from 0.0, and a NaN
+    residual given as the one quiet NaN."""
     h = inst.h
     p = inst.p
 
-    e_rho = p @ lam.nonant
+    e_rho = 0.0
+    for pk, nk in zip(p, lam.nonant):
+        e_rho = e_rho + pk * nk
     f_x1 = inst.alpha * x.x1 + e_rho
     if x1_extra_quad != 0.0:
         center = 0.0 if x1_extra_center is None else x1_extra_center
         f_x1 = f_x1 + x1_extra_quad * (x.x1 - center)
     if x1_extra_lin is not None:
         f_x1 = f_x1 + x1_extra_lin
-    r1 = h * float(np.linalg.norm(x.x1 - project_c1(inst, x.x1 - f_x1)))
+    d1 = x.x1 - project_c1(inst, x.x1 - f_x1)
+    r1 = h * np.sqrt(lsum(d1 * d1))
 
-    r2 = h * float(np.linalg.norm(lam.nonant + lam.adjoint, axis=1).max())
+    r2 = h * max_norm(lam.nonant + lam.adjoint)
 
     Alam = (inst.block_operator() @ lam.adjoint.ravel()).reshape(inst.S, inst.n)
     f_y = x.y - inst.y_target[None, :] + Alam + lam.obstacle
-    r3 = h * float(np.linalg.norm(x.y - project_c2(inst, x.y - f_y), axis=1).max())
+    r3 = h * max_norm(x.y - project_c2(inst, x.y - f_y))
 
     if inst.mode == "slack":
         f_z = inst.alpha_prime * x.z - lam.obstacle
-        r3p = h * float(np.linalg.norm(x.z - project_c2(inst, x.z - f_z), axis=1).max())
+        r3p = h * max_norm(x.z - project_c2(inst, x.z - f_z))
     else:
         r3p = None
 
@@ -40,16 +84,16 @@ def natural_residuals(inst, x, lam, x1_extra_quad=0.0, x1_extra_center=None,
     Ay = (inst.block_operator() @ x.y.ravel()).reshape(inst.S, inst.n)
     eq = Ay - x.x1[None, :] - g
     ineq = x.y - x.z - psi if inst.mode == "slack" else x.y - psi
-    r4 = h * float(np.linalg.norm(eq, axis=1).max())
-    r5_sign = float(lam.obstacle.min())
-    r5_feas = float(np.maximum(ineq, 0.0).max())
-    r5_comp = abs(pairing(ineq, lam.obstacle, p, h))
+    r4 = h * max_norm(eq)
+    r5_sign = largest(lam.obstacle, np.minimum)
+    r5_feas = largest(np.maximum(ineq, 0.0))
+    r5_comp = abs(h * h * lsum([pk * lsum(ik * ok) for pk, ik, ok in zip(p, ineq, lam.obstacle)]))
 
     out = {"r1": r1, "r2": r2, "r3": r3, "r4": r4,
            "r5_sign": r5_sign, "r5_feas": r5_feas, "r5_comp": r5_comp}
     if r3p is not None:
         out["r3p"] = r3p
-    return out
+    return {name: math.nan if np.isnan(val) else val for name, val in out.items()}
 
 
 def operator_norm_estimate(forward, adjoint, dim, weights=None, tol=1e-6,

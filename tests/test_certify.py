@@ -223,10 +223,11 @@ def _pool_instance(S: int, index: int, mode: str):
     return io.instance_from_dict(d)
 
 
-def _sprinkle(rng, arr):
-    """Put signed zeros and values on the bounds at random entries."""
-    mask = rng.random(arr.shape) < 0.2
-    arr[mask] = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, 2.0], size=int(mask.sum()))
+def _sprinkle(rng, arr, values=(0.0, -0.0, 1.0, -1.0, 0.5, 2.0), rate=0.2):
+    """Put ``values`` (by default signed zeros and values on the bounds) at
+    a share ``rate`` of random entries."""
+    mask = rng.random(arr.shape) < rate
+    arr[mask] = rng.choice(values, size=int(mask.sum()))
     return arr
 
 

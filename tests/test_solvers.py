@@ -19,9 +19,17 @@ from hypothesis import strategies as st
 from scipy.sparse._sparsetools import csr_matvec
 
 from sassc import cli, io, kernel, solvers
-from sassc.certify import kkt_residuals
+from sassc.certify import kkt_residuals, max_scenario_norm, natural_residuals, one_nan
 from sassc.grid import solve_linear
-from sassc.problem import DualPoint, PrimalPoint, norm_h, objective, project_c1
+from sassc.problem import (
+    DualPoint,
+    PrimalPoint,
+    Rows,
+    norm_h,
+    objective,
+    project_c1,
+    stack_rows,
+)
 from sassc.solvers import (
     STATUS_CONVERGED,
     STATUS_INFEASIBLE,
@@ -38,6 +46,7 @@ from sassc.solvers import (
 )
 
 import reference_impl
+from test_certify import _pool_instance, _sprinkle
 
 
 def unconstrained_template(n1d=4, S=2, seed=3):
@@ -207,8 +216,8 @@ def reference_engine(inst, tol, max_iters, warm=None, x1_extra_quad=0.0,
             if worst <= tol:
                 status = STATUS_CONVERGED
                 break
-            lam_mag = max(h * np.linalg.norm(lam_e, axis=1).max(),
-                          ci * h * np.linalg.norm(lam_ih, axis=1).max())
+            lam_mag = max(h * reference_impl.max_norm(lam_e),
+                          ci * h * reference_impl.max_norm(lam_ih))
             if lam_mag > solvers.DIVERGENCE_THRESHOLD:
                 status = STATUS_INFEASIBLE
                 break
@@ -328,13 +337,15 @@ def _kernel_batch(rng, B, S, m, slack, qc, lin):
     ci = np.abs(rand(B, 1, 1)) + 1.0
     tauz = np.abs(rand(B, 1, 1)) + 0.25
     arrays = dict(X0=rand(nx), X1=rand(nx), Xb=rand(nx), duals=rand(2, B, S, n),
-                  z_hard=rand(B, S, n))
+                  check=rand(B, 10), z_hard=rand(B, S, n))
     consts = dict(
         g_psi=rand(2, B, S, n), dual_steps=np.stack([tau, tau * ci]),
         ineq_scales=np.stack([ci, tauz * ci]), tau=tau, tau1=np.abs(rand(B, 1, 1)) + 0.25,
-        tau_yt=rand(B, 1, n), lin=rand(B, 1, n) if lin else 0.0,
+        tau_yt=rand(B, 1, n), lin=rand(B, 1, n) if lin else None,
         qc=rand(n) if qc else 0.0, den=1.0 + np.abs(rand(nx)), lo=lo, hi=hi,
-        p=rand(B, S),
+        p=rand(B, S), h=float(np.abs(rand(1))[0]), q=float(rand(1)[0]) if qc else 0.0,
+        center=rand(n) if qc else None, alpha=rand(B), alpha_prime=rand(B),
+        M=np.abs(rand(B)), y_target=rand(B, n),
     )
     special = rng.random(nx) < 0.2
     consts["den"][special] = rng.choice([1.0, 2.0, 2.0**20, 2.0**-3, np.inf],
@@ -350,8 +361,9 @@ def _kernel_batch(rng, B, S, m, slack, qc, lin):
        seed=st.integers(0, 2**32 - 1))
 def test_kernel_steps_match_numpy_steps_bitwise(B, S, m, slack, qc, lin, count, seed):
     """One to three iterations of the C kernel's ``iterate``, which
-    alternates the two primal buffers, leave every buffer with the bytes the
-    numpy steps leave: signed-zero ties at the bounds and at 0 for lam_ih,
+    alternates the two primal buffers and ends with the residual check,
+    leave every buffer, the check's included, with the bytes the numpy
+    steps leave: signed-zero ties at the bounds and at 0 for lam_ih,
     NaN entries in the operator and the iterates, subnormal slack entries
     divided by 1.0, powers of 2, inf and NaN, grids of m = 1 and 2 (no row
     has every neighbour), the first and last m rows of a batch, odd
@@ -363,10 +375,10 @@ def test_kernel_steps_match_numpy_steps_bitwise(B, S, m, slack, qc, lin, count, 
     for steps in (kernel.numpy_steps, kernel.load()):
         a = {name: v.copy() for name, v in arrays.items()}
         pair = steps.bind(B, S, n, slack, csr, a["X0"], a["X1"], a["Xb"], a["duals"],
-                          a["z_hard"], **consts)
+                          a["check"], a["z_hard"], **consts)
         steps.iterate(*pair, count)
         out.append(a)
-    for name in ("X0", "X1", "Xb", "duals"):
+    for name in ("X0", "X1", "Xb", "duals", "check"):
         assert out[0][name].tobytes() == out[1][name].tobytes(), name
 
 
@@ -425,12 +437,13 @@ def test_kernel_divides_subnormal_slack_entries_like_ieee_division():
     consts = dict(g_psi=np.stack([np.zeros((1, S, n)), np.full((1, S, n), 1e300)]),
                   p=np.full((1, S), 1.0 / S), dual_steps=np.ones((2, 1, 1, 1)),
                   ineq_scales=np.ones((2, 1, 1, 1)), tau=np.ones((1, 1, 1)),
-                  tau1=np.ones((1, 1, 1)), tau_yt=np.zeros((1, 1, n)), lin=0.0, qc=0.0,
-                  den=den, lo=-big, hi=big)
+                  tau1=np.ones((1, 1, 1)), tau_yt=np.zeros((1, 1, n)), qc=0.0,
+                  den=den, lo=-big, hi=big, h=1.0, q=0.0, alpha=np.ones(1),
+                  alpha_prime=np.ones(1), M=np.ones(1), y_target=np.zeros((1, n)))
     csr = (A.indptr, A.indices, np.ones(A.nnz))
     X1 = np.empty(nx)
-    pair = kernel.load().bind(1, S, n, True, csr, X0, X1, np.zeros(nx), duals, None,
-                              **consts)
+    pair = kernel.load().bind(1, S, n, True, csr, X0, X1, np.zeros(nx), duals,
+                              np.empty((1, 10)), None, **consts)
     kernel.load().iterate(*pair, 1)
     assert X1[n + NS:].tobytes() == want.tobytes()
 
@@ -447,7 +460,7 @@ def test_kernel_bind_rejects_what_the_steps_cannot_index():
     def call(csr=csr, n=n, **changes):
         a = dict(arrays, **{k: v for k, v in changes.items() if k in arrays})
         c = dict(consts, **{k: v for k, v in changes.items() if k in consts})
-        return bind(B, S, n, True, csr, a["X0"], a["X1"], a["Xb"], a["duals"],
+        return bind(B, S, n, True, csr, a["X0"], a["X1"], a["Xb"], a["duals"], a["check"],
                     a["z_hard"], **c)
 
     call()
@@ -466,8 +479,151 @@ def test_kernel_bind_rejects_what_the_steps_cannot_index():
             call(csr=bad)
     with pytest.raises(ValueError, match="den has"):
         call(den=consts["den"][:-1])
+    with pytest.raises(ValueError, match="y_target has"):
+        call(y_target=consts["y_target"][:, 1:])
+    with pytest.raises(ValueError, match="check has"):
+        call(check=arrays["check"][:, 1:].copy())
     with pytest.raises(ValueError, match="C-contiguous"):
         call(Xb=np.repeat(arrays["Xb"], 2)[::2])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        call(check=np.asfortranarray(arrays["check"]))
+
+
+def _bind_check(steps, rec, x1, y, z, lam_e, lam_ih, ci, check, **extra):
+    """``steps.bind`` arguments that hold the engine state (x1, y, z,
+    lam_e, lam_ih) of the batch record ``rec`` in ``X0`` and the duals, so
+    that ``iterate(a, b, 0)`` runs only the residual check into ``check``;
+    ``extra`` holds ``q``, ``lin`` and ``center``, and the step constants,
+    which the check does not read, are ones."""
+    B, S, n = y.shape
+    slack = rec.mode == "slack"
+    X = np.concatenate([x1.ravel(), y.ravel()] + ([z.ravel()] if slack else []))
+    nx, ones, box = X.size, np.ones((B, 1, 1)), np.full(y.size * (2 if slack else 1), np.inf)
+    return steps.bind(
+        B, S, n, slack, rec.csr, X, np.empty(nx), np.empty(nx), np.stack([lam_e, lam_ih]),
+        check, None if slack else z, **dict(dict(q=0.0, lin=None, center=None), **extra),
+        h=rec.h, g_psi=np.stack([rec.g, rec.psi]), p=rec.p, dual_steps=np.stack([ones, ones]),
+        ineq_scales=np.stack([ci, ci])[:, :, None, None], tau=ones, tau1=ones,
+        tau_yt=np.zeros((B, 1, n)), qc=0.0,
+        den=np.ones(nx), lo=np.concatenate([rec.c1_lo.ravel(), -box]),
+        hi=np.concatenate([rec.c1_hi.ravel(), box]), alpha=rec.alpha,
+        alpha_prime=rec.alpha_prime, M=rec.M, y_target=rec.y_target)
+
+
+ON_BOUNDS = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0)   # the pool's bounds and M
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), B=st.integers(1, 4), S=st.integers(1, 3),
+       mode=st.sampled_from(["slack", "hard"]), seed=st.integers(0, 2**32 - 1),
+       quad=st.sampled_from([0.0, 0.05]), center=st.booleans(), lin=st.booleans(),
+       non_finite=st.booleans())
+def test_kernel_check_matches_natural_residuals_bitwise(data, B, S, mode, seed, quad, center,
+                                                        lin, non_finite):
+    """The residual check that ends ``iterate`` (the C kernel's, or the
+    numpy steps' without a compiler) writes, row by row, the bits of
+    ``certify.natural_residuals`` of the engine's pair (x, (lam_e, ci
+    lam_ih, -lam_e)) and of the divergence magnitudes h max_k |lam_e,k| and
+    ci h max_k |lam_ih,k|: rows that differ in data, weights, bounds and M,
+    one to three scenarios, slack and hard mode (r3p then NaN), the PH
+    extras, and signed zeros, values on the bounds and on +-M, and in half
+    the draws NaN and +-inf."""
+    picks = data.draw(st.lists(st.integers(0, 5), min_size=B, max_size=B))
+    rec = stack_rows([_pool_instance(S, k, mode) for k in picks])
+    n = rec.y_target.shape[1]
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        a = _sprinkle(rng, 1.5 * rng.standard_normal(shape), ON_BOUNDS)
+        return _sprinkle(rng, a, NON_FINITE, rate=0.02) if non_finite else a
+
+    x1, y, z, lam_e, lam_ih = draw(B, n), *(draw(B, S, n) for _ in range(4))
+    ci = 1.0 + np.abs(rng.standard_normal(B))
+    extra = dict(x1_extra_quad=quad, x1_extra_center=rng.standard_normal(n) if center else None,
+                 x1_extra_lin=draw(B, n) if lin else None)
+    check = np.full((B, 10), 7.0)
+    steps = kernel.load() or kernel.numpy_steps
+    pair = _bind_check(steps, rec, x1, y, z, lam_e, lam_ih, ci, check, q=quad,
+                       center=extra["x1_extra_center"], lin=extra["x1_extra_lin"])
+    with np.errstate(invalid="ignore", over="ignore"):
+        steps.iterate(*pair, 0)
+        want = natural_residuals(rec, PrimalPoint(x1, y, z),
+                                 DualPoint(lam_e, ci[:, None, None] * lam_ih, -lam_e), **extra)
+        want.update(mag_e=one_nan(rec.h * max_scenario_norm(lam_e)),
+                    mag_i=one_nan(ci * rec.h * max_scenario_norm(lam_ih)))
+    assert set(kernel.CHECK_COLUMNS) - set(want) == (set() if mode == "slack" else {"r3p"})
+    for j, name in enumerate(kernel.CHECK_COLUMNS):
+        got = np.ascontiguousarray(check[:, j])
+        if name in want:
+            assert got.tobytes() == want[name].tobytes(), name
+        else:
+            assert got.tobytes() == np.full(B, np.nan).tobytes()
+
+
+def _zeros_sign_batch(steps, qc):
+    """One iteration of ``steps`` on one hard-mode row with two scenarios
+    on a 2 x 2 grid, from -0.0 in every primal entry and multiplier, a
+    negative dual step that keeps lam_e at -0.0, and open bounds; returns
+    the new control and lam_e."""
+    S, n = 2, 4
+    N = S * n
+    A = sp.block_diag([_five_point_pattern(2)] * S, format="csr")
+    X0, X1, Xb = np.full(n + N, -0.0), np.empty(n + N), np.full(n + N, -0.0)
+    duals = np.full((2, 1, S, n), -0.0)
+    pair = steps.bind(
+        1, S, n, False, (A.indptr, A.indices, np.ones(A.nnz)), X0, X1, Xb, duals,
+        np.empty((1, 10)), np.zeros((1, S, n)), h=1.0, q=0.0, g_psi=np.zeros((2, 1, S, n)),
+        p=np.full((1, S), 0.5), dual_steps=np.array([-1.0, 1.0]).reshape(2, 1, 1, 1),
+        ineq_scales=np.ones((2, 1, 1, 1)), tau=np.ones((1, 1, 1)), tau1=np.ones((1, 1, 1)),
+        tau_yt=np.zeros((1, 1, n)),
+        qc=qc, den=np.ones(n + N), lo=np.full(n + N, -np.inf), hi=np.full(n + N, np.inf),
+        alpha=np.ones(1), alpha_prime=np.ones(1), M=np.ones(1), y_target=np.zeros((1, n)))
+    steps.iterate(*pair, 1)
+    return X1[:n], duals[0]
+
+
+@pytest.mark.parametrize("steps", ["kernel", "numpy"])
+def test_control_gradient_sums_from_positive_zero(steps):
+    """``x1n = 0.0 + p_0 lam_e[0] + p_1 lam_e[1]``: with lam_e, ``qc`` and
+    the control at -0.0 the sum is +0.0, and so is the new control; a sum
+    started from ``p_0 lam_e[0]`` would be -0.0 and give the control -0.0."""
+    if steps == "kernel" and kernel.load() is None:
+        pytest.skip("no C compiler on PATH")
+    steps = kernel.load() if steps == "kernel" else kernel.numpy_steps
+    x1, lam_e = _zeros_sign_batch(steps, qc=np.full(4, -0.0))
+    assert np.signbit(lam_e).all() and not lam_e.any()
+    assert x1.tobytes() == np.zeros(4).tobytes()
+
+
+@pytest.mark.parametrize("steps", ["kernel", "numpy"])
+def test_check_sums_in_scenario_and_node_order(steps):
+    """The check's sums run left to right, which a directed state pins
+    where the order changes the value: with p = (1, 1, 1) and h = 0.5,
+    ``e_rho`` at node 0 is ``(1e16 - 1e16) + 1 = 1``, so r1 = h, and the
+    per-scenario complementarity sums (1e16, -1e16, then 1e16 - 1e16 + 1
+    over nodes) add up to 1, so r5_comp = h^2; summed in reverse scenario
+    or node order, each would be 0."""
+    if steps == "kernel" and kernel.load() is None:
+        pytest.skip("no C compiler on PATH")
+    steps = kernel.load() if steps == "kernel" else kernel.numpy_steps
+    S, n = 3, 4
+    A = sp.block_diag([_five_point_pattern(2)] * S, format="csr")
+    inf = np.full((1, n), np.inf)
+    rec = Rows(csr=(A.indptr, A.indices, np.ones(A.nnz)), p=np.ones((1, S)),
+               g=np.zeros((1, S, n)), psi=np.zeros((1, S, n)), c1_lo=-inf, c1_hi=inf,
+               y_target=np.zeros((1, n)), alpha=np.ones(1), alpha_prime=np.ones(1),
+               M=np.ones(1), h=0.5, mode="hard")
+    lam_e = np.zeros((1, S, n))
+    lam_e[0, :, 0] = (-1e16, 1e16, -1.0)
+    y, lam_ih = np.zeros((2, 1, S, n))
+    y[0, :, 0], y[0, 2, :3] = (1e16, -1e16, 1e16), (1e16, -1e16, 1.0)
+    lam_ih[0, :, 0], lam_ih[0, 2, :3] = 1.0, 1.0
+    check = np.empty((1, 10))
+    steps.iterate(*_bind_check(steps, rec, np.zeros((1, n)), y, np.zeros((1, S, n)), lam_e,
+                               lam_ih, np.ones(1), check), 0)
+    col = dict(zip(kernel.CHECK_COLUMNS, check[0]))
+    assert (col["r1"], col["r5_comp"]) == (0.5, 0.25)
 
 
 def test_engine_falls_back_to_numpy_steps_without_the_kernel(small_instance, monkeypatch):
@@ -595,14 +751,19 @@ def test_engine_row_with_nan_residual_never_converges(tiny_instance, monkeypatch
             for k in (0, 1)]
     alone = engine_alone(subs[1], tol=1e-6, max_iters=3000)
     assert alone[2:] == (750, STATUS_CONVERGED)
-    real = solvers.certify.natural_residuals
+    real = kernel.load() or kernel.numpy_steps
+    checks = []
 
-    def nan_r3_in_row_0(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res["r3"][0] = math.nan     # row 0 stays first: it never stops early
-        return res
+    def bind(*args, **kwargs):
+        checks.append(args[9])      # the check buffer of this batch
+        return real.bind(*args, **kwargs)
 
-    monkeypatch.setattr(solvers.certify, "natural_residuals", nan_r3_in_row_0)
+    def nan_r3_in_row_0(a, b, count):
+        real.iterate(a, b, count)
+        checks[-1][0, kernel.CHECK_COLUMNS.index("r3")] = math.nan  # row 0 never leaves
+
+    monkeypatch.setattr(kernel, "load", lambda: SimpleNamespace(bind=bind,
+                                                                iterate=nan_r3_in_row_0))
     (x0, lam0, it0, st0), (x1, lam1, it1, st1) = _pdhg_engine(
         subs, tol=1e-6, max_iters=3000)
     assert (it0, st0) == (3000, STATUS_ITERATION_CAP)
