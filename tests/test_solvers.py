@@ -489,25 +489,23 @@ def test_kernel_bind_rejects_what_the_steps_cannot_index():
         call(check=np.asfortranarray(arrays["check"]))
 
 
-def _bind_check(steps, rec, x1, y, z, lam_e, lam_ih, ci, check, **extra):
+def _bind_check(steps, rec, x1, y, z, lam_e, lam_ih, ci, check, q=0.0, lin=None, center=None):
     """``steps.bind`` arguments that hold the engine state (x1, y, z,
     lam_e, lam_ih) of the batch record ``rec`` in ``X0`` and the duals, so
     that ``iterate(a, b, 0)`` runs only the residual check into ``check``;
-    ``extra`` holds ``q``, ``lin`` and ``center``, and the step constants,
-    which the check does not read, are ones."""
+    the step constants, which the check does not read, are ones."""
     B, S, n = y.shape
     slack = rec.mode == "slack"
     X = np.concatenate([x1.ravel(), y.ravel()] + ([z.ravel()] if slack else []))
     nx, ones, box = X.size, np.ones((B, 1, 1)), np.full(y.size * (2 if slack else 1), np.inf)
     return steps.bind(
         B, S, n, slack, rec.csr, X, np.empty(nx), np.empty(nx), np.stack([lam_e, lam_ih]),
-        check, None if slack else z, **dict(dict(q=0.0, lin=None, center=None), **extra),
-        h=rec.h, g_psi=np.stack([rec.g, rec.psi]), p=rec.p, dual_steps=np.stack([ones, ones]),
+        check, None if slack else z, q=q, lin=lin, center=center, h=rec.h,
+        g_psi=np.stack([rec.g, rec.psi]), p=rec.p, dual_steps=np.stack([ones, ones]),
         ineq_scales=np.stack([ci, ci])[:, :, None, None], tau=ones, tau1=ones,
-        tau_yt=np.zeros((B, 1, n)), qc=0.0,
-        den=np.ones(nx), lo=np.concatenate([rec.c1_lo.ravel(), -box]),
-        hi=np.concatenate([rec.c1_hi.ravel(), box]), alpha=rec.alpha,
-        alpha_prime=rec.alpha_prime, M=rec.M, y_target=rec.y_target)
+        tau_yt=np.zeros((B, 1, n)), qc=0.0, den=np.ones(nx),
+        lo=np.concatenate([rec.c1_lo.ravel(), -box]), hi=np.concatenate([rec.c1_hi.ravel(), box]),
+        alpha=rec.alpha, alpha_prime=rec.alpha_prime, M=rec.M, y_target=rec.y_target)
 
 
 ON_BOUNDS = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0)   # the pool's bounds and M
