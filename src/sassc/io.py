@@ -128,6 +128,14 @@ def _number(value, name: str) -> float:
         raise ValueError(f"{name} is too large for a double") from None
 
 
+def _integer(value, name: str) -> int:
+    """The JSON integer ``value``, which must lie in the double range,
+    since the grid, the scenario set and the fields compute with it in
+    doubles."""
+    _number(_json(value, int, name), name)
+    return value
+
+
 def _numbers(value, name: str) -> np.ndarray:
     """The JSON number or nested array of numbers ``value`` as a float array;
     a ragged array raises ``ValueError`` in numpy."""
@@ -153,7 +161,7 @@ def fieldspec_from_dict(d: dict) -> FieldSpec:
     return FieldSpec(
         baseline=_number(d["baseline"], "baseline"),
         modes=tuple((_number(a, "an amplitude"),
-                     (_json(k1, int, "a wavenumber"), _json(k2, int, "a wavenumber")))
+                     (_integer(k1, "a wavenumber"), _integer(k2, "a wavenumber")))
                     for a, k1, k2 in modes),
         clip=None if clip is None else (_number(clip[0], "clip"), _number(clip[1], "clip")),
     )
@@ -200,14 +208,14 @@ def evaluate_deterministic(spec: FieldSpec, grid) -> np.ndarray:
 
 def instance_from_dict(d: dict) -> Instance:
     d = _json(d, dict, "an instance")
-    grid = build_grid(_json(_json(d["grid"], dict, "grid")["n1d"], int, "n1d"))
+    grid = build_grid(_integer(_json(d["grid"], dict, "grid")["n1d"], "n1d"))
     scen = _json(d["scenarios"], dict, "scenarios")
     probs = scen.get("probabilities")
     scenarios = sample_scenarios(
         fieldspec_from_dict(scen["spec_a"]),
         fieldspec_from_dict(scen["spec_g"]),
         fieldspec_from_dict(scen["spec_psi"]),
-        S=_json(scen["S"], int, "S"),
+        S=_integer(scen["S"], "S"),
         seed=_json(scen["seed"], int, "seed"),
         probabilities=None if probs is None else _numbers(probs, "probabilities"),
     )

@@ -4,9 +4,10 @@ and for the check that ends them.
 ``_pdhg_engine`` would spend most of an iteration in numpy call overhead:
 about 26 calls on arrays of a few thousand entries. This module runs all
 the iterations between two residual checks, and then the check, in one C
-call, ``iterate(a, b, count)``, over the engine's own buffers. It
-alternates the two argument sets ``a`` and ``b`` of ``Kernel.bind`` (one
-per direction between the two primal buffers), and each iteration is
+call, ``iterate(k, count)``, over the buffers of one batch ``k``
+(``Kernel.bind``, which lays them out from the batch record). The kernel
+swaps the current and next primal buffers after every iteration, and
+each iteration is
 
 - the dual step: ``lam_e += tau ((A yb - xb1) - g)`` and
   ``lam_ih = max(0, lam_ih + tau ci ((yb - zb) - psi))`` (``yb`` in hard
@@ -38,7 +39,7 @@ A numpy stencil is no alternative: its per-call overhead made it 2.9-4.5x
 slower than scipy's CSR product at these sizes.
 
 Each element goes through the same IEEE operations, in the same order and
-on the same operands, as the numpy form in the engine's comments, so the
+on the same operands, as the numpy steps (``numpy_steps``), so the
 iterates are the same bits:
 
 - each row of a product is summed from 0.0 over its stored entries in
@@ -64,6 +65,11 @@ iterates are the same bits:
   divided as doubles, and 1.4-2.4 us longer on this path (two runs, 40
   paired trials each, on a 2-vCPU AVX-512 Xeon).
 
+The one exception is the sign of a NaN made from two NaNs of opposite
+sign, which IEEE 754 leaves open and gcc decides by swapping the operands
+of ``+``; no engine run meets it, since on x86 every NaN the iteration
+makes comes from an invalid operation and has one sign.
+
 The source is compiled on the first ``load()`` call, not at import, with
 the system C compiler (``cc``) and ``FLAGS``: ``-O3 -march=native`` for
 the host's widest vectors, without fast-math, so nothing is reassociated,
@@ -71,8 +77,8 @@ and with ``-ffp-contract=off``, so that no multiply-add is fused.
 Vectorizing an elementwise loop changes no bits, and the library is built
 on the host it runs on. It is built in a temporary directory, which is
 removed once it is loaded. If there is no compiler or the build fails,
-``load()`` returns None and the engine runs its numpy loop body (CSR
-products) and scores its checks with ``certify``, which gives the same
+``load()`` returns None and the engine runs the numpy steps (CSR
+products), which score their checks with ``certify`` and give the same
 bits. The outcome is decided once per process.
 """
 
@@ -104,10 +110,11 @@ SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
-/* One lockstep batch of `rows` problems with S scenarios of n = m x m nodes.
-   The primal vectors are [x1 | y | z] with the rows stacked in each block (z
-   only in slack mode), the duals [lam_e | lam_ih] and the data [g | psi],
-   each block (rows, S, n). Per-row constants have one entry per row. */
+/* One lockstep batch of `rows` problems with S scenarios of n = m x m nodes,
+   laid out by _batch in kernel.py: the primal vectors are [x1 | y | z] with
+   the rows stacked in each block (z only in slack mode), the duals
+   [lam_e | lam_ih] and the data [g | psi], each block (rows, S, n). Per-row
+   constants have one entry per row. */
 typedef struct {
     int64_t rows, S, n, m, slack;
     int64_t has_lin;                /* the check adds lin to its control gradient */
@@ -115,8 +122,8 @@ typedef struct {
     const double *diags;            /* block-diagonal operator: (5, rows S n) */
     const uint8_t *stored;          /* (4, rows S n): neighbour stored */
     double *work;                   /* (2, rows S n): the operator's products */
-    const double *X;                /* current primal iterate */
-    double *Xn;                     /* next primal iterate */
+    double *X;                      /* current primal iterate */
+    double *Xn;                     /* next primal iterate; iterate swaps the two */
     double *Xb;                     /* extrapolated primal iterate */
     double *duals;
     const double *g_psi;
@@ -312,7 +319,7 @@ static void control_gradient(const Batch *k)
     }
 }
 
-/* The residual check at the primal iterate X: row b of k->check gets
+/* The residual check at the current primal iterate: row b of k->check gets
    (r1, r2, r3, r3p, r4, r5_sign, r5_feas, r5_comp, mag_e, mag_i), the
    natural residuals of the pair (X, (lam_e, ci lam_ih, -lam_e)) and the
    divergence magnitudes h max_k |lam_e,k| and ci h max_k |lam_ih,k|, with
@@ -322,8 +329,9 @@ static void control_gradient(const Batch *k)
    from -inf or +inf, which either returns the first entry. A NaN is
    written as the one quiet NaN, as certify writes it, and r3p is NaN in
    hard mode, where the certificate has none. */
-static void check(const Batch *k, const double *X)
+static void check(const Batch *k)
 {
+    const double *X = k->X;
     const int64_t rows = k->rows, S = k->S, n = k->n, Sn = S * n;
     const int64_t nb = rows * n, NS = rows * Sn;
     const double *restrict x1 = X, *restrict y = X + nb, *restrict z = k->slack ? X + nb + NS : y;
@@ -389,30 +397,108 @@ static void check(const Batch *k, const double *X)
     }
 }
 
-/* `count` iterations, the first from a->X to a->Xn, the next back with b,
-   then the residual check at the newest iterate (a->X if count is 0) */
-void iterate(const Batch *a, const Batch *b, int64_t count)
+/* `count` iterations from k->X to k->Xn, each followed by a swap of the two,
+   then the residual check at the newest iterate, k->X */
+void iterate(Batch *k, int64_t count)
 {
     for (int64_t c = 0; c < count; c++) {
-        const Batch *k = c % 2 ? b : a;
         dual_step(k);
         control_gradient(k);
         primal_step(k);
+        double *t = k->X;
+        k->X = k->Xn;
+        k->Xn = t;
     }
-    check(a, count % 2 ? a->Xn : a->X);
+    check(k);
 }
 """
+
+
+# the constants of _Batch, each an attribute of the same name on _batch's
+# namespace; the kernel reads them and writes duals and check in place
+_CONSTANTS = ("duals", "g_psi", "p", "dual_steps", "ineq_scales", "tau", "tau1", "tau_yt",
+              "lin", "qc", "den", "lo", "hi", "alpha", "alpha_prime", "M", "y_target",
+              "center", "check")
 
 
 class _Batch(ctypes.Structure):
     _fields_ = (
         [(name, ctypes.c_int64) for name in ("rows", "S", "n", "m", "slack", "has_lin")]
         + [(name, ctypes.c_double) for name in ("h", "q")]
-        + [(name, ctypes.c_void_p) for name in (
-            "diags", "stored", "work", "X", "Xn", "Xb", "duals", "g_psi", "p", "dual_steps",
-            "ineq_scales", "tau", "tau1", "tau_yt", "lin", "qc", "den", "lo", "hi", "alpha",
-            "alpha_prime", "M", "y_target", "center", "check")]
+        + [(name, ctypes.c_void_p) for name in ("diags", "stored", "work", "X", "Xn", "Xb",
+                                                 *_CONSTANTS)]
     )
+
+
+def _batch(rec: Rows, steps, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
+    """The buffers and constants of one lockstep batch, for both forms of
+    the steps: ``rec`` is the batch record (``problem.stack_rows``),
+    ``steps`` a (rows, 4) array of each row's tau, ci, tau1 and tauz,
+    ``state`` the iterates (x1, y, z, xb1, yb, zb, lam_e, lam_ih) stacked by
+    row, and ``q``, ``center`` (n,) and ``lin`` (rows, n) are
+    ``x1_extra_quad``, ``x1_extra_center`` and ``x1_extra_lin``, each None
+    when absent.
+
+    The iterations allocate no arrays. The primal blocks live in one flat
+    vector [x1 | y | z] (z only in slack mode; hard mode carries it
+    unchanged) with the rows stacked in each block, the multipliers in one
+    (2, rows, S, n) array [lam_e | lam_ih] and the data in [g | psi], so
+    that each update the blocks share is one pass over one array. A per-row
+    scalar becomes a constant array of that value, which gives the same
+    bits: the prox denominators ``den`` and the bounds ``lo`` and ``hi``
+    have one entry per primal entry.
+
+    The namespace holds the current, next and extrapolated primal iterates
+    ``cur``, ``nxt`` (a copy of ``cur``, so every byte the steps read is
+    defined) and ``xb``, each (flat vector, x1 (rows, 1, n), y, z), and the
+    ``_CONSTANTS`` in the numpy steps' shapes. Sizes are checked here,
+    since the kernel indexes without bounds.
+    """
+    x1, y, z, xb1, yb, zb, lam_e, lam_ih = state
+    rows, S, n = np.shape(y)
+    slack = rec.mode == "slack"
+    nb, NS = rows * n, rows * S * n
+    nx = nb + NS * (2 if slack else 1)
+    tau, ci, tau1, tauz = np.asarray(steps, dtype=float).T[:, :, None, None]
+    box = np.repeat(rec.M, S * n)
+
+    def flat(a1, ay, az):
+        """[x1 | y | z], z only in slack mode"""
+        parts = [np.ravel(a1), np.ravel(ay)] + ([np.ravel(az)] if slack else [])
+        return np.concatenate(parts, dtype=float)
+
+    X, Xb = flat(x1, y, z), flat(xb1, yb, zb)
+    k = SimpleNamespace(
+        rec=rec, rows=rows, S=S, n=n, slack=slack, duals=np.array([lam_e, lam_ih], dtype=float),
+        g_psi=np.stack([rec.g, rec.psi]), p=rec.p, dual_steps=np.stack([tau, tau * ci]),
+        ineq_scales=np.stack([ci, tauz * ci]), tau=tau, tau1=tau1,
+        tau_yt=tau * rec.y_target[:, None, :],
+        lin=np.zeros((rows, 1, n)) if lin is None else np.asarray(lin, dtype=float)[:, None],
+        qc=np.zeros(n) if (q == 0.0 or center is None) else q * np.asarray(center),
+        den=flat(np.repeat(1.0 + tau1.ravel() * (rec.alpha + q), n),
+                 np.repeat(1.0 + tau.ravel(), S * n),
+                 np.repeat(1.0 + tauz.ravel() * rec.alpha_prime, S * n)),
+        lo=flat(rec.c1_lo, -box, -box), hi=flat(rec.c1_hi, box, box),
+        alpha=rec.alpha, alpha_prime=rec.alpha_prime, M=rec.M, y_target=rec.y_target,
+        center=np.zeros(n) if center is None else center,
+        check=np.empty((rows, len(CHECK_COLUMNS))))
+    sizes = dict(X=nx, Xb=nx, duals=2 * NS, g_psi=2 * NS, p=rows * S, dual_steps=2 * rows,
+                 ineq_scales=2 * rows, tau=rows, tau1=rows, tau_yt=rows * n, lin=rows * n, qc=n,
+                 den=nx, lo=nx, hi=nx, alpha=rows, alpha_prime=rows, M=rows, y_target=rows * n,
+                 center=n, check=rows * 10)
+    arrays = dict(vars(k), X=X, Xb=Xb)
+    for name, size in sizes.items():
+        if np.size(arrays[name]) != size:
+            raise ValueError(f"kernel argument {name} has {np.size(arrays[name])} entries, "
+                             f"expected {size}")
+    z_hard = None if slack else np.array(z, dtype=float)
+
+    def blocks(X):
+        return (X, X[:nb].reshape(rows, 1, n), X[nb:nb + NS].reshape(rows, S, n),
+                X[nb + NS:].reshape(rows, S, n) if slack else z_hard)
+
+    k.cur, k.nxt, k.xb = blocks(X), blocks(X.copy()), blocks(Xb)
+    return k
 
 
 def _stencil_diagonals(N: int, n: int, csr) -> tuple[int, np.ndarray, np.ndarray]:
@@ -447,58 +533,36 @@ class Kernel:
     """The loaded kernel library."""
 
     def __init__(self, lib: ctypes.CDLL):
-        self.iterate = lib.iterate
-        self.iterate.argtypes = (ctypes.POINTER(_Batch), ctypes.POINTER(_Batch), ctypes.c_int64)
-        self.iterate.restype = None
+        self._iterate = lib.iterate
+        self._iterate.argtypes = (ctypes.POINTER(_Batch), ctypes.c_int64)
+        self._iterate.restype = None
 
     @staticmethod
-    def bind(rows: int, S: int, n: int, slack: bool, csr, X0, X1, Xb, duals, check, z_hard,
-             *, h: float, q: float, lin=None, center=None, **consts):
-        """Arguments of ``iterate`` for one batch: a pair of pointers, the
-        first for a step from ``X0`` to ``X1`` and the second the other way.
+    def bind(rec: Rows, steps, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
+        """The batch of ``_batch`` for ``iterate``, with the ``_Batch``
+        struct that points at its arrays (``struct``), which keeps them
+        alive. The CSR operator of ``rec`` becomes the stencil's diagonals
+        (``_stencil_diagonals``)."""
+        k = _batch(rec, steps, state, q=q, center=center, lin=lin)
+        m, diags, stored = _stencil_diagonals(k.duals[0].size, k.n, rec.csr)
+        arrays = dict(diags=diags, stored=stored, work=np.empty(k.duals.size), X=k.cur[0],
+                      Xn=k.nxt[0], Xb=k.xb[0])
+        arrays.update((name, np.ascontiguousarray(getattr(k, name), dtype=float))
+                      for name in _CONSTANTS)
+        batch = _Batch(rows=k.rows, S=k.S, n=k.n, m=m, slack=k.slack, has_lin=lin is not None,
+                       h=rec.h, q=q, **{name: a.ctypes.data for name, a in arrays.items()})
+        batch.keep = arrays
+        k.struct = ctypes.pointer(batch)
+        return k
 
-        ``X0``, ``X1``, ``Xb``, ``duals`` and the (rows, 10) ``check`` are
-        the buffers the kernel writes in place; the ``_Batch`` constants in
-        ``consts`` are read, and may be given in any shape that holds their
-        entries in order, ``qc`` also as the scalar 0.0. ``h`` and ``q``
-        (``x1_extra_quad``) are scalars; ``lin`` (rows, n) and ``center``
-        (n,) are ``x1_extra_lin`` and ``x1_extra_center``, each None when
-        absent, as in ``certify.natural_residuals``. ``z_hard``, which hard
-        mode carries unchanged, is read only by the numpy steps. The CSR
-        operator becomes the stencil's diagonals (``_stencil_diagonals``).
-        Every array is kept alive by the pointers. Sizes are checked here,
-        since the kernel indexes without bounds.
-        """
-        NS = rows * S * n
-        nx = rows * n + (2 if slack else 1) * NS
-        m, diags, stored = _stencil_diagonals(NS, n, csr)
-        arrays = dict(diags=diags, stored=stored, work=np.empty(2 * NS), Xb=Xb, duals=duals,
-                      check=check)
-        consts.update(lin=0.0 if lin is None else lin, center=0.0 if center is None else center)
-        scalars = dict(lin=(rows, n), qc=(n,), center=(n,))
-        for name, a in consts.items():
-            a = np.broadcast_to(a, scalars[name]) if np.ndim(a) == 0 else a
-            arrays[name] = np.ascontiguousarray(a, dtype=float)
-        sizes = dict(X=nx, Xn=nx, Xb=nx, duals=2 * NS, g_psi=2 * NS, p=rows * S,
-                     dual_steps=2 * rows, ineq_scales=2 * rows, tau=rows, tau1=rows,
-                     tau_yt=rows * n, lin=rows * n, qc=n, den=nx, lo=nx, hi=nx, alpha=rows,
-                     alpha_prime=rows, M=rows, y_target=rows * n, center=n, check=rows * 10)
-        for name, a in dict(arrays, X=X0, Xn=X1).items():
-            if name in sizes and a.size != sizes[name]:
-                raise ValueError(f"kernel argument {name} has {a.size} entries, "
-                                 f"expected {sizes[name]}")
-        for a in (X0, X1, Xb, duals, check):
-            if a.dtype != np.float64 or not a.flags.c_contiguous:
-                raise ValueError("the buffers written in place must be C-contiguous float64")
-        fields = {name: a.ctypes.data for name, a in arrays.items()}
-        keep = (X0, X1, *arrays.values())
-        pair = []
-        for X, Xn in ((X0, X1), (X1, X0)):
-            batch = _Batch(rows=rows, S=S, n=n, m=m, slack=int(slack), has_lin=lin is not None,
-                           h=h, q=q, X=X.ctypes.data, Xn=Xn.ctypes.data, **fields)
-            batch.keep = keep
-            pair.append(ctypes.pointer(batch))
-        return tuple(pair)
+    def iterate(self, k, count: int) -> None:
+        """``count`` iterations of the batch ``k`` and the residual check
+        at the newest iterate, in one kernel call. The kernel swaps its
+        current and next primal buffers after every iteration, and ``k``'s
+        ``cur`` and ``nxt`` follow."""
+        self._iterate(k.struct, count)
+        if count % 2:
+            k.cur, k.nxt = k.nxt, k.cur
 
 
 class _NumpySteps:
@@ -507,58 +571,37 @@ class _NumpySteps:
     reproduces."""
 
     @staticmethod
-    def bind(rows: int, S: int, n: int, slack: bool, csr, X0, X1, Xb, duals, check, z_hard,
-             *, h: float, q: float, lin=None, center=None, **consts):
-        """Like ``Kernel.bind``, with the constants in the engine's shapes."""
-        nb, NS = rows * n, rows * S * n
-
-        def blocks(X):
-            return (X, X[:nb].reshape(rows, 1, n), X[nb:nb + NS].reshape(rows, S, n),
-                    X[nb + NS:].reshape(rows, S, n) if slack else z_hard)
-
-        lo, hi = np.ravel(consts["lo"]), np.ravel(consts["hi"])
-        g, psi = np.reshape(consts["g_psi"], (2, rows, S, n))
-        record = Rows(csr=csr, p=np.reshape(consts["p"], (rows, S)), g=g, psi=psi,
-                      c1_lo=lo[:nb].reshape(rows, n), c1_hi=hi[:nb].reshape(rows, n),
-                      y_target=np.reshape(consts.pop("y_target"), (rows, n)),
-                      alpha=np.ravel(consts.pop("alpha")),
-                      alpha_prime=np.ravel(consts.pop("alpha_prime")),
-                      M=np.ravel(consts.pop("M")), h=h, mode="slack" if slack else "hard")
-        extras = dict(x1_extra_quad=q, x1_extra_center=center,
-                      x1_extra_lin=None if lin is None else np.reshape(lin, (rows, n)))
-        work = np.empty((2, rows, S, n))
-        shared = dict(N=NS, csr=csr, slack=slack, xb=blocks(Xb), duals=duals, work=work,
-                      Alam=np.empty((rows, S, n)), product=np.empty((rows, 1, n)),
-                      check=check, record=record, extras=extras,
-                      lin=0.0 if lin is None else lin,
-                      **dict(consts, p=np.reshape(consts["p"], (rows, S)).T[:, :, None, None]))
-        return tuple(SimpleNamespace(cur=blocks(X), nxt=blocks(Xn), **shared)
-                     for X, Xn in ((X0, X1), (X1, X0)))
+    def bind(rec: Rows, steps, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
+        """Like ``Kernel.bind``, with the numpy steps' scratch arrays."""
+        k = _batch(rec, steps, state, q=q, center=center, lin=lin)
+        k.extras = dict(x1_extra_quad=q, x1_extra_center=center, x1_extra_lin=lin)
+        shape = (k.rows, k.S, k.n)
+        k.work, k.Alam = np.empty((2, *shape)), np.empty(shape)
+        k.product = np.empty((k.rows, 1, k.n))
+        return k
 
     @classmethod
-    def iterate(cls, a, b, count: int) -> None:
-        """``count`` iterations, the first from ``a``'s current buffer, the
-        next back with ``b``, then the residual check at the newest
-        iterate."""
-        for c in range(count):
-            k = b if c % 2 else a
+    def iterate(cls, k, count: int) -> None:
+        """``count`` iterations, each followed by a swap of ``k.cur`` and
+        ``k.nxt``, then the residual check at the newest iterate."""
+        for _ in range(count):
             cls.dual_step(k)
             cls.control_gradient(k)
             cls.primal_step(k)
-        cls.check(a, a.nxt if count % 2 else a.cur)
+            k.cur, k.nxt = k.nxt, k.cur
+        cls.check(k)
 
     @staticmethod
-    def check(k, X) -> None:
-        """The kernel's ``check`` at the primal iterate ``X`` (blocks), by
-        its definition: ``certify.natural_residuals`` of (X, (lam_e, ci
-        lam_ih, -lam_e)) and ``certify.max_scenario_norm`` for the
-        divergence magnitudes."""
-        _, x1, y, z = X
+    def check(k) -> None:
+        """The kernel's ``check`` at ``k.cur``, by its definition:
+        ``certify.natural_residuals`` of (x, (lam_e, ci lam_ih, -lam_e)) and
+        ``certify.max_scenario_norm`` for the divergence magnitudes."""
+        _, x1, y, z = k.cur
         lam_e, lam_ih = k.duals
-        ci = np.reshape(k.ineq_scales[0], (-1, 1, 1))
-        res = certify.natural_residuals(k.record, PrimalPoint(x1[:, 0], y, z),
+        ci = k.ineq_scales[0]
+        res = certify.natural_residuals(k.rec, PrimalPoint(x1[:, 0], y, z),
                                         DualPoint(lam_e, ci * lam_ih, -lam_e), **k.extras)
-        h = k.record.h
+        h = k.rec.h
         res.update(mag_e=certify.one_nan(h * certify.max_scenario_norm(lam_e)),
                    mag_i=certify.one_nan(ci[:, 0, 0] * h * certify.max_scenario_norm(lam_ih)))
         for j, name in enumerate(CHECK_COLUMNS):
@@ -569,7 +612,7 @@ class _NumpySteps:
         _, xb1, yb, zb = k.xb
         work_e, work_i = work = k.work
         work_e.fill(0.0)
-        csr_matvec(k.N, k.N, *k.csr, yb, work_e)
+        csr_matvec(yb.size, yb.size, *k.rec.csr, yb, work_e)
         np.subtract(work_e, xb1, out=work_e)
         if k.slack:
             np.subtract(yb, zb, out=work_i)
@@ -585,8 +628,8 @@ class _NumpySteps:
         """x1n = p @ lam_e, summed from 0.0 in scenario order."""
         x1n = k.nxt[1]
         x1n.fill(0.0)
-        for s, ps in enumerate(k.p):     # ps: (rows, 1, 1)
-            np.multiply(ps, k.duals[0][:, s:s + 1], out=k.product)
+        for s, ps in enumerate(k.p.T):
+            np.multiply(ps[:, None, None], k.duals[0][:, s:s + 1], out=k.product)
             np.add(x1n, k.product, out=x1n)
 
     @staticmethod
@@ -601,7 +644,7 @@ class _NumpySteps:
         np.multiply(x1n, k.tau1, out=x1n)
         np.add(x1, x1n, out=x1n)
         k.Alam.fill(0.0)
-        csr_matvec(k.N, k.N, *k.csr, lam_e, k.Alam)
+        csr_matvec(lam_e.size, lam_e.size, *k.rec.csr, lam_e, k.Alam)
         np.multiply(lam_ih, k.ineq_scales, out=work)
         np.add(k.Alam, work_e, out=work_e)
         np.multiply(work_e, k.tau, out=work_e)

@@ -311,8 +311,9 @@ def _pdhg_engine(
     running rows inside the kernel call that ends the interval: it writes
     the natural residuals of ``certify.natural_residuals`` and the
     multiplier magnitudes ``h max_k |lam_e,k|`` and ``ci h max_k
-    |lam_ih,k|`` into a (rows, 10) buffer (``kernel.CHECK_COLUMNS``), bound
-    once per set of rows with the batch record (``problem.stack_rows``).
+    |lam_ih,k|`` into a (rows, 10) buffer (``kernel.CHECK_COLUMNS``). The
+    kernel's ``bind`` lays out every buffer of a batch, once per set of
+    rows, from the batch record (``problem.stack_rows``), steps and iterates.
     The worst-residual test (``certify.max_residual``), the divergence test
     on the magnitudes and the stopping status (converged, then suspected
     infeasibility, then the iteration cap) are array operations over rows
@@ -333,9 +334,6 @@ def _pdhg_engine(
     if warm is None:
         warm = [None] * B
 
-    q = x1_extra_quad
-    qc = 0.0 if (q == 0.0 or x1_extra_center is None) else q * x1_extra_center
-
     # per-row steps and starting point
     k0 = _estimate_k_norm(rows)
     scales = [max(1.0, math.sqrt(k)) for k in k0]
@@ -352,81 +350,28 @@ def _pdhg_engine(
         else:
             xw, lw = w
             start.append((xw.x1, xw.y, xw.z, lw.adjoint, np.maximum(lw.obstacle, 0.0) / ci))
+    steps = np.array(steps)     # (B, 4): tau, ci, tau1, tauz
     x1, y, z, lam_e, lam_ih = (np.stack(a) for a in zip(*start))
     x1 = x1[:, None, :]
 
-    SN = S * n
-    h = rows[0].h
-
-    def stack(idx, x1, y, z, xb1, yb, zb, lam_e, lam_ih, best_worst, *best):
-        """Buffers and constants of the rows ``idx``, whose iterates
-        and best-iterate snapshots are given stacked along a leading row
-        axis. Their batch record is the engine's own until rows leave, and
-        is then stacked anew from the rows still running.
-
-        The loop allocates no arrays. The primal blocks live in one flat
-        vector [x1 | y | z] (z only in slack mode) with the rows stacked in
-        each block, and the multipliers in one (2, rows, S, n) array
-        [lam_e | lam_ih], so that each update the blocks share (step
-        scaling, prox division, clamping, extrapolation) is one pass over
-        one array; a per-row scalar becomes a constant array of that value,
-        which gives the same bits. The current and next primal iterates
-        swap buffers after every iteration, and so do the two argument sets
-        of ``iterate`` (``Kernel.bind``), one per direction; ``iterate``
-        alternates them itself, so the engine swaps after an odd count.
-        Every update keeps the operation order of the plain expression in
-        its comment, so the iterates match that form bit for bit.
-        """
-        Bs = len(idx)
-        nb, NS = Bs * n, Bs * SN
-        nx = nb + NS + (NS if slack else 0)
-        z_hard = None if slack else np.array(z)  # hard mode: z is carried, not updated
-
-        def primal_buffer(a1=None, ay=None, az=None):
-            X = np.empty(nx)
-            views = (X, X[:nb].reshape(Bs, 1, n), X[nb:nb + NS].reshape(Bs, S, n),
-                     X[nb + NS:].reshape(Bs, S, n) if slack else z_hard)
-            if a1 is not None:
-                views[1][:], views[2][:] = a1, ay
-                if slack:
-                    views[3][:] = az
-            return views
-
-        rec = record if Bs == B else stack_rows([rows[k] for k in idx])
-        duals = np.empty((2, Bs, S, n))
-        duals[0], duals[1] = lam_e, lam_ih
-        check = np.empty((Bs, len(kernel.CHECK_COLUMNS)))
-        tau, ci, tau1, tauz = (np.array(c)[:, None, None]
-                               for c in zip(*(steps[k] for k in idx)))
-        den = np.concatenate([
-            np.repeat(1.0 + tau1.ravel() * (rec.alpha + q), n),
-            np.repeat(1.0 + tau.ravel(), SN),
-            np.repeat(1.0 + tauz.ravel() * rec.alpha_prime, SN if slack else 0),
-        ])
-        box = [np.repeat(rec.M, SN)] * (2 if slack else 1)
-        lo = np.concatenate([rec.c1_lo.ravel()] + [-b for b in box])
-        hi = np.concatenate([rec.c1_hi.ravel()] + box)
-        cur, nxt, xb = primal_buffer(x1, y, z), primal_buffer(), primal_buffer(xb1, yb, zb)
-        args = kern.bind(
-            Bs, S, n, slack, rec.csr, cur[0], nxt[0], xb[0], duals, check, z_hard,
-            h=h, q=q, lin=None if x1_extra_lin is None else x1_extra_lin[idx][:, None, :],
-            center=x1_extra_center, g_psi=np.stack([rec.g, rec.psi]), p=rec.p,
-            dual_steps=np.stack([tau, tau * ci]), ineq_scales=np.stack([ci, tauz * ci]),
-            tau=tau, tau1=tau1, tau_yt=tau * rec.y_target[:, None, :], qc=qc, den=den, lo=lo,
-            hi=hi, alpha=rec.alpha, alpha_prime=rec.alpha_prime, M=rec.M,
-            y_target=rec.y_target)
-        return (cur, nxt, xb, *args, duals, check, ci, best_worst, best)
-
     results = [None] * B
     active = list(range(B))
+    # the iterates (x1, y, z, xb1, yb, zb, lam_e, lam_ih), the best worst
+    # residual and the best iterates of the rows to (re)stack, or None
     state = (x1, y, z, x1, y, z, lam_e, lam_ih, np.full(B, math.inf),
              *(np.empty_like(a) for a in (x1, y, z, lam_e, lam_ih)))
     it = 0
     while active and it < max_iters:
         if state is not None:
-            (cur, nxt, (_, xb1, yb, zb), args, args_next, duals, check, ci, best_worst,
-             best) = stack(np.array(active), *state)
-            lam_e, lam_ih = duals
+            # the rows' batch record is the engine's own until rows leave,
+            # and is then stacked anew from the rows still running
+            idx = np.array(active)
+            rec = record if len(idx) == B else stack_rows([rows[k] for k in idx])
+            batch = kern.bind(rec, steps[idx], state[:8], q=x1_extra_quad,
+                              center=x1_extra_center,
+                              lin=None if x1_extra_lin is None else x1_extra_lin[idx])
+            best_worst, best = state[8], state[9:]
+            ci = steps[idx, 1][:, None, None]
             state = None
         # the iterations up to the next residual check, in one kernel call;
         # each is the dual ascent at the extrapolated primal point:
@@ -440,15 +385,14 @@ def _pdhg_engine(
         # the call ends with the residual check at the newest iterate, which
         # writes certify.natural_residuals of (xn, (lam_e, ci lam_ih, -lam_e))
         # and the divergence magnitudes h max_k |lam_e,k|, ci h max_k |lam_ih,k|
-        # into check
+        # into batch.check
         count = min(CHECK_EVERY - it % CHECK_EVERY, max_iters - it)
-        kern.iterate(args, args_next, count)
+        kern.iterate(batch, count)
         it += count
-        if count % 2:
-            cur, nxt, args, args_next = nxt, cur, args_next, args
 
-        _, x1, y, z = cur
-        res = dict(zip(kernel.CHECK_COLUMNS, check.T))
+        _, x1, y, z = batch.cur
+        lam_e, lam_ih = batch.duals
+        res = dict(zip(kernel.CHECK_COLUMNS, batch.check.T))
         mag_e, mag_i = res.pop("mag_e"), res.pop("mag_i")
         if not slack:
             del res["r3p"]
@@ -479,11 +423,11 @@ def _pdhg_engine(
                 k = active[j]
                 primal = PrimalPoint(bx1[0].copy(), by.copy(),
                                      bz.copy() if slack else np.zeros((S, n)))
-                dual = DualPoint(be.copy(), steps[k][1] * bi, extract_rho(rows[k], be))
+                dual = DualPoint(be.copy(), steps[k, 1] * bi, extract_rho(rows[k], be))
                 results[k] = (primal, dual, it, status)
             running = np.flatnonzero(~stopped)
             active = [active[j] for j in running]
-            state = tuple(a[running] for a in (x1, y, z, xb1, yb, zb, lam_e, lam_ih,
+            state = tuple(a[running] for a in (x1, y, z, *batch.xb[1:], lam_e, lam_ih,
                                                best_worst, *best))
 
     return results

@@ -328,6 +328,12 @@ def _set(data, path, value):
     ("instance", ("c1", "hi"), True),
     ("instance", ("alpha",), 10**400),
     ("instance", ("c1", "lo"), [10**400] * 16),
+    ("instance", ("grid", "n1d"), 10**400),
+    ("instance", ("scenarios", "S"), 10**400),
+    ("instance", ("scenarios", "spec_a", "modes", 0, 1), 10**400),
+    ("instance", ("scenarios", "spec_g", "modes", 0, 2), 10**400),
+    ("instance", ("scenarios", "spec_psi", "modes", 0, 1), 10**400),
+    ("instance", ("y_D", "spec", "modes", 0, 2), 10**400),
     ("primal", (), []),
     ("primal", ("y", 0, 1), {"a": 1}),
     ("dual", (), "adjoint"),
@@ -335,13 +341,16 @@ def _set(data, path, value):
 ], ids=["instance_list", "grid_number", "n1d_float", "scenarios_list", "S_float",
         "seed_bool", "spec_null", "short_mode", "wavenumber_float", "short_clip",
         "y_D_string", "alpha_null", "baseline_array", "amplitude_string", "c1_lo_object",
-        "c1_hi_bool", "alpha_huge_int", "c1_lo_huge_int", "primal_list", "y_entry_object",
+        "c1_hi_bool", "alpha_huge_int", "c1_lo_huge_int", "n1d_huge_int", "S_huge_int",
+        "spec_a_k1_huge_int", "spec_g_k2_huge_int", "spec_psi_k1_huge_int", "y_D_k2_huge_int",
+        "primal_list", "y_entry_object",
         "dual_string", "adjoint_entry_string"])
 def test_malformed_file_exits_4(tmp_path, capsys, tiny_run, which, path, value):
     """A file section of the wrong JSON type, a short field mode or clip, a
-    non-integer grid size, scenario count, seed or wavenumber, or a number
-    field or array entry that is no JSON number or an integer too large for
-    a double exits 4 with one ``error:`` line and writes nothing."""
+    non-integer grid size, scenario count, seed or wavenumber, a grid size,
+    scenario count or wavenumber too large for a double, or a number field
+    or array entry that is no JSON number or an integer too large for a
+    double exits 4 with one ``error:`` line and writes nothing."""
     inst_path, primal_path, dual_path = tiny_run
     paths = {"instance": inst_path, "primal": primal_path, "dual": dual_path}
     data = _set(json.loads(paths[which].read_text()), path, value)
@@ -422,6 +431,48 @@ def test_certify_exit_code_on_perturbed_points(tmp_path, capsys, tiny_run, data)
     capsys.readouterr()
     code = run_cli(["certify", "--instance", str(inst_path), "--primal", str(paths["primal"]),
                     "--dual", str(paths["dual"])])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 4)
+    assert "Traceback" not in err
+    if code == 4:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _subtrees(node, path=()):
+    """The paths (keys and indices) of ``node`` and of every value below it."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _subtrees(value, (*path, key))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_certify_exit_code_on_perturbed_instances(tmp_path, capsys, tiny_run, data):
+    """Whatever one field of the instance file is replaced by (a value of
+    the point tests' lists: wrong types or shapes, NaN, +-inf, numbers too
+    large for a double, empty or ragged arrays) or whether it is deleted,
+    ``certify`` of the tiny run's primal and dual exits with a documented
+    code and no traceback: 4 with one ``error:`` line for an input error,
+    0 or 1 for an instance it could score the pair on."""
+    inst_path, primal_path, dual_path = tiny_run
+    doc = json.loads(inst_path.read_text())
+    path = data.draw(st.sampled_from(list(_subtrees(doc))))
+    value = copy.deepcopy(data.draw(st.sampled_from(ODD_VALUES + ENTRY_VALUES + ("delete",))))
+    if value == "delete" and path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+    else:
+        doc = _set(doc, path, value)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run_cli(["certify", "--instance", str(inst), "--primal", str(primal_path),
+                    "--dual", str(dual_path)])
     err = capsys.readouterr().err
     assert code in (0, 1, 4)
     assert "Traceback" not in err

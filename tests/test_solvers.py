@@ -274,9 +274,9 @@ def test_engine_calls_iterate_once_per_check_interval(small_instance, monkeypatc
     real = kernel.load() or kernel.numpy_steps
     counts, checks = [], []
 
-    def iterate(a, b, count):
+    def iterate(k, count):
         counts.append(count)
-        real.iterate(a, b, count)
+        real.iterate(k, count)
 
     monkeypatch.setattr(kernel, "load", lambda: SimpleNamespace(bind=real.bind,
                                                                 iterate=iterate))
@@ -306,15 +306,14 @@ SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 def _kernel_batch(rng, B, S, m, slack, qc, lin):
-    """Random engine buffers and constants of one batch on an m x m grid, in
-    the engine's shapes, with signed zeros, NaN, values on the bounds,
-    subnormals of either sign and values in [DBL_MIN, 2 DBL_MIN) sprinkled
-    in, and prox denominators of 1.0, powers of 2 and inf among the random
-    ones; the operator is block-diagonal five-point CSR with random
-    values."""
+    """A random batch record, per-row steps and iterates of one batch on an
+    m x m grid, and the ``bind`` keywords, with signed zeros, NaN, values on
+    the bounds, subnormals of either sign and values in [DBL_MIN, 2 DBL_MIN)
+    sprinkled in. In a fifth of the rows tau1 = tauz = 1 and alpha and
+    alpha' make the x1 and z prox denominators 1.0, a power of 2 or inf.
+    ``M`` is never NaN, as in a real instance (``-M`` would be a -NaN). The
+    operator is block-diagonal five-point CSR with random values."""
     n = m * m
-    NS, nb = B * S * n, B * n
-    nx = nb + NS * (2 if slack else 1)
 
     def rand(*shape, scale=1.0):
         a = scale * rng.standard_normal(shape)
@@ -327,31 +326,30 @@ def _kernel_batch(rng, B, S, m, slack, qc, lin):
         a[rng.random(shape) < 0.03] = np.nan
         return a
 
+    def bounds(values):
+        a = rng.choice(values, size=(B, n))
+        a[rng.random((B, n)) < 0.03] = np.nan
+        return a
+
     A = sp.block_diag([_five_point_pattern(m)] * (B * S), format="csr")
     A.sort_indices()
-    lo = rng.choice([-1.0, -0.5, -0.0, 0.0], size=nx)
-    hi = rng.choice([0.0, -0.0, 0.5, 1.0], size=nx)
-    lo[rng.random(nx) < 0.03] = np.nan
-    hi[rng.random(nx) < 0.03] = np.nan
-    tau = np.abs(rand(B, 1, 1)) + 0.25
-    ci = np.abs(rand(B, 1, 1)) + 1.0
-    tauz = np.abs(rand(B, 1, 1)) + 0.25
-    arrays = dict(X0=rand(nx), X1=rand(nx), Xb=rand(nx), duals=rand(2, B, S, n),
-                  check=rand(B, 10), z_hard=rand(B, S, n))
-    consts = dict(
-        g_psi=rand(2, B, S, n), dual_steps=np.stack([tau, tau * ci]),
-        ineq_scales=np.stack([ci, tauz * ci]), tau=tau, tau1=np.abs(rand(B, 1, 1)) + 0.25,
-        tau_yt=rand(B, 1, n), lin=rand(B, 1, n) if lin else None,
-        qc=rand(n) if qc else 0.0, den=1.0 + np.abs(rand(nx)), lo=lo, hi=hi,
-        p=rand(B, S), h=float(np.abs(rand(1))[0]), q=float(rand(1)[0]) if qc else 0.0,
-        center=rand(n) if qc else None, alpha=rand(B), alpha_prime=rand(B),
-        M=np.abs(rand(B)), y_target=rand(B, n),
-    )
-    special = rng.random(nx) < 0.2
-    consts["den"][special] = rng.choice([1.0, 2.0, 2.0**20, 2.0**-3, np.inf],
-                                        size=int(special.sum()))
-    csr = (A.indptr, A.indices, rand(A.nnz))
-    return csr, arrays, consts
+    steps = np.abs(rand(B, 4)) + [0.25, 1.0, 0.25, 0.25]    # tau, ci, tau1, tauz
+    q = float(rand(1)[0]) if qc else 0.0
+    alpha, alpha_prime, M = rand(B), rand(B), np.abs(rand(B))
+    M[np.isnan(M)] = 1.0
+    special = rng.random(B) < 0.2
+    steps[special, 2:] = 1.0
+    d = rng.choice([1.0, 2.0, 2.0**20, 2.0**-3, np.inf], size=(2, int(special.sum())))
+    alpha[special], alpha_prime[special] = d[0] - 1.0 - q, d[1] - 1.0
+    rec = Rows(csr=(A.indptr, A.indices, rand(A.nnz)), p=rand(B, S), g=rand(B, S, n),
+               psi=rand(B, S, n), c1_lo=bounds([-1.0, -0.5, -0.0, 0.0]),
+               c1_hi=bounds([0.0, -0.0, 0.5, 1.0]), y_target=rand(B, n), alpha=alpha,
+               alpha_prime=alpha_prime, M=M, h=float(np.abs(rand(1))[0]),
+               mode="slack" if slack else "hard")
+    state = (rand(B, n), rand(B, S, n), rand(B, S, n), rand(B, n),
+             *(rand(B, S, n) for _ in range(4)))
+    extras = dict(q=q, center=rand(n) if qc else None, lin=rand(B, n) if lin else None)
+    return rec, steps, state, extras
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -360,8 +358,8 @@ def _kernel_batch(rng, B, S, m, slack, qc, lin):
        slack=st.booleans(), qc=st.booleans(), lin=st.booleans(), count=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_kernel_steps_match_numpy_steps_bitwise(B, S, m, slack, qc, lin, count, seed):
-    """One to three iterations of the C kernel's ``iterate``, which
-    alternates the two primal buffers and ends with the residual check,
+    """One to three iterations of the C kernel's ``iterate``, which swaps
+    the two primal buffers after each and ends with the residual check,
     leave every buffer, the check's included, with the bytes the numpy
     steps leave: signed-zero ties at the bounds and at 0 for lam_ih,
     NaN entries in the operator and the iterates, subnormal slack entries
@@ -369,16 +367,15 @@ def test_kernel_steps_match_numpy_steps_bitwise(B, S, m, slack, qc, lin, count, 
     has every neighbour), the first and last m rows of a batch, odd
     lengths, ``qc``/``lin`` of 0.0, and up to five scenarios summed in
     ``p @ lam_e``."""
-    n = m * m
-    csr, arrays, consts = _kernel_batch(np.random.default_rng(seed), B, S, m, slack, qc, lin)
+    rec, steps, state, extras = _kernel_batch(np.random.default_rng(seed), B, S, m, slack,
+                                              qc, lin)
     out = []
-    for steps in (kernel.numpy_steps, kernel.load()):
-        a = {name: v.copy() for name, v in arrays.items()}
-        pair = steps.bind(B, S, n, slack, csr, a["X0"], a["X1"], a["Xb"], a["duals"],
-                          a["check"], a["z_hard"], **consts)
-        steps.iterate(*pair, count)
-        out.append(a)
-    for name in ("X0", "X1", "Xb", "duals", "check"):
+    for impl in (kernel.numpy_steps, kernel.load()):
+        with np.errstate(all="ignore"):
+            k = impl.bind(rec, steps, state, **extras)
+            impl.iterate(k, count)
+        out.append(dict(cur=k.cur[0], nxt=k.nxt[0], xb=k.xb[0], duals=k.duals, check=k.check))
+    for name in out[0]:
         assert out[0][name].tobytes() == out[1][name].tobytes(), name
 
 
@@ -414,10 +411,7 @@ def test_kernel_divides_subnormal_slack_entries_like_ieee_division():
     computes without dividing a subnormal, has the bits of numpy's ``/`` on
     102 400 pairs: exact ties (to even), near-ties, either sign, and the
     denominators outside [1, DBL_MAX] that take the plain division."""
-    S, m = 4, 160
-    n = m * m
-    NS = S * n
-    x, c, d, exact = _quotient_cases(np.random.default_rng(2024), NS)
+    x, c, d, exact = _quotient_cases(np.random.default_rng(2024), 102_400)
     with np.errstate(divide="ignore", invalid="ignore"):
         want = x / d
         q = c / d
@@ -426,47 +420,39 @@ def test_kernel_divides_subnormal_slack_entries_like_ieee_division():
     assert exact.sum() > 30_000 and ties[exact].all() and (ties & ~exact).sum() > 5_000
     assert (naive != want).sum() > 1_000
 
-    A = sp.block_diag([_five_point_pattern(m)] * S, format="csr")
-    nx = n + 2 * NS
-    X0 = np.zeros(nx)
-    X0[n + NS:] = x
-    duals = np.zeros((2, 1, S, n))
-    den = np.ones(nx)
-    den[n + NS:] = d
-    big = np.full(nx, np.inf)
-    consts = dict(g_psi=np.stack([np.zeros((1, S, n)), np.full((1, S, n), 1e300)]),
-                  p=np.full((1, S), 1.0 / S), dual_steps=np.ones((2, 1, 1, 1)),
-                  ineq_scales=np.ones((2, 1, 1, 1)), tau=np.ones((1, 1, 1)),
-                  tau1=np.ones((1, 1, 1)), tau_yt=np.zeros((1, 1, n)), qc=0.0,
-                  den=den, lo=-big, hi=big, h=1.0, q=0.0, alpha=np.ones(1),
-                  alpha_prime=np.ones(1), M=np.ones(1), y_target=np.zeros((1, n)))
-    csr = (A.indptr, A.indices, np.ones(A.nnz))
-    X1 = np.empty(nx)
-    pair = kernel.load().bind(1, S, n, True, csr, X0, X1, np.zeros(nx), duals,
-                              np.empty((1, 10)), None, **consts)
-    kernel.load().iterate(*pair, 1)
-    assert X1[n + NS:].tobytes() == want.tobytes()
+    # one row per pair, one node and one scenario each, with tauz = 1 and
+    # alpha' = d - 1: the z prox denominator 1 + tauz alpha' is then d
+    alpha_prime = d - 1.0
+    assert (1.0 + alpha_prime).tobytes() == d.tobytes()
+    rows = x.size
+    zeros, inf = np.zeros((rows, 1)), np.full((rows, 1), np.inf)
+    rec = Rows(csr=(np.arange(rows + 1), np.arange(rows), np.ones(rows)), p=np.ones((rows, 1)),
+               g=zeros[:, None], psi=np.full((rows, 1, 1), 1e300), c1_lo=-inf, c1_hi=inf,
+               y_target=zeros, alpha=np.ones(rows), alpha_prime=alpha_prime, M=inf[:, 0],
+               h=1.0, mode="slack")
+    y = zeros[:, None]
+    k = kernel.load().bind(rec, np.ones((rows, 4)),
+                           (zeros, y, x[:, None, None], zeros, y, y, y, y), q=0.0)
+    kernel.load().iterate(k, 1)
+    assert k.cur[3].tobytes() == want.tobytes()
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_kernel_bind_rejects_what_the_steps_cannot_index():
     """The C steps index without bounds and sum each row as a five-point
-    stencil, so their arguments and the operator's structure are checked."""
-    B, S, m = 2, 2, 3
-    n = m * m
-    csr, arrays, consts = _kernel_batch(np.random.default_rng(0), B, S, m, True, True, True)
+    stencil, so the arrays ``bind`` derives and the operator's structure
+    are checked."""
+    rec, steps, state, extras = _kernel_batch(np.random.default_rng(0), 2, 2, 3, True, True,
+                                              True)
     bind = kernel.load().bind
 
-    def call(csr=csr, n=n, **changes):
-        a = dict(arrays, **{k: v for k, v in changes.items() if k in arrays})
-        c = dict(consts, **{k: v for k, v in changes.items() if k in consts})
-        return bind(B, S, n, True, csr, a["X0"], a["X1"], a["Xb"], a["duals"], a["check"],
-                    a["z_hard"], **c)
+    def call(state=state, **changes):
+        return bind(replace(rec, **changes), steps, state, **extras)
 
     call()
-    indptr, indices, data = csr
+    indptr, indices, data = rec.csr
     with pytest.raises(ValueError, match="square grid"):
-        call(n=8)
+        kernel._stencil_diagonals(len(indptr) - 1, 8, rec.csr)
     # row 0 loses its east neighbour, then gains a neighbour two nodes east
     missing = (np.concatenate([[0], indptr[1:] - 1]), np.delete(indices, 1),
                np.delete(data, 1))
@@ -477,35 +463,25 @@ def test_kernel_bind_rejects_what_the_steps_cannot_index():
     for bad in (missing, extra, (indptr, swapped, data)):
         with pytest.raises(ValueError, match="five-point grid neighbours"):
             call(csr=bad)
-    with pytest.raises(ValueError, match="den has"):
-        call(den=consts["den"][:-1])
-    with pytest.raises(ValueError, match="y_target has"):
-        call(y_target=consts["y_target"][:, 1:])
-    with pytest.raises(ValueError, match="check has"):
-        call(check=arrays["check"][:, 1:].copy())
-    with pytest.raises(ValueError, match="C-contiguous"):
-        call(Xb=np.repeat(arrays["Xb"], 2)[::2])
-    with pytest.raises(ValueError, match="C-contiguous"):
-        call(check=np.asfortranarray(arrays["check"]))
+    with pytest.raises(ValueError, match="lo has"):
+        call(c1_lo=rec.c1_lo[:, 1:])
+    with pytest.raises(ValueError, match="(tau_yt|y_target) has"):
+        call(y_target=rec.y_target[:, 1:])
+    with pytest.raises(ValueError, match="X has"):
+        call(state=(state[0][:, 1:], *state[1:]))
 
 
-def _bind_check(steps, rec, x1, y, z, lam_e, lam_ih, ci, check, q=0.0, lin=None, center=None):
-    """``steps.bind`` arguments that hold the engine state (x1, y, z,
-    lam_e, lam_ih) of the batch record ``rec`` in ``X0`` and the duals, so
-    that ``iterate(a, b, 0)`` runs only the residual check into ``check``;
-    the step constants, which the check does not read, are ones."""
-    B, S, n = y.shape
-    slack = rec.mode == "slack"
-    X = np.concatenate([x1.ravel(), y.ravel()] + ([z.ravel()] if slack else []))
-    nx, ones, box = X.size, np.ones((B, 1, 1)), np.full(y.size * (2 if slack else 1), np.inf)
-    return steps.bind(
-        B, S, n, slack, rec.csr, X, np.empty(nx), np.empty(nx), np.stack([lam_e, lam_ih]),
-        check, None if slack else z, q=q, lin=lin, center=center, h=rec.h,
-        g_psi=np.stack([rec.g, rec.psi]), p=rec.p, dual_steps=np.stack([ones, ones]),
-        ineq_scales=np.stack([ci, ci])[:, :, None, None], tau=ones, tau1=ones,
-        tau_yt=np.zeros((B, 1, n)), qc=0.0, den=np.ones(nx),
-        lo=np.concatenate([rec.c1_lo.ravel(), -box]), hi=np.concatenate([rec.c1_hi.ravel(), box]),
-        alpha=rec.alpha, alpha_prime=rec.alpha_prime, M=rec.M, y_target=rec.y_target)
+def _bind_check(steps, rec, x1, y, z, lam_e, lam_ih, ci, q=0.0, lin=None, center=None):
+    """A batch of ``steps`` that holds the engine state (x1, y, z, lam_e,
+    lam_ih) of the batch record ``rec``, so that ``iterate(k, 0)`` runs only
+    the residual check into ``k.check``, which starts as 7.0 everywhere;
+    the step sizes, which the check does not read, are ones."""
+    sizes = np.ones((len(ci), 4))
+    sizes[:, 1] = ci
+    k = steps.bind(rec, sizes, (x1, y, z, x1, y, z, lam_e, lam_ih), q=q, center=center,
+                   lin=lin)
+    k.check.fill(7.0)
+    return k
 
 
 ON_BOUNDS = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0)   # the pool's bounds and M
@@ -540,45 +516,43 @@ def test_kernel_check_matches_natural_residuals_bitwise(data, B, S, mode, seed, 
     ci = 1.0 + np.abs(rng.standard_normal(B))
     extra = dict(x1_extra_quad=quad, x1_extra_center=rng.standard_normal(n) if center else None,
                  x1_extra_lin=draw(B, n) if lin else None)
-    check = np.full((B, 10), 7.0)
     steps = kernel.load() or kernel.numpy_steps
-    pair = _bind_check(steps, rec, x1, y, z, lam_e, lam_ih, ci, check, q=quad,
-                       center=extra["x1_extra_center"], lin=extra["x1_extra_lin"])
+    k = _bind_check(steps, rec, x1, y, z, lam_e, lam_ih, ci, q=quad,
+                    center=extra["x1_extra_center"], lin=extra["x1_extra_lin"])
     with np.errstate(invalid="ignore", over="ignore"):
-        steps.iterate(*pair, 0)
+        steps.iterate(k, 0)
         want = natural_residuals(rec, PrimalPoint(x1, y, z),
                                  DualPoint(lam_e, ci[:, None, None] * lam_ih, -lam_e), **extra)
         want.update(mag_e=one_nan(rec.h * max_scenario_norm(lam_e)),
                     mag_i=one_nan(ci * rec.h * max_scenario_norm(lam_ih)))
     assert set(kernel.CHECK_COLUMNS) - set(want) == (set() if mode == "slack" else {"r3p"})
     for j, name in enumerate(kernel.CHECK_COLUMNS):
-        got = np.ascontiguousarray(check[:, j])
+        got = np.ascontiguousarray(k.check[:, j])
         if name in want:
             assert got.tobytes() == want[name].tobytes(), name
         else:
             assert got.tobytes() == np.full(B, np.nan).tobytes()
 
 
-def _zeros_sign_batch(steps, qc):
+def _zeros_sign_batch(steps):
     """One iteration of ``steps`` on one hard-mode row with two scenarios
-    on a 2 x 2 grid, from -0.0 in every primal entry and multiplier, a
-    negative dual step that keeps lam_e at -0.0, and open bounds; returns
-    the new control and lam_e."""
+    on a 2 x 2 grid, from -0.0 in every primal entry and multiplier, with
+    ``qc = q center = -0.0`` (q = 1 and alpha = -1, so the x1 prox
+    denominator is 1), a negative dual step that keeps lam_e at -0.0, and
+    open bounds; returns the new control and lam_e."""
     S, n = 2, 4
-    N = S * n
     A = sp.block_diag([_five_point_pattern(2)] * S, format="csr")
-    X0, X1, Xb = np.full(n + N, -0.0), np.empty(n + N), np.full(n + N, -0.0)
-    duals = np.full((2, 1, S, n), -0.0)
-    pair = steps.bind(
-        1, S, n, False, (A.indptr, A.indices, np.ones(A.nnz)), X0, X1, Xb, duals,
-        np.empty((1, 10)), np.zeros((1, S, n)), h=1.0, q=0.0, g_psi=np.zeros((2, 1, S, n)),
-        p=np.full((1, S), 0.5), dual_steps=np.array([-1.0, 1.0]).reshape(2, 1, 1, 1),
-        ineq_scales=np.ones((2, 1, 1, 1)), tau=np.ones((1, 1, 1)), tau1=np.ones((1, 1, 1)),
-        tau_yt=np.zeros((1, 1, n)),
-        qc=qc, den=np.ones(n + N), lo=np.full(n + N, -np.inf), hi=np.full(n + N, np.inf),
-        alpha=np.ones(1), alpha_prime=np.ones(1), M=np.ones(1), y_target=np.zeros((1, n)))
-    steps.iterate(*pair, 1)
-    return X1[:n], duals[0]
+    inf = np.full((1, n), np.inf)
+    rec = Rows(csr=(A.indptr, A.indices, np.ones(A.nnz)), p=np.full((1, S), 0.5),
+               g=np.zeros((1, S, n)), psi=np.zeros((1, S, n)), c1_lo=-inf, c1_hi=inf,
+               y_target=np.zeros((1, n)), alpha=np.array([-1.0]), alpha_prime=np.ones(1),
+               M=inf[:, 0], h=1.0, mode="hard")
+    x1, y = np.full((1, n), -0.0), np.full((1, S, n), -0.0)
+    # tau = -0.5 and ci = -2: dual steps -0.5 and 1, y prox denominator 0.5
+    k = steps.bind(rec, np.array([[-0.5, -2.0, 1.0, 1.0]]), (x1, y, y, x1, y, y, y, y),
+                   q=1.0, center=np.full(n, -0.0))
+    steps.iterate(k, 1)
+    return k.cur[1][:, 0], k.duals[0]
 
 
 @pytest.mark.parametrize("steps", ["kernel", "numpy"])
@@ -589,7 +563,7 @@ def test_control_gradient_sums_from_positive_zero(steps):
     if steps == "kernel" and kernel.load() is None:
         pytest.skip("no C compiler on PATH")
     steps = kernel.load() if steps == "kernel" else kernel.numpy_steps
-    x1, lam_e = _zeros_sign_batch(steps, qc=np.full(4, -0.0))
+    x1, lam_e = _zeros_sign_batch(steps)
     assert np.signbit(lam_e).all() and not lam_e.any()
     assert x1.tobytes() == np.zeros(4).tobytes()
 
@@ -617,10 +591,10 @@ def test_check_sums_in_scenario_and_node_order(steps):
     y, lam_ih = np.zeros((2, 1, S, n))
     y[0, :, 0], y[0, 2, :3] = (1e16, -1e16, 1e16), (1e16, -1e16, 1.0)
     lam_ih[0, :, 0], lam_ih[0, 2, :3] = 1.0, 1.0
-    check = np.empty((1, 10))
-    steps.iterate(*_bind_check(steps, rec, np.zeros((1, n)), y, np.zeros((1, S, n)), lam_e,
-                               lam_ih, np.ones(1), check), 0)
-    col = dict(zip(kernel.CHECK_COLUMNS, check[0]))
+    k = _bind_check(steps, rec, np.zeros((1, n)), y, np.zeros((1, S, n)), lam_e, lam_ih,
+                    np.ones(1))
+    steps.iterate(k, 0)
+    col = dict(zip(kernel.CHECK_COLUMNS, k.check[0]))
     assert (col["r1"], col["r5_comp"]) == (0.5, 0.25)
 
 
@@ -750,17 +724,12 @@ def test_engine_row_with_nan_residual_never_converges(tiny_instance, monkeypatch
     alone = engine_alone(subs[1], tol=1e-6, max_iters=3000)
     assert alone[2:] == (750, STATUS_CONVERGED)
     real = kernel.load() or kernel.numpy_steps
-    checks = []
 
-    def bind(*args, **kwargs):
-        checks.append(args[9])      # the check buffer of this batch
-        return real.bind(*args, **kwargs)
+    def nan_r3_in_row_0(k, count):
+        real.iterate(k, count)
+        k.check[0, kernel.CHECK_COLUMNS.index("r3")] = math.nan  # row 0 never leaves
 
-    def nan_r3_in_row_0(a, b, count):
-        real.iterate(a, b, count)
-        checks[-1][0, kernel.CHECK_COLUMNS.index("r3")] = math.nan  # row 0 never leaves
-
-    monkeypatch.setattr(kernel, "load", lambda: SimpleNamespace(bind=bind,
+    monkeypatch.setattr(kernel, "load", lambda: SimpleNamespace(bind=real.bind,
                                                                 iterate=nan_r3_in_row_0))
     (x0, lam0, it0, st0), (x1, lam1, it1, st1) = _pdhg_engine(
         subs, tol=1e-6, max_iters=3000)
