@@ -46,7 +46,6 @@ from .solvers import (
     BarrierSizeError,
     SolveReport,
     SolverParams,
-    extract_rho,
     solve_barrier_reference,
     solve_hard,
     solve_pdhg,

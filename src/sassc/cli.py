@@ -13,11 +13,10 @@ All output files are canonical JSON or CSV written atomically; every
 report embeds the instance SHA-256 and sampling seed. ``solve
 --history-csv`` streams the pdhg solve's residual checks to a CSV through
 the ``history=`` hook of ``solvers.solve_pdhg``. The CLI itself is
-single-threaded. Progressive hedging runs each round's scenario subproblems
-in one process per CPU of the affinity mask, and ``homotopy`` runs its hard
-reference's iteration in a second process while it solves the slack
-levels (``solvers.worker_count``); ``taskset -c 0`` runs both in one
-process.
+single-threaded, except that ``homotopy`` solves its hard reference in a
+second thread while it solves the slack levels. Progressive hedging runs
+each round's scenario subproblems in one process per CPU of the affinity
+mask (``solvers.worker_count``); ``taskset -c 0`` runs it in one process.
 """
 
 from __future__ import annotations

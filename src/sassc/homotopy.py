@@ -13,13 +13,14 @@ optimal slack is the clamped multiplier divided by the weight.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import certify
-from .problem import Instance, norm_h
-from .solvers import SolveReport, SolverParams, prefetch_engine, solve_hard, solve_pdhg
+from .problem import Instance, hard_mode_infeasibility, norm_h
+from .solvers import SolveReport, SolverParams, solve_hard, solve_pdhg
 
 
 class HomotopyError(RuntimeError):
@@ -85,10 +86,10 @@ def _usable_levels(levels: list[HomotopyLevel]) -> list[tuple[float, float]]:
     return [(l.alpha_prime, l.ez2) for l in levels if l.converged and l.ez2 > 0.0]
 
 
-def _reference(hard_inst: Instance, params: SolverParams, engine=None):
-    """The study's hard-mode reference solve, with ``engine`` as for
-    ``solve_hard``; a reference that did not converge aborts the study."""
-    primal, _, report = solve_hard(hard_inst, params, engine=engine)
+def _reference(hard_inst: Instance, params: SolverParams):
+    """The study's hard-mode reference solve; a reference that did not
+    converge aborts the study."""
+    primal, _, report = solve_hard(hard_inst, params)
     if not report.converged:
         raise HomotopyError(
             f"hard-mode reference did not converge (status {report.status}); "
@@ -104,17 +105,17 @@ def run_homotopy(
 ) -> HomotopyReport:
     """Solve the slack problem along the schedule and fit the slack decay.
 
-    The hard-mode reference's engine call starts first, in a worker process
-    (``solvers.prefetch_engine``) that runs on a second CPU while this
-    process solves the levels. After each level the reference is collected
-    through ``solve_hard`` once the worker's result is there, and at the
-    latest after the last level; a reference that did not converge aborts
-    the study then. Only the levels' control distances need the reference.
-    Where no worker may be forked (one usable CPU, other Python threads
-    running) or the reference is proven infeasible a priori, the reference
-    is solved first in this process. Both ways give the same report, bit
-    for bit, and the same ``solve_hard`` and ``solve_pdhg`` calls in this
-    process.
+    The hard-mode reference is solved in a second thread of this process
+    while this thread solves the levels. Each engine call runs a whole
+    check interval in one C call, which releases the GIL, so the two
+    overlap on two CPUs. Both go through ``solve_hard`` and ``solve_pdhg``
+    of this module, and the report is bitwise that of solving the
+    reference first. Only the levels' control distances need the
+    reference. After each level, a reference that has finished unconverged
+    aborts the study; one proven infeasible a priori
+    (``problem.hard_mode_infeasibility``) aborts it before any level runs.
+    An exception in this thread propagates once the reference's thread has
+    ended, which ``params.max_iters`` bounds.
 
     Each level's objective and largest residual come from the
     certification pass of its ``solve_pdhg`` report.
@@ -129,8 +130,10 @@ def run_homotopy(
     sched = _validate_schedule(schedule)
 
     hard_inst = inst.with_mode("hard")
-    with prefetch_engine(hard_inst, params) as ref_engine:
-        ref = _reference(hard_inst, params) if ref_engine is None else None
+    if hard_mode_infeasibility(hard_inst) is not None:
+        _reference(hard_inst, params)   # raises: the reference has no solution
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ref = pool.submit(_reference, hard_inst, params)
         solved = []
         warm = None
         for a_prime in sched:
@@ -138,11 +141,9 @@ def run_homotopy(
             primal, dual, rep = solve_pdhg(level_inst, params, warm=warm)
             warm = (primal, dual)
             solved.append((level_inst.alpha_prime, primal, rep))
-            if ref is None and ref_engine.ready():
-                ref = _reference(hard_inst, params, ref_engine)
-        if ref is None:
-            ref = _reference(hard_inst, params, ref_engine)
-    ref_primal, ref_report = ref
+            if ref.done():
+                ref.result()
+        ref_primal, ref_report = ref.result()
 
     levels: list[HomotopyLevel] = []
     zero_levels: list[float] = []

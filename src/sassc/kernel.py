@@ -79,7 +79,8 @@ on the host it runs on. It is built in a temporary directory, which is
 removed once it is loaded. If there is no compiler or the build fails,
 ``load()`` returns None and the engine runs the numpy steps (CSR
 products), which score their checks with ``certify`` and give the same
-bits. The outcome is decided once per process.
+bits. The outcome is decided once per process, under a lock, since the
+homotopy study's two threads may make their first engine calls at once.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ import math
 import os
 import subprocess
 import tempfile
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -677,15 +679,19 @@ def _build() -> ctypes.CDLL:
 
 _UNTRIED = object()
 _kernel = _UNTRIED
+_load_lock = threading.Lock()
 
 
 def load() -> Kernel | None:
     """The kernel, compiled and loaded on the first call in this process;
-    None if it could not be built or loaded, then and on every later call."""
+    None if it could not be built or loaded, then and on every later call.
+    The first call builds under a lock, so threads that call at once build
+    it once."""
     global _kernel
-    if _kernel is _UNTRIED:
-        try:
-            _kernel = Kernel(_build())
-        except (OSError, subprocess.SubprocessError):
-            _kernel = None
+    with _load_lock:
+        if _kernel is _UNTRIED:
+            try:
+                _kernel = Kernel(_build())
+            except (OSError, subprocess.SubprocessError):
+                _kernel = None
     return _kernel

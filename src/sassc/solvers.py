@@ -48,9 +48,7 @@ negative of the per-scenario nonanticipativity density minus the shared
 control gradient. Given the weights, the subproblems of a round are
 independent. They are split into contiguous groups, one per CPU of the
 affinity mask (``worker_count``), and each group is one engine batch in its
-own process. The homotopy study runs its hard reference's engine call
-beside its slack levels in the same kind of forked worker
-(``_EngineWorker``, ``prefetch_engine``).
+own forked process (``_EngineWorker``).
 
 The barrier oracle is deliberately a different algorithmic family (dense
 Newton on a log-barrier interior path) so that agreement between solvers
@@ -167,18 +165,6 @@ def _report(algorithm: str, kkt: certify.KktReport, iterations: int, status: str
         dual_value=kkt.dual_value,
         extras=extras or {},
     )
-
-
-def extract_rho(inst: Instance, adjoint: np.ndarray) -> np.ndarray:
-    """Nonanticipativity density implied by the adjoint multiplier.
-
-    With the identity control-to-load map the consistency condition reads
-    ``rho_k = -lam_e_k`` scenario by scenario.
-    """
-    adjoint = np.asarray(adjoint, dtype=float)
-    if adjoint.shape != (inst.S, inst.n):
-        raise ValueError(f"expected shape {(inst.S, inst.n)}, got {adjoint.shape}")
-    return -adjoint
 
 
 def _k_maps(rows: list[Instance], s1, sz, ci, live: np.ndarray):
@@ -423,7 +409,7 @@ def _pdhg_engine(
                 k = active[j]
                 primal = PrimalPoint(bx1[0].copy(), by.copy(),
                                      bz.copy() if slack else np.zeros((S, n)))
-                dual = DualPoint(be.copy(), steps[k, 1] * bi, extract_rho(rows[k], be))
+                dual = DualPoint(be.copy(), steps[k, 1] * bi, -be)
                 results[k] = (primal, dual, it, status)
             running = np.flatnonzero(~stopped)
             active = [active[j] for j in running]
@@ -438,7 +424,6 @@ def solve_pdhg(
     params: SolverParams | None = None,
     warm: tuple[PrimalPoint, DualPoint] | None = None,
     *,
-    engine=None,
     history=None,
 ) -> tuple[PrimalPoint, DualPoint, SolveReport]:
     """Solve an instance with the primal-dual splitting.
@@ -456,17 +441,13 @@ def solve_pdhg(
     ``history(it, res, xp, lam)``, if given, is the engine's hook, called
     at every residual check (see ``_pdhg_engine``); the CLI streams it to
     the ``--history-csv`` file.
-
-    ``engine``, if given, is called in place of the iteration, on the
-    one-row batch ``[inst]``; the worker from ``prefetch_engine(inst,
-    params)`` collects the result of this solve's engine call, which it
-    started earlier, and answers only a solve without a history hook.
     """
     params = params or SolverParams()
     reason = hard_mode_infeasibility(inst) if inst.mode == "hard" else None
     if reason is None:
-        [(primal, dual, iters, status)] = (engine or _pdhg_engine)(
-            [inst], **_engine_kwargs(params, warm, history))
+        [(primal, dual, iters, status)] = _pdhg_engine(
+            [inst], tol=params.kkt_tolerance, max_iters=params.max_iters, warm=[warm],
+            history=history)
     else:
         zeros = np.zeros((inst.S, inst.n))
         primal = PrimalPoint(project_c1(inst, np.zeros(inst.n)), zeros, zeros)
@@ -481,14 +462,12 @@ def solve_hard(
     inst: Instance,
     params: SolverParams | None = None,
     warm: tuple[PrimalPoint, DualPoint] | None = None,
-    *,
-    engine=None,
 ) -> tuple[PrimalPoint, DualPoint, SolveReport]:
     """Solve a hard-mode instance (no slack; states pinned under the
-    obstacle); ``engine`` as for ``solve_pdhg``."""
+    obstacle)."""
     if inst.mode != "hard":
         raise ValueError("solve_hard requires an instance in hard mode")
-    primal, dual, report = solve_pdhg(inst, params, warm=warm, engine=engine)
+    primal, dual, report = solve_pdhg(inst, params, warm=warm)
     report.algorithm = "pdhg_hard"
     return primal, dual, report
 
@@ -497,8 +476,9 @@ def worker_count() -> int:
     """Processes a solver call may run on: the CPUs of this process's
     affinity mask (``taskset`` sets it), or ``os.cpu_count()`` where that
     mask cannot be read. It is 1 without ``os.fork``, and while other
-    Python threads run, since a fork could copy a lock one of them holds;
-    callers start no worker process then."""
+    Python threads run (the homotopy study's reference thread among them),
+    since a fork could copy a lock one of them holds; callers start no
+    worker process then."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -524,23 +504,14 @@ def _serve_engine(conn, rows: list[Instance]) -> None:
         conn.send(reply)
 
 
-def _engine_kwargs(params: SolverParams, warm, history) -> dict:
-    """Keyword arguments of the engine call of ``solve_pdhg``."""
-    return dict(tol=params.kkt_tolerance, max_iters=params.max_iters, warm=[warm],
-                history=history)
-
-
 class _EngineWorker:
     """A worker process, forked once and bound to ``rows``, that runs
     ``_pdhg_engine`` calls on them (``_serve_engine``) one at a time:
-    ``start(**kwargs)`` sends a call's keyword arguments, ``ready()`` tells
-    whether its result is there, and ``result()`` waits for it. A call that
-    raised in the worker raises its exception in ``result()``, with the
-    worker's traceback as the cause; a worker that ended without replying
-    raises ``WorkerExitError``. ``close()`` terminates and joins the worker.
-
-    Passed as ``solve_pdhg``'s ``engine=``, it answers only the one call it
-    was started with, by collecting its result instead of iterating.
+    ``start(**kwargs)`` sends a call's keyword arguments and ``result()``
+    waits for its result. A call that raised in the worker raises its
+    exception in ``result()``, with the worker's traceback as the cause; a
+    worker that ended without replying raises ``WorkerExitError``.
+    ``close()`` terminates and joins the worker.
 
     Workers are forked, not spawned: they inherit the realized instances
     and the compiled engine kernel (``kernel.load``, called before the
@@ -559,17 +530,11 @@ class _EngineWorker:
         self._proc = ctx.Process(target=_serve_engine, args=(child, rows), daemon=True)
         self._proc.start()
         child.close()
-        self._rows, self._started = rows, None
 
     def start(self, **kwargs) -> None:
-        self._started = kwargs
         self._conn.send(kwargs)
 
-    def ready(self) -> bool:
-        return self._conn.poll()
-
     def result(self):
-        self._started = None
         try:
             ok, reply = self._conn.recv()
         except EOFError:
@@ -581,35 +546,10 @@ class _EngineWorker:
             raise exc from RuntimeError(f"raised in an engine worker process:\n{trace}")
         return reply
 
-    def __call__(self, rows: list[Instance], **kwargs):
-        if list(map(id, rows)) != list(map(id, self._rows)) or kwargs != self._started:
-            raise ValueError("an engine worker answers only the one call it was started with")
-        return self.result()
-
     def close(self) -> None:
         self._conn.close()
         self._proc.terminate()
         self._proc.join()
-
-
-@contextlib.contextmanager
-def prefetch_engine(inst: Instance, params: SolverParams):
-    """Yield an ``_EngineWorker`` forked now and started on the engine call
-    of ``solve_pdhg(inst, params)``, to be passed to that solve (or to
-    ``solve_hard(inst, params)``) as ``engine=``. The solve's checks and
-    report run in the calling process as without it, so its outputs are
-    bitwise the same. Yields None and forks nothing where ``worker_count()``
-    is 1 and where ``problem.hard_mode_infeasibility`` proves a hard-mode
-    instance infeasible, since that solve calls no engine. The worker is
-    closed on exit.
-    """
-    if worker_count() == 1 or (inst.mode == "hard"
-                               and hard_mode_infeasibility(inst) is not None):
-        yield None
-        return
-    with contextlib.closing(_EngineWorker([inst])) as worker:
-        worker.start(**_engine_kwargs(params, None, None))
-        yield worker
 
 
 @contextlib.contextmanager
@@ -738,7 +678,7 @@ def solve_progressive_hedging(
                 break
 
     primal = PrimalPoint(x_hat.copy(), y, z)
-    dual = DualPoint(lam_e, lam_i, extract_rho(inst, lam_e))
+    dual = DualPoint(lam_e, lam_i, -lam_e)
     report = _report(
         "progressive_hedging", certify.kkt_residuals(inst, primal, dual), outer, status,
         extras={
@@ -975,7 +915,7 @@ def solve_barrier_reference(
     lam_i = (mu / s_obs) / weights
     lam_e = nu.reshape(S, n) / weights
     primal = PrimalPoint(x1.copy(), y.copy(), z.copy())
-    dual = DualPoint(lam_e, lam_i, extract_rho(inst, lam_e))
+    dual = DualPoint(lam_e, lam_i, -lam_e)
     kkt = certify.kkt_residuals(inst, primal, dual)
     status = STATUS_CONVERGED
     if not kkt.max_residual() <= 10.0 * math.sqrt(params.barrier_mu_terminal):

@@ -1,5 +1,4 @@
 import multiprocessing
-import os
 import threading
 from dataclasses import astuple, replace
 
@@ -160,7 +159,7 @@ def test_homotopy_aborts_on_unsolvable_reference(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the hard reference in a worker process
+# the hard reference in a second thread
 
 
 def _bits(x):
@@ -205,130 +204,146 @@ def _no_worker(*args, **kwargs):
     raise AssertionError("forked an engine worker")
 
 
-@pytest.mark.parametrize("preset", ["tiny", "small"])
-def test_reference_worker_gives_the_one_process_study_bitwise(request, use_workers, preset):
-    inst = request.getfixturevalue(f"{preset}_instance")
-    use_workers(1)
-    alone = run_homotopy(inst, SCHEDULE, SolverParams())
-    use_workers(2)
-    overlapped = run_homotopy(inst, SCHEDULE, SolverParams())
-    assert _study_bits(overlapped) == _study_bits(alone)
-    assert multiprocessing.active_children() == []
+def _serial_study(inst, schedule, params):
+    """The study's levels and reference, solved one after another in this
+    thread: the reference first, then the warm-started levels."""
+    x_ref, _, ref = solvers.solve_hard(inst.with_mode("hard"), params)
+    levels, warm = [], None
+    for a_prime in schedule:
+        level = inst.with_alpha_prime(a_prime)
+        x, lam, rep = solvers.solve_pdhg(level, params, warm=warm)
+        warm = (x, lam)
+        ez2 = float(np.dot(level.p, (level.h * np.linalg.norm(x.z, axis=1)) ** 2))
+        levels.append(HomotopyLevel(a_prime, ez2, norm_h(x.x1 - x_ref.x1, level.h),
+                                    rep.objective, certify.max_residual(rep.residuals),
+                                    rep.converged))
+    return levels, ref
 
 
-def test_every_solve_of_the_study_is_made_in_the_calling_process(small_instance, monkeypatch,
-                                                                 use_workers):
+@pytest.mark.parametrize("template, size", [("tiny", {}),
+                                            ("default", {"n1d": 8, "scenario_count": 4})],
+                         ids=["tiny", "small"])
+def test_threaded_reference_gives_the_serial_study_bitwise(template, size):
+    """The study, with its reference in a second thread and both threads
+    starting on cold caches, reports the bits of the serial study, and
+    leaves no thread or process behind."""
+    params = SolverParams()
+    levels, ref = _serial_study(io.make_instance(template, **size), SCHEDULE, params)
+    threads = threading.active_count()
+    rep = run_homotopy(io.make_instance(template, **size), SCHEDULE, params)
+    assert _study_bits(rep) == _study_bits(replace(rep, levels=levels, reference=ref))
+    assert threading.active_count() == threads and multiprocessing.active_children() == []
+
+
+def test_every_solve_of_the_study_is_made_in_the_calling_process(small_instance, monkeypatch):
     """A caller that wraps ``solve_hard`` and ``solve_pdhg`` sees the
-    reference and every level, with their full results, whether the
-    reference's engine call ran in a worker or not."""
-    logs = {}
-    for workers in (1, 2):
-        use_workers(workers)
-        logs[workers] = []
-        with monkeypatch.context() as m:
-            _record_solves(m, logs[workers])
-            run_homotopy(small_instance, SCHEDULE, SolverParams())
-    for workers, log in logs.items():
-        assert sorted(name for name, *_ in log) == ["solve_hard"] + ["solve_pdhg"] * len(SCHEDULE)
-        for name, inst, kwargs, result in log:
-            primal, dual, report = result
-            assert inst.mode == ("hard" if name == "solve_hard" else "slack")
-            assert report.iterations > 0 and primal.x1.shape == (inst.n,)
-            assert dual.adjoint.shape == (inst.S, inst.n)
-        engine = next(kw.get("engine") for name, _, kw, _ in log if name == "solve_hard")
-        assert (engine is None) == (workers == 1)
-
-    def iterations(log):
-        return sorted((name, inst.alpha_prime, result[2].iterations)
-                      for name, inst, _, result in log)
-    assert iterations(logs[2]) == iterations(logs[1])
-    assert sum(it for *_, it in iterations(logs[2])) == sum(
-        result[2].iterations for *_, result in logs[1])
+    reference and every level, with their full results."""
+    log = []
+    _record_solves(monkeypatch, log)
+    run_homotopy(small_instance, SCHEDULE, SolverParams())
+    assert sorted(name for name, *_ in log) == ["solve_hard"] + ["solve_pdhg"] * len(SCHEDULE)
+    for name, inst, kwargs, result in log:
+        primal, dual, report = result
+        assert inst.mode == ("hard" if name == "solve_hard" else "slack")
+        assert report.iterations > 0 and primal.x1.shape == (inst.n,)
+        assert dual.adjoint.shape == (inst.S, inst.n)
 
 
-def test_reference_proven_infeasible_fails_before_a_worker_starts(monkeypatch, use_workers):
-    use_workers(2)
-    monkeypatch.setattr(solvers, "_EngineWorker", _no_worker)
+def test_reference_proven_infeasible_fails_before_a_worker_starts(monkeypatch):
+    """The a-priori check fails the study before its reference thread
+    starts and before any engine call."""
+    monkeypatch.setattr(homotopy, "ThreadPoolExecutor", _no_worker)
     monkeypatch.setattr(solvers, "_pdhg_engine", _no_worker)
     with pytest.raises(HomotopyError, match="reference did not converge "
                                             r"\(status infeasibility_suspected\)"):
         run_homotopy(_infeasible_tiny(), SCHEDULE, SolverParams())
-    assert multiprocessing.active_children() == []
 
 
-def test_overlapped_study_screens_and_certifies_each_solve_once(monkeypatch, use_workers):
-    """With the reference in a worker, a study runs the a-priori check's 2S
-    sparse solves once, although the check runs before the fork and again
-    in ``solve_hard``, and one certification pass per solve: the reference
+def test_overlapped_study_screens_and_certifies_each_solve_once(monkeypatch):
+    """A study runs the a-priori check's 2S sparse solves once, although
+    the check runs before the reference's thread starts and again in
+    ``solve_hard``, and one certification pass per solve: the reference
     and each level."""
-    use_workers(2)
     inst = io.make_instance("default", n1d=8, scenario_count=4)   # caches still empty
-    counts = {"solve_linear": 0, "kkt_residuals": 0}
+    calls = []      # list.append is atomic, so both threads may count
 
     def count(module, name):
         fn = getattr(module, name)
 
         def call(*args, **kwargs):
-            counts[name] += 1
+            calls.append(name)
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, call)
 
     count(problem, "solve_linear")
     count(certify, "kkt_residuals")
-    log = []
-    _record_solves(monkeypatch, log)
     rep = run_homotopy(inst, SCHEDULE, SolverParams())
     assert rep.reference.converged
-    assert next(kw["engine"] for name, _, kw, _ in log if name == "solve_hard") is not None
-    assert counts == {"solve_linear": 2 * inst.S, "kkt_residuals": 1 + len(SCHEDULE)}
+    assert {name: calls.count(name) for name in ("solve_linear", "kkt_residuals")} == {
+        "solve_linear": 2 * inst.S, "kkt_residuals": 1 + len(SCHEDULE)}
 
 
-def _fail_reference_in_worker(monkeypatch, failure):
+def _fail_reference_in_thread(monkeypatch, failure):
     """Make the hard-mode engine call fail by ``failure(engine, rows,
-    kwargs)`` when it runs in another process than this one."""
-    engine, parent = solvers._pdhg_engine, os.getpid()
+    kwargs)`` when it runs in another thread than this one."""
+    engine, caller = solvers._pdhg_engine, threading.get_ident()
 
     def failing(rows, **kwargs):
-        if os.getpid() != parent and rows[0].mode == "hard":
+        if threading.get_ident() != caller and rows[0].mode == "hard":
             return failure(engine, rows, kwargs)
         return engine(rows, **kwargs)
 
     monkeypatch.setattr(solvers, "_pdhg_engine", failing)
 
 
-def test_unconverged_reference_aborts_at_the_first_level_after_it(small_instance,
-                                                                  monkeypatch, use_workers):
-    """The worker's pipe is polled after every level, and a reference that
-    stopped unconverged aborts the study with the one-process message as
-    soon as it is collected."""
-    use_workers(2)
-    _fail_reference_in_worker(
+def test_unconverged_reference_aborts_at_the_first_level_after_it(small_instance, monkeypatch):
+    """The reference is looked at after every level, and one that stopped
+    unconverged aborts the study with its message at the first look after
+    it finished."""
+    _fail_reference_in_thread(
         monkeypatch, lambda engine, rows, kw: engine(rows, **dict(kw, max_iters=50)))
-    # wait at each poll until the reply is there, so the first poll sees it
-    monkeypatch.setattr(solvers._EngineWorker, "ready", lambda self: self._conn.poll(60))
+    finished = threading.Event()
+
+    class Pool(homotopy.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            future.add_done_callback(lambda _: finished.set())
+            return future
+
+    level = homotopy.solve_pdhg
+
+    def level_after_the_reference(*args, **kwargs):
+        result = level(*args, **kwargs)
+        assert finished.wait(60)
+        return result
+
+    monkeypatch.setattr(homotopy, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(homotopy, "solve_pdhg", level_after_the_reference)
     log = []
     _record_solves(monkeypatch, log)
     with pytest.raises(HomotopyError, match="reference did not converge "
                                             r"\(status iteration_cap\)"):
         run_homotopy(small_instance, SCHEDULE, SolverParams())
-    assert [name for name, *_ in log] == ["solve_pdhg", "solve_hard"]
-    assert log[1][3][2].status == STATUS_ITERATION_CAP
-    assert multiprocessing.active_children() == []
+    assert sorted(name for name, *_ in log) == ["solve_hard", "solve_pdhg"]
+    assert next(r for name, *_, r in log if name == "solve_hard")[2].status == (
+        STATUS_ITERATION_CAP)
 
 
 def test_reference_worker_exception_is_raised_and_the_worker_reaped(small_instance,
-                                                                     monkeypatch, use_workers):
-    use_workers(2)
-
-    def failing(engine, rows, kwargs):
+                                                                     monkeypatch):
+    """An exception of the reference's thread is raised in the caller with
+    the traceback of the reference's own frames, and the thread is joined."""
+    def fail(engine, rows, kwargs):
         raise FloatingPointError("reference failed")
 
-    _fail_reference_in_worker(monkeypatch, failing)
+    _fail_reference_in_thread(monkeypatch, fail)
+    threads = threading.active_count()
     with pytest.raises(FloatingPointError, match="reference failed") as info:
         run_homotopy(small_instance, SCHEDULE, SolverParams())
-    assert "in failing" in str(info.value.__cause__)    # the worker's traceback
-    assert multiprocessing.active_children() == []
+    frames = [entry.name for entry in info.traceback]
+    assert frames[-5:] == ["_reference", "solve_hard", "solve_pdhg", "failing", "fail"]
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("reason", ["one_cpu", "other_thread"])
@@ -348,21 +363,3 @@ def test_study_runs_in_one_process_where_no_worker_may_fork(tiny_instance, monke
         if reason == "other_thread":
             thread.join(timeout=10)
     assert rep.reference.converged and not thread.is_alive()
-
-
-def test_prefetched_engine_answers_only_the_call_it_started(tiny_instance, use_workers):
-    use_workers(2)
-    hard = tiny_instance.with_mode("hard")
-    params = SolverParams()
-    with solvers.prefetch_engine(hard, params) as engine:
-        with pytest.raises(ValueError, match="answers only the one call"):
-            solvers.solve_hard(hard, replace(params, max_iters=1000), engine=engine)
-    with solvers.prefetch_engine(hard, params) as engine:
-        x, lam, rep = solvers.solve_hard(hard, params, engine=engine)
-        with pytest.raises(ValueError, match="answers only the one call"):
-            solvers.solve_hard(hard, params, engine=engine)
-    x_ref, lam_ref, rep_ref = solvers.solve_hard(hard, params)
-    assert (rep.iterations, rep.status, _bits(rep.residuals)) == (
-        rep_ref.iterations, rep_ref.status, _bits(rep_ref.residuals))
-    assert x.x1.tobytes() == x_ref.x1.tobytes() and lam.adjoint.tobytes() == lam_ref.adjoint.tobytes()
-    assert multiprocessing.active_children() == []

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import stat
 
 import numpy as np
@@ -447,6 +448,20 @@ def _subtrees(node, path=()):
         yield from _subtrees(value, (*path, key))
 
 
+def _edit_one_field(data, doc):
+    """``doc`` with one drawn field (at any depth, or the whole of it)
+    replaced by a value of the point tests' lists, or deleted."""
+    path = data.draw(st.sampled_from(list(_subtrees(doc))))
+    value = copy.deepcopy(data.draw(st.sampled_from(ODD_VALUES + ENTRY_VALUES + ("delete",))))
+    if value == "delete" and path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        return doc
+    return _set(doc, path, value)
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -458,16 +473,7 @@ def test_certify_exit_code_on_perturbed_instances(tmp_path, capsys, tiny_run, da
     code and no traceback: 4 with one ``error:`` line for an input error,
     0 or 1 for an instance it could score the pair on."""
     inst_path, primal_path, dual_path = tiny_run
-    doc = json.loads(inst_path.read_text())
-    path = data.draw(st.sampled_from(list(_subtrees(doc))))
-    value = copy.deepcopy(data.draw(st.sampled_from(ODD_VALUES + ENTRY_VALUES + ("delete",))))
-    if value == "delete" and path:
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        del parent[path[-1]]
-    else:
-        doc = _set(doc, path, value)
+    doc = _edit_one_field(data, json.loads(inst_path.read_text()))
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -475,6 +481,34 @@ def test_certify_exit_code_on_perturbed_instances(tmp_path, capsys, tiny_run, da
                     "--dual", str(dual_path)])
     err = capsys.readouterr().err
     assert code in (0, 1, 4)
+    assert "Traceback" not in err
+    if code == 4:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.parametrize("command", [["solve"], ["homotopy", "--schedule", "1,10,100,1000"]],
+                         ids=["solve", "homotopy"])
+def test_solve_exit_code_on_perturbed_instances(tmp_path, capsys, tiny_run, command, data):
+    """Whatever one field of the instance file is replaced by, or whether
+    it is deleted (as in the ``certify`` test above), ``solve`` and
+    ``homotopy`` exit with a documented code and no traceback, with one
+    ``error:`` line on exit 4. The cap of 6000 iterations lets the unedited
+    instance solve and its study reach the fit, so edits reach every stage.
+    The homotopy study solves its reference in a second thread, so this
+    covers that thread's failures too."""
+    doc = _edit_one_field(data, json.loads(tiny_run[0].read_text()))
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    code = run_cli([*command, "--instance", str(inst), "--max-iters", "6000",
+                    "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err
     if code == 4:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -637,9 +671,7 @@ def test_ph_and_barrier_algorithms_via_cli(tmp_path):
                     "--out", str(tmp_path / "ba")]) == 0
 
 
-@pytest.mark.parametrize("command", [["solve", "--algorithm", "ph"],
-                                     ["homotopy", "--schedule", "1,10,100,1000"]],
-                         ids=["ph", "homotopy"])
+@pytest.mark.parametrize("command", [["solve", "--algorithm", "ph"]], ids=["ph"])
 def test_worker_that_dies_without_replying_exits_one(tmp_path, monkeypatch, capsys,
                                                      use_workers, command):
     """A worker process that exits without replying ends the command with

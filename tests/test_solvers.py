@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -38,7 +39,6 @@ from sassc.solvers import (
     SolverParams,
     _estimate_k_norm,
     _pdhg_engine,
-    extract_rho,
     solve_barrier_reference,
     solve_hard,
     solve_pdhg,
@@ -225,7 +225,7 @@ def reference_engine(inst, tol, max_iters, warm=None, x1_extra_quad=0.0,
     if status != STATUS_CONVERGED and best is not None:
         x1, y, z, lam_e, lam_ih = best
     primal = PrimalPoint(x1.copy(), y.copy(), z.copy() if slack else np.zeros((S, n)))
-    dual = DualPoint(lam_e.copy(), ci * lam_ih, extract_rho(inst, lam_e))
+    dual = DualPoint(lam_e.copy(), ci * lam_ih, -lam_e)
     return primal, dual, it, status
 
 
@@ -626,6 +626,33 @@ def test_kernel_loads_where_a_compiler_is_on_path():
     assert (kernel.load() is None) == (shutil.which("cc") is None)
 
 
+def test_threads_that_load_the_kernel_at_once_build_it_once(monkeypatch):
+    """Threads whose first ``load()`` calls overlap, as the homotopy study's
+    reference and first level do in a new process, build once; here more
+    threads than a 2-CPU host has, switching often."""
+    builds = []
+
+    def slow_build():
+        builds.append(threading.get_ident())
+        time.sleep(0.2)     # long enough for the other threads to arrive
+        raise FileNotFoundError("cc")
+
+    monkeypatch.setattr(kernel, "_kernel", kernel._UNTRIED)
+    monkeypatch.setattr(kernel, "_build", slow_build)
+    threads = [threading.Thread(target=kernel.load) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(builds) == 1 and kernel.load() is None
+
+
 def test_import_does_not_build_the_kernel():
     """Importing the package starts no process and loads no kernel; the
     first engine call builds it."""
@@ -961,20 +988,14 @@ def test_hard_infeasible_stops_before_iterating():
     assert np.array_equal(x.x1, project_c1(inst, np.zeros(inst.n)))
 
 
-def test_extract_rho_identities(tiny_instance):
-    inst = tiny_instance
-    ones = np.ones((inst.S, inst.n))
-    np.testing.assert_array_equal(extract_rho(inst, ones), -ones)
-    with pytest.raises(ValueError):
-        extract_rho(inst, np.ones((inst.S + 1, inst.n)))
-
-
-def test_extract_rho_expectation_cancels():
-    d = io.template_dict("tiny", scenario_count=2)
-    inst = io.instance_from_dict(d)
-    lam_e = np.stack([np.full(inst.n, 0.7), np.full(inst.n, -0.7)])
-    rho = extract_rho(inst, lam_e)
-    np.testing.assert_allclose(inst.p @ rho, np.zeros(inst.n), atol=1e-15)
+def test_nonanticipativity_density_is_the_negated_adjoint(tiny_instance, tiny_solution):
+    """With the identity control-to-load map, each solver reports
+    ``rho_k = -lam_e_k`` scenario by scenario, bitwise."""
+    duals = [tiny_solution[1], solve_barrier_reference(tiny_instance)[1],
+             solve_progressive_hedging(tiny_instance, SolverParams(ph_penalty=0.05))[1]]
+    for lam in duals:
+        assert lam.nonant.shape == (tiny_instance.S, tiny_instance.n)
+        assert lam.nonant.tobytes() == (-lam.adjoint).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1067,7 +1088,7 @@ def reference_ph(inst, params):
             status = STATUS_CONVERGED
             break
     primal = PrimalPoint(x_hat.copy(), y, z)
-    dual = DualPoint(lam_e, lam_i, extract_rho(inst, lam_e))
+    dual = DualPoint(lam_e, lam_i, -lam_e)
     rep = kkt_residuals(inst, primal, dual)
     extras = {
         "consensus_gap": gap,
