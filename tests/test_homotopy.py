@@ -201,7 +201,7 @@ def _record_solves(monkeypatch, log: list):
 
 
 def _no_worker(*args, **kwargs):
-    raise AssertionError("forked an engine worker")
+    raise AssertionError("started a worker or an engine call")
 
 
 def _serial_study(inst, schedule, params):
