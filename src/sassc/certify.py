@@ -16,9 +16,7 @@ per optimality condition, all in mesh-weighted norms:
 together with the duality gap and the weighted-l1 norms of the multiplier
 densities. A natural residual is exactly zero at solutions of the
 corresponding variational inequality, which makes "all residuals below
-tolerance" a checkable certificate of optimality. ``natural_residuals``
-scores a batch of pairs on their ``problem.Rows`` record, one (B,) array per
-residual; ``kkt_residuals`` scores one pair as a batch of one.
+tolerance" a checkable certificate of optimality.
 """
 
 from __future__ import annotations
@@ -32,12 +30,9 @@ from .problem import (
     DualPoint,
     Instance,
     PrimalPoint,
-    Rows,
     constraint_values,
-    csr_product,
     dual_function,
     objective,
-    stack_rows,
 )
 
 DEFAULT_TOL = 1e-6
@@ -48,21 +43,16 @@ RESIDUAL_NAMES = ("r1", "r2", "r3", "r3p", "r4", "r5_sign", "r5_feas", "r5_comp"
 KKT_CSV_COLUMNS = RESIDUAL_NAMES + ("duality_gap", "l1_lambda_e", "l1_lambda_i", "l1_rho")
 
 
-def max_residual(residuals: dict):
+def max_residual(residuals: dict) -> float:
     """The one rule that decides "certified": the max of r1, r2, r3, r4,
-    r5_feas, r5_comp, ``max(0, -r5_sign)`` and r3p unless absent or None.
-
-    The values are floats (``KktReport.residual_dict``) or one (B,) array
-    per name (a stacked ``natural_residuals``), and so is the result, row b
-    bitwise that of pair b alone. A NaN anywhere gives NaN (``np.max``).
-    """
+    r5_feas, r5_comp, ``max(0, -r5_sign)`` and r3p unless absent or None,
+    taken by ``np.max``, so a NaN anywhere gives NaN."""
     names = ["r1", "r2", "r3", "r4", "r5_feas", "r5_comp"]
     if residuals.get("r3p") is not None:
         names.append("r3p")
     vals = [residuals[name] for name in names]
     vals.append(np.maximum(np.negative(residuals["r5_sign"]), 0.0))
-    worst = np.max(vals, axis=0)
-    return float(worst) if worst.ndim == 0 else worst
+    return float(np.max(vals))
 
 
 @dataclass
@@ -128,79 +118,70 @@ def _sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return _fold(np.add, a, axis) + 0.0
 
 
-def one_nan(a: np.ndarray) -> np.ndarray:
-    """``a`` with every NaN replaced by the one quiet NaN ``np.nan``. IEEE
-    754 leaves open which NaN an operation on two NaNs returns, and a
-    compiler may swap the operands of ``+`` and ``*``, so only the NaN-ness
-    of a residual is defined, not its bits."""
-    return np.where(np.isnan(a), np.nan, a)
+def one_nan(v: float) -> float:
+    """``v`` as a float, or the one quiet NaN ``math.nan`` if ``v`` is a
+    NaN. IEEE 754 leaves open which NaN an operation on two NaNs returns,
+    and a compiler may swap the operands of ``+`` and ``*``, so only the
+    NaN-ness of a residual is defined, not its bits."""
+    return math.nan if math.isnan(v) else float(v)
 
 
-def max_scenario_norm(a: np.ndarray) -> np.ndarray:
-    """The largest per-scenario Euclidean norm of each row of a (B, S, n)
-    array: the root of the largest left-to-right sum of squares, which is
-    the largest root bit for bit."""
+def max_scenario_norm(a: np.ndarray) -> float:
+    """The largest per-scenario Euclidean norm of an (S, n) array: the root
+    of the largest left-to-right sum of squares, which is the largest root
+    bit for bit."""
     return np.sqrt(_fold(np.maximum, _sum(a * a)))
 
 
 def natural_residuals(
-    rows: Rows,
+    inst: Instance,
     x: PrimalPoint,
     lam: DualPoint,
     x1_extra_quad: float = 0.0,
     x1_extra_center: np.ndarray | None = None,
     x1_extra_lin: np.ndarray | None = None,
-) -> dict:
-    """Stationarity and feasibility residuals of B candidate pairs, scored
-    in one pass on the batch record ``rows`` of their instances
-    (``problem.stack_rows``).
+) -> dict[str, float]:
+    """Stationarity and feasibility residuals of a candidate pair, one
+    float per residual (no ``r3p`` in hard mode).
 
-    The arrays of ``x`` and ``lam`` carry a leading row axis ((B, n)
-    controls, (B, S, n) the rest), and each value of the returned dict is a
-    (B,) array. The optional ``x1_extra_*`` terms add ``(q/2)||x1 - c||^2
-    + <l, x1>`` to the control objective, with ``x1_extra_lin`` (B, n); the
-    scenario-decomposition solver certifies its augmented subproblems
-    through them. They default to zero, which yields the plain optimality
-    system.
+    The optional ``x1_extra_*`` terms add ``(q/2)||x1 - c||^2 + <l, x1>``
+    to the control objective; the scenario-decomposition solver certifies
+    its augmented subproblems through them. They default to zero, which
+    yields the plain optimality system.
 
     Every sum runs left to right from +0.0, over nodes and then over
     scenarios (``_sum``), and every largest or smallest entry is taken left
     to right by ``np.maximum`` or ``np.minimum`` (``_fold``: NaN propagates,
     and a tie of signed zeros gives the later one), so each value follows
     from this definition and not from a BLAS library's or numpy's choice of
-    order. A NaN residual is the one quiet NaN (``one_nan``). Row b is
-    bitwise the residual of pair b scored on its own, and the engine
+    order. A NaN residual is the one quiet NaN (``one_nan``). The engine
     kernel's residual check (``kernel.SOURCE``) repeats each operation in C
     with the same bits.
     """
-    h, B = rows.h, len(x.x1)
-    lo, hi, y_t = (a[:, None, :] for a in (rows.c1_lo, rows.c1_hi, rows.y_target))
-    alpha, alpha_prime, M = (a[:, None, None] for a in (rows.alpha, rows.alpha_prime, rows.M))
-    x1 = x.x1[:, None, :]
-
-    e_rho = _sum(rows.p[:, :, None] * lam.nonant, axis=1)[:, None, :]
-    f_x1 = alpha * x1 + e_rho
+    h, M = inst.h, inst.c2_bound
+    e_rho = _sum(inst.p[:, None] * lam.nonant, axis=0)
+    f_x1 = inst.alpha * x.x1 + e_rho
     if x1_extra_quad != 0.0:
         center = 0.0 if x1_extra_center is None else x1_extra_center
-        f_x1 = f_x1 + x1_extra_quad * (x1 - center)
+        f_x1 = f_x1 + x1_extra_quad * (x.x1 - center)
     if x1_extra_lin is not None:
-        f_x1 = f_x1 + x1_extra_lin[:, None, :]
-    d1 = x1 - np.clip(x1 - f_x1, lo, hi)
+        f_x1 = f_x1 + x1_extra_lin
+    d1 = x.x1 - np.clip(x.x1 - f_x1, inst.c1_lo, inst.c1_hi)
 
-    Alam = csr_product(rows.csr, lam.adjoint)
-    f_y = x.y - y_t + Alam + lam.obstacle
-    eq, ineq = constraint_values(rows, x)
+    Alam = (inst.block_operator() @ lam.adjoint.ravel()).reshape(lam.adjoint.shape)
+    f_y = x.y - inst.y_target + Alam + lam.obstacle
+    eq, ineq = constraint_values(inst, x)
     out = {
-        "r1": h * np.sqrt(_sum(d1 * d1)[:, 0]),
+        "r1": h * np.sqrt(_sum(d1 * d1)),
         "r2": h * max_scenario_norm(lam.nonant + lam.adjoint),
         "r3": h * max_scenario_norm(x.y - np.clip(x.y - f_y, -M, M)),
         "r4": h * max_scenario_norm(eq),
-        "r5_sign": _fold(np.minimum, lam.obstacle.reshape(B, -1)),
-        "r5_feas": _fold(np.maximum, np.maximum(ineq, 0.0).reshape(B, -1)),
-        "r5_comp": np.abs(h * h * _sum(rows.p * _sum(ineq * lam.obstacle))),
+        "r5_sign": _fold(np.minimum, lam.obstacle.ravel()),
+        "r5_feas": _fold(np.maximum, np.maximum(ineq, 0.0).ravel()),
+        "r5_comp": np.abs(h * h * _sum(inst.p * _sum(ineq * lam.obstacle))),
     }
-    if rows.mode == "slack":
-        f_z = alpha_prime * x.z - lam.obstacle
+    if inst.mode == "slack":
+        f_z = inst.alpha_prime * x.z - lam.obstacle
         out["r3p"] = h * max_scenario_norm(x.z - np.clip(x.z - f_z, -M, M))
     return {name: one_nan(val) for name, val in out.items()}
 
@@ -221,15 +202,13 @@ def multiplier_l1_norms(inst: Instance, lam: DualPoint) -> tuple[float, float, f
 
 
 def kkt_residuals(inst: Instance, x: PrimalPoint, lam: DualPoint) -> KktReport:
-    """Full certification report for a candidate pair, scored as a batch of one."""
-    res = natural_residuals(
-        stack_rows([inst]), PrimalPoint(x.x1[None], x.y[None], x.z[None]),
-        DualPoint(lam.adjoint[None], lam.obstacle[None], lam.nonant[None]))
+    """Full certification report for a candidate pair."""
+    res = natural_residuals(inst, x, lam)
     obj = objective(inst, x)
     dual = dual_function(inst, lam)
     l1e, l1i, l1r = multiplier_l1_norms(inst, lam)
     return KktReport(
-        **{name: float(res[name][0]) if name in res else None for name in RESIDUAL_NAMES},
+        **{name: res.get(name) for name in RESIDUAL_NAMES},
         duality_gap=obj - dual,
         l1_lambda_e=l1e, l1_lambda_i=l1i, l1_rho=l1r,
         objective=obj, dual_value=dual,

@@ -6,8 +6,8 @@ primal-dual pair; ``homotopy``, ``compare-oracle``, and ``mms`` run the
 standard studies and gate their exit code on the study's acceptance
 predicate. Exit codes: 0 success, 1 certificate or predicate failure
 (or a failed linear solve), 2 iteration cap, 3 infeasibility suspicion,
-4 input error; an engine worker process that ends without replying exits
-1 with an ``error:`` line.
+4 input error, including a grid too large to allocate; an engine worker
+process that ends without replying exits 1 with an ``error:`` line.
 
 All output files are canonical JSON or CSV written atomically; every
 report embeds the instance SHA-256 and sampling seed. ``solve
@@ -360,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError,
             HomotopyError, BarrierSizeError, BarrierFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # a grid too large to allocate
+        print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -4,24 +4,24 @@ and for the check that ends them.
 ``_pdhg_engine`` would spend most of an iteration in numpy call overhead:
 about 26 calls on arrays of a few thousand entries. This module runs all
 the iterations between two residual checks, and then the check, in one C
-call, ``iterate(k, count)``, over the buffers of one batch ``k``
-(``Kernel.bind``, which lays them out from the batch record). The kernel
-swaps the current and next primal buffers after every iteration, and
-each iteration is
+call, ``iterate(k, count)``, over the buffers ``k`` of one engine call
+(``Kernel.bind``, which lays them out from the instance, its step sizes
+and the iterates). The kernel swaps the current and next primal buffers
+after every iteration, and each iteration is
 
 - the dual step: ``lam_e += tau ((A yb - xb1) - g)`` and
   ``lam_ih = max(0, lam_ih + tau ci ((yb - zb) - psi))`` (``yb`` in hard
   mode);
-- the control gradient ``x1n = p @ lam_e``, for each row 0.0 plus
-  ``p_k lam_e[k]`` in scenario order, so that its bits follow from this
-  source and not from a BLAS library's choice of summation order;
+- the control gradient ``x1n = p @ lam_e``, 0.0 plus ``p_k lam_e[k]`` in
+  scenario order, so that its bits follow from this source and not from a
+  BLAS library's choice of summation order;
 - the primal step: the x1, y and z proxes, the division by the prox
   denominators, the clamp to ``[lo, hi]`` and the extrapolation.
 
-The residual check (``check``) then scores every row at its newest
-iterate and writes a (rows, 10) buffer, the columns ``CHECK_COLUMNS``: the
-natural residuals of ``certify.natural_residuals`` and the two divergence
-magnitudes of the engine. It repeats the definition in ``certify`` bit for
+The residual check (``check``) then scores the newest iterate and writes
+10 values, the columns ``CHECK_COLUMNS``: the natural residuals of
+``certify.natural_residuals`` and the two divergence magnitudes of the
+engine. It repeats the definition in ``certify`` bit for
 bit: every sum left to right from 0.0, over nodes and then over scenarios,
 every largest or smallest entry left to right, and every NaN written as
 the one quiet NaN. At S = 8 and n = 256 on a 2-vCPU AVX-512 Xeon it takes
@@ -97,11 +97,11 @@ import numpy as np
 from scipy.sparse._sparsetools import csr_matvec
 
 from . import certify
-from .problem import DualPoint, PrimalPoint, Rows
+from .problem import DualPoint, PrimalPoint
 
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off")
 
-# The columns of the residual check's (rows, 10) output: the natural
+# The columns of the residual check's output of 10 values: the natural
 # residuals and the engine's two divergence magnitudes.
 CHECK_COLUMNS = certify.RESIDUAL_NAMES + ("mag_e", "mag_i")
 
@@ -112,34 +112,33 @@ SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
-/* One lockstep batch of `rows` problems with S scenarios of n = m x m nodes,
-   laid out by _batch in kernel.py: the primal vectors are [x1 | y | z] with
-   the rows stacked in each block (z only in slack mode), the duals
-   [lam_e | lam_ih] and the data [g | psi], each block (rows, S, n). Per-row
-   constants have one entry per row. */
+/* The buffers of one engine call: one problem with S scenarios of
+   n = m x m nodes, laid out by _batch in kernel.py: the primal vectors are
+   [x1 | y | z] (z only in slack mode), the duals [lam_e | lam_ih] and the
+   data [g | psi], each block (S, n). */
 typedef struct {
-    int64_t rows, S, n, m, slack;
+    int64_t S, n, m, slack;
     int64_t has_lin;                /* the check adds lin to its control gradient */
     double h, q;                    /* mesh width, x1_extra_quad */
-    const double *diags;            /* block-diagonal operator: (5, rows S n) */
-    const uint8_t *stored;          /* (4, rows S n): neighbour stored */
-    double *work;                   /* (2, rows S n): the operator's products */
+    double tau, tau1;
+    double dual_steps[2];           /* tau, tau ci */
+    double ineq_scales[2];          /* ci, tauz ci */
+    double alpha, alpha_prime, M;   /* the check's constants */
+    const double *diags;            /* block-diagonal operator: (5, S n) */
+    const uint8_t *stored;          /* (4, S n): neighbour stored */
+    double *work;                   /* (2, S n): the operator's products */
     double *X;                      /* current primal iterate */
     double *Xn;                     /* next primal iterate; iterate swaps the two */
     double *Xb;                     /* extrapolated primal iterate */
     double *duals;
     const double *g_psi;
-    const double *p;                /* (rows, S) scenario probabilities */
-    const double *dual_steps;       /* [tau | tau ci] */
-    const double *ineq_scales;      /* [ci | tauz ci] */
-    const double *tau, *tau1;
-    const double *tau_yt, *lin;     /* (rows, n) */
+    const double *p;                /* (S,) scenario probabilities */
+    const double *tau_yt, *lin;     /* (n,) */
     const double *qc;               /* (n,) */
     const double *den, *lo, *hi;    /* one entry per primal entry */
-    const double *alpha, *alpha_prime, *M;   /* the check's per-row constants */
-    const double *y_target;         /* (rows, n) */
+    const double *y_target;         /* (n,) */
     const double *center;           /* (n,): x1_extra_center */
-    double *check;                  /* (rows, 10): the check's output */
+    double *check;                  /* (10,): the check's output */
 } Batch;
 
 /* numpy's maximum and minimum: the second operand on a tie, NaN wins */
@@ -177,7 +176,7 @@ static inline double stencil_edge_row(int64_t N, int64_t r, int64_t m,
    stencil_edge_row. */
 static void stencil(const Batch *k, const double *restrict v, double *restrict out)
 {
-    const int64_t N = k->rows * k->S * k->n, m = k->m, end = N - m > m ? N - m : m;
+    const int64_t N = k->S * k->n, m = k->m, end = N - m > m ? N - m : m;
     const double *restrict d = k->diags;
     const uint8_t *restrict st = k->stored;
     for (int64_t r = 0; r < m; r++)
@@ -250,153 +249,136 @@ static void finish(int64_t m, const double *restrict X, double *restrict Xn,
 
 static void dual_step(const Batch *k)
 {
-    const int64_t rows = k->rows, Sn = k->S * k->n, n = k->n;
-    const int64_t nb = rows * n, NS = rows * Sn;
-    const double *restrict xb1 = k->Xb, *restrict yb = k->Xb + nb;
+    const int64_t Sn = k->S * k->n, n = k->n;
+    const double *restrict xb1 = k->Xb, *restrict yb = k->Xb + n;
     const double *restrict g = k->g_psi, *Ay = k->work;   /* stencil writes work */
     double *restrict lam_e = k->duals;
+    const double step = k->dual_steps[0];
     stencil(k, yb, k->work);
-    for (int64_t b = 0; b < rows; b++) {
-        const double step = k->dual_steps[b];
-        for (int64_t r = b * Sn; r < (b + 1) * Sn; r += n)
-            for (int64_t i = 0; i < n; i++) {
-                const double e = Ay[r + i] - xb1[b * n + i];
-                lam_e[r + i] = lam_e[r + i] + (e - g[r + i]) * step;
-            }
-    }
-    for (int64_t b = 0; b < rows; b++) {
-        const int64_t r = b * Sn;
-        ascend_clamped(Sn, k->duals + NS + r, yb + r,
-                       k->slack ? yb + NS + r : NULL, k->g_psi + NS + r,
-                       k->dual_steps[rows + b]);
-    }
+    for (int64_t r = 0; r < Sn; r += n)
+        for (int64_t i = 0; i < n; i++) {
+            const double e = Ay[r + i] - xb1[i];
+            lam_e[r + i] = lam_e[r + i] + (e - g[r + i]) * step;
+        }
+    ascend_clamped(Sn, k->duals + Sn, yb, k->slack ? yb + Sn : NULL, k->g_psi + Sn,
+                   k->dual_steps[1]);
 }
 
 static void primal_step(const Batch *k)
 {
-    const int64_t rows = k->rows, Sn = k->S * k->n, n = k->n;
-    const int64_t nb = rows * n, NS = rows * Sn;
+    const int64_t Sn = k->S * k->n, n = k->n;
     const double *restrict X = k->X, *Alam = k->work;   /* stencil writes work */
-    const double *restrict lam_e = k->duals, *restrict lam_ih = k->duals + NS;
-    const double *restrict scales = k->ineq_scales;
+    const double *restrict lam_e = k->duals, *restrict lam_ih = k->duals + Sn;
+    const double tau = k->tau, tau1 = k->tau1, ci = k->ineq_scales[0];
     double *restrict Xn = k->Xn;
-    for (int64_t b = 0; b < rows; b++)
-        for (int64_t j = b * n, i = 0; i < n; i++, j++)
-            Xn[j] = X[j] + (((Xn[j] + k->qc[i]) - k->lin[j]) * k->tau1[b]);
+    for (int64_t i = 0; i < n; i++)
+        Xn[i] = X[i] + (((Xn[i] + k->qc[i]) - k->lin[i]) * tau1);
     stencil(k, lam_e, k->work);
-    for (int64_t b = 0; b < rows; b++)
-        for (int64_t r = b * Sn; r < (b + 1) * Sn; r += n)
-            for (int64_t i = 0; i < n; i++) {
-                const double we = (Alam[r + i] + lam_ih[r + i] * scales[b]) * k->tau[b];
-                Xn[nb + r + i] = (X[nb + r + i] - we) + k->tau_yt[b * n + i];
-            }
-    finish(nb + NS, X, Xn, k->Xb, k->den, k->lo, k->hi, 0);
+    for (int64_t r = 0; r < Sn; r += n)
+        for (int64_t i = 0; i < n; i++) {
+            const double we = (Alam[r + i] + lam_ih[r + i] * ci) * tau;
+            Xn[n + r + i] = (X[n + r + i] - we) + k->tau_yt[i];
+        }
+    finish(n + Sn, X, Xn, k->Xb, k->den, k->lo, k->hi, 0);
     if (!k->slack)
         return;
+    const int64_t o = n + Sn;
+    const double scale = k->ineq_scales[1];
     int subnormal = 0;
-    for (int64_t b = 0; b < rows; b++)
-        for (int64_t r = b * Sn; r < (b + 1) * Sn; r++) {
-            const double v = X[nb + NS + r] + lam_ih[r] * scales[rows + b];
-            subnormal |= (v != 0.0) & (fabs(v) < DBL_MIN);
-            Xn[nb + NS + r] = v;
-        }
-    const int64_t o = nb + NS;
-    finish(NS, X + o, Xn + o, k->Xb + o, k->den + o, k->lo + o, k->hi + o, subnormal);
+    for (int64_t r = 0; r < Sn; r++) {
+        const double v = X[o + r] + lam_ih[r] * scale;
+        subnormal |= (v != 0.0) & (fabs(v) < DBL_MIN);
+        Xn[o + r] = v;
+    }
+    finish(Sn, X + o, Xn + o, k->Xb + o, k->den + o, k->lo + o, k->hi + o, subnormal);
 }
 
-/* x1n = p @ lam_e: for each row, 0.0 plus p_s lam_e[s] in scenario order */
+/* x1n = p @ lam_e: 0.0 plus p_s lam_e[s] in scenario order */
 static void control_gradient(const Batch *k)
 {
     const int64_t S = k->S, n = k->n;
-    const double *restrict lam_e = k->duals;
-    for (int64_t b = 0; b < k->rows; b++) {
-        double *restrict x1n = k->Xn + b * n;
+    double *restrict x1n = k->Xn;
+    for (int64_t i = 0; i < n; i++)
+        x1n[i] = 0.0;
+    for (int64_t s = 0; s < S; s++) {
+        const double ps = k->p[s], *restrict l = k->duals + s * n;
         for (int64_t i = 0; i < n; i++)
-            x1n[i] = 0.0;
-        for (int64_t s = 0; s < S; s++) {
-            const double ps = k->p[b * S + s], *restrict l = lam_e + (b * S + s) * n;
-            for (int64_t i = 0; i < n; i++)
-                x1n[i] = x1n[i] + ps * l[i];
-        }
+            x1n[i] = x1n[i] + ps * l[i];
     }
 }
 
-/* The residual check at the current primal iterate: row b of k->check gets
-   (r1, r2, r3, r3p, r4, r5_sign, r5_feas, r5_comp, mag_e, mag_i), the
-   natural residuals of the pair (X, (lam_e, ci lam_ih, -lam_e)) and the
-   divergence magnitudes h max_k |lam_e,k| and ci h max_k |lam_ih,k|, with
-   the IEEE operations of certify.natural_residuals in its order: every sum
-   runs left to right from 0.0, over nodes and then over scenarios, and
-   every largest or smallest entry is taken left to right with max2/min2,
-   from -inf or +inf, which either returns the first entry. A NaN is
-   written as the one quiet NaN, as certify writes it, and r3p is NaN in
-   hard mode, where the certificate has none. */
+/* The residual check at the current primal iterate: k->check gets (r1, r2,
+   r3, r3p, r4, r5_sign, r5_feas, r5_comp, mag_e, mag_i), the natural
+   residuals of the pair (X, (lam_e, ci lam_ih, -lam_e)) and the divergence
+   magnitudes h max_k |lam_e,k| and ci h max_k |lam_ih,k|, with the IEEE
+   operations of certify.natural_residuals in its order: every sum runs
+   left to right from 0.0, over nodes and then over scenarios, and every
+   largest or smallest entry is taken left to right with max2/min2, from
+   -inf or +inf, which either returns the first entry. A NaN is written as
+   the one quiet NaN, as certify writes it, and r3p is NaN in hard mode,
+   where the certificate has none. */
 static void check(const Batch *k)
 {
     const double *X = k->X;
-    const int64_t rows = k->rows, S = k->S, n = k->n, Sn = S * n;
-    const int64_t nb = rows * n, NS = rows * Sn;
-    const double *restrict x1 = X, *restrict y = X + nb, *restrict z = k->slack ? X + nb + NS : y;
-    const double *restrict lam_e = k->duals, *restrict lam_ih = k->duals + NS;
-    const double *restrict g = k->g_psi, *restrict psi = k->g_psi + NS;
-    const double *restrict Ay = k->work, *restrict Alam = k->work + NS;
-    const double h = k->h;
+    const int64_t S = k->S, n = k->n, Sn = S * n;
+    const double *restrict x1 = X, *restrict y = X + n, *restrict z = k->slack ? X + n + Sn : y;
+    const double *restrict lam_e = k->duals, *restrict lam_ih = k->duals + Sn;
+    const double *restrict g = k->g_psi, *restrict psi = k->g_psi + Sn;
+    const double *restrict Ay = k->work, *restrict Alam = k->work + Sn;
+    const double *restrict p = k->p;
+    const double h = k->h, ci = k->ineq_scales[0], M = k->M, ap = k->alpha_prime;
     stencil(k, y, k->work);
-    stencil(k, lam_e, k->work + NS);
-    for (int64_t b = 0; b < rows; b++) {
-        const double ci = k->ineq_scales[b], M = k->M[b], ap = k->alpha_prime[b];
-        const double *restrict p = k->p + b * S;
-        double s1 = 0.0;
-        for (int64_t j = b * n, i = 0; i < n; i++, j++) {
-            double e_rho = 0.0;
-            for (int64_t s = 0; s < S; s++)
-                e_rho = e_rho + p[s] * -lam_e[(b * S + s) * n + i];
-            double f = k->alpha[b] * x1[j] + e_rho;
-            if (k->q != 0.0)
-                f = f + k->q * (x1[j] - k->center[i]);
-            if (k->has_lin)
-                f = f + k->lin[j];
-            const double d = x1[j] - min2(max2(x1[j] - f, k->lo[j]), k->hi[j]);
-            s1 = s1 + d * d;
-        }
-        double r2 = -INFINITY, r3 = -INFINITY, r3p = -INFINITY, r4 = -INFINITY;
-        double mag_e = -INFINITY, mag_i = -INFINITY, feas = -INFINITY, sign = INFINITY;
-        double comp = 0.0;
-        for (int64_t s = 0; s < S; s++) {
-            double s2 = 0.0, s3 = 0.0, s3p = 0.0, s4 = 0.0, se = 0.0, si = 0.0, c = 0.0;
-            for (int64_t i = 0, r = (b * S + s) * n; i < n; i++, r++) {
-                const double obst = ci * lam_ih[r], e = -lam_e[r] + lam_e[r];
-                const double fy = ((y[r] - k->y_target[b * n + i]) + Alam[r]) + obst;
-                const double d3 = y[r] - min2(max2(y[r] - fy, -M), M);
-                const double eq = (Ay[r] - x1[b * n + i]) - g[r];
-                const double ineq = k->slack ? (y[r] - z[r]) - psi[r] : y[r] - psi[r];
-                if (k->slack) {
-                    const double d3p = z[r] - min2(max2(z[r] - (ap * z[r] - obst), -M), M);
-                    s3p = s3p + d3p * d3p;
-                }
-                s2 = s2 + e * e;
-                s3 = s3 + d3 * d3;
-                s4 = s4 + eq * eq;
-                sign = min2(sign, obst);
-                feas = max2(feas, max2(ineq, 0.0));
-                c = c + ineq * obst;
-                se = se + lam_e[r] * lam_e[r];
-                si = si + lam_ih[r] * lam_ih[r];
-            }
-            r2 = max2(r2, s2);
-            r3 = max2(r3, s3);
-            r3p = max2(r3p, s3p);
-            r4 = max2(r4, s4);
-            mag_e = max2(mag_e, se);
-            mag_i = max2(mag_i, si);
-            comp = comp + p[s] * c;
-        }
-        const double out[10] = {h * sqrt(s1), h * sqrt(r2), h * sqrt(r3),
-                                k->slack ? h * sqrt(r3p) : NAN, h * sqrt(r4), sign, feas,
-                                fabs(h * h * comp), h * sqrt(mag_e), (ci * h) * sqrt(mag_i)};
-        for (int j = 0; j < 10; j++)
-            k->check[10 * b + j] = isnan(out[j]) ? NAN : out[j];
+    stencil(k, lam_e, k->work + Sn);
+    double s1 = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double e_rho = 0.0;
+        for (int64_t s = 0; s < S; s++)
+            e_rho = e_rho + p[s] * -lam_e[s * n + i];
+        double f = k->alpha * x1[i] + e_rho;
+        if (k->q != 0.0)
+            f = f + k->q * (x1[i] - k->center[i]);
+        if (k->has_lin)
+            f = f + k->lin[i];
+        const double d = x1[i] - min2(max2(x1[i] - f, k->lo[i]), k->hi[i]);
+        s1 = s1 + d * d;
     }
+    double r2 = -INFINITY, r3 = -INFINITY, r3p = -INFINITY, r4 = -INFINITY;
+    double mag_e = -INFINITY, mag_i = -INFINITY, feas = -INFINITY, sign = INFINITY;
+    double comp = 0.0;
+    for (int64_t s = 0; s < S; s++) {
+        double s2 = 0.0, s3 = 0.0, s3p = 0.0, s4 = 0.0, se = 0.0, si = 0.0, c = 0.0;
+        for (int64_t i = 0, r = s * n; i < n; i++, r++) {
+            const double obst = ci * lam_ih[r], e = -lam_e[r] + lam_e[r];
+            const double fy = ((y[r] - k->y_target[i]) + Alam[r]) + obst;
+            const double d3 = y[r] - min2(max2(y[r] - fy, -M), M);
+            const double eq = (Ay[r] - x1[i]) - g[r];
+            const double ineq = k->slack ? (y[r] - z[r]) - psi[r] : y[r] - psi[r];
+            if (k->slack) {
+                const double d3p = z[r] - min2(max2(z[r] - (ap * z[r] - obst), -M), M);
+                s3p = s3p + d3p * d3p;
+            }
+            s2 = s2 + e * e;
+            s3 = s3 + d3 * d3;
+            s4 = s4 + eq * eq;
+            sign = min2(sign, obst);
+            feas = max2(feas, max2(ineq, 0.0));
+            c = c + ineq * obst;
+            se = se + lam_e[r] * lam_e[r];
+            si = si + lam_ih[r] * lam_ih[r];
+        }
+        r2 = max2(r2, s2);
+        r3 = max2(r3, s3);
+        r3p = max2(r3p, s3p);
+        r4 = max2(r4, s4);
+        mag_e = max2(mag_e, se);
+        mag_i = max2(mag_i, si);
+        comp = comp + p[s] * c;
+    }
+    const double out[10] = {h * sqrt(s1), h * sqrt(r2), h * sqrt(r3),
+                            k->slack ? h * sqrt(r3p) : NAN, h * sqrt(r4), sign, feas,
+                            fabs(h * h * comp), h * sqrt(mag_e), (ci * h) * sqrt(mag_i)};
+    for (int j = 0; j < 10; j++)
+        k->check[j] = isnan(out[j]) ? NAN : out[j];
 }
 
 /* `count` iterations from k->X to k->Xn, each followed by a swap of the two,
@@ -416,53 +398,53 @@ void iterate(Batch *k, int64_t count)
 """
 
 
-# the constants of _Batch, each an attribute of the same name on _batch's
+# the arrays of _Batch, each an attribute of the same name on _batch's
 # namespace; the kernel reads them and writes duals and check in place
-_CONSTANTS = ("duals", "g_psi", "p", "dual_steps", "ineq_scales", "tau", "tau1", "tau_yt",
-              "lin", "qc", "den", "lo", "hi", "alpha", "alpha_prime", "M", "y_target",
-              "center", "check")
+_ARRAYS = ("duals", "g_psi", "p", "tau_yt", "lin", "qc", "den", "lo", "hi", "y_target",
+           "center", "check")
 
 
 class _Batch(ctypes.Structure):
     _fields_ = (
-        [(name, ctypes.c_int64) for name in ("rows", "S", "n", "m", "slack", "has_lin")]
-        + [(name, ctypes.c_double) for name in ("h", "q")]
+        [(name, ctypes.c_int64) for name in ("S", "n", "m", "slack", "has_lin")]
+        + [(name, ctypes.c_double) for name in ("h", "q", "tau", "tau1")]
+        + [(name, ctypes.c_double * 2) for name in ("dual_steps", "ineq_scales")]
+        + [(name, ctypes.c_double) for name in ("alpha", "alpha_prime", "M")]
         + [(name, ctypes.c_void_p) for name in ("diags", "stored", "work", "X", "Xn", "Xb",
-                                                 *_CONSTANTS)]
+                                                 *_ARRAYS)]
     )
 
 
-def _batch(rec: Rows, steps, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
-    """The buffers and constants of one lockstep batch, for both forms of
-    the steps: ``rec`` is the batch record (``problem.stack_rows``),
-    ``steps`` a (rows, 4) array of each row's tau, ci, tau1 and tauz,
-    ``state`` the iterates (x1, y, z, xb1, yb, zb, lam_e, lam_ih) stacked by
-    row, and ``q``, ``center`` (n,) and ``lin`` (rows, n) are
-    ``x1_extra_quad``, ``x1_extra_center`` and ``x1_extra_lin``, each None
-    when absent.
+def _batch(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
+    """The buffers and constants of one engine call on ``inst``, for both
+    forms of the steps: ``step`` holds the instance's tau, ci, tau1 and
+    tauz, ``state`` the iterates (x1, y, z, xb1, yb, zb, lam_e, lam_ih), and
+    ``q``, ``center`` (n,) and ``lin`` (n,) are ``x1_extra_quad``,
+    ``x1_extra_center`` and ``x1_extra_lin``, each None when absent.
 
     The iterations allocate no arrays. The primal blocks live in one flat
     vector [x1 | y | z] (z only in slack mode; hard mode carries it
-    unchanged) with the rows stacked in each block, the multipliers in one
-    (2, rows, S, n) array [lam_e | lam_ih] and the data in [g | psi], so
-    that each update the blocks share is one pass over one array. A per-row
-    scalar becomes a constant array of that value, which gives the same
-    bits: the prox denominators ``den`` and the bounds ``lo`` and ``hi``
-    have one entry per primal entry.
+    unchanged), the multipliers in one (2, S, n) array [lam_e | lam_ih] and
+    the data in [g | psi], so that each update the blocks share is one pass
+    over one array. The prox denominators ``den`` and the bounds ``lo`` and
+    ``hi`` have one entry per primal entry; a constant array of a scalar
+    gives the same bits as the scalar.
 
     The namespace holds the current, next and extrapolated primal iterates
     ``cur``, ``nxt`` (a copy of ``cur``, so every byte the steps read is
-    defined) and ``xb``, each (flat vector, x1 (rows, 1, n), y, z), and the
-    ``_CONSTANTS`` in the numpy steps' shapes. Sizes are checked here,
-    since the kernel indexes without bounds.
+    defined) and ``xb``, each (flat vector, x1 (n,), y, z), the scalars
+    ``tau`` and ``tau1``, ``dual_steps`` [tau | tau ci] and ``ineq_scales``
+    [ci | tauz ci] shaped (2, 1, 1), and the ``_ARRAYS`` in the numpy steps'
+    shapes. Sizes are checked here, since the kernel indexes without bounds.
     """
     x1, y, z, xb1, yb, zb, lam_e, lam_ih = state
-    rows, S, n = np.shape(y)
-    slack = rec.mode == "slack"
-    nb, NS = rows * n, rows * S * n
-    nx = nb + NS * (2 if slack else 1)
-    tau, ci, tau1, tauz = np.asarray(steps, dtype=float).T[:, :, None, None]
-    box = np.repeat(rec.M, S * n)
+    S, n = np.shape(y)
+    slack = inst.mode == "slack"
+    NS = S * n
+    nx = n + NS * (2 if slack else 1)
+    tau, ci, tau1, tauz = (float(c) for c in step)
+    box = np.full(NS, inst.c2_bound)
+    _, g, psi = inst.fields()
 
     def flat(a1, ay, az):
         """[x1 | y | z], z only in slack mode"""
@@ -471,23 +453,20 @@ def _batch(rec: Rows, steps, state, *, q: float, center=None, lin=None) -> Simpl
 
     X, Xb = flat(x1, y, z), flat(xb1, yb, zb)
     k = SimpleNamespace(
-        rec=rec, rows=rows, S=S, n=n, slack=slack, duals=np.array([lam_e, lam_ih], dtype=float),
-        g_psi=np.stack([rec.g, rec.psi]), p=rec.p, dual_steps=np.stack([tau, tau * ci]),
-        ineq_scales=np.stack([ci, tauz * ci]), tau=tau, tau1=tau1,
-        tau_yt=tau * rec.y_target[:, None, :],
-        lin=np.zeros((rows, 1, n)) if lin is None else np.asarray(lin, dtype=float)[:, None],
+        inst=inst, S=S, n=n, slack=slack, tau=tau, tau1=tau1,
+        dual_steps=np.array([tau, tau * ci])[:, None, None],
+        ineq_scales=np.array([ci, tauz * ci])[:, None, None],
+        duals=np.array([lam_e, lam_ih], dtype=float), g_psi=np.stack([g, psi]), p=inst.p,
+        tau_yt=tau * inst.y_target,
+        lin=np.zeros(n) if lin is None else np.asarray(lin, dtype=float),
         qc=np.zeros(n) if (q == 0.0 or center is None) else q * np.asarray(center),
-        den=flat(np.repeat(1.0 + tau1.ravel() * (rec.alpha + q), n),
-                 np.repeat(1.0 + tau.ravel(), S * n),
-                 np.repeat(1.0 + tauz.ravel() * rec.alpha_prime, S * n)),
-        lo=flat(rec.c1_lo, -box, -box), hi=flat(rec.c1_hi, box, box),
-        alpha=rec.alpha, alpha_prime=rec.alpha_prime, M=rec.M, y_target=rec.y_target,
-        center=np.zeros(n) if center is None else center,
-        check=np.empty((rows, len(CHECK_COLUMNS))))
-    sizes = dict(X=nx, Xb=nx, duals=2 * NS, g_psi=2 * NS, p=rows * S, dual_steps=2 * rows,
-                 ineq_scales=2 * rows, tau=rows, tau1=rows, tau_yt=rows * n, lin=rows * n, qc=n,
-                 den=nx, lo=nx, hi=nx, alpha=rows, alpha_prime=rows, M=rows, y_target=rows * n,
-                 center=n, check=rows * 10)
+        den=flat(np.full(n, 1.0 + tau1 * (inst.alpha + q)), np.full(NS, 1.0 + tau),
+                 np.full(NS, 1.0 + tauz * inst.alpha_prime)),
+        lo=flat(inst.c1_lo, -box, -box), hi=flat(inst.c1_hi, box, box),
+        y_target=inst.y_target, center=np.zeros(n) if center is None else center,
+        check=np.empty(len(CHECK_COLUMNS)))
+    sizes = dict(X=nx, Xb=nx, duals=2 * NS, g_psi=2 * NS, p=S, tau_yt=n, lin=n, qc=n, den=nx,
+                 lo=nx, hi=nx, y_target=n, center=n, check=len(CHECK_COLUMNS))
     arrays = dict(vars(k), X=X, Xb=Xb)
     for name, size in sizes.items():
         if np.size(arrays[name]) != size:
@@ -496,8 +475,8 @@ def _batch(rec: Rows, steps, state, *, q: float, center=None, lin=None) -> Simpl
     z_hard = None if slack else np.array(z, dtype=float)
 
     def blocks(X):
-        return (X, X[:nb].reshape(rows, 1, n), X[nb:nb + NS].reshape(rows, S, n),
-                X[nb + NS:].reshape(rows, S, n) if slack else z_hard)
+        return (X, X[:n], X[n:n + NS].reshape(S, n),
+                X[n + NS:].reshape(S, n) if slack else z_hard)
 
     k.cur, k.nxt, k.xb = blocks(X), blocks(X.copy()), blocks(Xb)
     return k
@@ -540,28 +519,34 @@ class Kernel:
         self._iterate.restype = None
 
     @staticmethod
-    def bind(rec: Rows, steps, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
-        """The batch of ``_batch`` for ``iterate``, with the ``_Batch``
+    def bind(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
+        """The buffers of ``_batch`` for ``iterate``, with the ``_Batch``
         struct that points at its arrays (``struct``), which keeps them
-        alive. The CSR operator of ``rec`` becomes the stencil's diagonals
-        (``_stencil_diagonals``)."""
-        k = _batch(rec, steps, state, q=q, center=center, lin=lin)
-        m, diags, stored = _stencil_diagonals(k.duals[0].size, k.n, rec.csr)
+        alive. The instance's CSR block operator becomes the stencil's
+        diagonals (``_stencil_diagonals``)."""
+        k = _batch(inst, step, state, q=q, center=center, lin=lin)
+        A = inst.block_operator()
+        m, diags, stored = _stencil_diagonals(k.duals[0].size, k.n,
+                                              (A.indptr, A.indices, A.data))
         arrays = dict(diags=diags, stored=stored, work=np.empty(k.duals.size), X=k.cur[0],
                       Xn=k.nxt[0], Xb=k.xb[0])
         arrays.update((name, np.ascontiguousarray(getattr(k, name), dtype=float))
-                      for name in _CONSTANTS)
-        batch = _Batch(rows=k.rows, S=k.S, n=k.n, m=m, slack=k.slack, has_lin=lin is not None,
-                       h=rec.h, q=q, **{name: a.ctypes.data for name, a in arrays.items()})
+                      for name in _ARRAYS)
+        pair = ctypes.c_double * 2
+        batch = _Batch(S=k.S, n=k.n, m=m, slack=k.slack, has_lin=lin is not None, h=inst.h,
+                       q=q, tau=k.tau, tau1=k.tau1, dual_steps=pair(*k.dual_steps.ravel()),
+                       ineq_scales=pair(*k.ineq_scales.ravel()), alpha=inst.alpha,
+                       alpha_prime=inst.alpha_prime, M=inst.c2_bound,
+                       **{name: a.ctypes.data for name, a in arrays.items()})
         batch.keep = arrays
         k.struct = ctypes.pointer(batch)
         return k
 
     def iterate(self, k, count: int) -> None:
-        """``count`` iterations of the batch ``k`` and the residual check
-        at the newest iterate, in one kernel call. The kernel swaps its
-        current and next primal buffers after every iteration, and ``k``'s
-        ``cur`` and ``nxt`` follow."""
+        """``count`` iterations of ``k`` and the residual check at the
+        newest iterate, in one kernel call. The kernel swaps its current
+        and next primal buffers after every iteration, and ``k``'s ``cur``
+        and ``nxt`` follow."""
         self._iterate(k.struct, count)
         if count % 2:
             k.cur, k.nxt = k.nxt, k.cur
@@ -573,13 +558,13 @@ class _NumpySteps:
     reproduces."""
 
     @staticmethod
-    def bind(rec: Rows, steps, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
+    def bind(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
         """Like ``Kernel.bind``, with the numpy steps' scratch arrays."""
-        k = _batch(rec, steps, state, q=q, center=center, lin=lin)
+        k = _batch(inst, step, state, q=q, center=center, lin=lin)
         k.extras = dict(x1_extra_quad=q, x1_extra_center=center, x1_extra_lin=lin)
-        shape = (k.rows, k.S, k.n)
-        k.work, k.Alam = np.empty((2, *shape)), np.empty(shape)
-        k.product = np.empty((k.rows, 1, k.n))
+        k.csr = inst.block_operator()
+        k.work, k.Alam = np.empty((2, k.S, k.n)), np.empty((k.S, k.n))
+        k.product = np.empty(k.n)
         return k
 
     @classmethod
@@ -600,21 +585,21 @@ class _NumpySteps:
         ``certify.max_scenario_norm`` for the divergence magnitudes."""
         _, x1, y, z = k.cur
         lam_e, lam_ih = k.duals
-        ci = k.ineq_scales[0]
-        res = certify.natural_residuals(k.rec, PrimalPoint(x1[:, 0], y, z),
+        ci = k.ineq_scales[0, 0, 0]
+        res = certify.natural_residuals(k.inst, PrimalPoint(x1, y, z),
                                         DualPoint(lam_e, ci * lam_ih, -lam_e), **k.extras)
-        h = k.rec.h
+        h = k.inst.h
         res.update(mag_e=certify.one_nan(h * certify.max_scenario_norm(lam_e)),
-                   mag_i=certify.one_nan(ci[:, 0, 0] * h * certify.max_scenario_norm(lam_ih)))
+                   mag_i=certify.one_nan(ci * h * certify.max_scenario_norm(lam_ih)))
         for j, name in enumerate(CHECK_COLUMNS):
-            k.check[:, j] = res.get(name, np.nan)     # no r3p in hard mode
+            k.check[j] = res.get(name, np.nan)     # no r3p in hard mode
 
     @staticmethod
     def dual_step(k) -> None:
         _, xb1, yb, zb = k.xb
         work_e, work_i = work = k.work
         work_e.fill(0.0)
-        csr_matvec(yb.size, yb.size, *k.rec.csr, yb, work_e)
+        csr_matvec(yb.size, yb.size, k.csr.indptr, k.csr.indices, k.csr.data, yb, work_e)
         np.subtract(work_e, xb1, out=work_e)
         if k.slack:
             np.subtract(yb, zb, out=work_i)
@@ -630,8 +615,8 @@ class _NumpySteps:
         """x1n = p @ lam_e, summed from 0.0 in scenario order."""
         x1n = k.nxt[1]
         x1n.fill(0.0)
-        for s, ps in enumerate(k.p.T):
-            np.multiply(ps[:, None, None], k.duals[0][:, s:s + 1], out=k.product)
+        for ps, lam in zip(k.p, k.duals[0]):
+            np.multiply(ps, lam, out=k.product)
             np.add(x1n, k.product, out=x1n)
 
     @staticmethod
@@ -646,7 +631,8 @@ class _NumpySteps:
         np.multiply(x1n, k.tau1, out=x1n)
         np.add(x1, x1n, out=x1n)
         k.Alam.fill(0.0)
-        csr_matvec(lam_e.size, lam_e.size, *k.rec.csr, lam_e, k.Alam)
+        csr_matvec(lam_e.size, lam_e.size, k.csr.indptr, k.csr.indices, k.csr.data, lam_e,
+                   k.Alam)
         np.multiply(lam_ih, k.ineq_scales, out=work)
         np.add(k.Alam, work_e, out=work_e)
         np.multiply(work_e, k.tau, out=work_e)

@@ -16,8 +16,7 @@ the inequality becomes ``y_k <= psi_k``.
 Multiplier arrays are stored as densities with respect to the discrete
 measure ``p_k h^2``, so their magnitudes are stable under mesh refinement
 and scenario-count changes and approximate integrable functions rather
-than measures. ``constraint_values`` takes a batch: the ``Rows`` record of
-instances (``stack_rows``) and their points stacked along a leading axis.
+than measures.
 """
 
 from __future__ import annotations
@@ -144,52 +143,6 @@ def stack_csr(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
 
 
-@dataclass(frozen=True)
-class Rows:
-    """Data of B instances with the same grid, mode and scenario count,
-    stacked along a leading row axis (``stack_rows``).
-
-    ``csr`` holds the CSR arrays of the block-diagonal stack of the rows'
-    block operators (``stack_csr``); ``p`` is (B, S), ``g`` and ``psi``
-    are (B, S, n), the control bounds and targets (B, n), and the weights
-    and state bounds ``M`` (B,).
-    """
-
-    csr: tuple[np.ndarray, np.ndarray, np.ndarray]
-    p: np.ndarray
-    g: np.ndarray
-    psi: np.ndarray
-    c1_lo: np.ndarray
-    c1_hi: np.ndarray
-    y_target: np.ndarray
-    alpha: np.ndarray
-    alpha_prime: np.ndarray
-    M: np.ndarray
-    h: float
-    mode: str
-
-
-def stack_rows(insts: list[Instance]) -> Rows:
-    """The batch record of ``insts``, which must share the grid, mode and
-    scenario count."""
-    first = insts[0]
-    if any((sub.S, sub.grid.n1d, sub.mode) != (first.S, first.grid.n1d, first.mode)
-           for sub in insts):
-        raise ValueError("batched instances must share the grid, mode and scenario count")
-    g_psi = np.array([sub.fields()[1:] for sub in insts])
-
-    def per_row(name: str) -> np.ndarray:
-        return np.array([getattr(sub, name) for sub in insts])
-
-    return Rows(
-        csr=stack_csr([sub.block_operator() for sub in insts]), p=per_row("p"),
-        g=g_psi[:, 0], psi=g_psi[:, 1], c1_lo=per_row("c1_lo"), c1_hi=per_row("c1_hi"),
-        y_target=per_row("y_target"), alpha=per_row("alpha"),
-        alpha_prime=per_row("alpha_prime"), M=per_row("c2_bound"), h=first.h,
-        mode=first.mode,
-    )
-
-
 def csr_product(csr: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
     """Product of the CSR arrays ``csr`` with ``v`` flattened, shaped like
     ``v``: the kernel and the summation order of scipy's ``A @ v``."""
@@ -250,17 +203,16 @@ def project_c1(inst: Instance, v: np.ndarray) -> np.ndarray:
     return np.clip(v, inst.c1_lo, inst.c1_hi)
 
 
-def constraint_values(rows: Rows, x: PrimalPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Equality residuals ``A_k y_k - x1 - g_k`` and inequality values of
-    the points ``x``, stacked along a leading row axis, on the batch record
-    ``rows`` of their instances; each row has the bits of its own
-    evaluation.
+def constraint_values(inst: Instance, x: PrimalPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Equality residuals ``A_k y_k - x1 - g_k`` and inequality values of a
+    primal point.
 
     The inequality value is ``y - z - psi`` in slack mode and ``y - psi``
     in hard mode; feasibility means it is entrywise nonpositive.
     """
-    eq = csr_product(rows.csr, x.y) - x.x1[:, None, :] - rows.g
-    ineq = x.y - rows.psi if rows.mode == "hard" else x.y - x.z - rows.psi
+    _, g, psi = inst.fields()
+    eq = (inst.block_operator() @ x.y.ravel()).reshape(x.y.shape) - x.x1[None, :] - g
+    ineq = x.y - psi if inst.mode == "hard" else x.y - x.z - psi
     return eq, ineq
 
 

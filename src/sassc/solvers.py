@@ -12,18 +12,18 @@ run in multiplier-density coordinates, where the dual updates are the
 plain shifts ``lam_e += sigma (K_e xbar - g)`` and
 ``lam_i = max(0, lam_i + sigma (K_i xbar - psi))`` and the measure weights
 cancel from the iteration entirely. The iteration works in block-balanced
-variables with fixed steps (see the engine docstring).
+variables with fixed steps (see ``_steps``).
 
 The iterations between two residual checks, and the check itself, run in
 one call into the C kernel of ``kernel.py`` (``iterate``: per iteration
 the dual step, the control gradient ``p @ lam_e`` summed from 0.0 in
 scenario order, then the prox, clamp and extrapolation; then the natural
-residuals and divergence magnitudes of every row), so no numpy call or
-Python step runs between checks and the engine only reads the check's
-output; the PDLP solver (Applegate et al., 2021) runs its steps and its
-termination checks in compiled code the same way. The kernel applies the
-stiffness blocks as a five-point stencil vectorized across rows, not as
-CSR, and sums each row in the stored order of the CSR product. It is
+residuals and divergence magnitudes), so no numpy call or Python step runs
+between checks and the engine only reads the check's output; the PDLP
+solver (Applegate et al., 2021) runs its steps and its termination checks
+in compiled code the same way. The kernel applies the stiffness blocks as
+a five-point stencil vectorized across nodes, not as CSR, and sums each
+row in the stored order of the CSR product. It is
 compiled with ``cc -O3 -march=native -ffp-contract=off`` (no fast-math, no
 fused multiply-add) on the first engine call of a process, and runs every
 entry through the IEEE operations of the numpy form in its order, so
@@ -34,12 +34,12 @@ sums left to right in one defined order. Without a C compiler the engine
 runs that numpy loop (``kernel.numpy_steps``, CSR products) and scores its
 checks with ``certify``, with the same bits.
 
-The engine (``_pdhg_engine``), its K-norm estimate and the residual check
-take only a batch of instances with the same grid, mode and scenario count,
-run as rows of one stacked iteration, and give one result per row;
-``solve_pdhg`` runs its one instance as the batch ``[inst]``. At small grid
-sizes numpy call overhead, not arithmetic, dominates an iteration, so one
-stacked iteration costs far less than one iteration of each row on its own.
+One engine call (``_pdhg_engine``) solves one instance. Only the K-norm
+power iteration behind its step sizes (``_steps``) runs several instances
+with the same grid, mode and scenario count in lockstep, as rows of one
+stacked map: progressive hedging estimates the steps of a group of
+subproblems at once, where numpy call overhead, not arithmetic, dominates
+each power iteration.
 
 Progressive hedging decomposes by scenario and exposes the
 nonanticipativity structure algorithmically: scenario copies of the
@@ -47,8 +47,8 @@ control are driven to consensus by weights ``w_k`` that converge to the
 negative of the per-scenario nonanticipativity density minus the shared
 control gradient. Given the weights, the subproblems of a round are
 independent. They are split into contiguous groups, one per CPU of the
-affinity mask (``worker_count``), and each group is one engine batch in its
-own forked process (``_EngineWorker``).
+affinity mask (``worker_count``), and each group runs in its own forked
+process (``_EngineWorker``), one engine call per subproblem.
 
 The barrier oracle is deliberately a different algorithmic family (dense
 Newton on a log-barrier interior path) so that agreement between solvers
@@ -84,7 +84,7 @@ from .problem import (
     csr_product,
     hard_mode_infeasibility,
     project_c1,
-    stack_rows,
+    stack_csr,
     zeros_dual,
 )
 
@@ -169,18 +169,22 @@ def _report(algorithm: str, kkt: certify.KktReport, iterations: int, status: str
 
 def _k_maps(rows: list[Instance], s1, sz, ci, live: np.ndarray):
     """Domain weights and the forward and adjoint maps of the rescaled
-    constraint map K of each instance in ``rows``, stacked for a lockstep
-    power iteration. The maps take and return the rows still running,
-    which ``live`` names; rows only ever leave, so their count does too.
-    The operator and ``p`` come from the rows' batch record
-    (``problem.stack_rows``), and that of the running rows once some left.
+    constraint map K of each instance in ``rows``, which must share the
+    grid, mode and scenario count, stacked for a lockstep power iteration.
+    The maps take and return the rows still running, which ``live`` names;
+    rows only ever leave, so their count does too. The operator of the
+    running rows is the block-diagonal stack of their block operators
+    (``problem.stack_csr``).
     """
-    R, S, n, slack = len(rows), rows[0].S, rows[0].n, rows[0].mode == "slack"
+    first = rows[0]
+    if any((sub.S, sub.grid.n1d, sub.mode) != (first.S, first.grid.n1d, first.mode)
+           for sub in rows):
+        raise ValueError("stacked instances must share the grid, mode and scenario count")
+    R, S, n, slack = len(rows), first.S, first.n, first.mode == "slack"
     SN = S * n
     nx = n + SN + (SN if slack else 0)
-    record = stack_rows(rows)
-    p = record.p
-    hh = rows[0].h * rows[0].h
+    p = np.array([sub.p for sub in rows])
+    hh = first.h * first.h
     weights = np.concatenate(
         [np.full((R, n), hh)] + [np.repeat(p * hh, n, axis=1)] * (2 if slack else 1), axis=1)
     s1, sz, ci = (np.asarray(c)[:, None] for c in (s1, sz, ci))
@@ -191,7 +195,7 @@ def _k_maps(rows: list[Instance], s1, sz, ci, live: np.ndarray):
         """Operator and per-row constants of the L rows still running."""
         if L not in running:
             idx = np.flatnonzero(live)
-            csr = record.csr if L == R else stack_rows([rows[j] for j in idx]).csr
+            csr = stack_csr([rows[j].block_operator() for j in idx])
             running[L] = (csr, *(c[idx] for c in cols))
         return running[L]
 
@@ -259,20 +263,11 @@ def _estimate_k_norm(rows: list[Instance], s1=1.0, sz=1.0, ci=1.0) -> list[float
     return [sub.scenarios._cache[key] for sub, key in zip(rows, keys)]
 
 
-def _pdhg_engine(
-    rows: list[Instance],
-    tol: float,
-    max_iters: int,
-    warm: list | None = None,
-    x1_extra_quad: float = 0.0,
-    x1_extra_center: np.ndarray | None = None,
-    x1_extra_lin: np.ndarray | None = None,
-    history=None,
-) -> list[tuple[PrimalPoint, DualPoint, int, str]]:
-    """Run the primal-dual iteration on the B instances ``rows``, which
-    share the grid, mode and scenario count, until the optimality residuals
-    of each drop below ``tol``; returns one (primal, dual, iterations,
-    status) tuple per row.
+def _steps(rows: list[Instance]) -> np.ndarray:
+    """The (B, 4) step constants tau, ci, tau1 and tauz of the engine on
+    each of ``rows``, from two lockstep K-norm estimates
+    (``_estimate_k_norm``), which are cached, so a later call on one row
+    costs two cache lookups.
 
     The raw constraint map is badly block-imbalanced: the state column
     carries the stiffness norm while the control and slack columns and the
@@ -283,140 +278,109 @@ def _pdhg_engine(
     block bridges the coupling). These are changes of variables only; the
     dual updates and the clamped-quadratic proxes keep their form, with
     effective per-block steps ``tau * scale^2`` and the true obstacle
-    multiplier recovered as ``row_scale * iterate``.
-
-    The rows run in lockstep in one stacked iteration: ``warm`` holds one
-    (primal, dual) pair or None per row and ``x1_extra_lin`` is (B, n).
-    Each row keeps its own step sizes, residual checks, best iterate and
-    stopping test, and its iterates are bitwise those of a run on its own
-    instance. A row that stops leaves the batch, whose buffers are then
-    restacked from the rows still running.
-
-    The step constants of all rows come from two lockstep power
-    iterations (``_estimate_k_norm``). Every residual check scores all
-    running rows inside the kernel call that ends the interval: it writes
-    the natural residuals of ``certify.natural_residuals`` and the
-    multiplier magnitudes ``h max_k |lam_e,k|`` and ``ci h max_k
-    |lam_ih,k|`` into a (rows, 10) buffer (``kernel.CHECK_COLUMNS``). The
-    kernel's ``bind`` lays out every buffer of a batch, once per set of
-    rows, from the batch record (``problem.stack_rows``), steps and iterates.
-    The worst-residual test (``certify.max_residual``), the divergence test
-    on the magnitudes and the stopping status (converged, then suspected
-    infeasibility, then the iteration cap) are array operations over rows
-    of that buffer, and best iterates are copied by row mask into stacked
-    buffers that are restacked with the others.
-
-    ``history(it, res, xp, lam)``, if given, is called at every residual
-    check of every row, in row order, with a dict of Python floats; the
-    points are built only then. The arrays of ``xp`` and ``lam.adjoint``
-    are views of the engine's working buffers, which later iterations
-    overwrite in place, so the hook must consume them during the call (copy
-    them to keep them).
+    multiplier recovered as ``ci * iterate``.
     """
-    B = len(rows)
-    kern = kernel.load() or kernel.numpy_steps
-    record = stack_rows(rows)
-    S, n, slack = rows[0].S, rows[0].n, record.mode == "slack"
-    if warm is None:
-        warm = [None] * B
-
-    # per-row steps and starting point
+    slack = rows[0].mode == "slack"
     k0 = _estimate_k_norm(rows)
     scales = [max(1.0, math.sqrt(k)) for k in k0]
     cis = scales if slack else [max(1.0, k / 3.0) for k in k0]
-    szs = scales if slack else [1.0] * B
+    szs = scales if slack else [1.0] * len(rows)
     knorms = _estimate_k_norm(rows, s1=scales, sz=szs, ci=cis)
-    steps, start = [], []
-    for sub, w, s1, sz, ci, knorm in zip(rows, warm, scales, szs, cis, knorms):
+    steps = []
+    for s1, sz, ci, knorm in zip(scales, szs, cis, knorms):
         tau = math.sqrt(STEP_SAFETY) / knorm    # sigma = tau
         steps.append((tau, ci, tau * s1 * s1, tau * sz * sz))
-        if w is None:
-            zeros = np.zeros((S, n))
-            start.append((project_c1(sub, np.zeros(n)), zeros, zeros, zeros, zeros))
-        else:
-            xw, lw = w
-            start.append((xw.x1, xw.y, xw.z, lw.adjoint, np.maximum(lw.obstacle, 0.0) / ci))
-    steps = np.array(steps)     # (B, 4): tau, ci, tau1, tauz
-    x1, y, z, lam_e, lam_ih = (np.stack(a) for a in zip(*start))
-    x1 = x1[:, None, :]
+    return np.array(steps)
 
-    results = [None] * B
-    active = list(range(B))
-    # the iterates (x1, y, z, xb1, yb, zb, lam_e, lam_ih), the best worst
-    # residual and the best iterates of the rows to (re)stack, or None
-    state = (x1, y, z, x1, y, z, lam_e, lam_ih, np.full(B, math.inf),
-             *(np.empty_like(a) for a in (x1, y, z, lam_e, lam_ih)))
+
+def _pdhg_engine(
+    inst: Instance,
+    tol: float,
+    max_iters: int,
+    warm: tuple[PrimalPoint, DualPoint] | None = None,
+    x1_extra_quad: float = 0.0,
+    x1_extra_center: np.ndarray | None = None,
+    x1_extra_lin: np.ndarray | None = None,
+    history=None,
+) -> tuple[PrimalPoint, DualPoint, int, str]:
+    """Run the primal-dual iteration on ``inst`` from ``warm`` (a primal
+    and dual pair, or None for the projected zero point) until its
+    optimality residuals drop below ``tol``; returns (primal, dual,
+    iterations, status).
+
+    The step constants come from ``_steps``. Every residual check runs
+    inside the kernel call that ends the interval (``kernel.iterate``): it
+    writes the natural residuals of ``certify.natural_residuals`` and the
+    multiplier magnitudes ``h max_k |lam_e,k|`` and ``ci h max_k
+    |lam_ih,k|`` into one row of floats (``kernel.CHECK_COLUMNS``). The
+    engine reads that row: the worst residual (``certify.max_residual``),
+    the divergence test on the magnitudes, and the stopping status
+    (converged, then suspected infeasibility, then the iteration cap). A
+    run that stops unconverged returns its best iterate, the one with the
+    smallest worst residual at a check.
+
+    ``history(it, res, xp, lam)``, if given, is called at every residual
+    check with a dict of Python floats; the points are built only then. The
+    arrays of ``xp`` and ``lam.adjoint`` are views of the engine's working
+    buffers, which later iterations overwrite in place, so the hook must
+    consume them during the call (copy them to keep them).
+    """
+    kern = kernel.load() or kernel.numpy_steps
+    S, n, slack = inst.S, inst.n, inst.mode == "slack"
+    [step] = _steps([inst])
+    ci = step[1]
+    if warm is None:
+        zeros = np.zeros((S, n))
+        x1, y, z, lam_e, lam_ih = project_c1(inst, np.zeros(n)), zeros, zeros, zeros, zeros
+    else:
+        xw, lw = warm
+        x1, y, z, lam_e, lam_ih = (xw.x1, xw.y, xw.z, lw.adjoint,
+                                   np.maximum(lw.obstacle, 0.0) / ci)
+    # the iterations up to each residual check, in one kernel call; each is
+    # the dual ascent at the extrapolated primal point:
+    # lam_e += sigma ((A yb - xb1) - g)
+    # lam_ih = max(0, lam_ih + sigma ci (ineq - psi)), ineq = yb - zb or yb
+    # then the proximal descent, every block a clamped quadratic:
+    # x1n = clip((x1 + tau1 ((p @ lam_e + qc) - lin)) / den1, c1_lo, c1_hi)
+    # yn = clip(((y - tau (A lam_e + ci lam_ih)) + tau y_t) / den_y, -M, M)
+    # zn = clip((z + tauz ci lam_ih) / den_z, -M, M); hard mode keeps z
+    # and the extrapolation with theta = 1: xb = xn + (xn - x);
+    # the call ends with the residual check at the newest iterate, which
+    # writes certify.natural_residuals of (xn, (lam_e, ci lam_ih, -lam_e))
+    # and the divergence magnitudes h max_k |lam_e,k|, ci h max_k |lam_ih,k|
+    # into k.check
+    k = kern.bind(inst, step, (x1, y, z, x1, y, z, lam_e, lam_ih), q=x1_extra_quad,
+                  center=x1_extra_center, lin=x1_extra_lin)
+    best_worst, best = math.inf, None
+    status = STATUS_ITERATION_CAP
     it = 0
-    while active and it < max_iters:
-        if state is not None:
-            # the rows' batch record is the engine's own until rows leave,
-            # and is then stacked anew from the rows still running
-            idx = np.array(active)
-            rec = record if len(idx) == B else stack_rows([rows[k] for k in idx])
-            batch = kern.bind(rec, steps[idx], state[:8], q=x1_extra_quad,
-                              center=x1_extra_center,
-                              lin=None if x1_extra_lin is None else x1_extra_lin[idx])
-            best_worst, best = state[8], state[9:]
-            ci = steps[idx, 1][:, None, None]
-            state = None
-        # the iterations up to the next residual check, in one kernel call;
-        # each is the dual ascent at the extrapolated primal point:
-        # lam_e += sigma ((A yb - xb1) - g)
-        # lam_ih = max(0, lam_ih + sigma ci (ineq - psi)), ineq = yb - zb or yb
-        # then the proximal descent, every block a clamped quadratic:
-        # x1n = clip((x1 + tau1 ((p @ lam_e + qc) - lin)) / den1, c1_lo, c1_hi)
-        # yn = clip(((y - tau (A lam_e + ci lam_ih)) + tau y_t) / den_y, -M, M)
-        # zn = clip((z + tauz ci lam_ih) / den_z, -M, M); hard mode keeps z
-        # and the extrapolation with theta = 1: xb = xn + (xn - x);
-        # the call ends with the residual check at the newest iterate, which
-        # writes certify.natural_residuals of (xn, (lam_e, ci lam_ih, -lam_e))
-        # and the divergence magnitudes h max_k |lam_e,k|, ci h max_k |lam_ih,k|
-        # into batch.check
+    while it < max_iters:
         count = min(CHECK_EVERY - it % CHECK_EVERY, max_iters - it)
-        kern.iterate(batch, count)
+        kern.iterate(k, count)
         it += count
 
-        _, x1, y, z = batch.cur
-        lam_e, lam_ih = batch.duals
-        res = dict(zip(kernel.CHECK_COLUMNS, batch.check.T))
+        _, x1, y, z = k.cur
+        lam_e, lam_ih = k.duals
+        res = dict(zip(kernel.CHECK_COLUMNS, k.check.tolist()))
         mag_e, mag_i = res.pop("mag_e"), res.pop("mag_i")
         if not slack:
             del res["r3p"]
         worst = certify.max_residual(res)
         if history is not None:
-            obstacle = ci * lam_ih
-            for j in range(len(active)):
-                history(it, {key: float(val[j]) for key, val in res.items()},
-                        PrimalPoint(x1[j, 0], y[j], z[j]),
-                        DualPoint(lam_e[j], obstacle[j], -lam_e[j]))
-        better = worst < best_worst
-        if better.any():
-            np.copyto(best_worst, worst, where=better)
-            for snap, a in zip(best, (x1, y, z, lam_e, lam_ih)):
-                np.copyto(snap, a, where=better[:, None, None])
-        converged = worst <= tol
-        diverged = (mag_e > DIVERGENCE_THRESHOLD) | (mag_i > DIVERGENCE_THRESHOLD)
-        stopped = converged | diverged | (it == max_iters)
-        if stopped.any():
-            for j in np.flatnonzero(stopped):
-                if converged[j]:
-                    status = STATUS_CONVERGED
-                else:
-                    status = STATUS_INFEASIBLE if diverged[j] else STATUS_ITERATION_CAP
-                src = best if not converged[j] and best_worst[j] < math.inf else (
-                    x1, y, z, lam_e, lam_ih)
-                bx1, by, bz, be, bi = (a[j] for a in src)
-                k = active[j]
-                primal = PrimalPoint(bx1[0].copy(), by.copy(),
-                                     bz.copy() if slack else np.zeros((S, n)))
-                dual = DualPoint(be.copy(), steps[k, 1] * bi, -be)
-                results[k] = (primal, dual, it, status)
-            running = np.flatnonzero(~stopped)
-            active = [active[j] for j in running]
-            state = tuple(a[running] for a in (x1, y, z, *batch.xb[1:], lam_e, lam_ih,
-                                               best_worst, *best))
+            history(it, res, PrimalPoint(x1, y, z), DualPoint(lam_e, ci * lam_ih, -lam_e))
+        if worst < best_worst:
+            best_worst, best = worst, [a.copy() for a in (x1, y, z, lam_e, lam_ih)]
+        if worst <= tol:
+            status = STATUS_CONVERGED
+            break
+        if mag_e > DIVERGENCE_THRESHOLD or mag_i > DIVERGENCE_THRESHOLD:
+            status = STATUS_INFEASIBLE
+            break
 
-    return results
+    if status != STATUS_CONVERGED and best is not None:
+        x1, y, z, lam_e, lam_ih = best
+    primal = PrimalPoint(x1.copy(), y.copy(), z.copy() if slack else np.zeros((S, n)))
+    return primal, DualPoint(lam_e.copy(), ci * lam_ih, -lam_e), it, status
 
 
 def solve_pdhg(
@@ -445,8 +409,8 @@ def solve_pdhg(
     params = params or SolverParams()
     reason = hard_mode_infeasibility(inst) if inst.mode == "hard" else None
     if reason is None:
-        [(primal, dual, iters, status)] = _pdhg_engine(
-            [inst], tol=params.kkt_tolerance, max_iters=params.max_iters, warm=[warm],
+        primal, dual, iters, status = _pdhg_engine(
+            inst, tol=params.kkt_tolerance, max_iters=params.max_iters, warm=warm,
             history=history)
     else:
         zeros = np.zeros((inst.S, inst.n))
@@ -490,15 +454,26 @@ class WorkerExitError(RuntimeError):
     """An engine worker process ended without replying."""
 
 
+def _run_group(rows: list[Instance], warm: list, x1_extra_lin, **common) -> list:
+    """The engine calls of one PH round on the contiguous group ``rows``,
+    with one warm start and one row of ``x1_extra_lin`` (or None) per row:
+    the step sizes of all rows in one lockstep estimate (``_steps``), then
+    one engine call per row, one after another; returns their results."""
+    _steps(rows)
+    lins = [None] * len(rows) if x1_extra_lin is None else x1_extra_lin
+    return [_pdhg_engine(sub, warm=w, x1_extra_lin=lin, **common)
+            for sub, w, lin in zip(rows, warm, lins)]
+
+
 def _serve_engine(conn, rows: list[Instance]) -> None:
-    """Serve engine calls on ``rows`` until the process is terminated: each
-    message holds the keyword arguments of one ``_pdhg_engine`` call and is
+    """Serve PH rounds on ``rows`` until the process is terminated: each
+    message holds the keyword arguments of one ``_run_group`` call and is
     answered with ``(True, result)`` or, if the call raised,
     ``(False, (exception, formatted traceback))``."""
     while True:
         kwargs = conn.recv()
         try:
-            reply = (True, _pdhg_engine(rows, **kwargs))
+            reply = (True, _run_group(rows, **kwargs))
         except Exception as exc:
             reply = (False, (exc, traceback.format_exc()))
         conn.send(reply)
@@ -506,7 +481,7 @@ def _serve_engine(conn, rows: list[Instance]) -> None:
 
 class _EngineWorker:
     """A worker process, forked once and bound to ``rows``, that runs
-    ``_pdhg_engine`` calls on them (``_serve_engine``) one at a time:
+    ``_run_group`` calls on them (``_serve_engine``) one at a time:
     ``start(**kwargs)`` sends a call's keyword arguments and ``result()``
     waits for its result. A call that raised in the worker raises its
     exception in ``result()``, with the worker's traceback as the cause; a
@@ -559,11 +534,12 @@ def _ph_rounds(subs: list[Instance]):
     results in order.
 
     The rows are split into W = min(S, ``worker_count()``) contiguous
-    groups. The calling process runs group 0; each other group runs in an
-    ``_EngineWorker`` forked here and bound to it for every round. Each
-    round a worker gets its rows' slices of ``warm`` and ``x1_extra_lin``.
-    A row's iterates do not depend on the rows that share its batch, so the
-    results are bitwise those of one call over all rows.
+    groups, each run by ``_run_group``. The calling process runs group 0;
+    each other group runs in an ``_EngineWorker`` forked here and bound to
+    it for every round. Each round a worker gets its rows' slices of
+    ``warm`` and ``x1_extra_lin``. A row's results do not depend on the
+    rows that share its group, so they are bitwise those of one engine call
+    per row in one process.
     """
     W = min(len(subs), worker_count())
     bounds = [len(subs) * g // W for g in range(W + 1)]
@@ -579,7 +555,7 @@ def _ph_rounds(subs: list[Instance]):
 
             for g, worker in enumerate(workers, start=1):
                 worker.start(**part(g))
-            results = _pdhg_engine(subs[:bounds[1]], **part(0))
+            results = _run_group(subs[:bounds[1]], **part(0))
             for worker in workers:
                 results += worker.result()
             return results
@@ -599,12 +575,11 @@ def solve_progressive_hedging(
     averages the scenario controls into a new consensus and updates the
     weights by ``w_k += r (x1_k - consensus)``. At interior consensus the
     weights satisfy ``w_k = -rho_k - alpha * consensus``. The S
-    subproblems of a round run as lockstep engine batches, each
-    warm-started from its previous solve: one batch per contiguous group
-    of scenarios, with one group per CPU of the affinity mask, each group
-    after the first in a worker process forked for this solve
-    (``_ph_rounds``). Every output is bitwise that of
-    a single batch in one process.
+    subproblems of a round are engine calls, each warm-started from its
+    previous solve, in contiguous groups of scenarios, with one group per
+    CPU of the affinity mask, each group after the first in a worker
+    process forked for this solve (``_ph_rounds``). Every output is bitwise
+    that of one process.
 
     Returns the consensus primal point, the per-scenario duals, a report,
     and the final weight array. ``extras`` carries the consensus gap, the

@@ -1,9 +1,9 @@
-"""Single-row reference forms of the stacked residual check and of the
-K-norm power iteration, kept in their plain per-pair form. The stacked
-code in the package must reproduce them bit for bit, row by row. Also the
-plain streaming form of the history CSV writer, whose bytes the atomic
-writer must match, and the test-only helpers ``pairing`` and
-``project_c2``."""
+"""Reference forms of the residual check and of the K-norm power
+iteration, kept in their plain per-pair form. The package's residual
+check must reproduce them bit for bit, and its lockstep K-norm estimate
+row by row. Also the plain streaming form of the history CSV writer,
+whose bytes the atomic writer must match, and the test-only helpers
+``pairing`` and ``project_c2``."""
 
 import functools
 import math

@@ -15,7 +15,7 @@ from sassc.certify import (
     multiplier_l1_norms,
     natural_residuals,
 )
-from sassc.problem import DualPoint, PrimalPoint, project_c1, stack_rows, zeros_dual
+from sassc.problem import DualPoint, PrimalPoint, project_c1, zeros_dual
 from sassc.solvers import SolverParams, solve_barrier_reference, solve_pdhg
 
 import reference_impl
@@ -178,31 +178,22 @@ def test_report_helpers(tiny_instance, tiny_solution):
     assert len(row.split(",")) == len(KKT_CSV_COLUMNS)
 
 
-def residuals_alone(inst, x, lam, **extra):
-    """``natural_residuals`` of one pair, scored as the one-row batch of
-    its instance; returns the row's floats."""
-    res = natural_residuals(
-        stack_rows([inst]), PrimalPoint(x.x1[None], x.y[None], x.z[None]),
-        DualPoint(lam.adjoint[None], lam.obstacle[None], lam.nonant[None]), **extra)
-    return {key: float(val[0]) for key, val in res.items()}
-
-
 def test_natural_residuals_with_augmented_control_term(tiny_instance, tiny_solution):
     """The augmented residual reduces to the plain one at zero extras."""
     inst = tiny_instance
     x, lam, _ = tiny_solution
-    plain = residuals_alone(inst, x, lam)
-    aug = residuals_alone(inst, x, lam, x1_extra_quad=0.0, x1_extra_center=None)
+    plain = natural_residuals(inst, x, lam)
+    aug = natural_residuals(inst, x, lam, x1_extra_quad=0.0, x1_extra_center=None)
     assert plain == aug
-    shifted = residuals_alone(inst, x, lam, x1_extra_quad=1.0, x1_extra_center=x.x1)
+    shifted = natural_residuals(inst, x, lam, x1_extra_quad=1.0, x1_extra_center=x.x1)
     # prox-centered at the solution itself: residual unchanged
     assert shifted["r1"] == pytest.approx(plain["r1"], abs=1e-12)
-    moved = residuals_alone(inst, x, lam, x1_extra_quad=1.0, x1_extra_center=x.x1 + 1.0)
+    moved = natural_residuals(inst, x, lam, x1_extra_quad=1.0, x1_extra_center=x.x1 + 1.0)
     assert moved["r1"] > plain["r1"]
 
 
 # ---------------------------------------------------------------------------
-# stacked residuals
+# residuals against their plain definition
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,50 +223,35 @@ def _sprinkle(rng, arr, values=(0.0, -0.0, 1.0, -1.0, 0.5, 2.0), rate=0.2):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), B=st.integers(1, 4), S=st.integers(1, 3),
-       mode=st.sampled_from(["slack", "hard"]), seed=st.integers(0, 2**32 - 1),
-       quad=st.sampled_from([0.0, 0.05]), center=st.booleans(), lin=st.booleans())
-def test_stacked_residuals_match_reference_bitwise(data, B, S, mode, seed, quad, center, lin):
-    """Each row of one stacked call has the bits of the plain residuals of
-    its own pair, and so do the residuals of ``kkt_residuals``, which
-    scores one pair as a batch of one."""
-    picks = data.draw(st.lists(st.integers(0, 5), min_size=B, max_size=B))
-    insts = [_pool_instance(S, k, mode) for k in picks]
-    n = insts[0].n
+@given(pick=st.integers(0, 5), S=st.integers(1, 3), mode=st.sampled_from(["slack", "hard"]),
+       seed=st.integers(0, 2**32 - 1), quad=st.sampled_from([0.0, 0.05]),
+       center=st.booleans(), lin=st.booleans())
+def test_natural_residuals_match_reference_bitwise(pick, S, mode, seed, quad, center, lin):
+    """``natural_residuals`` has the bits of the plain residuals of the
+    pair, and so do the residuals of ``kkt_residuals``."""
+    inst = _pool_instance(S, pick, mode)
+    n = inst.n
     rng = np.random.default_rng(seed)
-    x1 = _sprinkle(rng, 1.5 * rng.standard_normal((B, n)))
-    y, z, adj, obst, nonant = (_sprinkle(rng, rng.standard_normal((B, S, n)))
-                               for _ in range(5))
+    x = PrimalPoint(_sprinkle(rng, 1.5 * rng.standard_normal(n)),
+                    *(_sprinkle(rng, rng.standard_normal((S, n))) for _ in range(2)))
+    lam = DualPoint(*(_sprinkle(rng, rng.standard_normal((S, n))) for _ in range(3)))
     extra = dict(
         x1_extra_quad=quad,
         x1_extra_center=rng.standard_normal(n) if center else None,
-        x1_extra_lin=_sprinkle(rng, rng.standard_normal((B, n))) if lin else None,
+        x1_extra_lin=_sprinkle(rng, rng.standard_normal(n)) if lin else None,
     )
-    got = natural_residuals(stack_rows(insts), PrimalPoint(x1, y, z),
-                            DualPoint(adj, obst, nonant), **extra)
-    for b, inst in enumerate(insts):
-        xb = PrimalPoint(x1[b], y[b], z[b])
-        lb = DualPoint(adj[b], obst[b], nonant[b])
-        row_extra = dict(extra, x1_extra_lin=None if not lin else extra["x1_extra_lin"][b])
-        want = reference_impl.natural_residuals(inst, xb, lb, **row_extra)
-        assert list(got) == list(want)
+    got = natural_residuals(inst, x, lam, **extra)
+    want = reference_impl.natural_residuals(inst, x, lam, **extra)
+    assert list(got) == list(want)
+    for key, val in want.items():
+        assert type(got[key]) is float
+        assert np.float64(got[key]).tobytes() == np.float64(val).tobytes(), key
+    if quad == 0.0 and not lin:
+        single = kkt_residuals(inst, x, lam).residual_dict()
+        assert {key for key, val in single.items() if val is not None} == set(want)
         for key, val in want.items():
-            assert got[key].shape == (B,)
-            assert np.float64(got[key][b]).tobytes() == np.float64(val).tobytes(), key
-        if quad == 0.0 and not lin:
-            single = kkt_residuals(inst, xb, lb).residual_dict()
-            assert {key for key, val in single.items() if val is not None} == set(want)
-            for key, val in want.items():
-                assert type(single[key]) is float
-                assert np.float64(single[key]).tobytes() == np.float64(val).tobytes(), key
-
-
-def test_stacked_residuals_reject_mixed_rows(tiny_instance):
-    other = tiny_instance.with_mode("hard")
-    x = PrimalPoint(np.zeros((2, tiny_instance.n)), *np.zeros((2, 2, 3, tiny_instance.n)))
-    lam = DualPoint(*np.zeros((3, 2, 3, tiny_instance.n)))
-    with pytest.raises(ValueError, match="share"):
-        natural_residuals(stack_rows([tiny_instance, other]), x, lam)
+            assert type(single[key]) is float
+            assert np.float64(single[key]).tobytes() == np.float64(val).tobytes(), key
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +273,19 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), B=st.integers(1, 6), slack=st.booleans())
-def test_max_residual_stacked_rows_match_floats_bitwise(data, B, slack):
-    """Finite residuals, signed zeros included: row b of the stacked rule
-    has the bits of the rule on row b's floats. Where r2 = 0 and
-    r5_sign >= 0, as in the engine, it equals the engine's former rule."""
+@given(data=st.data(), slack=st.booleans())
+def test_max_residual_matches_former_engine_rule(data, slack):
+    """On finite residuals, signed zeros included, the rule gives a float,
+    and where r2 = 0 and r5_sign >= 0, as in the engine, it equals the
+    engine's former rule."""
     names = [name for name in RESIDUAL_NAMES if slack or name != "r3p"]
-    rows = [{name: data.draw(FINITE) for name in names} for _ in range(B)]
-    stacked = max_residual({name: np.array([row[name] for row in rows]) for name in names})
-    assert stacked.shape == (B,)
-    for b, row in enumerate(rows):
-        if not slack:
-            row["r3p"] = None       # the float form marks hard mode with None
-        got = max_residual(row)
-        assert type(got) is float
-        assert np.float64(got).tobytes() == stacked[b].tobytes()
-        engine_row = {name: abs(val) for name, val in row.items() if val is not None}
-        engine_row["r2"] = data.draw(st.sampled_from([0.0, -0.0]))
-        assert max_residual(engine_row) == _former_engine_worst(engine_row)
+    row = {name: data.draw(FINITE) for name in names}
+    if not slack:
+        row["r3p"] = None       # hard mode has no r3p
+    assert type(max_residual(row)) is float
+    engine_row = {name: abs(val) for name, val in row.items() if val is not None}
+    engine_row["r2"] = data.draw(st.sampled_from([0.0, -0.0]))
+    assert max_residual(engine_row) == _former_engine_worst(engine_row)
 
 
 @pytest.mark.parametrize("name", RESIDUAL_NAMES)
@@ -326,7 +297,3 @@ def test_nan_residual_fails_the_certificate(tiny_instance, tiny_solution, name):
     assert np.isnan(max_residual(bad.residual_dict()))
     assert np.isnan(bad.max_residual())
     assert not bad.passes()
-    stacked = {key: np.array([val, val]) for key, val in kkt.residual_dict().items()}
-    stacked[name][1] = np.nan
-    worst = max_residual(stacked)
-    assert worst[0] == kkt.max_residual() and np.isnan(worst[1])

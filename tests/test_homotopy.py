@@ -285,14 +285,14 @@ def test_overlapped_study_screens_and_certifies_each_solve_once(monkeypatch):
 
 
 def _fail_reference_in_thread(monkeypatch, failure):
-    """Make the hard-mode engine call fail by ``failure(engine, rows,
+    """Make the hard-mode engine call fail by ``failure(engine, inst,
     kwargs)`` when it runs in another thread than this one."""
     engine, caller = solvers._pdhg_engine, threading.get_ident()
 
-    def failing(rows, **kwargs):
-        if threading.get_ident() != caller and rows[0].mode == "hard":
-            return failure(engine, rows, kwargs)
-        return engine(rows, **kwargs)
+    def failing(inst, **kwargs):
+        if threading.get_ident() != caller and inst.mode == "hard":
+            return failure(engine, inst, kwargs)
+        return engine(inst, **kwargs)
 
     monkeypatch.setattr(solvers, "_pdhg_engine", failing)
 
@@ -302,7 +302,7 @@ def test_unconverged_reference_aborts_at_the_first_level_after_it(small_instance
     unconverged aborts the study with its message at the first look after
     it finished."""
     _fail_reference_in_thread(
-        monkeypatch, lambda engine, rows, kw: engine(rows, **dict(kw, max_iters=50)))
+        monkeypatch, lambda engine, inst, kw: engine(inst, **dict(kw, max_iters=50)))
     finished = threading.Event()
 
     class Pool(homotopy.ThreadPoolExecutor):
@@ -334,7 +334,7 @@ def test_reference_worker_exception_is_raised_and_the_worker_reaped(small_instan
                                                                      monkeypatch):
     """An exception of the reference's thread is raised in the caller with
     the traceback of the reference's own frames, and the thread is joined."""
-    def fail(engine, rows, kwargs):
+    def fail(engine, inst, kwargs):
         raise FloatingPointError("reference failed")
 
     _fail_reference_in_thread(monkeypatch, fail)

@@ -8,7 +8,7 @@ import stat
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sassc import cli, io, solvers
@@ -512,6 +512,101 @@ def test_solve_exit_code_on_perturbed_instances(tmp_path, capsys, tiny_run, comm
     assert "Traceback" not in err
     if code == 4:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _documented_exit(capsys, argv, codes=(0, 1, 2, 3, 4)) -> int:
+    """Run ``argv`` and check that it exits with one of ``codes`` and no
+    traceback, with one ``error:`` line on exit 4; returns the code."""
+    capsys.readouterr()
+    code = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code in codes
+    assert "Traceback" not in err
+    if code == 4:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    return code
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_compare_oracle_exit_code_on_perturbed_instances(tmp_path, capsys, tiny_run, data):
+    """Whatever one field of the instance file is replaced by, or whether
+    it is deleted (as in the ``certify`` test above), ``compare-oracle``
+    exits with a documented code and no traceback, with one ``error:`` line
+    on exit 4."""
+    doc = _edit_one_field(data, json.loads(tiny_run[0].read_text()))
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    code = _documented_exit(capsys, ["compare-oracle", "--instance", str(inst),
+                                     "--out", str(out)], codes=(0, 1, 4))
+    assert (out / "compare_oracle.json").exists() == (code != 4)
+
+
+# 728 TiB for one coordinate array of the grid
+IMPOSSIBLE_N1D = 10_000_000
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(preset=st.sampled_from(["tiny", "default"]), seed=st.none() | st.integers(-2**70, 2**70),
+       n1d=st.none() | st.integers(-2, 24) | st.just(IMPOSSIBLE_N1D),
+       scenarios=st.none() | st.integers(-2, 8))
+@example(preset="tiny", seed=None, n1d=IMPOSSIBLE_N1D, scenarios=None)
+def test_generate_exit_code_on_drawn_options(tmp_path, capsys, preset, seed, n1d, scenarios):
+    """Any seed, grid size (0, negative, or too large to allocate) and
+    scenario count (0 or negative; a large count only makes a slow draw)
+    gives exit 0 with an instance file, or exit 4 with one ``error:`` line
+    and no file."""
+    out = tmp_path / "inst.json"
+    out.unlink(missing_ok=True)
+    argv = ["generate", "--preset", preset, "--out", str(out)]
+    for option, value in (("--seed", seed), ("--n1d", n1d), ("--scenarios", scenarios)):
+        if value is not None:
+            argv.append(f"{option}={value}")
+    code = _documented_exit(capsys, argv, codes=(0, 4))
+    assert out.exists() == (code == 0)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(levels=st.lists(st.integers(-2, 24) | st.just(IMPOSSIBLE_N1D), min_size=1, max_size=4))
+@example(levels=[0])
+@example(levels=[-1, 4])
+@example(levels=[8, 4])
+@example(levels=[4, 4])
+@example(levels=[3, IMPOSSIBLE_N1D])
+def test_mms_exit_code_on_drawn_levels(tmp_path, capsys, levels):
+    """Level lists with a 0, a negative, an unsorted or a repeated level,
+    or one too large to allocate, exit 4 with one ``error:`` line and write
+    nothing; the others run the study and exit 0 or 1."""
+    out = tmp_path / "mms"
+    shutil.rmtree(out, ignore_errors=True)
+    code = _documented_exit(capsys, ["mms", f"--levels={','.join(map(str, levels))}",
+                                     "--out", str(out)], codes=(0, 1, 4))
+    assert (out / "mms.csv").exists() == (code != 4)
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "mms"])
+def test_impossible_grid_exits_4(tmp_path, capsys, tiny_run, command):
+    """A grid too large to allocate exits 4 with one ``error:`` line, not a
+    ``MemoryError`` traceback, and writes nothing: from ``generate``'s
+    option, from an instance file (which every command but ``mms`` loads
+    the same way) and from ``mms``'s levels."""
+    out = tmp_path / "out"
+    if command == "generate":
+        argv = ["generate", *TINY_ARGS, "--n1d", str(IMPOSSIBLE_N1D), "--out", str(out)]
+    elif command == "solve":
+        doc = _set(json.loads(tiny_run[0].read_text()), ("grid", "n1d"), IMPOSSIBLE_N1D)
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        argv = ["solve", "--instance", str(inst), "--out", str(out)]
+    else:
+        argv = ["mms", "--levels", f"3,{IMPOSSIBLE_N1D}", "--out", str(out)]
+    assert _documented_exit(capsys, argv, codes=(4,)) == 4
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("option, value", [

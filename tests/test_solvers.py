@@ -20,17 +20,15 @@ from hypothesis import strategies as st
 from scipy.sparse._sparsetools import csr_matvec
 
 from sassc import cli, io, kernel, solvers
-from sassc.certify import kkt_residuals, max_scenario_norm, natural_residuals, one_nan
-from sassc.grid import solve_linear
-from sassc.problem import (
-    DualPoint,
-    PrimalPoint,
-    Rows,
-    norm_h,
-    objective,
-    project_c1,
-    stack_rows,
+from sassc.certify import (
+    kkt_residuals,
+    max_residual,
+    max_scenario_norm,
+    natural_residuals,
+    one_nan,
 )
+from sassc.grid import solve_linear
+from sassc.problem import DualPoint, PrimalPoint, norm_h, objective, project_c1
 from sassc.solvers import (
     STATUS_CONVERGED,
     STATUS_INFEASIBLE,
@@ -117,14 +115,6 @@ def test_pdhg_deterministic_bitwise(small_instance):
     assert np.array_equal(xa.y, xb.y)
     assert np.array_equal(la.adjoint, lb.adjoint)
     assert ra.iterations == rb.iterations
-
-
-def engine_alone(inst, warm=None, x1_extra_lin=None, **kwargs):
-    """``_pdhg_engine`` on the one-row batch ``[inst]``, with the warm
-    start and linear term of that row; returns the row's result."""
-    lin = None if x1_extra_lin is None else x1_extra_lin[None]
-    [result] = _pdhg_engine([inst], warm=[warm], x1_extra_lin=lin, **kwargs)
-    return result
 
 
 def reference_engine(inst, tol, max_iters, warm=None, x1_extra_quad=0.0,
@@ -242,7 +232,7 @@ def _equivalence_case(inst, case):
                          x1_extra_center=rng.uniform(0.0, 1.0, inst.n),
                          x1_extra_lin=0.1 * rng.standard_normal(inst.n))
     if case == "warm":
-        warm = engine_alone(inst, tol=1e-3, max_iters=400_000)[:2]
+        warm = _pdhg_engine(inst, tol=1e-3, max_iters=400_000)[:2]
         return inst, dict(tol=1e-6, max_iters=400_000, warm=warm)
     if case == "cap_137":  # not a multiple of CHECK_EVERY: best-iterate fallback
         return inst, dict(tol=1e-6, max_iters=137)
@@ -255,7 +245,7 @@ def _equivalence_case(inst, case):
 @pytest.mark.parametrize("case", ["slack", "hard", "ph_subproblem", "warm", "cap_137", "S8"])
 def test_engine_matches_reference_bitwise(small_instance, case):
     inst, kwargs = _equivalence_case(small_instance, case)
-    xa, la, ita, sta = engine_alone(inst, **kwargs)
+    xa, la, ita, sta = _pdhg_engine(inst, **kwargs)
     xb, lb, itb, stb = reference_engine(inst, **kwargs)
     assert (ita, sta) == (itb, stb)
     if case == "cap_137":
@@ -284,8 +274,7 @@ def test_engine_calls_iterate_once_per_check_interval(small_instance, monkeypatc
         counts.clear()
         checks.clear()
         inst, kwargs = _equivalence_case(small_instance, case)
-        [(_, _, it, _)] = _pdhg_engine([inst], history=lambda i, *_: checks.append(i),
-                                       **kwargs)
+        _, _, it, _ = _pdhg_engine(inst, history=lambda i, *_: checks.append(i), **kwargs)
         assert len(counts) == math.ceil(it / solvers.CHECK_EVERY) and sum(counts) == it
         assert checks == list(itertools.accumulate(counts))
     assert counts == [50, 50, 37]
@@ -305,11 +294,24 @@ TINY = np.finfo(float).smallest_normal     # DBL_MIN
 SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
-def _kernel_batch(rng, B, S, m, slack, qc, lin):
-    """A random batch record, per-row steps and iterates of one batch on an
-    m x m grid, and the ``bind`` keywords, with signed zeros, NaN, values on
+def _stand_in(csr, p, g, psi, **fields):
+    """An instance for ``bind`` and ``certify.natural_residuals`` that also
+    takes data an ``Instance`` refuses (NaN, a negative weight): ``csr`` is
+    the (indptr, indices, data) of the block operator, ``p`` (S,), ``g``
+    and ``psi`` (S, n), and ``fields`` the ``mode``, the scalars ``h``,
+    ``alpha``, ``alpha_prime`` and ``c2_bound`` and the (n,) arrays
+    ``c1_lo``, ``c1_hi`` and ``y_target``."""
+    N = len(csr[0]) - 1
+    A = sp.csr_matrix((csr[2], csr[1], csr[0]), shape=(N, N))
+    return SimpleNamespace(block_operator=lambda: A, fields=lambda: (None, g, psi), p=p,
+                           **fields)
+
+
+def _kernel_case(rng, S, m, slack, qc, lin):
+    """The fields of a random ``_stand_in`` on an m x m grid, its steps and
+    iterates, and the ``bind`` keywords, with signed zeros, NaN, values on
     the bounds, subnormals of either sign and values in [DBL_MIN, 2 DBL_MIN)
-    sprinkled in. In a fifth of the rows tau1 = tauz = 1 and alpha and
+    sprinkled in. In a fifth of the draws tau1 = tauz = 1 and alpha and
     alpha' make the x1 and z prox denominators 1.0, a power of 2 or inf.
     ``M`` is never NaN, as in a real instance (``-M`` would be a -NaN). The
     operator is block-diagonal five-point CSR with random values."""
@@ -327,52 +329,51 @@ def _kernel_batch(rng, B, S, m, slack, qc, lin):
         return a
 
     def bounds(values):
-        a = rng.choice(values, size=(B, n))
-        a[rng.random((B, n)) < 0.03] = np.nan
+        a = rng.choice(values, size=n)
+        a[rng.random(n) < 0.03] = np.nan
         return a
 
-    A = sp.block_diag([_five_point_pattern(m)] * (B * S), format="csr")
+    A = sp.block_diag([_five_point_pattern(m)] * S, format="csr")
     A.sort_indices()
-    steps = np.abs(rand(B, 4)) + [0.25, 1.0, 0.25, 0.25]    # tau, ci, tau1, tauz
+    step = np.abs(rand(4)) + [0.25, 1.0, 0.25, 0.25]    # tau, ci, tau1, tauz
     q = float(rand(1)[0]) if qc else 0.0
-    alpha, alpha_prime, M = rand(B), rand(B), np.abs(rand(B))
-    M[np.isnan(M)] = 1.0
-    special = rng.random(B) < 0.2
-    steps[special, 2:] = 1.0
-    d = rng.choice([1.0, 2.0, 2.0**20, 2.0**-3, np.inf], size=(2, int(special.sum())))
-    alpha[special], alpha_prime[special] = d[0] - 1.0 - q, d[1] - 1.0
-    rec = Rows(csr=(A.indptr, A.indices, rand(A.nnz)), p=rand(B, S), g=rand(B, S, n),
-               psi=rand(B, S, n), c1_lo=bounds([-1.0, -0.5, -0.0, 0.0]),
-               c1_hi=bounds([0.0, -0.0, 0.5, 1.0]), y_target=rand(B, n), alpha=alpha,
-               alpha_prime=alpha_prime, M=M, h=float(np.abs(rand(1))[0]),
-               mode="slack" if slack else "hard")
-    state = (rand(B, n), rand(B, S, n), rand(B, S, n), rand(B, n),
-             *(rand(B, S, n) for _ in range(4)))
-    extras = dict(q=q, center=rand(n) if qc else None, lin=rand(B, n) if lin else None)
-    return rec, steps, state, extras
+    alpha, alpha_prime, M = rand(3).tolist()
+    M = 1.0 if math.isnan(M) else abs(M)
+    if rng.random() < 0.2:
+        step[2:] = 1.0
+        d = rng.choice([1.0, 2.0, 2.0**20, 2.0**-3, np.inf], size=2)
+        alpha, alpha_prime = d[0] - 1.0 - q, d[1] - 1.0
+    fields = dict(csr=(A.indptr, A.indices, rand(A.nnz)), p=rand(S), g=rand(S, n),
+                  psi=rand(S, n), c1_lo=bounds([-1.0, -0.5, -0.0, 0.0]),
+                  c1_hi=bounds([0.0, -0.0, 0.5, 1.0]), y_target=rand(n), alpha=alpha,
+                  alpha_prime=alpha_prime, c2_bound=M, h=float(np.abs(rand(1))[0]),
+                  mode="slack" if slack else "hard")
+    state = (rand(n), rand(S, n), rand(S, n), rand(n), *(rand(S, n) for _ in range(4)))
+    extras = dict(q=q, center=rand(n) if qc else None, lin=rand(n) if lin else None)
+    return fields, step, state, extras
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 @settings(max_examples=80, deadline=None)
-@given(B=st.integers(1, 4), S=st.integers(1, 5), m=st.integers(1, 4),
-       slack=st.booleans(), qc=st.booleans(), lin=st.booleans(), count=st.integers(1, 3),
-       seed=st.integers(0, 2**32 - 1))
-def test_kernel_steps_match_numpy_steps_bitwise(B, S, m, slack, qc, lin, count, seed):
+@given(S=st.integers(1, 5), m=st.integers(1, 4), slack=st.booleans(), qc=st.booleans(),
+       lin=st.booleans(), count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_kernel_steps_match_numpy_steps_bitwise(S, m, slack, qc, lin, count, seed):
     """One to three iterations of the C kernel's ``iterate``, which swaps
     the two primal buffers after each and ends with the residual check,
     leave every buffer, the check's included, with the bytes the numpy
     steps leave: signed-zero ties at the bounds and at 0 for lam_ih,
     NaN entries in the operator and the iterates, subnormal slack entries
-    divided by 1.0, powers of 2, inf and NaN, grids of m = 1 and 2 (no row
-    has every neighbour), the first and last m rows of a batch, odd
-    lengths, ``qc``/``lin`` of 0.0, and up to five scenarios summed in
+    divided by 1.0, powers of 2, inf and NaN, grids of m = 1 and 2 (no node
+    has every neighbour), the first and last m nodes, odd lengths,
+    ``qc``/``lin`` of 0.0, and up to five scenarios summed in
     ``p @ lam_e``."""
-    rec, steps, state, extras = _kernel_batch(np.random.default_rng(seed), B, S, m, slack,
-                                              qc, lin)
+    fields, step, state, extras = _kernel_case(np.random.default_rng(seed), S, m, slack, qc,
+                                                lin)
+    inst = _stand_in(**fields)
     out = []
     for impl in (kernel.numpy_steps, kernel.load()):
         with np.errstate(all="ignore"):
-            k = impl.bind(rec, steps, state, **extras)
+            k = impl.bind(inst, step, state, **extras)
             impl.iterate(k, count)
         out.append(dict(cur=k.cur[0], nxt=k.nxt[0], xb=k.xb[0], duals=k.duals, check=k.check))
     for name in out[0]:
@@ -420,19 +421,18 @@ def test_kernel_divides_subnormal_slack_entries_like_ieee_division():
     assert exact.sum() > 30_000 and ties[exact].all() and (ties & ~exact).sum() > 5_000
     assert (naive != want).sum() > 1_000
 
-    # one row per pair, one node and one scenario each, with tauz = 1 and
-    # alpha' = d - 1: the z prox denominator 1 + tauz alpha' is then d
-    alpha_prime = d - 1.0
-    assert (1.0 + alpha_prime).tobytes() == d.tobytes()
-    rows = x.size
-    zeros, inf = np.zeros((rows, 1)), np.full((rows, 1), np.inf)
-    rec = Rows(csr=(np.arange(rows + 1), np.arange(rows), np.ones(rows)), p=np.ones((rows, 1)),
-               g=zeros[:, None], psi=np.full((rows, 1, 1), 1e300), c1_lo=-inf, c1_hi=inf,
-               y_target=zeros, alpha=np.ones(rows), alpha_prime=alpha_prime, M=inf[:, 0],
-               h=1.0, mode="slack")
-    y = zeros[:, None]
-    k = kernel.load().bind(rec, np.ones((rows, 4)),
-                           (zeros, y, x[:, None, None], zeros, y, y, y, y), q=0.0)
+    # one scenario of one node per pair, with unit steps; bind gives every
+    # slack entry the z prox denominator 1 + tauz alpha' = 1, and the
+    # kernel reads den in place, so each pair's entry is set to its d
+    S = x.size
+    zeros, inf = np.zeros((S, 1)), np.full(1, np.inf)
+    inst = _stand_in((np.arange(S + 1), np.arange(S), np.ones(S)), np.ones(S), zeros,
+                     np.full((S, 1), 1e300), c1_lo=-inf, c1_hi=inf, y_target=np.zeros(1),
+                     alpha=1.0, alpha_prime=0.0, c2_bound=np.inf, h=1.0, mode="slack")
+    k = kernel.load().bind(inst, np.ones(4), (zeros[0], zeros, x[:, None], zeros[0], zeros,
+                                              zeros, zeros, zeros), q=0.0)
+    assert k.struct.contents.den == k.den.ctypes.data
+    k.den[-S:] = d
     kernel.load().iterate(k, 1)
     assert k.cur[3].tobytes() == want.tobytes()
 
@@ -442,17 +442,17 @@ def test_kernel_bind_rejects_what_the_steps_cannot_index():
     """The C steps index without bounds and sum each row as a five-point
     stencil, so the arrays ``bind`` derives and the operator's structure
     are checked."""
-    rec, steps, state, extras = _kernel_batch(np.random.default_rng(0), 2, 2, 3, True, True,
-                                              True)
+    fields, step, state, extras = _kernel_case(np.random.default_rng(0), 2, 3, True, True,
+                                                True)
     bind = kernel.load().bind
 
     def call(state=state, **changes):
-        return bind(replace(rec, **changes), steps, state, **extras)
+        return bind(_stand_in(**dict(fields, **changes)), step, state, **extras)
 
     call()
-    indptr, indices, data = rec.csr
+    indptr, indices, data = fields["csr"]
     with pytest.raises(ValueError, match="square grid"):
-        kernel._stencil_diagonals(len(indptr) - 1, 8, rec.csr)
+        kernel._stencil_diagonals(len(indptr) - 1, 8, fields["csr"])
     # row 0 loses its east neighbour, then gains a neighbour two nodes east
     missing = (np.concatenate([[0], indptr[1:] - 1]), np.delete(indices, 1),
                np.delete(data, 1))
@@ -464,22 +464,20 @@ def test_kernel_bind_rejects_what_the_steps_cannot_index():
         with pytest.raises(ValueError, match="five-point grid neighbours"):
             call(csr=bad)
     with pytest.raises(ValueError, match="lo has"):
-        call(c1_lo=rec.c1_lo[:, 1:])
+        call(c1_lo=fields["c1_lo"][1:])
     with pytest.raises(ValueError, match="(tau_yt|y_target) has"):
-        call(y_target=rec.y_target[:, 1:])
+        call(y_target=fields["y_target"][1:])
     with pytest.raises(ValueError, match="X has"):
-        call(state=(state[0][:, 1:], *state[1:]))
+        call(state=(state[0][1:], *state[1:]))
 
 
-def _bind_check(steps, rec, x1, y, z, lam_e, lam_ih, ci, q=0.0, lin=None, center=None):
-    """A batch of ``steps`` that holds the engine state (x1, y, z, lam_e,
-    lam_ih) of the batch record ``rec``, so that ``iterate(k, 0)`` runs only
-    the residual check into ``k.check``, which starts as 7.0 everywhere;
-    the step sizes, which the check does not read, are ones."""
-    sizes = np.ones((len(ci), 4))
-    sizes[:, 1] = ci
-    k = steps.bind(rec, sizes, (x1, y, z, x1, y, z, lam_e, lam_ih), q=q, center=center,
-                   lin=lin)
+def _bind_check(steps, inst, x1, y, z, lam_e, lam_ih, ci, q=0.0, lin=None, center=None):
+    """The buffers of ``steps`` that hold the engine state (x1, y, z, lam_e,
+    lam_ih) of ``inst``, so that ``iterate(k, 0)`` runs only the residual
+    check into ``k.check``, which starts as 7.0 everywhere; the step sizes,
+    which the check does not read, are ones."""
+    k = steps.bind(inst, [1.0, ci, 1.0, 1.0], (x1, y, z, x1, y, z, lam_e, lam_ih), q=q,
+                   center=center, lin=lin)
     k.check.fill(7.0)
     return k
 
@@ -489,70 +487,63 @@ NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), B=st.integers(1, 4), S=st.integers(1, 3),
-       mode=st.sampled_from(["slack", "hard"]), seed=st.integers(0, 2**32 - 1),
-       quad=st.sampled_from([0.0, 0.05]), center=st.booleans(), lin=st.booleans(),
-       non_finite=st.booleans())
-def test_kernel_check_matches_natural_residuals_bitwise(data, B, S, mode, seed, quad, center,
+@given(pick=st.integers(0, 5), S=st.integers(1, 3), mode=st.sampled_from(["slack", "hard"]),
+       seed=st.integers(0, 2**32 - 1), quad=st.sampled_from([0.0, 0.05]),
+       center=st.booleans(), lin=st.booleans(), non_finite=st.booleans())
+def test_kernel_check_matches_natural_residuals_bitwise(pick, S, mode, seed, quad, center,
                                                         lin, non_finite):
     """The residual check that ends ``iterate`` (the C kernel's, or the
-    numpy steps' without a compiler) writes, row by row, the bits of
+    numpy steps' without a compiler) writes the bits of
     ``certify.natural_residuals`` of the engine's pair (x, (lam_e, ci
     lam_ih, -lam_e)) and of the divergence magnitudes h max_k |lam_e,k| and
-    ci h max_k |lam_ih,k|: rows that differ in data, weights, bounds and M,
-    one to three scenarios, slack and hard mode (r3p then NaN), the PH
-    extras, and signed zeros, values on the bounds and on +-M, and in half
-    the draws NaN and +-inf."""
-    picks = data.draw(st.lists(st.integers(0, 5), min_size=B, max_size=B))
-    rec = stack_rows([_pool_instance(S, k, mode) for k in picks])
-    n = rec.y_target.shape[1]
+    ci h max_k |lam_ih,k|: instances that differ in data, weights, bounds
+    and M, one to three scenarios, slack and hard mode (r3p then NaN), the
+    PH extras, and signed zeros, values on the bounds and on +-M, and in
+    half the draws NaN and +-inf."""
+    inst = _pool_instance(S, pick, mode)
+    n = inst.n
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
         a = _sprinkle(rng, 1.5 * rng.standard_normal(shape), ON_BOUNDS)
         return _sprinkle(rng, a, NON_FINITE, rate=0.02) if non_finite else a
 
-    x1, y, z, lam_e, lam_ih = draw(B, n), *(draw(B, S, n) for _ in range(4))
-    ci = 1.0 + np.abs(rng.standard_normal(B))
+    x1, y, z, lam_e, lam_ih = draw(n), *(draw(S, n) for _ in range(4))
+    ci = 1.0 + abs(rng.standard_normal())
     extra = dict(x1_extra_quad=quad, x1_extra_center=rng.standard_normal(n) if center else None,
-                 x1_extra_lin=draw(B, n) if lin else None)
+                 x1_extra_lin=draw(n) if lin else None)
     steps = kernel.load() or kernel.numpy_steps
-    k = _bind_check(steps, rec, x1, y, z, lam_e, lam_ih, ci, q=quad,
+    k = _bind_check(steps, inst, x1, y, z, lam_e, lam_ih, ci, q=quad,
                     center=extra["x1_extra_center"], lin=extra["x1_extra_lin"])
     with np.errstate(invalid="ignore", over="ignore"):
         steps.iterate(k, 0)
-        want = natural_residuals(rec, PrimalPoint(x1, y, z),
-                                 DualPoint(lam_e, ci[:, None, None] * lam_ih, -lam_e), **extra)
-        want.update(mag_e=one_nan(rec.h * max_scenario_norm(lam_e)),
-                    mag_i=one_nan(ci * rec.h * max_scenario_norm(lam_ih)))
+        want = natural_residuals(inst, PrimalPoint(x1, y, z),
+                                 DualPoint(lam_e, ci * lam_ih, -lam_e), **extra)
+        want.update(mag_e=one_nan(inst.h * max_scenario_norm(lam_e)),
+                    mag_i=one_nan(ci * inst.h * max_scenario_norm(lam_ih)))
     assert set(kernel.CHECK_COLUMNS) - set(want) == (set() if mode == "slack" else {"r3p"})
-    for j, name in enumerate(kernel.CHECK_COLUMNS):
-        got = np.ascontiguousarray(k.check[:, j])
-        if name in want:
-            assert got.tobytes() == want[name].tobytes(), name
-        else:
-            assert got.tobytes() == np.full(B, np.nan).tobytes()
+    for name, got in zip(kernel.CHECK_COLUMNS, k.check):
+        assert got.tobytes() == np.float64(want.get(name, np.nan)).tobytes(), name
 
 
-def _zeros_sign_batch(steps):
-    """One iteration of ``steps`` on one hard-mode row with two scenarios
-    on a 2 x 2 grid, from -0.0 in every primal entry and multiplier, with
-    ``qc = q center = -0.0`` (q = 1 and alpha = -1, so the x1 prox
-    denominator is 1), a negative dual step that keeps lam_e at -0.0, and
-    open bounds; returns the new control and lam_e."""
+def _zeros_sign_step(steps):
+    """One iteration of ``steps`` on one hard-mode instance with two
+    scenarios on a 2 x 2 grid, from -0.0 in every primal entry and
+    multiplier, with ``qc = q center = -0.0`` (q = 1 and alpha = -1, so the
+    x1 prox denominator is 1), a negative dual step that keeps lam_e at
+    -0.0, and open bounds; returns the new control and lam_e."""
     S, n = 2, 4
     A = sp.block_diag([_five_point_pattern(2)] * S, format="csr")
-    inf = np.full((1, n), np.inf)
-    rec = Rows(csr=(A.indptr, A.indices, np.ones(A.nnz)), p=np.full((1, S), 0.5),
-               g=np.zeros((1, S, n)), psi=np.zeros((1, S, n)), c1_lo=-inf, c1_hi=inf,
-               y_target=np.zeros((1, n)), alpha=np.array([-1.0]), alpha_prime=np.ones(1),
-               M=inf[:, 0], h=1.0, mode="hard")
-    x1, y = np.full((1, n), -0.0), np.full((1, S, n), -0.0)
+    inf = np.full(n, np.inf)
+    inst = _stand_in((A.indptr, A.indices, np.ones(A.nnz)), np.full(S, 0.5), np.zeros((S, n)),
+                     np.zeros((S, n)), c1_lo=-inf, c1_hi=inf, y_target=np.zeros(n),
+                     alpha=-1.0, alpha_prime=1.0, c2_bound=np.inf, h=1.0, mode="hard")
+    x1, y = np.full(n, -0.0), np.full((S, n), -0.0)
     # tau = -0.5 and ci = -2: dual steps -0.5 and 1, y prox denominator 0.5
-    k = steps.bind(rec, np.array([[-0.5, -2.0, 1.0, 1.0]]), (x1, y, y, x1, y, y, y, y),
-                   q=1.0, center=np.full(n, -0.0))
+    k = steps.bind(inst, [-0.5, -2.0, 1.0, 1.0], (x1, y, y, x1, y, y, y, y), q=1.0,
+                   center=np.full(n, -0.0))
     steps.iterate(k, 1)
-    return k.cur[1][:, 0], k.duals[0]
+    return k.cur[1], k.duals[0]
 
 
 @pytest.mark.parametrize("steps", ["kernel", "numpy"])
@@ -563,7 +554,7 @@ def test_control_gradient_sums_from_positive_zero(steps):
     if steps == "kernel" and kernel.load() is None:
         pytest.skip("no C compiler on PATH")
     steps = kernel.load() if steps == "kernel" else kernel.numpy_steps
-    x1, lam_e = _zeros_sign_batch(steps)
+    x1, lam_e = _zeros_sign_step(steps)
     assert np.signbit(lam_e).all() and not lam_e.any()
     assert x1.tobytes() == np.zeros(4).tobytes()
 
@@ -581,20 +572,18 @@ def test_check_sums_in_scenario_and_node_order(steps):
     steps = kernel.load() if steps == "kernel" else kernel.numpy_steps
     S, n = 3, 4
     A = sp.block_diag([_five_point_pattern(2)] * S, format="csr")
-    inf = np.full((1, n), np.inf)
-    rec = Rows(csr=(A.indptr, A.indices, np.ones(A.nnz)), p=np.ones((1, S)),
-               g=np.zeros((1, S, n)), psi=np.zeros((1, S, n)), c1_lo=-inf, c1_hi=inf,
-               y_target=np.zeros((1, n)), alpha=np.ones(1), alpha_prime=np.ones(1),
-               M=np.ones(1), h=0.5, mode="hard")
-    lam_e = np.zeros((1, S, n))
-    lam_e[0, :, 0] = (-1e16, 1e16, -1.0)
-    y, lam_ih = np.zeros((2, 1, S, n))
-    y[0, :, 0], y[0, 2, :3] = (1e16, -1e16, 1e16), (1e16, -1e16, 1.0)
-    lam_ih[0, :, 0], lam_ih[0, 2, :3] = 1.0, 1.0
-    k = _bind_check(steps, rec, np.zeros((1, n)), y, np.zeros((1, S, n)), lam_e, lam_ih,
-                    np.ones(1))
+    inf = np.full(n, np.inf)
+    inst = _stand_in((A.indptr, A.indices, np.ones(A.nnz)), np.ones(S), np.zeros((S, n)),
+                     np.zeros((S, n)), c1_lo=-inf, c1_hi=inf, y_target=np.zeros(n),
+                     alpha=1.0, alpha_prime=1.0, c2_bound=1.0, h=0.5, mode="hard")
+    lam_e = np.zeros((S, n))
+    lam_e[:, 0] = (-1e16, 1e16, -1.0)
+    y, lam_ih = np.zeros((2, S, n))
+    y[:, 0], y[2, :3] = (1e16, -1e16, 1e16), (1e16, -1e16, 1.0)
+    lam_ih[:, 0], lam_ih[2, :3] = 1.0, 1.0
+    k = _bind_check(steps, inst, np.zeros(n), y, np.zeros((S, n)), lam_e, lam_ih, 1.0)
     steps.iterate(k, 0)
-    col = dict(zip(kernel.CHECK_COLUMNS, k.check[0]))
+    col = dict(zip(kernel.CHECK_COLUMNS, k.check))
     assert (col["r1"], col["r5_comp"]) == (0.5, 0.25)
 
 
@@ -613,7 +602,7 @@ def test_engine_falls_back_to_numpy_steps_without_the_kernel(small_instance, mon
     assert kernel.load() is None and kernel.load() is None
     for case in ("hard", "ph_subproblem", "cap_137"):
         inst, kwargs = _equivalence_case(small_instance, case)
-        xa, la, ita, sta = engine_alone(inst, **kwargs)
+        xa, la, ita, sta = _pdhg_engine(inst, **kwargs)
         xb, lb, itb, stb = reference_engine(inst, **kwargs)
         assert (ita, sta) == (itb, stb)
         _assert_same_points(xa, la, xb, lb)
@@ -676,93 +665,64 @@ def _assert_same_points(xa, la, xb, lb):
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("mode, max_iters", [
-    ("slack", 400_000), ("slack", 1987), ("hard", 400_000), ("hard", 2713)])
-def test_batched_engine_rows_match_separate_runs(small_instance, mode, max_iters):
-    """Three one-scenario subsets with their own step sizes, warm starts and
-    linear terms run as one lockstep batch; rows leave the batch at
-    different checks, and each matches its own reference run bit for bit."""
-    inst = small_instance.with_mode(mode)
-    subs = [replace(inst, scenarios=inst.scenarios.subset([k])) for k in (0, 1, 3)]
-    warm = [None] + [reference_engine(sub, tol=tol, max_iters=400_000)[:2]
-                     for sub, tol in zip(subs[1:], (1e-3, 1e-5))]
-    rng = np.random.default_rng(11)
-    kwargs = dict(tol=1e-8, max_iters=max_iters, x1_extra_quad=0.05,
-                  x1_extra_center=rng.uniform(0.0, 1.0, inst.n))
-    lin = 0.1 * rng.standard_normal((3, inst.n))
-    assert len(set(_estimate_k_norm(subs))) == 3
-
-    got = _pdhg_engine(subs, warm=warm, x1_extra_lin=lin, **kwargs)
-    want = [reference_engine(sub, warm=w, x1_extra_lin=row, **kwargs)
-            for sub, w, row in zip(subs, warm, lin)]
-    assert len(got) == 3
-    if max_iters == 400_000:
-        assert len({it for _, _, it, _ in want}) == 3
-        assert {st for _, _, _, st in want} == {STATUS_CONVERGED}
-    else:
-        assert {st for _, _, _, st in want} == {STATUS_CONVERGED, STATUS_ITERATION_CAP}
-    for (xa, la, ita, sta), (xb, lb, itb, stb) in zip(got, want):
-        assert (ita, sta) == (itb, stb)
-        _assert_same_points(xa, la, xb, lb)
-
-
-def test_batched_engine_leaves_no_reference_cycle(small_instance):
-    """With the garbage collector off, the scenario sets of a batch die as
-    soon as the last reference to their instances goes: the engine keeps
-    nothing that refers back to them."""
-    subs = [replace(small_instance, scenarios=small_instance.scenarios.subset([k]))
-            for k in (0, 1, 3)]
-    refs = [weakref.ref(sub.scenarios) for sub in subs]
+def test_engine_leaves_no_reference_cycle(small_instance):
+    """With the garbage collector off, the scenario set of an engine call's
+    instance dies as soon as the last reference to the instance goes: the
+    engine keeps nothing that refers back to it."""
+    sub = replace(small_instance, scenarios=small_instance.scenarios.subset([1]))
+    ref = weakref.ref(sub.scenarios)
     gc.disable()
     try:
-        _pdhg_engine(subs, tol=1e-8, max_iters=137)
-        del subs
-        assert [ref() for ref in refs] == [None, None, None]
+        _pdhg_engine(sub, tol=1e-8, max_iters=137)
+        del sub
+        assert ref() is None
     finally:
         gc.enable()
 
 
-def test_batched_engine_diverging_row_keeps_its_best_iterate(monkeypatch):
-    """A row that stops on suspected infeasibility falls back to its own
-    best iterate, while the feasible rows of its batch keep improving and
-    converge first."""
+def test_engine_diverging_run_keeps_its_best_iterate(monkeypatch):
+    """A run that stops on suspected infeasibility returns its best iterate,
+    the one with the smallest worst residual at a check, not its last, and
+    matches the reference loop bit for bit."""
     monkeypatch.setattr(solvers, "DIVERGENCE_THRESHOLD", 1e4)
     d = io.template_dict("tiny")
     d["mode"] = "hard"
-    feasible = io.instance_from_dict(d)
     d["scenarios"]["spec_psi"] = {"baseline": -1.0, "modes": [], "clip": None}
-    infeasible = io.instance_from_dict(d)
-    subs = [replace(inst, scenarios=inst.scenarios.subset([k]))
-            for inst, k in ((feasible, 0), (infeasible, 0), (feasible, 1))]
-    got = _pdhg_engine(subs, tol=1e-8, max_iters=400_000)
-    want = [reference_engine(sub, tol=1e-8, max_iters=400_000) for sub in subs]
-    assert [st for _, _, _, st in want] == [STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_CONVERGED]
-    assert want[1][2] > max(want[0][2], want[2][2])
-    for (xa, la, ita, sta), (xb, lb, itb, stb) in zip(got, want):
-        assert (ita, sta) == (itb, stb)
-        _assert_same_points(xa, la, xb, lb)
+    inst = io.instance_from_dict(d)
+    worsts = []
+    x, lam, it, status = _pdhg_engine(
+        inst, tol=1e-8, max_iters=400_000,
+        history=lambda i, res, *_: worsts.append(max_residual(res)))
+    assert status == STATUS_INFEASIBLE and len(worsts) == it // solvers.CHECK_EVERY
+    assert min(worsts) < worsts[-1]
+    assert max_residual(natural_residuals(inst, x, lam)) == min(worsts)
+    xb, lb, itb, stb = reference_engine(inst, tol=1e-8, max_iters=400_000)
+    assert (it, status) == (itb, stb)
+    _assert_same_points(x, lam, xb, lb)
 
 
 def test_engine_row_with_nan_residual_never_converges(tiny_instance, monkeypatch):
-    """A row whose checks report a NaN r3 runs to the iteration cap; the
-    other row of its batch converges as it does on its own."""
-    subs = [replace(tiny_instance, scenarios=tiny_instance.scenarios.subset([k]))
-            for k in (0, 1)]
-    alone = engine_alone(subs[1], tol=1e-6, max_iters=3000)
-    assert alone[2:] == (750, STATUS_CONVERGED)
+    """A run whose check row reports a NaN r3 keeps no best iterate and
+    runs to the iteration cap, where it returns its last iterate, although
+    the same run converges after 750 iterations without the NaN."""
+    sub = replace(tiny_instance, scenarios=tiny_instance.scenarios.subset([1]))
+    assert _pdhg_engine(sub, tol=1e-6, max_iters=3000)[2:] == (750, STATUS_CONVERGED)
     real = kernel.load() or kernel.numpy_steps
 
-    def nan_r3_in_row_0(k, count):
+    def nan_r3(k, count):
         real.iterate(k, count)
-        k.check[0, kernel.CHECK_COLUMNS.index("r3")] = math.nan  # row 0 never leaves
+        k.check[kernel.CHECK_COLUMNS.index("r3")] = math.nan
 
     monkeypatch.setattr(kernel, "load", lambda: SimpleNamespace(bind=real.bind,
-                                                                iterate=nan_r3_in_row_0))
-    (x0, lam0, it0, st0), (x1, lam1, it1, st1) = _pdhg_engine(
-        subs, tol=1e-6, max_iters=3000)
-    assert (it0, st0) == (3000, STATUS_ITERATION_CAP)
-    assert (it1, st1) == (750, STATUS_CONVERGED)
-    _assert_same_points(x1, lam1, *alone[:2])
+                                                                iterate=nan_r3))
+    last = []
+
+    def keep_last(i, res, xp, lam):
+        last[:] = [xp.copy(), lam.copy()]
+
+    x, lam, it, status = _pdhg_engine(sub, tol=1e-6, max_iters=3000, history=keep_last)
+    assert (it, status) == (3000, STATUS_ITERATION_CAP)
+    _assert_same_points(x, lam, *last)
 
 
 def test_direct_csr_matvec_matches_matmul(small_instance):
@@ -815,6 +775,16 @@ def test_stacked_k_norms_match_reference_rows(monkeypatch, mode, subsets):
     calls = len(batch_rows)
     assert _estimate_k_norm(subs, s1=scales, sz=sz, ci=ci) == knorm
     assert len(batch_rows) == calls
+
+
+def test_stacked_k_norms_reject_mixed_rows():
+    """Only instances with the same grid, mode and scenario count stack."""
+    inst = io.make_instance("tiny")     # nothing cached yet
+    others = [inst.with_mode("hard"), io.make_instance("tiny", n1d=5),
+              replace(inst, scenarios=inst.scenarios.subset([0]))]
+    for other in others:
+        with pytest.raises(ValueError, match="share"):
+            _estimate_k_norm([inst, other])
 
 
 def _dense_k_norm(inst, s1=1.0, sz=1.0, ci=1.0):
@@ -873,7 +843,7 @@ def test_pdhg_residual_trend_and_bounded_gap(small_instance):
         hist.append(max(res["r1"], res["r3"], res.get("r3p", 0.0),
                         res["r4"], res["r5_feas"], res["r5_comp"]))
         gaps.append(objective(small_instance, xp) - dual_function(small_instance, lam))
-    engine_alone(small_instance, tol=1e-6, max_iters=20000, history=hook)
+    _pdhg_engine(small_instance, tol=1e-6, max_iters=20000, history=hook)
     quarter = max(1, len(hist) // 4)
     assert hist[-1] < min(hist[:quarter])
     # the primal-dual gap sequence stays bounded along the iteration
@@ -895,7 +865,7 @@ def test_history_csv_is_written_whole_or_not_at_all(tiny_instance, tmp_path, mon
     want = tmp_path / "want.csv"
     with open(want, "w") as fh:
         fh.write(path.read_text().splitlines(keepends=True)[0])
-        engine_alone(tiny_instance, tol=params.kkt_tolerance, max_iters=500,
+        _pdhg_engine(tiny_instance, tol=params.kkt_tolerance, max_iters=500,
                      history=reference_impl.history_writer(tiny_instance, fh))
     assert path.read_bytes() == want.read_bytes()
     assert len(path.read_text().splitlines()) == 11
@@ -1039,7 +1009,7 @@ def test_ph_weights_mean_zero_and_interior_identity(small_instance):
 def reference_ph(inst, params):
     """Progressive hedging as a sequential sweep: one reference engine run
     per scenario subproblem, stopping the round at the first subproblem that
-    fails. The batched solver must reproduce it bit for bit."""
+    fails. The solver must reproduce it bit for bit."""
     S, n = inst.S, inst.n
     r = params.ph_penalty
     subs = [replace(inst, scenarios=inst.scenarios.subset([k])) for k in range(S)]
@@ -1159,11 +1129,11 @@ def test_ph_worker_exception_is_raised_and_workers_are_reaped(small_instance,
     engine, parent = solvers._pdhg_engine, os.getpid()
     last = small_instance.scenarios.xi_a[-1]
 
-    def failing(rows, *args, **kwargs):
-        if any(np.array_equal(sub.scenarios.xi_a[0], last) for sub in rows):
+    def failing(inst, *args, **kwargs):
+        if np.array_equal(inst.scenarios.xi_a[0], last):
             assert os.getpid() != parent
             raise FloatingPointError("scenario 3 failed")
-        return engine(rows, *args, **kwargs)
+        return engine(inst, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "_pdhg_engine", failing)
     with pytest.raises(FloatingPointError, match="scenario 3 failed") as info:
