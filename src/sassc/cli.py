@@ -6,7 +6,8 @@ primal-dual pair; ``homotopy``, ``compare-oracle``, and ``mms`` run the
 standard studies and gate their exit code on the study's acceptance
 predicate. Exit codes: 0 success, 1 certificate or predicate failure
 (or a failed linear solve), 2 iteration cap, 3 infeasibility suspicion,
-4 input error, including a grid too large to allocate; an engine worker
+4 input error, including a grid too large to allocate and a command line
+that argparse rejects (``--help`` exits 0); an engine worker
 process that ends without replying exits 1 with an ``error:`` line.
 
 All output files are canonical JSON or CSV written atomically; every
@@ -141,7 +142,7 @@ def cmd_solve(args) -> int:
     elif args.algorithm == "ph":
         primal, dual, report, weights = solve_progressive_hedging(inst, params)
         _write_json(os.path.join(args.out, "ph_weights.json"),
-                    {"weights": weights.tolist(), **provenance})
+                    {"weights": weights, **provenance})
     elif args.algorithm == "barrier":
         primal, dual, report = solve_barrier_reference(inst, params)
     else:
@@ -286,8 +287,18 @@ def cmd_mms(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ValueError``, so that
+    ``main`` exits 4 with one ``error:`` line, not argparse's exit 2 (the
+    iteration-cap code) with a usage block. Subcommand parsers are of the
+    same class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sassc",
         description="Two-stage stochastic PDE-constrained optimization with "
                     "almost-sure state constraints",
@@ -348,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except LinearSolveError as exc:
         print(f"linear solve failed: {exc}", file=sys.stderr)

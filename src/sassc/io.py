@@ -39,8 +39,26 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_FLOAT = "{:.17g}".format
+
+
+def _render_floats(o) -> str:
+    """``_fmt`` of a float, or of each float of a nested list of them, all
+    finite: the ``tolist()`` of a float array."""
+    if isinstance(o, float):
+        return _FLOAT(o)
+    if o and isinstance(o[0], list):
+        return "[" + ",".join(map(_render_floats, o)) + "]"
+    return "[" + ",".join(map(_FLOAT, o)) + "]"
+
+
 def canonical_json(obj) -> str:
-    """Render nested dict/list/scalar data as canonical JSON text."""
+    """Render nested dict/list/scalar data as canonical JSON text.
+
+    A float array is checked for non-finite entries once, and then each
+    entry is formatted, without the type tests of the other values; the
+    bytes are those of rendering its ``tolist()``.
+    """
 
     def render(o) -> str:
         if o is None:
@@ -54,7 +72,12 @@ def canonical_json(obj) -> str:
         if isinstance(o, str):
             return json.dumps(o)
         if isinstance(o, np.ndarray):
-            return render(o.tolist())
+            if o.dtype.kind != "f":
+                return render(o.tolist())
+            finite = np.isfinite(o)
+            if not finite.all():
+                _fmt(o[~finite].flat[0].item())     # raises the scalars' ValueError
+            return _render_floats(o.tolist())
         if isinstance(o, (list, tuple)):
             return "[" + ",".join(render(v) for v in o) + "]"
         if isinstance(o, dict):
@@ -333,7 +356,7 @@ def make_instance(preset: str = "default", **overrides) -> Instance:
 
 
 def primal_to_dict(x: PrimalPoint, provenance: dict) -> dict:
-    return {"x1": x.x1.tolist(), "y": x.y.tolist(), "z": x.z.tolist(), **provenance}
+    return {"x1": x.x1, "y": x.y, "z": x.z, **provenance}
 
 
 def primal_from_dict(d: dict) -> PrimalPoint:
@@ -344,9 +367,9 @@ def primal_from_dict(d: dict) -> PrimalPoint:
 
 def dual_to_dict(lam: DualPoint, provenance: dict) -> dict:
     return {
-        "adjoint": lam.adjoint.tolist(),
-        "obstacle": lam.obstacle.tolist(),
-        "nonanticipativity": lam.nonant.tolist(),
+        "adjoint": lam.adjoint,
+        "obstacle": lam.obstacle,
+        "nonanticipativity": lam.nonant,
         **provenance,
     }
 

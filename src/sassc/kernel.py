@@ -19,9 +19,11 @@ after every iteration, and each iteration is
   denominators, the clamp to ``[lo, hi]`` and the extrapolation.
 
 The residual check (``check``) then scores the newest iterate and writes
-10 values, the columns ``CHECK_COLUMNS``: the natural residuals of
-``certify.natural_residuals`` and the two divergence magnitudes of the
-engine. It repeats the definition in ``certify`` bit for
+11 values, the columns ``CHECK_COLUMNS``: the natural residuals of
+``certify.natural_residuals``, the two divergence magnitudes of the
+engine, and the worst residual by the rule of ``certify.max_residual``
+(NaN when any residual is NaN), which the engine's stop and best-iterate
+tests read. It repeats the definition in ``certify`` bit for
 bit: every sum left to right from 0.0, over nodes and then over scenarios,
 every largest or smallest entry left to right, and every NaN written as
 the one quiet NaN. At S = 8 and n = 256 on a 2-vCPU AVX-512 Xeon it takes
@@ -29,14 +31,28 @@ the one quiet NaN. At S = 8 and n = 256 on a 2-vCPU AVX-512 Xeon it takes
 for the numpy calls that scored it before (BLAS and pairwise sums), which
 the engine also had to prepare for in Python.
 
+The same library holds the maps of the K-norm power iteration behind the
+engine's step sizes (``solvers._k_maps``), for several instances in
+lockstep: ``k_forward`` and ``k_adjoint`` apply each running row's own
+operator, with the IEEE operations of the numpy maps in their order. Only
+the adjoint's control block ``-s1 (p @ we)`` stays a numpy ``matmul``,
+whose summation order at S > 1 is the BLAS library's. ``Kernel.forward``
+and ``Kernel.adjoint`` write into buffers laid out once per count of
+running rows (``map_buffers``), whose addresses are taken once: taking
+an array's address from Python costs about 0.8 us, and a whole ctypes call
+of a map on four one-scenario rows at n1d 16 about 1.8 us (2-vCPU Xeon).
+
 The block-diagonal operator ``A`` is applied as a five-point stencil, not
-as CSR: ``Kernel.bind`` turns the CSR it is given into five diagonals
+as CSR: ``_stencil_diagonals`` turns its CSR arrays into five diagonals
 (south, west, centre, east and north, at offsets -m, -1, 0, +1, +m on the
 m x m grid of each block) and a "stored" flag per neighbour, and rejects a
 CSR whose rows are not exactly their grid neighbours in ascending column
-order. With no index gathers the compiler runs several rows in one vector.
-A numpy stencil is no alternative: its per-call overhead made it 2.9-4.5x
-slower than scipy's CSR product at these sizes.
+order. The result is cached on the scenario set beside the operators
+(``_stencil``), so every ``bind`` and K-norm estimate on the same
+scenarios and grid reads one copy. With no index gathers the compiler
+runs several rows in one vector. A numpy stencil is no alternative: its
+per-call overhead made it 2.9-4.5x slower than scipy's CSR product at
+these sizes.
 
 Each element goes through the same IEEE operations, in the same order and
 on the same operands, as the numpy steps (``numpy_steps``), so the
@@ -78,9 +94,11 @@ Vectorizing an elementwise loop changes no bits, and the library is built
 on the host it runs on. It is built in a temporary directory, which is
 removed once it is loaded. If there is no compiler or the build fails,
 ``load()`` returns None and the engine runs the numpy steps (CSR
-products), which score their checks with ``certify`` and give the same
-bits. The outcome is decided once per process, under a lock, since the
-homotopy study's two threads may make their first engine calls at once.
+products), which score their checks with ``certify``, and the K-norm
+estimate runs the numpy maps (each running row's own CSR product); both
+give the same bits. The outcome is decided once per process, under a
+lock, since the homotopy study's two threads may make their first engine
+calls at once.
 """
 
 from __future__ import annotations
@@ -101,9 +119,10 @@ from .problem import DualPoint, PrimalPoint
 
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off")
 
-# The columns of the residual check's output of 10 values: the natural
-# residuals and the engine's two divergence magnitudes.
-CHECK_COLUMNS = certify.RESIDUAL_NAMES + ("mag_e", "mag_i")
+# The columns of the residual check's output of 11 values: the natural
+# residuals, the engine's two divergence magnitudes and the worst residual
+# (``certify.max_residual``).
+CHECK_COLUMNS = certify.RESIDUAL_NAMES + ("mag_e", "mag_i", "worst")
 
 SOURCE = r"""
 #include <float.h>
@@ -138,7 +157,7 @@ typedef struct {
     const double *den, *lo, *hi;    /* one entry per primal entry */
     const double *y_target;         /* (n,) */
     const double *center;           /* (n,): x1_extra_center */
-    double *check;                  /* (10,): the check's output */
+    double *check;                  /* (11,): the check's output */
 } Batch;
 
 /* numpy's maximum and minimum: the second operand on a tie, NaN wins */
@@ -308,10 +327,11 @@ static void control_gradient(const Batch *k)
 }
 
 /* The residual check at the current primal iterate: k->check gets (r1, r2,
-   r3, r3p, r4, r5_sign, r5_feas, r5_comp, mag_e, mag_i), the natural
-   residuals of the pair (X, (lam_e, ci lam_ih, -lam_e)) and the divergence
-   magnitudes h max_k |lam_e,k| and ci h max_k |lam_ih,k|, with the IEEE
-   operations of certify.natural_residuals in its order: every sum runs
+   r3, r3p, r4, r5_sign, r5_feas, r5_comp, mag_e, mag_i, worst), the natural
+   residuals of the pair (X, (lam_e, ci lam_ih, -lam_e)), the divergence
+   magnitudes h max_k |lam_e,k| and ci h max_k |lam_ih,k| and the worst
+   residual of certify.max_residual, with the IEEE operations of
+   certify.natural_residuals in its order: every sum runs
    left to right from 0.0, over nodes and then over scenarios, and every
    largest or smallest entry is taken left to right with max2/min2, from
    -inf or +inf, which either returns the first entry. A NaN is written as
@@ -374,11 +394,68 @@ static void check(const Batch *k)
         mag_i = max2(mag_i, si);
         comp = comp + p[s] * c;
     }
-    const double out[10] = {h * sqrt(s1), h * sqrt(r2), h * sqrt(r3),
-                            k->slack ? h * sqrt(r3p) : NAN, h * sqrt(r4), sign, feas,
-                            fabs(h * h * comp), h * sqrt(mag_e), (ci * h) * sqrt(mag_i)};
-    for (int j = 0; j < 10; j++)
+    double out[11] = {h * sqrt(s1), h * sqrt(r2), h * sqrt(r3),
+                      k->slack ? h * sqrt(r3p) : NAN, h * sqrt(r4), sign, feas,
+                      fabs(h * h * comp), h * sqrt(mag_e), (ci * h) * sqrt(mag_i)};
+    /* the worst residual of certify.max_residual: r1, r2, r3, r4, r5_feas,
+       r5_comp, r3p in slack mode, then max(-r5_sign, 0), folded by max2 */
+    double worst = out[0];
+    const int names[6] = {1, 2, 4, 6, 7, 3};
+    for (int j = 0; j < (k->slack ? 6 : 5); j++)
+        worst = max2(worst, out[names[j]]);
+    out[10] = max2(worst, max2(-sign, 0.0));
+    for (int j = 0; j < 11; j++)
         k->check[j] = isnan(out[j]) ? NAN : out[j];
+}
+
+/* The maps of the K-norm power iteration (solvers._k_maps) on the L running
+   rows: row l of v and out belongs to the instance rows[idx[l]], whose
+   Batch sets only S, n, m, slack, diags and stored, with the constants
+   c = coef + 4 idx[l] = (s1, sz, ci, -ci sz). Each entry goes through the
+   IEEE operations of the numpy maps, in their order. k_forward maps
+   v = [x1 | y | z] (z only in slack mode) to [e | i]:
+   e = A y - s1 x1 per scenario, i = ci (y - sz z), or ci y in hard mode. */
+void k_forward(const Batch *rows, const double *coef, const int64_t *idx, int64_t L,
+               const double *v, double *out)
+{
+    for (int64_t l = 0; l < L; l++) {
+        const Batch *k = rows + idx[l];
+        const double *c = coef + 4 * idx[l];
+        const int64_t n = k->n, Sn = k->S * n, nx = n + Sn * (k->slack ? 2 : 1);
+        const double *restrict x1 = v + l * nx, *restrict y = x1 + n, *restrict z = y + Sn;
+        double *restrict e = out + l * 2 * Sn, *restrict in = e + Sn;
+        stencil(k, y, e);
+        for (int64_t r = 0; r < Sn; r += n)
+            for (int64_t i = 0; i < n; i++)
+                e[r + i] = e[r + i] - c[0] * x1[i];
+        if (k->slack)
+            for (int64_t r = 0; r < Sn; r++)
+                in[r] = c[2] * (y[r] - c[1] * z[r]);
+        else
+            for (int64_t r = 0; r < Sn; r++)
+                in[r] = c[2] * y[r];
+    }
+}
+
+/* The adjoint of k_forward on w = [we | wi], without its control block
+   -s1 (p @ we), which the caller adds: out gets y' = A we + ci wi and, in
+   slack mode, z' = (-ci sz) wi, and its control block is left as it is. */
+void k_adjoint(const Batch *rows, const double *coef, const int64_t *idx, int64_t L,
+               const double *w, double *out)
+{
+    for (int64_t l = 0; l < L; l++) {
+        const Batch *k = rows + idx[l];
+        const double *c = coef + 4 * idx[l];
+        const int64_t n = k->n, Sn = k->S * n, nx = n + Sn * (k->slack ? 2 : 1);
+        const double *restrict we = w + l * 2 * Sn, *restrict wi = we + Sn;
+        double *restrict oy = out + l * nx + n, *restrict oz = oy + Sn;
+        stencil(k, we, oy);
+        for (int64_t r = 0; r < Sn; r++)
+            oy[r] = oy[r] + c[2] * wi[r];
+        if (k->slack)
+            for (int64_t r = 0; r < Sn; r++)
+                oz[r] = c[3] * wi[r];
+    }
 }
 
 /* `count` iterations from k->X to k->Xn, each followed by a swap of the two,
@@ -432,7 +509,9 @@ def _batch(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNames
 
     The namespace holds the current, next and extrapolated primal iterates
     ``cur``, ``nxt`` (a copy of ``cur``, so every byte the steps read is
-    defined) and ``xb``, each (flat vector, x1 (n,), y, z), the scalars
+    defined) and ``xb``, each (flat vector, x1 (n,), y, z), the buffers
+    ``best`` (of the same form) and ``best_duals`` where the engine keeps
+    its best iterate, which the steps never touch, the scalars
     ``tau`` and ``tau1``, ``dual_steps`` [tau | tau ci] and ``ineq_scales``
     [ci | tauz ci] shaped (2, 1, 1), and the ``_ARRAYS`` in the numpy steps'
     shapes. Sizes are checked here, since the kernel indexes without bounds.
@@ -479,6 +558,7 @@ def _batch(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNames
                 X[n + NS:].reshape(S, n) if slack else z_hard)
 
     k.cur, k.nxt, k.xb = blocks(X), blocks(X.copy()), blocks(Xb)
+    k.best, k.best_duals = blocks(np.empty(nx)), np.empty_like(k.duals)
     return k
 
 
@@ -510,6 +590,19 @@ def _stencil_diagonals(N: int, n: int, csr) -> tuple[int, np.ndarray, np.ndarray
                                                                    dtype=np.uint8)
 
 
+def _stencil(inst) -> tuple[int, np.ndarray, np.ndarray]:
+    """``_stencil_diagonals`` of the block operator of ``inst``, cached on
+    its scenario set under ``("stencil", n1d)``, beside the operators it is
+    made from, so that every ``bind`` and K-norm estimate on the same
+    scenarios and grid reads one copy."""
+    key = ("stencil", inst.grid.n1d)
+    if key not in inst.scenarios._cache:
+        A = inst.block_operator()
+        inst.scenarios._cache[key] = _stencil_diagonals(A.shape[0], inst.n,
+                                                        (A.indptr, A.indices, A.data))
+    return inst.scenarios._cache[key]
+
+
 class Kernel:
     """The loaded kernel library."""
 
@@ -517,17 +610,22 @@ class Kernel:
         self._iterate = lib.iterate
         self._iterate.argtypes = (ctypes.POINTER(_Batch), ctypes.c_int64)
         self._iterate.restype = None
+        self._k_forward, self._k_adjoint = lib.k_forward, lib.k_adjoint
+        for fn in (self._k_forward, self._k_adjoint):
+            fn.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
+            fn.restype = None
 
     @staticmethod
     def bind(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
         """The buffers of ``_batch`` for ``iterate``, with the ``_Batch``
         struct that points at its arrays (``struct``), which keeps them
         alive. The instance's CSR block operator becomes the stencil's
-        diagonals (``_stencil_diagonals``)."""
+        diagonals (``_stencil``, cached)."""
         k = _batch(inst, step, state, q=q, center=center, lin=lin)
-        A = inst.block_operator()
-        m, diags, stored = _stencil_diagonals(k.duals[0].size, k.n,
-                                              (A.indptr, A.indices, A.data))
+        m, diags, stored = _stencil(inst)
+        if diags.shape[1] != k.duals[0].size:
+            raise ValueError(f"kernel argument diags has {diags.shape[1]} rows, expected "
+                             f"{k.duals[0].size}")
         arrays = dict(diags=diags, stored=stored, work=np.empty(k.duals.size), X=k.cur[0],
                       Xn=k.nxt[0], Xb=k.xb[0])
         arrays.update((name, np.ascontiguousarray(getattr(k, name), dtype=float))
@@ -551,11 +649,88 @@ class Kernel:
         if count % 2:
             k.cur, k.nxt = k.nxt, k.cur
 
+    @staticmethod
+    def bind_maps(rows, coef: np.ndarray) -> SimpleNamespace:
+        """The K-norm maps' data: one ``_Batch`` per instance of ``rows``
+        (which must share the grid, mode and S, ``_map_dims``) that points
+        at its cached stencil (``_stencil``), and the (R, 4) constants
+        ``coef``, one row (s1, sz, ci, -ci sz) per instance."""
+        dims = _map_dims(rows)
+        structs = (_Batch * len(rows))()
+        stencils = [_stencil(sub) for sub in rows]
+        for struct, sub, (m, diags, stored) in zip(structs, rows, stencils):
+            struct.S, struct.n, struct.m, struct.slack = sub.S, sub.n, m, sub.mode == "slack"
+            struct.diags, struct.stored = diags.ctypes.data, stored.ctypes.data
+        coef = np.ascontiguousarray(coef, dtype=float)
+        if coef.shape != (len(rows), 4):
+            raise ValueError(f"K-norm constants have shape {coef.shape}, expected "
+                             f"{(len(rows), 4)}")
+        return SimpleNamespace(R=len(rows), dims=dims, keep=(structs, stencils, coef),
+                               args=(ctypes.addressof(structs), coef.ctypes.data))
+
+    @staticmethod
+    def map_buffers(maps, idx: np.ndarray) -> SimpleNamespace:
+        """``_map_buffers``, with the addresses the kernel is called with."""
+        buf = _map_buffers(maps, idx)
+        buf.address = SimpleNamespace(idx=buf.idx.ctypes.data, e=buf.e.ctypes.data,
+                                      t=buf.t.ctypes.data)
+        return buf
+
+    def forward(self, maps, buf, v: np.ndarray) -> None:
+        """``buf.e`` = the forward maps of the running rows ``buf.idx`` at
+        ``v``, one row each: (L, dim) to (L, 2 S n)."""
+        L = len(buf.idx)
+        _check_map_input(v, (L, maps.dims[2]))
+        self._k_forward(*maps.args, buf.address.idx, L, v.ctypes.data, buf.address.e)
+
+    def adjoint(self, maps, buf, w: np.ndarray) -> None:
+        """The state and slack blocks of ``buf.t`` = the adjoint maps of
+        the running rows ``buf.idx`` at ``w``; the control block is left to
+        the caller. ``w`` is ``buf.e`` in the power iteration, whose
+        address is known."""
+        L = len(buf.idx)
+        if w is buf.e:
+            address = buf.address.e
+        else:
+            _check_map_input(w, (L, 2 * maps.dims[1]))
+            address = w.ctypes.data
+        self._k_adjoint(*maps.args, buf.address.idx, L, address, buf.address.t)
+
+
+def _map_dims(rows) -> tuple[int, int, int]:
+    """n, S n and the domain dimension n + S n (+ S n in slack mode) of
+    the K-norm maps of ``rows``; raises ``ValueError`` unless the rows
+    share the grid, mode and scenario count, since the kernel's maps index
+    every row by the first row's sizes."""
+    first = rows[0]
+    if any((sub.S, sub.n, sub.mode) != (first.S, first.n, first.mode) for sub in rows):
+        raise ValueError("stacked instances must share the grid, mode and scenario count")
+    n, Sn = first.n, first.S * first.n
+    return n, Sn, n + Sn * (2 if first.mode == "slack" else 1)
+
+
+def _map_buffers(maps, idx: np.ndarray) -> SimpleNamespace:
+    """The running rows ``idx`` of the K-norm maps, as an int64 array of
+    indices below R, and the (L, 2 S n) and (L, dim) buffers ``e`` and
+    ``t`` where ``forward`` and ``adjoint`` write their results."""
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    if idx.ndim != 1 or np.any((idx < 0) | (idx >= maps.R)):
+        raise ValueError(f"K-norm rows must be indices below {maps.R}")
+    _, Sn, nx = maps.dims
+    return SimpleNamespace(idx=idx, e=np.empty((len(idx), 2 * Sn)), t=np.empty((len(idx), nx)))
+
+
+def _check_map_input(v: np.ndarray, shape: tuple[int, int]) -> None:
+    """Raise ``ValueError`` unless ``v`` is a C-contiguous float array of
+    ``shape``, which the kernel's maps index without bounds."""
+    if v.shape != shape or v.dtype != np.float64 or not v.flags.c_contiguous:
+        raise ValueError(f"a K-norm map's input must be a C-contiguous {shape} float array")
+
 
 class _NumpySteps:
-    """The kernel's ``iterate`` as numpy calls on the same buffers: the
-    fallback when the kernel cannot be built, and the form the kernel
-    reproduces."""
+    """The kernel's ``iterate`` and K-norm maps as numpy calls on the same
+    buffers: the fallback when the kernel cannot be built, and the form the
+    kernel reproduces."""
 
     @staticmethod
     def bind(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
@@ -581,8 +756,9 @@ class _NumpySteps:
     @staticmethod
     def check(k) -> None:
         """The kernel's ``check`` at ``k.cur``, by its definition:
-        ``certify.natural_residuals`` of (x, (lam_e, ci lam_ih, -lam_e)) and
-        ``certify.max_scenario_norm`` for the divergence magnitudes."""
+        ``certify.natural_residuals`` of (x, (lam_e, ci lam_ih, -lam_e)),
+        ``certify.max_scenario_norm`` for the divergence magnitudes and
+        ``certify.max_residual`` for the worst residual."""
         _, x1, y, z = k.cur
         lam_e, lam_ih = k.duals
         ci = k.ineq_scales[0, 0, 0]
@@ -590,7 +766,8 @@ class _NumpySteps:
                                         DualPoint(lam_e, ci * lam_ih, -lam_e), **k.extras)
         h = k.inst.h
         res.update(mag_e=certify.one_nan(h * certify.max_scenario_norm(lam_e)),
-                   mag_i=certify.one_nan(ci * h * certify.max_scenario_norm(lam_ih)))
+                   mag_i=certify.one_nan(ci * h * certify.max_scenario_norm(lam_ih)),
+                   worst=certify.one_nan(certify.max_residual(res)))
         for j, name in enumerate(CHECK_COLUMNS):
             k.check[j] = res.get(name, np.nan)     # no r3p in hard mode
 
@@ -647,6 +824,54 @@ class _NumpySteps:
         np.minimum(Xn, k.hi, out=Xn)
         np.subtract(Xn, X, out=Xb)
         np.add(Xn, Xb, out=Xb)
+
+    @staticmethod
+    def bind_maps(rows, coef: np.ndarray) -> SimpleNamespace:
+        """Like ``Kernel.bind_maps``, with each row's CSR block operator."""
+        return SimpleNamespace(R=len(rows), dims=_map_dims(rows), S=rows[0].S,
+                               slack=rows[0].mode == "slack",
+                               ops=[sub.block_operator() for sub in rows],
+                               coef=np.asarray(coef, dtype=float)[:, :, None])
+
+    map_buffers = staticmethod(_map_buffers)
+
+    @staticmethod
+    def _product(maps, idx, v, out) -> None:
+        """``out[l] = A v[l]`` with the block operator of row ``idx[l]``."""
+        out.fill(0.0)
+        for vl, ol, j in zip(v, out, idx):
+            A = maps.ops[j]
+            csr_matvec(ol.size, ol.size, A.indptr, A.indices, A.data, vl, ol)
+
+    @classmethod
+    def forward(cls, maps, buf, v) -> None:
+        """``Kernel.forward``: e = A y - s1 x1 per scenario and
+        i = ci (y - sz z), or ci y in hard mode."""
+        n, Sn, _ = maps.dims
+        s1, sz, ci, _ = maps.coef[buf.idx].transpose(1, 0, 2)
+        y, e, i = v[:, n:n + Sn], buf.e[:, :Sn], buf.e[:, Sn:]
+        cls._product(maps, buf.idx, y, e)
+        e = e.reshape(len(v), maps.S, n)
+        np.subtract(e, (s1 * v[:, :n])[:, None, :], out=e)
+        if maps.slack:
+            np.multiply(sz, v[:, n + Sn:], out=i)
+            np.subtract(y, i, out=i)
+            np.multiply(ci, i, out=i)
+        else:
+            np.multiply(ci, y, out=i)
+
+    @classmethod
+    def adjoint(cls, maps, buf, w) -> None:
+        """``Kernel.adjoint``: y' = A we + ci wi and z' = (-ci sz) wi."""
+        n, Sn, _ = maps.dims
+        _, _, ci, neg_ci_sz = maps.coef[buf.idx].transpose(1, 0, 2)
+        we, wi, out_y = w[:, :Sn], w[:, Sn:], buf.t[:, n:n + Sn]
+        Alam = np.empty((len(w), Sn))
+        cls._product(maps, buf.idx, we, Alam)
+        np.multiply(ci, wi, out=out_y)
+        np.add(Alam, out_y, out=out_y)
+        if maps.slack:
+            np.multiply(neg_ci_sz, wi, out=buf.t[:, n + Sn:])
 
 
 numpy_steps = _NumpySteps()

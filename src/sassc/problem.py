@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
 
 from .grid import Grid, assemble_operator, solve_linear
 from .scenarios import FieldSpec, ScenarioSet
@@ -122,35 +121,6 @@ class Instance:
 
     def with_mode(self, mode: str) -> "Instance":
         return replace(self, mode=mode)
-
-
-def stack_csr(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays of the block-diagonal stack of square ``mats``.
-
-    Every row keeps its entries in their original order, so a product with
-    the stack sums each row exactly as a product with its own block does.
-    A single matrix gives its own arrays.
-    """
-    if len(mats) == 1:
-        return mats[0].indptr, mats[0].indices, mats[0].data
-    offset = 0
-    indptr, indices = [mats[0].indptr[:1]], []
-    for j, A in enumerate(mats):
-        indptr.append(A.indptr[1:] + offset)
-        indices.append(A.indices + j * A.shape[1])
-        offset += A.nnz
-    data = [A.data for A in mats]
-    return np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
-
-
-def csr_product(csr: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
-    """Product of the CSR arrays ``csr`` with ``v`` flattened, shaped like
-    ``v``: the kernel and the summation order of scipy's ``A @ v``."""
-    indptr, indices, data = csr
-    N = len(indptr) - 1
-    out = np.zeros(v.shape)
-    csr_matvec(N, N, indptr, indices, data, np.ascontiguousarray(v), out)
-    return out
 
 
 @dataclass

@@ -18,8 +18,9 @@ The iterations between two residual checks, and the check itself, run in
 one call into the C kernel of ``kernel.py`` (``iterate``: per iteration
 the dual step, the control gradient ``p @ lam_e`` summed from 0.0 in
 scenario order, then the prox, clamp and extrapolation; then the natural
-residuals and divergence magnitudes), so no numpy call or Python step runs
-between checks and the engine only reads the check's output; the PDLP
+residuals, the divergence magnitudes and the worst residual), so no numpy
+call or Python step runs between checks and the engine only reads three
+of the check's values; the PDLP
 solver (Applegate et al., 2021) runs its steps and its termination checks
 in compiled code the same way. The kernel applies the stiffness blocks as
 a five-point stencil vectorized across nodes, not as CSR, and sums each
@@ -38,8 +39,12 @@ One engine call (``_pdhg_engine``) solves one instance. Only the K-norm
 power iteration behind its step sizes (``_steps``) runs several instances
 with the same grid, mode and scenario count in lockstep, as rows of one
 stacked map: progressive hedging estimates the steps of a group of
-subproblems at once, where numpy call overhead, not arithmetic, dominates
-each power iteration.
+subproblems at once, where call overhead, not arithmetic, dominates each
+power iteration. The maps run in the same C kernel (its ``forward`` and
+``adjoint``, each running row through its own cached stencil), except
+for the control block of the adjoint, a numpy ``matmul``; the weighted
+inner products and the stop test stay in ``grid.operator_norm_estimate``.
+Without a C compiler the numpy maps run, with the same bits.
 
 Progressive hedging decomposes by scenario and exposes the
 nonanticipativity structure algorithmically: scenario copies of the
@@ -73,7 +78,6 @@ import traceback
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import certify, kernel
 from .grid import operator_norm_estimate
@@ -81,10 +85,8 @@ from .problem import (
     DualPoint,
     Instance,
     PrimalPoint,
-    csr_product,
     hard_mode_infeasibility,
     project_c1,
-    stack_csr,
     zeros_dual,
 )
 
@@ -102,6 +104,10 @@ PH_INNER_TOLERANCE = 1e-8   # residual tolerance of the PH subproblems
 PH_MAX_OUTER = 500          # PH rounds
 BARRIER_MU0 = 1.0           # first barrier parameter
 BARRIER_SHRINK = 0.2        # barrier parameter factor per central-path step
+
+
+# the check's divergence magnitudes and worst residual (kernel.CHECK_COLUMNS)
+_MAGNITUDES_AND_WORST = slice(kernel.CHECK_COLUMNS.index("mag_e"), None)
 
 
 class BarrierSizeError(ValueError):
@@ -170,67 +176,52 @@ def _report(algorithm: str, kkt: certify.KktReport, iterations: int, status: str
 def _k_maps(rows: list[Instance], s1, sz, ci, live: np.ndarray):
     """Domain weights and the forward and adjoint maps of the rescaled
     constraint map K of each instance in ``rows``, which must share the
-    grid, mode and scenario count, stacked for a lockstep power iteration.
+    grid, mode and scenario count (``kernel._map_dims`` checks), stacked
+    for a lockstep power iteration.
     The maps take and return the rows still running, which ``live`` names;
-    rows only ever leave, so their count does too. The operator of the
-    running rows is the block-diagonal stack of their block operators
-    (``problem.stack_csr``).
+    rows only ever leave, so their count does too.
+
+    The kernel's ``forward`` and ``adjoint`` (``kernel.numpy_steps`` without
+    a compiler) apply each running row's own operator, through its cached
+    stencil. The control block of the adjoint, ``-s1 (p @ we)``, is
+    ``np.matmul`` here, whose summation order at S > 1 is the BLAS
+    library's. Each map returns a buffer, one per count of running rows,
+    that its next call overwrites; ``grid.operator_norm_estimate`` is done
+    with each result by then.
     """
+    s1, sz, ci = (np.asarray(c, dtype=float) for c in (s1, sz, ci))
+    kern = kernel.load() or kernel.numpy_steps
+    maps = kern.bind_maps(rows, np.stack([s1, sz, ci, -ci * sz], axis=1))
     first = rows[0]
-    if any((sub.S, sub.grid.n1d, sub.mode) != (first.S, first.grid.n1d, first.mode)
-           for sub in rows):
-        raise ValueError("stacked instances must share the grid, mode and scenario count")
     R, S, n, slack = len(rows), first.S, first.n, first.mode == "slack"
     SN = S * n
-    nx = n + SN + (SN if slack else 0)
     p = np.array([sub.p for sub in rows])
     hh = first.h * first.h
     weights = np.concatenate(
         [np.full((R, n), hh)] + [np.repeat(p * hh, n, axis=1)] * (2 if slack else 1), axis=1)
-    s1, sz, ci = (np.asarray(c)[:, None] for c in (s1, sz, ci))
-    cols = (s1, sz, ci, -s1[:, :, None], -ci * sz, p[:, None, :])
+    cols = (-s1[:, None, None], p[:, None, :])
     running = {}
 
     def select(L: int):
-        """Operator and per-row constants of the L rows still running."""
+        """Buffers, control-block constants and views of the L rows still
+        running."""
         if L not in running:
             idx = np.flatnonzero(live)
-            csr = stack_csr([rows[j].block_operator() for j in idx])
-            running[L] = (csr, *(c[idx] for c in cols))
+            buf = kern.map_buffers(maps, idx)
+            running[L] = (buf, *(c[idx] for c in cols), buf.t[:, None, :n])
         return running[L]
 
-    # The maps of the single-row form, one numpy call for all rows:
-    # e = A y - tile(s1 x1), i = ci (y - sz z) or ci y;
-    # x1' = -s1 (p @ we), y' = A we + ci wi, z' = (-ci sz) wi
     def forward(v: np.ndarray) -> np.ndarray:
-        L = len(v)
-        Ablk, s1, sz, ci = select(L)[:4]
-        y = v[:, n:n + SN]
-        out = np.empty((L, 2 * SN))
-        np.subtract(csr_product(Ablk, y).reshape(L, S, n), (s1 * v[:, :n])[:, None, :],
-                    out=out[:, :SN].reshape(L, S, n))
-        i = out[:, SN:]
-        if slack:
-            np.multiply(sz, v[:, n + SN:], out=i)
-            np.subtract(y, i, out=i)
-            np.multiply(ci, i, out=i)
-        else:
-            np.multiply(ci, y, out=i)
-        return out
+        buf = select(len(v))[0]
+        kern.forward(maps, buf, v)
+        return buf.e
 
     def adjoint(w: np.ndarray) -> np.ndarray:
         L = len(w)
-        Ablk, _, _, ci, neg_s1, neg_ci_sz, p = select(L)
-        we = w[:, :SN].reshape(L, S, n)
-        wi = w[:, SN:]
-        out = np.empty((L, nx))
-        np.multiply(neg_s1, np.matmul(p, we), out=out[:, None, :n])
-        out_y = out[:, n:n + SN]
-        np.multiply(ci, wi, out=out_y)
-        np.add(csr_product(Ablk, we).reshape(L, SN), out_y, out=out_y)
-        if slack:
-            np.multiply(neg_ci_sz, wi, out=out[:, n + SN:])
-        return out
+        buf, neg_s1, p, control = select(L)
+        kern.adjoint(maps, buf, w)
+        np.multiply(neg_s1, np.matmul(p, w[:, :SN].reshape(L, S, n)), out=control)
+        return buf.t
 
     return weights, forward, adjoint
 
@@ -310,20 +301,22 @@ def _pdhg_engine(
 
     The step constants come from ``_steps``. Every residual check runs
     inside the kernel call that ends the interval (``kernel.iterate``): it
-    writes the natural residuals of ``certify.natural_residuals`` and the
+    writes the natural residuals of ``certify.natural_residuals``, the
     multiplier magnitudes ``h max_k |lam_e,k|`` and ``ci h max_k
-    |lam_ih,k|`` into one row of floats (``kernel.CHECK_COLUMNS``). The
-    engine reads that row: the worst residual (``certify.max_residual``),
-    the divergence test on the magnitudes, and the stopping status
-    (converged, then suspected infeasibility, then the iteration cap). A
-    run that stops unconverged returns its best iterate, the one with the
-    smallest worst residual at a check.
+    |lam_ih,k|`` and the worst residual by ``certify.max_residual``'s rule
+    into one row of floats (``kernel.CHECK_COLUMNS``). The engine reads the
+    worst residual and the magnitudes: the stopping status (converged,
+    then suspected infeasibility, then the iteration cap) and the best
+    iterate, the one with the smallest worst residual at a check, which a
+    run that stops unconverged returns. The best iterate is copied into
+    buffers that ``bind`` allocates once.
 
     ``history(it, res, xp, lam)``, if given, is called at every residual
-    check with a dict of Python floats; the points are built only then. The
-    arrays of ``xp`` and ``lam.adjoint`` are views of the engine's working
-    buffers, which later iterations overwrite in place, so the hook must
-    consume them during the call (copy them to keep them).
+    check with a dict of the natural residuals as Python floats; the dict
+    and the points are built only then. The arrays of ``xp`` and
+    ``lam.adjoint`` are views of the engine's working buffers, which later
+    iterations overwrite in place, so the hook must consume them during the
+    call (copy them to keep them).
     """
     kern = kernel.load() or kernel.numpy_steps
     S, n, slack = inst.S, inst.n, inst.mode == "slack"
@@ -346,12 +339,12 @@ def _pdhg_engine(
     # zn = clip((z + tauz ci lam_ih) / den_z, -M, M); hard mode keeps z
     # and the extrapolation with theta = 1: xb = xn + (xn - x);
     # the call ends with the residual check at the newest iterate, which
-    # writes certify.natural_residuals of (xn, (lam_e, ci lam_ih, -lam_e))
-    # and the divergence magnitudes h max_k |lam_e,k|, ci h max_k |lam_ih,k|
-    # into k.check
+    # writes certify.natural_residuals of (xn, (lam_e, ci lam_ih, -lam_e)),
+    # the divergence magnitudes h max_k |lam_e,k|, ci h max_k |lam_ih,k| and
+    # the worst residual (certify.max_residual's rule) into k.check
     k = kern.bind(inst, step, (x1, y, z, x1, y, z, lam_e, lam_ih), q=x1_extra_quad,
                   center=x1_extra_center, lin=x1_extra_lin)
-    best_worst, best = math.inf, None
+    best_worst = math.inf
     status = STATUS_ITERATION_CAP
     it = 0
     while it < max_iters:
@@ -359,26 +352,28 @@ def _pdhg_engine(
         kern.iterate(k, count)
         it += count
 
-        _, x1, y, z = k.cur
-        lam_e, lam_ih = k.duals
-        res = dict(zip(kernel.CHECK_COLUMNS, k.check.tolist()))
-        mag_e, mag_i = res.pop("mag_e"), res.pop("mag_i")
-        if not slack:
-            del res["r3p"]
-        worst = certify.max_residual(res)
+        mag_e, mag_i, worst = k.check[_MAGNITUDES_AND_WORST].tolist()
         if history is not None:
+            _, x1, y, z = k.cur
+            lam_e, lam_ih = k.duals
+            res = dict(zip(certify.RESIDUAL_NAMES, k.check.tolist()))
+            if not slack:
+                del res["r3p"]
             history(it, res, PrimalPoint(x1, y, z), DualPoint(lam_e, ci * lam_ih, -lam_e))
-        if worst < best_worst:
-            best_worst, best = worst, [a.copy() for a in (x1, y, z, lam_e, lam_ih)]
         if worst <= tol:
             status = STATUS_CONVERGED
             break
+        if worst < best_worst:
+            best_worst = worst
+            np.copyto(k.best[0], k.cur[0])
+            np.copyto(k.best_duals, k.duals)
         if mag_e > DIVERGENCE_THRESHOLD or mag_i > DIVERGENCE_THRESHOLD:
             status = STATUS_INFEASIBLE
             break
 
-    if status != STATUS_CONVERGED and best is not None:
-        x1, y, z, lam_e, lam_ih = best
+    kept = status != STATUS_CONVERGED and best_worst < math.inf
+    _, x1, y, z = k.best if kept else k.cur
+    lam_e, lam_ih = k.best_duals if kept else k.duals
     primal = PrimalPoint(x1.copy(), y.copy(), z.copy() if slack else np.zeros((S, n)))
     return primal, DualPoint(lam_e.copy(), ci * lam_ih, -lam_e), it, status
 
@@ -753,6 +748,8 @@ def solve_barrier_reference(
     recovered from the barrier gradients, ``mu / slack``, converted to
     densities; the equality multipliers come from the Newton system.
     """
+    import scipy.linalg     # loaded by the first barrier solve, not at import
+
     params = params or SolverParams()
     S, n, h = inst.S, inst.n, inst.h
     hh = h * h

@@ -2,10 +2,12 @@
 iteration, kept in their plain per-pair form. The package's residual
 check must reproduce them bit for bit, and its lockstep K-norm estimate
 row by row. Also the plain streaming form of the history CSV writer,
-whose bytes the atomic writer must match, and the test-only helpers
-``pairing`` and ``project_c2``."""
+whose bytes the atomic writer must match, the plain canonical JSON
+renderer, whose bytes ``io.canonical_json`` must match, and the test-only
+helpers ``pairing`` and ``project_c2``."""
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -176,3 +178,36 @@ def history_writer(inst, fh):
         )
 
     return write
+
+
+def canonical_json(obj) -> str:
+    """Canonical JSON text of nested dict/list/scalar data, every value
+    through the same chain of type tests, an array as its ``tolist()``, and
+    every float checked for finiteness on its own."""
+
+    def fmt(x) -> str:
+        if not np.isfinite(x):
+            raise ValueError(f"cannot serialize non-finite number {x}")
+        return format(float(x), ".17g")
+
+    def render(o) -> str:
+        if o is None:
+            return "null"
+        if isinstance(o, bool):
+            return "true" if o else "false"
+        if isinstance(o, (int, np.integer)):
+            return str(int(o))
+        if isinstance(o, (float, np.floating)):
+            return fmt(o)
+        if isinstance(o, str):
+            return json.dumps(o)
+        if isinstance(o, np.ndarray):
+            return render(o.tolist())
+        if isinstance(o, (list, tuple)):
+            return "[" + ",".join(render(v) for v in o) + "]"
+        if isinstance(o, dict):
+            items = sorted(o.items())
+            return "{" + ",".join(json.dumps(str(k)) + ":" + render(v) for k, v in items) + "}"
+        raise TypeError(f"cannot serialize object of type {type(o)}")
+
+    return render(obj) + "\n"

@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sassc import cli, io, solvers
 from sassc.cli import main
+
+import reference_impl
 
 TINY_ARGS = ["--preset", "tiny"]
 
@@ -31,6 +34,53 @@ def test_canonical_json_rejects_nonfinite():
         io.canonical_json({"x": float("nan")})
     with pytest.raises(ValueError):
         io.canonical_json({"x": float("inf")})
+
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+               1.7976931348623157e308)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+FLOAT_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                                       max_side=4), elements=FINITE)
+ARRAYS = (FLOAT_ARRAYS
+          | hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=2, max_side=3),
+                       elements=st.floats(width=32, allow_nan=False, allow_infinity=False))
+          | hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=3))
+          | hnp.arrays(np.bool_, hnp.array_shapes(min_dims=0, max_dims=2, max_side=3)))
+SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | FINITE
+           | FINITE.map(np.float64) | st.integers(-2**31, 2**31).map(np.int64)
+           | st.text(max_size=4))
+DOCUMENTS = st.recursive(
+    SCALARS | ARRAYS,
+    lambda children: (st.lists(children, max_size=4) | st.tuples(children, children)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=DOCUMENTS)
+def test_canonical_json_matches_reference_renderer(doc):
+    """Float arrays are checked once and formatted in one pass, with the
+    bytes of the plain renderer that takes each entry through its type
+    tests: -0.0, subnormals, +-1.7e308, ints, bools, None, numpy scalars,
+    and 0-d and 2-d arrays of floats, ints and bools in nested dicts,
+    lists and tuples."""
+    assert io.canonical_json(doc) == reference_impl.canonical_json(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=DOCUMENTS, array=FLOAT_ARRAYS.filter(lambda a: a.size > 0),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+def test_canonical_json_rejects_non_finite_array_entry(doc, array, bad, data):
+    """A non-finite entry anywhere in a float array raises the
+    ``ValueError`` of the plain renderer, naming the first such entry."""
+    array = array.copy()
+    array.flat[data.draw(st.integers(0, array.size - 1))] = bad
+    doc = {"doc": doc, "array": array}
+    with pytest.raises(ValueError) as got:
+        io.canonical_json(doc)
+    with pytest.raises(ValueError) as want:
+        reference_impl.canonical_json(doc)
+    assert str(got.value) == str(want.value)
 
 
 def test_instance_roundtrip_bytes(tmp_path):
@@ -607,6 +657,23 @@ def test_impossible_grid_exits_4(tmp_path, capsys, tiny_run, command):
         argv = ["mms", "--levels", f"3,{IMPOSSIBLE_N1D}", "--out", str(out)]
     assert _documented_exit(capsys, argv, codes=(4,)) == 4
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--instance", "inst.json"],
+    ["generate", *TINY_ARGS, "--n1d", "4.5", "--out", "inst.json"],
+    ["mms", "--levels", "-3,5"],
+], ids=["missing-required-option", "non-integer-n1d", "levels-taken-for-an-option"])
+def test_usage_error_exits_4(tmp_path, capsys, monkeypatch, argv):
+    """A command line that argparse rejects exits 4 (exit 2 is the
+    iteration cap) with one ``error:`` line and no usage block, and writes
+    nothing; ``--help`` still exits 0."""
+    monkeypatch.chdir(tmp_path)
+    assert _documented_exit(capsys, argv, codes=(4,)) == 4
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(SystemExit) as exc:
+        run_cli([argv[0], "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: sassc")
 
 
 @pytest.mark.parametrize("option, value", [

@@ -21,6 +21,7 @@ from scipy.sparse._sparsetools import csr_matvec
 
 from sassc import cli, io, kernel, solvers
 from sassc.certify import (
+    RESIDUAL_NAMES,
     kkt_residuals,
     max_residual,
     max_scenario_norm,
@@ -300,11 +301,13 @@ def _stand_in(csr, p, g, psi, **fields):
     the (indptr, indices, data) of the block operator, ``p`` (S,), ``g``
     and ``psi`` (S, n), and ``fields`` the ``mode``, the scalars ``h``,
     ``alpha``, ``alpha_prime`` and ``c2_bound`` and the (n,) arrays
-    ``c1_lo``, ``c1_hi`` and ``y_target``."""
+    ``c1_lo``, ``c1_hi`` and ``y_target``. Like a real instance it caches
+    its stencil on its own ``scenarios``."""
     N = len(csr[0]) - 1
     A = sp.csr_matrix((csr[2], csr[1], csr[0]), shape=(N, N))
     return SimpleNamespace(block_operator=lambda: A, fields=lambda: (None, g, psi), p=p,
-                           **fields)
+                           n=np.shape(g)[1], grid=SimpleNamespace(n1d=None),
+                           scenarios=SimpleNamespace(_cache={}), **fields)
 
 
 def _kernel_case(rng, S, m, slack, qc, lin):
@@ -495,11 +498,12 @@ def test_kernel_check_matches_natural_residuals_bitwise(pick, S, mode, seed, qua
     """The residual check that ends ``iterate`` (the C kernel's, or the
     numpy steps' without a compiler) writes the bits of
     ``certify.natural_residuals`` of the engine's pair (x, (lam_e, ci
-    lam_ih, -lam_e)) and of the divergence magnitudes h max_k |lam_e,k| and
-    ci h max_k |lam_ih,k|: instances that differ in data, weights, bounds
-    and M, one to three scenarios, slack and hard mode (r3p then NaN), the
-    PH extras, and signed zeros, values on the bounds and on +-M, and in
-    half the draws NaN and +-inf."""
+    lam_ih, -lam_e)), of the divergence magnitudes h max_k |lam_e,k| and
+    ci h max_k |lam_ih,k|, and of the worst residual by
+    ``certify.max_residual`` (NaN when any residual is NaN): instances that
+    differ in data, weights, bounds and M, one to three scenarios, slack and
+    hard mode (r3p then NaN), the PH extras, and signed zeros, values on the
+    bounds and on +-M, and in half the draws NaN and +-inf."""
     inst = _pool_instance(S, pick, mode)
     n = inst.n
     rng = np.random.default_rng(seed)
@@ -520,7 +524,8 @@ def test_kernel_check_matches_natural_residuals_bitwise(pick, S, mode, seed, qua
         want = natural_residuals(inst, PrimalPoint(x1, y, z),
                                  DualPoint(lam_e, ci * lam_ih, -lam_e), **extra)
         want.update(mag_e=one_nan(inst.h * max_scenario_norm(lam_e)),
-                    mag_i=one_nan(ci * inst.h * max_scenario_norm(lam_ih)))
+                    mag_i=one_nan(ci * inst.h * max_scenario_norm(lam_ih)),
+                    worst=one_nan(max_residual(want)))
     assert set(kernel.CHECK_COLUMNS) - set(want) == (set() if mode == "slack" else {"r3p"})
     for name, got in zip(kernel.CHECK_COLUMNS, k.check):
         assert got.tobytes() == np.float64(want.get(name, np.nan)).tobytes(), name
@@ -585,6 +590,34 @@ def test_check_sums_in_scenario_and_node_order(steps):
     steps.iterate(k, 0)
     col = dict(zip(kernel.CHECK_COLUMNS, k.check))
     assert (col["r1"], col["r5_comp"]) == (0.5, 0.25)
+
+
+@pytest.mark.parametrize("steps", ["kernel", "numpy"])
+def test_check_worst_residual_counts_each_term(steps):
+    """The check's worst residual takes r3p in slack mode only and
+    ``max(0, -r5_sign)``, as ``certify.max_residual`` does: with every other
+    residual 0, a unit slack entry gives r3p = 1 and a worst residual of 1
+    in slack mode and 0 in hard mode (no r3p); an obstacle multiplier entry
+    of -2 gives a worst residual of 2 in both, above r3 = r3p = 1."""
+    if steps == "kernel" and kernel.load() is None:
+        pytest.skip("no C compiler on PATH")
+    steps = kernel.load() if steps == "kernel" else kernel.numpy_steps
+    S, n = 1, 4
+    A = sp.block_diag([_five_point_pattern(2)] * S, format="csr")
+    inf, zeros = np.full(n, np.inf), np.zeros((S, n))
+    z, lam_ih = zeros.copy(), zeros.copy()
+    z[0, 2], lam_ih[0, 1] = 1.0, -0.5
+    cases = [("slack", z, zeros, 1.0), ("hard", z, zeros, 0.0),
+             ("slack", zeros, lam_ih, 2.0), ("hard", zeros, lam_ih, 2.0)]
+    for mode, z, lam_ih, want in cases:
+        inst = _stand_in((A.indptr, A.indices, np.zeros(A.nnz)), np.ones(S), zeros, zeros,
+                         c1_lo=-inf, c1_hi=inf, y_target=np.zeros(n), alpha=1.0,
+                         alpha_prime=1.0, c2_bound=1.0, h=1.0, mode=mode)
+        k = _bind_check(steps, inst, np.zeros(n), zeros, z, zeros, lam_ih, 4.0)
+        steps.iterate(k, 0)
+        col = dict(zip(kernel.CHECK_COLUMNS, k.check.tolist()))
+        res = {name: col[name] for name in RESIDUAL_NAMES if mode == "slack" or name != "r3p"}
+        assert col["worst"] == max_residual(res) == want, (mode, want)
 
 
 def test_engine_falls_back_to_numpy_steps_without_the_kernel(small_instance, monkeypatch):
@@ -702,9 +735,10 @@ def test_engine_diverging_run_keeps_its_best_iterate(monkeypatch):
 
 
 def test_engine_row_with_nan_residual_never_converges(tiny_instance, monkeypatch):
-    """A run whose check row reports a NaN r3 keeps no best iterate and
-    runs to the iteration cap, where it returns its last iterate, although
-    the same run converges after 750 iterations without the NaN."""
+    """A run whose check row reports a NaN r3, and so by
+    ``certify.max_residual`` a NaN worst residual, keeps no best iterate
+    and runs to the iteration cap, where it returns its last iterate,
+    although the same run converges after 750 iterations without the NaN."""
     sub = replace(tiny_instance, scenarios=tiny_instance.scenarios.subset([1]))
     assert _pdhg_engine(sub, tol=1e-6, max_iters=3000)[2:] == (750, STATUS_CONVERGED)
     real = kernel.load() or kernel.numpy_steps
@@ -712,6 +746,7 @@ def test_engine_row_with_nan_residual_never_converges(tiny_instance, monkeypatch
     def nan_r3(k, count):
         real.iterate(k, count)
         k.check[kernel.CHECK_COLUMNS.index("r3")] = math.nan
+        k.check[kernel.CHECK_COLUMNS.index("worst")] = math.nan
 
     monkeypatch.setattr(kernel, "load", lambda: SimpleNamespace(bind=real.bind,
                                                                 iterate=nan_r3))
@@ -785,6 +820,82 @@ def test_stacked_k_norms_reject_mixed_rows():
     for other in others:
         with pytest.raises(ValueError, match="share"):
             _estimate_k_norm([inst, other])
+
+
+def _map_rows(R, S, n1d, mode, seed):
+    """R instances on one n1d x n1d grid with S scenarios each, drawn from
+    one scenario set with non-uniform probabilities, as the rows of one
+    lockstep K-norm estimate."""
+    d = io.template_dict("tiny", n1d=n1d, scenario_count=R * S, seed=seed)
+    p = np.random.default_rng(seed).uniform(0.2, 1.0, R * S)
+    d["scenarios"]["probabilities"] = (p / p.sum()).tolist()
+    d["mode"] = mode
+    inst = io.instance_from_dict(d)
+    return [replace(inst, scenarios=inst.scenarios.subset(range(j * S, (j + 1) * S)))
+            for j in range(R)]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+@settings(max_examples=60, deadline=None)
+@given(R=st.integers(1, 4), S=st.integers(1, 3), n1d=st.integers(1, 4),
+       mode=st.sampled_from(["slack", "hard"]), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_kernel_k_maps_match_numpy_maps_bitwise(R, S, n1d, mode, seed, data):
+    """The K-norm maps of ``solvers._k_maps`` through the C kernel give the
+    bytes of the numpy maps (each running row's own CSR operator) on 1-4
+    rows of 1-3 scenarios, in slack and hard mode, with drawn s1, sz and
+    ci, on grids of m = 1 and 2 (no node has every neighbour), at inputs
+    with signed zeros and subnormals, while the live mask drops rows as
+    the power iteration's stop does."""
+    rows = _map_rows(R, S, n1d, mode, seed)
+    rng = np.random.default_rng(seed)
+    s1, sz, ci = rng.uniform(0.5, 40.0, (3, R))
+    drops = data.draw(st.lists(st.lists(st.booleans(), min_size=R, max_size=R), max_size=3))
+    masks = [np.ones(R, bool)]
+    for drop in drops:
+        mask = masks[-1] & ~np.array(drop)
+        if mask.any() and (mask != masks[-1]).any():
+            masks.append(mask)
+    n, Sn = rows[0].n, rows[0].S * rows[0].n
+    nx = n + Sn * (2 if mode == "slack" else 1)
+    inputs = [[_sprinkle(rng, rng.standard_normal((int(m.sum()), dim)),
+                         (0.0, -0.0, SUBNORMAL, -TINY)) for dim in (nx, 2 * Sn)]
+              for m in masks]
+    out = []
+    for impl in (kernel.numpy_steps, kernel.load()):
+        live = np.ones(R, bool)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "load", lambda: impl)
+            _, forward, adjoint = solvers._k_maps(rows, s1, sz, ci, live)
+        got = []
+        for mask, (v, w) in zip(masks, inputs):
+            live[:] = mask
+            e = forward(v)
+            got += [e.copy(), adjoint(e).copy(), adjoint(w).copy()]
+        out.append(got)
+    for a, b in zip(*out):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_bind_reuses_the_cached_stencil(monkeypatch):
+    """The stencil of an instance's block operator is built once per
+    scenario set and grid, and cached there: the K-norm estimate of the
+    step sizes and two ``bind`` calls on the instance read one copy."""
+    calls = []
+    build = kernel._stencil_diagonals
+    monkeypatch.setattr(kernel, "_stencil_diagonals",
+                        lambda *args: calls.append(1) or build(*args))
+    inst = io.make_instance("tiny")
+    [step] = solvers._steps([inst])
+    _, diags, _ = kernel._stencil(inst)
+    assert inst.scenarios._cache[("stencil", inst.grid.n1d)][1] is diags
+    zeros = np.zeros((inst.S, inst.n))
+    state = (np.zeros(inst.n), zeros, zeros, np.zeros(inst.n), zeros, zeros, zeros, zeros)
+    if kernel.load() is not None:
+        for _ in range(2):
+            k = kernel.load().bind(inst, step, state, q=0.0)
+            assert k.struct.contents.diags == diags.ctypes.data
+    assert len(calls) == 1
 
 
 def _dense_k_norm(inst, s1=1.0, sz=1.0, ci=1.0):
@@ -1220,6 +1331,18 @@ def test_import_does_not_load_multiprocessing():
     """The worker machinery is imported only when a solve forks workers."""
     src = os.path.dirname(os.path.dirname(solvers.__file__))
     code = "import sys, sassc; assert 'multiprocessing' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_import_does_not_load_scipy_linear_algebra():
+    """``scipy.linalg`` (the barrier oracle's) and ``scipy.sparse.linalg``
+    (``grid.solve_linear``'s) are imported by the first call that runs
+    them, not with the package and its command line."""
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    code = ("import sys, sassc, sassc.cli\n"
+            "loaded = {'scipy.linalg', 'scipy.sparse.linalg'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n")
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
