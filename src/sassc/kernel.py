@@ -668,14 +668,6 @@ class Kernel:
         return SimpleNamespace(R=len(rows), dims=dims, keep=(structs, stencils, coef),
                                args=(ctypes.addressof(structs), coef.ctypes.data))
 
-    @staticmethod
-    def map_buffers(maps, idx: np.ndarray) -> SimpleNamespace:
-        """``_map_buffers``, with the addresses the kernel is called with."""
-        buf = _map_buffers(maps, idx)
-        buf.address = SimpleNamespace(idx=buf.idx.ctypes.data, e=buf.e.ctypes.data,
-                                      t=buf.t.ctypes.data)
-        return buf
-
     def forward(self, maps, buf, v: np.ndarray) -> None:
         """``buf.e`` = the forward maps of the running rows ``buf.idx`` at
         ``v``, one row each: (L, dim) to (L, 2 S n)."""
@@ -709,15 +701,20 @@ def _map_dims(rows) -> tuple[int, int, int]:
     return n, Sn, n + Sn * (2 if first.mode == "slack" else 1)
 
 
-def _map_buffers(maps, idx: np.ndarray) -> SimpleNamespace:
-    """The running rows ``idx`` of the K-norm maps, as an int64 array of
-    indices below R, and the (L, 2 S n) and (L, dim) buffers ``e`` and
-    ``t`` where ``forward`` and ``adjoint`` write their results."""
+def map_buffers(maps, idx: np.ndarray) -> SimpleNamespace:
+    """The running rows ``idx`` of the K-norm maps ``maps`` (of either
+    form's ``bind_maps``), as an int64 array of indices below R, the
+    (L, 2 S n) and (L, dim) buffers ``e`` and ``t`` where ``forward`` and
+    ``adjoint`` write their results, and the ``address`` of each array,
+    which the kernel is called with."""
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     if idx.ndim != 1 or np.any((idx < 0) | (idx >= maps.R)):
         raise ValueError(f"K-norm rows must be indices below {maps.R}")
     _, Sn, nx = maps.dims
-    return SimpleNamespace(idx=idx, e=np.empty((len(idx), 2 * Sn)), t=np.empty((len(idx), nx)))
+    buf = SimpleNamespace(idx=idx, e=np.empty((len(idx), 2 * Sn)), t=np.empty((len(idx), nx)))
+    buf.address = SimpleNamespace(idx=idx.ctypes.data, e=buf.e.ctypes.data,
+                                  t=buf.t.ctypes.data)
+    return buf
 
 
 def _check_map_input(v: np.ndarray, shape: tuple[int, int]) -> None:
@@ -832,8 +829,6 @@ class _NumpySteps:
                                slack=rows[0].mode == "slack",
                                ops=[sub.block_operator() for sub in rows],
                                coef=np.asarray(coef, dtype=float)[:, :, None])
-
-    map_buffers = staticmethod(_map_buffers)
 
     @staticmethod
     def _product(maps, idx, v, out) -> None:

@@ -207,7 +207,7 @@ def _k_maps(rows: list[Instance], s1, sz, ci, live: np.ndarray):
         running."""
         if L not in running:
             idx = np.flatnonzero(live)
-            buf = kern.map_buffers(maps, idx)
+            buf = kernel.map_buffers(maps, idx)
             running[L] = (buf, *(c[idx] for c in cols), buf.t[:, None, :n])
         return running[L]
 
