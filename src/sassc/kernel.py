@@ -54,6 +54,18 @@ runs several rows in one vector. A numpy stencil is no alternative: its
 per-call overhead made it 2.9-4.5x slower than scipy's CSR product at
 these sizes.
 
+Every buffer the kernel reads or writes starts on a 64-byte boundary, one
+cache line: each array of ``_batch``, the scratch ``work``, the cached
+stencil and the K-norm maps' ``map_buffers``. Each is allocated that way
+(``aligned``) and filled in place, not copied once built. numpy starts an
+array wherever its allocator puts it, and a buffer that starts off a
+cache line makes many of the ``-march=native`` vector loads split a line,
+so the cost of an iteration depended on where each array happened to
+land. On the default preset at n1d 16 (2-vCPU AVX-512 Xeon) an iteration
+takes 7.2-7.5 us with every buffer aligned, against 9.9-10.0 us with
+every buffer 8, 16, 32 or 48 bytes past a boundary and 9.1-9.9 us where
+numpy placed them, with the same bits and iteration counts.
+
 Each element goes through the same IEEE operations, in the same order and
 on the same operands, as the numpy steps (``numpy_steps``), so the
 iterates are the same bits:
@@ -118,6 +130,9 @@ from . import certify
 from .problem import DualPoint, PrimalPoint
 
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off")
+
+# the byte boundary every buffer the kernel reads or writes starts on
+ALIGNMENT = 64
 
 # The columns of the residual check's output of 11 values: the natural
 # residuals, the engine's two divergence magnitudes and the worst residual
@@ -492,6 +507,31 @@ class _Batch(ctypes.Structure):
     )
 
 
+def aligned(shape, dtype=np.float64) -> np.ndarray:
+    """A new, uninitialised C-contiguous array of ``shape`` whose first
+    byte lies on a 64-byte boundary, one cache line: a slice of a byte
+    buffer ``ALIGNMENT`` bytes longer, which the view keeps alive."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + ALIGNMENT, dtype=np.uint8)
+    start = -raw.ctypes.data % ALIGNMENT
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
+def _blocks(name: str, sizes, parts) -> np.ndarray:
+    """A new ``aligned`` vector of ``parts`` one after the other, part j in
+    the next ``sizes[j]`` entries: a scalar broadcast, an array raveled.
+    Raises ``ValueError`` unless each array part has its block's size, since
+    the kernel indexes without bounds."""
+    got = [np.size(a) if np.ndim(a) else size for a, size in zip(parts, sizes)]
+    if got != list(sizes):
+        raise ValueError(f"kernel argument {name} has {sum(got)} entries, expected "
+                         f"{sum(sizes)}")
+    out = aligned(sum(sizes))
+    for a, end, size in zip(parts, np.cumsum(sizes), sizes):
+        out[end - size:end] = np.ravel(a)
+    return out
+
+
 def _batch(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
     """The buffers and constants of one engine call on ``inst``, for both
     forms of the steps: ``step`` holds the instance's tau, ci, tau1 and
@@ -504,8 +544,10 @@ def _batch(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNames
     unchanged), the multipliers in one (2, S, n) array [lam_e | lam_ih] and
     the data in [g | psi], so that each update the blocks share is one pass
     over one array. The prox denominators ``den`` and the bounds ``lo`` and
-    ``hi`` have one entry per primal entry; a constant array of a scalar
-    gives the same bits as the scalar.
+    ``hi`` have one entry per primal entry; a constant block of a scalar
+    gives the same bits as the scalar. Every array the kernel reads or
+    writes is ``aligned`` and filled in place, copies of the instance's
+    ``p`` and ``y_target`` included.
 
     The namespace holds the current, next and extrapolated primal iterates
     ``cur``, ``nxt`` (a copy of ``cur``, so every byte the steps read is
@@ -520,52 +562,51 @@ def _batch(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNames
     S, n = np.shape(y)
     slack = inst.mode == "slack"
     NS = S * n
-    nx = n + NS * (2 if slack else 1)
+    sizes = (n, NS, NS) if slack else (n, NS)
+    nx = sum(sizes)
     tau, ci, tau1, tauz = (float(c) for c in step)
-    box = np.full(NS, inst.c2_bound)
+    M = inst.c2_bound
     _, g, psi = inst.fields()
 
-    def flat(a1, ay, az):
+    def flat(name, a1, ay, az):
         """[x1 | y | z], z only in slack mode"""
-        parts = [np.ravel(a1), np.ravel(ay)] + ([np.ravel(az)] if slack else [])
-        return np.concatenate(parts, dtype=float)
+        return _blocks(name, sizes, (a1, ay, az)[:len(sizes)])
 
-    X, Xb = flat(x1, y, z), flat(xb1, yb, zb)
+    X, Xb = flat("X", x1, y, z), flat("Xb", xb1, yb, zb)
     k = SimpleNamespace(
         inst=inst, S=S, n=n, slack=slack, tau=tau, tau1=tau1,
         dual_steps=np.array([tau, tau * ci])[:, None, None],
         ineq_scales=np.array([ci, tauz * ci])[:, None, None],
-        duals=np.array([lam_e, lam_ih], dtype=float), g_psi=np.stack([g, psi]), p=inst.p,
-        tau_yt=tau * inst.y_target,
-        lin=np.zeros(n) if lin is None else np.asarray(lin, dtype=float),
-        qc=np.zeros(n) if (q == 0.0 or center is None) else q * np.asarray(center),
-        den=flat(np.full(n, 1.0 + tau1 * (inst.alpha + q)), np.full(NS, 1.0 + tau),
-                 np.full(NS, 1.0 + tauz * inst.alpha_prime)),
-        lo=flat(inst.c1_lo, -box, -box), hi=flat(inst.c1_hi, box, box),
-        y_target=inst.y_target, center=np.zeros(n) if center is None else center,
-        check=np.empty(len(CHECK_COLUMNS)))
-    sizes = dict(X=nx, Xb=nx, duals=2 * NS, g_psi=2 * NS, p=S, tau_yt=n, lin=n, qc=n, den=nx,
-                 lo=nx, hi=nx, y_target=n, center=n, check=len(CHECK_COLUMNS))
-    arrays = dict(vars(k), X=X, Xb=Xb)
-    for name, size in sizes.items():
-        if np.size(arrays[name]) != size:
-            raise ValueError(f"kernel argument {name} has {np.size(arrays[name])} entries, "
-                             f"expected {size}")
+        duals=_blocks("duals", (NS, NS), (lam_e, lam_ih)).reshape(2, S, n),
+        g_psi=_blocks("g_psi", (NS, NS), (g, psi)).reshape(2, S, n),
+        p=_blocks("p", (S,), (inst.p,)),
+        tau_yt=_blocks("tau_yt", (n,), (tau * inst.y_target,)),
+        lin=_blocks("lin", (n,), (0.0 if lin is None else lin,)),
+        qc=_blocks("qc", (n,),
+                   (0.0 if (q == 0.0 or center is None) else q * np.asarray(center),)),
+        den=flat("den", 1.0 + tau1 * (inst.alpha + q), 1.0 + tau,
+                 1.0 + tauz * inst.alpha_prime),
+        lo=flat("lo", inst.c1_lo, -M, -M), hi=flat("hi", inst.c1_hi, M, M),
+        y_target=_blocks("y_target", (n,), (inst.y_target,)),
+        center=_blocks("center", (n,), (0.0 if center is None else center,)),
+        check=aligned(len(CHECK_COLUMNS)))
     z_hard = None if slack else np.array(z, dtype=float)
 
     def blocks(X):
         return (X, X[:n], X[n:n + NS].reshape(S, n),
                 X[n + NS:].reshape(S, n) if slack else z_hard)
 
-    k.cur, k.nxt, k.xb = blocks(X), blocks(X.copy()), blocks(Xb)
-    k.best, k.best_duals = blocks(np.empty(nx)), np.empty_like(k.duals)
+    Xn = aligned(nx)
+    Xn[:] = X
+    k.cur, k.nxt, k.xb, k.best = blocks(X), blocks(Xn), blocks(Xb), blocks(aligned(nx))
+    k.best_duals = aligned(k.duals.shape)
     return k
 
 
 def _stencil_diagonals(N: int, n: int, csr) -> tuple[int, np.ndarray, np.ndarray]:
     """The grid width ``m``, the (5, N) diagonals and the (4, N) "stored"
     flags of the block-diagonal operator ``csr`` with blocks of ``n = m * m``
-    nodes, as ``Kernel.bind`` passes them to the steps.
+    nodes, as ``Kernel.bind`` passes them to the steps, each ``aligned``.
 
     Raises ``ValueError`` unless every row holds exactly its five-point
     grid neighbours, in ascending column order: only then does the stencil
@@ -584,10 +625,11 @@ def _stencil_diagonals(N: int, n: int, csr) -> tuple[int, np.ndarray, np.ndarray
             and np.array_equal(indices, cols[stored]) and np.size(data) == len(indices)):
         raise ValueError("the operator's rows must hold exactly their five-point grid "
                          "neighbours, in ascending column order")
-    diags = np.zeros((N, 5))
-    diags[stored] = data
-    return m, np.ascontiguousarray(diags.T), np.ascontiguousarray(stored[:, [0, 1, 3, 4]].T,
-                                                                   dtype=np.uint8)
+    diags, flags = aligned((5, N)), aligned((4, N), np.uint8)
+    diags.fill(0.0)
+    diags.T[stored] = data
+    flags[...] = stored[:, [0, 1, 3, 4]].T
+    return m, diags, flags
 
 
 def _stencil(inst) -> tuple[int, np.ndarray, np.ndarray]:
@@ -626,10 +668,9 @@ class Kernel:
         if diags.shape[1] != k.duals[0].size:
             raise ValueError(f"kernel argument diags has {diags.shape[1]} rows, expected "
                              f"{k.duals[0].size}")
-        arrays = dict(diags=diags, stored=stored, work=np.empty(k.duals.size), X=k.cur[0],
+        arrays = dict(diags=diags, stored=stored, work=aligned(k.duals.size), X=k.cur[0],
                       Xn=k.nxt[0], Xb=k.xb[0])
-        arrays.update((name, np.ascontiguousarray(getattr(k, name), dtype=float))
-                      for name in _ARRAYS)
+        arrays.update((name, getattr(k, name)) for name in _ARRAYS)
         pair = ctypes.c_double * 2
         batch = _Batch(S=k.S, n=k.n, m=m, slack=k.slack, has_lin=lin is not None, h=inst.h,
                        q=q, tau=k.tau, tau1=k.tau1, dual_steps=pair(*k.dual_steps.ravel()),
@@ -704,14 +745,14 @@ def _map_dims(rows) -> tuple[int, int, int]:
 def map_buffers(maps, idx: np.ndarray) -> SimpleNamespace:
     """The running rows ``idx`` of the K-norm maps ``maps`` (of either
     form's ``bind_maps``), as an int64 array of indices below R, the
-    (L, 2 S n) and (L, dim) buffers ``e`` and ``t`` where ``forward`` and
-    ``adjoint`` write their results, and the ``address`` of each array,
-    which the kernel is called with."""
+    ``aligned`` (L, 2 S n) and (L, dim) buffers ``e`` and ``t`` where
+    ``forward`` and ``adjoint`` write their results, and the ``address`` of
+    each array, which the kernel is called with."""
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     if idx.ndim != 1 or np.any((idx < 0) | (idx >= maps.R)):
         raise ValueError(f"K-norm rows must be indices below {maps.R}")
     _, Sn, nx = maps.dims
-    buf = SimpleNamespace(idx=idx, e=np.empty((len(idx), 2 * Sn)), t=np.empty((len(idx), nx)))
+    buf = SimpleNamespace(idx=idx, e=aligned((len(idx), 2 * Sn)), t=aligned((len(idx), nx)))
     buf.address = SimpleNamespace(idx=idx.ctypes.data, e=buf.e.ctypes.data,
                                   t=buf.t.ctypes.data)
     return buf

@@ -898,6 +898,42 @@ def test_bind_reuses_the_cached_stencil(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("extras", [False, True], ids=["no-extras", "lin-center"])
+@pytest.mark.parametrize("mode", ["slack", "hard"])
+def test_kernel_buffers_are_64_byte_aligned(mode, extras):
+    """Every buffer the steps and the K-norm maps read or write starts on a
+    64-byte boundary, whatever offsets numpy would give it: the batch of
+    ``bind`` (and every pointer of the ``_Batch`` the kernel gets), the
+    cached stencil, and the maps' ``e`` and ``t`` of ``map_buffers``, on a
+    grid of n = 25 nodes, not a multiple of 8."""
+    inst = io.make_instance("default", n1d=5, scenario_count=3).with_mode(mode)
+    [step] = solvers._steps([inst])
+    rng = np.random.default_rng(0)
+    x1, y = rng.standard_normal(inst.n), rng.standard_normal((inst.S, inst.n))
+    given = dict(q=0.5, center=rng.standard_normal(inst.n), lin=rng.standard_normal(inst.n))
+    for impl in (kernel.numpy_steps, kernel.load()):
+        if impl is None:
+            continue
+        k = impl.bind(inst, step, (x1, y, y, x1, y, y, y, y),
+                      **(given if extras else dict(q=0.0)))
+        arrays = dict(cur=k.cur[0], nxt=k.nxt[0], xb=k.xb[0], best=k.best[0],
+                      best_duals=k.best_duals)
+        arrays.update((name, getattr(k, name)) for name in kernel._ARRAYS)
+        assert arrays["p"] is not inst.p and arrays["y_target"] is not inst.y_target
+        _, diags, stored = kernel._stencil(inst)
+        addresses = {name: a.ctypes.data for name, a in arrays.items()}
+        addresses.update(diags=diags.ctypes.data, stored=stored.ctypes.data)
+        if impl is not kernel.numpy_steps:
+            addresses.update((name, getattr(k.struct.contents, name)) for name in
+                             ("diags", "stored", "work", "X", "Xn", "Xb", *kernel._ARRAYS))
+        maps = impl.bind_maps([inst, inst], np.ones((2, 4)))
+        for idx in ([0, 1], [1]):
+            buf = kernel.map_buffers(maps, np.array(idx))
+            addresses.update({f"e{idx}": buf.e.ctypes.data, f"t{idx}": buf.t.ctypes.data})
+        misaligned = {name: a % 64 for name, a in addresses.items() if a % 64}
+        assert not misaligned, misaligned
+
+
 def _dense_k_norm(inst, s1=1.0, sz=1.0, ci=1.0):
     """Spectral norm of the rescaled constraint map K between the weighted
     spaces of the power iteration, ||W_c^1/2 K W_d^-1/2||_2, from the top
