@@ -132,6 +132,11 @@ def cmd_solve(args) -> int:
     _check_out(args.out, directory=True)
     if args.history_csv is not None:
         _check_out(args.history_csv, directory=False)
+        outputs = [args.out] + [os.path.join(args.out, name)
+                                for name in ("primal.json", "dual.json", "report.json")]
+        if os.path.realpath(args.history_csv) in map(os.path.realpath, outputs):
+            raise ValueError(f"output path {args.history_csv} is the --out directory or a "
+                             "file that solve writes in it")
     os.makedirs(args.out, exist_ok=True)
 
     if args.algorithm == "pdhg":
@@ -208,6 +213,9 @@ def cmd_certify(args) -> int:
         csv_path = os.path.splitext(args.out)[0] + ".csv"
         for path in (args.out, csv_path):
             _check_out(path, directory=False)
+        if os.path.realpath(csv_path) == os.path.realpath(args.out):
+            raise ValueError(f"output path {args.out} ends in .csv, so the CSV row written "
+                             "beside the JSON report would replace it")
 
     rep = certify.kkt_residuals(inst, primal, dual)
     provenance = {"instance_sha256": sha, "seed": inst.scenarios.seed}

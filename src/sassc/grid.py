@@ -8,10 +8,11 @@ arithmetic means of nodal coefficient values. The resulting matrix is
 symmetric positive definite whenever the coefficient field is uniformly
 positive. Solver tolerances are module constants, not arguments.
 
-``scipy.sparse.linalg`` is imported by the first ``solve_linear`` call,
-not with the module: a slack-mode PDHG or progressive-hedging run never
-needs it, and importing it with ``scipy.linalg`` took about 0.035 s of the
-package's 0.19 s import (2-vCPU Xeon).
+The operator is assembled once, as the five-point ``Stencil`` the engine
+kernel runs. Its CSR form (``Stencil.tocsr``) serves factorizations, dense
+copies and the engine's fallback without a C compiler, and imports scipy
+on first use: a slack-mode ``generate -> solve -> certify`` never loads it
+(``import scipy.sparse`` took 82-86 ms of a 0.152 s benchmark setup).
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+# the byte boundary every array the engine kernel reads or writes starts on
+ALIGNMENT = 64
 # Direct sparse factorization up to this size, preconditioned CG above.
 DIRECT_SOLVE_LIMIT = 10_000
 # Relative residual of a linear solve: CG's target; ten times it fails.
@@ -73,7 +75,65 @@ def build_grid(n1d: int) -> Grid:
     return Grid(n1d=int(n1d), h=1.0 / (n1d + 1), n=int(n1d) ** 2)
 
 
-def assemble_operator(grid: Grid, a_closed: np.ndarray) -> sp.csr_matrix:
+def aligned(shape, dtype=np.float64) -> np.ndarray:
+    """A new, uninitialised C-contiguous array of ``shape`` whose first
+    byte lies on a 64-byte boundary, one cache line: a slice of a byte
+    buffer ``ALIGNMENT`` bytes longer, which the view keeps alive."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + ALIGNMENT, dtype=np.uint8)
+    start = -raw.ctypes.data % ALIGNMENT
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
+@dataclass(frozen=True, eq=False)
+class Stencil:
+    """The five-point operator of one field, or block-diagonal over a stack
+    of fields, on the m x m grid; row ``k m^2 + i + m j`` is node (i, j) of
+    block k. ``diags`` (5, N) holds each row's entries toward its south,
+    west, centre, east and north neighbours (columns ascending), 0.0 for an
+    absent one; ``stored`` (4, N) flags the present neighbours. Both are
+    ``aligned``, for the kernel."""
+
+    m: int
+    diags: np.ndarray
+    stored: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        """Entries of the matrix: the centres and the stored neighbours."""
+        return self.diags.shape[1] + int(np.count_nonzero(self.stored))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """``A v`` with the bits of scipy's CSR product (but for the sign of
+        a NaN made from two NaNs of opposite sign, which IEEE 754 leaves
+        open): rows summed from 0.0 in ascending column order, an absent
+        neighbour adding +0.0, and no floating-point warning. About 3x
+        slower than CSR: for a certificate's products, not iterations."""
+        N, m = self.diags.shape[1], self.m
+        padded = np.concatenate([np.zeros(m), np.ravel(v), np.zeros(m)])
+        out, stored = np.zeros(N), self.stored.view(bool)
+        with np.errstate(all="ignore"):
+            for d, offset, held in zip(self.diags, (-m, -1, 0, 1, m),
+                                       (stored[0], stored[1], True, stored[2], stored[3])):
+                np.add(out, d * padded[m + offset:m + offset + N], out=out, where=held)
+        return out
+
+    def tocsr(self):
+        """The ``scipy.sparse.csr_matrix``, columns ascending in each row."""
+        import scipy.sparse as sp
+
+        N, m = self.diags.shape[1], self.m
+        held = np.insert(self.stored.view(bool), 2, True, axis=0).T
+        cols = np.arange(N)[:, None] + np.array([-m, -1, 0, 1, m])
+        indptr = np.concatenate([[0], np.cumsum(held.sum(axis=1))])
+        return sp.csr_matrix((self.diags.T[held], cols[held], indptr), shape=(N, N))
+
+    def block(self, k: int) -> "Stencil":
+        """Block ``k`` of a stack, as views."""
+        n = self.m * self.m
+        return Stencil(self.m, self.diags[:, k * n:(k + 1) * n], self.stored[:, k * n:(k + 1) * n])
+
+def assemble_operator(grid: Grid, a_closed: np.ndarray) -> Stencil:
     """Assemble the five-point flux stencil for ``-div(a grad y)``.
 
     Assembly is a pure function of its inputs and safe to call
@@ -82,22 +142,22 @@ def assemble_operator(grid: Grid, a_closed: np.ndarray) -> sp.csr_matrix:
     Parameters
     ----------
     grid : Grid
-    a_closed : ndarray, shape (n1d+2, n1d+2)
+    a_closed : ndarray, shape (n1d+2, n1d+2) or (S, n1d+2, n1d+2)
         Coefficient values on the closed grid, indexed ``[ix, iy]`` with
-        ``ix, iy = 0 .. n1d+1``; face values are the arithmetic mean of
-        the two adjacent nodal values.
+        ``ix, iy = 0 .. n1d+1``, one field or a stack of S; face values are
+        the arithmetic mean of the two adjacent nodal values.
 
     Returns
     -------
-    csr_matrix
-        Symmetric positive-definite matrix acting on flat interior vectors.
+    Stencil
+        Symmetric positive-definite operator on flat interior vectors,
+        block-diagonal over a stack of fields.
     """
     m = grid.n1d
     a_closed = np.asarray(a_closed, dtype=float)
-    if a_closed.shape != (m + 2, m + 2):
-        raise ValueError(
-            f"coefficient array must have shape {(m + 2, m + 2)}, got {a_closed.shape}"
-        )
+    if a_closed.ndim not in (2, 3) or a_closed.shape[-2:] != (m + 2, m + 2):
+        raise ValueError(f"coefficient array must have shape {(m + 2, m + 2)}, or that shape "
+                         f"stacked, got {a_closed.shape}")
     if not np.all(np.isfinite(a_closed)):
         raise EllipticityError("coefficient field contains non-finite values")
     amin = float(a_closed.min())
@@ -106,56 +166,33 @@ def assemble_operator(grid: Grid, a_closed: np.ndarray) -> sp.csr_matrix:
             f"uniform ellipticity requires a positive coefficient field; min value {amin}"
         )
 
-    def face(u, v):
-        return 0.5 * (u + v)
-
-    inner = a_closed[1:-1, 1:-1]
-    a_w = face(a_closed[:-2, 1:-1], inner)
-    a_e = face(a_closed[2:, 1:-1], inner)
-    a_s = face(a_closed[1:-1, :-2], inner)
-    a_n = face(a_closed[1:-1, 2:], inner)
+    a = a_closed.reshape(-1, m + 2, m + 2)
+    inner = a[:, 1:-1, 1:-1]
+    a_w = 0.5 * (a[:, :-2, 1:-1] + inner)
+    a_e = 0.5 * (a[:, 2:, 1:-1] + inner)
+    a_s = 0.5 * (a[:, 1:-1, :-2] + inner)
+    a_n = 0.5 * (a[:, 1:-1, 2:] + inner)
     inv_h2 = 1.0 / grid.h**2
 
-    # Flat index k = i + m*j comes from Fortran-order raveling of [i, j] arrays.
+    # row k m^2 + i + m j of [k, i, j]: each block raveled in Fortran order
     def flat(arr: np.ndarray) -> np.ndarray:
-        return arr.ravel(order="F")
+        return arr.transpose(0, 2, 1).ravel()
 
-    ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    k = flat(ii + m * jj)
-
-    rows = [k]
-    cols = [k]
-    vals = [flat(a_w + a_e + a_s + a_n) * inv_h2]
-
-    west = ii >= 1
-    rows.append(k[flat(west)])
-    cols.append(flat((ii - 1) + m * jj)[flat(west)])
-    vals.append(-flat(a_w)[flat(west)] * inv_h2)
-
-    east = ii <= m - 2
-    rows.append(k[flat(east)])
-    cols.append(flat((ii + 1) + m * jj)[flat(east)])
-    vals.append(-flat(a_e)[flat(east)] * inv_h2)
-
-    south = jj >= 1
-    rows.append(k[flat(south)])
-    cols.append(flat(ii + m * (jj - 1))[flat(south)])
-    vals.append(-flat(a_s)[flat(south)] * inv_h2)
-
-    north = jj <= m - 2
-    rows.append(k[flat(north)])
-    cols.append(flat(ii + m * (jj + 1))[flat(north)])
-    vals.append(-flat(a_n)[flat(north)] * inv_h2)
-
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n, grid.n),
-    )
-    return mat.tocsr()
+    N = a.shape[0] * grid.n
+    r = np.arange(N)
+    i, j = r % m, r % grid.n // m
+    stored = aligned((4, N), np.uint8)
+    stored[...] = [j >= 1, i >= 1, i <= m - 2, j <= m - 2]
+    diags = aligned((5, N))
+    diags[2] = flat(a_w + a_e + a_s + a_n) * inv_h2
+    for row, values, flag in zip((0, 1, 3, 4), (a_s, a_w, a_e, a_n), stored):
+        diags[row] = np.where(flag, -flat(values) * inv_h2, 0.0)
+    return Stencil(m, diags, stored)
 
 
-def solve_linear(A: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A y = rhs`` for a symmetric positive-definite sparse ``A``.
+def solve_linear(A, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``A y = rhs`` for a symmetric positive-definite ``A``, a
+    ``Stencil`` or a scipy sparse matrix, through its CSR form.
 
     Uses a direct sparse factorization up to ``DIRECT_SOLVE_LIMIT`` unknowns
     and Jacobi-preconditioned conjugate gradients beyond. Raises
@@ -164,6 +201,7 @@ def solve_linear(A: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     """
     import scipy.sparse.linalg as spla    # loaded by the first linear solve, not at import
 
+    A = A.tocsr()
     rhs = np.asarray(rhs, dtype=float)
     n = A.shape[0]
     if rhs.shape != (n,):

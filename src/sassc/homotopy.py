@@ -179,16 +179,15 @@ def run_homotopy(
 
 
 def fit_decay_rate(report: HomotopyReport) -> tuple[float, float, float]:
-    """Least-squares log-log slope of the slack energy against the weight.
+    """The (slope, intercept, r^2) that ``run_homotopy`` stored: the
+    least-squares log-log fit of the slack energy against the weight.
 
     Zero-slack levels are excluded; fewer than three usable points is an
     error (an all-zero series means the constraint never activated).
     """
-    usable = _usable_levels(report.levels)
-    if not usable and report.zero_slack_levels:
-        raise ValueError("constraint never active: slack is zero at every level")
-    if len(usable) < 3:
-        raise ValueError(
-            f"need >= 3 positive slack measurements for a fit, got {len(usable)}"
-        )
-    return _fit_loglog(usable)
+    if report.slope is None:
+        usable = _usable_levels(report.levels)
+        if not usable and report.zero_slack_levels:
+            raise ValueError("constraint never active: slack is zero at every level")
+        raise ValueError(f"need >= 3 positive slack measurements for a fit, got {len(usable)}")
+    return report.slope, report.intercept, report.r_squared

@@ -42,21 +42,17 @@ running rows (``map_buffers``), whose addresses are taken once: taking
 an array's address from Python costs about 0.8 us, and a whole ctypes call
 of a map on four one-scenario rows at n1d 16 about 1.8 us (2-vCPU Xeon).
 
-The block-diagonal operator ``A`` is applied as a five-point stencil, not
-as CSR: ``_stencil_diagonals`` turns its CSR arrays into five diagonals
-(south, west, centre, east and north, at offsets -m, -1, 0, +1, +m on the
-m x m grid of each block) and a "stored" flag per neighbour, and rejects a
-CSR whose rows are not exactly their grid neighbours in ascending column
-order. The result is cached on the scenario set beside the operators
-(``_stencil``), so every ``bind`` and K-norm estimate on the same
-scenarios and grid reads one copy. With no index gathers the compiler
-runs several rows in one vector. A numpy stencil is no alternative: its
-per-call overhead made it 2.9-4.5x slower than scipy's CSR product at
-these sizes.
+The block-diagonal operator ``A`` is the instance's cached
+``block_operator()``, a ``grid.Stencil``: five diagonals (south, west,
+centre, east and north, at offsets -m, -1, 0, +1, +m on the m x m grid of
+each block) and a "stored" flag per neighbour, at whose arrays ``bind``
+and the K-norm maps point the kernel. With no index gathers the compiler
+runs several rows in one vector. The numpy steps multiply by its CSR form,
+built once per bind: the numpy ``Stencil @`` was 2.9-4.5x slower.
 
 Every buffer the kernel reads or writes starts on a 64-byte boundary, one
-cache line: each array of ``_batch``, the scratch ``work``, the cached
-stencil and the K-norm maps' ``map_buffers``. Each is allocated that way
+cache line: each array of ``_batch``, the scratch ``work``, the stencil
+and the K-norm maps' ``map_buffers``. Each is allocated that way
 (``aligned``) and filled in place, not copied once built. numpy starts an
 array wherever its allocator puts it, and a buffer that starts off a
 cache line makes many of the ``-march=native`` vector loads split a line,
@@ -105,7 +101,7 @@ and with ``-ffp-contract=off``, so that no multiply-add is fused.
 Vectorizing an elementwise loop changes no bits, and the library is built
 on the host it runs on. It is built in a temporary directory, which is
 removed once it is loaded. If there is no compiler or the build fails,
-``load()`` returns None and the engine runs the numpy steps (CSR
+``load()`` returns None and the engine runs the numpy steps (scipy's CSR
 products), which score their checks with ``certify``, and the K-norm
 estimate runs the numpy maps (each running row's own CSR product); both
 give the same bits. The outcome is decided once per process, under a
@@ -116,7 +112,7 @@ calls at once.
 from __future__ import annotations
 
 import ctypes
-import math
+import functools
 import os
 import subprocess
 import tempfile
@@ -124,15 +120,12 @@ import threading
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec
 
 from . import certify
+from .grid import aligned
 from .problem import DualPoint, PrimalPoint
 
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off")
-
-# the byte boundary every buffer the kernel reads or writes starts on
-ALIGNMENT = 64
 
 # The columns of the residual check's output of 11 values: the natural
 # residuals, the engine's two divergence magnitudes and the worst residual
@@ -507,16 +500,6 @@ class _Batch(ctypes.Structure):
     )
 
 
-def aligned(shape, dtype=np.float64) -> np.ndarray:
-    """A new, uninitialised C-contiguous array of ``shape`` whose first
-    byte lies on a 64-byte boundary, one cache line: a slice of a byte
-    buffer ``ALIGNMENT`` bytes longer, which the view keeps alive."""
-    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    raw = np.empty(nbytes + ALIGNMENT, dtype=np.uint8)
-    start = -raw.ctypes.data % ALIGNMENT
-    return raw[start:start + nbytes].view(dtype).reshape(shape)
-
-
 def _blocks(name: str, sizes, parts) -> np.ndarray:
     """A new ``aligned`` vector of ``parts`` one after the other, part j in
     the next ``sizes[j]`` entries: a scalar broadcast, an array raveled.
@@ -603,48 +586,6 @@ def _batch(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNames
     return k
 
 
-def _stencil_diagonals(N: int, n: int, csr) -> tuple[int, np.ndarray, np.ndarray]:
-    """The grid width ``m``, the (5, N) diagonals and the (4, N) "stored"
-    flags of the block-diagonal operator ``csr`` with blocks of ``n = m * m``
-    nodes, as ``Kernel.bind`` passes them to the steps, each ``aligned``.
-
-    Raises ``ValueError`` unless every row holds exactly its five-point
-    grid neighbours, in ascending column order: only then does the stencil
-    sum each row as the CSR product does.
-    """
-    m = math.isqrt(n)
-    if m * m != n:
-        raise ValueError(f"the stencil needs a square grid, got n = {n}")
-    r = np.arange(N)
-    i, j = r % m, r % n // m
-    # south, west, centre, east, north: ascending column order
-    stored = np.stack([j >= 1, i >= 1, np.ones(N, bool), i <= m - 2, j <= m - 2], axis=1)
-    cols = r[:, None] + np.array([-m, -1, 0, 1, m])
-    indptr, indices, data = csr
-    if not (np.array_equal(indptr, np.concatenate([[0], np.cumsum(stored.sum(axis=1))]))
-            and np.array_equal(indices, cols[stored]) and np.size(data) == len(indices)):
-        raise ValueError("the operator's rows must hold exactly their five-point grid "
-                         "neighbours, in ascending column order")
-    diags, flags = aligned((5, N)), aligned((4, N), np.uint8)
-    diags.fill(0.0)
-    diags.T[stored] = data
-    flags[...] = stored[:, [0, 1, 3, 4]].T
-    return m, diags, flags
-
-
-def _stencil(inst) -> tuple[int, np.ndarray, np.ndarray]:
-    """``_stencil_diagonals`` of the block operator of ``inst``, cached on
-    its scenario set under ``("stencil", n1d)``, beside the operators it is
-    made from, so that every ``bind`` and K-norm estimate on the same
-    scenarios and grid reads one copy."""
-    key = ("stencil", inst.grid.n1d)
-    if key not in inst.scenarios._cache:
-        A = inst.block_operator()
-        inst.scenarios._cache[key] = _stencil_diagonals(A.shape[0], inst.n,
-                                                        (A.indptr, A.indices, A.data))
-    return inst.scenarios._cache[key]
-
-
 class Kernel:
     """The loaded kernel library."""
 
@@ -661,18 +602,18 @@ class Kernel:
     def bind(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
         """The buffers of ``_batch`` for ``iterate``, with the ``_Batch``
         struct that points at its arrays (``struct``), which keeps them
-        alive. The instance's CSR block operator becomes the stencil's
-        diagonals (``_stencil``, cached)."""
+        alive, and at the arrays of the instance's cached stencil
+        (``block_operator()``)."""
         k = _batch(inst, step, state, q=q, center=center, lin=lin)
-        m, diags, stored = _stencil(inst)
-        if diags.shape[1] != k.duals[0].size:
-            raise ValueError(f"kernel argument diags has {diags.shape[1]} rows, expected "
+        A = inst.block_operator()
+        if A.diags.shape[1] != k.duals[0].size:
+            raise ValueError(f"kernel argument diags has {A.diags.shape[1]} rows, expected "
                              f"{k.duals[0].size}")
-        arrays = dict(diags=diags, stored=stored, work=aligned(k.duals.size), X=k.cur[0],
+        arrays = dict(diags=A.diags, stored=A.stored, work=aligned(k.duals.size), X=k.cur[0],
                       Xn=k.nxt[0], Xb=k.xb[0])
         arrays.update((name, getattr(k, name)) for name in _ARRAYS)
         pair = ctypes.c_double * 2
-        batch = _Batch(S=k.S, n=k.n, m=m, slack=k.slack, has_lin=lin is not None, h=inst.h,
+        batch = _Batch(S=k.S, n=k.n, m=A.m, slack=k.slack, has_lin=lin is not None, h=inst.h,
                        q=q, tau=k.tau, tau1=k.tau1, dual_steps=pair(*k.dual_steps.ravel()),
                        ineq_scales=pair(*k.ineq_scales.ravel()), alpha=inst.alpha,
                        alpha_prime=inst.alpha_prime, M=inst.c2_bound,
@@ -694,14 +635,14 @@ class Kernel:
     def bind_maps(rows, coef: np.ndarray) -> SimpleNamespace:
         """The K-norm maps' data: one ``_Batch`` per instance of ``rows``
         (which must share the grid, mode and S, ``_map_dims``) that points
-        at its cached stencil (``_stencil``), and the (R, 4) constants
-        ``coef``, one row (s1, sz, ci, -ci sz) per instance."""
+        at its cached stencil (``block_operator()``), and the (R, 4)
+        constants ``coef``, one row (s1, sz, ci, -ci sz) per instance."""
         dims = _map_dims(rows)
         structs = (_Batch * len(rows))()
-        stencils = [_stencil(sub) for sub in rows]
-        for struct, sub, (m, diags, stored) in zip(structs, rows, stencils):
-            struct.S, struct.n, struct.m, struct.slack = sub.S, sub.n, m, sub.mode == "slack"
-            struct.diags, struct.stored = diags.ctypes.data, stored.ctypes.data
+        stencils = [sub.block_operator() for sub in rows]
+        for struct, sub, A in zip(structs, rows, stencils):
+            struct.S, struct.n, struct.m, struct.slack = sub.S, sub.n, A.m, sub.mode == "slack"
+            struct.diags, struct.stored = A.diags.ctypes.data, A.stored.ctypes.data
         coef = np.ascontiguousarray(coef, dtype=float)
         if coef.shape != (len(rows), 4):
             raise ValueError(f"K-norm constants have shape {coef.shape}, expected "
@@ -772,10 +713,11 @@ class _NumpySteps:
 
     @staticmethod
     def bind(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
-        """Like ``Kernel.bind``, with the numpy steps' scratch arrays."""
+        """Like ``Kernel.bind``, with the numpy steps' scratch arrays and
+        the block operator's CSR product ``matvec``."""
         k = _batch(inst, step, state, q=q, center=center, lin=lin)
         k.extras = dict(x1_extra_quad=q, x1_extra_center=center, x1_extra_lin=lin)
-        k.csr = inst.block_operator()
+        k.matvec = _csr_matvec(inst.block_operator())
         k.work, k.Alam = np.empty((2, k.S, k.n)), np.empty((k.S, k.n))
         k.product = np.empty(k.n)
         return k
@@ -814,7 +756,7 @@ class _NumpySteps:
         _, xb1, yb, zb = k.xb
         work_e, work_i = work = k.work
         work_e.fill(0.0)
-        csr_matvec(yb.size, yb.size, k.csr.indptr, k.csr.indices, k.csr.data, yb, work_e)
+        k.matvec(yb, work_e)
         np.subtract(work_e, xb1, out=work_e)
         if k.slack:
             np.subtract(yb, zb, out=work_i)
@@ -846,8 +788,7 @@ class _NumpySteps:
         np.multiply(x1n, k.tau1, out=x1n)
         np.add(x1, x1n, out=x1n)
         k.Alam.fill(0.0)
-        csr_matvec(lam_e.size, lam_e.size, k.csr.indptr, k.csr.indices, k.csr.data, lam_e,
-                   k.Alam)
+        k.matvec(lam_e, k.Alam)
         np.multiply(lam_ih, k.ineq_scales, out=work)
         np.add(k.Alam, work_e, out=work_e)
         np.multiply(work_e, k.tau, out=work_e)
@@ -865,10 +806,10 @@ class _NumpySteps:
 
     @staticmethod
     def bind_maps(rows, coef: np.ndarray) -> SimpleNamespace:
-        """Like ``Kernel.bind_maps``, with each row's CSR block operator."""
+        """Like ``Kernel.bind_maps``, with each row's CSR product."""
         return SimpleNamespace(R=len(rows), dims=_map_dims(rows), S=rows[0].S,
                                slack=rows[0].mode == "slack",
-                               ops=[sub.block_operator() for sub in rows],
+                               matvecs=[_csr_matvec(sub.block_operator()) for sub in rows],
                                coef=np.asarray(coef, dtype=float)[:, :, None])
 
     @staticmethod
@@ -876,8 +817,7 @@ class _NumpySteps:
         """``out[l] = A v[l]`` with the block operator of row ``idx[l]``."""
         out.fill(0.0)
         for vl, ol, j in zip(v, out, idx):
-            A = maps.ops[j]
-            csr_matvec(ol.size, ol.size, A.indptr, A.indices, A.data, vl, ol)
+            maps.matvecs[j](vl, ol)
 
     @classmethod
     def forward(cls, maps, buf, v) -> None:
@@ -908,6 +848,16 @@ class _NumpySteps:
         np.add(Alam, out_y, out=out_y)
         if maps.slack:
             np.multiply(neg_ci_sz, wi, out=buf.t[:, n + Sn:])
+
+
+def _csr_matvec(A):
+    """``matvec(v, out)``, out += A v by scipy's ``csr_matvec`` on the CSR
+    form of the stencil ``A``, built and imported here, not per product."""
+    from scipy.sparse._sparsetools import csr_matvec
+
+    csr = A.tocsr()
+    N = csr.shape[0]
+    return functools.partial(csr_matvec, N, N, csr.indptr, csr.indices, csr.data)
 
 
 numpy_steps = _NumpySteps()

@@ -17,6 +17,9 @@ Multiplier arrays are stored as densities with respect to the discrete
 measure ``p_k h^2``, so their magnitudes are stable under mesh refinement
 and scenario-count changes and approximate integrable functions rather
 than measures.
+
+The operators ``A_k`` are the blocks of one ``grid.Stencil`` per scenario
+set and grid (``Instance.block_operator``).
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from .grid import Grid, assemble_operator, solve_linear
+from .grid import Grid, Stencil, assemble_operator, solve_linear
 from .scenarios import FieldSpec, ScenarioSet
 
 MODES = ("slack", "hard")
@@ -99,21 +101,18 @@ class Instance:
         """Realized nodal arrays ``(a_closed, g, psi)`` on this grid."""
         return self.scenarios.realize(self.grid)
 
-    def operators(self) -> list[sp.csr_matrix]:
-        """Per-scenario stiffness matrices, cached on the scenario set."""
-        key = ("ops", self.grid.n1d)
-        if key not in self.scenarios._cache:
-            a_closed, _, _ = self.fields()
-            self.scenarios._cache[key] = [
-                assemble_operator(self.grid, a_closed[k]) for k in range(self.S)
-            ]
-        return self.scenarios._cache[key]
+    def operators(self) -> list[Stencil]:
+        """Per-scenario stiffness operators, views of ``block_operator``."""
+        blk = self.block_operator()
+        return [blk.block(k) for k in range(self.S)]
 
-    def block_operator(self) -> sp.csr_matrix:
-        """Block-diagonal stack of the per-scenario operators."""
+    def block_operator(self) -> Stencil:
+        """Block-diagonal stack of the per-scenario operators, assembled in
+        one call and cached on the scenario set, the operator's one copy."""
         key = ("blk", self.grid.n1d)
         if key not in self.scenarios._cache:
-            self.scenarios._cache[key] = sp.block_diag(self.operators(), format="csr")
+            a_closed, _, _ = self.fields()
+            self.scenarios._cache[key] = assemble_operator(self.grid, a_closed)
         return self.scenarios._cache[key]
 
     def with_alpha_prime(self, alpha_prime: float) -> "Instance":

@@ -23,8 +23,8 @@ call or Python step runs between checks and the engine only reads three
 of the check's values; the PDLP
 solver (Applegate et al., 2021) runs its steps and its termination checks
 in compiled code the same way. The kernel applies the stiffness blocks as
-a five-point stencil vectorized across nodes, not as CSR, and sums each
-row in the stored order of the CSR product. It is
+the assembled five-point stencil (``grid.Stencil``), vectorized across
+nodes, and sums each row in the order of the CSR product. It is
 compiled with ``cc -O3 -march=native -ffp-contract=off`` (no fast-math, no
 fused multiply-add) on the first engine call of a process, and runs every
 entry through the IEEE operations of the numpy form in its order, so
@@ -485,7 +485,7 @@ class _EngineWorker:
 
     Workers are forked, not spawned: they inherit the realized instances
     and the compiled engine kernel (``kernel.load``, called before the
-    fork) instead of importing numpy, scipy and the package again, which
+    fork) instead of importing numpy and the package again, which
     takes longer than most engine calls, and their caches of ``rows`` stay
     warm from call to call. Callers fork only when ``worker_count()``
     exceeds 1.
@@ -798,7 +798,7 @@ def solve_barrier_reference(
     for k in range(S):
         rows = slice(k * n, (k + 1) * n)
         E[rows, :n] = -np.eye(n)
-        E[rows, n + k * n: n + (k + 1) * n] = ops[k].toarray()
+        E[rows, n + k * n: n + (k + 1) * n] = ops[k].tocsr().toarray()
     b = g.ravel()
     nu = np.zeros(S * n)
 

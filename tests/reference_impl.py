@@ -4,15 +4,53 @@ check must reproduce them bit for bit, and its lockstep K-norm estimate
 row by row. Also the plain streaming form of the history CSV writer,
 whose bytes the atomic writer must match, the plain canonical JSON
 renderer, whose bytes ``io.canonical_json`` must match, and the test-only
-helpers ``pairing`` and ``project_c2``."""
+helpers ``pairing`` and ``project_c2``. Also the COO assembly of the
+five-point operator, whose CSR arrays ``grid.Stencil.tocsr`` must match."""
 
 import functools
 import json
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from sassc.problem import project_c1
+
+
+def assemble_operator(grid, a_closed):
+    """The five-point flux stencil of ``-div(a grad y)`` for one field on
+    the closed grid, assembled as COO triples (centre, west, east, south,
+    north) and converted to CSR, which sorts each row's columns."""
+    m = grid.n1d
+    a_closed = np.asarray(a_closed, dtype=float)
+
+    def face(u, v):
+        return 0.5 * (u + v)
+
+    inner = a_closed[1:-1, 1:-1]
+    a_w = face(a_closed[:-2, 1:-1], inner)
+    a_e = face(a_closed[2:, 1:-1], inner)
+    a_s = face(a_closed[1:-1, :-2], inner)
+    a_n = face(a_closed[1:-1, 2:], inner)
+    inv_h2 = 1.0 / grid.h**2
+
+    # flat index k = i + m*j comes from Fortran-order raveling of [i, j] arrays
+    def flat(arr):
+        return arr.ravel(order="F")
+
+    ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    k = flat(ii + m * jj)
+    rows, cols, vals = [k], [k], [flat(a_w + a_e + a_s + a_n) * inv_h2]
+    for mask, di, dj, a in ((ii >= 1, -1, 0, a_w), (ii <= m - 2, 1, 0, a_e),
+                            (jj >= 1, 0, -1, a_s), (jj <= m - 2, 0, 1, a_n)):
+        rows.append(k[flat(mask)])
+        cols.append(flat((ii + di) + m * (jj + dj))[flat(mask)])
+        vals.append(-flat(a)[flat(mask)] * inv_h2)
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.n, grid.n),
+    )
+    return mat.tocsr()
 
 
 def pairing(u: np.ndarray, lam: np.ndarray, p: np.ndarray, h: float) -> float:
@@ -72,7 +110,7 @@ def natural_residuals(inst, x, lam, x1_extra_quad=0.0, x1_extra_center=None,
 
     r2 = h * max_norm(lam.nonant + lam.adjoint)
 
-    Alam = (inst.block_operator() @ lam.adjoint.ravel()).reshape(inst.S, inst.n)
+    Alam = (inst.block_operator().tocsr() @ lam.adjoint.ravel()).reshape(inst.S, inst.n)
     f_y = x.y - inst.y_target[None, :] + Alam + lam.obstacle
     r3 = h * max_norm(x.y - project_c2(inst, x.y - f_y))
 
@@ -83,7 +121,7 @@ def natural_residuals(inst, x, lam, x1_extra_quad=0.0, x1_extra_center=None,
         r3p = None
 
     _, g, psi = inst.fields()
-    Ay = (inst.block_operator() @ x.y.ravel()).reshape(inst.S, inst.n)
+    Ay = (inst.block_operator().tocsr() @ x.y.ravel()).reshape(inst.S, inst.n)
     eq = Ay - x.x1[None, :] - g
     ineq = x.y - x.z - psi if inst.mode == "slack" else x.y - psi
     r4 = h * max_norm(eq)
@@ -131,7 +169,7 @@ def k_norm(inst, s1=1.0, sz=1.0, ci=1.0):
     uncached; returns (estimate, power iterations run)."""
     S, n = inst.S, inst.n
     slack = inst.mode == "slack"
-    Ablk = inst.block_operator()
+    Ablk = inst.block_operator().tocsr()
     p = inst.p
     hh = inst.h * inst.h
     nx = n + S * n + (S * n if slack else 0)

@@ -22,16 +22,18 @@ SCHEDULE = [1.0, 10.0, 100.0, 1000.0, 10000.0]
 
 
 def synthetic_report(values, schedule=None):
+    """A report of converged levels with these slack energies, fitted as
+    ``run_homotopy`` fits them (no fit below three usable levels)."""
     schedule = schedule or [10.0**k for k in range(len(values))]
     levels = [
         HomotopyLevel(alpha_prime=a, ez2=v, dist_x1=0.0, objective=0.0,
                       kkt_max=0.0, converged=True)
         for a, v in zip(schedule, values)
     ]
+    usable = homotopy._usable_levels(levels)
+    fit = homotopy._fit_loglog(usable) if len(usable) >= 3 else (None, None, None)
     ref = SolveReport("pdhg_hard", 0, "converged", {}, 0.0, 0.0)
-    return HomotopyReport(schedule=schedule, levels=levels, slope=None,
-                          intercept=None, r_squared=None, zero_slack_levels=[],
-                          reference=ref)
+    return HomotopyReport(schedule, levels, *fit, zero_slack_levels=[], reference=ref)
 
 
 def test_fit_exact_inverse_square_law():
@@ -91,6 +93,15 @@ def test_inactive_obstacle_yields_zero_slack():
 @pytest.fixture(scope="module")
 def small_homotopy(small_instance):
     return run_homotopy(small_instance, SCHEDULE, SolverParams())
+
+
+def test_fit_decay_rate_returns_the_stored_fit(small_homotopy, monkeypatch):
+    """``fit_decay_rate`` returns the fit ``run_homotopy`` stored, bit for
+    bit, without fitting again."""
+    rep = small_homotopy
+    monkeypatch.setattr(homotopy, "_fit_loglog", None)
+    got, want = fit_decay_rate(rep), (rep.slope, rep.intercept, rep.r_squared)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_homotopy_slope_and_distance(small_homotopy):

@@ -809,6 +809,43 @@ def test_outputs_get_the_mode_open_gives_under_the_umask(tmp_path, umask, mode):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hist.csv", "inst.json", "r"]
 
 
+def test_certify_out_ending_in_csv_exits_4_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           tiny_run):
+    """``certify`` writes its JSON report to ``--out`` and the CSV row
+    beside it with the extension ``.csv``; an ``--out`` that already ends
+    in ``.csv`` names both, and the CSV would replace the report. It exits
+    4 with one ``error:`` line before scoring, and writes nothing."""
+    inst_path, primal_path, dual_path = tiny_run
+    monkeypatch.setattr(cli.certify, "kkt_residuals", _no_work)
+    capsys.readouterr()
+    assert run_cli(["certify", "--instance", str(inst_path), "--primal", str(primal_path),
+                    "--dual", str(dual_path), "--out", str(tmp_path / "kk.csv")]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: output path")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("history", ["run/report.json", "run/primal.json", "run/../run/dual.json",
+                                     "run"])
+def test_solve_history_csv_on_an_output_exits_4_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                 tiny_run, history):
+    """A ``--history-csv`` that names a file ``solve`` writes in an
+    existing ``--out`` directory would be overwritten by it, and one that
+    names a new ``--out`` directory would stand in its way: the solve exits
+    4 with one ``error:`` line before any work, and writes nothing."""
+    inst_path = tiny_run[0]
+    if history != "run":
+        (tmp_path / "run").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(cli, "solve_pdhg", _no_work)
+    capsys.readouterr()
+    assert run_cli(["solve", "--instance", str(inst_path), "--out", str(tmp_path / "run"),
+                    "--history-csv", str(tmp_path / history)]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: output path")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("algorithm", ["ph", "barrier"])
 def test_solve_history_csv_rejected_without_pdhg(tmp_path, capsys, algorithm):
     """Only the pdhg solve streams a history; asking another algorithm for

@@ -14,12 +14,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse._sparsetools import csr_matvec
 
-from sassc import cli, io, kernel, solvers
+from sassc import cli, grid, io, kernel, problem, solvers
 from sassc.certify import (
     RESIDUAL_NAMES,
     kkt_residuals,
@@ -61,7 +60,7 @@ def dense_equality_solution(inst):
     """Independent oracle: eliminate the states and solve the normal
     equations of the equality-constrained quadratic densely."""
     _, g, _ = inst.fields()
-    ops = [A.toarray() for A in inst.operators()]
+    ops = [A.tocsr().toarray() for A in inst.operators()]
     n, S, p = inst.n, inst.S, inst.p
     lhs = inst.alpha * np.eye(n)
     rhs = np.zeros(n)
@@ -281,33 +280,29 @@ def test_engine_calls_iterate_once_per_check_interval(small_instance, monkeypatc
     assert counts == [50, 50, 37]
 
 
-def _five_point_pattern(m):
-    """CSR of the five-point stencil's sparsity pattern on an m x m grid,
-    node i + m j, columns in ascending order."""
-    tri = sp.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(m, m))
-    pattern = (sp.kron(sp.eye(m), tri) + sp.kron(tri, sp.eye(m))).tocsr()
-    pattern.eliminate_zeros()   # kron stores its blocks' zeros
-    pattern.sort_indices()
-    return pattern
+def _drawn_stencil(m, diags):
+    """A ``grid.Stencil`` on blocks of m x m nodes with the drawn (5, N)
+    ``diags`` and the grid's neighbour flags. An entry toward an absent
+    neighbour may hold any value, NaN included: no product reads it."""
+    r = np.arange(np.shape(diags)[1])
+    i, j = r % m, r % (m * m) // m
+    stored = np.array([j >= 1, i >= 1, i <= m - 2, j <= m - 2], dtype=np.uint8)
+    return grid.Stencil(m, np.array(diags, dtype=float), stored)
 
 
 TINY = np.finfo(float).smallest_normal     # DBL_MIN
 SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
-def _stand_in(csr, p, g, psi, **fields):
+def _stand_in(stencil, p, g, psi, **fields):
     """An instance for ``bind`` and ``certify.natural_residuals`` that also
-    takes data an ``Instance`` refuses (NaN, a negative weight): ``csr`` is
-    the (indptr, indices, data) of the block operator, ``p`` (S,), ``g``
-    and ``psi`` (S, n), and ``fields`` the ``mode``, the scalars ``h``,
+    takes data an ``Instance`` refuses (NaN, a negative weight): ``stencil``
+    is the block operator (``_drawn_stencil``), ``p`` (S,), ``g`` and
+    ``psi`` (S, n), and ``fields`` the ``mode``, the scalars ``h``,
     ``alpha``, ``alpha_prime`` and ``c2_bound`` and the (n,) arrays
-    ``c1_lo``, ``c1_hi`` and ``y_target``. Like a real instance it caches
-    its stencil on its own ``scenarios``."""
-    N = len(csr[0]) - 1
-    A = sp.csr_matrix((csr[2], csr[1], csr[0]), shape=(N, N))
-    return SimpleNamespace(block_operator=lambda: A, fields=lambda: (None, g, psi), p=p,
-                           n=np.shape(g)[1], grid=SimpleNamespace(n1d=None),
-                           scenarios=SimpleNamespace(_cache={}), **fields)
+    ``c1_lo``, ``c1_hi`` and ``y_target``."""
+    return SimpleNamespace(block_operator=lambda: stencil, fields=lambda: (None, g, psi), p=p,
+                           n=np.shape(g)[1], **fields)
 
 
 def _kernel_case(rng, S, m, slack, qc, lin):
@@ -317,7 +312,7 @@ def _kernel_case(rng, S, m, slack, qc, lin):
     sprinkled in. In a fifth of the draws tau1 = tauz = 1 and alpha and
     alpha' make the x1 and z prox denominators 1.0, a power of 2 or inf.
     ``M`` is never NaN, as in a real instance (``-M`` would be a -NaN). The
-    operator is block-diagonal five-point CSR with random values."""
+    operator is a five-point stencil with random diagonals."""
     n = m * m
 
     def rand(*shape, scale=1.0):
@@ -336,8 +331,6 @@ def _kernel_case(rng, S, m, slack, qc, lin):
         a[rng.random(n) < 0.03] = np.nan
         return a
 
-    A = sp.block_diag([_five_point_pattern(m)] * S, format="csr")
-    A.sort_indices()
     step = np.abs(rand(4)) + [0.25, 1.0, 0.25, 0.25]    # tau, ci, tau1, tauz
     q = float(rand(1)[0]) if qc else 0.0
     alpha, alpha_prime, M = rand(3).tolist()
@@ -346,7 +339,7 @@ def _kernel_case(rng, S, m, slack, qc, lin):
         step[2:] = 1.0
         d = rng.choice([1.0, 2.0, 2.0**20, 2.0**-3, np.inf], size=2)
         alpha, alpha_prime = d[0] - 1.0 - q, d[1] - 1.0
-    fields = dict(csr=(A.indptr, A.indices, rand(A.nnz)), p=rand(S), g=rand(S, n),
+    fields = dict(stencil=_drawn_stencil(m, rand(5, S * n)), p=rand(S), g=rand(S, n),
                   psi=rand(S, n), c1_lo=bounds([-1.0, -0.5, -0.0, 0.0]),
                   c1_hi=bounds([0.0, -0.0, 0.5, 1.0]), y_target=rand(n), alpha=alpha,
                   alpha_prime=alpha_prime, c2_bound=M, h=float(np.abs(rand(1))[0]),
@@ -429,7 +422,7 @@ def test_kernel_divides_subnormal_slack_entries_like_ieee_division():
     # kernel reads den in place, so each pair's entry is set to its d
     S = x.size
     zeros, inf = np.zeros((S, 1)), np.full(1, np.inf)
-    inst = _stand_in((np.arange(S + 1), np.arange(S), np.ones(S)), np.ones(S), zeros,
+    inst = _stand_in(_drawn_stencil(1, np.ones((5, S))), np.ones(S), zeros,
                      np.full((S, 1), 1e300), c1_lo=-inf, c1_hi=inf, y_target=np.zeros(1),
                      alpha=1.0, alpha_prime=0.0, c2_bound=np.inf, h=1.0, mode="slack")
     k = kernel.load().bind(inst, np.ones(4), (zeros[0], zeros, x[:, None], zeros[0], zeros,
@@ -442,9 +435,8 @@ def test_kernel_divides_subnormal_slack_entries_like_ieee_division():
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_kernel_bind_rejects_what_the_steps_cannot_index():
-    """The C steps index without bounds and sum each row as a five-point
-    stencil, so the arrays ``bind`` derives and the operator's structure
-    are checked."""
+    """The C steps index without bounds, so the sizes of the arrays
+    ``bind`` derives and of the stencil are checked."""
     fields, step, state, extras = _kernel_case(np.random.default_rng(0), 2, 3, True, True,
                                                 True)
     bind = kernel.load().bind
@@ -453,19 +445,8 @@ def test_kernel_bind_rejects_what_the_steps_cannot_index():
         return bind(_stand_in(**dict(fields, **changes)), step, state, **extras)
 
     call()
-    indptr, indices, data = fields["csr"]
-    with pytest.raises(ValueError, match="square grid"):
-        kernel._stencil_diagonals(len(indptr) - 1, 8, fields["csr"])
-    # row 0 loses its east neighbour, then gains a neighbour two nodes east
-    missing = (np.concatenate([[0], indptr[1:] - 1]), np.delete(indices, 1),
-               np.delete(data, 1))
-    extra = (np.concatenate([[0], indptr[1:] + 1]), np.insert(indices, 3, 2),
-             np.insert(data, 3, 1.0))
-    swapped = indices.copy()
-    swapped[[0, 1]] = swapped[[1, 0]]
-    for bad in (missing, extra, (indptr, swapped, data)):
-        with pytest.raises(ValueError, match="five-point grid neighbours"):
-            call(csr=bad)
+    with pytest.raises(ValueError, match="diags has 9 rows, expected 18"):
+        call(stencil=_drawn_stencil(3, np.ones((5, 9))))
     with pytest.raises(ValueError, match="lo has"):
         call(c1_lo=fields["c1_lo"][1:])
     with pytest.raises(ValueError, match="(tau_yt|y_target) has"):
@@ -538,9 +519,8 @@ def _zeros_sign_step(steps):
     x1 prox denominator is 1), a negative dual step that keeps lam_e at
     -0.0, and open bounds; returns the new control and lam_e."""
     S, n = 2, 4
-    A = sp.block_diag([_five_point_pattern(2)] * S, format="csr")
     inf = np.full(n, np.inf)
-    inst = _stand_in((A.indptr, A.indices, np.ones(A.nnz)), np.full(S, 0.5), np.zeros((S, n)),
+    inst = _stand_in(_drawn_stencil(2, np.ones((5, S * n))), np.full(S, 0.5), np.zeros((S, n)),
                      np.zeros((S, n)), c1_lo=-inf, c1_hi=inf, y_target=np.zeros(n),
                      alpha=-1.0, alpha_prime=1.0, c2_bound=np.inf, h=1.0, mode="hard")
     x1, y = np.full(n, -0.0), np.full((S, n), -0.0)
@@ -576,9 +556,8 @@ def test_check_sums_in_scenario_and_node_order(steps):
         pytest.skip("no C compiler on PATH")
     steps = kernel.load() if steps == "kernel" else kernel.numpy_steps
     S, n = 3, 4
-    A = sp.block_diag([_five_point_pattern(2)] * S, format="csr")
     inf = np.full(n, np.inf)
-    inst = _stand_in((A.indptr, A.indices, np.ones(A.nnz)), np.ones(S), np.zeros((S, n)),
+    inst = _stand_in(_drawn_stencil(2, np.ones((5, S * n))), np.ones(S), np.zeros((S, n)),
                      np.zeros((S, n)), c1_lo=-inf, c1_hi=inf, y_target=np.zeros(n),
                      alpha=1.0, alpha_prime=1.0, c2_bound=1.0, h=0.5, mode="hard")
     lam_e = np.zeros((S, n))
@@ -603,14 +582,13 @@ def test_check_worst_residual_counts_each_term(steps):
         pytest.skip("no C compiler on PATH")
     steps = kernel.load() if steps == "kernel" else kernel.numpy_steps
     S, n = 1, 4
-    A = sp.block_diag([_five_point_pattern(2)] * S, format="csr")
     inf, zeros = np.full(n, np.inf), np.zeros((S, n))
     z, lam_ih = zeros.copy(), zeros.copy()
     z[0, 2], lam_ih[0, 1] = 1.0, -0.5
     cases = [("slack", z, zeros, 1.0), ("hard", z, zeros, 0.0),
              ("slack", zeros, lam_ih, 2.0), ("hard", zeros, lam_ih, 2.0)]
     for mode, z, lam_ih, want in cases:
-        inst = _stand_in((A.indptr, A.indices, np.zeros(A.nnz)), np.ones(S), zeros, zeros,
+        inst = _stand_in(_drawn_stencil(2, np.zeros((5, S * n))), np.ones(S), zeros, zeros,
                          c1_lo=-inf, c1_hi=inf, y_target=np.zeros(n), alpha=1.0,
                          alpha_prime=1.0, c2_bound=1.0, h=1.0, mode=mode)
         k = _bind_check(steps, inst, np.zeros(n), zeros, z, zeros, lam_ih, 4.0)
@@ -761,13 +739,46 @@ def test_engine_row_with_nan_residual_never_converges(tiny_instance, monkeypatch
 
 
 def test_direct_csr_matvec_matches_matmul(small_instance):
-    Ablk = small_instance.block_operator()
+    Ablk = small_instance.block_operator().tocsr()
     N = Ablk.shape[0]
     v = np.random.default_rng(2).standard_normal((small_instance.S, small_instance.n))
     v[0, :3] = (-0.0, 0.0, 1e-300)
     out = np.zeros(v.shape)
     csr_matvec(N, N, Ablk.indptr, Ablk.indices, Ablk.data, v, out)
     assert out.ravel().tobytes() == (Ablk @ v.ravel()).tobytes()
+
+
+# the entries of the vectors the stencil product is tried on
+PRODUCT_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan, SUBNORMAL, -SUBNORMAL,
+                  3 * SUBNORMAL, -(2**51) * SUBNORMAL, 1.0, -2.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(S=st.integers(1, 3), n1d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_stencil_product_matches_csr_matvec_bitwise(S, n1d, seed, data):
+    """``Stencil @ v`` has the bits of scipy's ``csr_matvec`` on the
+    stencil's CSR form, for one to three stacked fields on grids of 1 to 25
+    nodes (m = 1 and 2 have no node with every neighbour), with entries of
+    ``v`` among +-0.0, +-inf, NaN, subnormals and a few normal values: an
+    absent neighbour's NaN or inf is never multiplied in, and each row sums
+    from +0.0 in ascending column order. Only the sign of a NaN row may
+    differ: where a NaN meets a NaN of the other sign (inf - inf makes
+    -NaN on x86), IEEE 754 leaves open which one the sum returns, and
+    numpy's own ``add`` returns the first operand's in its vector loop and
+    the second's in its scalar loop."""
+    g = grid.build_grid(n1d)
+    A = grid.assemble_operator(
+        g, 0.5 + np.random.default_rng(seed).random((S, n1d + 2, n1d + 2)))
+    v = np.array(data.draw(st.lists(st.sampled_from(PRODUCT_VALUES), min_size=S * g.n,
+                                    max_size=S * g.n)))
+    csr = A.tocsr()
+    want = np.zeros(S * g.n)
+    csr_matvec(S * g.n, S * g.n, csr.indptr, csr.indices, csr.data, v, want)
+    got = A @ v
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def _same_bits(a, b):
@@ -878,23 +889,30 @@ def test_kernel_k_maps_match_numpy_maps_bitwise(R, S, n1d, mode, seed, data):
 
 
 def test_bind_reuses_the_cached_stencil(monkeypatch):
-    """The stencil of an instance's block operator is built once per
-    scenario set and grid, and cached there: the K-norm estimate of the
-    step sizes and two ``bind`` calls on the instance read one copy."""
+    """The operator is assembled once per scenario set and grid, from every
+    scenario's field in one call, and cached there as the one copy: the
+    K-norm maps of the step sizes and two ``bind`` calls on the instance
+    point the kernel at the arrays of ``block_operator()``, and
+    ``operators()`` returns views of its blocks."""
     calls = []
-    build = kernel._stencil_diagonals
-    monkeypatch.setattr(kernel, "_stencil_diagonals",
+    build = problem.assemble_operator
+    monkeypatch.setattr(problem, "assemble_operator",
                         lambda *args: calls.append(1) or build(*args))
     inst = io.make_instance("tiny")
     [step] = solvers._steps([inst])
-    _, diags, _ = kernel._stencil(inst)
-    assert inst.scenarios._cache[("stencil", inst.grid.n1d)][1] is diags
+    A = inst.block_operator()
+    [cached] = [v for v in inst.scenarios._cache.values() if isinstance(v, grid.Stencil)]
+    assert cached is A
+    assert all(op.diags.base is A.diags.base for op in inst.operators())
     zeros = np.zeros((inst.S, inst.n))
     state = (np.zeros(inst.n), zeros, zeros, np.zeros(inst.n), zeros, zeros, zeros, zeros)
     if kernel.load() is not None:
+        [struct] = kernel.load().bind_maps([inst], np.ones((1, 4))).keep[0]
+        assert (struct.diags, struct.stored) == (A.diags.ctypes.data, A.stored.ctypes.data)
         for _ in range(2):
             k = kernel.load().bind(inst, step, state, q=0.0)
-            assert k.struct.contents.diags == diags.ctypes.data
+            assert k.struct.contents.diags == A.diags.ctypes.data
+            assert k.struct.contents.stored == A.stored.ctypes.data
     assert len(calls) == 1
 
 
@@ -904,8 +922,8 @@ def test_kernel_buffers_are_64_byte_aligned(mode, extras):
     """Every buffer the steps and the K-norm maps read or write starts on a
     64-byte boundary, whatever offsets numpy would give it: the batch of
     ``bind`` (and every pointer of the ``_Batch`` the kernel gets), the
-    cached stencil, and the maps' ``e`` and ``t`` of ``map_buffers``, on a
-    grid of n = 25 nodes, not a multiple of 8."""
+    arrays of the assembled stencil, and the maps' ``e`` and ``t`` of
+    ``map_buffers``, on a grid of n = 25 nodes, not a multiple of 8."""
     inst = io.make_instance("default", n1d=5, scenario_count=3).with_mode(mode)
     [step] = solvers._steps([inst])
     rng = np.random.default_rng(0)
@@ -920,9 +938,9 @@ def test_kernel_buffers_are_64_byte_aligned(mode, extras):
                       best_duals=k.best_duals)
         arrays.update((name, getattr(k, name)) for name in kernel._ARRAYS)
         assert arrays["p"] is not inst.p and arrays["y_target"] is not inst.y_target
-        _, diags, stored = kernel._stencil(inst)
+        A = inst.block_operator()
         addresses = {name: a.ctypes.data for name, a in arrays.items()}
-        addresses.update(diags=diags.ctypes.data, stored=stored.ctypes.data)
+        addresses.update(diags=A.diags.ctypes.data, stored=A.stored.ctypes.data)
         if impl is not kernel.numpy_steps:
             addresses.update((name, getattr(k.struct.contents, name)) for name in
                              ("diags", "stored", "work", "X", "Xn", "Xb", *kernel._ARRAYS))
@@ -941,7 +959,7 @@ def _dense_k_norm(inst, s1=1.0, sz=1.0, ci=1.0):
     S, n, slack = inst.S, inst.n, inst.mode == "slack"
     SN = S * n
     eye, zeros = np.eye(SN), np.zeros((SN, SN))
-    top = [-s1 * np.tile(np.eye(n), (S, 1)), inst.block_operator().toarray()]
+    top = [-s1 * np.tile(np.eye(n), (S, 1)), inst.block_operator().tocsr().toarray()]
     bottom = [np.zeros((SN, n)), ci * eye]
     if slack:
         top.append(zeros)
@@ -1371,16 +1389,37 @@ def test_import_does_not_load_multiprocessing():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_import_does_not_load_scipy_linear_algebra():
-    """``scipy.linalg`` (the barrier oracle's) and ``scipy.sparse.linalg``
-    (``grid.solve_linear``'s) are imported by the first call that runs
-    them, not with the package and its command line."""
+def test_import_does_not_load_scipy():
+    """No scipy module is imported with the package and its command line:
+    a factorization (``grid.solve_linear``, the barrier oracle) or a CSR
+    form (``Stencil.tocsr``) imports it when first called."""
     src = os.path.dirname(os.path.dirname(solvers.__file__))
     code = ("import sys, sassc, sassc.cli\n"
-            "loaded = {'scipy.linalg', 'scipy.sparse.linalg'} & set(sys.modules)\n"
+            "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
             "assert not loaded, loaded\n")
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_slack_pipeline_does_not_load_scipy(tmp_path):
+    """A slack-mode ``generate -> solve -> certify`` of the command line
+    imports no scipy module: the C kernel runs the stencil, and the
+    certificate takes its products with ``Stencil @``."""
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    code = ("import sys\n"
+            "from sassc.cli import main\n"
+            "inst, primal, dual = 'inst.json', 'run/primal.json', 'run/dual.json'\n"
+            "assert main(['generate', '--preset', 'tiny', '--out', inst]) == 0\n"
+            "assert main(['solve', '--instance', inst, '--out', 'run']) == 0\n"
+            "assert main(['certify', '--instance', inst, '--primal', primal, '--dual', dual,\n"
+            "             '--out', 'kkt.json']) == 0\n"
+            "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n")
+    if kernel.load() is None:
+        pytest.skip("no C compiler on PATH: the numpy steps multiply by scipy's CSR")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=tmp_path,
+                   stdout=subprocess.DEVNULL)
 
 
 def test_ph_requires_slack_mode(tiny_instance):
