@@ -192,27 +192,33 @@ def assemble_operator(grid: Grid, a_closed: np.ndarray) -> Stencil:
 
 def solve_linear(A, rhs: np.ndarray) -> np.ndarray:
     """Solve ``A y = rhs`` for a symmetric positive-definite ``A``, a
-    ``Stencil`` or a scipy sparse matrix, through its CSR form.
+    ``Stencil`` or a scipy sparse matrix, through its CSR form. ``rhs`` is
+    one right-hand side (n,) or k of them as the columns of an (n, k)
+    array, solved with one factorization; a zero column gives zeros.
 
     Uses a direct sparse factorization up to ``DIRECT_SOLVE_LIMIT`` unknowns
-    and Jacobi-preconditioned conjugate gradients beyond. Raises
-    ``LinearSolveError`` unless the relative residual is within
-    ``10 * LINEAR_SOLVE_TOL``.
+    and Jacobi-preconditioned conjugate gradients, column by column, beyond.
+    Raises ``LinearSolveError`` unless each column's relative residual is
+    within ``10 * LINEAR_SOLVE_TOL``.
     """
     import scipy.sparse.linalg as spla    # loaded by the first linear solve, not at import
 
     A = A.tocsr()
     rhs = np.asarray(rhs, dtype=float)
     n = A.shape[0]
-    if rhs.shape != (n,):
-        raise ValueError(f"rhs must have shape ({n},), got {rhs.shape}")
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return np.zeros(n)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise ValueError(f"rhs must have shape ({n},) or ({n}, k), got {rhs.shape}")
+    b = rhs.reshape(n, -1)
+    b_norm = np.linalg.norm(b, axis=0)
+    live = b_norm != 0.0
+    y = np.zeros(b.shape)
+    if not live.any():
+        return y.reshape(rhs.shape)
+    b, b_norm = b[:, live], b_norm[live]
 
     if n <= DIRECT_SOLVE_LIMIT:
         try:
-            y = spla.splu(A.tocsc()).solve(rhs)
+            y[:, live] = spla.splu(A.tocsc()).solve(b)
         except RuntimeError as exc:  # singular factorization
             raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
     else:
@@ -220,17 +226,21 @@ def solve_linear(A, rhs: np.ndarray) -> np.ndarray:
         if np.any(diag <= 0):
             raise LinearSolveError("matrix diagonal not positive; not SPD")
         precond = spla.LinearOperator(A.shape, matvec=lambda v: v / diag)
-        y, info = spla.cg(A, rhs, rtol=LINEAR_SOLVE_TOL, atol=0.0, maxiter=20 * n, M=precond)
-        if info != 0:
-            res = float(np.linalg.norm(A @ y - rhs) / rhs_norm)
-            raise LinearSolveError(
-                f"conjugate gradients did not converge (info={info})", residual=res
-            )
+        for j, col in zip(np.flatnonzero(live), np.ascontiguousarray(b.T)):
+            y[:, j], info = spla.cg(A, col, rtol=LINEAR_SOLVE_TOL, atol=0.0, maxiter=20 * n,
+                                    M=precond)
+            if info != 0:
+                res = float(np.linalg.norm(A @ y[:, j] - col) / np.linalg.norm(col))
+                raise LinearSolveError(
+                    f"conjugate gradients did not converge (info={info})", residual=res
+                )
 
-    res = float(np.linalg.norm(A @ y - rhs) / rhs_norm)
-    if not np.isfinite(res) or res > 10 * LINEAR_SOLVE_TOL:
-        raise LinearSolveError(f"solution residual {res:.3e} exceeds tolerance", residual=res)
-    return y
+    res = np.linalg.norm(A @ y[:, live] - b, axis=0) / b_norm
+    worst = float(np.max(res))
+    if not np.isfinite(worst) or worst > 10 * LINEAR_SOLVE_TOL:
+        raise LinearSolveError(f"solution residual {worst:.3e} exceeds tolerance",
+                               residual=worst)
+    return y.reshape(rhs.shape)
 
 
 @dataclass(frozen=True)

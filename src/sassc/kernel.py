@@ -45,10 +45,25 @@ of a map on four one-scenario rows at n1d 16 about 1.8 us (2-vCPU Xeon).
 The block-diagonal operator ``A`` is the instance's cached
 ``block_operator()``, a ``grid.Stencil``: five diagonals (south, west,
 centre, east and north, at offsets -m, -1, 0, +1, +m on the m x m grid of
-each block) and a "stored" flag per neighbour, at whose arrays ``bind``
-and the K-norm maps point the kernel. With no index gathers the compiler
-runs several rows in one vector. The numpy steps multiply by its CSR form,
-built once per bind: the numpy ``Stencil @`` was 2.9-4.5x slower.
+each block) and a uint8 "stored" flag, 0 or 1, per neighbour, at whose
+arrays ``bind`` and the K-norm maps point the kernel. ``stencil()`` loads
+the neighbours of the rows m <= r < N - m without a test, and gcc runs
+that loop several rows to a vector (its ``-fopt-info-vec`` notes say so,
+and a test keeps it so). Each off-centre term is ``keep(d v, flag)``, the
+product's bits ANDed with ``-(uint64_t) flag``: an absent neighbour's
+product is computed, a NaN or inf one too, and becomes +0.0. The select
+``flag ? d v : 0.0`` gives the same bits, but gcc 12 finds no vector type
+for a select on a uint8 flag beside doubles, so it left this loop, the
+hottest of the kernel, scalar. int64 flags vectorize too, but move 8x
+the flag bytes and were slower in a prototype. ``FLAGS`` asks gcc for
+512-bit vectors on x86, where it otherwise picks 256-bit ones on an
+AVX-512 host. On the default preset at n1d 16 an iteration took 25-36 us
+with the select, 16-22 us with the mask and 12-17 us with the mask in
+512-bit vectors (4 alternating trials each, 2-vCPU AVX-512 Xeon, on a
+host about 3-4x slower than the one behind the aligned-buffer numbers
+below), with the same bits and iteration counts. The numpy steps multiply by the
+stencil's CSR form, built once per bind: the numpy ``Stencil @`` was
+2.9-4.5x slower.
 
 Every buffer the kernel reads or writes starts on a 64-byte boundary, one
 cache line: each array of ``_batch``, the scratch ``work``, the stencil
@@ -68,8 +83,8 @@ iterates are the same bits:
 
 - each row of a product is summed from 0.0 over its stored entries in
   ascending column order, as scipy's ``csr_matvec`` sums it. An absent
-  neighbour adds +0.0 instead of a product, so a NaN or infinite value
-  there is never multiplied in, and adding +0.0 leaves a sum that started
+  neighbour adds +0.0 whatever its product, so a NaN or infinite value
+  there never enters the sum, and adding +0.0 leaves a sum that started
   at +0.0 unchanged (such a sum is never -0.0);
 - ``+ qc`` is added even when it is 0.0;
 - ``max``/``min`` return the second operand on a tie of signed zeros and
@@ -95,9 +110,10 @@ of ``+``; no engine run meets it, since on x86 every NaN the iteration
 makes comes from an invalid operation and has one sign.
 
 The source is compiled on the first ``load()`` call, not at import, with
-the system C compiler (``cc``) and ``FLAGS``: ``-O3 -march=native`` for
-the host's widest vectors, without fast-math, so nothing is reassociated,
-and with ``-ffp-contract=off``, so that no multiply-add is fused.
+the system C compiler (``cc``) and ``FLAGS``: ``-O3 -march=native`` and,
+on x86, ``-mprefer-vector-width=512`` for the host's widest vectors,
+without fast-math, so nothing is reassociated, and with
+``-ffp-contract=off``, so that no multiply-add is fused.
 Vectorizing an elementwise loop changes no bits, and the library is built
 on the host it runs on. It is built in a temporary directory, which is
 removed once it is loaded. If there is no compiler or the build fails,
@@ -114,6 +130,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import platform
 import subprocess
 import tempfile
 import threading
@@ -125,7 +142,10 @@ from . import certify
 from .grid import aligned
 from .problem import DualPoint, PrimalPoint
 
-FLAGS = ("-O3", "-march=native", "-ffp-contract=off")
+# gcc's x86 backend picks 256-bit vectors on an AVX-512 host unless told
+# otherwise; the option exists only there
+FLAGS = ("-O3", "-march=native", "-ffp-contract=off",
+         *(("-mprefer-vector-width=512",) if platform.machine() == "x86_64" else ()))
 
 # The columns of the residual check's output of 11 values: the natural
 # residuals, the engine's two divergence magnitudes and the worst residual
@@ -172,19 +192,30 @@ typedef struct {
 static inline double max2(double a, double b) { return (a > b || isnan(a)) ? a : b; }
 static inline double min2(double a, double b) { return (a < b || isnan(a)) ? a : b; }
 
+/* x when flag is 1 and +0.0 when it is 0, by the bits of x ANDed with
+   -flag: gcc vectorizes this mask, but not a select on a uint8 flag */
+static inline double keep(double x, uint8_t flag)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    bits &= -(uint64_t)flag;
+    memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
 /* row r of the operator's product with v, given the neighbour values: the
    stored entries summed from 0.0 in ascending column order (south, west,
-   centre, east, north), an absent one adding +0.0 */
+   centre, east, north), an absent one adding +0.0 whatever its product */
 static inline double stencil_row(int64_t N, int64_t r, const double *restrict d,
                                  const uint8_t *restrict stored, double vs, double vw,
                                  double vc, double ve, double vn)
 {
     double sum = 0.0;
-    sum += stored[r] ? d[r] * vs : 0.0;
-    sum += stored[N + r] ? d[N + r] * vw : 0.0;
+    sum += keep(d[r] * vs, stored[r]);
+    sum += keep(d[N + r] * vw, stored[N + r]);
     sum += d[2 * N + r] * vc;
-    sum += stored[2 * N + r] ? d[3 * N + r] * ve : 0.0;
-    sum += stored[3 * N + r] ? d[4 * N + r] * vn : 0.0;
+    sum += keep(d[3 * N + r] * ve, stored[2 * N + r]);
+    sum += keep(d[4 * N + r] * vn, stored[3 * N + r]);
     return sum;
 }
 

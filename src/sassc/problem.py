@@ -252,8 +252,10 @@ def _hard_mode_verdict(inst: Instance) -> str | None:
     _, g, psi = inst.fields()
     ops = inst.operators()
     M = inst.c2_bound
-    lo = np.stack([solve_linear(ops[k], inst.c1_lo + g[k]) for k in range(inst.S)])
-    hi = np.stack([solve_linear(ops[k], inst.c1_hi + g[k]) for k in range(inst.S)])
+    # one factorization per scenario solves for both bounds: (S, n, 2)
+    bounds = np.stack([solve_linear(ops[k], np.stack([inst.c1_lo + g[k], inst.c1_hi + g[k]],
+                                                     axis=1)) for k in range(inst.S)])
+    lo, hi = bounds[..., 0], bounds[..., 1]
     margin = INFEASIBILITY_MARGIN * (1.0 + max(M, float(np.abs(lo).max()),
                                                float(np.abs(hi).max())))
     excess = {

@@ -23,10 +23,13 @@ call or Python step runs between checks and the engine only reads three
 of the check's values; the PDLP
 solver (Applegate et al., 2021) runs its steps and its termination checks
 in compiled code the same way. The kernel applies the stiffness blocks as
-the assembled five-point stencil (``grid.Stencil``), vectorized across
-nodes, and sums each row in the order of the CSR product. It is
-compiled with ``cc -O3 -march=native -ffp-contract=off`` (no fast-math, no
-fused multiply-add) on the first engine call of a process, and runs every
+the assembled five-point stencil (``grid.Stencil``), and sums each row in
+the order of the CSR product; the compiler runs its interior rows several
+to a vector, since an absent neighbour's product is masked to +0.0 by its
+bits, not selected by a branch. It is compiled with ``cc`` and
+``kernel.FLAGS`` (``-O3 -march=native -ffp-contract=off``, and 512-bit
+vectors on x86; no fast-math, no fused multiply-add) on the first engine
+call of a process, and runs every
 entry through the IEEE operations of the numpy form in its order, so
 iterates are bit for bit those of the numpy loop; a subnormal slack entry
 is divided through its integer mantissa, with the IEEE quotient's bits.

@@ -189,6 +189,27 @@ def test_solve_cg_path_matches_direct(monkeypatch):
     np.testing.assert_allclose(yc, yd, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("limit", [grid.DIRECT_SOLVE_LIMIT, 0], ids=["direct", "cg"])
+def test_solve_columns_match_single_solves(monkeypatch, limit):
+    """An (n, k) right-hand side is solved column by column's bits, from one
+    factorization on the direct path; a zero column gives zeros, and an
+    all-zero one needs no factorization."""
+    g = build_grid(6)
+    rng = np.random.default_rng(11)
+    A = assemble_operator(g, 1.0 + rng.random((8, 8)))
+    rhs = rng.standard_normal((g.n, 3))
+    rhs[:, 1] = 0.0
+    monkeypatch.setattr(grid, "DIRECT_SOLVE_LIMIT", limit)
+    y = solve_linear(A, rhs)
+    assert y.shape == rhs.shape and not y[:, 1].any()
+    for j in (0, 2):
+        assert y[:, j].tobytes() == solve_linear(A, rhs[:, j]).tobytes()
+    singular = sp.csr_matrix((g.n, g.n))
+    assert np.array_equal(solve_linear(singular, np.zeros((g.n, 2))), np.zeros((g.n, 2)))
+    with pytest.raises(LinearSolveError):
+        solve_linear(singular, rhs)
+
+
 def test_solve_failure_reports():
     n = 4
     A = sp.csr_matrix((n, n))  # singular
@@ -199,8 +220,9 @@ def test_solve_failure_reports():
 def test_solve_rejects_bad_rhs_shape():
     g = build_grid(2)
     A = assemble_operator(g, np.ones((4, 4)))
-    with pytest.raises(ValueError):
-        solve_linear(A, np.ones(5))
+    for bad in (np.ones(5), np.ones((5, 2)), np.ones((4, 1, 1))):
+        with pytest.raises(ValueError):
+            solve_linear(A, bad)
 
 
 def test_discrete_maximum_principle():

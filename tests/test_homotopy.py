@@ -271,7 +271,8 @@ def test_reference_proven_infeasible_fails_before_a_worker_starts(monkeypatch):
 
 
 def test_overlapped_study_screens_and_certifies_each_solve_once(monkeypatch):
-    """A study runs the a-priori check's 2S sparse solves once, although
+    """A study runs the a-priori check's S sparse solves (one
+    factorization per scenario, for both state bounds) once, although
     the check runs before the reference's thread starts and again in
     ``solve_hard``, and one certification pass per solve: the reference
     and each level."""
@@ -292,7 +293,7 @@ def test_overlapped_study_screens_and_certifies_each_solve_once(monkeypatch):
     rep = run_homotopy(inst, SCHEDULE, SolverParams())
     assert rep.reference.converged
     assert {name: calls.count(name) for name in ("solve_linear", "kkt_residuals")} == {
-        "solve_linear": 2 * inst.S, "kkt_residuals": 1 + len(SCHEDULE)}
+        "solve_linear": inst.S, "kkt_residuals": 1 + len(SCHEDULE)}
 
 
 def _fail_reference_in_thread(monkeypatch, failure):

@@ -267,14 +267,36 @@ def test_hard_infeasibility_verdict_is_cached_by_value(monkeypatch):
     monkeypatch.setattr(problem, "solve_linear", counting)
     inst = _hard(**{"c1.lo": -1e3, "c1.hi": -1e3})
     assert hard_mode_infeasibility(inst).startswith("the highest reachable state")
-    assert len(calls) == 2 * inst.S
+    assert len(calls) == inst.S
     equal = replace(inst)
     assert equal is not inst and equal.c1_hi is not inst.c1_hi
     assert hard_mode_infeasibility(equal).startswith("the highest reachable state")
-    assert len(calls) == 2 * inst.S
+    assert len(calls) == inst.S
     inst.c1_hi[:] = 2.0
     assert hard_mode_infeasibility(inst) is None
-    assert len(calls) == 4 * inst.S
+    assert len(calls) == 2 * inst.S
+
+
+def test_hard_infeasibility_bounds_equal_per_bound_solves(monkeypatch):
+    """The verdict factors each scenario's operator once and solves for
+    both state bounds as two columns; each column has the bits of its own
+    solve."""
+    solved = []
+
+    def keeping(A, b):
+        solved.append((A, b, solve_linear(A, b)))
+        return solved[-1][2]
+
+    monkeypatch.setattr(problem, "solve_linear", keeping)
+    inst = _hard("default")
+    assert hard_mode_infeasibility(inst) is None
+    assert len(solved) == inst.S
+    _, g, _ = inst.fields()
+    for k, (A, b, both) in enumerate(solved):
+        assert both.shape == (inst.n, 2)
+        for col, bound in enumerate((inst.c1_lo, inst.c1_hi)):
+            assert b[:, col].tobytes() == (bound + g[k]).tobytes()
+            assert both[:, col].tobytes() == solve_linear(A, bound + g[k]).tobytes()
 
 
 def test_hard_infeasibility_requires_hard_mode(tiny_instance):

@@ -888,6 +888,100 @@ def test_kernel_k_maps_match_numpy_maps_bitwise(R, S, n1d, mode, seed, data):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _block_edge(S, m):
+    """The (S m^2,) mask of the nodes on the edge of their m x m block."""
+    r = np.arange(S * m * m)
+    i, j = r % m, r % (m * m) // m
+    return (i == 0) | (i == m - 1) | (j == 0) | (j == m - 1)
+
+
+def _same_bytes_but_nan_sign(a, b):
+    """``a`` and ``b`` hold the same bytes, except that a NaN entry of one
+    may be a NaN of the other sign in the other: where two NaNs of opposite
+    sign meet in ``+``, IEEE 754 leaves open which one the sum returns."""
+    a, b = np.ravel(a), np.ravel(b)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+@settings(max_examples=60, deadline=None)
+@given(S=st.integers(1, 3), m=st.integers(5, 9), slack=st.booleans(), edge=st.booleans(),
+       count=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_kernel_vector_stencil_matches_numpy_steps_on_non_finite_values(S, m, slack, edge,
+                                                                      count, seed):
+    """On grids of m = 5 to 9, where the stencil's interior loop runs its
+    vector body and its remainder at 4 and 8 lanes, ``iterate`` and the
+    K-norm maps ``forward`` and ``adjoint`` of the C kernel give the bytes
+    of the numpy steps when the operator's diagonals, the iterates and the
+    maps' inputs hold +-0.0, +-inf, NaN and subnormals (``PRODUCT_VALUES``),
+    in half the draws with every node on a block edge at inf or NaN: the
+    kernel multiplies an absent neighbour's value too, and its bit mask
+    must still add +0.0 for it. Only the sign of a NaN may differ
+    (``_same_bytes_but_nan_sign``); the check writes the one quiet NaN, so
+    its bytes are compared whole."""
+    rng = np.random.default_rng(seed)
+    n, N = m * m, S * m * m
+    values = np.array(PRODUCT_VALUES)
+
+    def draw(*shape, on_edge=False):
+        a = rng.choice(values, size=shape)
+        if edge and on_edge:
+            rows, mask = a.reshape(-1, N), _block_edge(S, m)
+            rows[:, mask] = rng.choice([np.inf, -np.inf, np.nan], size=(len(rows), mask.sum()))
+        return a
+
+    fields, step, _, extras = _kernel_case(rng, S, m, slack, qc=False, lin=False)
+    stencil = _drawn_stencil(m, draw(5, N))
+    fields.update(stencil=stencil, g=draw(S, n), psi=draw(S, n))
+    state = (draw(n), draw(S, n, on_edge=True), draw(S, n), draw(n),
+             draw(S, n, on_edge=True), draw(S, n), draw(S, n, on_edge=True), draw(S, n))
+    mode = "slack" if slack else "hard"
+    row = SimpleNamespace(S=S, n=n, mode=mode, block_operator=lambda: stencil)
+    nx = n + N * (2 if slack else 1)
+    v, w = draw(2, nx), draw(2, 2 * N, on_edge=True)
+    v[:, n:n + N] = draw(2, N, on_edge=True)
+    coef = rng.uniform(0.5, 40.0, (2, 4))
+    out = []
+    for impl in (kernel.numpy_steps, kernel.load()):
+        with np.errstate(all="ignore"):
+            k = impl.bind(_stand_in(**fields), step, state, **extras)
+            impl.iterate(k, count)
+            maps = impl.bind_maps([row, row], coef)
+            buf = kernel.map_buffers(maps, np.array([0, 1]))
+            impl.forward(maps, buf, v)
+            e = buf.e.copy()
+            impl.adjoint(maps, buf, w)
+        out.append(dict(cur=k.cur[0], nxt=k.nxt[0], xb=k.xb[0], duals=k.duals, check=k.check,
+                        forward=e, adjoint=buf.t[:, n:].copy()))
+    numpy_out, kernel_out = out
+    assert numpy_out.pop("check").tobytes() == kernel_out.pop("check").tobytes()
+    for name in numpy_out:
+        assert _same_bytes_but_nan_sign(numpy_out[name], kernel_out[name]), name
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_kernel_stencil_interior_loop_is_vectorized(tmp_path):
+    """gcc vectorizes the interior loop of the kernel's ``stencil()``, which
+    every PDHG iteration, check and K-norm map runs: a select on a uint8
+    neighbour flag leaves that loop scalar, so the absent neighbours are
+    masked by bits. The loop is found by its source text, not by a line
+    number. Skipped where the compiler rejects ``-fopt-info`` or writes no
+    gcc vectorizer notes."""
+    lines = list(enumerate(kernel.SOURCE.splitlines(), start=1))
+    start = next(i for i, s in lines if s.startswith("static void stencil("))
+    loop = next(i for i, s in lines[start:] if "r < end; r++)" in s)
+    src = tmp_path / "kernel.c"
+    src.write_text(kernel.SOURCE)
+    run = subprocess.run(["cc", *kernel.FLAGS, "-fopt-info-vec-optimized", "-c", "-o",
+                          str(tmp_path / "kernel.o"), str(src)],
+                         capture_output=True, text=True, timeout=120)
+    if run.returncode != 0 or "optimized:" not in run.stderr:
+        pytest.skip(f"no gcc vectorizer notes: {run.stderr.strip()[:200]}")
+    assert any(f"kernel.c:{loop}:" in note and "loop vectorized" in note
+               for note in run.stderr.splitlines()), run.stderr
+
+
 def test_bind_reuses_the_cached_stencil(monkeypatch):
     """The operator is assembled once per scenario set and grid, from every
     scenario's field in one call, and cached there as the one copy: the
