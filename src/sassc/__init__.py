@@ -9,6 +9,7 @@ from .certify import (
 )
 from .grid import (
     EllipticityError,
+    Factorization,
     Grid,
     LinearSolveError,
     MmsRow,

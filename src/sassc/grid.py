@@ -13,6 +13,10 @@ kernel runs. Its CSR form (``Stencil.tocsr``) serves factorizations, dense
 copies and the engine's fallback without a C compiler, and imports scipy
 on first use: a slack-mode ``generate -> solve -> certify`` never loads it
 (``import scipy.sparse`` took 82-86 ms of a 0.152 s benchmark setup).
+
+Every linear solve goes through a ``Factorization``: one sparse LU per
+matrix, reused for each right-hand side, at every size (no iterative
+fallback).
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ import numpy as np
 
 # the byte boundary every array the engine kernel reads or writes starts on
 ALIGNMENT = 64
-# Direct sparse factorization up to this size, preconditioned CG above.
-DIRECT_SOLVE_LIMIT = 10_000
-# Relative residual of a linear solve: CG's target; ten times it fails.
+# A linear solve fails when a column's relative residual exceeds ten times this.
 LINEAR_SOLVE_TOL = 1e-12
 # Power iteration: stopping change of the estimate, cap, start vector seed.
 NORM_ESTIMATE_TOL = 1e-6
@@ -38,11 +40,7 @@ class EllipticityError(ValueError):
 
 
 class LinearSolveError(RuntimeError):
-    """Linear solve failed to reach the requested residual."""
-
-    def __init__(self, message: str, residual: float = float("nan")):
-        super().__init__(message)
-        self.residual = residual
+    """Singular factorization, or a solution residual above the gate."""
 
 
 @dataclass(frozen=True)
@@ -190,57 +188,53 @@ def assemble_operator(grid: Grid, a_closed: np.ndarray) -> Stencil:
     return Stencil(m, diags, stored)
 
 
-def solve_linear(A, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A y = rhs`` for a symmetric positive-definite ``A``, a
-    ``Stencil`` or a scipy sparse matrix, through its CSR form. ``rhs`` is
-    one right-hand side (n,) or k of them as the columns of an (n, k)
-    array, solved with one factorization; a zero column gives zeros.
-
-    Uses a direct sparse factorization up to ``DIRECT_SOLVE_LIMIT`` unknowns
-    and Jacobi-preconditioned conjugate gradients, column by column, beyond.
-    Raises ``LinearSolveError`` unless each column's relative residual is
-    within ``10 * LINEAR_SOLVE_TOL``.
+class Factorization:
+    """The sparse LU factorization of a symmetric positive-definite matrix,
+    a ``Stencil`` or a scipy sparse matrix, through its CSR form. It factors
+    on the first solve with a nonzero column and reuses that factor after.
     """
-    import scipy.sparse.linalg as spla    # loaded by the first linear solve, not at import
 
-    A = A.tocsr()
-    rhs = np.asarray(rhs, dtype=float)
-    n = A.shape[0]
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
-        raise ValueError(f"rhs must have shape ({n},) or ({n}, k), got {rhs.shape}")
-    b = rhs.reshape(n, -1)
-    b_norm = np.linalg.norm(b, axis=0)
-    live = b_norm != 0.0
-    y = np.zeros(b.shape)
-    if not live.any():
+    def __init__(self, A):
+        self.A = A.tocsr()
+        self._lu = None
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``A y = rhs`` for one right-hand side (n,) or k of them as
+        the columns of an (n, k) array; a zero column gives zeros.
+
+        Raises ``LinearSolveError`` on a singular factorization, or unless
+        each column's relative residual is within ``10 * LINEAR_SOLVE_TOL``.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        n = self.A.shape[0]
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+            raise ValueError(f"rhs must have shape ({n},) or ({n}, k), got {rhs.shape}")
+        b = rhs.reshape(n, -1)
+        b_norm = np.linalg.norm(b, axis=0)
+        live = b_norm != 0.0
+        y = np.zeros(b.shape)
+        if not live.any():
+            return y.reshape(rhs.shape)
+        b, b_norm = b[:, live], b_norm[live]
+        if self._lu is None:
+            import scipy.sparse.linalg as spla    # loaded by the first factorization
+
+            try:
+                self._lu = spla.splu(self.A.tocsc())
+            except RuntimeError as exc:  # singular factorization
+                raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
+        y[:, live] = self._lu.solve(b)
+        res = np.linalg.norm(self.A @ y[:, live] - b, axis=0) / b_norm
+        worst = float(np.max(res))
+        if not np.isfinite(worst) or worst > 10 * LINEAR_SOLVE_TOL:
+            raise LinearSolveError(f"solution residual {worst:.3e} exceeds tolerance")
         return y.reshape(rhs.shape)
-    b, b_norm = b[:, live], b_norm[live]
 
-    if n <= DIRECT_SOLVE_LIMIT:
-        try:
-            y[:, live] = spla.splu(A.tocsc()).solve(b)
-        except RuntimeError as exc:  # singular factorization
-            raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-    else:
-        diag = A.diagonal()
-        if np.any(diag <= 0):
-            raise LinearSolveError("matrix diagonal not positive; not SPD")
-        precond = spla.LinearOperator(A.shape, matvec=lambda v: v / diag)
-        for j, col in zip(np.flatnonzero(live), np.ascontiguousarray(b.T)):
-            y[:, j], info = spla.cg(A, col, rtol=LINEAR_SOLVE_TOL, atol=0.0, maxiter=20 * n,
-                                    M=precond)
-            if info != 0:
-                res = float(np.linalg.norm(A @ y[:, j] - col) / np.linalg.norm(col))
-                raise LinearSolveError(
-                    f"conjugate gradients did not converge (info={info})", residual=res
-                )
 
-    res = np.linalg.norm(A @ y[:, live] - b, axis=0) / b_norm
-    worst = float(np.max(res))
-    if not np.isfinite(worst) or worst > 10 * LINEAR_SOLVE_TOL:
-        raise LinearSolveError(f"solution residual {worst:.3e} exceeds tolerance",
-                               residual=worst)
-    return y.reshape(rhs.shape)
+def solve_linear(A, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``A y = rhs`` with a factorization of its own (see
+    ``Factorization.solve``)."""
+    return Factorization(A).solve(rhs)
 
 
 @dataclass(frozen=True)

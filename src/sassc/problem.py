@@ -19,7 +19,8 @@ and scenario-count changes and approximate integrable functions rather
 than measures.
 
 The operators ``A_k`` are the blocks of one ``grid.Stencil`` per scenario
-set and grid (``Instance.block_operator``).
+set and grid (``Instance.block_operator``), and each has one cached LU
+factorization (``Instance.factors``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid, Stencil, assemble_operator, solve_linear
+from .grid import Factorization, Grid, Stencil, assemble_operator
 from .scenarios import FieldSpec, ScenarioSet
 
 MODES = ("slack", "hard")
@@ -113,6 +114,15 @@ class Instance:
         if key not in self.scenarios._cache:
             a_closed, _, _ = self.fields()
             self.scenarios._cache[key] = assemble_operator(self.grid, a_closed)
+        return self.scenarios._cache[key]
+
+    def factors(self) -> list[Factorization]:
+        """One LU factorization per scenario operator, a block of
+        ``block_operator``, cached beside it on the scenario set."""
+        key = ("lu", self.grid.n1d)
+        if key not in self.scenarios._cache:
+            blk = self.block_operator()
+            self.scenarios._cache[key] = [Factorization(blk.block(k)) for k in range(self.S)]
         return self.scenarios._cache[key]
 
     def with_alpha_prime(self, alpha_prime: float) -> "Instance":
@@ -233,28 +243,17 @@ def hard_mode_infeasibility(inst: Instance) -> str | None:
     ``-M``. A violation counts only beyond ``INFEASIBILITY_MARGIN`` times
     the scale of the bounds, far above the accuracy of the solves.
 
-    The verdict is cached on the scenario set, keyed by the values it
-    depends on beyond the scenarios (grid, ``M`` and the control box), so
-    an equal instance reuses it and an edit of those values in place gets
-    a fresh one.
+    The bounds come from the cached ``Instance.factors``, so a second call
+    solves again but factors nothing, and an in-place edit of the control
+    box or ``M`` gets a fresh verdict.
     """
     if inst.mode != "hard":
         raise ValueError("the a-priori infeasibility check applies to hard mode")
-    key = ("hard_check", inst.grid.n1d, inst.c2_bound, inst.c1_lo.tobytes(),
-           inst.c1_hi.tobytes())
-    if key not in inst.scenarios._cache:
-        inst.scenarios._cache[key] = _hard_mode_verdict(inst)
-    return inst.scenarios._cache[key]
-
-
-def _hard_mode_verdict(inst: Instance) -> str | None:
-    """The uncached check of ``hard_mode_infeasibility``."""
     _, g, psi = inst.fields()
-    ops = inst.operators()
     M = inst.c2_bound
-    # one factorization per scenario solves for both bounds: (S, n, 2)
-    bounds = np.stack([solve_linear(ops[k], np.stack([inst.c1_lo + g[k], inst.c1_hi + g[k]],
-                                                     axis=1)) for k in range(inst.S)])
+    # each scenario's factorization solves for both bounds: (S, n, 2)
+    bounds = np.stack([lu.solve(np.stack([inst.c1_lo + g[k], inst.c1_hi + g[k]], axis=1))
+                       for k, lu in enumerate(inst.factors())])
     lo, hi = bounds[..., 0], bounds[..., 1]
     margin = INFEASIBILITY_MARGIN * (1.0 + max(M, float(np.abs(lo).max()),
                                                float(np.abs(hi).max())))
@@ -284,10 +283,9 @@ class SlaterReport:
 def _second_stage_candidate(inst: Instance, x1: np.ndarray):
     """Solve the PDE per scenario and lift the slack above the obstacle."""
     _, g, psi = inst.fields()
-    ops = inst.operators()
     M = inst.c2_bound
     delta = min(1.0, M / 2.0)
-    y = np.stack([solve_linear(ops[k], x1 + g[k]) for k in range(inst.S)])
+    y = np.stack([lu.solve(x1 + g[k]) for k, lu in enumerate(inst.factors())])
     z = np.clip(y - psi + delta, -M, M)
     return y, z, delta
 

@@ -1,10 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from sassc import grid
+from sassc import io
 from sassc.grid import (
+    LINEAR_SOLVE_TOL,
     EllipticityError,
+    Factorization,
     LinearSolveError,
     assemble_operator,
     build_grid,
@@ -177,29 +185,15 @@ def test_manufactured_solution_frozen_bound():
     assert np.abs(y - exact).max() <= MMS_C_N1D8 * g.h**2
 
 
-def test_solve_cg_path_matches_direct(monkeypatch):
-    g = build_grid(10)
-    rng = np.random.default_rng(5)
-    a = 1.0 + rng.random((12, 12))
-    A = assemble_operator(g, a)
-    rhs = rng.standard_normal(g.n)
-    yd = solve_linear(A, rhs)
-    monkeypatch.setattr(grid, "DIRECT_SOLVE_LIMIT", 0)
-    yc = solve_linear(A, rhs)
-    np.testing.assert_allclose(yc, yd, rtol=0, atol=1e-10)
-
-
-@pytest.mark.parametrize("limit", [grid.DIRECT_SOLVE_LIMIT, 0], ids=["direct", "cg"])
-def test_solve_columns_match_single_solves(monkeypatch, limit):
+def test_solve_columns_match_single_solves():
     """An (n, k) right-hand side is solved column by column's bits, from one
-    factorization on the direct path; a zero column gives zeros, and an
-    all-zero one needs no factorization."""
+    factorization; a zero column gives zeros, and an all-zero one needs no
+    factorization."""
     g = build_grid(6)
     rng = np.random.default_rng(11)
     A = assemble_operator(g, 1.0 + rng.random((8, 8)))
     rhs = rng.standard_normal((g.n, 3))
     rhs[:, 1] = 0.0
-    monkeypatch.setattr(grid, "DIRECT_SOLVE_LIMIT", limit)
     y = solve_linear(A, rhs)
     assert y.shape == rhs.shape and not y[:, 1].any()
     for j in (0, 2):
@@ -223,6 +217,46 @@ def test_solve_rejects_bad_rhs_shape():
     for bad in (np.ones(5), np.ones((5, 2)), np.ones((4, 1, 1))):
         with pytest.raises(ValueError):
             solve_linear(A, bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n1d=st.integers(1, 6), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_factorization_solve_properties(data, n1d, k, seed):
+    """On a random positive coefficient field, each column of an (n, k)
+    solve meets the residual gate, a zero column comes back as exact
+    zeros, and the k columns have the bits of k one-column solves."""
+    g = build_grid(n1d)
+    a = data.draw(hnp.arrays(float, (n1d + 2, n1d + 2), elements=st.floats(0.01, 100.0)))
+    A = assemble_operator(g, a)
+    zero = np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    rhs = np.random.default_rng(seed).standard_normal((g.n, k))
+    rhs[:, zero] = 0.0
+    lu = Factorization(A)
+    y = lu.solve(rhs)
+    live = ~zero
+    res = np.linalg.norm(A.tocsr() @ y[:, live] - rhs[:, live], axis=0)
+    assert np.all(res <= 10 * LINEAR_SOLVE_TOL * np.linalg.norm(rhs[:, live], axis=0))
+    assert y[:, zero].tobytes() == np.zeros((g.n, int(zero.sum()))).tobytes()
+    for j in range(k):
+        assert y[:, j].tobytes() == Factorization(A).solve(rhs[:, j]).tobytes()
+        assert y[:, j].tobytes() == lu.solve(rhs[:, j]).tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(n1d=st.integers(1, 6), S=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_instance_factors_are_cached(n1d, S, seed):
+    """``Instance.factors`` factors each scenario's operator once: a
+    second call runs no ``splu`` and solves with the same bits, which are
+    those of a factorization of its own."""
+    inst = io.make_instance("default", n1d=n1d, scenario_count=S, seed=seed)
+    _, g, _ = inst.fields()
+    with mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
+        first = [lu.solve(g[k]) for k, lu in enumerate(inst.factors())]
+        assert splu.call_count == S
+        again = [lu.solve(g[k]) for k, lu in enumerate(inst.factors())]
+        assert splu.call_count == S
+    for k, A in enumerate(inst.operators()):
+        assert first[k].tobytes() == again[k].tobytes() == solve_linear(A, g[k]).tobytes()
 
 
 def test_discrete_maximum_principle():

@@ -207,12 +207,12 @@ def test_failed_linear_solve_exits_one(monkeypatch, capsys):
     from sassc import grid
 
     def failing(A, rhs):
-        raise grid.LinearSolveError("conjugate gradients did not converge (info=7)")
+        raise grid.LinearSolveError("solution residual 1.065e-11 exceeds tolerance")
 
     monkeypatch.setattr(grid, "solve_linear", failing)
     assert run_cli(["mms", "--levels", "7,15"]) == 1
     err = capsys.readouterr().err
-    assert "linear solve failed: conjugate gradients did not converge" in err
+    assert "linear solve failed: solution residual 1.065e-11 exceeds tolerance" in err
     assert "Traceback" not in err
 
 

@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from sassc import io, problem
-from sassc.grid import build_grid, solve_linear
+from sassc import io
+from sassc.grid import Factorization, build_grid, solve_linear
 from sassc.problem import (
     DualPoint,
     Instance,
@@ -230,6 +232,13 @@ def test_hard_infeasibility_not_flagged_on_presets():
         assert hard_mode_infeasibility(_hard(preset)) is None
 
 
+def test_hard_infeasibility_not_flagged_past_ten_thousand_unknowns():
+    """At n1d 200 (40 000 unknowns) the state bounds pass the residual
+    gate: the sparse LU serves every size."""
+    inst = io.make_instance("default", n1d=200, scenario_count=1).with_mode("hard")
+    assert hard_mode_infeasibility(inst) is None
+
+
 @pytest.mark.parametrize("excess, flagged", [(1e-9, False), (1e-3, True)])
 def test_hard_infeasibility_margin(excess, flagged):
     """An obstacle below the lowest reachable state counts only beyond the
@@ -255,42 +264,38 @@ def test_hard_infeasibility_flagged(changes, reason):
     assert found is not None and found.startswith(f"the {reason}")
 
 
-def test_hard_infeasibility_verdict_is_cached_by_value(monkeypatch):
-    """An equal instance on the same scenario set reuses the verdict
-    without a solve; an in-place edit of the control box gets a fresh one."""
-    calls = []
-
-    def counting(A, b):
-        calls.append(1)
-        return solve_linear(A, b)
-
-    monkeypatch.setattr(problem, "solve_linear", counting)
+def test_hard_infeasibility_factors_each_scenario_once():
+    """The verdict factors each scenario's operator on its first call, and
+    neither an equal instance on the same scenario set nor an in-place edit
+    of the control box factors again; the edit gets a fresh verdict."""
     inst = _hard(**{"c1.lo": -1e3, "c1.hi": -1e3})
-    assert hard_mode_infeasibility(inst).startswith("the highest reachable state")
-    assert len(calls) == inst.S
-    equal = replace(inst)
-    assert equal is not inst and equal.c1_hi is not inst.c1_hi
-    assert hard_mode_infeasibility(equal).startswith("the highest reachable state")
-    assert len(calls) == inst.S
-    inst.c1_hi[:] = 2.0
-    assert hard_mode_infeasibility(inst) is None
-    assert len(calls) == 2 * inst.S
+    with mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
+        assert hard_mode_infeasibility(inst).startswith("the highest reachable state")
+        assert splu.call_count == inst.S
+        equal = replace(inst)
+        assert equal is not inst and equal.c1_hi is not inst.c1_hi
+        assert hard_mode_infeasibility(equal).startswith("the highest reachable state")
+        inst.c1_hi[:] = 2.0
+        assert hard_mode_infeasibility(inst) is None
+        assert splu.call_count == inst.S
 
 
 def test_hard_infeasibility_bounds_equal_per_bound_solves(monkeypatch):
-    """The verdict factors each scenario's operator once and solves for
-    both state bounds as two columns; each column has the bits of its own
+    """The verdict solves for both state bounds as two columns of one
+    solve per scenario factorization; each column has the bits of its own
     solve."""
     solved = []
+    solve = Factorization.solve
 
-    def keeping(A, b):
-        solved.append((A, b, solve_linear(A, b)))
+    def keeping(lu, b):
+        solved.append((lu.A, b, solve(lu, b)))
         return solved[-1][2]
 
-    monkeypatch.setattr(problem, "solve_linear", keeping)
+    monkeypatch.setattr(Factorization, "solve", keeping)
     inst = _hard("default")
     assert hard_mode_infeasibility(inst) is None
     assert len(solved) == inst.S
+    monkeypatch.undo()
     _, g, _ = inst.fields()
     for k, (A, b, both) in enumerate(solved):
         assert both.shape == (inst.n, 2)

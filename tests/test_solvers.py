@@ -1485,7 +1485,7 @@ def test_import_does_not_load_multiprocessing():
 
 def test_import_does_not_load_scipy():
     """No scipy module is imported with the package and its command line:
-    a factorization (``grid.solve_linear``, the barrier oracle) or a CSR
+    a factorization (``grid.Factorization``, the barrier oracle) or a CSR
     form (``Stencil.tocsr``) imports it when first called."""
     src = os.path.dirname(os.path.dirname(solvers.__file__))
     code = ("import sys, sassc, sassc.cli\n"
