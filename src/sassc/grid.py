@@ -9,14 +9,16 @@ symmetric positive definite whenever the coefficient field is uniformly
 positive. Solver tolerances are module constants, not arguments.
 
 The operator is assembled once, as the five-point ``Stencil`` the engine
-kernel runs. Its CSR form (``Stencil.tocsr``) serves factorizations, dense
-copies and the engine's fallback without a C compiler, and imports scipy
-on first use: a slack-mode ``generate -> solve -> certify`` never loads it
-(``import scipy.sparse`` took 82-86 ms of a 0.152 s benchmark setup).
+kernel runs. Its CSR form (``Stencil.tocsr``) serves the barrier's dense
+copy and the engine's fallback without a C compiler, and imports scipy on
+first use: a ``generate -> solve -> certify`` on the C kernel, in slack or
+hard mode, never loads it (``import scipy.sparse`` took 82-86 ms of a
+0.152 s benchmark setup).
 
-Every linear solve goes through a ``Factorization``: one sparse LU per
-matrix, reused for each right-hand side, at every size (no iterative
-fallback).
+Every linear solve goes through a ``Factorization``: a block (Schur
+complement) factorization of the stencil by grid lines in numpy, of one
+operator or of a whole scenario stack at once, reused for each
+right-hand side, at every size (no iterative or sparse-LU fallback).
 """
 
 from __future__ import annotations
@@ -188,43 +190,94 @@ def assemble_operator(grid: Grid, a_closed: np.ndarray) -> Stencil:
     return Stencil(m, diags, stored)
 
 
+def schur_factor(A: Stencil) -> np.ndarray:
+    """The inverse Schur complements of every grid line of every block of
+    ``A``, an (m, B, m, m) array whose entry ``[j, k]`` is S_j^-1 of block k.
+
+    Grouped by grid lines (node (i, j) on line j), a block is block
+    tridiagonal: line j's diagonal block T_j is tridiagonal (the west,
+    centre and east entries), line j reaches line j-1 through the diagonal
+    L_j of its south entries, and line j-1 reaches line j through the
+    diagonal U_{j-1} of its north entries. The recursion S_0 = T_0,
+    S_j = T_j - L_j S_{j-1}^-1 U_{j-1} runs for the B blocks in lockstep,
+    one ``np.linalg.inv`` of a (B, m, m) stack per line, so each block gets
+    the bits of its own factorization. Raises ``LinearSolveError`` on a
+    singular S_j.
+    """
+    m = A.m
+    d = A.diags.reshape(5, -1, m, m)     # [south/west/centre/east/north, block, j, i]
+    i = np.arange(m)
+    inv = np.empty((m, d.shape[1], m, m))
+    for j in range(m):
+        T = np.zeros(inv.shape[1:])
+        T[:, i, i] = d[2, :, j]
+        T[:, i[1:], i[:-1]] = d[1, :, j, 1:]
+        T[:, i[:-1], i[1:]] = d[3, :, j, :-1]
+        if j:
+            T -= d[0, :, j, :, None] * inv[j - 1] * d[4, :, j - 1, None, :]
+        try:
+            inv[j] = np.linalg.inv(T)
+        except np.linalg.LinAlgError as exc:
+            raise LinearSolveError(f"singular Schur complement at grid line {j}") from exc
+    return inv
+
+
+def _lines_matvec(inv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(B, k, m) products ``inv[b] @ v[b, c]``: one matrix-vector product
+    per (block, column), whose bits do not depend on B or k (a k-column
+    matrix product would round differently from k of them)."""
+    return (inv[:, None] @ v[..., None])[..., 0]
+
+
 class Factorization:
-    """The sparse LU factorization of a symmetric positive-definite matrix,
-    a ``Stencil`` or a scipy sparse matrix, through its CSR form. It factors
-    on the first solve with a nonzero column and reuses that factor after.
+    """The block factorization (``schur_factor``) of a ``Stencil``, one
+    operator or a block-diagonal stack of B of them. It factors on the
+    first solve with a nonzero column and reuses that factor after; the
+    factor holds B n m doubles for blocks of n = m^2 unknowns.
     """
 
-    def __init__(self, A):
-        self.A = A.tocsr()
-        self._lu = None
+    def __init__(self, A: Stencil):
+        self.A = A
+        self._inv = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A y = rhs`` for one right-hand side (n,) or k of them as
-        the columns of an (n, k) array; a zero column gives zeros.
+        """Solve ``A y = rhs`` for one right-hand side (N,) of the whole
+        stack or k of them as the columns of an (N, k) array, or the same
+        block by block, (B, n) or (B, n, k); y has the shape of rhs. A zero
+        (block, column) pair gives zeros, and each pair has the bits of its
+        own solve by a factorization of its block alone.
 
         Raises ``LinearSolveError`` on a singular factorization, or unless
-        each column's relative residual is within ``10 * LINEAR_SOLVE_TOL``.
+        each pair's relative residual is within ``10 * LINEAR_SOLVE_TOL``.
         """
         rhs = np.asarray(rhs, dtype=float)
-        n = self.A.shape[0]
-        if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
-            raise ValueError(f"rhs must have shape ({n},) or ({n}, k), got {rhs.shape}")
-        b = rhs.reshape(n, -1)
-        b_norm = np.linalg.norm(b, axis=0)
+        m = self.A.m
+        n = m * m
+        B = self.A.diags.shape[1] // n
+        if not (rhs.ndim in (1, 2) and rhs.shape[0] == B * n
+                or rhs.ndim in (2, 3) and rhs.shape[:2] == (B, n)):
+            raise ValueError(f"rhs must have shape ({B * n},), ({B * n}, k), ({B}, {n}) "
+                             f"or ({B}, {n}, k), got {rhs.shape}")
+        b = rhs.reshape(B, n, -1)
+        b_norm = np.linalg.norm(b, axis=1)
         live = b_norm != 0.0
-        y = np.zeros(b.shape)
         if not live.any():
-            return y.reshape(rhs.shape)
-        b, b_norm = b[:, live], b_norm[live]
-        if self._lu is None:
-            import scipy.sparse.linalg as spla    # loaded by the first factorization
-
-            try:
-                self._lu = spla.splu(self.A.tocsc())
-            except RuntimeError as exc:  # singular factorization
-                raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-        y[:, live] = self._lu.solve(b)
-        res = np.linalg.norm(self.A @ y[:, live] - b, axis=0) / b_norm
+            return np.zeros(rhs.shape)
+        if self._inv is None:
+            self._inv = schur_factor(self.A)
+        inv, d = self._inv, self.A.diags.reshape(5, B, m, m)
+        # x[j, block, column] is line j's vector: forward sweep
+        # u_j = b_j - L_j S_{j-1}^-1 u_{j-1}, backward y_j = S_j^-1 (u_j - U_j y_{j+1})
+        x = b.reshape(B, m, m, -1).transpose(1, 0, 3, 2).copy()
+        for j in range(1, m):
+            x[j] -= d[0, :, j, None] * _lines_matvec(inv[j - 1], x[j - 1])
+        x[m - 1] = _lines_matvec(inv[m - 1], x[m - 1])
+        for j in range(m - 2, -1, -1):
+            x[j] = _lines_matvec(inv[j], x[j] - d[4, :, j, None] * x[j + 1])
+        y = x.transpose(1, 0, 3, 2).reshape(b.shape)
+        y.transpose(0, 2, 1)[~live] = 0.0
+        r = np.stack([self.A @ y[..., c] for c in range(b.shape[2])], axis=-1)
+        res = np.linalg.norm(r.reshape(b.shape) - b, axis=1)[live] / b_norm[live]
         worst = float(np.max(res))
         if not np.isfinite(worst) or worst > 10 * LINEAR_SOLVE_TOL:
             raise LinearSolveError(f"solution residual {worst:.3e} exceeds tolerance")

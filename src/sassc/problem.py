@@ -19,8 +19,9 @@ and scenario-count changes and approximate integrable functions rather
 than measures.
 
 The operators ``A_k`` are the blocks of one ``grid.Stencil`` per scenario
-set and grid (``Instance.block_operator``), and each has one cached LU
-factorization (``Instance.factors``).
+set and grid (``Instance.block_operator``), and the stack has one cached
+block factorization (``Instance.factors``) that solves for every scenario
+in one call.
 """
 
 from __future__ import annotations
@@ -116,13 +117,13 @@ class Instance:
             self.scenarios._cache[key] = assemble_operator(self.grid, a_closed)
         return self.scenarios._cache[key]
 
-    def factors(self) -> list[Factorization]:
-        """One LU factorization per scenario operator, a block of
-        ``block_operator``, cached beside it on the scenario set."""
+    def factors(self) -> Factorization:
+        """One factorization of the whole ``block_operator`` stack, cached
+        beside it on the scenario set; it solves (S, n) and (S, n, k)
+        right-hand sides, every scenario in one call."""
         key = ("lu", self.grid.n1d)
         if key not in self.scenarios._cache:
-            blk = self.block_operator()
-            self.scenarios._cache[key] = [Factorization(blk.block(k)) for k in range(self.S)]
+            self.scenarios._cache[key] = Factorization(self.block_operator())
         return self.scenarios._cache[key]
 
     def with_alpha_prime(self, alpha_prime: float) -> "Instance":
@@ -243,17 +244,16 @@ def hard_mode_infeasibility(inst: Instance) -> str | None:
     ``-M``. A violation counts only beyond ``INFEASIBILITY_MARGIN`` times
     the scale of the bounds, far above the accuracy of the solves.
 
-    The bounds come from the cached ``Instance.factors``, so a second call
-    solves again but factors nothing, and an in-place edit of the control
-    box or ``M`` gets a fresh verdict.
+    The bounds come from one solve of the cached ``Instance.factors``, both
+    bounds of every scenario as an (S, n, 2) right-hand side, so a second
+    call solves again but factors nothing, and an in-place edit of the
+    control box or ``M`` gets a fresh verdict.
     """
     if inst.mode != "hard":
         raise ValueError("the a-priori infeasibility check applies to hard mode")
     _, g, psi = inst.fields()
     M = inst.c2_bound
-    # each scenario's factorization solves for both bounds: (S, n, 2)
-    bounds = np.stack([lu.solve(np.stack([inst.c1_lo + g[k], inst.c1_hi + g[k]], axis=1))
-                       for k, lu in enumerate(inst.factors())])
+    bounds = inst.factors().solve(np.stack([inst.c1_lo + g, inst.c1_hi + g], axis=-1))
     lo, hi = bounds[..., 0], bounds[..., 1]
     margin = INFEASIBILITY_MARGIN * (1.0 + max(M, float(np.abs(lo).max()),
                                                float(np.abs(hi).max())))
@@ -285,7 +285,7 @@ def _second_stage_candidate(inst: Instance, x1: np.ndarray):
     _, g, psi = inst.fields()
     M = inst.c2_bound
     delta = min(1.0, M / 2.0)
-    y = np.stack([lu.solve(x1 + g[k]) for k, lu in enumerate(inst.factors())])
+    y = inst.factors().solve(x1 + g)
     z = np.clip(y - psi + delta, -M, M)
     return y, z, delta
 

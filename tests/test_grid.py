@@ -3,17 +3,17 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sassc import io
+from sassc import grid, io
 from sassc.grid import (
     LINEAR_SOLVE_TOL,
     EllipticityError,
     Factorization,
     LinearSolveError,
+    Stencil,
     assemble_operator,
     build_grid,
     mms_convergence_study,
@@ -198,17 +198,18 @@ def test_solve_columns_match_single_solves():
     assert y.shape == rhs.shape and not y[:, 1].any()
     for j in (0, 2):
         assert y[:, j].tobytes() == solve_linear(A, rhs[:, j]).tobytes()
-    singular = sp.csr_matrix((g.n, g.n))
+    singular = Stencil(g.n1d, np.zeros((5, g.n)), A.stored)   # zero diagonals
     assert np.array_equal(solve_linear(singular, np.zeros((g.n, 2))), np.zeros((g.n, 2)))
     with pytest.raises(LinearSolveError):
         solve_linear(singular, rhs)
 
 
 def test_solve_failure_reports():
-    n = 4
-    A = sp.csr_matrix((n, n))  # singular
+    g = build_grid(2)
+    stored = assemble_operator(g, np.ones((4, 4))).stored
+    A = Stencil(g.n1d, np.zeros((5, g.n)), stored)  # singular; assembly rejects a zero field
     with pytest.raises(LinearSolveError):
-        solve_linear(A, np.ones(n))
+        solve_linear(A, np.ones(g.n))
 
 
 def test_solve_rejects_bad_rhs_shape():
@@ -245,18 +246,45 @@ def test_factorization_solve_properties(data, n1d, k, seed):
 @settings(max_examples=10, deadline=None)
 @given(n1d=st.integers(1, 6), S=st.integers(1, 4), seed=st.integers(0, 2**16))
 def test_instance_factors_are_cached(n1d, S, seed):
-    """``Instance.factors`` factors each scenario's operator once: a
-    second call runs no ``splu`` and solves with the same bits, which are
-    those of a factorization of its own."""
+    """``Instance.factors`` factors the scenario stack once, in one
+    ``schur_factor`` call: a second call factors nothing and solves with
+    the same bits, which are each scenario's from a factorization of its
+    own."""
     inst = io.make_instance("default", n1d=n1d, scenario_count=S, seed=seed)
     _, g, _ = inst.fields()
-    with mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
-        first = [lu.solve(g[k]) for k, lu in enumerate(inst.factors())]
-        assert splu.call_count == S
-        again = [lu.solve(g[k]) for k, lu in enumerate(inst.factors())]
-        assert splu.call_count == S
+    with mock.patch.object(grid, "schur_factor", wraps=grid.schur_factor) as factor:
+        first = inst.factors().solve(g)
+        assert factor.call_count == 1
+        again = inst.factors().solve(g)
+        assert factor.call_count == 1
     for k, A in enumerate(inst.operators()):
         assert first[k].tobytes() == again[k].tobytes() == solve_linear(A, g[k]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n1d=st.integers(1, 6), S=st.integers(1, 4), k=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_solve_properties(data, n1d, S, k, seed):
+    """On random positive coefficient fields, each (scenario, column) pair
+    of one (S, n, k) solve of ``Instance.factors`` has the bits of its own
+    solve by a factorization of its block alone, a zero pair comes back as
+    exact zeros, and a second ``inst.factors()`` factors nothing."""
+    inst = io.make_instance("default", n1d=n1d, scenario_count=S)
+    _, g, psi = inst.fields()
+    a = data.draw(hnp.arrays(float, (S, n1d + 2, n1d + 2), elements=st.floats(0.01, 100.0)))
+    inst.scenarios._cache[n1d] = (a, g, psi)
+    zero = data.draw(hnp.arrays(bool, (S, k)))
+    rhs = np.random.default_rng(seed).standard_normal((S, inst.n, k))
+    rhs.transpose(0, 2, 1)[zero] = 0.0
+    y = inst.factors().solve(rhs)
+    A = inst.block_operator()
+    for s in range(S):
+        for c in range(k):
+            alone = Factorization(A.block(s)).solve(rhs[s, :, c])
+            assert y[s, :, c].tobytes() == (np.zeros(inst.n) if zero[s, c] else alone).tobytes()
+    with mock.patch.object(grid, "schur_factor", wraps=grid.schur_factor) as factor:
+        assert inst.factors().solve(rhs).tobytes() == y.tobytes()
+        assert factor.call_count == 0
 
 
 def test_discrete_maximum_principle():

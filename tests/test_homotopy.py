@@ -4,9 +4,8 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
-from sassc import certify, homotopy, io, solvers
+from sassc import certify, grid, homotopy, io, solvers
 from sassc.homotopy import (
     HomotopyError,
     HomotopyLevel,
@@ -272,10 +271,10 @@ def test_reference_proven_infeasible_fails_before_a_worker_starts(monkeypatch):
 
 
 def test_overlapped_study_screens_and_certifies_each_solve_once(monkeypatch):
-    """A study factors each scenario's operator once for the a-priori
-    check, although the check runs before the reference's thread starts
-    and again in ``solve_hard``, and runs one certification pass per
-    solve: the reference and each level."""
+    """A study factors its scenario stack once, in one ``schur_factor``
+    call, for the a-priori check, although the check runs before the
+    reference's thread starts and again in ``solve_hard``, and runs one
+    certification pass per solve: the reference and each level."""
     inst = io.make_instance("default", n1d=8, scenario_count=4)   # caches still empty
     calls = []      # list.append is atomic, so both threads may count
 
@@ -288,12 +287,12 @@ def test_overlapped_study_screens_and_certifies_each_solve_once(monkeypatch):
 
         monkeypatch.setattr(module, name, call)
 
-    count(spla, "splu")
+    count(grid, "schur_factor")
     count(certify, "kkt_residuals")
     rep = run_homotopy(inst, SCHEDULE, SolverParams())
     assert rep.reference.converged
-    assert {name: calls.count(name) for name in ("splu", "kkt_residuals")} == {
-        "splu": inst.S, "kkt_residuals": 1 + len(SCHEDULE)}
+    assert {name: calls.count(name) for name in ("schur_factor", "kkt_residuals")} == {
+        "schur_factor": 1, "kkt_residuals": 1 + len(SCHEDULE)}
 
 
 def _fail_reference_in_thread(monkeypatch, failure):

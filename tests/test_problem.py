@@ -4,9 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
-from sassc import io
+from sassc import grid, io
 from sassc.grid import Factorization, build_grid, solve_linear
 from sassc.problem import (
     DualPoint,
@@ -234,7 +233,7 @@ def test_hard_infeasibility_not_flagged_on_presets():
 
 def test_hard_infeasibility_not_flagged_past_ten_thousand_unknowns():
     """At n1d 200 (40 000 unknowns) the state bounds pass the residual
-    gate: the sparse LU serves every size."""
+    gate: the block factorization serves every size."""
     inst = io.make_instance("default", n1d=200, scenario_count=1).with_mode("hard")
     assert hard_mode_infeasibility(inst) is None
 
@@ -265,25 +264,26 @@ def test_hard_infeasibility_flagged(changes, reason):
 
 
 def test_hard_infeasibility_factors_each_scenario_once():
-    """The verdict factors each scenario's operator on its first call, and
-    neither an equal instance on the same scenario set nor an in-place edit
-    of the control box factors again; the edit gets a fresh verdict."""
+    """The verdict factors the scenario stack on its first call, every
+    scenario in one ``schur_factor`` call, and neither an equal instance on
+    the same scenario set nor an in-place edit of the control box factors
+    again; the edit gets a fresh verdict."""
     inst = _hard(**{"c1.lo": -1e3, "c1.hi": -1e3})
-    with mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
+    with mock.patch.object(grid, "schur_factor", wraps=grid.schur_factor) as factor:
         assert hard_mode_infeasibility(inst).startswith("the highest reachable state")
-        assert splu.call_count == inst.S
+        assert factor.call_count == 1
         equal = replace(inst)
         assert equal is not inst and equal.c1_hi is not inst.c1_hi
         assert hard_mode_infeasibility(equal).startswith("the highest reachable state")
         inst.c1_hi[:] = 2.0
         assert hard_mode_infeasibility(inst) is None
-        assert splu.call_count == inst.S
+        assert factor.call_count == 1
 
 
 def test_hard_infeasibility_bounds_equal_per_bound_solves(monkeypatch):
-    """The verdict solves for both state bounds as two columns of one
-    solve per scenario factorization; each column has the bits of its own
-    solve."""
+    """The verdict solves for both state bounds of every scenario in one
+    (S, n, 2) solve of the stack's factorization; each (scenario, column)
+    pair has the bits of its own solve."""
     solved = []
     solve = Factorization.solve
 
@@ -294,14 +294,15 @@ def test_hard_infeasibility_bounds_equal_per_bound_solves(monkeypatch):
     monkeypatch.setattr(Factorization, "solve", keeping)
     inst = _hard("default")
     assert hard_mode_infeasibility(inst) is None
-    assert len(solved) == inst.S
+    assert len(solved) == 1
     monkeypatch.undo()
     _, g, _ = inst.fields()
-    for k, (A, b, both) in enumerate(solved):
-        assert both.shape == (inst.n, 2)
+    A, b, both = solved[0]
+    assert A is inst.block_operator() and both.shape == (inst.S, inst.n, 2)
+    for k in range(inst.S):
         for col, bound in enumerate((inst.c1_lo, inst.c1_hi)):
-            assert b[:, col].tobytes() == (bound + g[k]).tobytes()
-            assert both[:, col].tobytes() == solve_linear(A, bound + g[k]).tobytes()
+            assert b[k, :, col].tobytes() == (bound + g[k]).tobytes()
+            assert both[k, :, col].tobytes() == solve_linear(A.block(k), bound + g[k]).tobytes()
 
 
 def test_hard_infeasibility_requires_hard_mode(tiny_instance):

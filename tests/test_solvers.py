@@ -1485,8 +1485,8 @@ def test_import_does_not_load_multiprocessing():
 
 def test_import_does_not_load_scipy():
     """No scipy module is imported with the package and its command line:
-    a factorization (``grid.Factorization``, the barrier oracle) or a CSR
-    form (``Stencil.tocsr``) imports it when first called."""
+    the barrier oracle or a CSR form (``Stencil.tocsr``) imports it when
+    first called."""
     src = os.path.dirname(os.path.dirname(solvers.__file__))
     code = ("import sys, sassc, sassc.cli\n"
             "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
@@ -1507,6 +1507,37 @@ def test_slack_pipeline_does_not_load_scipy(tmp_path):
             "assert main(['solve', '--instance', inst, '--out', 'run']) == 0\n"
             "assert main(['certify', '--instance', inst, '--primal', primal, '--dual', dual,\n"
             "             '--out', 'kkt.json']) == 0\n"
+            "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n")
+    if kernel.load() is None:
+        pytest.skip("no C compiler on PATH: the numpy steps multiply by scipy's CSR")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=tmp_path,
+                   stdout=subprocess.DEVNULL)
+
+
+
+def test_hard_paths_do_not_load_scipy(tmp_path):
+    """A hard-mode ``generate -> solve -> certify`` of the command line and
+    a homotopy study import no scipy module: the a-priori verdict's
+    factorization (``grid.schur_factor``) is numpy's."""
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    code = ("import json, sys\n"
+            "from sassc import io\n"
+            "from sassc.cli import main\n"
+            "from sassc.homotopy import run_homotopy\n"
+            "from sassc.solvers import SolverParams\n"
+            "inst, primal, dual = 'inst.json', 'run/primal.json', 'run/dual.json'\n"
+            "assert main(['generate', '--preset', 'tiny', '--out', inst]) == 0\n"
+            "d = json.load(open(inst))\n"
+            "d['mode'] = 'hard'\n"
+            "json.dump(d, open(inst, 'w'))\n"
+            "assert main(['solve', '--instance', inst, '--out', 'run']) == 0\n"
+            "assert main(['certify', '--instance', inst, '--primal', primal, '--dual', dual,\n"
+            "             '--out', 'kkt.json']) == 0\n"
+            "schedule = [1.0, 10.0, 100.0, 1000.0]\n"
+            "rep = run_homotopy(io.make_instance('tiny'), schedule, SolverParams())\n"
+            "assert rep.reference.converged\n"
             "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
             "assert not loaded, loaded\n")
     if kernel.load() is None:
