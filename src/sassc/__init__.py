@@ -17,7 +17,6 @@ from .grid import (
     build_grid,
     mms_convergence_study,
     operator_norm_estimate,
-    solve_linear,
 )
 from .homotopy import (
     HomotopyError,

@@ -149,7 +149,7 @@ def cmd_solve(args) -> int:
         _write_json(os.path.join(args.out, "ph_weights.json"),
                     {"weights": weights, **provenance})
     elif args.algorithm == "barrier":
-        primal, dual, report = solve_barrier_reference(inst, params)
+        primal, dual, report = solve_barrier_reference(inst)
     else:
         raise ValueError(f"unknown algorithm {args.algorithm!r}")
 
@@ -252,15 +252,12 @@ def cmd_homotopy(args) -> int:
 def cmd_compare_oracle(args) -> int:
     inst, sha = _load_instance(args.instance)
     params = _params_from_args(args)
-    tight = SolverParams(
-        max_iters=params.max_iters,
-        kkt_tolerance=min(params.kkt_tolerance, 1e-8),
-        barrier_mu_terminal=1e-12,
-    )
+    tight = SolverParams(max_iters=params.max_iters,
+                         kkt_tolerance=min(params.kkt_tolerance, 1e-8))
     if args.out:
         _check_out(args.out, directory=True)
     # the barrier first: it rejects an instance over its size limit at once
-    xb, _, rep_b = solve_barrier_reference(inst, tight)
+    xb, _, rep_b = solve_barrier_reference(inst)
     xp, _, rep_p = solve_pdhg(inst, tight)
     dx1 = inst.h * float(np.linalg.norm(xp.x1 - xb.x1))
     rel = abs(rep_p.objective - rep_b.objective) / max(1e-300, abs(rep_b.objective))

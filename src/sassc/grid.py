@@ -284,12 +284,6 @@ class Factorization:
         return y.reshape(rhs.shape)
 
 
-def solve_linear(A, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A y = rhs`` with a factorization of its own (see
-    ``Factorization.solve``)."""
-    return Factorization(A).solve(rhs)
-
-
 @dataclass(frozen=True)
 class MmsRow:
     """One refinement level of the manufactured-solution study."""
@@ -323,7 +317,7 @@ def mms_convergence_study(levels: list[int]) -> list[MmsRow]:
         a_closed = np.ones((n1d + 2, n1d + 2))
         A = assemble_operator(grid, a_closed)
         rhs, exact = _manufactured_rhs_and_solution(grid)
-        y = solve_linear(A, rhs)
+        y = Factorization(A).solve(rhs)
         err = float(np.max(np.abs(y - exact)))
         rate = None
         if prev is not None:

@@ -60,7 +60,8 @@ process (``_EngineWorker``), one engine call per subproblem.
 
 The barrier oracle is deliberately a different algorithmic family (dense
 Newton on a log-barrier interior path) so that agreement between solvers
-is evidence of correctness rather than a tautology.
+is evidence of correctness rather than a tautology. It reads no
+``SolverParams``: it stops on the duality gap it measures at its point.
 
 ``SolverParams`` holds the settings a caller chooses; the fixed constants
 of the iteration (``CHECK_EVERY``, ``DIVERGENCE_THRESHOLD`` and the others
@@ -88,7 +89,9 @@ from .problem import (
     DualPoint,
     Instance,
     PrimalPoint,
+    dual_function,
     hard_mode_infeasibility,
+    objective,
     project_c1,
     zeros_dual,
 )
@@ -107,6 +110,8 @@ PH_INNER_TOLERANCE = 1e-8   # residual tolerance of the PH subproblems
 PH_MAX_OUTER = 500          # PH rounds
 BARRIER_MU0 = 1.0           # first barrier parameter
 BARRIER_SHRINK = 0.2        # barrier parameter factor per central-path step
+BARRIER_REL_GAP = 1e-8      # barrier stops at duality gap <= this * |J|
+BARRIER_MU_FLOOR = 1e-20    # barrier parameter at which the barrier fails
 
 
 # the check's divergence magnitudes and worst residual (kernel.CHECK_COLUMNS)
@@ -128,14 +133,13 @@ class SolverParams:
     max_iters: int = 400_000
     kkt_tolerance: float = 1e-6
     ph_penalty: float = 1.0
-    barrier_mu_terminal: float = 1e-10
 
     def __post_init__(self):
         if not isinstance(self.max_iters, numbers.Integral):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if not self.max_iters > 0:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        for name in ("kkt_tolerance", "ph_penalty", "barrier_mu_terminal"):
+        for name in ("kkt_tolerance", "ph_penalty"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -738,22 +742,24 @@ def _barrier_fraction_to_boundary(v, dv, spans, psi_flat, n, S, slack) -> float:
     return 0.99 * smax
 
 
-def solve_barrier_reference(
-    inst: Instance,
-    params: SolverParams | None = None,
-) -> tuple[PrimalPoint, DualPoint, SolveReport]:
+def solve_barrier_reference(inst: Instance) -> tuple[PrimalPoint, DualPoint, SolveReport]:
     """Dense interior-point reference solve for small instances.
 
     Follows the central path of the log-barrier reformulation (all boxes
     and the obstacle inequality barriered, the PDE equality kept in a
     dense Newton KKT system), shrinking the barrier parameter
-    geometrically to its terminal value. Obstacle multipliers are
-    recovered from the barrier gradients, ``mu / slack``, converted to
-    densities; the equality multipliers come from the Newton system.
+    geometrically. Obstacle multipliers are recovered from the barrier
+    gradients, ``mu / slack``, converted to densities; the equality
+    multipliers come from the Newton system.
+
+    After each barrier parameter it measures the duality gap of its point,
+    ``objective - dual_function``, and stops once that is within
+    ``BARRIER_REL_GAP * |J|``; reaching ``BARRIER_MU_FLOOR`` first fails.
+    ``converged`` also needs the certificate's worst residual within
+    ``10 sqrt(mu)`` at the parameter reached (``extras.mu_terminal``).
     """
     import scipy.linalg     # loaded by the first barrier solve, not at import
 
-    params = params or SolverParams()
     S, n, h = inst.S, inst.n, inst.h
     hh = h * h
     slack = inst.mode == "slack"
@@ -809,6 +815,17 @@ def solve_barrier_reference(
         gr = hobj * v
         gr[n:n + S * n] -= w_y * yt_flat
         return gr
+
+    def point(v, nu, mu):
+        """Primal point and multiplier densities of a barrier iterate."""
+        weights = (p * hh)[:, None]
+        y = v[n:n + S * n]
+        z = v[n + S * n:] if slack else np.zeros(S * n)
+        s_obs = psi_flat + z - y if slack else psi_flat - y
+        lam_e = nu.reshape(S, n) / weights
+        lam_i = (mu / s_obs).reshape(S, n) / weights
+        primal = PrimalPoint(v[:n], y.reshape(S, n), z.reshape(S, n))
+        return primal, DualPoint(lam_e, lam_i, -lam_e)
 
     mu = BARRIER_MU0
     newton_steps = 0
@@ -875,25 +892,15 @@ def solve_barrier_reference(
             v = v + step * dv
             nu = nu + step * dnu
             newton_steps += 1
-        if mu <= params.barrier_mu_terminal:
+        primal, dual = point(v, nu, mu)
+        J = objective(inst, primal)
+        gap_met = J - dual_function(inst, dual) <= BARRIER_REL_GAP * abs(J)
+        if gap_met or mu <= BARRIER_MU_FLOOR:
             break
-        mu = max(params.barrier_mu_terminal, mu * BARRIER_SHRINK)
+        mu = max(BARRIER_MU_FLOOR, mu * BARRIER_SHRINK)
 
-    x1 = v[:n]
-    y = v[n:n + S * n].reshape(S, n)
-    z = v[n + S * n:].reshape(S, n) if slack else np.zeros((S, n))
-    weights = (p * hh)[:, None]
-    if slack:
-        s_obs = (psi_flat + v[n + S * n:] - v[n:n + S * n]).reshape(S, n)
-    else:
-        s_obs = (psi_flat - v[n:n + S * n]).reshape(S, n)
-    lam_i = (mu / s_obs) / weights
-    lam_e = nu.reshape(S, n) / weights
-    primal = PrimalPoint(x1.copy(), y.copy(), z.copy())
-    dual = DualPoint(lam_e, lam_i, -lam_e)
     kkt = certify.kkt_residuals(inst, primal, dual)
-    status = STATUS_CONVERGED
-    if not kkt.max_residual() <= 10.0 * math.sqrt(params.barrier_mu_terminal):
-        status = STATUS_FAILURE
+    converged = gap_met and kkt.max_residual() <= 10.0 * math.sqrt(mu)
+    status = STATUS_CONVERGED if converged else STATUS_FAILURE
     report = _report("barrier", kkt, newton_steps, status, extras={"mu_terminal": mu})
     return primal, dual, report

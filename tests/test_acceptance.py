@@ -15,10 +15,11 @@ import pytest
 from sassc import io
 from sassc.certify import kkt_residuals, multiplier_l1_norms
 from sassc.cli import main as cli_main
-from sassc.grid import mms_convergence_study, solve_linear
+from sassc.grid import Factorization, mms_convergence_study
 from sassc.homotopy import fit_decay_rate, run_homotopy
 from sassc.problem import DualPoint, PrimalPoint, dual_function, norm_h, objective, project_c1
 from sassc.solvers import (
+    BARRIER_REL_GAP,
     SolverParams,
     solve_barrier_reference,
     solve_pdhg,
@@ -79,9 +80,9 @@ def test_criterion_3_oracle_equivalence():
     for seed in (1, 2, 3, 4, 5):
         inst = io.make_instance("tiny", seed=seed)
         xp, _, rp = solve_pdhg(inst, SolverParams(kkt_tolerance=1e-8))
-        xb, _, rb = solve_barrier_reference(
-            inst, SolverParams(barrier_mu_terminal=1e-12))
+        xb, _, rb = solve_barrier_reference(inst)
         assert rp.converged and rb.converged
+        assert rb.objective - rb.dual_value <= BARRIER_REL_GAP * abs(rb.objective)
         dx = norm_h(xp.x1 - xb.x1, inst.h)
         rel = abs(rp.objective - rb.objective) / abs(rb.objective)
         assert dx <= 1e-5, f"seed {seed}: dx1 = {dx}"
@@ -133,7 +134,7 @@ def test_criterion_5_weak_duality_fuzz():
     worst = -np.inf
     for trial in range(1000):
         x1 = rng.uniform(inst.c1_lo, inst.c1_hi)
-        y = np.stack([solve_linear(ops[k], x1 + g[k]) for k in range(inst.S)])
+        y = np.stack([Factorization(ops[k]).solve(x1 + g[k]) for k in range(inst.S)])
         assert np.abs(y).max() <= M  # construction stays inside the state box
         z = np.clip(np.maximum(0.0, y - psi) + rng.uniform(0.0, 0.2, y.shape), -M, M)
         x = PrimalPoint(x1, y, z)

@@ -24,8 +24,7 @@ from test_problem import feasible_point
 
 @pytest.fixture(scope="module")
 def oracle_pair(tiny_instance):
-    params = SolverParams(barrier_mu_terminal=1e-12)
-    return solve_barrier_reference(tiny_instance, params)
+    return solve_barrier_reference(tiny_instance)
 
 
 def test_oracle_pair_certifies(tiny_instance, oracle_pair):
@@ -155,8 +154,7 @@ def test_necessity_sufficiency_roundtrip():
         kkt = kkt_residuals(inst, x, lam)
         assert kkt.max_residual() <= 1e-8
         assert kkt.relative_gap() <= 1e-6
-        xb, lb, repb = solve_barrier_reference(
-            inst, SolverParams(barrier_mu_terminal=1e-12))
+        xb, lb, repb = solve_barrier_reference(inst)
         kktb = kkt_residuals(inst, xb, lb)
         assert kktb.max_residual() <= 1e-4
 

@@ -18,7 +18,6 @@ from sassc.grid import (
     build_grid,
     mms_convergence_study,
     operator_norm_estimate,
-    solve_linear,
 )
 from sassc.scenarios import FieldSpec, sample_scenarios
 
@@ -165,14 +164,14 @@ def test_adjoint_consistency_weighted_inner_product():
 def test_solve_zero_rhs_is_exact_zero():
     g = build_grid(4)
     A = assemble_operator(g, np.ones((6, 6)))
-    y = solve_linear(A, np.zeros(g.n))
+    y = Factorization(A).solve(np.zeros(g.n))
     assert np.array_equal(y, np.zeros(g.n))
 
 
 def test_solve_single_node():
     g = build_grid(1)
     A = assemble_operator(g, np.ones((3, 3)))
-    y = solve_linear(A, np.array([1.0]))
+    y = Factorization(A).solve(np.array([1.0]))
     np.testing.assert_allclose(y, [1.0 / 16.0], rtol=1e-14)
 
 
@@ -181,7 +180,7 @@ def test_manufactured_solution_frozen_bound():
     A = assemble_operator(g, np.ones((10, 10)))
     sx, sy = g.interior_coords()
     exact = np.sin(np.pi * sx) * np.sin(np.pi * sy)
-    y = solve_linear(A, 2.0 * np.pi**2 * exact)
+    y = Factorization(A).solve(2.0 * np.pi**2 * exact)
     assert np.abs(y - exact).max() <= MMS_C_N1D8 * g.h**2
 
 
@@ -194,14 +193,14 @@ def test_solve_columns_match_single_solves():
     A = assemble_operator(g, 1.0 + rng.random((8, 8)))
     rhs = rng.standard_normal((g.n, 3))
     rhs[:, 1] = 0.0
-    y = solve_linear(A, rhs)
+    y = Factorization(A).solve(rhs)
     assert y.shape == rhs.shape and not y[:, 1].any()
     for j in (0, 2):
-        assert y[:, j].tobytes() == solve_linear(A, rhs[:, j]).tobytes()
+        assert y[:, j].tobytes() == Factorization(A).solve(rhs[:, j]).tobytes()
     singular = Stencil(g.n1d, np.zeros((5, g.n)), A.stored)   # zero diagonals
-    assert np.array_equal(solve_linear(singular, np.zeros((g.n, 2))), np.zeros((g.n, 2)))
+    assert np.array_equal(Factorization(singular).solve(np.zeros((g.n, 2))), np.zeros((g.n, 2)))
     with pytest.raises(LinearSolveError):
-        solve_linear(singular, rhs)
+        Factorization(singular).solve(rhs)
 
 
 def test_solve_failure_reports():
@@ -209,7 +208,7 @@ def test_solve_failure_reports():
     stored = assemble_operator(g, np.ones((4, 4))).stored
     A = Stencil(g.n1d, np.zeros((5, g.n)), stored)  # singular; assembly rejects a zero field
     with pytest.raises(LinearSolveError):
-        solve_linear(A, np.ones(g.n))
+        Factorization(A).solve(np.ones(g.n))
 
 
 def test_solve_rejects_bad_rhs_shape():
@@ -217,7 +216,7 @@ def test_solve_rejects_bad_rhs_shape():
     A = assemble_operator(g, np.ones((4, 4)))
     for bad in (np.ones(5), np.ones((5, 2)), np.ones((4, 1, 1))):
         with pytest.raises(ValueError):
-            solve_linear(A, bad)
+            Factorization(A).solve(bad)
 
 
 @settings(max_examples=40, deadline=None)
@@ -258,7 +257,7 @@ def test_instance_factors_are_cached(n1d, S, seed):
         again = inst.factors().solve(g)
         assert factor.call_count == 1
     for k, A in enumerate(inst.operators()):
-        assert first[k].tobytes() == again[k].tobytes() == solve_linear(A, g[k]).tobytes()
+        assert first[k].tobytes() == again[k].tobytes() == Factorization(A).solve(g[k]).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -293,7 +292,7 @@ def test_discrete_maximum_principle():
     rng = np.random.default_rng(2)
     for _ in range(5):
         rhs = rng.random(g.n)  # nonnegative
-        y = solve_linear(A, rhs)
+        y = Factorization(A).solve(rhs)
         assert y.min() >= -1e-12
 
 
@@ -315,7 +314,7 @@ def test_uniform_ensemble_bound():
             )
             for k in range(5):
                 A = assemble_operator(g, a[k])
-                y = solve_linear(A, x1 + load[k])
+                y = Factorization(A).solve(x1 + load[k])
                 assert np.abs(y).max() <= bound
 
 

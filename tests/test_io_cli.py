@@ -206,10 +206,10 @@ def test_solve_infeasible_exit_code(tmp_path):
 def test_failed_linear_solve_exits_one(monkeypatch, capsys):
     from sassc import grid
 
-    def failing(A, rhs):
+    def failing(self, rhs):
         raise grid.LinearSolveError("solution residual 1.065e-11 exceeds tolerance")
 
-    monkeypatch.setattr(grid, "solve_linear", failing)
+    monkeypatch.setattr(grid.Factorization, "solve", failing)
     assert run_cli(["mms", "--levels", "7,15"]) == 1
     err = capsys.readouterr().err
     assert "linear solve failed: solution residual 1.065e-11 exceeds tolerance" in err
@@ -769,9 +769,11 @@ def test_homotopy_cli_too_few_usable_levels_exits_1(tmp_path, capsys):
     assert "constraint never active" in capsys.readouterr().err
 
 
-def test_compare_oracle_cli(tmp_path):
+@pytest.mark.parametrize("generate", [TINY_ARGS, ["--n1d", "8", "--scenarios", "4"]],
+                         ids=["tiny", "default-n1d8-S4"])
+def test_compare_oracle_cli(tmp_path, generate):
     inst_path = tmp_path / "inst.json"
-    run_cli(["generate", *TINY_ARGS, "--out", str(inst_path)])
+    run_cli(["generate", *generate, "--out", str(inst_path)])
     assert run_cli(["compare-oracle", "--instance", str(inst_path),
                     "--out", str(tmp_path / "c")]) == 0
     data = json.loads((tmp_path / "c" / "compare_oracle.json").read_text())
@@ -868,6 +870,22 @@ def test_ph_and_barrier_algorithms_via_cli(tmp_path):
     assert "weights" in weights and "instance_sha256" in weights
     assert run_cli(["solve", "--instance", str(inst_path), "--algorithm", "barrier",
                     "--out", str(tmp_path / "ba")]) == 0
+
+
+def test_barrier_that_reaches_its_floor_fails(tmp_path, monkeypatch):
+    """A barrier parameter floor above the one the duality gap needs ends
+    the path there: the report says failure, at the floor, and ``solve``
+    exits 1."""
+    inst_path = tmp_path / "inst.json"
+    run_cli(["generate", *TINY_ARGS, "--out", str(inst_path)])
+    monkeypatch.setattr(solvers, "BARRIER_MU_FLOOR", 1e-3)
+    assert run_cli(["solve", "--instance", str(inst_path), "--algorithm", "barrier",
+                    "--out", str(tmp_path / "ba")]) == 1
+    report = json.loads((tmp_path / "ba" / "report.json").read_text())
+    assert report["status"] == "failure"
+    assert report["extras"]["mu_terminal"] == 1e-3
+    assert report["objective"] - report["dual_value"] > (
+        solvers.BARRIER_REL_GAP * abs(report["objective"]))
 
 
 @pytest.mark.parametrize("command", [["solve", "--algorithm", "ph"]], ids=["ph"])

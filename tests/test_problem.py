@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sassc import grid, io
-from sassc.grid import Factorization, build_grid, solve_linear
+from sassc.grid import Factorization, build_grid
 from sassc.problem import (
     DualPoint,
     Instance,
@@ -40,7 +40,7 @@ def feasible_point(inst, x1, extra=None):
     """Exactly feasible point: PDE solutions plus lifted slack."""
     _, g, psi = inst.fields()
     ops = inst.operators()
-    y = np.stack([solve_linear(ops[k], x1 + g[k]) for k in range(inst.S)])
+    y = np.stack([Factorization(ops[k]).solve(x1 + g[k]) for k in range(inst.S)])
     lift = 0.0 if extra is None else extra
     z = np.clip(np.maximum(0.0, y - psi) + lift, -inst.c2_bound, inst.c2_bound)
     return PrimalPoint(x1, y, z)
@@ -204,9 +204,9 @@ def test_instance_validation():
 
 def test_oracle_solution_feasibility(tiny_instance):
     from sassc.certify import kkt_residuals
-    from sassc.solvers import SolverParams, solve_barrier_reference
+    from sassc.solvers import solve_barrier_reference
     inst = tiny_instance
-    x, lam, rep = solve_barrier_reference(inst, SolverParams(barrier_mu_terminal=1e-12))
+    x, lam, rep = solve_barrier_reference(inst)
     M = inst.c2_bound
     assert np.maximum(inst.c1_lo - x.x1, x.x1 - inst.c1_hi).max() <= 1e-8
     assert np.abs(x.y).max() - M <= 1e-8 and np.abs(x.z).max() - M <= 1e-8
@@ -244,7 +244,7 @@ def test_hard_infeasibility_margin(excess, flagged):
     margin that covers the solves' roundoff."""
     inst = _hard()
     a, g, _ = inst.fields()
-    lowest = np.stack([solve_linear(A, inst.c1_lo + g[k])
+    lowest = np.stack([Factorization(A).solve(inst.c1_lo + g[k])
                        for k, A in enumerate(inst.operators())])
     inst.scenarios._cache[inst.grid.n1d] = (a, g, lowest - excess)
     assert (hard_mode_infeasibility(inst) is not None) == flagged
@@ -302,7 +302,8 @@ def test_hard_infeasibility_bounds_equal_per_bound_solves(monkeypatch):
     for k in range(inst.S):
         for col, bound in enumerate((inst.c1_lo, inst.c1_hi)):
             assert b[k, :, col].tobytes() == (bound + g[k]).tobytes()
-            assert both[k, :, col].tobytes() == solve_linear(A.block(k), bound + g[k]).tobytes()
+            alone = Factorization(A.block(k)).solve(bound + g[k])
+            assert both[k, :, col].tobytes() == alone.tobytes()
 
 
 def test_hard_infeasibility_requires_hard_mode(tiny_instance):

@@ -27,7 +27,7 @@ from sassc.certify import (
     natural_residuals,
     one_nan,
 )
-from sassc.grid import solve_linear
+from sassc.grid import Factorization
 from sassc.problem import DualPoint, PrimalPoint, norm_h, objective, project_c1
 from sassc.solvers import (
     STATUS_CONVERGED,
@@ -99,7 +99,7 @@ def test_pdhg_feasible_point_upper_bound():
     inst = io.instance_from_dict(d)
     x1_star = np.full(inst.n, 0.5)
     _, g, _ = inst.fields()
-    y_star = solve_linear(inst.operators()[0], x1_star + g[0])
+    y_star = Factorization(inst.operators()[0]).solve(x1_star + g[0])
     inst.y_target[:] = y_star
     x, lam, rep = solve_pdhg(inst, SolverParams())
     assert rep.converged
@@ -1157,7 +1157,7 @@ def test_solver_params_validation():
         SolverParams(max_iters=0)
     with pytest.raises(ValueError, match="integer"):
         SolverParams(max_iters=1.5)
-    for name in ("kkt_tolerance", "ph_penalty", "barrier_mu_terminal"):
+    for name in ("kkt_tolerance", "ph_penalty"):
         for value in (math.inf, math.nan, -1.0):
             with pytest.raises(ValueError, match=name):
                 SolverParams(**{name: value})
@@ -1191,7 +1191,7 @@ def test_solve_hard_binding_complementarity(tiny_instance):
 def test_solve_hard_vs_barrier_oracle(tiny_instance):
     inst = tiny_instance.with_mode("hard")
     x, _, rep = solve_hard(inst, SolverParams(kkt_tolerance=1e-8))
-    xb, _, repb = solve_barrier_reference(inst, SolverParams(barrier_mu_terminal=1e-12))
+    xb, _, repb = solve_barrier_reference(inst)
     assert rep.converged and repb.converged
     assert norm_h(x.x1 - xb.x1, inst.h) <= 1e-5
 
@@ -1560,12 +1560,12 @@ def test_barrier_size_guard():
     d = io.template_dict("default", n1d=32)  # 1024 + 2*8*1024 vars
     inst = io.instance_from_dict(d)
     with pytest.raises(BarrierSizeError):
-        solve_barrier_reference(inst, SolverParams())
+        solve_barrier_reference(inst)
 
 
 def test_barrier_matches_dense_solve_equality_only():
     inst = io.instance_from_dict(unconstrained_template())
-    x, lam, rep = solve_barrier_reference(inst, SolverParams(barrier_mu_terminal=1e-12))
+    x, lam, rep = solve_barrier_reference(inst)
     assert rep.converged
     x1_ref, _ = dense_equality_solution(inst)
     assert norm_h(x.x1 - x1_ref, inst.h) <= 1e-7
@@ -1586,7 +1586,7 @@ def test_barrier_active_set_contains_constructed_patch():
     # overwrite the realized obstacle directly on the cached fields
     a, g, _ = inst2.fields()
     inst2.scenarios._cache[inst2.grid.n1d] = (a, g, psi[None, :])
-    x, lam, rep = solve_barrier_reference(inst2, SolverParams(barrier_mu_terminal=1e-12))
+    x, lam, rep = solve_barrier_reference(inst2)
     assert rep.converged
     _, ineq = (None, x.y - x.z - psi[None, :])
     active = np.where(np.abs(ineq[0]) <= 1e-6)[0]
@@ -1596,8 +1596,7 @@ def test_barrier_active_set_contains_constructed_patch():
 
 def test_barrier_agrees_with_pdhg_small_objective(tiny_instance):
     x, lam, rep = solve_pdhg(tiny_instance, SolverParams(kkt_tolerance=1e-8))
-    xb, lb, repb = solve_barrier_reference(
-        tiny_instance, SolverParams(barrier_mu_terminal=1e-12))
+    xb, lb, repb = solve_barrier_reference(tiny_instance)
     assert abs(rep.objective - repb.objective) <= 1e-7 * max(1.0, abs(repb.objective))
     assert norm_h(x.x1 - xb.x1, tiny_instance.h) <= 1e-5
 
@@ -1608,7 +1607,7 @@ def test_three_way_cross_algorithm_agreement(tiny_instance):
     xp, _, rp = solve_pdhg(inst, SolverParams(kkt_tolerance=1e-8))
     xh, _, rh, _ = solve_progressive_hedging(
         inst, SolverParams(ph_penalty=0.05, kkt_tolerance=1e-7))
-    xb, _, rb = solve_barrier_reference(inst, SolverParams(barrier_mu_terminal=1e-12))
+    xb, _, rb = solve_barrier_reference(inst)
     assert rp.converged and rh.converged and rb.converged
     for a, b in ((xp, xh), (xp, xb), (xh, xb)):
         assert norm_h(a.x1 - b.x1, inst.h) <= 1e-4
