@@ -5,10 +5,11 @@ solver and writes primal/dual/report JSON; ``certify`` scores a stored
 primal-dual pair; ``homotopy``, ``compare-oracle``, and ``mms`` run the
 standard studies and gate their exit code on the study's acceptance
 predicate. Exit codes: 0 success, 1 certificate or predicate failure
-(or a failed linear solve), 2 iteration cap, 3 infeasibility suspicion,
-4 input error, including a grid too large to allocate and a command line
-that argparse rejects (``--help`` exits 0); an engine worker
-process that ends without replying exits 1 with an ``error:`` line.
+(or a failed linear solve), 2 iteration cap and 3 infeasibility
+suspicion (of a solve or of the homotopy's hard reference), 4 input
+error, including a grid too large to allocate and a command line that
+argparse rejects (``--help`` exits 0); an engine worker process that
+ends without replying exits 1 with an ``error:`` line.
 
 All output files are canonical JSON or CSV written atomically; every
 report embeds the instance SHA-256 and sampling seed. ``solve
@@ -27,6 +28,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -56,7 +58,14 @@ EXIT_INPUT = 4
 MMS_RATE_WINDOW = (1.85, 2.15)
 ORACLE_DX1_BOUND = 1e-5
 ORACLE_REL_OBJ_BOUND = 1e-7
+ORACLE_PDHG_TOL = 1e-8      # pdhg tolerance of compare-oracle, well inside its bounds
 HOMOTOPY_SLOPE_BOUND = -0.9
+
+
+def _exit_code(status: str) -> int:
+    """The exit code of a solver status."""
+    return {STATUS_CONVERGED: EXIT_OK, STATUS_INFEASIBLE: EXIT_INFEASIBLE,
+            STATUS_ITERATION_CAP: EXIT_ITERATION_CAP}.get(status, EXIT_FAIL)
 
 
 def _params_from_args(args) -> SolverParams:
@@ -161,13 +170,7 @@ def cmd_solve(args) -> int:
                 io.solve_report_to_dict(report, provenance))
     print(f"{report.algorithm}: {report.status} after {report.iterations} iterations, "
           f"objective {report.objective:.12g}")
-    if report.status == STATUS_CONVERGED:
-        return EXIT_OK
-    if report.status == STATUS_INFEASIBLE:
-        return EXIT_INFEASIBLE
-    if report.status == STATUS_ITERATION_CAP:
-        return EXIT_ITERATION_CAP
-    return EXIT_FAIL
+    return _exit_code(report.status)
 
 
 def _format_kkt_table(rep: certify.KktReport) -> str:
@@ -251,14 +254,15 @@ def cmd_homotopy(args) -> int:
 
 def cmd_compare_oracle(args) -> int:
     inst, sha = _load_instance(args.instance)
-    params = _params_from_args(args)
-    tight = SolverParams(max_iters=params.max_iters,
-                         kkt_tolerance=min(params.kkt_tolerance, 1e-8))
+    params = replace(_params_from_args(args), kkt_tolerance=ORACLE_PDHG_TOL)
     if args.out:
         _check_out(args.out, directory=True)
-    # the barrier first: it rejects an instance over its size limit at once
+    # the barrier first: it rejects an instance too large or infeasible a priori at once
     xb, _, rep_b = solve_barrier_reference(inst)
-    xp, _, rep_p = solve_pdhg(inst, tight)
+    if rep_b.status == STATUS_INFEASIBLE:
+        print(f"infeasible: {rep_b.extras['infeasibility']}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    xp, _, rep_p = solve_pdhg(inst, params)
     dx1 = inst.h * float(np.linalg.norm(xp.x1 - xb.x1))
     rel = abs(rep_p.objective - rep_b.objective) / max(1e-300, abs(rep_b.objective))
     provenance = {"instance_sha256": sha, "seed": inst.scenarios.seed}
@@ -277,6 +281,8 @@ def cmd_compare_oracle(args) -> int:
 
 def cmd_mms(args) -> int:
     levels = [int(s) for s in args.levels.split(",")]
+    if len(levels) < 2:
+        raise ValueError(f"--levels needs at least two levels for a rate, got {len(levels)}")
     if args.out:
         _check_out(args.out, directory=True)
     rows = mms_convergence_study(levels)
@@ -349,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare-oracle",
                        help="cross-check the default solver against the barrier oracle")
     p.add_argument("--instance", required=True)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare_oracle)
@@ -373,8 +378,11 @@ def main(argv: list[str] | None = None) -> int:
     except WorkerExitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except HomotopyError as exc:    # a bad schedule, or the reference's status
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT if exc.status is None else _exit_code(exc.status)
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError,
-            HomotopyError, BarrierSizeError, BarrierFailure) as exc:
+            BarrierSizeError, BarrierFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:  # a grid too large to allocate

@@ -20,11 +20,16 @@ import numpy as np
 
 from . import certify
 from .problem import Instance, hard_mode_infeasibility, norm_h
-from .solvers import SolveReport, SolverParams, solve_hard, solve_pdhg
+from .solvers import STATUS_INFEASIBLE, SolveReport, SolverParams, solve_hard, solve_pdhg
 
 
 class HomotopyError(RuntimeError):
-    """The study could not run (bad schedule or unsolvable reference)."""
+    """The study could not run: a bad schedule (``status`` None), or a
+    reference without a solution (``status`` is its solver status)."""
+
+    def __init__(self, message: str, status: str | None = None):
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass
@@ -93,7 +98,7 @@ def _reference(hard_inst: Instance, params: SolverParams):
     if not report.converged:
         raise HomotopyError(
             f"hard-mode reference did not converge (status {report.status}); "
-            "the penalization limit has no target"
+            "the penalization limit has no target", status=report.status
         )
     return primal, report
 
@@ -130,8 +135,10 @@ def run_homotopy(
     sched = _validate_schedule(schedule)
 
     hard_inst = inst.with_mode("hard")
-    if hard_mode_infeasibility(hard_inst) is not None:
-        _reference(hard_inst, params)   # raises: the reference has no solution
+    reason = hard_mode_infeasibility(hard_inst)
+    if reason is not None:
+        raise HomotopyError(f"hard-mode reference is infeasible: {reason}",
+                            status=STATUS_INFEASIBLE)
     with ThreadPoolExecutor(max_workers=1) as pool:
         ref = pool.submit(_reference, hard_inst, params)
         solved = []

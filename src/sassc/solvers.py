@@ -385,6 +385,22 @@ def _pdhg_engine(
     return primal, DualPoint(lam_e.copy(), ci * lam_ih, -lam_e), it, status
 
 
+def _proven_infeasible(algorithm: str, inst: Instance):
+    """The outcome of a hard-mode instance that ``hard_mode_infeasibility``
+    proves infeasible, or None: status ``infeasibility_suspected`` after 0
+    iterations at the zero point (controls projected onto C1, zero
+    multipliers), the reason in ``extras["infeasibility"]``."""
+    reason = hard_mode_infeasibility(inst) if inst.mode == "hard" else None
+    if reason is None:
+        return None
+    zeros = np.zeros((inst.S, inst.n))
+    primal = PrimalPoint(project_c1(inst, np.zeros(inst.n)), zeros, zeros)
+    dual = zeros_dual(inst)
+    report = _report(algorithm, certify.kkt_residuals(inst, primal, dual), 0,
+                     STATUS_INFEASIBLE, extras={"infeasibility": reason})
+    return primal, dual, report
+
+
 def solve_pdhg(
     inst: Instance,
     params: SolverParams | None = None,
@@ -400,28 +416,22 @@ def solve_pdhg(
 
     A hard-mode instance first goes through the a-priori state bounds of
     ``problem.hard_mode_infeasibility``. If they prove it infeasible, the
-    solve stops after 0 iterations at the starting point with status
-    ``infeasibility_suspected``, and the reason goes to
-    ``extras["infeasibility"]``.
+    solve stops after 0 iterations at the zero point of
+    ``_proven_infeasible``, with the reason in ``extras["infeasibility"]``.
 
     ``history(it, res, xp, lam)``, if given, is the engine's hook, called
     at every residual check (see ``_pdhg_engine``); the CLI streams it to
     the ``--history-csv`` file.
     """
     params = params or SolverParams()
-    reason = hard_mode_infeasibility(inst) if inst.mode == "hard" else None
-    if reason is None:
-        primal, dual, iters, status = _pdhg_engine(
-            inst, tol=params.kkt_tolerance, max_iters=params.max_iters, warm=warm,
-            history=history)
-    else:
-        zeros = np.zeros((inst.S, inst.n))
-        primal = PrimalPoint(project_c1(inst, np.zeros(inst.n)), zeros, zeros)
-        dual, iters, status = zeros_dual(inst), 0, STATUS_INFEASIBLE
+    proven = _proven_infeasible("pdhg", inst)
+    if proven is not None:
+        return proven
+    primal, dual, iters, status = _pdhg_engine(
+        inst, tol=params.kkt_tolerance, max_iters=params.max_iters, warm=warm,
+        history=history)
     kkt = certify.kkt_residuals(inst, primal, dual)
-    extras = None if reason is None else {"infeasibility": reason}
-    report = _report("pdhg", kkt, iters, status, extras=extras)
-    return primal, dual, report
+    return primal, dual, _report("pdhg", kkt, iters, status)
 
 
 def solve_hard(
@@ -672,85 +682,42 @@ def solve_progressive_hedging(
 # Dense log-barrier reference oracle
 
 
-def _barrier_terms(v, mu, spans, psi_flat, n, S, slack):
-    """Gradient and Hessian contributions of all log-barrier terms.
-
-    Returns (grad, hess_diag, hess_cross, min_slack) where hess_cross is
-    the y/z coupling of the obstacle terms (slack mode).
+def _barrier_inequalities(inst: Instance, psi_flat: np.ndarray):
+    """Every strict inequality of the barrier, stated once as ``b - G v > 0``
+    over ``v = [x1 | y | z]`` (no z in hard mode), and the block of each row:
+    the control box ``lo < x1 < hi``, the state box ``-M < y < M``, in slack
+    mode the slack box ``-M < z < M``, and last the obstacle ``y - z < psi``
+    (``y < psi`` in hard mode). ``G`` is a ``scipy.sparse`` matrix.
     """
-    nv = v.size
-    grad = np.zeros(nv)
-    hdiag = np.zeros(nv)
-    x1 = v[:n]
-    y = v[n:n + S * n]
-    lo, hi, M = spans
+    import scipy.sparse     # loaded by the first barrier solve, not at import
 
-    s_lo = x1 - lo
-    s_hi = hi - x1
-    s_ylo = y + M
-    s_yhi = M - y
-    slacks = [s_lo, s_hi, s_ylo, s_yhi]
-
-    grad[:n] += mu * (-1.0 / s_lo + 1.0 / s_hi)
-    hdiag[:n] += mu * (1.0 / s_lo**2 + 1.0 / s_hi**2)
-    grad[n:n + S * n] += mu * (-1.0 / s_ylo + 1.0 / s_yhi)
-    hdiag[n:n + S * n] += mu * (1.0 / s_ylo**2 + 1.0 / s_yhi**2)
-
-    if slack:
-        z = v[n + S * n:]
-        s_zlo = z + M
-        s_zhi = M - z
-        s_obs = psi_flat + z - y
-        slacks += [s_zlo, s_zhi, s_obs]
-        grad[n + S * n:] += mu * (-1.0 / s_zlo + 1.0 / s_zhi)
-        hdiag[n + S * n:] += mu * (1.0 / s_zlo**2 + 1.0 / s_zhi**2)
-        grad[n:n + S * n] += mu / s_obs
-        grad[n + S * n:] += -mu / s_obs
-        hdiag[n:n + S * n] += mu / s_obs**2
-        hdiag[n + S * n:] += mu / s_obs**2
-        hcross = -mu / s_obs**2
-    else:
-        s_obs = psi_flat - y
-        slacks.append(s_obs)
-        grad[n:n + S * n] += mu / s_obs
-        hdiag[n:n + S * n] += mu / s_obs**2
-        hcross = None
-
-    min_slack = min(float(s.min()) for s in slacks)
-    return grad, hdiag, hcross, min_slack
-
-
-def _barrier_fraction_to_boundary(v, dv, spans, psi_flat, n, S, slack) -> float:
-    """Largest step keeping every barrier slack strictly positive."""
-    lo, hi, M = spans
-    x1, dx1 = v[:n], dv[:n]
-    y, dy = v[n:n + S * n], dv[n:n + S * n]
-    pairs = [
-        (x1 - lo, dx1), (hi - x1, -dx1),
-        (y + M, dy), (M - y, -dy),
-    ]
-    if slack:
-        z, dz = v[n + S * n:], dv[n + S * n:]
-        pairs += [(z + M, dz), (M - z, -dz), (psi_flat + z - y, dz - dy)]
-    else:
-        pairs.append((psi_flat - y, -dy))
-    smax = 1.0
-    for s, ds in pairs:
-        shrink = ds < 0
-        if np.any(shrink):
-            smax = min(smax, float(np.min(-s[shrink] / ds[shrink])))
-    return 0.99 * smax
+    n, sn, M = inst.n, inst.S * inst.n, inst.c2_bound
+    slack = inst.mode == "slack"
+    nv = n + sn + (sn if slack else 0)
+    x1, y, z = (scipy.sparse.eye(size, nv, k=at) for size, at in ((n, 0), (sn, n), (sn, n + sn)))
+    boxes = [x1, y] + ([z] if slack else [])
+    G = scipy.sparse.vstack([r for u in boxes for r in (-u, u)] + [y - z if slack else y],
+                            format="csr")
+    b = np.concatenate([-inst.c1_lo, inst.c1_hi] + [np.full(sn, M)] * (2 * len(boxes) - 2)
+                       + [psi_flat])
+    names = np.repeat(["control box", "state box", "slack box", "obstacle"],
+                      [2 * n, 2 * sn, 2 * sn if slack else 0, sn])
+    return G, b, names
 
 
 def solve_barrier_reference(inst: Instance) -> tuple[PrimalPoint, DualPoint, SolveReport]:
     """Dense interior-point reference solve for small instances.
 
-    Follows the central path of the log-barrier reformulation (all boxes
-    and the obstacle inequality barriered, the PDE equality kept in a
-    dense Newton KKT system), shrinking the barrier parameter
-    geometrically. Obstacle multipliers are recovered from the barrier
-    gradients, ``mu / slack``, converted to densities; the equality
-    multipliers come from the Newton system.
+    Follows the central path of the log-barrier reformulation (every strict
+    inequality ``b - G v > 0`` of ``_barrier_inequalities`` barriered, the
+    PDE equality kept in a dense Newton KKT system), shrinking the barrier
+    parameter geometrically. Obstacle multipliers are recovered from the
+    barrier gradients, ``mu / slack`` of the obstacle rows, converted to
+    densities; the equality multipliers come from the Newton system.
+
+    Past its size check it first runs ``_proven_infeasible``, as
+    ``solve_pdhg`` does; a start point outside the inequalities' interior
+    raises ``BarrierFailure``.
 
     After each barrier parameter it measures the duality gap of its point,
     ``objective - dual_function``, and stops once that is within
@@ -759,6 +726,7 @@ def solve_barrier_reference(inst: Instance) -> tuple[PrimalPoint, DualPoint, Sol
     ``10 sqrt(mu)`` at the parameter reached (``extras.mu_terminal``).
     """
     import scipy.linalg     # loaded by the first barrier solve, not at import
+    import scipy.sparse
 
     S, n, h = inst.S, inst.n, inst.h
     hh = h * h
@@ -770,29 +738,23 @@ def solve_barrier_reference(inst: Instance) -> tuple[PrimalPoint, DualPoint, Sol
         raise BarrierSizeError(
             f"barrier oracle limited to {BARRIER_SIZE_LIMIT} variables, got {nv}"
         )
+    proven = _proven_infeasible("barrier", inst)
+    if proven is not None:
+        return proven
     _, g, psi = inst.fields()
-    ops = inst.operators()
-
-    lo, hi = inst.c1_lo, inst.c1_hi
-    if np.any(hi - lo <= 0):
-        raise BarrierFailure("control box has empty interior")
     psi_flat = psi.ravel()
-    spans = (lo, hi, M)
+    G, b, names = _barrier_inequalities(inst, psi_flat)
 
     # strictly interior start; the PDE equality is reached by Newton
-    x1 = 0.5 * (lo + hi)
-    y0 = np.zeros(S * n)
+    x1 = 0.5 * (inst.c1_lo + inst.c1_hi)
     if slack:
-        delta = 0.5 * min(1.0, M)
-        z0 = np.clip(np.maximum(0.0, -psi_flat + delta), -0.9 * M, 0.9 * M)
-        if np.any(psi_flat + z0 - y0 <= 0):
-            raise BarrierFailure("could not construct a strictly feasible start")
-        v = np.concatenate([x1, y0, z0])
+        z0 = np.clip(np.maximum(0.0, -psi_flat + 0.5 * min(1.0, M)), -0.9 * M, 0.9 * M)
+        v = np.concatenate([x1, np.zeros(S * n), z0])
     else:
-        y0 = np.clip(psi_flat - 0.5 * min(1.0, M), -0.9 * M, 0.9 * M)
-        if np.any(psi_flat - y0 <= 0):
-            raise BarrierFailure("obstacle admits no strictly feasible state")
-        v = np.concatenate([x1, y0])
+        v = np.concatenate([x1, np.clip(psi_flat - 0.5 * min(1.0, M), -0.9 * M, 0.9 * M)])
+    outside = names[~(b - G @ v > 0)]
+    if outside.size:
+        raise BarrierFailure(f"the barrier's start point is not strictly inside the {outside[0]}")
 
     # quadratic objective: gradient factors and constant Hessian diagonal
     w_y = np.repeat(p * hh, n)
@@ -802,26 +764,28 @@ def solve_barrier_reference(inst: Instance) -> tuple[PrimalPoint, DualPoint, Sol
     )
     yt_flat = np.tile(inst.y_target, S)
 
-    # dense equality Jacobian: A_k y_k - x1 - g_k = 0
+    # dense equality Jacobian of A_k y_k - x1 - g_k = 0, fixed in the Newton matrix
     E = np.zeros((S * n, nv))
-    for k in range(S):
-        rows = slice(k * n, (k + 1) * n)
-        E[rows, :n] = -np.eye(n)
-        E[rows, n + k * n: n + (k + 1) * n] = ops[k].tocsr().toarray()
-    b = g.ravel()
+    E[:, :n] = np.tile(-np.eye(n), (S, 1))
+    E[:, n:n + S * n] = inst.block_operator().tocsr().toarray()
+    g_flat = g.ravel()
+    KKT = np.zeros((nv + S * n, nv + S * n))
+    KKT[:nv, nv:] = E.T
+    KKT[nv:, :nv] = E
     nu = np.zeros(S * n)
 
-    def obj_grad(v):
+    def residuals(v, nu, s, mu):
+        """Barrier subproblem residuals at ``v, nu`` with slacks ``s = b - G v``."""
         gr = hobj * v
         gr[n:n + S * n] -= w_y * yt_flat
-        return gr
+        return gr + mu * (G.T @ (1.0 / s)) + E.T @ nu, E @ v - g_flat
 
     def point(v, nu, mu):
         """Primal point and multiplier densities of a barrier iterate."""
         weights = (p * hh)[:, None]
         y = v[n:n + S * n]
         z = v[n + S * n:] if slack else np.zeros(S * n)
-        s_obs = psi_flat + z - y if slack else psi_flat - y
+        s_obs = (b - G @ v)[-S * n:]
         lam_e = nu.reshape(S, n) / weights
         lam_i = (mu / s_obs).reshape(S, n) / weights
         primal = PrimalPoint(v[:n], y.reshape(S, n), z.reshape(S, n))
@@ -832,55 +796,36 @@ def solve_barrier_reference(inst: Instance) -> tuple[PrimalPoint, DualPoint, Sol
     while True:
         inner_tol = max(1e-11, 1e-2 * mu)
         for _ in range(80):
-            bgrad, bhdiag, bhcross, _ = _barrier_terms(v, mu, spans, psi_flat, n, S, slack)
-            grad = obj_grad(v) + bgrad
-            r_dual = grad + E.T @ nu
-            r_eq = E @ v - b
+            s = b - G @ v
+            r_dual, r_eq = residuals(v, nu, s, mu)
             if max(np.abs(r_dual).max(), np.abs(r_eq).max()) <= inner_tol:
                 break
 
-            H = np.zeros((nv, nv))
-            np.fill_diagonal(H, hobj + bhdiag)
-            if bhcross is not None:
-                iy = np.arange(n, n + S * n)
-                iz = np.arange(n + S * n, nv)
-                H[iy, iz] += bhcross
-                H[iz, iy] += bhcross
-            KKT = np.zeros((nv + S * n, nv + S * n))
-            KKT[:nv, :nv] = H
-            KKT[:nv, nv:] = E.T
-            KKT[nv:, :nv] = E
-            rhs = np.concatenate([-r_dual, -r_eq])
+            # the Hessian diag(hobj) + mu G^T diag(1/s^2) G
+            KKT[:nv, :nv] = np.diag(hobj) + (G.T @ scipy.sparse.diags(mu / s**2) @ G).toarray()
             try:
-                sol = scipy.linalg.solve(KKT, rhs)
-            except scipy.linalg.LinAlgError:
-                KKT[:nv, :nv] += 1e-10 * np.eye(nv)
-                try:
-                    sol = scipy.linalg.solve(KKT, rhs)
-                except scipy.linalg.LinAlgError as exc:
-                    raise BarrierFailure(
-                        f"Newton system singular at mu={mu:.3e}: {exc}"
-                    ) from exc
+                sol = scipy.linalg.solve(KKT, np.concatenate([-r_dual, -r_eq]))
+            except scipy.linalg.LinAlgError as exc:
+                raise BarrierFailure(
+                    f"Newton system singular at mu={mu:.3e}: {exc}"
+                ) from exc
             dv, dnu = sol[:nv], sol[nv:]
 
-            smax = _barrier_fraction_to_boundary(v, dv, spans, psi_flat, n, S, slack)
-            step = min(1.0, smax)
+            # fraction to the boundary: the rows whose slack the step shrinks
+            gdv = G @ dv
+            shrinks = gdv > 0
+            step = 0.99 * np.min(s[shrinks] / gdv[shrinks], initial=1.0)
             base = np.linalg.norm(np.concatenate([r_dual, r_eq]))
-            stalled = False
             for _ in range(40):
                 vt = v + step * dv
                 nut = nu + step * dnu
-                bg, _, _, ms = _barrier_terms(vt, mu, spans, psi_flat, n, S, slack)
-                if ms > 0.0:
-                    rt = np.linalg.norm(
-                        np.concatenate([obj_grad(vt) + bg + E.T @ nut, E @ vt - b])
-                    )
+                st = b - G @ vt
+                if st.min() > 0.0:
+                    rt = np.linalg.norm(np.concatenate(residuals(vt, nut, st, mu)))
                     if rt <= (1.0 - 1e-4 * step) * base:
                         break
                 step *= 0.5
             else:
-                stalled = True
-            if stalled:
                 # no productive step left at this mu; acceptable at the
                 # numerical floor (final quality is gated by the KKT
                 # certificate), fatal if the system genuinely broke down

@@ -265,9 +265,10 @@ def test_reference_proven_infeasible_fails_before_a_worker_starts(monkeypatch):
     starts and before any engine call."""
     monkeypatch.setattr(homotopy, "ThreadPoolExecutor", _no_worker)
     monkeypatch.setattr(solvers, "_pdhg_engine", _no_worker)
-    with pytest.raises(HomotopyError, match="reference did not converge "
-                                            r"\(status infeasibility_suspected\)"):
+    with pytest.raises(HomotopyError, match="reference is infeasible: the lowest reachable "
+                                            "state exceeds") as raised:
         run_homotopy(_infeasible_tiny(), SCHEDULE, SolverParams())
+    assert raised.value.status == solvers.STATUS_INFEASIBLE
 
 
 def test_overlapped_study_screens_and_certifies_each_solve_once(monkeypatch):

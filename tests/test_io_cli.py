@@ -769,11 +769,17 @@ def test_homotopy_cli_too_few_usable_levels_exits_1(tmp_path, capsys):
     assert "constraint never active" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("generate", [TINY_ARGS, ["--n1d", "8", "--scenarios", "4"]],
-                         ids=["tiny", "default-n1d8-S4"])
-def test_compare_oracle_cli(tmp_path, generate):
+@pytest.mark.parametrize("generate, hard", [(TINY_ARGS, False),
+                                            (["--n1d", "8", "--scenarios", "4"], False),
+                                            (TINY_ARGS, True)],
+                         ids=["tiny", "default-n1d8-S4", "tiny-hard"])
+def test_compare_oracle_cli(tmp_path, generate, hard):
+    """The barrier agrees with pdhg within the oracle bounds; in hard mode
+    through its hard-mode inequalities (no slack box, obstacle y < psi)."""
     inst_path = tmp_path / "inst.json"
     run_cli(["generate", *generate, "--out", str(inst_path)])
+    if hard:
+        inst_path = _hard_tiny(tmp_path)
     assert run_cli(["compare-oracle", "--instance", str(inst_path),
                     "--out", str(tmp_path / "c")]) == 0
     data = json.loads((tmp_path / "c" / "compare_oracle.json").read_text())
@@ -886,6 +892,120 @@ def test_barrier_that_reaches_its_floor_fails(tmp_path, monkeypatch):
     assert report["extras"]["mu_terminal"] == 1e-3
     assert report["objective"] - report["dual_value"] > (
         solvers.BARRIER_REL_GAP * abs(report["objective"]))
+
+
+def _hard_tiny(tmp_path, c1=None, psi=None):
+    """The tiny preset in hard mode, saved to a file, with the control box
+    ``c1`` = (lo, hi) and a constant obstacle ``psi`` if given."""
+    d = io.template_dict("tiny")
+    d["mode"] = "hard"
+    if c1 is not None:
+        d["c1"] = {"lo": c1[0], "hi": c1[1]}
+    if psi is not None:
+        d["scenarios"]["spec_psi"] = {"baseline": psi, "modes": [], "clip": None}
+    path = tmp_path / "hard.json"
+    io.save_instance(io.instance_from_dict(d), str(path))
+    return path
+
+
+NARROW_C1 = (-0.001, 0.001)     # no reachable state lies under the obstacle
+NARROW_C1_REASON = ("the lowest reachable state exceeds min(obstacle, M) by 0.0242 "
+                    "at scenario 0, node 9")
+
+
+def test_barrier_proven_infeasible_exits_3_after_0_steps(tmp_path, monkeypatch, capsys):
+    """The barrier runs the a-priori hard-mode verdict before any Newton
+    step: it reports what pdhg reports, at the same zero point, and exits
+    3; ``compare-oracle`` exits 3 on the barrier's verdict without running
+    pdhg."""
+    inst_path = _hard_tiny(tmp_path, c1=NARROW_C1)
+    reports = {}
+    for algorithm in ("pdhg", "barrier"):
+        out = tmp_path / algorithm
+        assert run_cli(["solve", "--instance", str(inst_path), "--algorithm", algorithm,
+                        "--out", str(out)]) == 3
+        reports[algorithm] = json.loads((out / "report.json").read_text())
+        assert (out / "primal.json").read_text() == (tmp_path / "pdhg" / "primal.json").read_text()
+    assert reports["barrier"]["iterations"] == 0
+    assert reports["barrier"]["extras"] == {"infeasibility": NARROW_C1_REASON}
+    assert {**reports["barrier"], "algorithm": "pdhg"} == reports["pdhg"]
+
+    def no_pdhg(*args, **kwargs):
+        raise AssertionError("the pdhg solve ran after the barrier's verdict")
+
+    monkeypatch.setattr(cli, "solve_pdhg", no_pdhg)
+    capsys.readouterr()
+    assert run_cli(["compare-oracle", "--instance", str(inst_path),
+                    "--out", str(tmp_path / "c")]) == 3
+    assert capsys.readouterr().err == f"infeasible: {NARROW_C1_REASON}\n"
+    assert not (tmp_path / "c").exists()
+
+
+def test_barrier_start_outside_the_obstacle_exits_4(tmp_path, capsys):
+    """An instance the a-priori verdict passes, but whose barrier start
+    point (states half a unit below the obstacle, clipped to [-0.9 M, 0.9 M])
+    lies above the obstacle psi = -0.95, ends with exit 4 and one ``error:``
+    line."""
+    from sassc.problem import hard_mode_infeasibility
+
+    inst_path = _hard_tiny(tmp_path, c1=(-200.0, 2.0), psi=-0.95)
+    assert hard_mode_infeasibility(io.load_instance(str(inst_path))[0]) is None
+    capsys.readouterr()
+    assert run_cli(["solve", "--instance", str(inst_path), "--algorithm", "barrier",
+                    "--out", str(tmp_path / "b")]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the barrier's start point is not strictly inside the obstacle"]
+
+
+def test_compare_oracle_has_no_tol_option(tmp_path, capsys):
+    """``compare-oracle`` runs pdhg at ``cli.ORACLE_PDHG_TOL``; ``--tol`` is
+    an unknown option, exit 4 with one ``error:`` line."""
+    inst_path = tmp_path / "inst.json"
+    run_cli(["generate", *TINY_ARGS, "--out", str(inst_path)])
+    capsys.readouterr()
+    assert run_cli(["compare-oracle", "--instance", str(inst_path), "--tol", "1e-2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--tol" in err and len(err.splitlines()) == 1
+
+
+def _no_engine(*args, **kwargs):
+    raise AssertionError("a solve or study ran before the input was rejected")
+
+
+@pytest.mark.parametrize("max_iters, psi, code, message", [
+    ("100", None, 2, "hard-mode reference did not converge (status iteration_cap)"),
+    ("400000", -1.0, 3, "hard-mode reference is infeasible: the lowest reachable state "
+                        "exceeds min(obstacle, M) by 0.973 at scenario 1, node 0"),
+], ids=["iteration-cap", "infeasible"])
+def test_homotopy_reference_failure_exit_codes(tmp_path, monkeypatch, capsys, max_iters,
+                                               psi, code, message):
+    """A hard reference stopped by the iteration cap exits 2, and one proven
+    infeasible a priori exits 3 with the verdict's reason, before any
+    engine call; neither writes the study's files."""
+    d = io.template_dict("tiny")
+    if psi is not None:
+        d["scenarios"]["spec_psi"] = {"baseline": psi, "modes": [], "clip": None}
+        monkeypatch.setattr(solvers, "_pdhg_engine", _no_engine)
+    inst_path = tmp_path / "inst.json"
+    io.save_instance(io.instance_from_dict(d), str(inst_path))
+    out = tmp_path / "h"
+    capsys.readouterr()
+    assert run_cli(["homotopy", "--instance", str(inst_path), "--schedule", "1,10,100,1000",
+                    "--max-iters", max_iters, "--out", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_mms_single_level_exits_4_before_any_work(tmp_path, monkeypatch, capsys):
+    """One level gives no rate: an input error, exit 4, before the study
+    runs or any file is written."""
+    monkeypatch.setattr(cli, "mms_convergence_study", _no_engine)
+    capsys.readouterr()
+    assert run_cli(["mms", "--levels", "8", "--out", str(tmp_path / "m")]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --levels needs at least two levels for a rate, got 1"]
+    assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize("command", [["solve", "--algorithm", "ph"]], ids=["ph"])
