@@ -7,18 +7,20 @@ standard studies and gate their exit code on the study's acceptance
 predicate. Exit codes: 0 success, 1 certificate or predicate failure
 (or a failed linear solve), 2 iteration cap and 3 infeasibility
 suspicion (of a solve or of the homotopy's hard reference), 4 input
-error, including a grid too large to allocate and a command line that
-argparse rejects (``--help`` exits 0); an engine worker process that
-ends without replying exits 1 with an ``error:`` line.
+error, including a grid too large to allocate, a barrier start point
+outside the inequalities' interior and a command line that argparse
+rejects (``--help`` exits 0); an engine worker process that ends without
+replying, and a barrier Newton iteration that breaks down, exit 1 with
+an ``error:`` line.
 
 All output files are canonical JSON or CSV written atomically; every
 report embeds the instance SHA-256 and sampling seed. ``solve
 --history-csv`` streams the pdhg solve's residual checks to a CSV through
-the ``history=`` hook of ``solvers.solve_pdhg``. The CLI itself is
-single-threaded, except that ``homotopy`` solves its hard reference in a
-second thread while it solves the slack levels. Progressive hedging runs
-each round's scenario subproblems in one process per CPU of the affinity
-mask (``solvers.worker_count``); ``taskset -c 0`` runs it in one process.
+the ``history=`` hook of ``solvers.solve_pdhg``. The CLI runs in one
+thread; ``homotopy`` solves its hard reference before its slack levels.
+Progressive hedging runs each round's scenario subproblems in one process
+per CPU of the affinity mask (``solvers.worker_count``); ``taskset -c 0``
+runs it in one process.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .solvers import (
     STATUS_INFEASIBLE,
     STATUS_ITERATION_CAP,
     BarrierFailure,
-    BarrierSizeError,
     SolverParams,
     WorkerExitError,
     solve_barrier_reference,
@@ -375,14 +376,13 @@ def main(argv: list[str] | None = None) -> int:
     except LinearSolveError as exc:
         print(f"linear solve failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except WorkerExitError as exc:
+    except (WorkerExitError, BarrierFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except HomotopyError as exc:    # a bad schedule, or the reference's status
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT if exc.status is None else _exit_code(exc.status)
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError,
-            BarrierSizeError, BarrierFailure) as exc:
+    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:  # a grid too large to allocate

@@ -13,13 +13,12 @@ optimal slack is the clamped multiplier divided by the weight.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import certify
-from .problem import Instance, hard_mode_infeasibility, norm_h
+from .problem import Instance, norm_h
 from .solvers import STATUS_INFEASIBLE, SolveReport, SolverParams, solve_hard, solve_pdhg
 
 
@@ -92,9 +91,13 @@ def _usable_levels(levels: list[HomotopyLevel]) -> list[tuple[float, float]]:
 
 
 def _reference(hard_inst: Instance, params: SolverParams):
-    """The study's hard-mode reference solve; a reference that did not
-    converge aborts the study."""
+    """The study's hard-mode reference solve; a reference proven infeasible
+    a priori, or one that did not converge, aborts the study."""
     primal, _, report = solve_hard(hard_inst, params)
+    reason = report.extras.get("infeasibility")
+    if reason is not None:
+        raise HomotopyError(f"hard-mode reference is infeasible: {reason}",
+                            status=STATUS_INFEASIBLE)
     if not report.converged:
         raise HomotopyError(
             f"hard-mode reference did not converge (status {report.status}); "
@@ -110,17 +113,11 @@ def run_homotopy(
 ) -> HomotopyReport:
     """Solve the slack problem along the schedule and fit the slack decay.
 
-    The hard-mode reference is solved in a second thread of this process
-    while this thread solves the levels. Each engine call runs a whole
-    check interval in one C call, which releases the GIL, so the two
-    overlap on two CPUs. Both go through ``solve_hard`` and ``solve_pdhg``
-    of this module, and the report is bitwise that of solving the
-    reference first. Only the levels' control distances need the
-    reference. After each level, a reference that has finished unconverged
-    aborts the study; one proven infeasible a priori
-    (``problem.hard_mode_infeasibility``) aborts it before any level runs.
-    An exception in this thread propagates once the reference's thread has
-    ended, which ``params.max_iters`` bounds.
+    The hard-mode reference is solved first, through ``solve_hard`` of
+    this module, and the levels after it through ``solve_pdhg``, all in the
+    calling thread. A reference that ``solve_hard`` proves infeasible a
+    priori (``problem.hard_mode_infeasibility``, 0 engine calls), or that
+    does not converge, aborts the study before any level runs.
 
     Each level's objective and largest residual come from the
     certification pass of its ``solve_pdhg`` report.
@@ -134,32 +131,19 @@ def run_homotopy(
         raise HomotopyError("homotopy study requires a slack-mode instance")
     sched = _validate_schedule(schedule)
 
-    hard_inst = inst.with_mode("hard")
-    reason = hard_mode_infeasibility(hard_inst)
-    if reason is not None:
-        raise HomotopyError(f"hard-mode reference is infeasible: {reason}",
-                            status=STATUS_INFEASIBLE)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ref = pool.submit(_reference, hard_inst, params)
-        solved = []
-        warm = None
-        for a_prime in sched:
-            level_inst = inst.with_alpha_prime(a_prime)
-            primal, dual, rep = solve_pdhg(level_inst, params, warm=warm)
-            warm = (primal, dual)
-            solved.append((level_inst.alpha_prime, primal, rep))
-            if ref.done():
-                ref.result()
-        ref_primal, ref_report = ref.result()
-
+    ref_primal, ref_report = _reference(inst.with_mode("hard"), params)
     levels: list[HomotopyLevel] = []
     zero_levels: list[float] = []
     h = inst.h
     p = inst.p
-    for a_prime, primal, rep in solved:
+    warm = None
+    for a_prime in sched:
+        level_inst = inst.with_alpha_prime(a_prime)
+        primal, dual, rep = solve_pdhg(level_inst, params, warm=warm)
+        warm = (primal, dual)
         ez2 = float(np.dot(p, (h * np.linalg.norm(primal.z, axis=1)) ** 2))
         lvl = HomotopyLevel(
-            alpha_prime=a_prime,
+            alpha_prime=level_inst.alpha_prime,
             ez2=ez2,
             dist_x1=norm_h(primal.x1 - ref_primal.x1, h),
             objective=rep.objective,

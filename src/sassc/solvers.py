@@ -452,9 +452,9 @@ def worker_count() -> int:
     """Processes a solver call may run on: the CPUs of this process's
     affinity mask (``taskset`` sets it), or ``os.cpu_count()`` where that
     mask cannot be read. It is 1 without ``os.fork``, and while other
-    Python threads run (the homotopy study's reference thread among them),
-    since a fork could copy a lock one of them holds; callers start no
-    worker process then."""
+    Python threads run (a library caller's own threads), since a fork
+    could copy a lock one of them holds; callers start no worker process
+    then."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -717,7 +717,8 @@ def solve_barrier_reference(inst: Instance) -> tuple[PrimalPoint, DualPoint, Sol
 
     Past its size check it first runs ``_proven_infeasible``, as
     ``solve_pdhg`` does; a start point outside the inequalities' interior
-    raises ``BarrierFailure``.
+    (a control box with lo = hi, say) raises ``ValueError``, and a Newton
+    breakdown ``BarrierFailure``.
 
     After each barrier parameter it measures the duality gap of its point,
     ``objective - dual_function``, and stops once that is within
@@ -751,10 +752,12 @@ def solve_barrier_reference(inst: Instance) -> tuple[PrimalPoint, DualPoint, Sol
         z0 = np.clip(np.maximum(0.0, -psi_flat + 0.5 * min(1.0, M)), -0.9 * M, 0.9 * M)
         v = np.concatenate([x1, np.zeros(S * n), z0])
     else:
-        v = np.concatenate([x1, np.clip(psi_flat - 0.5 * min(1.0, M), -0.9 * M, 0.9 * M)])
+        # below the obstacle and above -M whenever psi > -M
+        lo = np.minimum(-0.9 * M, 0.5 * (psi_flat - M))
+        v = np.concatenate([x1, np.clip(psi_flat - 0.5 * min(1.0, M), lo, 0.9 * M)])
     outside = names[~(b - G @ v > 0)]
     if outside.size:
-        raise BarrierFailure(f"the barrier's start point is not strictly inside the {outside[0]}")
+        raise ValueError(f"the barrier's start point is not strictly inside the {outside[0]}")
 
     # quadratic objective: gradient factors and constant Hessian diagonal
     w_y = np.repeat(p * hh, n)

@@ -5,7 +5,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from sassc import certify, grid, homotopy, io, solvers
+from sassc import certify, grid, homotopy, io, problem, solvers
 from sassc.homotopy import (
     HomotopyError,
     HomotopyLevel,
@@ -170,7 +170,7 @@ def test_homotopy_aborts_on_unsolvable_reference(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the hard reference in a second thread
+# the hard reference, then the levels, in the calling thread
 
 
 def _bits(x):
@@ -234,16 +234,25 @@ def _serial_study(inst, schedule, params):
 @pytest.mark.parametrize("template, size", [("tiny", {}),
                                             ("default", {"n1d": 8, "scenario_count": 4})],
                          ids=["tiny", "small"])
-def test_threaded_reference_gives_the_serial_study_bitwise(template, size):
-    """The study, with its reference in a second thread and both threads
-    starting on cold caches, reports the bits of the serial study, and
-    leaves no thread or process behind."""
+def test_reference_gives_the_serial_study_bitwise(template, size):
+    """The study, starting on cold caches, reports the bits of the serial
+    study, and leaves no thread or process behind."""
     params = SolverParams()
     levels, ref = _serial_study(io.make_instance(template, **size), SCHEDULE, params)
     threads = threading.active_count()
     rep = run_homotopy(io.make_instance(template, **size), SCHEDULE, params)
     assert _study_bits(rep) == _study_bits(replace(rep, levels=levels, reference=ref))
     assert threading.active_count() == threads and multiprocessing.active_children() == []
+
+
+def test_study_starts_no_thread(small_instance, monkeypatch):
+    """The reference and the levels are solved in the calling thread."""
+    def no_thread(self):
+        raise AssertionError("the study started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    rep = run_homotopy(small_instance, SCHEDULE, SolverParams())
+    assert rep.reference.converged and all(lvl.converged for lvl in rep.levels)
 
 
 def test_every_solve_of_the_study_is_made_in_the_calling_process(small_instance, monkeypatch):
@@ -261,9 +270,8 @@ def test_every_solve_of_the_study_is_made_in_the_calling_process(small_instance,
 
 
 def test_reference_proven_infeasible_fails_before_a_worker_starts(monkeypatch):
-    """The a-priori check fails the study before its reference thread
-    starts and before any engine call."""
-    monkeypatch.setattr(homotopy, "ThreadPoolExecutor", _no_worker)
+    """The a-priori verdict of ``solve_hard`` fails the study, with its
+    reason and status, before any engine call."""
     monkeypatch.setattr(solvers, "_pdhg_engine", _no_worker)
     with pytest.raises(HomotopyError, match="reference is infeasible: the lowest reachable "
                                             "state exceeds") as raised:
@@ -272,12 +280,11 @@ def test_reference_proven_infeasible_fails_before_a_worker_starts(monkeypatch):
 
 
 def test_overlapped_study_screens_and_certifies_each_solve_once(monkeypatch):
-    """A study factors its scenario stack once, in one ``schur_factor``
-    call, for the a-priori check, although the check runs before the
-    reference's thread starts and again in ``solve_hard``, and runs one
-    certification pass per solve: the reference and each level."""
+    """A study runs the a-priori hard-mode verdict once, in ``solve_hard``,
+    factors its scenario stack once, in one ``schur_factor`` call, and
+    runs one certification pass per solve: the reference and each level."""
     inst = io.make_instance("default", n1d=8, scenario_count=4)   # caches still empty
-    calls = []      # list.append is atomic, so both threads may count
+    calls = []
 
     def count(module, name):
         fn = getattr(module, name)
@@ -288,74 +295,35 @@ def test_overlapped_study_screens_and_certifies_each_solve_once(monkeypatch):
 
         monkeypatch.setattr(module, name, call)
 
+    for module in (problem, solvers, homotopy):     # each module that binds the verdict
+        if hasattr(module, "hard_mode_infeasibility"):
+            count(module, "hard_mode_infeasibility")
     count(grid, "schur_factor")
     count(certify, "kkt_residuals")
     rep = run_homotopy(inst, SCHEDULE, SolverParams())
     assert rep.reference.converged
-    assert {name: calls.count(name) for name in ("schur_factor", "kkt_residuals")} == {
-        "schur_factor": 1, "kkt_residuals": 1 + len(SCHEDULE)}
-
-
-def _fail_reference_in_thread(monkeypatch, failure):
-    """Make the hard-mode engine call fail by ``failure(engine, inst,
-    kwargs)`` when it runs in another thread than this one."""
-    engine, caller = solvers._pdhg_engine, threading.get_ident()
-
-    def failing(inst, **kwargs):
-        if threading.get_ident() != caller and inst.mode == "hard":
-            return failure(engine, inst, kwargs)
-        return engine(inst, **kwargs)
-
-    monkeypatch.setattr(solvers, "_pdhg_engine", failing)
+    names = ("hard_mode_infeasibility", "schur_factor", "kkt_residuals")
+    assert {name: calls.count(name) for name in names} == {
+        "hard_mode_infeasibility": 1, "schur_factor": 1, "kkt_residuals": 1 + len(SCHEDULE)}
 
 
 def test_unconverged_reference_aborts_at_the_first_level_after_it(small_instance, monkeypatch):
-    """The reference is looked at after every level, and one that stopped
-    unconverged aborts the study with its message at the first look after
-    it finished."""
-    _fail_reference_in_thread(
-        monkeypatch, lambda engine, inst, kw: engine(inst, **dict(kw, max_iters=50)))
-    finished = threading.Event()
+    """A reference that stops unconverged aborts the study with its
+    message where the first level would start: no level is solved."""
+    engine = solvers._pdhg_engine
 
-    class Pool(homotopy.ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            future = super().submit(*args, **kwargs)
-            future.add_done_callback(lambda _: finished.set())
-            return future
+    def capped(inst, **kwargs):
+        return engine(inst, **dict(kwargs, max_iters=50) if inst.mode == "hard" else kwargs)
 
-    level = homotopy.solve_pdhg
-
-    def level_after_the_reference(*args, **kwargs):
-        result = level(*args, **kwargs)
-        assert finished.wait(60)
-        return result
-
-    monkeypatch.setattr(homotopy, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(homotopy, "solve_pdhg", level_after_the_reference)
+    monkeypatch.setattr(solvers, "_pdhg_engine", capped)
     log = []
     _record_solves(monkeypatch, log)
     with pytest.raises(HomotopyError, match="reference did not converge "
-                                            r"\(status iteration_cap\)"):
+                                            r"\(status iteration_cap\)") as raised:
         run_homotopy(small_instance, SCHEDULE, SolverParams())
-    assert sorted(name for name, *_ in log) == ["solve_hard", "solve_pdhg"]
-    assert next(r for name, *_, r in log if name == "solve_hard")[2].status == (
-        STATUS_ITERATION_CAP)
-
-
-def test_reference_worker_exception_is_raised_and_the_worker_reaped(small_instance,
-                                                                     monkeypatch):
-    """An exception of the reference's thread is raised in the caller with
-    the traceback of the reference's own frames, and the thread is joined."""
-    def fail(engine, inst, kwargs):
-        raise FloatingPointError("reference failed")
-
-    _fail_reference_in_thread(monkeypatch, fail)
-    threads = threading.active_count()
-    with pytest.raises(FloatingPointError, match="reference failed") as info:
-        run_homotopy(small_instance, SCHEDULE, SolverParams())
-    frames = [entry.name for entry in info.traceback]
-    assert frames[-5:] == ["_reference", "solve_hard", "solve_pdhg", "failing", "fail"]
-    assert threading.active_count() == threads
+    assert raised.value.status == STATUS_ITERATION_CAP
+    assert [name for name, *_ in log] == ["solve_hard"]
+    assert log[0][3][2].status == STATUS_ITERATION_CAP
 
 
 @pytest.mark.parametrize("reason", ["one_cpu", "other_thread"])

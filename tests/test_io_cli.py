@@ -546,9 +546,8 @@ def test_solve_exit_code_on_perturbed_instances(tmp_path, capsys, tiny_run, comm
     it is deleted (as in the ``certify`` test above), ``solve`` and
     ``homotopy`` exit with a documented code and no traceback, with one
     ``error:`` line on exit 4. The cap of 6000 iterations lets the unedited
-    instance solve and its study reach the fit, so edits reach every stage.
-    The homotopy study solves its reference in a second thread, so this
-    covers that thread's failures too."""
+    instance solve and its study reach the fit, so edits reach every stage,
+    the study's hard reference included."""
     doc = _edit_one_field(data, json.loads(tiny_run[0].read_text()))
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(doc))
@@ -894,11 +893,14 @@ def test_barrier_that_reaches_its_floor_fails(tmp_path, monkeypatch):
         solvers.BARRIER_REL_GAP * abs(report["objective"]))
 
 
-def _hard_tiny(tmp_path, c1=None, psi=None):
+def _hard_tiny(tmp_path, c1=None, psi=None, S=None):
     """The tiny preset in hard mode, saved to a file, with the control box
-    ``c1`` = (lo, hi) and a constant obstacle ``psi`` if given."""
+    ``c1`` = (lo, hi), a constant obstacle ``psi`` and ``S`` scenarios if
+    given."""
     d = io.template_dict("tiny")
     d["mode"] = "hard"
+    if S is not None:
+        d["scenarios"]["S"] = S
     if c1 is not None:
         d["c1"] = {"lo": c1[0], "hi": c1[1]}
     if psi is not None:
@@ -941,20 +943,46 @@ def test_barrier_proven_infeasible_exits_3_after_0_steps(tmp_path, monkeypatch, 
     assert not (tmp_path / "c").exists()
 
 
-def test_barrier_start_outside_the_obstacle_exits_4(tmp_path, capsys):
-    """An instance the a-priori verdict passes, but whose barrier start
-    point (states half a unit below the obstacle, clipped to [-0.9 M, 0.9 M])
-    lies above the obstacle psi = -0.95, ends with exit 4 and one ``error:``
-    line."""
+@pytest.mark.parametrize("S", [3, 1])
+def test_barrier_starts_under_an_obstacle_near_minus_m(tmp_path, capsys, S):
+    """An obstacle psi = -0.95 between -M and -0.9 M, which the a-priori
+    verdict passes, still leaves the barrier's hard-mode start strictly
+    inside -M < y < psi: the barrier runs and exits 0 or 1 (a Newton
+    breakdown, with one ``error:`` line), never 4, the input error. On
+    three scenarios it reports failure; the one-scenario instance is one
+    that pdhg certifies."""
     from sassc.problem import hard_mode_infeasibility
 
-    inst_path = _hard_tiny(tmp_path, c1=(-200.0, 2.0), psi=-0.95)
-    assert hard_mode_infeasibility(io.load_instance(str(inst_path))[0]) is None
+    inst_path = _hard_tiny(tmp_path, c1=(-200.0, 2.0), psi=-0.95, S=S)
+    inst = io.load_instance(str(inst_path))[0]
+    assert inst.S == S and hard_mode_infeasibility(inst) is None
+    capsys.readouterr()
+    out = tmp_path / "b"
+    code = run_cli(["solve", "--instance", str(inst_path), "--algorithm", "barrier",
+                    "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    if S == 3:
+        assert code == 1
+        assert json.loads((out / "report.json").read_text())["status"] == "failure"
+    else:
+        assert code == 0 or (code == 1 and len(err) == 1 and err[0].startswith("error: "))
+        assert run_cli(["solve", "--instance", str(inst_path),
+                        "--out", str(tmp_path / "p")]) == 0
+
+
+def test_barrier_start_outside_a_degenerate_control_box_exits_4(tmp_path, capsys):
+    """A control box with lo = hi has no interior for the barrier's start:
+    an input error, exit 4 with one ``error:`` line and no report."""
+    d = io.template_dict("tiny")
+    d["c1"] = {"lo": 0.5, "hi": 0.5}
+    inst_path = tmp_path / "inst.json"
+    io.save_instance(io.instance_from_dict(d), str(inst_path))
     capsys.readouterr()
     assert run_cli(["solve", "--instance", str(inst_path), "--algorithm", "barrier",
                     "--out", str(tmp_path / "b")]) == 4
     assert capsys.readouterr().err.splitlines() == [
-        "error: the barrier's start point is not strictly inside the obstacle"]
+        "error: the barrier's start point is not strictly inside the control box"]
+    assert not (tmp_path / "b" / "report.json").exists()
 
 
 def test_compare_oracle_has_no_tol_option(tmp_path, capsys):
