@@ -9,11 +9,10 @@ symmetric positive definite whenever the coefficient field is uniformly
 positive. Solver tolerances are module constants, not arguments.
 
 The operator is assembled once, as the five-point ``Stencil`` the engine
-kernel runs. Its CSR form (``Stencil.tocsr``) serves the barrier's dense
-copy and the engine's fallback without a C compiler, and imports scipy on
-first use: a ``generate -> solve -> certify`` on the C kernel, in slack or
-hard mode, never loads it (``import scipy.sparse`` took 82-86 ms of a
-0.152 s benchmark setup).
+kernel runs. Its numpy product (``Stencil @``) serves the certificate and
+the engine's fallback without a C compiler, and its dense form
+(``Stencil.toarray``) the barrier oracle and the tests' dense checks; the
+package needs numpy alone.
 
 Every linear solve goes through a ``Factorization``: a block (Schur
 complement) factorization of the stencil by grid lines in numpy, of one
@@ -104,11 +103,10 @@ class Stencil:
         return self.diags.shape[1] + int(np.count_nonzero(self.stored))
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        """``A v`` with the bits of scipy's CSR product (but for the sign of
+        """``A v`` with the bits of a CSR product (but for the sign of
         a NaN made from two NaNs of opposite sign, which IEEE 754 leaves
         open): rows summed from 0.0 in ascending column order, an absent
-        neighbour adding +0.0, and no floating-point warning. About 3x
-        slower than CSR: for a certificate's products, not iterations."""
+        neighbour adding +0.0, and no floating-point warning."""
         N, m = self.diags.shape[1], self.m
         padded = np.concatenate([np.zeros(m), np.ravel(v), np.zeros(m)])
         out, stored = np.zeros(N), self.stored.view(bool)
@@ -118,15 +116,13 @@ class Stencil:
                 np.add(out, d * padded[m + offset:m + offset + N], out=out, where=held)
         return out
 
-    def tocsr(self):
-        """The ``scipy.sparse.csr_matrix``, columns ascending in each row."""
-        import scipy.sparse as sp
-
+    def toarray(self) -> np.ndarray:
+        """The dense (N, N) matrix."""
         N, m = self.diags.shape[1], self.m
-        held = np.insert(self.stored.view(bool), 2, True, axis=0).T
-        cols = np.arange(N)[:, None] + np.array([-m, -1, 0, 1, m])
-        indptr = np.concatenate([[0], np.cumsum(held.sum(axis=1))])
-        return sp.csr_matrix((self.diags.T[held], cols[held], indptr), shape=(N, N))
+        side, row = np.nonzero(np.insert(self.stored.view(bool), 2, True, axis=0))
+        out = np.zeros((N, N))
+        out[row, row + np.array([-m, -1, 0, 1, m])[side]] = self.diags[side, row]
+        return out
 
     def block(self, k: int) -> "Stencil":
         """Block ``k`` of a stack, as views."""

@@ -61,9 +61,8 @@ AVX-512 host. On the default preset at n1d 16 an iteration took 25-36 us
 with the select, 16-22 us with the mask and 12-17 us with the mask in
 512-bit vectors (4 alternating trials each, 2-vCPU AVX-512 Xeon, on a
 host about 3-4x slower than the one behind the aligned-buffer numbers
-below), with the same bits and iteration counts. The numpy steps multiply by the
-stencil's CSR form, built once per bind: the numpy ``Stencil @`` was
-2.9-4.5x slower.
+below), with the same bits and iteration counts. The numpy steps multiply
+with the stencil's numpy product, ``Stencil @``.
 
 Every buffer the kernel reads or writes starts on a 64-byte boundary, one
 cache line: each array of ``_batch``, the scratch ``work``, the stencil
@@ -82,7 +81,7 @@ on the same operands, as the numpy steps (``numpy_steps``), so the
 iterates are the same bits:
 
 - each row of a product is summed from 0.0 over its stored entries in
-  ascending column order, as scipy's ``csr_matvec`` sums it. An absent
+  ascending column order, as ``Stencil @`` sums it. An absent
   neighbour adds +0.0 whatever its product, so a NaN or infinite value
   there never enters the sum, and adding +0.0 leaves a sum that started
   at +0.0 unchanged (such a sum is never -0.0);
@@ -117,18 +116,17 @@ without fast-math, so nothing is reassociated, and with
 Vectorizing an elementwise loop changes no bits, and the library is built
 on the host it runs on. It is built in a temporary directory, which is
 removed once it is loaded. If there is no compiler or the build fails,
-``load()`` returns None and the engine runs the numpy steps (scipy's CSR
-products), which score their checks with ``certify``, and the K-norm
-estimate runs the numpy maps (each running row's own CSR product); both
-give the same bits. The outcome is decided once per process, under a
-lock, since the homotopy study's two threads may make their first engine
-calls at once.
+``load()`` returns None and the engine runs the numpy steps (products
+with ``Stencil @``), which score their checks with ``certify``, and the
+K-norm estimate runs the numpy maps (each running row's own stencil);
+both give the same bits. The outcome is decided once per process, under
+a lock: the package starts no threads itself, but a library caller may
+make first engine calls from several threads at once.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import os
 import platform
 import subprocess
@@ -745,11 +743,11 @@ class _NumpySteps:
     @staticmethod
     def bind(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
         """Like ``Kernel.bind``, with the numpy steps' scratch arrays and
-        the block operator's CSR product ``matvec``."""
+        the block operator ``A``, the instance's cached stencil."""
         k = _batch(inst, step, state, q=q, center=center, lin=lin)
         k.extras = dict(x1_extra_quad=q, x1_extra_center=center, x1_extra_lin=lin)
-        k.matvec = _csr_matvec(inst.block_operator())
-        k.work, k.Alam = np.empty((2, k.S, k.n)), np.empty((k.S, k.n))
+        k.A = inst.block_operator()
+        k.work = np.empty((2, k.S, k.n))
         k.product = np.empty(k.n)
         return k
 
@@ -786,9 +784,7 @@ class _NumpySteps:
     def dual_step(k) -> None:
         _, xb1, yb, zb = k.xb
         work_e, work_i = work = k.work
-        work_e.fill(0.0)
-        k.matvec(yb, work_e)
-        np.subtract(work_e, xb1, out=work_e)
+        np.subtract((k.A @ yb).reshape(work_e.shape), xb1, out=work_e)
         if k.slack:
             np.subtract(yb, zb, out=work_i)
         else:
@@ -818,10 +814,8 @@ class _NumpySteps:
         np.subtract(x1n, k.lin, out=x1n)
         np.multiply(x1n, k.tau1, out=x1n)
         np.add(x1, x1n, out=x1n)
-        k.Alam.fill(0.0)
-        k.matvec(lam_e, k.Alam)
         np.multiply(lam_ih, k.ineq_scales, out=work)
-        np.add(k.Alam, work_e, out=work_e)
+        np.add((k.A @ lam_e).reshape(work_e.shape), work_e, out=work_e)
         np.multiply(work_e, k.tau, out=work_e)
         np.subtract(y, work_e, out=yn)
         np.add(yn, k.tau_yt, out=yn)
@@ -837,18 +831,17 @@ class _NumpySteps:
 
     @staticmethod
     def bind_maps(rows, coef: np.ndarray) -> SimpleNamespace:
-        """Like ``Kernel.bind_maps``, with each row's CSR product."""
+        """Like ``Kernel.bind_maps``, with each row's cached stencil."""
         return SimpleNamespace(R=len(rows), dims=_map_dims(rows), S=rows[0].S,
                                slack=rows[0].mode == "slack",
-                               matvecs=[_csr_matvec(sub.block_operator()) for sub in rows],
+                               stencils=[sub.block_operator() for sub in rows],
                                coef=np.asarray(coef, dtype=float)[:, :, None])
 
     @staticmethod
     def _product(maps, idx, v, out) -> None:
         """``out[l] = A v[l]`` with the block operator of row ``idx[l]``."""
-        out.fill(0.0)
         for vl, ol, j in zip(v, out, idx):
-            maps.matvecs[j](vl, ol)
+            ol[:] = maps.stencils[j] @ vl
 
     @classmethod
     def forward(cls, maps, buf, v) -> None:
@@ -881,16 +874,6 @@ class _NumpySteps:
             np.multiply(neg_ci_sz, wi, out=buf.t[:, n + Sn:])
 
 
-def _csr_matvec(A):
-    """``matvec(v, out)``, out += A v by scipy's ``csr_matvec`` on the CSR
-    form of the stencil ``A``, built and imported here, not per product."""
-    from scipy.sparse._sparsetools import csr_matvec
-
-    csr = A.tocsr()
-    N = csr.shape[0]
-    return functools.partial(csr_matvec, N, N, csr.indptr, csr.indices, csr.data)
-
-
 numpy_steps = _NumpySteps()
 
 
@@ -913,8 +896,8 @@ _load_lock = threading.Lock()
 def load() -> Kernel | None:
     """The kernel, compiled and loaded on the first call in this process;
     None if it could not be built or loaded, then and on every later call.
-    The first call builds under a lock, so threads that call at once build
-    it once."""
+    The first call builds under a lock, so a library caller's threads that
+    call at once build it once."""
     global _kernel
     with _load_lock:
         if _kernel is _UNTRIED:

@@ -24,7 +24,7 @@ of the check's values; the PDLP
 solver (Applegate et al., 2021) runs its steps and its termination checks
 in compiled code the same way. The kernel applies the stiffness blocks as
 the assembled five-point stencil (``grid.Stencil``), and sums each row in
-the order of the CSR product; the compiler runs its interior rows several
+the order of ``Stencil @``; the compiler runs its interior rows several
 to a vector, since an absent neighbour's product is masked to +0.0 by its
 bits, not selected by a branch. It is compiled with ``cc`` and
 ``kernel.FLAGS`` (``-O3 -march=native -ffp-contract=off``, and 512-bit
@@ -35,8 +35,8 @@ iterates are bit for bit those of the numpy loop; a subnormal slack entry
 is divided through its integer mantissa, with the IEEE quotient's bits.
 The check repeats ``certify.natural_residuals`` bit for bit, since that
 sums left to right in one defined order. Without a C compiler the engine
-runs that numpy loop (``kernel.numpy_steps``, CSR products) and scores its
-checks with ``certify``, with the same bits.
+runs that numpy loop (``kernel.numpy_steps``, ``Stencil @`` products) and
+scores its checks with ``certify``, with the same bits.
 
 One engine call (``_pdhg_engine``) solves one instance. Only the K-norm
 power iteration behind its step sizes (``_steps``) runs several instances
@@ -687,22 +687,22 @@ def _barrier_inequalities(inst: Instance, psi_flat: np.ndarray):
     over ``v = [x1 | y | z]`` (no z in hard mode), and the block of each row:
     the control box ``lo < x1 < hi``, the state box ``-M < y < M``, in slack
     mode the slack box ``-M < z < M``, and last the obstacle ``y - z < psi``
-    (``y < psi`` in hard mode). ``G`` is a ``scipy.sparse`` matrix.
+    (``y < psi`` in hard mode). Row r of ``G`` is ``vals[r] @ v[cols[r]]``,
+    one or two entries of +-1 in (R, 2) index arrays, padded by a 0.0.
     """
-    import scipy.sparse     # loaded by the first barrier solve, not at import
-
     n, sn, M = inst.n, inst.S * inst.n, inst.c2_bound
     slack = inst.mode == "slack"
-    nv = n + sn + (sn if slack else 0)
-    x1, y, z = (scipy.sparse.eye(size, nv, k=at) for size, at in ((n, 0), (sn, n), (sn, n + sn)))
+    x1, y, z = (np.arange(at, at + size) for size, at in ((n, 0), (sn, n), (sn, n + sn)))
     boxes = [x1, y] + ([z] if slack else [])
-    G = scipy.sparse.vstack([r for u in boxes for r in (-u, u)] + [y - z if slack else y],
-                            format="csr")
+    rows = [(u, (sign, 0.0), u) for u in boxes for sign in (-1.0, 1.0)]
+    rows.append((y, (1.0, -1.0), z) if slack else (y, (1.0, 0.0), y))
+    cols = np.concatenate([np.stack([u, w], axis=1) for u, _, w in rows])
+    vals = np.concatenate([np.tile(pair, (u.size, 1)) for u, pair, _ in rows])
     b = np.concatenate([-inst.c1_lo, inst.c1_hi] + [np.full(sn, M)] * (2 * len(boxes) - 2)
                        + [psi_flat])
     names = np.repeat(["control box", "state box", "slack box", "obstacle"],
                       [2 * n, 2 * sn, 2 * sn if slack else 0, sn])
-    return G, b, names
+    return cols, vals, b, names
 
 
 def solve_barrier_reference(inst: Instance) -> tuple[PrimalPoint, DualPoint, SolveReport]:
@@ -721,14 +721,13 @@ def solve_barrier_reference(inst: Instance) -> tuple[PrimalPoint, DualPoint, Sol
     breakdown ``BarrierFailure``.
 
     After each barrier parameter it measures the duality gap of its point,
-    ``objective - dual_function``, and stops once that is within
-    ``BARRIER_REL_GAP * |J|``; reaching ``BARRIER_MU_FLOOR`` first fails.
+    ``objective - dual_function``, and stops once its magnitude is within
+    ``BARRIER_REL_GAP * |J|`` and the certificate's equality residual r4
+    within ``10 sqrt(mu)``; reaching ``BARRIER_MU_FLOOR`` first fails, and
+    so does a parameter whose Newton loop ends at its 80-step cap.
     ``converged`` also needs the certificate's worst residual within
     ``10 sqrt(mu)`` at the parameter reached (``extras.mu_terminal``).
     """
-    import scipy.linalg     # loaded by the first barrier solve, not at import
-    import scipy.sparse
-
     S, n, h = inst.S, inst.n, inst.h
     hh = h * h
     slack = inst.mode == "slack"
@@ -744,7 +743,10 @@ def solve_barrier_reference(inst: Instance) -> tuple[PrimalPoint, DualPoint, Sol
         return proven
     _, g, psi = inst.fields()
     psi_flat = psi.ravel()
-    G, b, names = _barrier_inequalities(inst, psi_flat)
+    cols, vals, b, names = _barrier_inequalities(inst, psi_flat)
+
+    def G(v):
+        return (vals * v[cols]).sum(axis=1)
 
     # strictly interior start; the PDE equality is reached by Newton
     x1 = 0.5 * (inst.c1_lo + inst.c1_hi)
@@ -755,7 +757,7 @@ def solve_barrier_reference(inst: Instance) -> tuple[PrimalPoint, DualPoint, Sol
         # below the obstacle and above -M whenever psi > -M
         lo = np.minimum(-0.9 * M, 0.5 * (psi_flat - M))
         v = np.concatenate([x1, np.clip(psi_flat - 0.5 * min(1.0, M), lo, 0.9 * M)])
-    outside = names[~(b - G @ v > 0)]
+    outside = names[~(b - G(v) > 0)]
     if outside.size:
         raise ValueError(f"the barrier's start point is not strictly inside the {outside[0]}")
 
@@ -770,7 +772,7 @@ def solve_barrier_reference(inst: Instance) -> tuple[PrimalPoint, DualPoint, Sol
     # dense equality Jacobian of A_k y_k - x1 - g_k = 0, fixed in the Newton matrix
     E = np.zeros((S * n, nv))
     E[:, :n] = np.tile(-np.eye(n), (S, 1))
-    E[:, n:n + S * n] = inst.block_operator().tocsr().toarray()
+    E[:, n:n + S * n] = inst.block_operator().toarray()
     g_flat = g.ravel()
     KKT = np.zeros((nv + S * n, nv + S * n))
     KKT[:nv, nv:] = E.T
@@ -781,48 +783,50 @@ def solve_barrier_reference(inst: Instance) -> tuple[PrimalPoint, DualPoint, Sol
         """Barrier subproblem residuals at ``v, nu`` with slacks ``s = b - G v``."""
         gr = hobj * v
         gr[n:n + S * n] -= w_y * yt_flat
-        return gr + mu * (G.T @ (1.0 / s)) + E.T @ nu, E @ v - g_flat
+        barrier = mu * np.bincount(cols.ravel(), (vals / s[:, None]).ravel(), nv)  # mu G^T(1/s)
+        return gr + barrier + E.T @ nu, E @ v - g_flat
 
     def point(v, nu, mu):
         """Primal point and multiplier densities of a barrier iterate."""
         weights = (p * hh)[:, None]
         y = v[n:n + S * n]
         z = v[n + S * n:] if slack else np.zeros(S * n)
-        s_obs = (b - G @ v)[-S * n:]
+        s_obs = (b - G(v))[-S * n:]
         lam_e = nu.reshape(S, n) / weights
         lam_i = (mu / s_obs).reshape(S, n) / weights
         primal = PrimalPoint(v[:n], y.reshape(S, n), z.reshape(S, n))
         return primal, DualPoint(lam_e, lam_i, -lam_e)
 
-    mu = BARRIER_MU0
-    newton_steps = 0
+    mu, newton_steps, centred = BARRIER_MU0, 0, True
     while True:
         inner_tol = max(1e-11, 1e-2 * mu)
         for _ in range(80):
-            s = b - G @ v
+            s = b - G(v)
             r_dual, r_eq = residuals(v, nu, s, mu)
             if max(np.abs(r_dual).max(), np.abs(r_eq).max()) <= inner_tol:
                 break
 
-            # the Hessian diag(hobj) + mu G^T diag(1/s^2) G
-            KKT[:nv, :nv] = np.diag(hobj) + (G.T @ scipy.sparse.diags(mu / s**2) @ G).toarray()
+            # the Hessian diag(hobj) + mu G^T diag(1/s^2) G, row by row
+            KKT[:nv, :nv] = np.diag(hobj)
+            np.add.at(KKT, (cols[:, :, None], cols[:, None, :]),
+                      (mu / s**2)[:, None, None] * vals[:, :, None] * vals[:, None, :])
             try:
-                sol = scipy.linalg.solve(KKT, np.concatenate([-r_dual, -r_eq]))
-            except scipy.linalg.LinAlgError as exc:
+                sol = np.linalg.solve(KKT, np.concatenate([-r_dual, -r_eq]))
+            except np.linalg.LinAlgError as exc:
                 raise BarrierFailure(
                     f"Newton system singular at mu={mu:.3e}: {exc}"
                 ) from exc
             dv, dnu = sol[:nv], sol[nv:]
 
             # fraction to the boundary: the rows whose slack the step shrinks
-            gdv = G @ dv
+            gdv = G(dv)
             shrinks = gdv > 0
             step = 0.99 * np.min(s[shrinks] / gdv[shrinks], initial=1.0)
             base = np.linalg.norm(np.concatenate([r_dual, r_eq]))
             for _ in range(40):
                 vt = v + step * dv
                 nut = nu + step * dnu
-                st = b - G @ vt
+                st = b - G(vt)
                 if st.min() > 0.0:
                     rt = np.linalg.norm(np.concatenate(residuals(vt, nut, st, mu)))
                     if rt <= (1.0 - 1e-4 * step) * base:
@@ -840,10 +844,15 @@ def solve_barrier_reference(inst: Instance) -> tuple[PrimalPoint, DualPoint, Sol
             v = v + step * dv
             nu = nu + step * dnu
             newton_steps += 1
+        else:
+            centred = False     # no point on the path at this mu: it ends here
         primal, dual = point(v, nu, mu)
+        # weak duality allows d > J only off the equality, so both count
         J = objective(inst, primal)
-        gap_met = J - dual_function(inst, dual) <= BARRIER_REL_GAP * abs(J)
-        if gap_met or mu <= BARRIER_MU_FLOOR:
+        gap_met = centred and (
+            abs(J - dual_function(inst, dual)) <= BARRIER_REL_GAP * abs(J)
+            and certify.natural_residuals(inst, primal, dual)["r4"] <= 10.0 * math.sqrt(mu))
+        if gap_met or not centred or mu <= BARRIER_MU_FLOOR:
             break
         mu = max(BARRIER_MU_FLOOR, mu * BARRIER_SHRINK)
 

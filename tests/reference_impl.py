@@ -5,7 +5,9 @@ row by row. Also the plain streaming form of the history CSV writer,
 whose bytes the atomic writer must match, the plain canonical JSON
 renderer, whose bytes ``io.canonical_json`` must match, and the test-only
 helpers ``pairing`` and ``project_c2``. Also the COO assembly of the
-five-point operator, whose CSR arrays ``grid.Stencil.tocsr`` must match."""
+five-point operator, and ``csr``, a ``grid.Stencil``'s CSR form built from
+its diagonals and flags, whose arrays must match that assembly; the plain
+forms take their operator products with it."""
 
 import functools
 import json
@@ -51,6 +53,16 @@ def assemble_operator(grid, a_closed):
         shape=(grid.n, grid.n),
     )
     return mat.tocsr()
+
+
+def csr(stencil):
+    """A ``grid.Stencil`` as a ``scipy.sparse.csr_matrix``, built from its
+    diagonals and flags, columns ascending in each row."""
+    N, m = stencil.diags.shape[1], stencil.m
+    held = np.insert(stencil.stored.view(bool), 2, True, axis=0).T
+    cols = np.arange(N)[:, None] + np.array([-m, -1, 0, 1, m])
+    indptr = np.concatenate([[0], np.cumsum(held.sum(axis=1))])
+    return sp.csr_matrix((stencil.diags.T[held], cols[held], indptr), shape=(N, N))
 
 
 def pairing(u: np.ndarray, lam: np.ndarray, p: np.ndarray, h: float) -> float:
@@ -110,7 +122,7 @@ def natural_residuals(inst, x, lam, x1_extra_quad=0.0, x1_extra_center=None,
 
     r2 = h * max_norm(lam.nonant + lam.adjoint)
 
-    Alam = (inst.block_operator().tocsr() @ lam.adjoint.ravel()).reshape(inst.S, inst.n)
+    Alam = (csr(inst.block_operator()) @ lam.adjoint.ravel()).reshape(inst.S, inst.n)
     f_y = x.y - inst.y_target[None, :] + Alam + lam.obstacle
     r3 = h * max_norm(x.y - project_c2(inst, x.y - f_y))
 
@@ -121,7 +133,7 @@ def natural_residuals(inst, x, lam, x1_extra_quad=0.0, x1_extra_center=None,
         r3p = None
 
     _, g, psi = inst.fields()
-    Ay = (inst.block_operator().tocsr() @ x.y.ravel()).reshape(inst.S, inst.n)
+    Ay = (csr(inst.block_operator()) @ x.y.ravel()).reshape(inst.S, inst.n)
     eq = Ay - x.x1[None, :] - g
     ineq = x.y - x.z - psi if inst.mode == "slack" else x.y - psi
     r4 = h * max_norm(eq)
@@ -169,7 +181,7 @@ def k_norm(inst, s1=1.0, sz=1.0, ci=1.0):
     uncached; returns (estimate, power iterations run)."""
     S, n = inst.S, inst.n
     slack = inst.mode == "slack"
-    Ablk = inst.block_operator().tocsr()
+    Ablk = csr(inst.block_operator())
     p = inst.p
     hh = inst.h * inst.h
     nx = n + S * n + (S * n if slack else 0)

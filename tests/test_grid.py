@@ -57,7 +57,7 @@ def test_build_grid_rejects_zero():
 
 def test_constant_coefficient_stencil():
     g = build_grid(3)
-    A = assemble_operator(g, np.ones((5, 5))).tocsr().toarray()
+    A = assemble_operator(g, np.ones((5, 5))).toarray()
     assert np.allclose(np.diag(A), 64.0)
     # interior node 4 (center) has all four neighbors
     assert A[4, 1] == A[4, 3] == A[4, 5] == A[4, 7] == -16.0
@@ -66,7 +66,7 @@ def test_constant_coefficient_stencil():
 
 def test_single_node_operator():
     g = build_grid(1)
-    A = assemble_operator(g, np.ones((3, 3))).tocsr().toarray()
+    A = assemble_operator(g, np.ones((3, 3))).toarray()
     assert A.shape == (1, 1)
     assert A[0, 0] == 16.0
 
@@ -77,7 +77,7 @@ def test_variable_coefficient_matches_direct_stencil():
     m = g.n1d
     t = g.closed_coords()
     a_closed = 1.0 + t[:, None] + 0.0 * t[None, :]  # a(s) = 1 + s1
-    A = assemble_operator(g, a_closed).tocsr().toarray()
+    A = assemble_operator(g, a_closed).toarray()
 
     expect = np.zeros((g.n, g.n))
     inv_h2 = 1.0 / g.h**2
@@ -103,26 +103,30 @@ def test_variable_coefficient_matches_direct_stencil():
 
 @pytest.mark.parametrize("n1d", [1, 2, 3, 5, 8])
 def test_csr_form_matches_the_coo_assembly(n1d):
-    """``Stencil.tocsr`` gives the data, indices and indptr of the plain COO
-    assembly (``reference_impl.assemble_operator``) bit for bit, dtypes
-    included; a stack of three fields assembles into their per-field
-    stencils block by block, and its CSR form is their block diagonal."""
+    """The stencil's CSR form (``reference_impl.csr``, from its diagonals
+    and flags) gives the data, indices and indptr of the plain COO assembly
+    (``reference_impl.assemble_operator``) bit for bit, dtypes included,
+    and its dense form (``Stencil.toarray``) the same matrix; a stack of
+    three fields assembles into their per-field stencils block by block,
+    and its CSR form is their block diagonal."""
     g = build_grid(n1d)
     fields = 0.5 + np.random.default_rng(n1d).random((3, n1d + 2, n1d + 2))
     stacked = assemble_operator(g, fields)
     want = [reference_impl.assemble_operator(g, a) for a in fields]
-    pairs = [(stacked.tocsr(), sp.block_diag(want, format="csr"))]
+    pairs = [(stacked, sp.block_diag(want, format="csr"))]
     for k, a in enumerate(fields):
         single, block = assemble_operator(g, a), stacked.block(k)
         assert single.m == block.m == n1d and single.nnz == want[k].nnz
         for name in ("diags", "stored"):
             assert getattr(single, name).tobytes() == getattr(block, name).tobytes()
-        pairs += [(single.tocsr(), want[k]), (block.tocsr(), want[k])]
+        pairs += [(single, want[k]), (block, want[k])]
     assert stacked.nnz == sum(w.nnz for w in want)
-    for got, csr in pairs:
+    for stencil, csr in pairs:
+        got = reference_impl.csr(stencil)
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(csr, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert stencil.toarray().tobytes() == csr.toarray().tobytes()
 
 
 def test_assemble_rejects_nonpositive_coefficient():
@@ -142,10 +146,10 @@ def test_operator_symmetry_and_scaling():
     g = build_grid(5)
     rng = np.random.default_rng(3)
     a = 1.0 + 0.5 * rng.random((7, 7))
-    A = assemble_operator(g, a).tocsr()
-    assert abs(A - A.T).max() == 0.0
-    A3 = assemble_operator(g, 3.0 * a).tocsr()
-    assert abs(A3 - 3.0 * A).max() < 1e-12
+    A = assemble_operator(g, a).toarray()
+    assert np.abs(A - A.T).max() == 0.0
+    A3 = assemble_operator(g, 3.0 * a).toarray()
+    assert np.abs(A3 - 3.0 * A).max() < 1e-12
 
 
 def test_adjoint_consistency_weighted_inner_product():
@@ -234,7 +238,7 @@ def test_factorization_solve_properties(data, n1d, k, seed):
     lu = Factorization(A)
     y = lu.solve(rhs)
     live = ~zero
-    res = np.linalg.norm(A.tocsr() @ y[:, live] - rhs[:, live], axis=0)
+    res = np.linalg.norm(A.toarray() @ y[:, live] - rhs[:, live], axis=0)
     assert np.all(res <= 10 * LINEAR_SOLVE_TOL * np.linalg.norm(rhs[:, live], axis=0))
     assert y[:, zero].tobytes() == np.zeros((g.n, int(zero.sum()))).tobytes()
     for j in range(k):
@@ -353,10 +357,9 @@ def test_norm_estimate_zero_map():
 
 def test_norm_estimate_matches_dense_eigensolve():
     g = build_grid(3)
-    A = assemble_operator(g, np.ones((5, 5))).tocsr()
-    dense = A.toarray()
+    dense = assemble_operator(g, np.ones((5, 5))).toarray()
     lam_max = np.linalg.eigvalsh(dense).max()
-    apply = lambda v: (A @ v.T).T
+    apply = lambda v: (dense @ v.T).T
     est = operator_norm_estimate(apply, apply, np.ones((1, g.n)))[0]
     assert abs(est - 1.01 * lam_max) <= 1e-3 * lam_max
 

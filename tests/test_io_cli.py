@@ -893,6 +893,25 @@ def test_barrier_that_reaches_its_floor_fails(tmp_path, monkeypatch):
         solvers.BARRIER_REL_GAP * abs(report["objective"]))
 
 
+def test_barrier_dual_above_the_objective_never_converges(tmp_path, monkeypatch):
+    """Weak duality puts the dual value above the objective only at a point
+    off the equality, so the barrier's stop compares the gap's magnitude:
+    with ``dual_function`` returning more than the objective no parameter
+    stops the path, which ends at the floor with failure, and ``solve``
+    exits 1."""
+    inst_path = tmp_path / "inst.json"
+    run_cli(["generate", *TINY_ARGS, "--out", str(inst_path)])
+    dual_function = solvers.dual_function
+    monkeypatch.setattr(solvers, "dual_function",
+                        lambda inst, lam: dual_function(inst, lam) + 1.0)
+    monkeypatch.setattr(solvers, "BARRIER_MU_FLOOR", 1e-3)
+    assert run_cli(["solve", "--instance", str(inst_path), "--algorithm", "barrier",
+                    "--out", str(tmp_path / "ba")]) == 1
+    report = json.loads((tmp_path / "ba" / "report.json").read_text())
+    assert report["status"] == "failure"
+    assert report["extras"]["mu_terminal"] == 1e-3
+
+
 def _hard_tiny(tmp_path, c1=None, psi=None, S=None):
     """The tiny preset in hard mode, saved to a file, with the control box
     ``c1`` = (lo, hi), a constant obstacle ``psi`` and ``S`` scenarios if

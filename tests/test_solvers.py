@@ -60,7 +60,7 @@ def dense_equality_solution(inst):
     """Independent oracle: eliminate the states and solve the normal
     equations of the equality-constrained quadratic densely."""
     _, g, _ = inst.fields()
-    ops = [A.tocsr().toarray() for A in inst.operators()]
+    ops = [A.toarray() for A in inst.operators()]
     n, S, p = inst.n, inst.S, inst.p
     lhs = inst.alpha * np.eye(n)
     rhs = np.zeros(n)
@@ -739,13 +739,16 @@ def test_engine_row_with_nan_residual_never_converges(tiny_instance, monkeypatch
 
 
 def test_direct_csr_matvec_matches_matmul(small_instance):
-    Ablk = small_instance.block_operator().tocsr()
+    """scipy's ``csr_matvec`` into a zeroed buffer, its ``@`` and the
+    stencil's own ``@`` give the same bits."""
+    A = small_instance.block_operator()
+    Ablk = reference_impl.csr(A)
     N = Ablk.shape[0]
     v = np.random.default_rng(2).standard_normal((small_instance.S, small_instance.n))
     v[0, :3] = (-0.0, 0.0, 1e-300)
     out = np.zeros(v.shape)
     csr_matvec(N, N, Ablk.indptr, Ablk.indices, Ablk.data, v, out)
-    assert out.ravel().tobytes() == (Ablk @ v.ravel()).tobytes()
+    assert out.ravel().tobytes() == (Ablk @ v.ravel()).tobytes() == (A @ v).tobytes()
 
 
 # the entries of the vectors the stencil product is tried on
@@ -758,11 +761,11 @@ PRODUCT_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan, SUBNORMAL, -SUBNORMAL,
        data=st.data())
 def test_stencil_product_matches_csr_matvec_bitwise(S, n1d, seed, data):
     """``Stencil @ v`` has the bits of scipy's ``csr_matvec`` on the
-    stencil's CSR form, for one to three stacked fields on grids of 1 to 25
-    nodes (m = 1 and 2 have no node with every neighbour), with entries of
-    ``v`` among +-0.0, +-inf, NaN, subnormals and a few normal values: an
-    absent neighbour's NaN or inf is never multiplied in, and each row sums
-    from +0.0 in ascending column order. Only the sign of a NaN row may
+    stencil's CSR form (``reference_impl.csr``), for one to three stacked
+    fields on grids of 1 to 25 nodes (m = 1 and 2 have no node with every
+    neighbour), with entries of ``v`` among +-0.0, +-inf, NaN, subnormals
+    and a few normal values: an absent neighbour's NaN or inf is never
+    multiplied in, and each row sums from +0.0 in ascending column order. Only the sign of a NaN row may
     differ: where a NaN meets a NaN of the other sign (inf - inf makes
     -NaN on x86), IEEE 754 leaves open which one the sum returns, and
     numpy's own ``add`` returns the first operand's in its vector loop and
@@ -772,7 +775,7 @@ def test_stencil_product_matches_csr_matvec_bitwise(S, n1d, seed, data):
         g, 0.5 + np.random.default_rng(seed).random((S, n1d + 2, n1d + 2)))
     v = np.array(data.draw(st.lists(st.sampled_from(PRODUCT_VALUES), min_size=S * g.n,
                                     max_size=S * g.n)))
-    csr = A.tocsr()
+    csr = reference_impl.csr(A)
     want = np.zeros(S * g.n)
     csr_matvec(S * g.n, S * g.n, csr.indptr, csr.indices, csr.data, v, want)
     got = A @ v
@@ -1053,7 +1056,7 @@ def _dense_k_norm(inst, s1=1.0, sz=1.0, ci=1.0):
     S, n, slack = inst.S, inst.n, inst.mode == "slack"
     SN = S * n
     eye, zeros = np.eye(SN), np.zeros((SN, SN))
-    top = [-s1 * np.tile(np.eye(n), (S, 1)), inst.block_operator().tocsr().toarray()]
+    top = [-s1 * np.tile(np.eye(n), (S, 1)), inst.block_operator().toarray()]
     bottom = [np.zeros((SN, n)), ci * eye]
     if slack:
         top.append(zeros)
@@ -1483,66 +1486,47 @@ def test_import_does_not_load_multiprocessing():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_import_does_not_load_scipy():
-    """No scipy module is imported with the package and its command line:
-    the barrier oracle or a CSR form (``Stencil.tocsr``) imports it when
-    first called."""
+# every command on tiny, slack and hard, in a process where scipy cannot load
+SCIPY_BLOCKED_RUN = """
+import json, sys
+sys.modules["scipy"] = None
+from sassc import kernel
+from sassc.cli import main
+assert main(["generate", "--preset", "tiny", "--out", "slack.json"]) == 0
+d = json.load(open("slack.json"))
+d["mode"] = "hard"
+json.dump(d, open("hard.json", "w"))
+runs = [["solve", "--instance", "slack.json", "--algorithm", "ph", "--out", "ph"],
+        ["homotopy", "--instance", "slack.json", "--schedule", "10,100,1000,10000",
+         "--out", "homotopy"],
+        ["mms", "--levels", "4,8"]]
+for mode in ("slack", "hard"):
+    inst = mode + ".json"
+    runs += [["solve", "--instance", inst, "--out", mode],
+             ["solve", "--instance", inst, "--algorithm", "barrier", "--out", mode + "-ba"],
+             ["certify", "--instance", inst, "--primal", mode + "/primal.json",
+              "--dual", mode + "/dual.json"],
+             ["compare-oracle", "--instance", inst]]
+for argv in runs:
+    assert main(argv) == 0, argv
+assert (kernel.load() is not None) == HAS_KERNEL
+"""
+
+
+@pytest.mark.parametrize("engine", ["kernel", "numpy"])
+def test_commands_run_with_scipy_blocked(tmp_path, engine):
+    """The package needs numpy alone: with ``import scipy`` made to fail,
+    ``generate``, ``solve`` (pdhg, ph and barrier), ``certify``,
+    ``compare-oracle``, ``homotopy`` and ``mms`` run on the tiny preset, in
+    slack and hard mode, and exit 0, on the C kernel and on the numpy
+    fallback (a ``PATH`` with no ``cc``)."""
     src = os.path.dirname(os.path.dirname(solvers.__file__))
-    code = ("import sys, sassc, sassc.cli\n"
-            "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
-            "assert not loaded, loaded\n")
     env = dict(os.environ, PYTHONPATH=src)
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
-def test_slack_pipeline_does_not_load_scipy(tmp_path):
-    """A slack-mode ``generate -> solve -> certify`` of the command line
-    imports no scipy module: the C kernel runs the stencil, and the
-    certificate takes its products with ``Stencil @``."""
-    src = os.path.dirname(os.path.dirname(solvers.__file__))
-    code = ("import sys\n"
-            "from sassc.cli import main\n"
-            "inst, primal, dual = 'inst.json', 'run/primal.json', 'run/dual.json'\n"
-            "assert main(['generate', '--preset', 'tiny', '--out', inst]) == 0\n"
-            "assert main(['solve', '--instance', inst, '--out', 'run']) == 0\n"
-            "assert main(['certify', '--instance', inst, '--primal', primal, '--dual', dual,\n"
-            "             '--out', 'kkt.json']) == 0\n"
-            "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
-            "assert not loaded, loaded\n")
-    if kernel.load() is None:
-        pytest.skip("no C compiler on PATH: the numpy steps multiply by scipy's CSR")
-    env = dict(os.environ, PYTHONPATH=src)
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=tmp_path,
-                   stdout=subprocess.DEVNULL)
-
-
-
-def test_hard_paths_do_not_load_scipy(tmp_path):
-    """A hard-mode ``generate -> solve -> certify`` of the command line and
-    a homotopy study import no scipy module: the a-priori verdict's
-    factorization (``grid.schur_factor``) is numpy's."""
-    src = os.path.dirname(os.path.dirname(solvers.__file__))
-    code = ("import json, sys\n"
-            "from sassc import io\n"
-            "from sassc.cli import main\n"
-            "from sassc.homotopy import run_homotopy\n"
-            "from sassc.solvers import SolverParams\n"
-            "inst, primal, dual = 'inst.json', 'run/primal.json', 'run/dual.json'\n"
-            "assert main(['generate', '--preset', 'tiny', '--out', inst]) == 0\n"
-            "d = json.load(open(inst))\n"
-            "d['mode'] = 'hard'\n"
-            "json.dump(d, open(inst, 'w'))\n"
-            "assert main(['solve', '--instance', inst, '--out', 'run']) == 0\n"
-            "assert main(['certify', '--instance', inst, '--primal', primal, '--dual', dual,\n"
-            "             '--out', 'kkt.json']) == 0\n"
-            "schedule = [1.0, 10.0, 100.0, 1000.0]\n"
-            "rep = run_homotopy(io.make_instance('tiny'), schedule, SolverParams())\n"
-            "assert rep.reference.converged\n"
-            "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
-            "assert not loaded, loaded\n")
-    if kernel.load() is None:
-        pytest.skip("no C compiler on PATH: the numpy steps multiply by scipy's CSR")
-    env = dict(os.environ, PYTHONPATH=src)
+    if engine == "numpy":
+        (tmp_path / "empty").mkdir()
+        env["PATH"] = str(tmp_path / "empty")
+    has_kernel = engine == "kernel" and kernel.load() is not None
+    code = SCIPY_BLOCKED_RUN.replace("HAS_KERNEL", str(has_kernel))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=tmp_path,
                    stdout=subprocess.DEVNULL)
 
