@@ -1487,6 +1487,62 @@ def test_import_does_not_load_multiprocessing():
 
 
 # every command on tiny, slack and hard, in a process where scipy cannot load
+def test_import_does_not_load_scipy():
+    """No scipy module is imported with the package and its command line."""
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    code = ("import sys, sassc, sassc.cli\n"
+            "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_slack_pipeline_does_not_load_scipy(tmp_path):
+    """A slack-mode ``generate -> solve -> certify`` of the command line
+    imports no scipy module, on the C kernel or on the numpy fallback."""
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    code = ("import sys\n"
+            "from sassc.cli import main\n"
+            "inst, primal, dual = 'inst.json', 'run/primal.json', 'run/dual.json'\n"
+            "assert main(['generate', '--preset', 'tiny', '--out', inst]) == 0\n"
+            "assert main(['solve', '--instance', inst, '--out', 'run']) == 0\n"
+            "assert main(['certify', '--instance', inst, '--primal', primal, '--dual', dual,\n"
+            "             '--out', 'kkt.json']) == 0\n"
+            "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=tmp_path,
+                   stdout=subprocess.DEVNULL)
+
+
+def test_hard_paths_do_not_load_scipy(tmp_path):
+    """A hard-mode ``generate -> solve -> certify`` of the command line and
+    a homotopy study import no scipy module: the a-priori verdict's
+    factorization (``grid.schur_factor``) is numpy's."""
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    code = ("import json, sys\n"
+            "from sassc import io\n"
+            "from sassc.cli import main\n"
+            "from sassc.homotopy import run_homotopy\n"
+            "from sassc.solvers import SolverParams\n"
+            "inst, primal, dual = 'inst.json', 'run/primal.json', 'run/dual.json'\n"
+            "assert main(['generate', '--preset', 'tiny', '--out', inst]) == 0\n"
+            "d = json.load(open(inst))\n"
+            "d['mode'] = 'hard'\n"
+            "json.dump(d, open(inst, 'w'))\n"
+            "assert main(['solve', '--instance', inst, '--out', 'run']) == 0\n"
+            "assert main(['certify', '--instance', inst, '--primal', primal, '--dual', dual,\n"
+            "             '--out', 'kkt.json']) == 0\n"
+            "schedule = [1.0, 10.0, 100.0, 1000.0]\n"
+            "rep = run_homotopy(io.make_instance('tiny'), schedule, SolverParams())\n"
+            "assert rep.reference.converged\n"
+            "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=tmp_path,
+                   stdout=subprocess.DEVNULL)
+
+
 SCIPY_BLOCKED_RUN = """
 import json, sys
 sys.modules["scipy"] = None
