@@ -324,17 +324,39 @@ def mms_convergence_study(levels: list[int]) -> list[MmsRow]:
     return rows
 
 
+def power_step(t: np.ndarray, v: np.ndarray, weights: np.ndarray, lam_prev: np.ndarray):
+    """One lockstep power step's numpy scores of ``t``, the rows of
+    K* K ``v``: the Rayleigh quotients lam = sum((w t) v) and the norms
+    tn = sqrt(sum((w t) t)), each a pairwise sum over the contiguous last
+    axis, as for a single vector; ``zero``, the rows with tn = 0 or
+    lam <= 0, and ``stop``, those and the rows whose lam is within
+    ``NORM_ESTIMATE_TOL`` of ``lam_prev``. Returns (t / tn, lam, stop,
+    zero): the next iterate of every row, whose stopped rows the caller
+    drops."""
+    wt = weights * t
+    lam = np.add.reduce(wt * v, axis=-1)
+    tn = np.sqrt(np.add.reduce(wt * t, axis=-1))
+    zero = (tn == 0.0) | (lam <= 0.0)
+    stop = zero | (np.abs(lam - lam_prev) <= NORM_ESTIMATE_TOL * np.abs(lam))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return t / tn[:, None], lam, stop, zero
+
+
 def operator_norm_estimate(forward, adjoint, weights: np.ndarray,
-                           live: np.ndarray | None = None) -> np.ndarray:
+                           live: np.ndarray | None = None, *, step=None) -> np.ndarray:
     """Estimate the operator norms of B linear maps by lockstep power
     iterations; returns the (B,) last Rayleigh estimates times a 1.01
     safety factor, exactly 0.0 for a zero map.
 
     ``forward`` and ``adjoint`` map (L, dim) arrays whose rows are, in
     order, the L maps still running; each adjoint is taken in the inner
-    product weighted by its row of the positive (B, dim) ``weights``. A map
-    may return a buffer that its next call overwrites: each result is used
-    before the map is called again (``solvers._k_maps`` relies on this).
+    product weighted by its row of the positive (B, dim) ``weights``, and
+    each power step is scored by ``power_step``. ``step(e, v, lam_prev)``,
+    if given, takes the place of ``adjoint`` and ``power_step`` at
+    ``e = forward(v)`` and returns what they return, with the same bits
+    (``solvers._k_maps`` gives the C kernel's). A map or step may return
+    buffers that its next call overwrites: each result is used before the
+    next call (``solvers._k_maps`` relies on this).
     ``live``, if given, is a (B,) array of ones that the estimate keeps
     equal to the rows still running before each application of the maps.
     Each row keeps its own stopping test, iteration cap and zero-map exit
@@ -343,32 +365,30 @@ def operator_norm_estimate(forward, adjoint, weights: np.ndarray,
     B = len(weights)
     if live is None:
         live = np.ones(B, dtype=bool)
+    if step is None:
+        def step(e, v, lam_prev):
+            return power_step(adjoint(e), v, weights, lam_prev)
+
     rows = np.arange(B)
     est = np.zeros(B)
-    # weighted inner products sum((weights * u) * v), one per row: a
-    # pairwise sum over the contiguous last axis, as for a single vector
+    # a pairwise sum over the contiguous last axis, as for a single vector
     rng = np.random.default_rng(NORM_ESTIMATE_SEED)
     v = np.tile(rng.standard_normal(weights.shape[1]), (B, 1))
     v /= np.sqrt(np.add.reduce(weights * v * v, axis=-1))[:, None]
     lam_prev = np.full(B, np.inf)
     lam = np.zeros(B)
     for _ in range(NORM_ESTIMATE_MAX_ITERS):
-        t = adjoint(forward(v))
-        wt = weights * t
-        lam = np.add.reduce(wt * v, axis=-1)
-        tn = np.sqrt(np.add.reduce(wt * t, axis=-1))
-        zero = (tn == 0.0) | (lam <= 0.0)
-        stop = zero | (np.abs(lam - lam_prev) <= NORM_ESTIMATE_TOL * np.abs(lam))
+        v_next, lam, stop, zero = step(forward(v), v, lam_prev)
         if stop.any():
             done = stop & ~zero
             est[rows[done]] = 1.01 * np.sqrt(lam[done])
             keep = ~stop
-            rows, weights, t, tn, lam = (a[keep] for a in (rows, weights, t, tn, lam))
+            rows, weights, v_next, lam = (a[keep] for a in (rows, weights, v_next, lam))
             live[:] = False
             live[rows] = True
             if not len(rows):
                 break
-        v = t / tn[:, None]
+        v = v_next
         lam_prev = lam
     est[rows] = 1.01 * np.sqrt(lam)
     return est

@@ -5,9 +5,11 @@ and for the check that ends them.
 about 26 calls on arrays of a few thousand entries. This module runs all
 the iterations between two residual checks, and then the check, in one C
 call, ``iterate(k, count)``, over the buffers ``k`` of one engine call
-(``Kernel.bind``, which lays them out from the instance, its step sizes
-and the iterates). The kernel swaps the current and next primal buffers
-after every iteration, and each iteration is
+(``Kernel.bind``, which lays them out from the instance and its step
+sizes and loads the iterates; ``Kernel.refill`` loads another engine
+call's iterates and extras into them, which progressive hedging does for
+its subproblems every round). The kernel swaps the current and next
+primal buffers after every iteration, and each iteration is
 
 - the dual step: ``lam_e += tau ((A yb - xb1) - g)`` and
   ``lam_ih = max(0, lam_ih + tau ci ((yb - zb) - psi))`` (``yb`` in hard
@@ -31,25 +33,38 @@ the one quiet NaN. At S = 8 and n = 256 on a 2-vCPU AVX-512 Xeon it takes
 for the numpy calls that scored it before (BLAS and pairwise sums), which
 the engine also had to prepare for in Python.
 
-The same library holds the maps of the K-norm power iteration behind the
-engine's step sizes (``solvers._k_maps``), for several instances in
-lockstep: ``k_forward`` and ``k_adjoint`` apply each running row's own
-operator, with the IEEE operations of the numpy maps in their order. Only
-the adjoint's control block ``-s1 (p @ we)`` stays a numpy ``matmul``,
-whose summation order at S > 1 is the BLAS library's. ``Kernel.forward``
-and ``Kernel.adjoint`` write into buffers laid out once per count of
-running rows (``map_buffers``), whose addresses are taken once: taking
-an array's address from Python costs about 0.8 us, and a whole ctypes call
-of a map on four one-scenario rows at n1d 16 about 1.8 us (2-vCPU Xeon).
+The same library holds the K-norm power iteration behind the engine's
+step sizes (``solvers._k_maps``), for several instances in lockstep:
+``k_forward`` applies each running row's own operator, with the IEEE
+operations of the numpy map in their order, and ``k_power_step`` does the
+rest of a power step in one call: the adjoint's state and slack blocks,
+the weighted Rayleigh quotient and norm of each row, each summed in the
+order of numpy's pairwise ``add.reduce`` over a contiguous row, the
+normalisation and the stop test of ``grid.power_step``. Only the
+adjoint's control block ``-s1 (p @ we)`` stays a numpy ``matmul``, whose
+summation order at S > 1 is the BLAS library's; the caller writes it
+first. ``Kernel.forward`` and ``Kernel.power_step`` take one pointer, a
+``_Maps`` struct built once per count of running rows (``map_buffers``)
+that points at its buffers: taking an array's address from Python costs
+about 0.8 us. With four one-scenario rows at n1d 16 a power step took
+29.4 us with the numpy scores and 11.5 us with this one (2-vCPU Xeon).
 
 The block-diagonal operator ``A`` is the instance's cached
 ``block_operator()``, a ``grid.Stencil``: five diagonals (south, west,
 centre, east and north, at offsets -m, -1, 0, +1, +m on the m x m grid of
 each block) and a uint8 "stored" flag, 0 or 1, per neighbour, at whose
-arrays ``bind`` and the K-norm maps point the kernel. ``stencil()`` loads
-the neighbours of the rows m <= r < N - m without a test, and gcc runs
-that loop several rows to a vector (its ``-fopt-info-vec`` notes say so,
-and a test keeps it so). Each off-centre term is ``keep(d v, flag)``, the
+arrays ``bind`` and the K-norm maps point the kernel. ``stencil()`` runs
+every row through one loop that loads all four neighbours without a test,
+and gcc runs that loop several rows to a vector (its ``-fopt-info-vec``
+notes say so, and a test keeps it so). So every vector it reads has at
+least m readable entries on each side: ``_guard(m)`` zero entries, m
+rounded up to a multiple of 8, between y and its neighbour blocks in the
+primal vectors, before and after lam_e in the duals, and between the rows
+of the K-norm maps' inputs. The zeros keep a NaN, inf or subnormal
+neighbour (a subnormal slack entry, say) out of the masked products. At
+S = 1 and n1d 16 an iteration took 1.55 us with the first and last m rows
+in a separate loop that tested each flag, and 1.37 us with one loop
+(2-vCPU Xeon). Each off-centre term is ``keep(d v, flag)``, the
 product's bits ANDed with ``-(uint64_t) flag``: an absent neighbour's
 product is computed, a NaN or inf one too, and becomes +0.0. The select
 ``flag ? d v : 0.0`` gives the same bits, but gcc 12 finds no vector type
@@ -66,8 +81,9 @@ with the stencil's numpy product, ``Stencil @``.
 
 Every buffer the kernel reads or writes starts on a 64-byte boundary, one
 cache line: each array of ``_batch``, the scratch ``work``, the stencil
-and the K-norm maps' ``map_buffers``. Each is allocated that way
-(``aligned``) and filled in place, not copied once built. numpy starts an
+and the K-norm maps' ``map_buffers``, the first vector of a buffer that
+starts with a guard included. Each is allocated that way (``aligned``)
+and filled in place, not copied once built. numpy starts an
 array wherever its allocator puts it, and a buffer that starts off a
 cache line makes many of the ``-march=native`` vector loads split a line,
 so the cost of an iteration depended on where each array happened to
@@ -81,7 +97,8 @@ on the same operands, as the numpy steps (``numpy_steps``), so the
 iterates are the same bits:
 
 - each row of a product is summed from 0.0 over its stored entries in
-  ascending column order, as ``Stencil @`` sums it. An absent
+  ascending column order, as ``Stencil @`` sums it, and each weighted sum
+  of a K-norm power step in numpy's pairwise order, from 0.0. An absent
   neighbour adds +0.0 whatever its product, so a NaN or infinite value
   there never enters the sum, and adding +0.0 leaves a sum that started
   at +0.0 unchanged (such a sum is never -0.0);
@@ -136,8 +153,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import certify
-from .grid import aligned
+from . import certify, grid
+from .grid import NORM_ESTIMATE_TOL, aligned
 from .problem import DualPoint, PrimalPoint
 
 # gcc's x86 backend picks 256-bit vectors on an AVX-512 host unless told
@@ -159,10 +176,12 @@ SOURCE = r"""
 
 /* The buffers of one engine call: one problem with S scenarios of
    n = m x m nodes, laid out by _batch in kernel.py: the primal vectors are
-   [x1 | y | z] (z only in slack mode), the duals [lam_e | lam_ih] and the
-   data [g | psi], each block (S, n). */
+   [x1 | guard | y | guard | z] (z only in slack mode), the duals
+   [guard | lam_e | guard | lam_ih] and the data [g | psi], each block
+   (S, n) but x1, each guard `pad` zero entries (pad >= m), so that
+   stencil() may load m entries past either end of y and lam_e. */
 typedef struct {
-    int64_t S, n, m, slack;
+    int64_t S, n, m, pad, slack;
     int64_t has_lin;                /* the check adds lin to its control gradient */
     double h, q;                    /* mesh width, x1_extra_quad */
     double tau, tau1;
@@ -175,16 +194,21 @@ typedef struct {
     double *X;                      /* current primal iterate */
     double *Xn;                     /* next primal iterate; iterate swaps the two */
     double *Xb;                     /* extrapolated primal iterate */
-    double *duals;
+    double *duals;                  /* lam_e; lam_ih starts S n + pad entries on */
     const double *g_psi;
     const double *p;                /* (S,) scenario probabilities */
     const double *tau_yt, *lin;     /* (n,) */
     const double *qc;               /* (n,) */
-    const double *den, *lo, *hi;    /* one entry per primal entry */
+    const double *den, *lo, *hi;    /* one entry per primal entry, guards included */
     const double *y_target;         /* (n,) */
     const double *center;           /* (n,): x1_extra_center */
     double *check;                  /* (11,): the check's output */
 } Batch;
+
+/* the offsets of y and z in a primal vector, and lam_ih */
+#define OFF_Y(k) ((k)->n + (k)->pad)
+#define OFF_Z(k) (OFF_Y(k) + (k)->S * (k)->n + (k)->pad)
+#define LAM_IH(k) ((k)->duals + (k)->S * (k)->n + (k)->pad)
 
 /* numpy's maximum and minimum: the second operand on a tie, NaN wins */
 static inline double max2(double a, double b) { return (a > b || isnan(a)) ? a : b; }
@@ -201,46 +225,32 @@ static inline double keep(double x, uint8_t flag)
     return x;
 }
 
-/* row r of the operator's product with v, given the neighbour values: the
-   stored entries summed from 0.0 in ascending column order (south, west,
-   centre, east, north), an absent one adding +0.0 whatever its product */
-static inline double stencil_row(int64_t N, int64_t r, const double *restrict d,
-                                 const uint8_t *restrict stored, double vs, double vw,
-                                 double vc, double ve, double vn)
+/* row r of the operator's product with v: the stored entries summed
+   from 0.0 in ascending column order (south, west, centre, east, north),
+   an absent one adding +0.0 whatever its product */
+static inline double stencil_row(int64_t N, int64_t r, int64_t m, const double *restrict d,
+                                 const uint8_t *restrict stored, const double *restrict v)
 {
     double sum = 0.0;
-    sum += keep(d[r] * vs, stored[r]);
-    sum += keep(d[N + r] * vw, stored[N + r]);
-    sum += d[2 * N + r] * vc;
-    sum += keep(d[3 * N + r] * ve, stored[2 * N + r]);
-    sum += keep(d[4 * N + r] * vn, stored[3 * N + r]);
+    sum += keep(d[r] * v[r - m], stored[r]);
+    sum += keep(d[N + r] * v[r - 1], stored[N + r]);
+    sum += d[2 * N + r] * v[r];
+    sum += keep(d[3 * N + r] * v[r + 1], stored[2 * N + r]);
+    sum += keep(d[4 * N + r] * v[r + m], stored[3 * N + r]);
     return sum;
 }
 
-/* stencil_row for the rows whose neighbours may lie outside v: only the
-   stored ones are loaded */
-static inline double stencil_edge_row(int64_t N, int64_t r, int64_t m,
-                                      const double *restrict d,
-                                      const uint8_t *restrict st, const double *restrict v)
-{
-    return stencil_row(N, r, d, st, st[r] ? v[r - m] : 0.0, st[N + r] ? v[r - 1] : 0.0,
-                       v[r], st[2 * N + r] ? v[r + 1] : 0.0, st[3 * N + r] ? v[r + m] : 0.0);
-}
-
-/* out = A v. The rows m <= r < N - m load their neighbours without a
-   test, which lets the loop run in vectors; the first and last m rows take
-   stencil_edge_row. */
+/* out = A v, every row through one loop without a test, which runs in
+   vectors. v must have at least m readable entries on each side: the
+   first and last m rows load neighbours outside v, which their flags
+   mask. */
 static void stencil(const Batch *k, const double *restrict v, double *restrict out)
 {
-    const int64_t N = k->S * k->n, m = k->m, end = N - m > m ? N - m : m;
+    const int64_t N = k->S * k->n, m = k->m;
     const double *restrict d = k->diags;
     const uint8_t *restrict st = k->stored;
-    for (int64_t r = 0; r < m; r++)
-        out[r] = stencil_edge_row(N, r, m, d, st, v);
-    for (int64_t r = m; r < end; r++)
-        out[r] = stencil_row(N, r, d, st, v[r - m], v[r - 1], v[r], v[r + 1], v[r + m]);
-    for (int64_t r = end; r < N; r++)
-        out[r] = stencil_edge_row(N, r, m, d, st, v);
+    for (int64_t r = 0; r < N; r++)
+        out[r] = stencil_row(N, r, m, d, st, v);
 }
 
 /* lam[j] = max2(0.0, lam[j] + (w[j] - psi[j]) * step) for j < m, with
@@ -306,7 +316,7 @@ static void finish(int64_t m, const double *restrict X, double *restrict Xn,
 static void dual_step(const Batch *k)
 {
     const int64_t Sn = k->S * k->n, n = k->n;
-    const double *restrict xb1 = k->Xb, *restrict yb = k->Xb + n;
+    const double *restrict xb1 = k->Xb, *restrict yb = k->Xb + OFF_Y(k);
     const double *restrict g = k->g_psi, *Ay = k->work;   /* stencil writes work */
     double *restrict lam_e = k->duals;
     const double step = k->dual_steps[0];
@@ -316,15 +326,15 @@ static void dual_step(const Batch *k)
             const double e = Ay[r + i] - xb1[i];
             lam_e[r + i] = lam_e[r + i] + (e - g[r + i]) * step;
         }
-    ascend_clamped(Sn, k->duals + Sn, yb, k->slack ? yb + Sn : NULL, k->g_psi + Sn,
-                   k->dual_steps[1]);
+    ascend_clamped(Sn, LAM_IH(k), yb, k->slack ? k->Xb + OFF_Z(k) : NULL,
+                   k->g_psi + Sn, k->dual_steps[1]);
 }
 
 static void primal_step(const Batch *k)
 {
-    const int64_t Sn = k->S * k->n, n = k->n;
+    const int64_t Sn = k->S * k->n, n = k->n, oy = OFF_Y(k);
     const double *restrict X = k->X, *Alam = k->work;   /* stencil writes work */
-    const double *restrict lam_e = k->duals, *restrict lam_ih = k->duals + Sn;
+    const double *restrict lam_e = k->duals, *restrict lam_ih = LAM_IH(k);
     const double tau = k->tau, tau1 = k->tau1, ci = k->ineq_scales[0];
     double *restrict Xn = k->Xn;
     for (int64_t i = 0; i < n; i++)
@@ -333,12 +343,14 @@ static void primal_step(const Batch *k)
     for (int64_t r = 0; r < Sn; r += n)
         for (int64_t i = 0; i < n; i++) {
             const double we = (Alam[r + i] + lam_ih[r + i] * ci) * tau;
-            Xn[n + r + i] = (X[n + r + i] - we) + k->tau_yt[i];
+            Xn[oy + r + i] = (X[oy + r + i] - we) + k->tau_yt[i];
         }
-    finish(n + Sn, X, Xn, k->Xb, k->den, k->lo, k->hi, 0);
+    /* x1, the guard after it and y in one pass; a guard entry, 0.0 over a
+       den of 1.0 clamped to [0.0, 0.0], stays +0.0 */
+    finish(oy + Sn, X, Xn, k->Xb, k->den, k->lo, k->hi, 0);
     if (!k->slack)
         return;
-    const int64_t o = n + Sn;
+    const int64_t o = OFF_Z(k);
     const double scale = k->ineq_scales[1];
     int subnormal = 0;
     for (int64_t r = 0; r < Sn; r++) {
@@ -378,8 +390,9 @@ static void check(const Batch *k)
 {
     const double *X = k->X;
     const int64_t S = k->S, n = k->n, Sn = S * n;
-    const double *restrict x1 = X, *restrict y = X + n, *restrict z = k->slack ? X + n + Sn : y;
-    const double *restrict lam_e = k->duals, *restrict lam_ih = k->duals + Sn;
+    const double *restrict x1 = X, *restrict y = X + OFF_Y(k);
+    const double *restrict z = k->slack ? X + OFF_Z(k) : y;
+    const double *restrict lam_e = k->duals, *restrict lam_ih = LAM_IH(k);
     const double *restrict g = k->g_psi, *restrict psi = k->g_psi + Sn;
     const double *restrict Ay = k->work, *restrict Alam = k->work + Sn;
     const double *restrict p = k->p;
@@ -445,22 +458,74 @@ static void check(const Batch *k)
         k->check[j] = isnan(out[j]) ? NAN : out[j];
 }
 
-/* The maps of the K-norm power iteration (solvers._k_maps) on the L running
-   rows: row l of v and out belongs to the instance rows[idx[l]], whose
-   Batch sets only S, n, m, slack, diags and stored, with the constants
-   c = coef + 4 idx[l] = (s1, sz, ci, -ci sz). Each entry goes through the
-   IEEE operations of the numpy maps, in their order. k_forward maps
-   v = [x1 | y | z] (z only in slack mode) to [e | i]:
-   e = A y - s1 x1 per scenario, i = ci (y - sz z), or ci y in hard mode. */
-void k_forward(const Batch *rows, const double *coef, const int64_t *idx, int64_t L,
-               const double *v, double *out)
+/* numpy's pairwise sum of the n products (w[i] a[i]) b[i], the order in
+   which add.reduce sums a contiguous row: below 8 terms one running sum,
+   up to 128 eight running sums, one per lane, combined as
+   ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and followed by the
+   rest, and above 128 the sums of two halves, split at a multiple of 8 */
+static double pairwise(const double *w, const double *a, const double *b, int64_t n)
 {
-    for (int64_t l = 0; l < L; l++) {
-        const Batch *k = rows + idx[l];
-        const double *c = coef + 4 * idx[l];
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += (w[i] * a[i]) * b[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++)
+            r[j] = (w[j] * a[j]) * b[j];
+        int64_t i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += (w[i + j] * a[i + j]) * b[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += (w[i] * a[i]) * b[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise(w, a, b, half) + pairwise(w + half, a + half, b + half, n - half);
+}
+
+/* np.add.reduce((w * a) * b): the pairwise sum added to the reduction's
+   identity, 0.0 */
+double weighted_sum(const double *w, const double *a, const double *b, int64_t n)
+{
+    return 0.0 + pairwise(w, a, b, n);
+}
+
+/* The buffers of the K-norm power iteration (solvers._k_maps) on the L
+   running rows: row l belongs to the instance rows[idx[l]], whose Batch
+   sets only S, n, m, slack, diags and stored, with the constants
+   c = coef + 4 idx[l] = (s1, sz, ci, -ci sz). The rows of v, [x1 | y | z]
+   (z only in slack mode), and of e, [we | wi], lie pad zero entries
+   apart, with pad more before the first and after the last (pad >= m). */
+typedef struct {
+    const Batch *rows;
+    const double *coef;
+    const int64_t *idx;
+    int64_t L, pad;
+    const double *weights;          /* (L, nx): the weights of the running rows */
+    double *v, *e, *t;              /* (L, nx), (L, 2 S n) and (L, nx) */
+    double *lam;                    /* (L,): the last Rayleigh quotients */
+    uint8_t *stop, *zero;           /* (L,): the row stops; its map is zero */
+    double tol;                     /* grid.NORM_ESTIMATE_TOL */
+} Maps;
+
+/* Each entry of the maps goes through the IEEE operations of the numpy
+   maps, in their order. k_forward maps v = [x1 | y | z] to e = [e | i]:
+   e = A y - s1 x1 per scenario, i = ci (y - sz z), or ci y in hard mode. */
+void k_forward(const Maps *mp)
+{
+    for (int64_t l = 0; l < mp->L; l++) {
+        const Batch *k = mp->rows + mp->idx[l];
+        const double *c = mp->coef + 4 * mp->idx[l];
         const int64_t n = k->n, Sn = k->S * n, nx = n + Sn * (k->slack ? 2 : 1);
-        const double *restrict x1 = v + l * nx, *restrict y = x1 + n, *restrict z = y + Sn;
-        double *restrict e = out + l * 2 * Sn, *restrict in = e + Sn;
+        const double *restrict x1 = mp->v + l * (nx + mp->pad), *restrict y = x1 + n;
+        const double *restrict z = y + Sn;
+        double *restrict e = mp->e + l * (2 * Sn + mp->pad), *restrict in = e + Sn;
         stencil(k, y, e);
         for (int64_t r = 0; r < Sn; r += n)
             for (int64_t i = 0; i < n; i++)
@@ -474,24 +539,39 @@ void k_forward(const Batch *rows, const double *coef, const int64_t *idx, int64_
     }
 }
 
-/* The adjoint of k_forward on w = [we | wi], without its control block
-   -s1 (p @ we), which the caller adds: out gets y' = A we + ci wi and, in
-   slack mode, z' = (-ci sz) wi, and its control block is left as it is. */
-void k_adjoint(const Batch *rows, const double *coef, const int64_t *idx, int64_t L,
-               const double *w, double *out)
+/* One power step after k_forward, the step of grid.power_step: t, whose
+   control block -s1 (p @ we) the caller wrote, gets the rest of the
+   adjoint at e, y' = A we + ci wi and, in slack mode, z' = (-ci sz) wi;
+   then lam = sum((w t) v) and tn = sqrt(sum((w t) t)), each summed as
+   np.add.reduce sums a row; zero when tn == 0 or lam <= 0; stop when zero
+   or |lam - lam_prev| <= tol |lam|, lam_prev read from lam before lam is
+   written; and v = t / tn, the next iterate, written over the old. */
+void k_power_step(const Maps *mp)
 {
-    for (int64_t l = 0; l < L; l++) {
-        const Batch *k = rows + idx[l];
-        const double *c = coef + 4 * idx[l];
+    for (int64_t l = 0; l < mp->L; l++) {
+        const Batch *k = mp->rows + mp->idx[l];
+        const double *c = mp->coef + 4 * mp->idx[l];
         const int64_t n = k->n, Sn = k->S * n, nx = n + Sn * (k->slack ? 2 : 1);
-        const double *restrict we = w + l * 2 * Sn, *restrict wi = we + Sn;
-        double *restrict oy = out + l * nx + n, *restrict oz = oy + Sn;
-        stencil(k, we, oy);
-        for (int64_t r = 0; r < Sn; r++)
-            oy[r] = oy[r] + c[2] * wi[r];
-        if (k->slack)
+        const double *restrict we = mp->e + l * (2 * Sn + mp->pad), *restrict wi = we + Sn;
+        const double *w = mp->weights + l * nx;
+        double *t = mp->t + l * nx, *v = mp->v + l * (nx + mp->pad);
+        {
+            double *restrict oy = t + n, *restrict oz = oy + Sn;
+            stencil(k, we, oy);
             for (int64_t r = 0; r < Sn; r++)
-                oz[r] = c[3] * wi[r];
+                oy[r] = oy[r] + c[2] * wi[r];
+            if (k->slack)
+                for (int64_t r = 0; r < Sn; r++)
+                    oz[r] = c[3] * wi[r];
+        }
+        const double lam = weighted_sum(w, t, v, nx);
+        const double tn = sqrt(weighted_sum(w, t, t, nx));
+        const int zero = (tn == 0.0) | (lam <= 0.0);
+        mp->stop[l] = zero | (fabs(lam - mp->lam[l]) <= mp->tol * fabs(lam));
+        mp->zero[l] = zero;
+        mp->lam[l] = lam;
+        for (int64_t i = 0; i < nx; i++)
+            v[i] = t[i] / tn;
     }
 }
 
@@ -520,13 +600,29 @@ _ARRAYS = ("duals", "g_psi", "p", "tau_yt", "lin", "qc", "den", "lo", "hi", "y_t
 
 class _Batch(ctypes.Structure):
     _fields_ = (
-        [(name, ctypes.c_int64) for name in ("S", "n", "m", "slack", "has_lin")]
+        [(name, ctypes.c_int64) for name in ("S", "n", "m", "pad", "slack", "has_lin")]
         + [(name, ctypes.c_double) for name in ("h", "q", "tau", "tau1")]
         + [(name, ctypes.c_double * 2) for name in ("dual_steps", "ineq_scales")]
         + [(name, ctypes.c_double) for name in ("alpha", "alpha_prime", "M")]
         + [(name, ctypes.c_void_p) for name in ("diags", "stored", "work", "X", "Xn", "Xb",
                                                  *_ARRAYS)]
     )
+
+
+class _Maps(ctypes.Structure):
+    _fields_ = (
+        [(name, ctypes.c_void_p) for name in ("rows", "coef", "idx")]
+        + [(name, ctypes.c_int64) for name in ("L", "pad")]
+        + [(name, ctypes.c_void_p) for name in ("weights", "v", "e", "t", "lam", "stop", "zero")]
+        + [("tol", ctypes.c_double)]
+    )
+
+
+def _guard(m: int) -> int:
+    """The zero entries kept on each side of a vector that the stencil of
+    an m x m grid reads: m rounded up to a multiple of 8, so that the
+    vector after a guard that starts a buffer starts on a cache line too."""
+    return -(-m // 8) * 8
 
 
 def _blocks(name: str, sizes, parts) -> np.ndarray:
@@ -544,75 +640,122 @@ def _blocks(name: str, sizes, parts) -> np.ndarray:
     return out
 
 
-def _batch(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
+def _zeros(size: int) -> np.ndarray:
+    """A new ``aligned`` vector of ``size`` zeros."""
+    out = aligned(size)
+    out.fill(0.0)
+    return out
+
+
+def _guarded_rows(L: int, width: int, pad: int) -> np.ndarray:
+    """An (L, width) view of a new zero-filled ``aligned`` buffer whose rows
+    lie ``pad`` entries apart, with ``pad`` more before the first row and
+    after the last: the rows the stencil reads past their ends."""
+    return _zeros(pad + L * (width + pad))[pad:].reshape(L, width + pad)[:, :width]
+
+
+def _batch(inst, step, state) -> SimpleNamespace:
     """The buffers and constants of one engine call on ``inst``, for both
-    forms of the steps: ``step`` holds the instance's tau, ci, tau1 and
-    tauz, ``state`` the iterates (x1, y, z, xb1, yb, zb, lam_e, lam_ih), and
-    ``q``, ``center`` (n,) and ``lin`` (n,) are ``x1_extra_quad``,
-    ``x1_extra_center`` and ``x1_extra_lin``, each None when absent.
+    forms of the steps, which ``_fill`` loads with the iterates and the
+    extras: ``step`` holds the instance's tau, ci, tau1 and tauz, and
+    ``state`` the iterates (x1, y, z, xb1, yb, zb, lam_e, lam_ih), of which
+    only the shape of y is read here.
 
     The iterations allocate no arrays. The primal blocks live in one flat
-    vector [x1 | y | z] (z only in slack mode; hard mode carries it
-    unchanged), the multipliers in one (2, S, n) array [lam_e | lam_ih] and
-    the data in [g | psi], so that each update the blocks share is one pass
-    over one array. The prox denominators ``den`` and the bounds ``lo`` and
-    ``hi`` have one entry per primal entry; a constant block of a scalar
-    gives the same bits as the scalar. Every array the kernel reads or
-    writes is ``aligned`` and filled in place, copies of the instance's
-    ``p`` and ``y_target`` included.
+    vector [x1 | guard | y | guard | z] (z only in slack mode; hard mode
+    carries it unchanged), the multipliers in the (2, S, n) view
+    ``duals`` of [guard | lam_e | guard | lam_ih | guard] and the data in
+    [g | psi], so that each update the blocks share is one pass over one
+    array. A guard is ``_guard(m)`` zero entries: the stencil reads up to m
+    entries past either end of y and lam_e, and the zeros keep a NaN, inf
+    or subnormal neighbour out of its masked products. The prox
+    denominators ``den`` and the bounds ``lo`` and ``hi`` have one entry
+    per primal entry; a constant block of a scalar gives the same bits as
+    the scalar, and a guard has den 1.0 and bounds 0.0, which keep its
+    iterate entries at +0.0. Every array the kernel reads or writes is
+    ``aligned`` and filled in place, copies of the instance's ``p`` and
+    ``y_target`` included.
 
     The namespace holds the current, next and extrapolated primal iterates
-    ``cur``, ``nxt`` (a copy of ``cur``, so every byte the steps read is
-    defined) and ``xb``, each (flat vector, x1 (n,), y, z), the buffers
-    ``best`` (of the same form) and ``best_duals`` where the engine keeps
-    its best iterate, which the steps never touch, the scalars
-    ``tau`` and ``tau1``, ``dual_steps`` [tau | tau ci] and ``ineq_scales``
-    [ci | tauz ci] shaped (2, 1, 1), and the ``_ARRAYS`` in the numpy steps'
-    shapes. Sizes are checked here, since the kernel indexes without bounds.
+    ``cur``, ``nxt`` and ``xb``, each (flat vector, x1 (n,), y, z), the
+    buffers ``best`` (of the same form) and ``best_duals`` where the engine
+    keeps its best iterate, which the steps never touch, the scalars
+    ``tau``, ``ci`` and ``tau1``, ``dual_steps`` [tau | tau ci] and
+    ``ineq_scales`` [ci | tauz ci] shaped (2, 1, 1), and the ``_ARRAYS`` in
+    the numpy steps' shapes. Sizes are checked, since the kernel indexes
+    without bounds.
     """
-    x1, y, z, xb1, yb, zb, lam_e, lam_ih = state
-    S, n = np.shape(y)
+    S, n = np.shape(state[1])
     slack = inst.mode == "slack"
     NS = S * n
-    sizes = (n, NS, NS) if slack else (n, NS)
-    nx = sum(sizes)
+    pad = _guard(inst.block_operator().m)
+    sizes = (n, pad, NS, pad, NS) if slack else (n, pad, NS, pad)
     tau, ci, tau1, tauz = (float(c) for c in step)
     M = inst.c2_bound
     _, g, psi = inst.fields()
 
-    def flat(name, a1, ay, az):
-        """[x1 | y | z], z only in slack mode"""
-        return _blocks(name, sizes, (a1, ay, az)[:len(sizes)])
+    def flat(name, a1, ay, az, at_guard):
+        """[x1 | guard | y | guard | z], z only in slack mode"""
+        return _blocks(name, sizes, (a1, at_guard, ay, at_guard, az)[:len(sizes)])
 
-    X, Xb = flat("X", x1, y, z), flat("Xb", xb1, yb, zb)
     k = SimpleNamespace(
-        inst=inst, S=S, n=n, slack=slack, tau=tau, tau1=tau1,
+        inst=inst, S=S, n=n, pad=pad, slack=slack, tau=tau, ci=ci, tau1=tau1,
         dual_steps=np.array([tau, tau * ci])[:, None, None],
         ineq_scales=np.array([ci, tauz * ci])[:, None, None],
-        duals=_blocks("duals", (NS, NS), (lam_e, lam_ih)).reshape(2, S, n),
+        duals=_guarded_rows(2, NS, pad).reshape(2, S, n),
         g_psi=_blocks("g_psi", (NS, NS), (g, psi)).reshape(2, S, n),
         p=_blocks("p", (S,), (inst.p,)),
         tau_yt=_blocks("tau_yt", (n,), (tau * inst.y_target,)),
-        lin=_blocks("lin", (n,), (0.0 if lin is None else lin,)),
-        qc=_blocks("qc", (n,),
-                   (0.0 if (q == 0.0 or center is None) else q * np.asarray(center),)),
-        den=flat("den", 1.0 + tau1 * (inst.alpha + q), 1.0 + tau,
-                 1.0 + tauz * inst.alpha_prime),
-        lo=flat("lo", inst.c1_lo, -M, -M), hi=flat("hi", inst.c1_hi, M, M),
+        lin=aligned(n), qc=aligned(n), center=aligned(n),
+        # the x1 block, which holds x1_extra_quad, is _fill's
+        den=flat("den", 0.0, 1.0 + tau, 1.0 + tauz * inst.alpha_prime, 1.0),
+        lo=flat("lo", inst.c1_lo, -M, -M, 0.0), hi=flat("hi", inst.c1_hi, M, M, 0.0),
         y_target=_blocks("y_target", (n,), (inst.y_target,)),
-        center=_blocks("center", (n,), (0.0 if center is None else center,)),
         check=aligned(len(CHECK_COLUMNS)))
-    z_hard = None if slack else np.array(z, dtype=float)
+    z_hard = None if slack else np.empty((S, n))
 
     def blocks(X):
-        return (X, X[:n], X[n:n + NS].reshape(S, n),
-                X[n + NS:].reshape(S, n) if slack else z_hard)
+        y = n + pad
+        return (X, X[:n], X[y:y + NS].reshape(S, n),
+                X[y + NS + pad:].reshape(S, n) if slack else z_hard)
 
-    Xn = aligned(nx)
-    Xn[:] = X
-    k.cur, k.nxt, k.xb, k.best = blocks(X), blocks(Xn), blocks(Xb), blocks(aligned(nx))
+    k.cur, k.nxt, k.xb, k.best = (blocks(_zeros(sum(sizes))) for _ in range(4))
     k.best_duals = aligned(k.duals.shape)
     return k
+
+
+def _fill(k, state, *, q: float, center=None, lin=None) -> None:
+    """Load the iterates ``state`` (x1, y, z, xb1, yb, zb, lam_e, lam_ih)
+    and the extras ``q``, ``center`` (n,) and ``lin`` (n,)
+    (``x1_extra_quad``, ``x1_extra_center`` and ``x1_extra_lin``, each None
+    when absent) into the buffers of ``_batch`` ``k``, for a new engine
+    call: the blocks of the current primal iterate, and of the next one as
+    its copy, so every byte the steps read is defined, of the extrapolated
+    one and of the duals, then ``lin``, ``qc`` = q center, ``center`` and
+    the x1 block of ``den``. The guards keep their zeros."""
+    x1, y, z, xb1, yb, zb, lam_e, lam_ih = state
+    loads = [("X", k.cur, (x1, y, z)), ("Xb", k.xb, (xb1, yb, zb)[:2 + k.slack]),
+             ("duals", (None, *k.duals), (lam_e, lam_ih))]
+    for name, outs, parts in loads:
+        for out, a in zip(outs[1:], parts):
+            _load(name, out, a)
+    np.copyto(k.nxt[0], k.cur[0])
+    _load("lin", k.lin, 0.0 if lin is None else lin)
+    _load("qc", k.qc, 0.0 if (q == 0.0 or center is None) else q * np.asarray(center))
+    _load("center", k.center, 0.0 if center is None else center)
+    k.den[:k.n] = 1.0 + k.tau1 * (k.inst.alpha + q)
+
+
+def _load(name: str, out: np.ndarray, a) -> None:
+    """``out[...] = a``, a scalar broadcast or an array of ``out``'s size
+    in its shape; raises ``ValueError`` for another size, since the kernel
+    indexes without bounds."""
+    if np.ndim(a) and np.shape(a) != out.shape:
+        if np.size(a) != out.size:
+            raise ValueError(f"kernel argument {name} has a block of {np.size(a)} entries, "
+                             f"expected {out.size}")
+        a = np.reshape(a, out.shape)
+    out[...] = a
 
 
 class Kernel:
@@ -622,18 +765,17 @@ class Kernel:
         self._iterate = lib.iterate
         self._iterate.argtypes = (ctypes.POINTER(_Batch), ctypes.c_int64)
         self._iterate.restype = None
-        self._k_forward, self._k_adjoint = lib.k_forward, lib.k_adjoint
-        for fn in (self._k_forward, self._k_adjoint):
-            fn.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_int64,) + (ctypes.c_void_p,) * 2
+        self._k_forward, self._k_power_step = lib.k_forward, lib.k_power_step
+        for fn in (self._k_forward, self._k_power_step):
+            fn.argtypes = (ctypes.c_void_p,)
             fn.restype = None
 
-    @staticmethod
-    def bind(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
-        """The buffers of ``_batch`` for ``iterate``, with the ``_Batch``
-        struct that points at its arrays (``struct``), which keeps them
-        alive, and at the arrays of the instance's cached stencil
-        (``block_operator()``)."""
-        k = _batch(inst, step, state, q=q, center=center, lin=lin)
+    def bind(self, inst, step, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
+        """The buffers of ``_batch`` for ``iterate``, loaded by ``refill``,
+        with the ``_Batch`` struct that points at its arrays (``struct``),
+        which keeps them alive, and at the arrays of the instance's cached
+        stencil (``block_operator()``)."""
+        k = _batch(inst, step, state)
         A = inst.block_operator()
         if A.diags.shape[1] != k.duals[0].size:
             raise ValueError(f"kernel argument diags has {A.diags.shape[1]} rows, expected "
@@ -642,14 +784,23 @@ class Kernel:
                       Xn=k.nxt[0], Xb=k.xb[0])
         arrays.update((name, getattr(k, name)) for name in _ARRAYS)
         pair = ctypes.c_double * 2
-        batch = _Batch(S=k.S, n=k.n, m=A.m, slack=k.slack, has_lin=lin is not None, h=inst.h,
-                       q=q, tau=k.tau, tau1=k.tau1, dual_steps=pair(*k.dual_steps.ravel()),
+        batch = _Batch(S=k.S, n=k.n, m=A.m, pad=k.pad, slack=k.slack, h=inst.h, tau=k.tau,
+                       tau1=k.tau1, dual_steps=pair(*k.dual_steps.ravel()),
                        ineq_scales=pair(*k.ineq_scales.ravel()), alpha=inst.alpha,
                        alpha_prime=inst.alpha_prime, M=inst.c2_bound,
                        **{name: a.ctypes.data for name, a in arrays.items()})
         batch.keep = arrays
         k.struct = ctypes.pointer(batch)
+        self.refill(k, state, q=q, center=center, lin=lin)
         return k
+
+    @staticmethod
+    def refill(k, state, *, q: float, center=None, lin=None) -> None:
+        """``_fill`` for a new engine call on the instance ``k`` is bound
+        to, and the struct's ``q`` and ``has_lin``."""
+        _fill(k, state, q=q, center=center, lin=lin)
+        batch = k.struct.contents
+        batch.q, batch.has_lin = q, lin is not None
 
     def iterate(self, k, count: int) -> None:
         """``count`` iterations of ``k`` and the residual check at the
@@ -662,42 +813,37 @@ class Kernel:
 
     @staticmethod
     def bind_maps(rows, coef: np.ndarray) -> SimpleNamespace:
-        """The K-norm maps' data: one ``_Batch`` per instance of ``rows``
-        (which must share the grid, mode and S, ``_map_dims``) that points
-        at its cached stencil (``block_operator()``), and the (R, 4)
-        constants ``coef``, one row (s1, sz, ci, -ci sz) per instance."""
-        dims = _map_dims(rows)
+        """``_map_data`` of ``rows`` and ``coef``, with one ``_Batch`` per
+        instance (``structs``) that points at its cached stencil
+        (``block_operator()``)."""
+        maps = _map_data(rows, coef)
         structs = (_Batch * len(rows))()
         stencils = [sub.block_operator() for sub in rows]
         for struct, sub, A in zip(structs, rows, stencils):
             struct.S, struct.n, struct.m, struct.slack = sub.S, sub.n, A.m, sub.mode == "slack"
             struct.diags, struct.stored = A.diags.ctypes.data, A.stored.ctypes.data
-        coef = np.ascontiguousarray(coef, dtype=float)
-        if coef.shape != (len(rows), 4):
-            raise ValueError(f"K-norm constants have shape {coef.shape}, expected "
-                             f"{(len(rows), 4)}")
-        return SimpleNamespace(R=len(rows), dims=dims, keep=(structs, stencils, coef),
-                               args=(ctypes.addressof(structs), coef.ctypes.data))
+        maps.structs, maps.keep = structs, (structs, stencils, maps.coef)
+        return maps
 
     def forward(self, maps, buf, v: np.ndarray) -> None:
         """``buf.e`` = the forward maps of the running rows ``buf.idx`` at
-        ``v``, one row each: (L, dim) to (L, 2 S n)."""
-        L = len(buf.idx)
-        _check_map_input(v, (L, maps.dims[2]))
-        self._k_forward(*maps.args, buf.address.idx, L, v.ctypes.data, buf.address.e)
+        ``v``, one row each: (L, dim) to (L, 2 S n). ``v`` is copied into
+        ``buf.v`` unless it is that buffer."""
+        _into(buf.v, v)
+        self._k_forward(buf.address)
 
-    def adjoint(self, maps, buf, w: np.ndarray) -> None:
-        """The state and slack blocks of ``buf.t`` = the adjoint maps of
-        the running rows ``buf.idx`` at ``w``; the control block is left to
-        the caller. ``w`` is ``buf.e`` in the power iteration, whose
-        address is known."""
-        L = len(buf.idx)
-        if w is buf.e:
-            address = buf.address.e
-        else:
-            _check_map_input(w, (L, 2 * maps.dims[1]))
-            address = w.ctypes.data
-        self._k_adjoint(*maps.args, buf.address.idx, L, address, buf.address.t)
+    def power_step(self, maps, buf, v: np.ndarray, lam_prev: np.ndarray):
+        """``grid.power_step`` of the running rows after ``forward`` at
+        ``v``, in one kernel call (``k_power_step``) that also applies the
+        adjoint's state and slack blocks to ``buf.e``; the control block of
+        ``buf.t`` is the caller's. Returns the buffers ``buf.v``, which the
+        next iterate overwrites, ``buf.lam``, ``buf.stop`` and ``buf.zero``;
+        ``v`` and ``lam_prev`` are copied in unless they are ``buf.v`` and
+        ``buf.lam``."""
+        _into(buf.v, v)
+        _into(buf.lam, lam_prev)
+        self._k_power_step(buf.address)
+        return buf.v, buf.lam, buf.stop, buf.zero
 
 
 def _map_dims(rows) -> tuple[int, int, int]:
@@ -712,27 +858,64 @@ def _map_dims(rows) -> tuple[int, int, int]:
     return n, Sn, n + Sn * (2 if first.mode == "slack" else 1)
 
 
+def _map_data(rows, coef: np.ndarray) -> SimpleNamespace:
+    """What either form's K-norm maps share for ``rows``, which must share
+    the grid, mode and S (``_map_dims``): R, ``dims``, the ``_guard`` ``pad``
+    of their grid, the (R, 4) constants ``coef``, one row (s1, sz, ci,
+    -ci sz) per instance, and the (R, dim) ``weights`` of the power
+    iteration's inner products: h^2 on the control block and p_k h^2 on
+    scenario k's state and slack blocks."""
+    dims = _map_dims(rows)
+    n, Sn, nx = dims
+    coef = np.ascontiguousarray(coef, dtype=float)
+    if coef.shape != (len(rows), 4):
+        raise ValueError(f"K-norm constants have shape {coef.shape}, expected "
+                         f"{(len(rows), 4)}")
+    p = np.array([sub.p for sub in rows])
+    hh = rows[0].h * rows[0].h
+    weights = np.concatenate([np.full((len(rows), n), hh)]
+                             + [np.repeat(p * hh, n, axis=1)] * ((nx - n) // Sn), axis=1)
+    return SimpleNamespace(R=len(rows), dims=dims, pad=_guard(rows[0].block_operator().m),
+                           coef=coef, weights=weights, structs=None)
+
+
 def map_buffers(maps, idx: np.ndarray) -> SimpleNamespace:
     """The running rows ``idx`` of the K-norm maps ``maps`` (of either
-    form's ``bind_maps``), as an int64 array of indices below R, the
-    ``aligned`` (L, 2 S n) and (L, dim) buffers ``e`` and ``t`` where
-    ``forward`` and ``adjoint`` write their results, and the ``address`` of
-    each array, which the kernel is called with."""
+    form's ``bind_maps``), as an int64 array of indices below R, and their
+    buffers: the iterate ``v`` and the forward maps' result ``e``, (L, dim)
+    and (L, 2 S n) views of zero-guarded rows (``_guarded_rows``), where
+    the stencil reads past each row's blocks, the adjoint ``t`` (L, dim),
+    the running rows' ``weights`` and the power step's ``lam``, ``stop``
+    and ``zero``, each (L,). For the kernel's maps, also the ``_Maps``
+    struct that points at them, and its ``address``, which the kernel is
+    called with."""
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     if idx.ndim != 1 or np.any((idx < 0) | (idx >= maps.R)):
         raise ValueError(f"K-norm rows must be indices below {maps.R}")
-    _, Sn, nx = maps.dims
-    buf = SimpleNamespace(idx=idx, e=aligned((len(idx), 2 * Sn)), t=aligned((len(idx), nx)))
-    buf.address = SimpleNamespace(idx=idx.ctypes.data, e=buf.e.ctypes.data,
-                                  t=buf.t.ctypes.data)
+    L, (_, Sn, nx) = len(idx), maps.dims
+    buf = SimpleNamespace(idx=idx, v=_guarded_rows(L, nx, maps.pad),
+                          e=_guarded_rows(L, 2 * Sn, maps.pad), t=aligned((L, nx)),
+                          weights=aligned((L, nx)), lam=aligned(L), stop=aligned(L, bool),
+                          zero=aligned(L, bool))
+    buf.weights[...] = maps.weights[idx]
+    if maps.structs is not None:
+        buf.struct = _Maps(rows=ctypes.addressof(maps.structs), coef=maps.coef.ctypes.data,
+                           idx=idx.ctypes.data, L=L, pad=maps.pad, tol=NORM_ESTIMATE_TOL,
+                           **{name: getattr(buf, name).ctypes.data
+                              for name in ("weights", "v", "e", "t", "lam", "stop", "zero")})
+        buf.address = ctypes.addressof(buf.struct)
     return buf
 
 
-def _check_map_input(v: np.ndarray, shape: tuple[int, int]) -> None:
-    """Raise ``ValueError`` unless ``v`` is a C-contiguous float array of
-    ``shape``, which the kernel's maps index without bounds."""
-    if v.shape != shape or v.dtype != np.float64 or not v.flags.c_contiguous:
-        raise ValueError(f"a K-norm map's input must be a C-contiguous {shape} float array")
+def _into(buf: np.ndarray, a: np.ndarray) -> None:
+    """Copy ``a`` into the kernel buffer ``buf`` unless it is that buffer;
+    raises ``ValueError`` unless ``a`` has its shape, since the kernel
+    indexes without bounds."""
+    if a is not buf:
+        if np.shape(a) != buf.shape:
+            raise ValueError(f"a K-norm map's input must have shape {buf.shape}, "
+                             f"got {np.shape(a)}")
+        buf[...] = a
 
 
 class _NumpySteps:
@@ -740,16 +923,22 @@ class _NumpySteps:
     buffers: the fallback when the kernel cannot be built, and the form the
     kernel reproduces."""
 
-    @staticmethod
-    def bind(inst, step, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
+    def bind(self, inst, step, state, *, q: float, center=None, lin=None) -> SimpleNamespace:
         """Like ``Kernel.bind``, with the numpy steps' scratch arrays and
         the block operator ``A``, the instance's cached stencil."""
-        k = _batch(inst, step, state, q=q, center=center, lin=lin)
-        k.extras = dict(x1_extra_quad=q, x1_extra_center=center, x1_extra_lin=lin)
+        k = _batch(inst, step, state)
         k.A = inst.block_operator()
         k.work = np.empty((2, k.S, k.n))
         k.product = np.empty(k.n)
+        self.refill(k, state, q=q, center=center, lin=lin)
         return k
+
+    @staticmethod
+    def refill(k, state, *, q: float, center=None, lin=None) -> None:
+        """Like ``Kernel.refill``: ``_fill``, and the extras the check
+        passes to ``certify``."""
+        _fill(k, state, q=q, center=center, lin=lin)
+        k.extras = dict(x1_extra_quad=q, x1_extra_center=center, x1_extra_lin=lin)
 
     @classmethod
     def iterate(cls, k, count: int) -> None:
@@ -832,10 +1021,10 @@ class _NumpySteps:
     @staticmethod
     def bind_maps(rows, coef: np.ndarray) -> SimpleNamespace:
         """Like ``Kernel.bind_maps``, with each row's cached stencil."""
-        return SimpleNamespace(R=len(rows), dims=_map_dims(rows), S=rows[0].S,
-                               slack=rows[0].mode == "slack",
-                               stencils=[sub.block_operator() for sub in rows],
-                               coef=np.asarray(coef, dtype=float)[:, :, None])
+        maps = _map_data(rows, coef)
+        maps.S, maps.slack = rows[0].S, rows[0].mode == "slack"
+        maps.stencils = [sub.block_operator() for sub in rows]
+        return maps
 
     @staticmethod
     def _product(maps, idx, v, out) -> None:
@@ -848,7 +1037,7 @@ class _NumpySteps:
         """``Kernel.forward``: e = A y - s1 x1 per scenario and
         i = ci (y - sz z), or ci y in hard mode."""
         n, Sn, _ = maps.dims
-        s1, sz, ci, _ = maps.coef[buf.idx].transpose(1, 0, 2)
+        s1, sz, ci, _ = maps.coef[buf.idx].T[:, :, None]
         y, e, i = v[:, n:n + Sn], buf.e[:, :Sn], buf.e[:, Sn:]
         cls._product(maps, buf.idx, y, e)
         e = e.reshape(len(v), maps.S, n)
@@ -862,9 +1051,11 @@ class _NumpySteps:
 
     @classmethod
     def adjoint(cls, maps, buf, w) -> None:
-        """``Kernel.adjoint``: y' = A we + ci wi and z' = (-ci sz) wi."""
+        """The adjoint's state and slack blocks at ``w`` into ``buf.t``,
+        as ``Kernel.power_step`` applies them: y' = A we + ci wi and
+        z' = (-ci sz) wi."""
         n, Sn, _ = maps.dims
-        _, _, ci, neg_ci_sz = maps.coef[buf.idx].transpose(1, 0, 2)
+        _, _, ci, neg_ci_sz = maps.coef[buf.idx].T[:, :, None]
         we, wi, out_y = w[:, :Sn], w[:, Sn:], buf.t[:, n:n + Sn]
         Alam = np.empty((len(w), Sn))
         cls._product(maps, buf.idx, we, Alam)
@@ -872,6 +1063,13 @@ class _NumpySteps:
         np.add(Alam, out_y, out=out_y)
         if maps.slack:
             np.multiply(neg_ci_sz, wi, out=buf.t[:, n + Sn:])
+
+    @classmethod
+    def power_step(cls, maps, buf, v, lam_prev):
+        """``Kernel.power_step``: the adjoint at ``buf.e``, then
+        ``grid.power_step``'s numpy scores, in new arrays."""
+        cls.adjoint(maps, buf, buf.e)
+        return grid.power_step(buf.t, v, buf.weights, lam_prev)
 
 
 numpy_steps = _NumpySteps()

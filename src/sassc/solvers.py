@@ -24,12 +24,13 @@ of the check's values; the PDLP
 solver (Applegate et al., 2021) runs its steps and its termination checks
 in compiled code the same way. The kernel applies the stiffness blocks as
 the assembled five-point stencil (``grid.Stencil``), and sums each row in
-the order of ``Stencil @``; the compiler runs its interior rows several
-to a vector, since an absent neighbour's product is masked to +0.0 by its
-bits, not selected by a branch. It is compiled with ``cc`` and
-``kernel.FLAGS`` (``-O3 -march=native -ffp-contract=off``, and 512-bit
-vectors on x86; no fast-math, no fused multiply-add) on the first engine
-call of a process, and runs every
+the order of ``Stencil @``; the compiler runs all rows in one loop,
+several to a vector, since an absent neighbour's product is masked to
++0.0 by its bits, not selected by a branch, and zero guards around each
+vector it reads keep the loads past the vector's ends in its buffer. It
+is compiled with ``cc`` and ``kernel.FLAGS`` (``-O3 -march=native
+-ffp-contract=off``, and 512-bit vectors on x86; no fast-math, no fused
+multiply-add) on the first engine call of a process, and runs every
 entry through the IEEE operations of the numpy form in its order, so
 iterates are bit for bit those of the numpy loop; a subnormal slack entry
 is divided through its integer mantissa, with the IEEE quotient's bits.
@@ -43,11 +44,13 @@ power iteration behind its step sizes (``_steps``) runs several instances
 with the same grid, mode and scenario count in lockstep, as rows of one
 stacked map: progressive hedging estimates the steps of a group of
 subproblems at once, where call overhead, not arithmetic, dominates each
-power iteration. The maps run in the same C kernel (its ``forward`` and
-``adjoint``, each running row through its own cached stencil), except
-for the control block of the adjoint, a numpy ``matmul``; the weighted
-inner products and the stop test stay in ``grid.operator_norm_estimate``.
-Without a C compiler the numpy maps run, with the same bits.
+power iteration. ``grid.operator_norm_estimate`` runs the loop, and each
+power step is two calls into the same C kernel (``forward``, then
+``power_step``: the adjoint, the weighted Rayleigh quotients and norms in
+numpy's pairwise summation order, the normalisation and the stop test),
+each running row through its own cached stencil; only the control block
+of the adjoint, a numpy ``matmul``, runs between them. Without a C
+compiler the numpy maps and ``grid.power_step`` run, with the same bits.
 
 Progressive hedging decomposes by scenario and exposes the
 nonanticipativity structure algorithmically: scenario copies of the
@@ -56,7 +59,10 @@ negative of the per-scenario nonanticipativity density minus the shared
 control gradient. Given the weights, the subproblems of a round are
 independent. They are split into contiguous groups, one per CPU of the
 affinity mask (``worker_count``), and each group runs in its own forked
-process (``_EngineWorker``), one engine call per subproblem.
+process (``_EngineWorker``), one engine call per subproblem. The process
+that runs a group binds each subproblem's kernel buffers once per solve
+(``_Group``) and only loads each round's warm start and extras into them:
+at n1d 16 a bind took about 340 us, and loading 15 us (2-vCPU Xeon).
 
 The barrier oracle is deliberately a different algorithmic family (dense
 Newton on a log-barrier interior path) so that agreement between solvers
@@ -135,13 +141,14 @@ class SolverParams:
     ph_penalty: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, numbers.Integral):
+        # a bool is an Integral, and True would pass as 1
+        if not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if not self.max_iters > 0:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         for name in ("kkt_tolerance", "ph_penalty"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
+            if isinstance(value, bool) or not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not self.kkt_tolerance < 1.0:
             raise ValueError("kkt_tolerance must be below 1")
@@ -181,32 +188,28 @@ def _report(algorithm: str, kkt: certify.KktReport, iterations: int, status: str
 
 
 def _k_maps(rows: list[Instance], s1, sz, ci, live: np.ndarray):
-    """Domain weights and the forward and adjoint maps of the rescaled
-    constraint map K of each instance in ``rows``, which must share the
-    grid, mode and scenario count (``kernel._map_dims`` checks), stacked
-    for a lockstep power iteration.
+    """Domain weights, the forward map and the power step
+    (``operator_norm_estimate``'s ``step``) of the rescaled constraint map
+    K of each instance in ``rows``, which must share the grid, mode and
+    scenario count (``kernel._map_dims`` checks), stacked for a lockstep
+    power iteration.
     The maps take and return the rows still running, which ``live`` names;
     rows only ever leave, so their count does too.
 
-    The kernel's ``forward`` and ``adjoint`` (``kernel.numpy_steps`` without
-    a compiler) apply each running row's own operator, through its cached
-    stencil. The control block of the adjoint, ``-s1 (p @ we)``, is
-    ``np.matmul`` here, whose summation order at S > 1 is the BLAS
-    library's. Each map returns a buffer, one per count of running rows,
-    that its next call overwrites; ``grid.operator_norm_estimate`` is done
-    with each result by then.
+    The kernel's ``forward`` and ``power_step`` (``kernel.numpy_steps``
+    without a compiler) apply each running row's own operator, through its
+    cached stencil. The step first writes the control block of the adjoint,
+    ``-s1 (p @ we)``, with ``np.matmul``, whose summation order at S > 1 is
+    the BLAS library's; one kernel call then applies the rest of the
+    adjoint and scores the step. Each map returns buffers, one set per
+    count of running rows, that its next call overwrites;
+    ``grid.operator_norm_estimate`` is done with each result by then.
     """
     s1, sz, ci = (np.asarray(c, dtype=float) for c in (s1, sz, ci))
     kern = kernel.load() or kernel.numpy_steps
     maps = kern.bind_maps(rows, np.stack([s1, sz, ci, -ci * sz], axis=1))
-    first = rows[0]
-    R, S, n, slack = len(rows), first.S, first.n, first.mode == "slack"
-    SN = S * n
-    p = np.array([sub.p for sub in rows])
-    hh = first.h * first.h
-    weights = np.concatenate(
-        [np.full((R, n), hh)] + [np.repeat(p * hh, n, axis=1)] * (2 if slack else 1), axis=1)
-    cols = (-s1[:, None, None], p[:, None, :])
+    S, n = rows[0].S, rows[0].n
+    cols = (-s1[:, None, None], np.array([sub.p for sub in rows])[:, None, :])
     running = {}
 
     def select(L: int):
@@ -215,7 +218,8 @@ def _k_maps(rows: list[Instance], s1, sz, ci, live: np.ndarray):
         if L not in running:
             idx = np.flatnonzero(live)
             buf = kernel.map_buffers(maps, idx)
-            running[L] = (buf, *(c[idx] for c in cols), buf.t[:, None, :n])
+            running[L] = (buf, *(c[idx] for c in cols), buf.e[:, :S * n].reshape(L, S, n),
+                          buf.t[:, None, :n])
         return running[L]
 
     def forward(v: np.ndarray) -> np.ndarray:
@@ -223,14 +227,13 @@ def _k_maps(rows: list[Instance], s1, sz, ci, live: np.ndarray):
         kern.forward(maps, buf, v)
         return buf.e
 
-    def adjoint(w: np.ndarray) -> np.ndarray:
-        L = len(w)
-        buf, neg_s1, p, control = select(L)
-        kern.adjoint(maps, buf, w)
-        np.multiply(neg_s1, np.matmul(p, w[:, :SN].reshape(L, S, n)), out=control)
-        return buf.t
+    def step(e: np.ndarray, v: np.ndarray, lam_prev: np.ndarray):
+        """The power step at ``e = forward(v)``, which is ``buf.e``."""
+        buf, neg_s1, p, we, control = select(len(v))
+        np.multiply(neg_s1, np.matmul(p, we), out=control)
+        return kern.power_step(maps, buf, v, lam_prev)
 
-    return weights, forward, adjoint
+    return maps.weights, forward, step
 
 
 def _estimate_k_norm(rows: list[Instance], s1=1.0, sz=1.0, ci=1.0) -> list[float]:
@@ -253,9 +256,9 @@ def _estimate_k_norm(rows: list[Instance], s1=1.0, sz=1.0, ci=1.0) -> list[float
             if key not in sub.scenarios._cache]
     if todo:
         live = np.ones(len(todo), dtype=bool)
-        weights, forward, adjoint = _k_maps([rows[j] for j in todo], s1[todo], sz[todo],
-                                            ci[todo], live)
-        est = operator_norm_estimate(forward, adjoint, weights, live=live)
+        weights, forward, step = _k_maps([rows[j] for j in todo], s1[todo], sz[todo],
+                                         ci[todo], live)
+        est = operator_norm_estimate(forward, None, weights, live=live, step=step)
         for j, e in zip(todo, est):
             rows[j].scenarios._cache[keys[j]] = float(e)
     return [sub.scenarios._cache[key] for sub, key in zip(rows, keys)]
@@ -291,6 +294,20 @@ def _steps(rows: list[Instance]) -> np.ndarray:
     return np.array(steps)
 
 
+def _start(inst: Instance, ci: float, warm: tuple[PrimalPoint, DualPoint] | None):
+    """The engine's starting state (x1, y, z, xb1, yb, zb, lam_e, lam_ih)
+    from ``warm``, a primal and dual pair, or None for the projected zero
+    point, with the extrapolated point at the start."""
+    if warm is None:
+        zeros = np.zeros((inst.S, inst.n))
+        x1, y, z, lam_e, lam_ih = project_c1(inst, np.zeros(inst.n)), zeros, zeros, zeros, zeros
+    else:
+        xw, lw = warm
+        x1, y, z, lam_e, lam_ih = (xw.x1, xw.y, xw.z, lw.adjoint,
+                                   np.maximum(lw.obstacle, 0.0) / ci)
+    return x1, y, z, x1, y, z, lam_e, lam_ih
+
+
 def _pdhg_engine(
     inst: Instance,
     tol: float,
@@ -300,13 +317,18 @@ def _pdhg_engine(
     x1_extra_center: np.ndarray | None = None,
     x1_extra_lin: np.ndarray | None = None,
     history=None,
+    batch=None,
 ) -> tuple[PrimalPoint, DualPoint, int, str]:
     """Run the primal-dual iteration on ``inst`` from ``warm`` (a primal
     and dual pair, or None for the projected zero point) until its
     optimality residuals drop below ``tol``; returns (primal, dual,
     iterations, status).
 
-    The step constants come from ``_steps``. Every residual check runs
+    The step constants come from ``_steps``, and the iteration runs on the
+    kernel buffers that ``bind`` lays out for the call, or on ``batch``,
+    the buffers an earlier ``bind`` laid out for ``inst`` (progressive
+    hedging keeps one per subproblem), loaded with ``warm`` and the extras
+    (``refill``) instead. Every residual check runs
     inside the kernel call that ends the interval (``kernel.iterate``): it
     writes the natural residuals of ``certify.natural_residuals``, the
     multiplier magnitudes ``h max_k |lam_e,k|`` and ``ci h max_k
@@ -327,15 +349,14 @@ def _pdhg_engine(
     """
     kern = kernel.load() or kernel.numpy_steps
     S, n, slack = inst.S, inst.n, inst.mode == "slack"
-    [step] = _steps([inst])
-    ci = step[1]
-    if warm is None:
-        zeros = np.zeros((S, n))
-        x1, y, z, lam_e, lam_ih = project_c1(inst, np.zeros(n)), zeros, zeros, zeros, zeros
+    extras = dict(q=x1_extra_quad, center=x1_extra_center, lin=x1_extra_lin)
+    if batch is None:
+        [step] = _steps([inst])
+        k = kern.bind(inst, step, _start(inst, step[1], warm), **extras)
     else:
-        xw, lw = warm
-        x1, y, z, lam_e, lam_ih = (xw.x1, xw.y, xw.z, lw.adjoint,
-                                   np.maximum(lw.obstacle, 0.0) / ci)
+        k = batch
+        kern.refill(k, _start(inst, k.ci, warm), **extras)
+    ci = k.ci
     # the iterations up to each residual check, in one kernel call; each is
     # the dual ascent at the extrapolated primal point:
     # lam_e += sigma ((A yb - xb1) - g)
@@ -349,8 +370,6 @@ def _pdhg_engine(
     # writes certify.natural_residuals of (xn, (lam_e, ci lam_ih, -lam_e)),
     # the divergence magnitudes h max_k |lam_e,k|, ci h max_k |lam_ih,k| and
     # the worst residual (certify.max_residual's rule) into k.check
-    k = kern.bind(inst, step, (x1, y, z, x1, y, z, lam_e, lam_ih), q=x1_extra_quad,
-                  center=x1_extra_center, lin=x1_extra_lin)
     best_worst = math.inf
     status = STATUS_ITERATION_CAP
     it = 0
@@ -466,26 +485,39 @@ class WorkerExitError(RuntimeError):
     """An engine worker process ended without replying."""
 
 
-def _run_group(rows: list[Instance], warm: list, x1_extra_lin, **common) -> list:
-    """The engine calls of one PH round on the contiguous group ``rows``,
-    with one warm start and one row of ``x1_extra_lin`` (or None) per row:
-    the step sizes of all rows in one lockstep estimate (``_steps``), then
-    one engine call per row, one after another; returns their results."""
-    _steps(rows)
-    lins = [None] * len(rows) if x1_extra_lin is None else x1_extra_lin
-    return [_pdhg_engine(sub, warm=w, x1_extra_lin=lin, **common)
-            for sub, w, lin in zip(rows, warm, lins)]
+class _Group:
+    """The PH subproblems ``rows`` of one contiguous group, in the process
+    that runs them. The first round estimates the step sizes of all rows
+    in one lockstep estimate (``_steps``) and binds one kernel batch per
+    row (``bind``), which the group keeps for the rest of the solve; every
+    round then makes one engine call per row on its batch, one row after
+    another."""
+
+    def __init__(self, rows: list[Instance]):
+        self.rows, self.batches = rows, None
+
+    def run(self, warm: list, x1_extra_lin, **common) -> list:
+        """The engine calls of one round, with one warm start and one row
+        of ``x1_extra_lin`` (or None) per row; returns their results."""
+        kern = kernel.load() or kernel.numpy_steps
+        if self.batches is None:
+            self.batches = [kern.bind(sub, step, _start(sub, step[1], None), q=0.0)
+                            for sub, step in zip(self.rows, _steps(self.rows))]
+        lins = [None] * len(self.rows) if x1_extra_lin is None else x1_extra_lin
+        return [_pdhg_engine(sub, warm=w, x1_extra_lin=lin, batch=k, **common)
+                for sub, k, w, lin in zip(self.rows, self.batches, warm, lins)]
 
 
 def _serve_engine(conn, rows: list[Instance]) -> None:
     """Serve PH rounds on ``rows`` until the process is terminated: each
-    message holds the keyword arguments of one ``_run_group`` call and is
+    message holds the keyword arguments of one ``_Group.run`` call and is
     answered with ``(True, result)`` or, if the call raised,
     ``(False, (exception, formatted traceback))``."""
+    group = _Group(rows)
     while True:
         kwargs = conn.recv()
         try:
-            reply = (True, _run_group(rows, **kwargs))
+            reply = (True, group.run(**kwargs))
         except Exception as exc:
             reply = (False, (exc, traceback.format_exc()))
         conn.send(reply)
@@ -493,7 +525,7 @@ def _serve_engine(conn, rows: list[Instance]) -> None:
 
 class _EngineWorker:
     """A worker process, forked once and bound to ``rows``, that runs
-    ``_run_group`` calls on them (``_serve_engine``) one at a time:
+    rounds on them (``_Group.run`` in ``_serve_engine``) one at a time:
     ``start(**kwargs)`` sends a call's keyword arguments and ``result()``
     waits for its result. A call that raised in the worker raises its
     exception in ``result()``, with the worker's traceback as the cause; a
@@ -503,9 +535,9 @@ class _EngineWorker:
     Workers are forked, not spawned: they inherit the realized instances
     and the compiled engine kernel (``kernel.load``, called before the
     fork) instead of importing numpy and the package again, which
-    takes longer than most engine calls, and their caches of ``rows`` stay
-    warm from call to call. Callers fork only when ``worker_count()``
-    exceeds 1.
+    takes longer than most engine calls, and they keep the caches and
+    kernel batches of ``rows`` from round to round. Callers fork only when
+    ``worker_count()`` exceeds 1.
     """
 
     def __init__(self, rows: list[Instance]):
@@ -546,15 +578,16 @@ def _ph_rounds(subs: list[Instance]):
     results in order.
 
     The rows are split into W = min(S, ``worker_count()``) contiguous
-    groups, each run by ``_run_group``. The calling process runs group 0;
-    each other group runs in an ``_EngineWorker`` forked here and bound to
-    it for every round. Each round a worker gets its rows' slices of
-    ``warm`` and ``x1_extra_lin``. A row's results do not depend on the
-    rows that share its group, so they are bitwise those of one engine call
-    per row in one process.
+    groups, each a ``_Group``, which binds its rows' kernel batches once.
+    The calling process runs group 0; each other group runs in an
+    ``_EngineWorker`` forked here and bound to it for every round. Each
+    round a worker gets its rows' slices of ``warm`` and ``x1_extra_lin``.
+    A row's results do not depend on the rows that share its group, so
+    they are bitwise those of one engine call per row in one process.
     """
     W = min(len(subs), worker_count())
     bounds = [len(subs) * g // W for g in range(W + 1)]
+    first = _Group(subs[:bounds[1]])
     with contextlib.ExitStack() as workers_open:
         workers = [workers_open.enter_context(contextlib.closing(
             _EngineWorker(subs[lo:hi]))) for lo, hi in zip(bounds[1:-1], bounds[2:])]
@@ -567,7 +600,7 @@ def _ph_rounds(subs: list[Instance]):
 
             for g, worker in enumerate(workers, start=1):
                 worker.start(**part(g))
-            results = _run_group(subs[:bounds[1]], **part(0))
+            results = first.run(**part(0))
             for worker in workers:
                 results += worker.result()
             return results

@@ -1,3 +1,5 @@
+import ctypes
+import functools
 import gc
 import itertools
 import math
@@ -855,12 +857,14 @@ def _map_rows(R, S, n1d, mode, seed):
        mode=st.sampled_from(["slack", "hard"]), seed=st.integers(0, 2**32 - 1),
        data=st.data())
 def test_kernel_k_maps_match_numpy_maps_bitwise(R, S, n1d, mode, seed, data):
-    """The K-norm maps of ``solvers._k_maps`` through the C kernel give the
-    bytes of the numpy maps (each running row's own CSR operator) on 1-4
-    rows of 1-3 scenarios, in slack and hard mode, with drawn s1, sz and
-    ci, on grids of m = 1 and 2 (no node has every neighbour), at inputs
-    with signed zeros and subnormals, while the live mask drops rows as
-    the power iteration's stop does."""
+    """The K-norm forward map and power step of ``solvers._k_maps`` through
+    the C kernel give the bytes of the numpy form (each running row's own
+    operator, then ``grid.power_step``) on 1-4 rows of 1-3 scenarios, in
+    slack and hard mode, with drawn s1, sz and ci, on grids of m = 1 and 2
+    (no node has every neighbour), at inputs with signed zeros and
+    subnormals, the step also at a drawn forward result and previous
+    Rayleigh quotients, one of them the quotient itself (a stop), while
+    the live mask drops rows as the power iteration's stop does."""
     rows = _map_rows(R, S, n1d, mode, seed)
     rng = np.random.default_rng(seed)
     s1, sz, ci = rng.uniform(0.5, 40.0, (3, R))
@@ -880,15 +884,90 @@ def test_kernel_k_maps_match_numpy_maps_bitwise(R, S, n1d, mode, seed, data):
         live = np.ones(R, bool)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernel, "load", lambda: impl)
-            _, forward, adjoint = solvers._k_maps(rows, s1, sz, ci, live)
+            _, forward, step = solvers._k_maps(rows, s1, sz, ci, live)
         got = []
         for mask, (v, w) in zip(masks, inputs):
             live[:] = mask
             e = forward(v)
-            got += [e.copy(), adjoint(e).copy(), adjoint(w).copy()]
+            got.append(e.copy())
+            lam_prev = np.full(len(v), np.inf)
+            got += [a.copy() for a in step(e, v, lam_prev)]
+            lam_prev = got[-3].copy()
+            lam_prev[1:] = rng.uniform(0.0, 2.0, len(v) - 1)
+            e[...] = w
+            got += [a.copy() for a in step(e, v, lam_prev)]
         out.append(got)
     for a, b in zip(*out):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@functools.cache
+def _kernel_library():
+    """The kernel's source compiled and loaded on its own, for the C
+    functions that ``kernel.Kernel`` does not wrap."""
+    lib = kernel._build()
+    lib.weighted_sum.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_int64,)
+    lib.weighted_sum.restype = ctypes.c_double
+    return lib
+
+
+# the entries the weighted sums are tried on, besides normal values
+SUM_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan, SUBNORMAL, -SUBNORMAL, 3 * SUBNORMAL, TINY)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+@settings(max_examples=150, deadline=None)
+@given(length=st.one_of(st.sampled_from([1, 7, 8, 9, 16, 127, 128, 129, 136, 255, 2000]),
+                        st.integers(1, 2000)),
+       rate=st.sampled_from([0.0, 0.0, 0.01, 0.2, 1.0, -1.0]), seed=st.integers(0, 2**32 - 1))
+def test_kernel_weighted_sums_match_numpy_add_reduce(length, rate, seed):
+    """The kernel's weighted sum of the products (w a) b, which scores each
+    K-norm power step, has the bits of ``np.add.reduce((w * a) * b,
+    axis=-1)``, numpy's pairwise sum of a contiguous row added to 0.0: on
+    lengths 1 to 2000, around the 8-term and 128-term block sizes and their
+    splits, with values of many magnitudes and, at a drawn rate, +-0.0,
+    +-inf, NaN, subnormals and the smallest normal (at rate 1 only those),
+    or (rate -1) with every product -0.0, whose sum is +0.0. Only the sign
+    of a NaN may differ (``_same_bytes_but_nan_sign``)."""
+    rng = np.random.default_rng(seed)
+    w, a, b = (rng.standard_normal((1, length)) * 10.0 ** rng.integers(-8, 9, (1, length))
+               for _ in range(3))
+    if rate < 0:
+        w, a, b = np.abs(w), np.zeros_like(a), -np.abs(b)
+    for x in (a, b):
+        special = rng.random(x.shape) < rate
+        x[special] = rng.choice(SUM_VALUES, size=int(special.sum()))
+    with np.errstate(all="ignore"):
+        want = np.add.reduce((w * a) * b, axis=-1)
+    got = _kernel_library().weighted_sum(w.ctypes.data, a.ctypes.data, b.ctypes.data, length)
+    assert _same_bytes_but_nan_sign(np.float64(got), want)
+
+
+def _fresh_k_norm_rows(case, mode):
+    """New instances, with nothing cached, of the seed-7 default preset
+    (n1d 16, S 8) in ``mode``: its one-scenario PH subsets or the whole."""
+    inst = io.make_instance("default", seed=7).with_mode(mode)
+    if case == "full":
+        return [inst]
+    return [replace(inst, scenarios=inst.scenarios.subset([k])) for k in range(inst.S)]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+@pytest.mark.parametrize("mode", ["slack", "hard"])
+@pytest.mark.parametrize("case", ["ph-subsets", "full"])
+def test_k_norm_estimate_is_the_same_with_the_kernel_and_numpy_steps(case, mode):
+    """``_estimate_k_norm``, unscaled and with the engine's block scaling
+    (both estimates of ``_steps``), gives the same bits when its power steps
+    run in the C kernel and in ``kernel.numpy_steps``: on the eight
+    one-scenario PH subsets of the seed-7 default preset, one lockstep
+    estimate whose rows stop at different steps, and on the whole
+    instance, in slack and hard mode."""
+    out = []
+    for impl in (kernel.numpy_steps, kernel.load()):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "load", lambda: impl)
+            out.append(solvers._steps(_fresh_k_norm_rows(case, mode)))
+    assert out[0].tobytes() == out[1].tobytes()
 
 
 def _block_edge(S, m):
@@ -908,43 +987,63 @@ def _same_bytes_but_nan_sign(a, b):
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-@settings(max_examples=60, deadline=None)
-@given(S=st.integers(1, 3), m=st.integers(5, 9), slack=st.booleans(), edge=st.booleans(),
+@settings(max_examples=100, deadline=None)
+@given(S=st.integers(1, 3), m=st.integers(1, 9), slack=st.booleans(), edge=st.booleans(),
        count=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
 def test_kernel_vector_stencil_matches_numpy_steps_on_non_finite_values(S, m, slack, edge,
                                                                       count, seed):
-    """On grids of m = 5 to 9, where the stencil's interior loop runs its
-    vector body and its remainder at 4 and 8 lanes, ``iterate`` and the
-    K-norm maps ``forward`` and ``adjoint`` of the C kernel give the bytes
-    of the numpy steps when the operator's diagonals, the iterates and the
-    maps' inputs hold +-0.0, +-inf, NaN and subnormals (``PRODUCT_VALUES``),
-    in half the draws with every node on a block edge at inf or NaN: the
-    kernel multiplies an absent neighbour's value too, and its bit mask
-    must still add +0.0 for it. Only the sign of a NaN may differ
+    """On grids of m = 1 to 9, where the stencil's one loop runs its vector
+    body and its remainder at 4 and 8 lanes and, at S = 1 and m <= 2, no
+    row has all four neighbours inside the vector, ``iterate`` and the
+    K-norm maps ``forward`` and ``power_step`` of the C kernel give the
+    bytes of the numpy steps when the operator's diagonals, the iterates
+    and the maps' inputs hold +-0.0, +-inf, NaN and subnormals
+    (``PRODUCT_VALUES``), in half the draws with every node on a block
+    edge at inf or NaN, and so are the entries beyond the zero guards that
+    the stencil reads past a vector's ends: the x1 blocks before y and yb,
+    the lam_ih block after lam_e, and the other blocks of each K-map row
+    and its neighbouring rows. The kernel multiplies an absent neighbour's
+    value too, and its bit mask must still add +0.0 for it. Hard mode's y
+    is the last block of its primal vectors, and the last K-map row the
+    last of its buffer. Only the sign of a NaN may differ
     (``_same_bytes_but_nan_sign``); the check writes the one quiet NaN, so
     its bytes are compared whole."""
     rng = np.random.default_rng(seed)
     n, N = m * m, S * m * m
     values = np.array(PRODUCT_VALUES)
+    non_finite = [np.inf, -np.inf, np.nan]
 
     def draw(*shape, on_edge=False):
         a = rng.choice(values, size=shape)
         if edge and on_edge:
             rows, mask = a.reshape(-1, N), _block_edge(S, m)
-            rows[:, mask] = rng.choice([np.inf, -np.inf, np.nan], size=(len(rows), mask.sum()))
+            rows[:, mask] = rng.choice(non_finite, size=(len(rows), mask.sum()))
+        return a
+
+    def beside(a, at):
+        """``a`` with its entries ``at`` inf or NaN when ``edge``"""
+        if edge:
+            a[..., at] = rng.choice(non_finite, size=a[..., at].shape)
         return a
 
     fields, step, _, extras = _kernel_case(rng, S, m, slack, qc=False, lin=False)
     stencil = _drawn_stencil(m, draw(5, N))
     fields.update(stencil=stencil, g=draw(S, n), psi=draw(S, n))
-    state = (draw(n), draw(S, n, on_edge=True), draw(S, n), draw(n),
-             draw(S, n, on_edge=True), draw(S, n), draw(S, n, on_edge=True), draw(S, n))
+    lam_ih = draw(S, n)
+    lam_ih.reshape(-1)[:m] = beside(lam_ih.reshape(-1)[:m], slice(None))
+    state = (beside(draw(n), slice(-m, None)), draw(S, n, on_edge=True), draw(S, n),
+             beside(draw(n), slice(-m, None)), draw(S, n, on_edge=True), draw(S, n),
+             draw(S, n, on_edge=True), lam_ih)
     mode = "slack" if slack else "hard"
-    row = SimpleNamespace(S=S, n=n, mode=mode, block_operator=lambda: stencil)
+    row = SimpleNamespace(S=S, n=n, mode=mode, p=rng.uniform(0.1, 1.0, S), h=0.5,
+                          block_operator=lambda: stencil)
     nx = n + N * (2 if slack else 1)
     v, w = draw(2, nx), draw(2, 2 * N, on_edge=True)
     v[:, n:n + N] = draw(2, N, on_edge=True)
+    beside(v, np.r_[:n, n + N:nx])
+    beside(w, slice(N, None))
     coef = rng.uniform(0.5, 40.0, (2, 4))
+    lam_prev = rng.uniform(0.0, 2.0, 2)
     out = []
     for impl in (kernel.numpy_steps, kernel.load()):
         with np.errstate(all="ignore"):
@@ -954,18 +1053,63 @@ def test_kernel_vector_stencil_matches_numpy_steps_on_non_finite_values(S, m, sl
             buf = kernel.map_buffers(maps, np.array([0, 1]))
             impl.forward(maps, buf, v)
             e = buf.e.copy()
-            impl.adjoint(maps, buf, w)
+            buf.e[...] = w
+            buf.t[:, :n] = 1.0      # the caller's control block
+            v_next, lam, stop, zero = impl.power_step(maps, buf, v, lam_prev)
         out.append(dict(cur=k.cur[0], nxt=k.nxt[0], xb=k.xb[0], duals=k.duals, check=k.check,
-                        forward=e, adjoint=buf.t[:, n:].copy()))
+                        forward=e, adjoint=buf.t.copy(), v_next=v_next.copy(), lam=lam.copy(),
+                        flags=np.array([stop, zero])))
     numpy_out, kernel_out = out
-    assert numpy_out.pop("check").tobytes() == kernel_out.pop("check").tobytes()
+    for name in ("check", "flags"):
+        assert numpy_out.pop(name).tobytes() == kernel_out.pop(name).tobytes(), name
     for name in numpy_out:
         assert _same_bytes_but_nan_sign(numpy_out[name], kernel_out[name]), name
 
 
+def _zeros_at(address: int, count: int) -> bool:
+    """The ``count`` doubles at ``address`` are all +0.0."""
+    return bytes((ctypes.c_double * count).from_address(address)) == bytes(8 * count)
+
+
+@pytest.mark.parametrize("mode", ["slack", "hard"])
+def test_stencil_vectors_sit_between_zero_guards(mode):
+    """Every vector the stencil reads has at least m zero entries on each
+    side inside its buffer, a multiple of 8 and so whole cache lines,
+    before and after an engine call has run on it: y in the current, next
+    and extrapolated primal vectors, lam_e in the duals, and each row's y
+    in the K-norm iterate ``v`` and each row of its forward result ``e``
+    (their rows lie a guard apart, with a guard before the first and after
+    the last). m = 9 gives guards of 16 entries."""
+    inst = io.make_instance("default", n1d=9, scenario_count=2).with_mode(mode)
+    n, NS = inst.n, inst.S * inst.n
+    [step] = solvers._steps([inst])
+    for impl in (kernel.numpy_steps, kernel.load()):
+        if impl is None:
+            continue
+        zeros = np.zeros((inst.S, n))
+        k = impl.bind(inst, step, (np.ones(n), zeros + 1, zeros + 1, np.ones(n), zeros + 1,
+                                   zeros + 1, zeros + 1, zeros + 1), q=0.0)
+        impl.iterate(k, 3)
+        pad = k.pad
+        assert pad >= 9 and pad % 8 == 0
+        for _, _, y, _ in (k.cur, k.nxt, k.xb):
+            at = y.ctypes.data
+            assert _zeros_at(at - 8 * pad, pad) and _zeros_at(at + 8 * NS, pad)
+        at = k.duals.ctypes.data
+        assert _zeros_at(at - 8 * pad, pad) and _zeros_at(at + 8 * NS, pad)
+        maps = impl.bind_maps([inst, inst], np.ones((2, 4)))
+        buf = kernel.map_buffers(maps, np.array([0, 1]))
+        impl.forward(maps, buf, np.ones(buf.v.shape))
+        for rows, width in ((buf.v, buf.v.shape[1]), (buf.e, buf.e.shape[1])):
+            assert rows.strides[0] == 8 * (width + pad)
+            for row in rows:
+                at = row.ctypes.data
+                assert _zeros_at(at - 8 * pad, pad) and _zeros_at(at + 8 * width, pad)
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_kernel_stencil_interior_loop_is_vectorized(tmp_path):
-    """gcc vectorizes the interior loop of the kernel's ``stencil()``, which
+    """gcc vectorizes the one loop of the kernel's ``stencil()``, which
     every PDHG iteration, check and K-norm map runs: a select on a uint8
     neighbour flag leaves that loop scalar, so the absent neighbours are
     masked by bits. The loop is found by its source text, not by a line
@@ -973,7 +1117,7 @@ def test_kernel_stencil_interior_loop_is_vectorized(tmp_path):
     gcc vectorizer notes."""
     lines = list(enumerate(kernel.SOURCE.splitlines(), start=1))
     start = next(i for i, s in lines if s.startswith("static void stencil("))
-    loop = next(i for i, s in lines[start:] if "r < end; r++)" in s)
+    loop = next(i for i, s in lines[start:] if "r < N; r++)" in s)
     src = tmp_path / "kernel.c"
     src.write_text(kernel.SOURCE)
     run = subprocess.run(["cc", *kernel.FLAGS, "-fopt-info-vec-optimized", "-c", "-o",
@@ -1019,8 +1163,10 @@ def test_kernel_buffers_are_64_byte_aligned(mode, extras):
     """Every buffer the steps and the K-norm maps read or write starts on a
     64-byte boundary, whatever offsets numpy would give it: the batch of
     ``bind`` (and every pointer of the ``_Batch`` the kernel gets), the
-    arrays of the assembled stencil, and the maps' ``e`` and ``t`` of
-    ``map_buffers``, on a grid of n = 25 nodes, not a multiple of 8."""
+    arrays of the assembled stencil, and the maps' ``v``, ``e``, ``t`` and
+    ``weights`` of ``map_buffers`` (and the kernel's pointers to them), on
+    a grid of n = 25 nodes, not a multiple of 8, where the first row of
+    ``v`` and of ``e`` starts after a zero guard."""
     inst = io.make_instance("default", n1d=5, scenario_count=3).with_mode(mode)
     [step] = solvers._steps([inst])
     rng = np.random.default_rng(0)
@@ -1044,7 +1190,11 @@ def test_kernel_buffers_are_64_byte_aligned(mode, extras):
         maps = impl.bind_maps([inst, inst], np.ones((2, 4)))
         for idx in ([0, 1], [1]):
             buf = kernel.map_buffers(maps, np.array(idx))
-            addresses.update({f"e{idx}": buf.e.ctypes.data, f"t{idx}": buf.t.ctypes.data})
+            addresses.update({f"{name}{idx}": getattr(buf, name).ctypes.data
+                              for name in ("v", "e", "t", "weights")})
+            if impl is not kernel.numpy_steps:
+                addresses.update({f"struct {name}{idx}": getattr(buf.struct, name)
+                                  for name in ("v", "e", "t", "weights")})
         misaligned = {name: a % 64 for name, a in addresses.items() if a % 64}
         assert not misaligned, misaligned
 
@@ -1163,6 +1313,18 @@ def test_solver_params_validation():
     for name in ("kkt_tolerance", "ph_penalty"):
         for value in (math.inf, math.nan, -1.0):
             with pytest.raises(ValueError, match=name):
+                SolverParams(**{name: value})
+
+
+def test_solver_params_rejects_bools():
+    """A bool is an integer to Python, but ``max_iters=True`` is no
+    iteration cap of 1 and ``ph_penalty=True`` no penalty of 1."""
+    with pytest.raises(ValueError, match="max_iters must be an integer, got True"):
+        SolverParams(max_iters=True)
+    for name in ("kkt_tolerance", "ph_penalty"):
+        for value in (True, False):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite, got "
+                                                 f"{value}"):
                 SolverParams(**{name: value})
 
 
@@ -1405,6 +1567,39 @@ def test_ph_worker_exception_is_raised_and_workers_are_reaped(small_instance,
     monkeypatch.setattr(solvers, "_pdhg_engine", engine)
     _, _, rep, _ = solve_progressive_hedging(small_instance, SolverParams(ph_penalty=0.05))
     assert rep.converged
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ph_binds_each_row_once_per_solve(small_instance, monkeypatch, use_workers, tmp_path,
+                                          workers):
+    """A PH solve binds each subproblem's kernel batch once, in the process
+    that runs its row, and refills it every round: S binds per solve, not
+    S per round, and S refills per round, with the rows in 1 or 2 groups
+    (the second in a worker process)."""
+    use_workers(workers)
+    steps = kernel.load() or kernel.numpy_steps
+    log = tmp_path / "calls"
+
+    def logged(name):
+        real = getattr(steps, name)
+
+        def call(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("bind", "refill"):
+        monkeypatch.setattr(steps, name, logged(name))
+    _, _, rep, _ = solve_progressive_hedging(small_instance, SolverParams(ph_penalty=0.05))
+    calls = [line.split() for line in log.read_text().splitlines()]
+    S, rounds = small_instance.S, rep.iterations
+    assert rep.converged and rounds > 1
+    binds = [pid for name, pid in calls if name == "bind"]
+    # bind loads its batch through refill too
+    assert len(binds) == S and sum(name == "refill" for name, _ in calls) == S * (rounds + 1)
+    assert len(set(binds)) == workers and binds.count(str(os.getpid())) == S // workers
     assert multiprocessing.active_children() == []
 
 
