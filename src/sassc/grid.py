@@ -371,7 +371,8 @@ def operator_norm_estimate(forward, adjoint, weights: np.ndarray,
 
     rows = np.arange(B)
     est = np.zeros(B)
-    # a pairwise sum over the contiguous last axis, as for a single vector
+    # weighted inner products sum((weights * u) * v), one per row: a
+    # pairwise sum over the contiguous last axis, as for a single vector
     rng = np.random.default_rng(NORM_ESTIMATE_SEED)
     v = np.tile(rng.standard_normal(weights.shape[1]), (B, 1))
     v /= np.sqrt(np.add.reduce(weights * v * v, axis=-1))[:, None]
